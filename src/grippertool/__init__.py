@@ -32,11 +32,9 @@ from .mechanism import (
     stroke_fixed_width,
 )
 from .payload import (
-    ObjectSpec,
     PayloadResult,
     equilibrium_coefficients,
     max_payload,
-    payload_coefficients,
     payload_sweep,
     stable_quadratic_roots,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "InfeasibleHoldError",
     "InfeasibleProblemError",
     "NoFeasiblePayloadError",
-    "ObjectSpec",
     "PayloadResult",
     "SingularTransmissionError",
     "SizingProblem",
@@ -88,7 +85,6 @@ __all__ = [
     "max_payload",
     "maximize_stroke",
     "parse_design",
-    "payload_coefficients",
     "payload_sweep",
     "required_grip_force",
     "serialize_design",

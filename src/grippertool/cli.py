@@ -110,8 +110,7 @@ def _cmd_analyze(args, out) -> int:
 
 def _cmd_payload_sweep(args, out) -> int:
     _, _, model, state = _load(args.design)
-    rows = payload_sweep(model, state, args.d_obj, args.alpha, args.d,
-                         workers=args.workers)
+    rows = payload_sweep(model, state, args.d_obj, args.alpha, args.d)
     print("alpha_deg,d_m,max_weight_N", file=out)
     for alpha, d, weight in rows:
         cell = INFEASIBLE if weight is None else fmt(weight)
@@ -143,7 +142,7 @@ def _cmd_optimize(args, out) -> int:
 
 def _cmd_pose_sweep(args, out) -> int:
     _, _, model, state = _load(args.design)
-    curve = gamma_sweep(model, state, args.samples, workers=args.workers)
+    curve = gamma_sweep(model, state, args.samples)
     print("gamma_deg,torque_margin_Nm", file=out)
     for gamma, margin in curve.samples:
         cell = INFEASIBLE if math.isnan(margin) else fmt(margin)
@@ -177,7 +176,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_parse_range, required=True,
                    help="grasp offset range start:stop:step (meters)")
     p.add_argument("--d-obj", type=float, default=0.0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.set_defaults(func=_cmd_payload_sweep)
 
     p = sub.add_parser("optimize", help="maximize stroke within bounds")
@@ -195,7 +195,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pose-sweep", help="torque margin over the hand-tool angle")
     p.add_argument("design")
     p.add_argument("--samples", type=int, default=91)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.set_defaults(func=_cmd_pose_sweep)
 
     return parser

@@ -11,16 +11,9 @@ Substituting the resulting (f, t) into the soft-finger limit surface and
 demanding equality yields a quadratic a*w^2 + b*w + c = 0 whose larger
 root is the maximum weight. equilibrium_coefficients() builds that
 quadratic; max_payload() solves it with a cancellation-safe root formula.
-
-payload_coefficients() is an alternative closed-form coefficient set kept
-for cross-checking tabulated design sheets. It couples the torque terms
-through the grasp offset d instead of the center-of-mass arm d_com and is
-not dimensionally homogeneous, so it generally disagrees with the balance
-above; max_payload never uses it.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .contact import ContactModel, GraspState, max_capacities
@@ -29,20 +22,6 @@ from .errors import DegenerateContactError, NoFeasiblePayloadError
 # Residual of a*x^2 + b*x + c at the returned root, normalized by the
 # largest term, must stay below this bound.
 ROOT_RESIDUAL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ObjectSpec:
-    """Target object: weight and moment arm from tooltip contact to grasp line."""
-
-    g_obj: float
-    d_obj: float
-
-    def __post_init__(self):
-        if self.g_obj < 0.0:
-            raise ValueError("ObjectSpec.g_obj must be >= 0")
-        if self.d_obj < 0.0:
-            raise ValueError("ObjectSpec.d_obj must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -69,27 +48,6 @@ class PayloadResult:
                 f"PayloadResult.residual {self.residual:g} exceeds "
                 f"{ROOT_RESIDUAL_TOL:g}"
             )
-
-
-def payload_coefficients(model: ContactModel, state: GraspState,
-                         d_obj: float) -> tuple[float, float, float]:
-    """Design-sheet coefficient variant of the payload quadratic.
-
-    See the module docstring; prefer equilibrium_coefficients for
-    computation. Raises DegenerateContactError when the torque capacity is
-    zero (f_n == 0).
-    """
-    _, max_t = max_capacities(model, state.f_n)
-    if max_t == 0.0:
-        raise DegenerateContactError("zero torque capacity: f_n is 0")
-    max_t2 = max_t * max_t
-    m2f2 = (model.mu * state.f_n) ** 2
-    sin2 = math.sin(state.alpha) ** 2
-    g = state.g_tool
-    a = (1.0 + d_obj * d_obj * sin2 * m2f2) / (4.0 * max_t2)
-    b = m2f2 * (g - d_obj * state.d * sin2) / (2.0 * max_t2)
-    c = g * g * (max_t2 + state.d * state.d * sin2 * m2f2) / (4.0 * max_t2) - m2f2
-    return a, b, c
 
 
 def equilibrium_coefficients(model: ContactModel, state: GraspState,
@@ -184,22 +142,15 @@ def _sweep_cell(model: ContactModel, state: GraspState, d_obj: float,
 
 
 def payload_sweep(model: ContactModel, state: GraspState, d_obj: float,
-                  alphas, ds, workers: int = 1
-                  ) -> list[tuple[float, float, float | None]]:
+                  alphas, ds) -> list[tuple[float, float, float | None]]:
     """Max payload over an (alpha, d) grid, row-major with alpha outer.
 
     Infeasible cells carry None instead of being dropped so downstream
-    plotting can distinguish zero payload from no solution. Results are
-    ordered by grid index regardless of worker count.
+    plotting can distinguish zero payload from no solution.
     """
     alphas = list(alphas)
     ds = list(ds)
     if not alphas or not ds:
         raise ValueError("sweep ranges must be nonempty")
-    grid = [(alpha, d) for alpha in alphas for d in ds]
-    if workers <= 1:
-        return [_sweep_cell(model, state, d_obj, alpha, d) for alpha, d in grid]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(
-            lambda cell: _sweep_cell(model, state, d_obj, *cell), grid
-        ))
+    return [_sweep_cell(model, state, d_obj, alpha, d)
+            for alpha in alphas for d in ds]

@@ -19,7 +19,6 @@ without touching callers.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .contact import ContactModel, GraspState
@@ -81,17 +80,18 @@ def _interpolated_peak(model, state, gammas, margins, i):
     return g1, m1
 
 
-def gamma_sweep(model: ContactModel, state: GraspState, n_samples: int,
-                workers: int = 1) -> TorqueMarginCurve:
+def gamma_sweep(model: ContactModel, state: GraspState,
+                n_samples: int) -> TorqueMarginCurve:
     """Uniform margin samples over [0, pi/2] with the peak located.
 
     Per-sample capacity errors become nan margins rather than aborting the
-    sweep. Ties for the peak break toward smaller gamma. Output ordering
-    is fixed by sample index regardless of worker count.
+    sweep. Ties for the peak break toward smaller gamma.
     """
     if n_samples < 2:
         raise DomainError("n_samples must be >= 2")
-    gammas = [math.pi / 2 * i / (n_samples - 1) for i in range(n_samples)]
+    # the last sample can round one ulp above pi/2; clamp it onto the domain
+    gammas = [min(math.pi / 2 * i / (n_samples - 1), math.pi / 2)
+              for i in range(n_samples)]
 
     def sample(gamma):
         try:
@@ -99,11 +99,7 @@ def gamma_sweep(model: ContactModel, state: GraspState, n_samples: int,
         except ZeroCapacityError:
             return math.nan
 
-    if workers <= 1:
-        margins = [sample(g) for g in gammas]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            margins = list(pool.map(sample, gammas))
+    margins = [sample(g) for g in gammas]
 
     best_i = None
     for i, m in enumerate(margins):

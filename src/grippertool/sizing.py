@@ -6,6 +6,18 @@ frame at full closure, and the link bars must not overlap. The stroke
 search fixes the open width w_init, eliminates the linkage length via
 r = (w_init - m) / (2*sin(theta_init)), drives theta_end to its geometric
 minimum, and searches (m, theta_init) under a grip-force budget.
+
+The budget caps the worst-case grip force over the travel, and that worst
+case is computed exactly: with A = +-g_tool*cos(alpha)/2, B = 2*v*kappa/r
+and c = beta + theta_init, the demand is
+
+    f(theta) = A*tan(theta) + B*(c - theta)/cos(theta)
+    cos(theta)**2 * f'(theta) = A + B*((c - theta)*sin(theta) - cos(theta))
+
+where the term multiplying B has derivative (c - theta)*cos(theta) >= 0
+on the travel and B > 0. So f' changes sign at most once, from - to +;
+f is quasi-convex and its maximum over [theta_end, theta_init] is at one
+of the two ends.
 """
 
 import math
@@ -16,11 +28,6 @@ import numpy as np
 from .contact import GraspState, required_grip_force
 from .errors import GeometryError, InfeasibleProblemError
 from .mechanism import SpringSpec, ToolDimensions, stroke
-
-# Number of linkage angles sampled when taking the worst-case grip force
-# over the travel. The demand is not monotone in theta, so a single
-# endpoint evaluation is not safe.
-GRIP_SAMPLES = 64
 
 
 def clearance_span(d_axis: float, r_edge: float) -> float:
@@ -122,17 +129,14 @@ class SizingResult:
     active_constraints: list[str]
 
 
-def grip_demand(dim: ToolDimensions, spring: SpringSpec, state: GraspState,
-                samples: int = GRIP_SAMPLES) -> float:
-    """Worst-case required grip force over the travel [theta_end, theta_init]."""
-    worst = -math.inf
-    for i in range(samples):
-        theta = dim.theta_end + (dim.theta_init - dim.theta_end) * i / (samples - 1)
-        theta = min(theta, dim.theta_init)  # guard the last sample against roundoff
-        force = required_grip_force(dim, spring, replace(state, theta=theta))
-        if force > worst:
-            worst = force
-    return worst
+def grip_demand(dim: ToolDimensions, spring: SpringSpec, state: GraspState) -> float:
+    """Worst-case required grip force over the travel [theta_end, theta_init].
+
+    Exact: the demand is quasi-convex in theta (see the module docstring),
+    so the larger of the two end values is the maximum.
+    """
+    return max(required_grip_force(dim, spring, replace(state, theta=theta))
+               for theta in (dim.theta_end, dim.theta_init))
 
 
 def build_dimensions(problem: SizingProblem, m: float,
@@ -176,8 +180,9 @@ def _coarse_grid(problem: SizingProblem, n: int):
     """Vectorized feasibility and stroke over an n x n (m, theta_init) grid.
 
     Returns (ms, ts, stroke_array) with -inf marking infeasible cells.
-    Mirrors build_dimensions/grip_demand; a unit test pins the two paths
-    against each other.
+    Mirrors build_dimensions/grip_demand, including the grip demand taken
+    at the two ends of the travel; a unit test pins the two paths against
+    each other.
     """
     q = clearance_span(problem.d_axis, problem.r_edge)
     m_lo = max(problem.m_bounds[0], q)
@@ -194,17 +199,14 @@ def _coarse_grid(problem: SizingProblem, n: int):
         t_end = np.arcsin(ratio)
         ok &= t_end < t_g
 
-        # worst grip force over the travel, sampled like grip_demand
-        frac = np.linspace(0.0, 1.0, GRIP_SAMPLES)
-        theta = t_end[..., None] + (t_g - t_end)[..., None] * frac
-        t_spring = problem.spring.kappa * (
-            problem.spring.beta + (t_g[..., None] - theta)
-        )
-        transmission = 2.0 * problem.v * t_spring / (r[..., None] * np.cos(theta))
+        # worst grip force over the travel: the larger end value, as in grip_demand
+        theta = np.stack((t_end, t_g))
+        t_spring = problem.spring.kappa * (problem.spring.beta + (t_g - theta))
+        transmission = 2.0 * problem.v * t_spring / (r * np.cos(theta))
         gravity = (problem.grasp.g_tool * math.cos(problem.grasp.alpha)
                    * np.tan(theta) / 2.0)
         sign = 1.0 if problem.grasp.config.value == "backward_base" else -1.0
-        grip = np.max(sign * gravity + transmission, axis=-1)
+        grip = np.max(sign * gravity + transmission, axis=0)
         ok &= grip <= problem.grip_budget
 
         strokes = np.where(ok, 2.0 * r * np.sin(t_g - t_end), -np.inf)

@@ -79,6 +79,18 @@ class TestRangeGrid:
         assert lines[-1].startswith("85,0.1,")
 
 
+class TestPoseSweepGrid:
+    @pytest.mark.parametrize("samples", [14, 27, 48])
+    def test_last_sample_is_ninety_degrees(self, samples):
+        # for these counts pi/2*(n-1)/(n-1) rounds one ulp above pi/2
+        code, out, err = invoke(["pose-sweep", SAMPLE, "--samples", str(samples)])
+        assert code == 0
+        assert err == ""
+        lines = out.strip().split("\n")
+        assert len(lines) == samples + 2
+        assert lines[-2].startswith("90,")
+
+
 class TestLibraryConsistency:
     def test_analyze_numbers_match_library(self):
         _, out, _ = invoke(["analyze", SAMPLE, "--d-obj", "0.05"])

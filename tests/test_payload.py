@@ -2,18 +2,15 @@ import math
 from dataclasses import replace
 
 import pytest
-import sympy
 from hypothesis import assume, given, strategies as st
 
 from grippertool import (
     ContactModel,
     GraspState,
     NoFeasiblePayloadError,
-    ObjectSpec,
     capacity_check,
     equilibrium_coefficients,
     max_payload,
-    payload_coefficients,
     payload_sweep,
     stable_quadratic_roots,
 )
@@ -26,78 +23,6 @@ def state_with(**kwargs):
                 d=0.02, d_com=0.03, theta=0.3)
     base.update(kwargs)
     return GraspState(**base)
-
-
-def sympy_design_sheet_coefficients():
-    """Independent symbolic transcription of the design-sheet quadratic."""
-    mu, fn, e, g, alpha, d, dobj = sympy.symbols("mu fn e g alpha d dobj",
-                                                 positive=True)
-    max_t = e * mu * fn
-    a = (1 + dobj**2 * sympy.sin(alpha)**2 * mu**2 * fn**2) / (4 * max_t**2)
-    b = mu**2 * fn**2 * (g - dobj * d * sympy.sin(alpha)**2) / (2 * max_t**2)
-    c = (g**2 * (max_t**2 + d**2 * sympy.sin(alpha)**2 * mu**2 * fn**2)
-         / (4 * max_t**2) - mu**2 * fn**2)
-    args = (mu, fn, e, g, alpha, d, dobj)
-    return [sympy.lambdify(args, expr, "math") for expr in (a, b, c)]
-
-
-class TestPayloadCoefficients:
-    def test_offset_free_case(self):
-        model = ContactModel(mu=0.5, e=0.005)
-        state = state_with(d=0.0)
-        a, b, c = payload_coefficients(model, state, d_obj=0.0)
-        max_t = model.e * model.mu * state.f_n
-        assert a == pytest.approx(1.0 / (4.0 * max_t**2), rel=1e-12)
-
-    def test_symmetric_in_alpha_sign(self):
-        # alpha enters only through sin^2, so mirrored angles coincide
-        model = ContactModel(mu=0.5, e=0.005)
-        up = payload_coefficients(model, state_with(alpha=math.pi / 3), 0.05)
-        down = payload_coefficients(
-            model, state_with(alpha=math.pi - math.pi / 3), 0.05)
-        for x, y in zip(up, down):
-            assert x == pytest.approx(y, rel=1e-12)
-
-    def test_matches_independent_symbolic_transcription(self):
-        fns = sympy_design_sheet_coefficients()
-        model = ContactModel(mu=0.5, e=0.005)
-        state = state_with(alpha=math.pi / 6)
-        ours = payload_coefficients(model, state, 0.05)
-        theirs = [f(0.5, 40.0, 0.005, 10.0, math.pi / 6, 0.02, 0.05) for f in fns]
-        for x, y in zip(ours, theirs):
-            assert x == pytest.approx(y, rel=1e-12)
-
-    def test_design_sheet_form_diverges_from_balance(self):
-        # The design-sheet variant is not dimensionally homogeneous; its
-        # root does not track the feasibility boundary. Keep the gap
-        # visible instead of masking it.
-        model = ContactModel(mu=0.5, e=0.005)
-        state = state_with()
-        a, b, c = payload_coefficients(model, state, 0.05)
-        root = (-b + math.sqrt(b * b - 4 * a * c)) / (2 * a)
-        oracle = bisect_max_payload(model, state, 0.05)
-        assert abs(root - oracle) > 0.1 * oracle
-
-    def test_zero_grip_force_degenerate(self):
-        from grippertool import DegenerateContactError
-        model = ContactModel(mu=0.5, e=0.005)
-        with pytest.raises(DegenerateContactError):
-            payload_coefficients(model, state_with(f_n=0.0), 0.05)
-
-    @given(alpha=st.floats(min_value=0.0, max_value=math.pi),
-           d_com=st.floats(min_value=0.0, max_value=0.06),
-           d_obj=st.floats(min_value=0.0, max_value=0.2),
-           weight=st.floats(min_value=0.0, max_value=60.0))
-    def test_equilibrium_quadratic_sign_is_feasibility(self, alpha, d_com,
-                                                       d_obj, weight):
-        # a*w^2 + b*w + c has the sign of the capacity excess at weight w
-        model = ContactModel(mu=0.5, e=0.01)
-        state = state_with(alpha=alpha, d_com=d_com)
-        a, b, c = equilibrium_coefficients(model, state, d_obj)
-        value = a * weight * weight + b * weight + c
-        feasible = payload_feasible(model, state, d_obj, weight)
-        if abs(value) > 1e-9 * max(abs(a * weight * weight), abs(c), 1.0):
-            assert feasible == (value < 0.0)
 
 
 class TestStableQuadraticRoots:
@@ -211,6 +136,21 @@ class TestMaxPayload:
         assert oracle is not None
         assert result.max_weight == pytest.approx(oracle, rel=1e-6, abs=1e-6)
 
+    @given(alpha=st.floats(min_value=0.0, max_value=math.pi),
+           d_com=st.floats(min_value=0.0, max_value=0.06),
+           d_obj=st.floats(min_value=0.0, max_value=0.2),
+           weight=st.floats(min_value=0.0, max_value=60.0))
+    def test_equilibrium_quadratic_sign_is_feasibility(self, alpha, d_com,
+                                                       d_obj, weight):
+        # a*w^2 + b*w + c has the sign of the capacity excess at weight w
+        model = ContactModel(mu=0.5, e=0.01)
+        state = state_with(alpha=alpha, d_com=d_com)
+        a, b, c = equilibrium_coefficients(model, state, d_obj)
+        value = a * weight * weight + b * weight + c
+        feasible = payload_feasible(model, state, d_obj, weight)
+        if abs(value) > 1e-9 * max(abs(a * weight * weight), abs(c), 1.0):
+            assert feasible == (value < 0.0)
+
 
 class TestPayloadSweep:
     def test_single_cell_equals_direct_call(self):
@@ -232,15 +172,6 @@ class TestPayloadSweep:
             (a, d) for a in alphas for d in ds]
         again = payload_sweep(model, state, 0.05, alphas, ds)
         assert rows == again
-
-    def test_worker_count_does_not_change_results(self):
-        model = ContactModel(mu=0.5, e=0.01)
-        state = state_with()
-        alphas = [0.1 + 0.05 * i for i in range(8)]
-        ds = [0.005 * i for i in range(8)]
-        serial = payload_sweep(model, state, 0.05, alphas, ds, workers=1)
-        threaded = payload_sweep(model, state, 0.05, alphas, ds, workers=4)
-        assert serial == threaded
 
     def test_infeasible_cells_are_explicit(self):
         model = ContactModel(mu=0.5, e=0.001)
@@ -271,12 +202,3 @@ class TestPayloadSweep:
                 assert oracle is None
             else:
                 assert weight == pytest.approx(oracle, rel=1e-6, abs=1e-6)
-
-
-class TestObjectSpec:
-    def test_invariants(self):
-        ObjectSpec(g_obj=0.0, d_obj=0.0)
-        with pytest.raises(ValueError):
-            ObjectSpec(g_obj=-1.0, d_obj=0.0)
-        with pytest.raises(ValueError):
-            ObjectSpec(g_obj=1.0, d_obj=-0.1)

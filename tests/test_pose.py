@@ -148,11 +148,6 @@ class TestGammaSweep:
         assert math.isnan(curve.samples[0][1])
         assert not math.isnan(curve.samples[-1][1])
 
-    def test_worker_count_invariant(self, nominal_model, nominal_state):
-        one = gamma_sweep(nominal_model, nominal_state, 45, workers=1)
-        four = gamma_sweep(nominal_model, nominal_state, 45, workers=4)
-        assert one == four
-
     def test_too_few_samples(self, nominal_model, nominal_state):
         with pytest.raises(DomainError):
             gamma_sweep(nominal_model, nominal_state, 1)

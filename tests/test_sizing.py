@@ -2,11 +2,13 @@ import math
 from dataclasses import replace
 
 import pytest
+import sympy
 from hypothesis import assume, given, strategies as st
 
 from grippertool import (
     GeometryError,
     GraspState,
+    GripConfig,
     InfeasibleProblemError,
     SizingProblem,
     SpringSpec,
@@ -144,21 +146,62 @@ class TestStrokeMonotonicity:
 
 
 class TestGripDemand:
-    def test_matches_scalar_sweep(self):
+    def test_demand_is_quasi_convex_in_theta(self):
+        # f(theta) = A*tan(theta) + B*(c - theta)/cos(theta) with
+        # A = +-G*cos(alpha)/2, B = 2*v*kappa/r > 0, c = beta + theta_init.
+        # cos^2*f' = A + B*k and k' = (c - theta)*cos(theta) >= 0 on the
+        # travel, so f' changes sign at most once, from - to +.
+        theta, a, b, c = sympy.symbols("theta A B c", real=True)
+        f = a * sympy.tan(theta) + b * (c - theta) / sympy.cos(theta)
+        k = (c - theta) * sympy.sin(theta) - sympy.cos(theta)
+        assert sympy.simplify(
+            sympy.cos(theta) ** 2 * sympy.diff(f, theta) - (a + b * k)) == 0
+        assert sympy.simplify(
+            sympy.diff(k, theta) - (c - theta) * sympy.cos(theta)) == 0
+
+        # the symbolic f is the demand the library computes
         dims = feasible_dims()
         spring = SpringSpec(kappa=0.5, beta=math.radians(20))
-        state = GraspState(f_n=40.0, g_tool=10.0, alpha=math.radians(60),
-                           gamma=0.0, d=0.0, d_com=0.03, theta=math.radians(30))
-        demand = grip_demand(dims, spring, state)
-        worst = max(
-            required_grip_force(
-                dims, spring,
-                replace(state, theta=min(
-                    dims.theta_end + (dims.theta_init - dims.theta_end) * i / 63,
-                    dims.theta_init)))
-            for i in range(64)
+        f_num = sympy.lambdify((theta, a, b, c), f, "math")
+        for config, sign in ((GripConfig.BACKWARD_BASE, 1.0),
+                             (GripConfig.FORWARD_BASE, -1.0)):
+            state = GraspState(f_n=40.0, g_tool=10.0, alpha=math.radians(60),
+                               gamma=0.0, d=0.0, d_com=0.03, theta=0.3,
+                               config=config)
+            coeffs = (sign * state.g_tool * math.cos(state.alpha) / 2.0,
+                      2.0 * dims.v * spring.kappa / dims.r,
+                      spring.beta + dims.theta_init)
+            for t in (dims.theta_end, 0.5, dims.theta_init):
+                assert f_num(t, *coeffs) == pytest.approx(
+                    required_grip_force(dims, spring, replace(state, theta=t)),
+                    rel=1e-12)
+
+    @given(config=st.sampled_from(list(GripConfig)),
+           alpha=st.floats(min_value=0.0, max_value=math.pi),
+           beta=st.floats(min_value=0.0, max_value=2.0),
+           kappa=st.floats(min_value=0.01, max_value=5.0),
+           g_tool=st.floats(min_value=0.1, max_value=200.0),
+           r=st.floats(min_value=0.005, max_value=0.1),
+           theta_init=st.floats(min_value=0.05, max_value=1.55),
+           closed=st.floats(min_value=0.0, max_value=0.99))
+    def test_dominates_dense_sampling(self, config, alpha, beta, kappa, g_tool,
+                                      r, theta_init, closed):
+        dims = feasible_dims(r=r, theta_init=theta_init,
+                             theta_end=closed * theta_init)
+        spring = SpringSpec(kappa=kappa, beta=beta)
+        state = GraspState(f_n=40.0, g_tool=g_tool, alpha=alpha, gamma=0.0,
+                           d=0.0, d_com=0.03, theta=dims.theta_end,
+                           config=config)
+        n = 2001
+        span = dims.theta_init - dims.theta_end
+        dense = max(
+            required_grip_force(dims, spring, replace(
+                state, theta=min(dims.theta_end + span * i / (n - 1),
+                                 dims.theta_init)))
+            for i in range(n)
         )
-        assert demand == worst
+        demand = grip_demand(dims, spring, state)
+        assert demand >= dense - 1e-12 * max(abs(demand), abs(dense))
 
     def test_vectorized_grid_matches_scalar(self):
         # the optimizer's numpy path must agree with the scalar formula
