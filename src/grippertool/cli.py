@@ -3,7 +3,10 @@
 Subcommands: validate, analyze, payload-sweep, optimize, pose-sweep.
 Angles are accepted and printed in degrees; everything else stays in SI
 units. Numeric output uses 9 significant digits. Exit codes: 0 success,
-1 domain errors, 2 usage errors.
+1 domain errors, 2 usage errors. Non-finite numbers, reversed intervals
+and ranges of more than MAX_RANGE_POINTS points are usage errors. The
+sweep commands write their CSV a line at a time, so the text of the
+whole grid is never held in memory at once.
 """
 
 import argparse
@@ -22,53 +25,72 @@ INFEASIBLE = "INFEASIBLE"
 
 DEG = math.pi / 180.0
 
+# Largest number of points one start:stop:step range may expand to.
+MAX_RANGE_POINTS = 100_000
+
 
 def fmt(value: float) -> str:
     """Canonical 9-significant-digit rendering used for all numeric output."""
     return f"{value:.9g}"
 
 
-def _parse_range(text: str) -> list[float]:
-    """start:stop:step, optional trailing 'deg'. Stop is included when it
-    lands within 1e-12 (relative) of a step multiple."""
+def _finite_float(text: str) -> float:
+    """argparse type for a finite number; nan and inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _parse_numbers(text: str, kind: str, form: str,
+                   count: int) -> tuple[list[float], float]:
+    """Split a colon-separated list of finite numbers with an optional
+    trailing 'deg'; returns the numbers and the unit factor."""
     raw = text.strip()
     factor = 1.0
     if raw.endswith("deg"):
         factor = DEG
         raw = raw[:-3]
     parts = raw.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(
-            f"range {text!r} must be start:stop:step[deg]"
-        )
+    if len(parts) != count:
+        raise argparse.ArgumentTypeError(f"{kind} {text!r} must be {form}")
     try:
-        start, stop, step = (float(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"range {text!r} has non-numeric parts")
+        return [_finite_float(p) for p in parts], factor
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"{kind} {text!r}: {exc}") from None
+
+
+def _parse_range(text: str) -> list[float]:
+    """start:stop:step, optional trailing 'deg'. Stop is included when it
+    lands within 1e-12 (relative) of a step multiple. The point count is
+    checked against MAX_RANGE_POINTS before the list is built."""
+    (start, stop, step), factor = _parse_numbers(
+        text, "range", "start:stop:step[deg]", 3)
     if step <= 0.0 or stop < start:
         raise argparse.ArgumentTypeError(
             f"range {text!r} needs step > 0 and stop >= start"
         )
     span = (stop - start) / step
+    if not math.isfinite(span):
+        raise argparse.ArgumentTypeError(
+            f"range {text!r} has more than {MAX_RANGE_POINTS} points")
     count = round(span)
     if abs(span - count) > 1e-12 * max(1.0, abs(span)):
         count = math.floor(span)
-    return [(start + i * step) * factor for i in range(int(count) + 1)]
+    if count + 1 > MAX_RANGE_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"range {text!r} has {count + 1} points, more than {MAX_RANGE_POINTS}")
+    return [(start + i * step) * factor for i in range(count + 1)]
 
 
 def _parse_interval(text: str) -> tuple[float, float]:
-    raw = text.strip()
-    factor = 1.0
-    if raw.endswith("deg"):
-        factor = DEG
-        raw = raw[:-3]
-    parts = raw.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"interval {text!r} must be lo:hi[deg]")
-    try:
-        lo, hi = (float(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"interval {text!r} has non-numeric parts")
+    """lo:hi, optional trailing 'deg'; lo must not exceed hi."""
+    (lo, hi), factor = _parse_numbers(text, "interval", "lo:hi[deg]", 2)
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"interval {text!r} needs lo <= hi")
     return lo * factor, hi * factor
 
 
@@ -111,10 +133,13 @@ def _cmd_analyze(args, out) -> int:
 def _cmd_payload_sweep(args, out) -> int:
     _, _, model, state = _load(args.design)
     rows = payload_sweep(model, state, args.d_obj, args.alpha, args.d)
-    print("alpha_deg,d_m,max_weight_N", file=out)
-    for alpha, d, weight in rows:
-        cell = INFEASIBLE if weight is None else fmt(weight)
-        print(f"{fmt(alpha / DEG)},{fmt(d)},{cell}", file=out)
+    out.write("alpha_deg,d_m,max_weight_N\n")
+    d_texts = [fmt(d) for d in args.d]
+    for start in range(0, len(rows), len(d_texts)):
+        alpha_text = fmt(rows[start][0] / DEG)
+        for d_text, (_, _, weight) in zip(d_texts, rows[start:start + len(d_texts)]):
+            out.write(f"{alpha_text},{d_text},"
+                      f"{INFEASIBLE if weight is None else f'{weight:.9g}'}\n")
     return 0
 
 
@@ -143,10 +168,10 @@ def _cmd_optimize(args, out) -> int:
 def _cmd_pose_sweep(args, out) -> int:
     _, _, model, state = _load(args.design)
     curve = gamma_sweep(model, state, args.samples)
-    print("gamma_deg,torque_margin_Nm", file=out)
+    out.write("gamma_deg,torque_margin_Nm\n")
     for gamma, margin in curve.samples:
-        cell = INFEASIBLE if math.isnan(margin) else fmt(margin)
-        print(f"{fmt(gamma / DEG)},{cell}", file=out)
+        out.write(f"{gamma / DEG:.9g},"
+                  f"{INFEASIBLE if math.isnan(margin) else f'{margin:.9g}'}\n")
     print(f"# peak gamma_deg = {fmt(curve.peak_gamma / DEG)} "
           f"margin_Nm = {fmt(curve.peak_margin)}", file=out)
     return 0
@@ -165,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="hold offset, grip forces, max payload")
     p.add_argument("design")
-    p.add_argument("--d-obj", type=float, default=0.0,
+    p.add_argument("--d-obj", type=_finite_float, default=0.0,
                    help="object moment arm in meters (default 0)")
     p.set_defaults(func=_cmd_analyze)
 
@@ -175,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="tool angle range start:stop:step[deg]")
     p.add_argument("--d", type=_parse_range, required=True,
                    help="grasp offset range start:stop:step (meters)")
-    p.add_argument("--d-obj", type=float, default=0.0)
+    p.add_argument("--d-obj", type=_finite_float, default=0.0)
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility; has no effect")
     p.set_defaults(func=_cmd_payload_sweep)
@@ -188,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="bounds lo:hi for the linkage length (meters)")
     p.add_argument("--theta-init", type=_parse_interval, required=True,
                    help="bounds lo:hi[deg] for the open angle")
-    p.add_argument("--grip-budget", type=float, required=True,
+    p.add_argument("--grip-budget", type=_finite_float, required=True,
                    help="maximum acceptable grip force (N)")
     p.set_defaults(func=_cmd_optimize)
 

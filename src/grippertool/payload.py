@@ -11,10 +11,20 @@ Substituting the resulting (f, t) into the soft-finger limit surface and
 demanding equality yields a quadratic a*w^2 + b*w + c = 0 whose larger
 root is the maximum weight. equilibrium_coefficients() builds that
 quadratic; max_payload() solves it with a cancellation-safe root formula.
+
+The coefficient, root and residual formulas are written once, with
+operators that work on floats and numpy arrays alike. The scalar
+functions call them with floats; payload_sweep() calls them once with
+the whole (alpha, d) grid, so a sweep cell is bit-identical to
+max_payload() on that cell.
 """
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
+from itertools import chain, repeat
+
+import numpy as np
 
 from .contact import ContactModel, GraspState, max_capacities
 from .errors import DegenerateContactError, NoFeasiblePayloadError
@@ -50,6 +60,58 @@ class PayloadResult:
             )
 
 
+def _check_tool_held(model: ContactModel, state: GraspState) -> None:
+    """Raise NoFeasiblePayloadError when friction cannot carry the tool."""
+    mu_fn = model.mu * state.f_n
+    if 2.0 * mu_fn < state.g_tool:
+        raise NoFeasiblePayloadError(
+            f"tool weight {state.g_tool:g} N exceeds friction capacity "
+            f"{2.0 * mu_fn:g} N"
+        )
+
+
+def _coefficients(model, f_n, g, d_obj, d_com, sin_a, cos_a):
+    """(a, b, c) of the payload quadratic; d_com, sin_a and cos_a may be
+    broadcastable arrays."""
+    _, max_t = max_capacities(model, f_n)
+    if max_t == 0.0:
+        raise DegenerateContactError("zero torque capacity: f_n is 0")
+    max_t2 = max_t * max_t
+    m2f2 = (model.mu * f_n) ** 2
+    a = (max_t2 + d_obj * d_obj * sin_a * sin_a * m2f2) / (4.0 * max_t2)
+    b = g * (max_t2 - d_obj * d_com * sin_a * cos_a * m2f2) / (2.0 * max_t2)
+    c = (g * g * (max_t2 + d_com * d_com * cos_a * cos_a * m2f2)
+         / (4.0 * max_t2) - m2f2)
+    return a, b, c
+
+
+def _discriminant(a, b, c):
+    return b * b - 4.0 * a * c
+
+
+def _roots(a, b, c, sq):
+    """Both roots (q/a, c/q), unordered, from sq = sqrt(disc) >= 0.
+
+    q = -(b + sign(b)*sq)/2 with sign(0) = +1, so neither root subtracts
+    nearly equal quantities. q is 0 only when b = disc = 0, a double root
+    at 0 with c = 0; the divisor q + 1 then returns c instead of dividing
+    by zero.
+    """
+    sign_b = (b >= 0.0) * 2.0 - 1.0
+    q = -(b + sign_b * sq) / 2.0
+    return q / a, c / (q + (q == 0.0))
+
+
+def _residual(a, b, c, x, maximum=max):
+    """|a*x^2 + b*x + c| over its largest term (at least 1)."""
+    ax2 = a * x * x
+    return abs(ax2 + b * x + c) / maximum(abs(ax2), abs(b * x), abs(c), 1.0)
+
+
+def _elementwise_max(*arrays):
+    return reduce(np.maximum, arrays)
+
+
 def equilibrium_coefficients(model: ContactModel, state: GraspState,
                              d_obj: float) -> tuple[float, float, float]:
     """Payload quadratic derived from the force and torque balance.
@@ -58,19 +120,8 @@ def equilibrium_coefficients(model: ContactModel, state: GraspState,
     eliminated via the two balance equations, so its sign is exactly the
     capacity feasibility of weight w. a > 0 always.
     """
-    _, max_t = max_capacities(model, state.f_n)
-    if max_t == 0.0:
-        raise DegenerateContactError("zero torque capacity: f_n is 0")
-    max_t2 = max_t * max_t
-    m2f2 = (model.mu * state.f_n) ** 2
-    sin_a = math.sin(state.alpha)
-    cos_a = math.cos(state.alpha)
-    g = state.g_tool
-    a = (max_t2 + d_obj * d_obj * sin_a * sin_a * m2f2) / (4.0 * max_t2)
-    b = g * (max_t2 - d_obj * state.d_com * sin_a * cos_a * m2f2) / (2.0 * max_t2)
-    c = (g * g * (max_t2 + state.d_com * state.d_com * cos_a * cos_a * m2f2)
-         / (4.0 * max_t2) - m2f2)
-    return a, b, c
+    return _coefficients(model, state.f_n, state.g_tool, d_obj, state.d_com,
+                         math.sin(state.alpha), math.cos(state.alpha))
 
 
 def stable_quadratic_roots(a: float, b: float, c: float) -> tuple[float, float]:
@@ -80,23 +131,11 @@ def stable_quadratic_roots(a: float, b: float, c: float) -> tuple[float, float]:
     nearly equal quantities. Requires a != 0 and a nonnegative
     discriminant.
     """
-    disc = b * b - 4.0 * a * c
+    disc = _discriminant(a, b, c)
     if disc < 0.0:
         raise ValueError("negative discriminant")
-    sq = math.sqrt(disc)
-    if b >= 0.0:
-        q = -(b + sq) / 2.0
-    else:
-        q = -(b - sq) / 2.0
-    r1 = q / a
-    r2 = c / q if q != 0.0 else -b / (2.0 * a)
+    r1, r2 = _roots(a, b, c, math.sqrt(disc))
     return (r1, r2) if r1 <= r2 else (r2, r1)
-
-
-def _residual(a: float, b: float, c: float, x: float) -> float:
-    value = a * x * x + b * x + c
-    scale = max(abs(a * x * x), abs(b * x), abs(c), 1.0)
-    return abs(value) / scale
 
 
 def max_payload(model: ContactModel, state: GraspState,
@@ -110,47 +149,78 @@ def max_payload(model: ContactModel, state: GraspState,
     A negative capacity root is clamped to a zero-payload result with
     zero_clamped set.
     """
-    mu_fn = model.mu * state.f_n
-    if 2.0 * mu_fn < state.g_tool:
-        raise NoFeasiblePayloadError(
-            f"tool weight {state.g_tool:g} N exceeds friction capacity "
-            f"{2.0 * mu_fn:g} N"
-        )
+    _check_tool_held(model, state)
     a, b, c = equilibrium_coefficients(model, state, d_obj)
-    disc = b * b - 4.0 * a * c
+    disc = _discriminant(a, b, c)
     if disc < 0.0:
         raise NoFeasiblePayloadError(
             "no object weight satisfies the contact capacity"
         )
-    _, root_hi = stable_quadratic_roots(a, b, c)
+    r1, r2 = _roots(a, b, c, math.sqrt(disc))
+    root_hi = r2 if r1 <= r2 else r1
+    residual = _residual(a, b, c, root_hi)
     if root_hi < 0.0:
-        return PayloadResult(0.0, (a, b, c), _residual(a, b, c, root_hi),
-                             zero_clamped=True)
-    return PayloadResult(root_hi, (a, b, c), _residual(a, b, c, root_hi))
+        return PayloadResult(0.0, (a, b, c), residual, zero_clamped=True)
+    return PayloadResult(root_hi, (a, b, c), residual)
 
 
-def _sweep_cell(model: ContactModel, state: GraspState, d_obj: float,
-                alpha: float, d: float) -> tuple[float, float, float | None]:
-    # The swept d is the grasp point's travel along the tool, which moves
-    # both the holding offset and the weight moment arm together.
-    cell_state = replace(state, alpha=alpha, d=d, d_com=d)
-    try:
-        result = max_payload(model, cell_state, d_obj)
-    except NoFeasiblePayloadError:
-        return alpha, d, None
-    return alpha, d, result.max_weight
+def _grid_weights(model, state, d_obj, alphas, ds) -> list:
+    """Row-major max weights (None where infeasible) over alphas x ds,
+    ds an array. The grid-sized temporaries live only in this call, so
+    they are freed before the caller builds its rows.
+    """
+    # one sin and cos per alpha, from math as in the scalar path
+    sin_a = np.array([math.sin(a) for a in alphas])[:, None]
+    cos_a = np.array([math.cos(a) for a in alphas])[:, None]
+    with np.errstate(all="ignore"):
+        a, b, c = _coefficients(model, state.f_n, state.g_tool, d_obj,
+                                ds, sin_a, cos_a)
+        disc = _discriminant(a, b, c)
+        feasible = ~(disc < 0.0)
+        r1, r2 = _roots(a, b, c, np.sqrt(np.where(feasible, disc, 0.0)))
+        root_hi = np.where(r1 <= r2, r2, r1)
+        residual = _residual(a, b, c, root_hi, _elementwise_max)
+    # the residual bound of PayloadResult, raised for the first cell that breaks it
+    too_large = feasible & (residual > ROOT_RESIDUAL_TOL)
+    if too_large.any():
+        i, j = np.unravel_index(np.argmax(too_large), too_large.shape)
+        PayloadResult(max(float(root_hi[i, j]), 0.0),
+                      (float(a[i, 0]), float(b[i, j]), float(c[i, j])),
+                      float(residual[i, j]))
+    weights = np.where(root_hi < 0.0, 0.0, root_hi).astype(object)
+    weights[~feasible] = None
+    return weights.ravel().tolist()
 
 
 def payload_sweep(model: ContactModel, state: GraspState, d_obj: float,
                   alphas, ds) -> list[tuple[float, float, float | None]]:
     """Max payload over an (alpha, d) grid, row-major with alpha outer.
 
-    Infeasible cells carry None instead of being dropped so downstream
-    plotting can distinguish zero payload from no solution.
+    The swept d is the grasp point's travel along the tool, so each cell
+    is max_payload() on the state with alpha, d and d_com replaced. The
+    whole grid is solved in one vectorized pass; every cell equals the
+    scalar result bit for bit. Infeasible cells carry None instead of
+    being dropped so downstream plotting can distinguish zero payload
+    from no solution. The GraspState range checks and the residual bound
+    apply to every cell and raise the same ValueError as the scalar path.
     """
     alphas = list(alphas)
     ds = list(ds)
     if not alphas or not ds:
         raise ValueError("sweep ranges must be nonempty")
-    return [_sweep_cell(model, state, d_obj, alpha, d)
-            for alpha in alphas for d in ds]
+    alpha_arr = np.array(alphas, dtype=float)
+    d_arr = np.array(ds, dtype=float)
+    # GraspState's range checks, made on the extreme values: min() keeps
+    # a nan alpha (rejected), fmin() skips a nan d (which GraspState accepts)
+    d_lo = float(np.fmin.reduce(d_arr))
+    for alpha in (alpha_arr.min(), alpha_arr.max()):
+        replace(state, alpha=float(alpha), d=d_lo, d_com=d_lo)
+
+    try:
+        _check_tool_held(model, state)
+    except NoFeasiblePayloadError:
+        weights = repeat(None)
+    else:
+        weights = _grid_weights(model, state, d_obj, alphas, d_arr)
+    alpha_cells = chain.from_iterable(repeat(a, len(ds)) for a in alphas)
+    return list(zip(alpha_cells, ds * len(alphas), weights))

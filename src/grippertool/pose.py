@@ -14,12 +14,19 @@ where the hand-tool angle equals the tool angle's complement; the finger
 pair's normal-force couple carries the rest. For a horizontal tool
 (alpha = pi/2) the demand reduces to g_tool*d_com*sin(gamma). With
 alpha < pi/2 the margin rises to a peak at gamma = pi/2 - alpha and falls
-beyond it. The whole model lives in torque_margin() so it can be swapped
-without touching callers.
+beyond it.
+
+The margin formula is written once (_headroom, _margin), with operators
+that work on floats and numpy arrays alike: torque_margin() calls it for
+one gamma and gamma_sweep() once for all samples. A sample is then
+bit-identical to torque_margin() at that gamma wherever numpy's sin and
+cos round like math's, which the test suite checks.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .contact import ContactModel, GraspState
 from .errors import DomainError, ZeroCapacityError
@@ -38,6 +45,23 @@ class TorqueMarginCurve:
     peak_margin: float
 
 
+def _headroom(model, state, cos_gamma):
+    """((mu*f_n)^2 - tangential^2, tangential, mu*f_n) for the per-pad
+    tangential load (g_tool/2)*cos(gamma); negative headroom means the
+    pads cannot carry the tool."""
+    tangential = (state.g_tool / 2.0) * cos_gamma
+    mu_fn = model.mu * state.f_n
+    return mu_fn * mu_fn - tangential * tangential, tangential, mu_fn
+
+
+def _margin(model, state, sqrt_headroom, sin_offset):
+    """Available spin torque minus the gravity moment on the spin axis;
+    sin_offset is sin(gamma - (pi/2 - alpha))."""
+    available = 2.0 * model.e * sqrt_headroom
+    demand = state.g_tool * state.d_com * abs(sin_offset)
+    return available - demand
+
+
 def torque_margin(model: ContactModel, state: GraspState, gamma: float) -> float:
     """Spin-torque margin of the grasp at hand-tool angle gamma.
 
@@ -46,17 +70,13 @@ def torque_margin(model: ContactModel, state: GraspState, gamma: float) -> float
     """
     if not 0.0 <= gamma <= math.pi / 2:
         raise DomainError(f"gamma={gamma:g} outside [0, pi/2]")
-    tangential = (state.g_tool / 2.0) * math.cos(gamma)
-    mu_fn = model.mu * state.f_n
-    headroom = mu_fn * mu_fn - tangential * tangential
+    headroom, tangential, mu_fn = _headroom(model, state, math.cos(gamma))
     if headroom < 0.0:
         raise ZeroCapacityError(
             f"tangential demand {tangential:g} N exceeds capacity {mu_fn:g} N"
         )
-    available = 2.0 * model.e * math.sqrt(headroom)
-    demand = (state.g_tool * state.d_com
-              * abs(math.sin(gamma - (math.pi / 2 - state.alpha))))
-    return available - demand
+    return _margin(model, state, math.sqrt(headroom),
+                   math.sin(gamma - (math.pi / 2 - state.alpha)))
 
 
 def _interpolated_peak(model, state, gammas, margins, i):
@@ -84,29 +104,26 @@ def gamma_sweep(model: ContactModel, state: GraspState,
                 n_samples: int) -> TorqueMarginCurve:
     """Uniform margin samples over [0, pi/2] with the peak located.
 
-    Per-sample capacity errors become nan margins rather than aborting the
-    sweep. Ties for the peak break toward smaller gamma.
+    All samples are computed in one vectorized pass. Samples where
+    torque_margin() would raise ZeroCapacityError carry nan margins rather
+    than aborting the sweep. Ties for the peak break toward smaller gamma.
     """
     if n_samples < 2:
         raise DomainError("n_samples must be >= 2")
     # the last sample can round one ulp above pi/2; clamp it onto the domain
-    gammas = [min(math.pi / 2 * i / (n_samples - 1), math.pi / 2)
-              for i in range(n_samples)]
-
-    def sample(gamma):
-        try:
-            return torque_margin(model, state, gamma)
-        except ZeroCapacityError:
-            return math.nan
-
-    margins = [sample(g) for g in gammas]
-
-    best_i = None
-    for i, m in enumerate(margins):
-        if not math.isnan(m) and (best_i is None or m > margins[best_i]):
-            best_i = i
-    if best_i is None:
+    gamma_arr = np.minimum(math.pi / 2 * np.arange(n_samples) / (n_samples - 1),
+                           math.pi / 2)
+    with np.errstate(all="ignore"):
+        headroom = _headroom(model, state, np.cos(gamma_arr))[0]
+        margin_arr = _margin(model, state, np.sqrt(np.maximum(headroom, 0.0)),
+                             np.sin(gamma_arr - (math.pi / 2 - state.alpha)))
+    margin_arr[headroom < 0.0] = math.nan
+    best = np.fmax.reduce(margin_arr)   # skips nan; nan only if all are
+    if math.isnan(best):
         raise ZeroCapacityError("no sample has positive friction capacity")
+    best_i = int(np.argmax(margin_arr == best))   # first of any ties
+    gammas = gamma_arr.tolist()
+    margins = margin_arr.tolist()
 
     if 0 < best_i < n_samples - 1:
         peak_gamma, peak_margin = _interpolated_peak(

@@ -1,11 +1,15 @@
+import argparse
 import io
+import tracemalloc
 
 from pathlib import Path
 
 import pytest
 
 from grippertool import GripConfig, holding_max_offset, parse_design, required_grip_force
-from grippertool.cli import fmt, run
+from grippertool.cli import DEG, INFEASIBLE, MAX_RANGE_POINTS, _parse_range, fmt, run
+
+from sweep_reference import gamma_curve, payload_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE = str(ROOT / "designs" / "example_tool.ini")
@@ -66,6 +70,61 @@ class TestExitCodes:
                              "--alpha", "10:5:1deg", "--d", "0:0.1:0.05"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", SAMPLE, "--d-obj", "nan"],
+        ["payload-sweep", SAMPLE, "--alpha", "15:75:15deg", "--d", "0:0.04:0.01",
+         "--d-obj", "nan"],
+        ["payload-sweep", SAMPLE, "--alpha", "nan:75:15deg", "--d", "0:0.04:0.01"],
+        ["payload-sweep", SAMPLE, "--alpha", "15:75:15deg", "--d", "0:inf:1"],
+        ["payload-sweep", SAMPLE, "--alpha", "15:75:infdeg", "--d", "0:0.04:0.01"],
+        ["optimize", SAMPLE, "--m", "0.008:0.03", "--r", "0.005:0.08",
+         "--theta-init", "40:83deg", "--grip-budget", "inf"],
+        ["optimize", SAMPLE, "--m", "nan:0.03", "--r", "0.005:0.08",
+         "--theta-init", "40:83deg", "--grip-budget", "36"],
+        ["optimize", SAMPLE, "--m", "0.008:0.03", "--r", "0.005:0.08",
+         "--theta-init", "40:-infdeg", "--grip-budget", "36"],
+    ])
+    def test_non_finite_number_is_usage_error(self, argv, capsys):
+        code, out, _ = invoke(argv)
+        assert code == 2
+        assert out == ""
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--m", "0.03:0.008"),
+        ("--r", "0.08:0.005"),
+        ("--theta-init", "83:40deg"),
+    ])
+    def test_reversed_interval_is_usage_error(self, flag, value, capsys):
+        bounds = {"--m": "0.008:0.03", "--r": "0.005:0.08",
+                  "--theta-init": "40:83deg", flag: value}
+        argv = ["optimize", SAMPLE, "--grip-budget", "36"]
+        for name, text in bounds.items():
+            argv += [name, text]
+        code, out, _ = invoke(argv)
+        assert code == 2
+        assert out == ""
+        assert "lo <= hi" in capsys.readouterr().err
+
+    def test_oversized_range_refused_before_allocating(self, capsys):
+        tracemalloc.start()
+        try:
+            with pytest.raises(argparse.ArgumentTypeError, match="points"):
+                _parse_range("0:1e12:1")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        code, _, _ = invoke(["payload-sweep", SAMPLE,
+                             "--alpha", "15:75:15deg", "--d", "0:1e12:1"])
+        assert code == 2
+        assert "points" in capsys.readouterr().err
+
+    def test_range_point_cap_is_inclusive(self):
+        assert len(_parse_range(f"0:{MAX_RANGE_POINTS - 1}:1")) == MAX_RANGE_POINTS
+        with pytest.raises(argparse.ArgumentTypeError):
+            _parse_range(f"0:{MAX_RANGE_POINTS}:1")
+
 
 class TestRangeGrid:
     def test_inclusive_endpoint_grid(self):
@@ -77,6 +136,43 @@ class TestRangeGrid:
         assert len(lines) == 1 + 17 * 21
         assert lines[1].startswith("5,0,")
         assert lines[-1].startswith("85,0.1,")
+
+
+class TestSweepOutput:
+    """Large sweeps print exactly what per-cell scalar calls and fmt give."""
+
+    def test_payload_sweep_matches_scalar_reference(self):
+        alpha_text, d_text = "5:85:1deg", "0:0.1:0.001"
+        code, out, err = invoke(["payload-sweep", SAMPLE, "--alpha", alpha_text,
+                                 "--d", d_text, "--d-obj", "0.05"])
+        assert (code, err) == (0, "")
+        _, _, model, state = parse_design(Path(SAMPLE).read_text())
+        alphas, ds = _parse_range(alpha_text), _parse_range(d_text)
+        assert (len(alphas), len(ds)) == (81, 101)
+        lines = ["alpha_deg,d_m,max_weight_N"]
+        for alpha, d, weight in payload_rows(model, state, 0.05, alphas, ds):
+            cell = INFEASIBLE if weight is None else fmt(weight)
+            lines.append(f"{fmt(alpha / DEG)},{fmt(d)},{cell}")
+        assert INFEASIBLE in out
+        assert out == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("mu", ["0.5", "0.11"])
+    def test_pose_sweep_matches_scalar_reference(self, tmp_path, mu):
+        # mu = 0.11 leaves no friction capacity near gamma = 0
+        design = tmp_path / "pose.ini"
+        design.write_text(Path(SAMPLE).read_text().replace("mu = 0.5", f"mu = {mu}"))
+        code, out, err = invoke(["pose-sweep", str(design), "--samples", "10000"])
+        assert (code, err) == (0, "")
+        _, _, model, state = parse_design(design.read_text())
+        samples, peak_gamma, peak_margin = gamma_curve(model, state, 10000)
+        lines = ["gamma_deg,torque_margin_Nm"]
+        for gamma, margin in samples:
+            cell = INFEASIBLE if margin != margin else fmt(margin)
+            lines.append(f"{fmt(gamma / DEG)},{cell}")
+        lines.append(f"# peak gamma_deg = {fmt(peak_gamma / DEG)} "
+                     f"margin_Nm = {fmt(peak_margin)}")
+        assert out == "\n".join(lines) + "\n"
+        assert (INFEASIBLE in out) == (mu == "0.11")
 
 
 class TestPoseSweepGrid:

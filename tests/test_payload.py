@@ -2,7 +2,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from grippertool import (
     ContactModel,
@@ -11,11 +11,13 @@ from grippertool import (
     capacity_check,
     equilibrium_coefficients,
     max_payload,
+    payload,
     payload_sweep,
     stable_quadratic_roots,
 )
 
 from oracles import bisect_max_payload, object_wrench, payload_feasible
+from sweep_reference import bits, payload_rows
 
 
 def state_with(**kwargs):
@@ -202,3 +204,77 @@ class TestPayloadSweep:
                 assert oracle is None
             else:
                 assert weight == pytest.approx(oracle, rel=1e-6, abs=1e-6)
+
+    def test_every_cell_kind_matches_scalar(self):
+        # positive, zero-clamped (vertical tool, center of mass far off the
+        # grasp line) and no-real-root cells (large offset) in one grid
+        model = ContactModel(mu=0.5, e=0.01)
+        state = state_with()
+        alphas = [0.0, 0.3, math.pi / 2, math.pi]
+        ds = [0.0, 0.0399, 0.2, 5.0]
+        rows = payload_sweep(model, state, 0.0, alphas, ds)
+        expected = payload_rows(model, state, 0.0, alphas, ds)
+        assert [(a, d, bits(w)) for a, d, w in rows] == [
+            (a, d, bits(w)) for a, d, w in expected]
+        weights = [w for _, _, w in rows]
+        assert None in weights
+        assert 0.0 in weights
+        assert any(w is not None and w > 0.0 for w in weights)
+
+    def test_tool_too_heavy_every_cell_infeasible(self):
+        model = ContactModel(mu=0.5, e=0.01)
+        rows = payload_sweep(model, state_with(f_n=5.0, g_tool=10.0), 0.05,
+                             [0.2, 1.0], [0.0, 0.02, 0.04])
+        assert [w for _, _, w in rows] == [None] * 6
+
+    @pytest.mark.parametrize("alphas, ds", [
+        ([0.5, math.pi + 0.1], [0.0, 0.02]),
+        ([0.5, math.nan], [0.0]),
+        ([0.5], [0.0, -0.01]),
+    ])
+    def test_range_checks_match_scalar(self, alphas, ds):
+        model = ContactModel(mu=0.5, e=0.01)
+        state = state_with()
+        with pytest.raises(ValueError) as expected:
+            payload_rows(model, state, 0.05, alphas, ds)
+        with pytest.raises(ValueError) as raised:
+            payload_sweep(model, state, 0.05, alphas, ds)
+        assert str(raised.value) == str(expected.value)
+
+    def test_residual_bound_raises_like_scalar(self, monkeypatch):
+        # a negative bound fails every feasible cell: both paths must stop
+        # at the first one in grid order with the PayloadResult message
+        monkeypatch.setattr(payload, "ROOT_RESIDUAL_TOL", -1.0)
+        model = ContactModel(mu=0.5, e=0.001)
+        state = state_with(f_n=11.0, g_tool=10.0)
+        alphas, ds = [math.pi / 4, 1.0], [5.0, 0.0, 0.01]
+        with pytest.raises(ValueError) as expected:
+            payload_rows(model, state, 0.0, alphas, ds)
+        with pytest.raises(ValueError) as raised:
+            payload_sweep(model, state, 0.0, alphas, ds)
+        assert "PayloadResult.residual" in str(expected.value)
+        assert str(raised.value) == str(expected.value)
+
+    @given(mu=st.floats(min_value=0.2, max_value=1.2),
+           e=st.floats(min_value=0.0005, max_value=0.03),
+           f_n=st.floats(min_value=1.0, max_value=100.0),
+           load=st.floats(min_value=0.05, max_value=1.5),
+           d_obj=st.floats(min_value=-0.05, max_value=0.3),
+           alphas=st.lists(st.floats(min_value=0.0, max_value=math.pi),
+                           min_size=1, max_size=5),
+           ds=st.lists(st.floats(min_value=0.0, max_value=0.3),
+                       min_size=1, max_size=5))
+    @example(mu=0.5, e=0.001, f_n=11.0, load=10.0 / 11.0, d_obj=0.0,
+             alphas=[math.pi / 4], ds=[0.0, 0.3])          # no real root
+    @example(mu=0.5, e=0.01, f_n=40.0, load=0.5, d_obj=0.0,
+             alphas=[0.0], ds=[0.0399])                      # zero-clamped
+    @example(mu=0.5, e=0.01, f_n=5.0, load=4.0, d_obj=0.05,
+             alphas=[0.2, 1.0], ds=[0.0, 0.02])              # tool too heavy
+    def test_matches_scalar_cells(self, mu, e, f_n, load, d_obj, alphas, ds):
+        # load is g_tool / (2*mu*f_n): above 1 the tool itself slips
+        model = ContactModel(mu=mu, e=e)
+        state = state_with(f_n=f_n, g_tool=2.0 * mu * f_n * load)
+        rows = payload_sweep(model, state, d_obj, alphas, ds)
+        expected = payload_rows(model, state, d_obj, alphas, ds)
+        assert [(a, d, bits(w)) for a, d, w in rows] == [
+            (a, d, bits(w)) for a, d, w in expected]

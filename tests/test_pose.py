@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from grippertool import (
     ContactModel,
@@ -11,6 +11,8 @@ from grippertool import (
     gamma_sweep,
     torque_margin,
 )
+
+from sweep_reference import bits, gamma_curve
 
 
 def pose_state(**kwargs):
@@ -151,3 +153,31 @@ class TestGammaSweep:
     def test_too_few_samples(self, nominal_model, nominal_state):
         with pytest.raises(DomainError):
             gamma_sweep(nominal_model, nominal_state, 1)
+
+    @given(mu=st.floats(min_value=0.05, max_value=1.2),
+           e=st.floats(min_value=0.0005, max_value=0.03),
+           f_n=st.floats(min_value=1.0, max_value=100.0),
+           g_tool=st.floats(min_value=0.5, max_value=40.0),
+           alpha=st.floats(min_value=0.0, max_value=math.pi),
+           d_com=st.floats(min_value=0.0, max_value=0.1),
+           n=st.integers(min_value=2, max_value=300))
+    @example(mu=0.1, e=0.01, f_n=40.0, g_tool=10.0, alpha=math.pi / 2,
+             d_com=0.0, n=10)                     # nan near gamma = 0
+    @example(mu=0.05, e=0.01, f_n=40.0, g_tool=10.0, alpha=1.0,
+             d_com=0.03, n=5)                     # nan everywhere
+    @example(mu=0.5, e=0.01, f_n=40.0, g_tool=1e-12, alpha=1.0,
+             d_com=0.0, n=7)                      # every sample ties
+    def test_matches_scalar_samples(self, mu, e, f_n, g_tool, alpha, d_com, n):
+        model = ContactModel(mu=mu, e=e)
+        state = pose_state(f_n=f_n, g_tool=g_tool, alpha=alpha, d_com=d_com)
+        try:
+            samples, peak_gamma, peak_margin = gamma_curve(model, state, n)
+        except ZeroCapacityError:
+            with pytest.raises(ZeroCapacityError):
+                gamma_sweep(model, state, n)
+            return
+        curve = gamma_sweep(model, state, n)
+        assert [(bits(g), bits(m)) for g, m in curve.samples] == [
+            (bits(g), bits(m)) for g, m in samples]
+        assert bits(curve.peak_gamma) == bits(peak_gamma)
+        assert bits(curve.peak_margin) == bits(peak_margin)
