@@ -3,13 +3,24 @@
 Subcommands: validate, analyze, payload-sweep, optimize, pose-sweep.
 Angles are accepted and printed in degrees; everything else stays in SI
 units. Numeric output uses 9 significant digits. Exit codes: 0 success,
-1 domain errors, 2 usage errors. Non-finite numbers, reversed intervals
-and ranges of more than MAX_RANGE_POINTS points are usage errors. The
-sweep commands write their CSV a line at a time, so the text of the
-whole grid is never held in memory at once.
+1 domain errors, 2 usage errors. Non-finite numbers, reversed intervals,
+ranges or pose-sweep sample counts of more than MAX_RANGE_POINTS points
+and payload grids of more than MAX_GRID_CELLS cells are usage errors,
+refused before any grid is built. The sweep commands write their CSV a
+line at a time, so the text of the whole grid is never held in memory at
+once.
+
+The argument parser is built once per process, on the first call of
+run(), and reused: parse_args() returns a fresh Namespace and changes
+nothing in the parser. Every byte a run() call prints, usage errors and
+--help included, goes to its out and err streams. argparse's messages get
+there by swapping sys.stdout and sys.stderr while the arguments are
+parsed, so run() calls from concurrent threads can exchange them.
 """
 
 import argparse
+import contextlib
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -25,8 +36,16 @@ INFEASIBLE = "INFEASIBLE"
 
 DEG = math.pi / 180.0
 
-# Largest number of points one start:stop:step range may expand to.
+# Largest number of points one start:stop:step range, or one pose sweep,
+# may expand to.
 MAX_RANGE_POINTS = 100_000
+
+# Largest number of (alpha, d) cells one payload sweep may compute.
+MAX_GRID_CELLS = 1_000_000
+
+
+class _UsageError(Exception):
+    """A request that parsed but asks for more than the CLI will compute."""
 
 
 def fmt(value: float) -> str:
@@ -86,6 +105,18 @@ def _parse_range(text: str) -> list[float]:
     return [(start + i * step) * factor for i in range(count + 1)]
 
 
+def _sample_count(text: str) -> int:
+    """argparse type for --samples; counts above MAX_RANGE_POINTS are refused."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if count > MAX_RANGE_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"{count} samples, more than {MAX_RANGE_POINTS}")
+    return count
+
+
 def _parse_interval(text: str) -> tuple[float, float]:
     """lo:hi, optional trailing 'deg'; lo must not exceed hi."""
     (lo, hi), factor = _parse_numbers(text, "interval", "lo:hi[deg]", 2)
@@ -131,6 +162,10 @@ def _cmd_analyze(args, out) -> int:
 
 
 def _cmd_payload_sweep(args, out) -> int:
+    cells = len(args.alpha) * len(args.d)
+    if cells > MAX_GRID_CELLS:
+        raise _UsageError(
+            f"payload grid has {cells} cells, more than {MAX_GRID_CELLS}")
     _, _, model, state = _load(args.design)
     rows = payload_sweep(model, state, args.d_obj, args.alpha, args.d)
     out.write("alpha_deg,d_m,max_weight_N\n")
@@ -177,6 +212,7 @@ def _cmd_pose_sweep(args, out) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grippertool",
@@ -219,7 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pose-sweep", help="torque margin over the hand-tool angle")
     p.add_argument("design")
-    p.add_argument("--samples", type=int, default=91)
+    p.add_argument("--samples", type=_sample_count, default=91,
+                   help=f"number of samples, at most {MAX_RANGE_POINTS}")
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility; has no effect")
     p.set_defaults(func=_cmd_pose_sweep)
@@ -233,11 +270,15 @@ def run(argv, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.func(args, out)
+    except _UsageError as exc:
+        print(f"grippertool {args.command}: error: {exc}", file=err)
+        return 2
     except (GripperToolError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 1

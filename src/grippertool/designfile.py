@@ -4,7 +4,9 @@ INI-style text with exactly four sections, '#' comments, key = value
 pairs. Canonical units are meters, newtons, radians and N*m/rad. Angle
 keys accept a 'deg' suffix (converted via pi/180) and weight keys accept
 'kg' (converted with standard gravity). Unknown or missing keys are
-errors; every parse error names the offending line and key.
+errors, and so is a number that is nan or infinite, or that overflows
+when parsed or converted; every parse error names the offending line and
+key.
 """
 
 import math
@@ -48,10 +50,15 @@ def _parse_number(raw: str, key: str, line_no: int) -> float:
         text = text[:-2].strip()
         factor = STANDARD_GRAVITY
     try:
-        return float(text) * factor
+        value = float(text) * factor
     except ValueError:
         raise DesignFileError(f"non-numeric value {raw.strip()!r}",
                               line_no, key) from None
+    # nan, inf, and values that overflow on parsing or unit conversion
+    if not math.isfinite(value):
+        raise DesignFileError(f"non-finite value {raw.strip()!r}",
+                              line_no, key)
+    return value
 
 
 def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:

@@ -1,5 +1,8 @@
 import argparse
 import io
+import json
+import subprocess
+import sys
 import tracemalloc
 
 from pathlib import Path
@@ -7,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from grippertool import GripConfig, holding_max_offset, parse_design, required_grip_force
-from grippertool.cli import DEG, INFEASIBLE, MAX_RANGE_POINTS, _parse_range, fmt, run
+from grippertool import cli
+from grippertool.cli import (DEG, INFEASIBLE, MAX_GRID_CELLS, MAX_RANGE_POINTS,
+                             _build_parser, _parse_range, _sample_count, fmt, run)
 
 from sweep_reference import gamma_curve, payload_rows
 
@@ -31,6 +36,19 @@ def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(argv, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def first_run(argv):
+    """(code, stdout, stderr) of argv as the first run() call of a fresh
+    interpreter."""
+    script = ("import io, json, sys\n"
+              "from grippertool.cli import run\n"
+              "out, err = io.StringIO(), io.StringIO()\n"
+              "code = run(sys.argv[1:], out, err)\n"
+              "json.dump([code, out.getvalue(), err.getvalue()], sys.stdout)\n")
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, cwd=str(ROOT), check=True)
+    return tuple(json.loads(proc.stdout))
 
 
 class TestExitCodes:
@@ -61,9 +79,26 @@ class TestExitCodes:
         assert err.startswith("error:")
 
     def test_usage_error_exit_2(self):
-        assert invoke(["payload-sweep", SAMPLE, "--alpha", "nonsense",
-                       "--d", "0:0.1:0.05"])[0] == 2
-        assert invoke(["no-such-command"])[0] == 2
+        for argv in (["payload-sweep", SAMPLE, "--alpha", "nonsense",
+                      "--d", "0:0.1:0.05"],
+                     ["no-such-command"]):
+            code, out, err = invoke(argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("usage: grippertool")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["pose-sweep", "--help"]])
+    def test_help_goes_to_out(self, argv):
+        code, out, err = invoke(argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: grippertool")
+        assert "--help" in out
+
+    def test_non_finite_design_value_is_domain_error(self, tmp_path):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(Path(SAMPLE).read_text().replace("mu = 0.5", "mu = nan"))
+        code, out, err = invoke(["analyze", str(bad), "--d-obj", "0.05"])
+        assert (code, out) == (1, "")
+        assert err == "error: line 24: key 'mu': non-finite value 'nan'\n"
 
     def test_malformed_range_is_usage_error(self):
         code, _, _ = invoke(["payload-sweep", SAMPLE,
@@ -84,29 +119,29 @@ class TestExitCodes:
         ["optimize", SAMPLE, "--m", "0.008:0.03", "--r", "0.005:0.08",
          "--theta-init", "40:-infdeg", "--grip-budget", "36"],
     ])
-    def test_non_finite_number_is_usage_error(self, argv, capsys):
-        code, out, _ = invoke(argv)
+    def test_non_finite_number_is_usage_error(self, argv):
+        code, out, err = invoke(argv)
         assert code == 2
         assert out == ""
-        assert "finite" in capsys.readouterr().err
+        assert "finite" in err
 
     @pytest.mark.parametrize("flag, value", [
         ("--m", "0.03:0.008"),
         ("--r", "0.08:0.005"),
         ("--theta-init", "83:40deg"),
     ])
-    def test_reversed_interval_is_usage_error(self, flag, value, capsys):
+    def test_reversed_interval_is_usage_error(self, flag, value):
         bounds = {"--m": "0.008:0.03", "--r": "0.005:0.08",
                   "--theta-init": "40:83deg", flag: value}
         argv = ["optimize", SAMPLE, "--grip-budget", "36"]
         for name, text in bounds.items():
             argv += [name, text]
-        code, out, _ = invoke(argv)
+        code, out, err = invoke(argv)
         assert code == 2
         assert out == ""
-        assert "lo <= hi" in capsys.readouterr().err
+        assert "lo <= hi" in err
 
-    def test_oversized_range_refused_before_allocating(self, capsys):
+    def test_oversized_range_refused_before_allocating(self):
         tracemalloc.start()
         try:
             with pytest.raises(argparse.ArgumentTypeError, match="points"):
@@ -115,15 +150,122 @@ class TestExitCodes:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
-        code, _, _ = invoke(["payload-sweep", SAMPLE,
-                             "--alpha", "15:75:15deg", "--d", "0:1e12:1"])
-        assert code == 2
-        assert "points" in capsys.readouterr().err
+        code, out, err = invoke(["payload-sweep", SAMPLE,
+                                 "--alpha", "15:75:15deg", "--d", "0:1e12:1"])
+        assert (code, out) == (2, "")
+        assert "points" in err
+
+    def test_oversized_grid_refused_before_allocating(self):
+        # 1,001 x 1,001 cells: each axis is far below MAX_RANGE_POINTS
+        argv = ["payload-sweep", SAMPLE, "--alpha", "0:1000:1deg",
+                "--d", "0:0.1:0.0001"]
+        invoke(argv[:2])   # parser built outside the traced window
+        tracemalloc.start()
+        try:
+            code, out, err = invoke(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 1001 * 1001 > MAX_GRID_CELLS
+        assert (code, out) == (2, "")
+        assert "1002001 cells" in err
+        assert peak < 1024 * 1024   # one float64 grid array would be 8 MB
+
+    def test_grid_cell_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GRID_CELLS", 20)
+        argv = ["payload-sweep", SAMPLE, "--alpha", "15:75:20deg"]
+        assert invoke(argv + ["--d", "0:0.04:0.01"])[0] == 0     # 4 x 5
+        code, out, err = invoke(argv + ["--d", "0:0.05:0.01"])  # 4 x 6
+        assert (code, out) == (2, "")
+        assert "24 cells, more than 20" in err
+
+    @pytest.mark.parametrize("samples", [MAX_RANGE_POINTS + 1, 10**12])
+    def test_oversized_sample_count_refused_before_allocating(self, samples):
+        invoke(["pose-sweep"])   # parser built outside the traced window
+        tracemalloc.start()
+        try:
+            code, out, err = invoke(["pose-sweep", SAMPLE, "--samples", str(samples)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert f"more than {MAX_RANGE_POINTS}" in err
+        assert peak < 64 * 1024
+
+    def test_sample_count_cap_is_inclusive(self):
+        assert _sample_count(str(MAX_RANGE_POINTS)) == MAX_RANGE_POINTS
+        with pytest.raises(argparse.ArgumentTypeError):
+            _sample_count(str(MAX_RANGE_POINTS + 1))
 
     def test_range_point_cap_is_inclusive(self):
         assert len(_parse_range(f"0:{MAX_RANGE_POINTS - 1}:1")) == MAX_RANGE_POINTS
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_range(f"0:{MAX_RANGE_POINTS}:1")
+
+
+class TestParserReuse:
+    """One parser serves every run() call of a process without carrying
+    anything from one request to the next."""
+
+    USAGE_ERRORS = [
+        ["no-such-command"],
+        ["analyze", SAMPLE, "--d-obj", "nan"],
+        ["payload-sweep", SAMPLE, "--alpha", "15:75:15deg"],
+        ["optimize", SAMPLE, "--m", "0.03:0.008", "--r", "0.005:0.08",
+         "--theta-init", "40:83deg", "--grip-budget", "36"],
+        ["pose-sweep", SAMPLE, "--samples", "many"],
+    ]
+
+    def sequence(self):
+        """Golden commands with usage errors between them, then requests
+        whose options a leaked default or value would change."""
+        golden = sorted(GOLDEN_COMMANDS)
+        steps = []
+        for name, usage_error in zip(golden, self.USAGE_ERRORS):
+            steps += [GOLDEN_COMMANDS[name], usage_error]
+        steps += [
+            ["analyze", SAMPLE, "--d-obj", "0.05"],
+            ["analyze", SAMPLE],
+            ["payload-sweep", SAMPLE, "--alpha", "15:75:15deg",
+             "--d", "0:0.04:0.01", "--workers", "3"],
+            ["pose-sweep", SAMPLE],
+        ]
+        return steps
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+        invoke(GOLDEN_COMMANDS["validate.txt"])
+        assert _build_parser() is _build_parser()
+
+    def test_requests_build_no_parser(self, monkeypatch):
+        _build_parser()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in self.sequence():
+            invoke(argv)
+        assert built == []
+
+    def test_sequence_matches_first_runs(self):
+        first = {argv: first_run(argv)
+                 for argv in dict.fromkeys(map(tuple, self.sequence()))}
+        for argv in self.sequence():
+            assert invoke(argv) == first[tuple(argv)]
+        for name, argv in GOLDEN_COMMANDS.items():
+            expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+            assert first[tuple(argv)] == (0, expected, "")
+        for argv in self.USAGE_ERRORS:
+            code, out, err = first[tuple(argv)]
+            assert (code, out) == (2, "")
+            assert "error:" in err
+        code, out, err = first[("pose-sweep", SAMPLE)]
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 1 + 91 + 1
 
 
 class TestRangeGrid:
@@ -246,8 +388,6 @@ class TestGoldenFiles:
 
     def test_fresh_process_matches_golden(self):
         # bit-stable across interpreter instances, not just within one
-        import subprocess
-        import sys
         proc = subprocess.run(
             [sys.executable, "-m", "grippertool.cli"] + GOLDEN_COMMANDS["analyze.txt"],
             capture_output=True, text=True, cwd=str(ROOT),

@@ -63,6 +63,22 @@ class TestParse:
         with pytest.raises(DesignFileError, match="kappa"):
             parse_design(text)
 
+    @pytest.mark.parametrize("line, key, value", [
+        ("mu = 0.5", "mu", "nan"),
+        ("f_n = 40", "f_n", "inf"),
+        ("kappa = 0.5", "kappa", "-inf"),
+        ("m = 0.012", "m", "1e400"),
+        ("alpha = 67deg", "alpha", "nandeg"),
+        ("g_tool = 10", "g_tool", "1e308kg"),
+    ])
+    def test_non_finite_value_names_line_and_key(self, line, key, value):
+        lines = sample_text().splitlines()
+        line_no = lines.index(line) + 1
+        text = sample_text().replace(line, f"{key} = {value}")
+        with pytest.raises(DesignFileError, match="non-finite") as exc_info:
+            parse_design(text)
+        assert (exc_info.value.line_no, exc_info.value.key) == (line_no, key)
+
     def test_bad_config_value(self):
         text = sample_text().replace("config = backward_base", "config = sideways")
         with pytest.raises(DesignFileError, match="config"):
