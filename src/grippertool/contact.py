@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, InfeasibleHoldError, SingularTransmissionError
+from .errors import (DomainError, InfeasibleHoldError, SingularTransmissionError,
+                     require_finite)
 from .mechanism import SpringSpec, ToolDimensions, spring_torque
 
 # Relative slack applied to the capacity boundary so that wrenches computed
@@ -40,6 +41,7 @@ class ContactModel:
     e: float    # contact eccentricity, meters
 
     def __post_init__(self):
+        require_finite(self, "mu", "e")
         if self.mu <= 0.0:
             raise ValueError("ContactModel.mu must be > 0")
         if self.e <= 0.0:
@@ -66,6 +68,7 @@ class GraspState:
     config: GripConfig = GripConfig.BACKWARD_BASE
 
     def __post_init__(self):
+        require_finite(self, "f_n", "g_tool", "alpha", "gamma", "d", "d_com", "theta")
         if self.f_n < 0.0:
             raise ValueError("GraspState.f_n must be >= 0")
         if self.g_tool <= 0.0:

@@ -1,4 +1,23 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check."""
+
+import math
+
+
+def require_finite(obj, *names: str) -> None:
+    """Raise ValueError naming the first field of obj that is nan or +-inf.
+
+    A field holds a number or a tuple of numbers. The value types call
+    this first in __post_init__, because nan passes every range comparison.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            finite = math.isfinite(value)
+        except TypeError:
+            finite = all(map(math.isfinite, value))
+        if not finite:
+            raise ValueError(
+                f"{type(obj).__name__}.{name} must be finite, got {value!r}")
 
 
 class GripperToolError(Exception):

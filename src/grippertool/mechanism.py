@@ -13,7 +13,7 @@ the jaw width is m + 2*r*sin(theta).
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 
 # m + 2*r*sin(theta_init) must reproduce w_init to this absolute tolerance.
 WIDTH_TIE_TOL = 1e-6
@@ -43,6 +43,8 @@ class ToolDimensions:
     w_init: float       # fully-open jaw width (redundant, validated)
 
     def __post_init__(self):
+        require_finite(self, "m", "r", "theta_init", "theta_end", "h", "p", "q",
+                       "k", "d_axis", "r_edge", "v", "w_init")
         for name in ("m", "r", "h", "p", "q", "k", "d_axis", "r_edge", "v", "w_init"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"ToolDimensions.{name} must be > 0")
@@ -79,6 +81,7 @@ class SpringSpec:
     beta: float
 
     def __post_init__(self):
+        require_finite(self, "kappa", "beta")
         if self.kappa <= 0.0:
             raise ValueError("SpringSpec.kappa must be > 0")
         if self.beta < 0.0:

@@ -1,11 +1,11 @@
-"""Dimension feasibility and stroke maximization.
+"""Dimension feasibility and exact stroke maximization.
 
 Feasibility captures the interference limits of the real linkage: shafts
 need material around them, the parallel linkage must not touch the base
 frame at full closure, and the link bars must not overlap. The stroke
-search fixes the open width w_init, eliminates the linkage length via
-r = (w_init - m) / (2*sin(theta_init)), drives theta_end to its geometric
-minimum, and searches (m, theta_init) under a grip-force budget.
+maximization fixes the open width w_init, holds theta_end at its geometric
+minimum and takes p and h at their smallest feasible values, so a design
+is fixed by its two travel angles.
 
 The budget caps the worst-case grip force over the travel, and that worst
 case is computed exactly: with A = +-g_tool*cos(alpha)/2, B = 2*v*kappa/r
@@ -18,16 +18,76 @@ where the term multiplying B has derivative (c - theta)*cos(theta) >= 0
 on the travel and B > 0. So f' changes sign at most once, from - to +;
 f is quasi-convex and its maximum over [theta_end, theta_init] is at one
 of the two ends.
+
+The stroke maximum is the best of a finite candidate set; test_sizing.py
+checks each step below with sympy. Write t = theta_init, e = theta_end,
+q = d_axis + 2*r_edge, K = 2*v*kappa/q, A = +-g_tool*cos(alpha)/2 (+ for
+backward_base) and B = grip_budget.
+
+1. Substitution. r = q/sin(e), the width tie gives
+   m = w_init - 2*q*sin(t)/sin(e), and the stroke is
+   S = 2*q*sin(t - e)/sin(e) = 2*q*(sin(t)*cot(e) - cos(t)). For
+   0 < e < t < pi/2, dS/dt = 2*q*(cos(t)*cot(e) + sin(t)) > 0 and
+   dS/de = -2*q*sin(t)/sin(e)**2 < 0.
+2. Constraints as curves. t lies in [T_lo, T_hi]. The r bounds become
+   e in [E_lo, E_hi] with sin(E_lo) = q/r_hi and sin(E_hi) = min(1, q/r_lo).
+   Each m bound becomes the curve sin(e) = a*sin(t) with
+   a = 2*q/(w_init - m), the lower m bound raised to q first; m >= m_lo
+   is the side sin(e) >= a*sin(t).
+3. Demand at the closed end. D_end = tan(e)*(A + K*(beta + t - e)) is
+   affine in t with slope K*tan(e) > 0, so D_end <= B means
+   t <= g(e) = e - beta + (B*cot(e) - A)/K. g'(e) = 1 - B/(K*sin(e)**2)
+   and g'' = 2*B*cos(e)/(K*sin(e)**3) > 0: g is convex with its minimum
+   at sin(e)**2 = B/K, and falls throughout when B >= K.
+4. Demand at the open end. D_init = A*tan(t) + K*beta*sin(e)/cos(t), and
+   with R = hypot(A, B), phi = atan2(B, A) and c = K*beta*sin(e)/R,
+   cos(t)*(B - D_init) = R*(sin(phi - t) - c). D_init <= B holds between
+   a falling-branch root phi - pi + asin(c) and a rising-branch root
+   h(e) = phi - asin(c), and nowhere when c > 1.
+   cos(t)**2 * dD_init/dt = A + K*beta*sin(e)*sin(t) exceeds
+   cos(t)**2 * f'(t) by K*sin(e)*cos(t) > 0, so where D_init falls
+   in t, f falls at the open end, hence over the whole travel, and
+   D_end > D_init. The falling branch is therefore implied by D_end <= B;
+   only t <= h(e) is kept.
+5. No maximum on a single curve. S has no stationary point, so a
+   maximizer lies on the boundary, and S strictly improves along every
+   boundary curve: with t fixed toward smaller e; with e fixed toward
+   larger t; along an m curve toward larger t, since de/dt =
+   tan(e)/tan(t) there and dS/dt = 2*q*cos(t)*(tan(t) - tan(e)) > 0; along
+   t = g(e) and t = h(e) toward smaller e, since g' < 1, h' <= 0 and
+   dS/dt + dS/de = -2*q*cot(e)*sin(t - e)/sin(e) < 0. So the maximizer
+   sits where two curves meet.
+6. The candidate set. The four box corners. e on an r bound with t from
+   either m curve (sin(t) = (w_init - m)/(2*r)), from g or from h. t on a
+   bound with e from either m curve, from D_init = B
+   (sin(e) = R*sin(phi - t)/(K*beta)) or from D_end = B (g(e) = t: at most
+   two roots, split at sin(e)**2 = B/K). Each m curve with D_init = B
+   (along the curve D_init = (A + K*beta*a)*tan(t), so
+   tan(t) = B/(A + K*beta*a)) or with D_end = B (along the curve D_end is
+   negative or increasing: one root). The two m curves meet only at
+   e = t = 0, and where g meets h the boundary min(g, h) goes on toward
+   smaller e with S rising, so neither pair is a candidate. The roots are
+   bisected to the ulp; the rest are closed forms.
+
+Floats: each candidate is an (m, theta_init) pair, exact in m on an m
+curve and in theta_init on a t bound, and is checked with build_dimensions,
+the m and theta_init bounds and grip_demand <= grip_budget (taken per
+travel end, so a failure names its curve), all unchanged. A
+candidate that fails only the check of a curve it lies on is moved toward
+that curve's feasible side by 1, 2, 4, ... ulps and checked again, at most
+_ULP_STEPS times in all. This is no search: on random problems no winning
+candidate needed more than 6 checks.
 """
 
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .contact import GraspState, required_grip_force
-from .errors import GeometryError, InfeasibleProblemError
+from .contact import GraspState, GripConfig, required_grip_force
+from .errors import GeometryError, InfeasibleProblemError, require_finite
 from .mechanism import SpringSpec, ToolDimensions, stroke
+
+# Most checks one candidate gets, its ulp steps included.
+_ULP_STEPS = 12
 
 
 def clearance_span(d_axis: float, r_edge: float) -> float:
@@ -109,6 +169,9 @@ class SizingProblem:
     v: float = 1.0
 
     def __post_init__(self):
+        require_finite(self, "d_axis", "r_edge", "k", "w_init", "v",
+                       "m_bounds", "r_bounds", "theta_init_bounds",
+                       "grip_budget")
         for name in ("d_axis", "r_edge", "k", "w_init", "v"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"SizingProblem.{name} must be > 0")
@@ -124,9 +187,25 @@ class SizingProblem:
 
 @dataclass(frozen=True)
 class SizingResult:
+    """The stroke-maximal design and what the solver saw on the way.
+
+    demand_end names the travel end ("theta_end" or "theta_init") whose
+    grip demand is the worst case; candidates counts the (m, theta_init)
+    points maximize_stroke checked, ulp steps included.
+    """
+
     dims: ToolDimensions
     stroke: float
     active_constraints: list[str]
+    demand_end: str | None = None
+    candidates: int = 0
+
+
+def _end_demands(dim: ToolDimensions, spring: SpringSpec,
+                 state: GraspState) -> tuple[float, float]:
+    """Required grip force at theta_end and at theta_init."""
+    return tuple(required_grip_force(dim, spring, replace(state, theta=theta))
+                 for theta in (dim.theta_end, dim.theta_init))
 
 
 def grip_demand(dim: ToolDimensions, spring: SpringSpec, state: GraspState) -> float:
@@ -135,8 +214,7 @@ def grip_demand(dim: ToolDimensions, spring: SpringSpec, state: GraspState) -> f
     Exact: the demand is quasi-convex in theta (see the module docstring),
     so the larger of the two end values is the maximum.
     """
-    return max(required_grip_force(dim, spring, replace(state, theta=theta))
-               for theta in (dim.theta_end, dim.theta_init))
+    return max(_end_demands(dim, spring, state))
 
 
 def build_dimensions(problem: SizingProblem, m: float,
@@ -176,100 +254,167 @@ def _within_budget(problem: SizingProblem, dims: ToolDimensions) -> bool:
     return grip_demand(dims, problem.spring, problem.grasp) <= problem.grip_budget
 
 
-def _coarse_grid(problem: SizingProblem, n: int):
-    """Vectorized feasibility and stroke over an n x n (m, theta_init) grid.
+def _evaluate(problem: SizingProblem, m: float,
+              theta_init: float) -> tuple[ToolDimensions | None, str | None]:
+    """(dims, None) for a feasible design within budget, else (None, check).
 
-    Returns (ms, ts, stroke_array) with -inf marking infeasible cells.
-    Mirrors build_dimensions/grip_demand, including the grip demand taken
-    at the two ends of the travel; a unit test pins the two paths against
-    each other.
+    check names what failed: "theta_init" or "m" for their bounds, "r" for
+    whatever build_dimensions refuses (the r bounds, or no closed angle
+    below theta_init), "demand_end" or "demand_init" for the end of the
+    travel whose grip demand exceeds the budget (grip_demand is the larger
+    of the two).
     """
-    q = clearance_span(problem.d_axis, problem.r_edge)
-    m_lo = max(problem.m_bounds[0], q)
-    m_hi = min(problem.m_bounds[1], problem.w_init)
     t_lo, t_hi = problem.theta_init_bounds
-    ms = np.linspace(m_lo, m_hi, n)
-    ts = np.linspace(t_lo, t_hi, n)
-    m_g, t_g = np.meshgrid(ms, ts, indexing="ij")
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = (problem.w_init - m_g) / (2.0 * np.sin(t_g))
-        ok = (r >= problem.r_bounds[0]) & (r <= problem.r_bounds[1]) & (r >= q)
-        ratio = np.where(ok, np.clip(q / np.where(ok, r, 1.0), -1.0, 1.0), 0.0)
-        t_end = np.arcsin(ratio)
-        ok &= t_end < t_g
-
-        # worst grip force over the travel: the larger end value, as in grip_demand
-        theta = np.stack((t_end, t_g))
-        t_spring = problem.spring.kappa * (problem.spring.beta + (t_g - theta))
-        transmission = 2.0 * problem.v * t_spring / (r * np.cos(theta))
-        gravity = (problem.grasp.g_tool * math.cos(problem.grasp.alpha)
-                   * np.tan(theta) / 2.0)
-        sign = 1.0 if problem.grasp.config.value == "backward_base" else -1.0
-        grip = np.max(sign * gravity + transmission, axis=0)
-        ok &= grip <= problem.grip_budget
-
-        strokes = np.where(ok, 2.0 * r * np.sin(t_g - t_end), -np.inf)
-    return ms, ts, strokes
-
-
-def _pin_m(problem: SizingProblem, theta_init: float) -> float | None:
-    """Binding lower value of m at theta_init, or None if the slice is empty."""
-    q = clearance_span(problem.d_axis, problem.r_edge)
-    sin_ti = math.sin(theta_init)
-    lo = max(problem.m_bounds[0], q,
-             problem.w_init - 2.0 * problem.r_bounds[1] * sin_ti)
-    hi = min(problem.m_bounds[1],
-             problem.w_init - 2.0 * problem.r_bounds[0] * sin_ti)
-    if lo > hi:
-        return None
-    return lo
-
-
-def _evaluate(problem: SizingProblem, m: float | None,
-              theta_init: float) -> tuple[float, ToolDimensions] | None:
-    if m is None:
-        return None
+    if not t_lo <= theta_init <= t_hi:
+        return None, "theta_init"
+    m_lo, m_hi = problem.m_bounds
+    if not m_lo <= m <= m_hi:
+        return None, "m"
     dims = build_dimensions(problem, m, theta_init)
-    if dims is None or not _within_budget(problem, dims):
-        return None
-    return stroke(dims), dims
+    if dims is None:
+        return None, "r"
+    at_end, at_init = _end_demands(dims, problem.spring, problem.grasp)
+    if at_end > problem.grip_budget:
+        return None, "demand_end"
+    if at_init > problem.grip_budget:
+        return None, "demand_init"
+    return dims, None
 
 
-def _golden_refine(problem: SizingProblem, t_a: float, t_b: float,
-                   pin, iters: int = 96):
-    """Golden-section maximization of the pinned-m stroke over [t_a, t_b].
+def _boundary(ok, lo: float, hi: float) -> float | None:
+    """The float next to the one switch of ok on [lo, hi], on its ok side.
 
-    Tracks the best feasible probe seen; infeasible probes score -inf.
-    Ties prefer the smaller theta_init.
+    None when ok(lo) == ok(hi). Bisects to adjacent floats.
     """
-    best = (-math.inf, None, None)
-
-    def probe(t):
-        nonlocal best
-        result = _evaluate(problem, pin(t), t)
-        if result is None:
-            return -math.inf
-        s, dims = result
-        if s > best[0] or (s == best[0] and best[2] is not None and t < best[2]):
-            best = (s, dims, t)
-        return s
-
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = t_a, t_b
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = probe(c), probe(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = probe(c)
+    ok_lo = ok(lo)
+    if ok_lo == ok(hi):
+        return None
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return lo if ok_lo else hi
+        if ok(mid) == ok_lo:
+            lo = mid
         else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = probe(d)
-    return best
+            hi = mid
+
+
+def _nudge(x: float, ulps: int) -> float:
+    return x + ulps * math.ulp(x)
+
+
+def _candidates(problem: SizingProblem):
+    """Yield (m, theta_init, moves) for each point of the candidate set.
+
+    moves maps a check the point may fail only by rounding, because the
+    point lies on that check's curve, to a step f(m, theta_init, n) that
+    moves it n ulps toward the feasible side. See the module docstring.
+    """
+    q = clearance_span(problem.d_axis, problem.r_edge)
+    w = problem.w_init
+    beta = problem.spring.beta
+    k_end = 2.0 * problem.v * problem.spring.kappa / q
+    grasp = problem.grasp
+    a_grav = grasp.g_tool * math.cos(grasp.alpha) / 2.0
+    if grasp.config is GripConfig.FORWARD_BASE:
+        a_grav = -a_grav
+    budget = problem.grip_budget
+    radius, phi = math.hypot(a_grav, budget), math.atan2(budget, a_grav)
+
+    t_bounds = problem.theta_init_bounds
+    # m bounds with their curves sin(e) = a*sin(t); none where m >= w_init
+    m_curves = [(m, 2.0 * q / (w - m))
+                for m in (max(problem.m_bounds[0], q), problem.m_bounds[1])
+                if m < w]
+    # r bounds with their closed angles and the sign of the step in m (or in
+    # t at fixed m) toward the feasible side: it lengthens r at r_lo and
+    # shortens it at r_hi
+    r_sides = [(r, math.asin(q / r), side)
+               for r, side in zip(problem.r_bounds, (-1, 1)) if r > q]
+    e_lo = math.asin(min(1.0, q / problem.r_bounds[1]))
+    e_hi = math.asin(min(1.0, q / problem.r_bounds[0]))
+
+    def g(e):
+        return e - beta + (budget / math.tan(e) - a_grav) / k_end
+
+    def h(e):
+        c = k_end * beta * math.sin(e) / radius
+        return phi - math.asin(c) if c <= 1.0 else None
+
+    def m_at(t, e):
+        return w - 2.0 * q * math.sin(t) / math.sin(e)
+
+    def m_step(sign):
+        return lambda m, t, n: (_nudge(m, sign * n), t)
+
+    def t_step(sign):
+        return lambda m, t, n: (m, _nudge(t, sign * n))
+
+    def along_r(r):
+        def move(m, t, n):
+            t = _nudge(t, -n)
+            return w - 2.0 * r * math.sin(t), t
+        return move
+
+    for t in t_bounds:
+        for m, _ in m_curves:
+            yield m, t, {}
+        for r, _, side in r_sides:
+            yield w - 2.0 * r * math.sin(t), t, {"r": m_step(side)}
+        if beta > 0.0:
+            s = radius * math.sin(phi - t) / (k_end * beta)
+            if 0.0 < s <= 1.0:
+                yield m_at(t, math.asin(s)), t, {"demand_init": m_step(-1)}
+        # g(e) = t: one root where g falls, one where it rises
+        split = math.asin(math.sqrt(budget / k_end)) if budget < k_end else e_hi
+        for lo, hi, side in ((e_lo, min(split, e_hi), -1),
+                             (max(split, e_lo), e_hi, 1)):
+            if lo < hi:
+                e = _boundary(lambda e: g(e) >= t, lo, hi)
+                if e is not None:
+                    yield m_at(t, e), t, {"demand_end": m_step(side)}
+
+    for r, e, side in r_sides:
+        for m, _ in m_curves:
+            s = (w - m) / (2.0 * r)
+            if s <= 1.0:
+                yield m, math.asin(s), {"r": t_step(side)}
+        for t, end in ((g(e), "demand_end"), (h(e), "demand_init")):
+            if t is not None:
+                yield (w - 2.0 * r * math.sin(t), t,
+                       {"r": m_step(side), end: along_r(r)})
+
+    def d_end(t, a):
+        e = math.asin(a * math.sin(t))
+        return math.tan(e) * (a_grav + k_end * (beta + t - e))
+
+    for m, a in m_curves:
+        slope = a_grav + k_end * beta * a
+        if slope > 0.0:
+            yield m, math.atan2(budget, slope), {"demand_init": t_step(-1)}
+        if a < 1.0:
+            t = _boundary(lambda t: d_end(t, a) <= budget, *t_bounds)
+            if t is not None:
+                yield m, t, {"demand_end": t_step(-1)}
+
+
+def _realize(problem: SizingProblem, m: float, theta_init: float,
+             moves) -> tuple[ToolDimensions | None, int]:
+    """Check a candidate, stepping it while it fails only its own curves.
+
+    Returns the feasible design or None, and the number of points checked.
+    Each kind of step doubles its size in ulps every time it is taken.
+    """
+    taken = {}
+    for checked in range(1, _ULP_STEPS + 1):
+        dims, failed = _evaluate(problem, m, theta_init)
+        move = moves.get(failed)
+        if move is None:
+            break
+        n = taken.get(failed, 0)
+        taken[failed] = n + 1
+        m, theta_init = move(m, theta_init, 1 << n)
+    return dims, checked
 
 
 def _active_constraints(problem: SizingProblem, dims: ToolDimensions,
@@ -331,51 +476,35 @@ def _nearest_bound_violations(problem: SizingProblem) -> list[Violation]:
     return violations
 
 
-def maximize_stroke(problem: SizingProblem, coarse_points: int = 241) -> SizingResult:
+def maximize_stroke(problem: SizingProblem) -> SizingResult:
     """Feasible dimensions maximizing the stroke under the grip budget.
 
-    Coarse (m, theta_init) grid, then golden-section refinement of
-    theta_init with m tracked along its binding lower boundary (stroke and
-    grip demand both improve as m shrinks through the width tie). Ties
-    break toward smaller theta_init, then smaller m. Deterministic.
+    Exact: the maximum is the best feasible point of the finite candidate
+    set in the module docstring, each point checked with the unchanged
+    feasibility, bound and budget checks. Ties break toward smaller
+    theta_init, then smaller m. Deterministic.
 
     Raises InfeasibleProblemError with the binding constraints when the
     bounds contain no feasible design.
     """
-    ms, ts, strokes = _coarse_grid(problem, coarse_points)
-    if not np.isfinite(strokes).any():
+    best_key, best, checked = None, None, 0
+    for m, theta_init, moves in _candidates(problem):
+        dims, points = _realize(problem, m, theta_init, moves)
+        checked += points
+        if dims is not None:
+            key = (stroke(dims), -dims.theta_init, -dims.m)
+            if best_key is None or key > best_key:
+                best_key, best = key, dims
+    if best is None:
         violations = _nearest_bound_violations(problem)
         detail = ", ".join(f"{v.constraint} ({v.margin:g})" for v in violations)
         raise InfeasibleProblemError(
             f"no feasible design within bounds; binding: {detail}", violations
         )
-
-    best_value = strokes.max()
-    # tie-break: smallest theta_init, then smallest m, among exact maxima
-    i_m, j_t = min(
-        ((int(i), int(j)) for i, j in np.argwhere(strokes == best_value)),
-        key=lambda ij: (ts[ij[1]], ms[ij[0]]),
+    at_end, at_init = _end_demands(best, problem.spring, problem.grasp)
+    return SizingResult(
+        dims=best, stroke=stroke(best),
+        active_constraints=_active_constraints(problem, best),
+        demand_end="theta_end" if at_end >= at_init else "theta_init",
+        candidates=checked,
     )
-    coarse_dims = build_dimensions(problem, float(ms[i_m]), float(ts[j_t]))
-    if coarse_dims is not None and _within_budget(problem, coarse_dims):
-        best = (stroke(coarse_dims), coarse_dims, float(ts[j_t]))
-    else:
-        # vectorized and scalar paths can disagree by an ulp at a boundary
-        # cell; let the refinement recover a nearby point
-        best = (-math.inf, None, None)
-
-    bracket_lo = float(ts[max(0, j_t - 1)])
-    bracket_hi = float(ts[min(len(ts) - 1, j_t + 1)])
-    for pin in (lambda t: _pin_m(problem, t), lambda t, m0=float(ms[i_m]): m0):
-        refined = _golden_refine(problem, bracket_lo, bracket_hi, pin)
-        if refined[1] is not None and refined[0] > best[0]:
-            best = refined
-
-    _, dims, _ = best
-    if dims is None:
-        raise InfeasibleProblemError(
-            "feasible region too thin to refine near "
-            f"theta_init={ts[j_t]:g}", _nearest_bound_violations(problem))
-    assert not check_feasible(dims)
-    return SizingResult(dims=dims, stroke=stroke(dims),
-                        active_constraints=_active_constraints(problem, dims))

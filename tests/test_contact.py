@@ -197,3 +197,21 @@ class TestRequiredGripForce:
             numeric = (hi - lo) / (2.0 * h)
             analytic = sign * math.cos(alpha) * math.tan(theta) / 2.0
             assert numeric == pytest.approx(analytic, rel=1e-6, abs=1e-9)
+
+
+NON_FINITE = (math.nan, math.inf)
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", ["mu", "e"])
+    def test_contact_model(self, name, value):
+        with pytest.raises(ValueError, match=f"ContactModel.{name} must be finite"):
+            replace(ContactModel(mu=0.5, e=0.01), **{name: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize(
+        "name", ["f_n", "g_tool", "alpha", "gamma", "d", "d_com", "theta"])
+    def test_grasp_state(self, name, value):
+        with pytest.raises(ValueError, match=f"GraspState.{name} must be finite"):
+            state_with(**{name: value})

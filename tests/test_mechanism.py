@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -124,3 +125,20 @@ class TestToolDimensions:
         # analysis needs to represent the singular design to report on it
         dims = wide_dims(theta_init=math.pi / 2)
         assert dims.theta_init == math.pi / 2
+
+
+NON_FINITE = (math.nan, math.inf)
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", [f.name for f in fields(ToolDimensions)])
+    def test_tool_dimensions(self, name, value):
+        with pytest.raises(ValueError, match=f"ToolDimensions.{name} must be finite"):
+            replace(wide_dims(), **{name: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", ["kappa", "beta"])
+    def test_spring_spec(self, name, value):
+        with pytest.raises(ValueError, match=f"SpringSpec.{name} must be finite"):
+            replace(SpringSpec(kappa=0.5, beta=0.3), **{name: value})

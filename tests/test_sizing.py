@@ -1,5 +1,7 @@
 import math
+import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 import sympy
@@ -17,11 +19,12 @@ from grippertool import (
     clearance_span,
     grip_demand,
     maximize_stroke,
+    parse_design,
     required_grip_force,
     stroke,
     theta_end_min,
 )
-from grippertool.sizing import _coarse_grid, build_dimensions
+from grippertool.sizing import build_dimensions
 
 from oracles import grid_max_stroke
 
@@ -203,25 +206,149 @@ class TestGripDemand:
         demand = grip_demand(dims, spring, state)
         assert demand >= dense - 1e-12 * max(abs(demand), abs(dense))
 
-    def test_vectorized_grid_matches_scalar(self):
-        # the optimizer's numpy path must agree with the scalar formula
-        problem = make_problem(grip_budget=30.0)
-        ms, ts, strokes = _coarse_grid(problem, 41)
-        import numpy as np
+
+class TestStrokeLemmas:
+    """The steps of the candidate-set argument in the sizing docstring."""
+
+    t, e, q, w, beta, K, A, B = sympy.symbols("t e q w beta K A B", real=True)
+
+    def demand(self, theta):
+        # the quasi-convex demand with 2*v*kappa/r = K*sin(e) and c = beta + t
+        t, e, beta, K, A = self.t, self.e, self.beta, self.K, self.A
+        return (A * sympy.tan(theta)
+                + K * sympy.sin(e) * (beta + t - theta) / sympy.cos(theta))
+
+    def test_substitution_and_stroke_slopes(self):
+        t, e, q, w = self.t, self.e, self.q, self.w
+        r = q / sympy.sin(e)
+        s = 2 * r * sympy.sin(t - e)  # mechanism.stroke
+        closed = 2 * q * (sympy.sin(t) * sympy.cot(e) - sympy.cos(t))
+        assert sympy.simplify(s - closed) == 0
+        # dS/dt and dS/de are sums of positive terms for 0 < e < t < pi/2
+        assert sympy.simplify(sympy.diff(s, t) - 2 * q * (
+            sympy.cos(t) * sympy.cot(e) + sympy.sin(t))) == 0
+        assert sympy.simplify(
+            sympy.diff(s, e) + 2 * q * sympy.sin(t) / sympy.sin(e) ** 2) == 0
+
+        # the library's builder realizes the substitution
+        problem = make_problem()
+        q_num = clearance_span(problem.d_axis, problem.r_edge)
+        stroke_of = sympy.lambdify((t, e, q), closed, "math")
+        for m, theta_init in ((0.01, 0.9), (0.02, 1.3), (0.008, 1.4)):
+            dims = build_dimensions(problem, m, theta_init)
+            e_num = dims.theta_end
+            assert math.sin(e_num) == pytest.approx(q_num / dims.r, rel=1e-14)
+            assert dims.m == pytest.approx(
+                problem.w_init - 2 * q_num * math.sin(theta_init) / math.sin(e_num),
+                rel=1e-12)
+            assert stroke(dims) == pytest.approx(
+                stroke_of(theta_init, e_num, q_num), rel=1e-12)
+
+    def test_closed_end_demand_is_affine_and_its_bound_convex(self):
+        t, e, beta, K, A, B = self.t, self.e, self.beta, self.K, self.A, self.B
+        d_end = self.demand(e)
+        assert sympy.simplify(
+            d_end - sympy.tan(e) * (A + K * (beta + t - e))) == 0
+        assert sympy.simplify(sympy.diff(d_end, t) - K * sympy.tan(e)) == 0
+        assert sympy.diff(d_end, t, 2) == 0
+        g = e - beta + (B * sympy.cot(e) - A) / K
+        assert sympy.simplify(d_end.subs(t, g) - B) == 0
+        assert sympy.simplify(
+            sympy.diff(g, e) - (1 - B / (K * sympy.sin(e) ** 2))) == 0
+        assert sympy.simplify(sympy.diff(g, e, 2)
+                              - 2 * B * sympy.cos(e) / (K * sympy.sin(e) ** 3)) == 0
+
+    def test_open_end_falling_branch_is_dominated(self):
+        t, e, beta, K, A, B = self.t, self.e, self.beta, self.K, self.A, self.B
+        theta = sympy.Symbol("theta", real=True)
+        d_init = self.demand(t)
+        assert sympy.simplify(d_init - (A * sympy.tan(t) + K * beta * sympy.sin(e)
+                                        / sympy.cos(t))) == 0
+        # R*sin(phi - t) with cos(phi) = A/R and sin(phi) = B/R
+        radius = sympy.sqrt(A ** 2 + B ** 2)
+        r_sin = radius * (B / radius * sympy.cos(t) - A / radius * sympy.sin(t))
+        assert sympy.simplify(sympy.cos(t) * (B - d_init)
+                              - (r_sin - K * beta * sympy.sin(e))) == 0
+        slope = A + K * beta * sympy.sin(e) * sympy.sin(t)
+        assert sympy.simplify(sympy.cos(t) ** 2 * sympy.diff(d_init, t) - slope) == 0
+        # cos^2 * f' at the open end is smaller by K*sin(e)*cos(t) > 0
+        at_open = (sympy.cos(theta) ** 2 * sympy.diff(self.demand(theta), theta)
+                   ).subs(theta, t)
+        assert sympy.simplify(
+            slope - at_open - K * sympy.sin(e) * sympy.cos(t)) == 0
+
+        # so wherever D_init falls in t, the closed end demands more
+        rng = random.Random(4)
+        spring = SpringSpec(kappa=0.5, beta=0.0)
+        q = 0.006
         checked = 0
-        for i in range(0, 41, 8):
-            for j in range(0, 41, 8):
-                dims = build_dimensions(problem, float(ms[i]), float(ts[j]))
-                within = np.isfinite(strokes[i, j])
-                if dims is None:
-                    assert not within
-                    continue
-                demand = grip_demand(dims, problem.spring, problem.grasp)
-                assert within == (demand <= problem.grip_budget)
-                if within:
-                    assert strokes[i, j] == pytest.approx(stroke(dims), rel=1e-12)
-                checked += 1
-        assert checked > 5
+        while checked < 200:
+            e_num = rng.uniform(0.05, 1.2)
+            t_num = rng.uniform(e_num + 1e-3, 1.55)
+            spring = replace(spring, kappa=rng.uniform(0.05, 2.0),
+                             beta=rng.uniform(0.0, 1.0))
+            state = GraspState(f_n=40.0, g_tool=rng.uniform(1.0, 60.0),
+                               alpha=rng.uniform(0.0, math.pi), gamma=0.0,
+                               d=0.0, d_com=0.03, theta=t_num,
+                               config=rng.choice(list(GripConfig)))
+            a_num = state.g_tool * math.cos(state.alpha) / 2.0
+            if state.config is GripConfig.FORWARD_BASE:
+                a_num = -a_num
+            k_num = 2.0 * spring.kappa / q
+            if a_num + k_num * spring.beta * math.sin(e_num) * math.sin(t_num) >= 0:
+                continue
+            dims = feasible_dims(r=q / math.sin(e_num), theta_init=t_num,
+                                 theta_end=e_num)
+            at_end = required_grip_force(dims, spring, replace(state, theta=e_num))
+            assert at_end > required_grip_force(dims, spring, state)
+            checked += 1
+
+    def test_stroke_rises_along_every_curve(self):
+        t, e, q, beta, K = self.t, self.e, self.q, self.beta, self.K
+        radius, phi = sympy.symbols("R phi", positive=True)
+        s = 2 * q * (sympy.sin(t) * sympy.cot(e) - sympy.cos(t))
+        s_t, s_e = sympy.diff(s, t), sympy.diff(s, e)
+        # an m curve sin(e) = a*sin(t): de/dt = a*cos(t)/cos(e)
+        a = sympy.sin(e) / sympy.sin(t)
+        de_dt = a * sympy.cos(t) / sympy.cos(e)
+        assert sympy.simplify(de_dt - sympy.tan(e) / sympy.tan(t)) == 0
+        assert sympy.simplify(s_t + s_e * de_dt - 2 * q * sympy.cos(t) * (
+            sympy.tan(t) - sympy.tan(e))) == 0
+        # t = f(e) with f' < 1 and s_t > 0: dS/de = s_t*f' + s_e < s_t + s_e < 0
+        assert sympy.simplify(s_t + s_e + 2 * q * sympy.cot(e) * sympy.sin(t - e)
+                              / sympy.sin(e)) == 0
+        # the rising branch h(e) = phi - asin(c) has h' <= 0
+        c = K * beta * sympy.sin(e) / radius
+        h = phi - sympy.asin(c)
+        assert sympy.simplify(sympy.diff(h, e) + K * beta * sympy.cos(e) / (
+            radius * sympy.sqrt(1 - c ** 2))) == 0
+
+    def test_candidate_closed_forms_and_root_counts(self):
+        t, e, q, w, beta, K, A, B = (self.t, self.e, self.q, self.w, self.beta,
+                                     self.K, self.A, self.B)
+        m, r = sympy.symbols("m r", positive=True)
+        a = 2 * q / (w - m)
+        # an r bound (sin(e) = q/r) meets an m curve at sin(t) = (w - m)/(2*r)
+        assert sympy.simplify((q / r) / a - (w - m) / (2 * r)) == 0
+        # the m curve is the width tie: m = w - 2*q*sin(t)/sin(e)
+        assert sympy.simplify(
+            (w - 2 * q * sympy.sin(t) / (a * sympy.sin(t))) - m) == 0
+        # along an m curve D_init = (A + K*beta*a)*tan(t)
+        along = self.demand(t).subs(sympy.sin(e), a * sympy.sin(t))
+        assert sympy.simplify(along - (A + K * beta * a) * sympy.tan(t)) == 0
+        # a t bound meets D_init = B at sin(e) = (B*cos(t) - A*sin(t))/(K*beta)
+        sin_e = (B * sympy.cos(t) - A * sympy.sin(t)) / (K * beta)
+        assert sympy.simplify(self.demand(t).subs(sympy.sin(e), sin_e) - B) == 0
+        # along an m curve, A + K*(beta + t - e) and tan(e) both rise in t
+        # (de/dt = tan(e)/tan(t) < 1), so D_end is negative or increasing
+        e_of_t = sympy.asin(a * sympy.sin(t))
+        assert sympy.simplify(sympy.diff(t - e_of_t, t) - (
+            1 - sympy.tan(e_of_t) / sympy.tan(t))) == 0
+        # g(e) = t: g is convex (previous test), so at most two roots, split
+        # where g' = 0
+        g = e - beta + (B * sympy.cot(e) - A) / K
+        split = sympy.asin(sympy.sqrt(B / K))
+        assert sympy.simplify(sympy.diff(g, e).subs(e, split)) == 0
 
 
 class TestMaximizeStroke:
@@ -286,3 +413,162 @@ class TestMaximizeStroke:
         b = maximize_stroke(problem)
         assert a.stroke == b.stroke
         assert a.dims == b.dims
+
+    def test_golden_optimize_reports_demand_end_and_candidates(self):
+        root = Path(__file__).resolve().parent.parent
+        dims, spring, _, state = parse_design(
+            (root / "designs" / "example_tool.ini").read_text())
+        problem = SizingProblem(
+            d_axis=dims.d_axis, r_edge=dims.r_edge, k=dims.k, w_init=dims.w_init,
+            m_bounds=(0.008, 0.03), r_bounds=(0.005, 0.08),
+            theta_init_bounds=(math.radians(40), math.radians(83)),
+            grip_budget=36.0, spring=spring, grasp=state, v=dims.v)
+        result = maximize_stroke(problem)
+        assert result.demand_end == "theta_end"
+        at_end = required_grip_force(result.dims, spring,
+                                     replace(state, theta=result.dims.theta_end))
+        at_init = required_grip_force(result.dims, spring,
+                                      replace(state, theta=result.dims.theta_init))
+        assert at_end >= at_init
+        # a few dozen checked points, not a grid
+        assert 4 <= result.candidates <= 100
+
+    def test_instance_a_second_root_at_theta_init_lower_bound(self):
+        problem = SizingProblem(
+            d_axis=0.0067, r_edge=0.0014, k=0.072, w_init=0.0572,
+            m_bounds=(0.0126, 0.0419), r_bounds=(0.0089, 0.093),
+            theta_init_bounds=(0.725, 1.028), grip_budget=25.0,
+            spring=SpringSpec(kappa=0.92, beta=0.06),
+            grasp=GraspState(f_n=40.0, g_tool=15.7, alpha=0.85, gamma=0.0,
+                             d=0.0, d_com=0.03, theta=0.5,
+                             config=GripConfig.BACKWARD_BASE))
+        result = maximize_stroke(problem)
+        assert result.stroke >= 0.00279087
+        assert result.dims.theta_init == problem.theta_init_bounds[0]
+        assert result.demand_end == "theta_end"
+        assert "grip_budget" in result.active_constraints
+        # the second root: the closed-end demand rises with theta_end there
+        q = clearance_span(problem.d_axis, problem.r_edge)
+        k_end = 2.0 * problem.v * problem.spring.kappa / q
+        assert math.sin(result.dims.theta_end) ** 2 > problem.grip_budget / k_end
+
+    def test_instance_b_solved_on_r_upper_bound(self):
+        problem = SizingProblem(
+            d_axis=0.0079922, r_edge=0.0010618, k=0.073996, w_init=0.080734,
+            m_bounds=(0.0073484, 0.039141), r_bounds=(0.019735, 0.050626),
+            theta_init_bounds=(0.60558, 1.2843), grip_budget=25.803,
+            spring=SpringSpec(kappa=0.65898, beta=0.48825),
+            grasp=GraspState(f_n=40.0, g_tool=28.669, alpha=2.3651, gamma=0.0,
+                             d=0.0, d_com=0.03, theta=0.5,
+                             config=GripConfig.FORWARD_BASE))
+        result = maximize_stroke(problem)
+        assert result.stroke >= 0.0398421
+        assert "r_upper_bound" in result.active_constraints
+        assert_passes_every_check(problem, result)
+
+    def test_r_lower_bound_meets_m_lower_bound(self):
+        # the optimum sits where the r lower bound meets the m lower bound:
+        # sin(theta_init) = (w_init - m)/(2*r) there
+        problem = SizingProblem(
+            d_axis=0.0052434, r_edge=0.0013042, k=0.041306, w_init=0.035637,
+            m_bounds=(0.0091978, 0.03805), r_bounds=(0.015253, 0.038723),
+            theta_init_bounds=(0.8069, 1.1527), grip_budget=1e6,
+            spring=SpringSpec(kappa=0.82646, beta=0.20379),
+            grasp=GraspState(f_n=40.0, g_tool=31.502, alpha=2.3598, gamma=0.0,
+                             d=0.0, d_com=0.03, theta=0.5,
+                             config=GripConfig.FORWARD_BASE),
+            v=1.8276)
+        result = maximize_stroke(problem)
+        assert_passes_every_check(problem, result)
+        assert {"m_lower_bound", "r_lower_bound"} <= set(result.active_constraints)
+        m, r = problem.m_bounds[0], problem.r_bounds[0]
+        theta_init = math.asin((problem.w_init - m) / (2.0 * r))
+        theta_end = math.asin(clearance_span(problem.d_axis, problem.r_edge) / r)
+        assert result.stroke == pytest.approx(
+            2.0 * r * math.sin(theta_init - theta_end), rel=1e-12)
+        scan = grid_max_stroke(problem, n_m=401, n_theta=401, grip_samples=2)
+        assert scan[0] <= result.stroke * (1.0 + 1e-12)
+
+    def test_r_upper_bound_meets_open_end_demand(self):
+        # the optimum sits where the r upper bound meets D_init = B, on the
+        # rising branch theta_init = phi - asin(K*beta*sin(theta_end)/R)
+        problem = SizingProblem(
+            d_axis=0.0072893, r_edge=0.0011629, k=0.05944, w_init=0.11219,
+            m_bounds=(0.012208, 0.046848), r_bounds=(0.0095209, 0.045565),
+            theta_init_bounds=(0.42345, 1.4653), grip_budget=22.945,
+            spring=SpringSpec(kappa=0.24088, beta=0.44737),
+            grasp=GraspState(f_n=40.0, g_tool=2.1645, alpha=2.4982, gamma=0.0,
+                             d=0.0, d_com=0.03, theta=0.5,
+                             config=GripConfig.FORWARD_BASE))
+        result = maximize_stroke(problem)
+        assert_passes_every_check(problem, result)
+        assert result.demand_end == "theta_init"
+        assert {"r_upper_bound", "grip_budget"} <= set(result.active_constraints)
+        q = clearance_span(problem.d_axis, problem.r_edge)
+        k_end = 2.0 * problem.v * problem.spring.kappa / q
+        a = -problem.grasp.g_tool * math.cos(problem.grasp.alpha) / 2.0
+        b = problem.grip_budget
+        c = k_end * problem.spring.beta * q / problem.r_bounds[1] / math.hypot(a, b)
+        assert result.dims.theta_init == pytest.approx(
+            math.atan2(b, a) - math.asin(c), rel=1e-12)
+        scan = grid_max_stroke(problem, n_m=401, n_theta=401, grip_samples=2)
+        assert scan[0] <= result.stroke * (1.0 + 1e-12)
+
+    def test_no_point_of_a_dense_scan_beats_it(self):
+        # wide ranges of every parameter; about one draw in six has no
+        # feasible design
+        rng = random.Random(2026)
+        solved = 0
+        for _ in range(60):
+            problem = draw_problem(rng)
+            scan = grid_max_stroke(problem, n_m=301, n_theta=301, grip_samples=2)
+            try:
+                result = maximize_stroke(problem)
+            except InfeasibleProblemError:
+                assert scan is None
+                continue
+            assert_passes_every_check(problem, result)
+            if scan is not None:
+                assert scan[0] <= result.stroke * (1.0 + 1e-12)
+            solved += 1
+        assert solved >= 30
+
+
+def draw_problem(rng):
+    mm = 1e-3
+    return SizingProblem(
+        d_axis=rng.uniform(2, 8) * mm, r_edge=rng.uniform(0.5, 2) * mm,
+        k=rng.uniform(20, 80) * mm, w_init=rng.uniform(50, 120) * mm,
+        m_bounds=(rng.uniform(5, 15) * mm, rng.uniform(20, 50) * mm),
+        r_bounds=(rng.uniform(3, 20) * mm, rng.uniform(40, 100) * mm),
+        theta_init_bounds=(rng.uniform(0.3, 0.9), rng.uniform(1.0, 1.5)),
+        grip_budget=1e6 if rng.random() < 0.2 else rng.uniform(10, 60),
+        spring=SpringSpec(kappa=rng.uniform(0.2, 1.0), beta=rng.uniform(0, 0.6)),
+        grasp=GraspState(f_n=40.0, g_tool=rng.uniform(1, 30),
+                         alpha=rng.uniform(0, math.pi), gamma=0.0, d=0.0,
+                         d_com=0.03, theta=0.5,
+                         config=rng.choice(list(GripConfig))))
+
+
+def assert_passes_every_check(problem, result):
+    dims = result.dims
+    assert check_feasible(dims) == []
+    assert problem.m_bounds[0] <= dims.m <= problem.m_bounds[1]
+    assert problem.r_bounds[0] <= dims.r <= problem.r_bounds[1]
+    t_lo, t_hi = problem.theta_init_bounds
+    assert t_lo <= dims.theta_init <= t_hi
+    assert dims.theta_end == theta_end_min(dims.r, problem.d_axis, problem.r_edge)
+    assert grip_demand(dims, problem.spring, problem.grasp) <= problem.grip_budget
+    assert result.stroke == stroke(dims)
+
+
+class TestSizingProblem:
+    @pytest.mark.parametrize("value", (math.nan, math.inf))
+    @pytest.mark.parametrize("name", [
+        "d_axis", "r_edge", "k", "w_init", "v", "grip_budget",
+        "m_bounds", "r_bounds", "theta_init_bounds"])
+    def test_non_finite_rejected(self, name, value):
+        problem = make_problem()
+        bad = (getattr(problem, name)[0], value) if name.endswith("_bounds") else value
+        with pytest.raises(ValueError, match=f"SizingProblem.{name} must be finite"):
+            replace(problem, **{name: bad})
