@@ -17,14 +17,16 @@ operators that work on floats and numpy arrays alike. The scalar
 functions call them with floats; payload_sweep() calls them once with
 the whole (alpha, d) grid, so a sweep cell is bit-identical to
 max_payload() on that cell.
+
+Only payload_sweep() and its grid helper build arrays, so numpy is
+imported inside them: importing this module, or solving one payload,
+does not load numpy.
 """
 
 import math
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import chain, repeat
-
-import numpy as np
 
 from .contact import ContactModel, GraspState, max_capacities
 from .errors import DegenerateContactError, NoFeasiblePayloadError
@@ -108,10 +110,6 @@ def _residual(a, b, c, x, maximum=max):
     return abs(ax2 + b * x + c) / maximum(abs(ax2), abs(b * x), abs(c), 1.0)
 
 
-def _elementwise_max(*arrays):
-    return reduce(np.maximum, arrays)
-
-
 def equilibrium_coefficients(model: ContactModel, state: GraspState,
                              d_obj: float) -> tuple[float, float, float]:
     """Payload quadratic derived from the force and torque balance.
@@ -169,6 +167,11 @@ def _grid_weights(model, state, d_obj, alphas, ds) -> list:
     ds an array. The grid-sized temporaries live only in this call, so
     they are freed before the caller builds its rows.
     """
+    import numpy as np  # loaded by the first sweep, as in payload_sweep
+
+    def elementwise_max(*arrays):
+        return reduce(np.maximum, arrays)
+
     # one sin and cos per alpha, from math as in the scalar path
     sin_a = np.array([math.sin(a) for a in alphas])[:, None]
     cos_a = np.array([math.cos(a) for a in alphas])[:, None]
@@ -179,7 +182,7 @@ def _grid_weights(model, state, d_obj, alphas, ds) -> list:
         feasible = ~(disc < 0.0)
         r1, r2 = _roots(a, b, c, np.sqrt(np.where(feasible, disc, 0.0)))
         root_hi = np.where(r1 <= r2, r2, r1)
-        residual = _residual(a, b, c, root_hi, _elementwise_max)
+        residual = _residual(a, b, c, root_hi, elementwise_max)
     # the residual bound of PayloadResult, raised for the first cell that breaks it
     too_large = feasible & (residual > ROOT_RESIDUAL_TOL)
     if too_large.any():
@@ -204,6 +207,10 @@ def payload_sweep(model: ContactModel, state: GraspState, d_obj: float,
     from no solution. The GraspState range checks and the residual bound
     apply to every cell and raise the same ValueError as the scalar path.
     """
+    # numpy is imported here, not at module level, so that the scalar
+    # solves and the CLI commands without a grid start without it
+    import numpy as np
+
     alphas = list(alphas)
     ds = list(ds)
     if not alphas or not ds:

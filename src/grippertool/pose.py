@@ -20,13 +20,13 @@ The margin formula is written once (_headroom, _margin), with operators
 that work on floats and numpy arrays alike: torque_margin() calls it for
 one gamma and gamma_sweep() once for all samples. A sample is then
 bit-identical to torque_margin() at that gamma wherever numpy's sin and
-cos round like math's, which the test suite checks.
+cos round like math's, which the test suite checks. Only gamma_sweep()
+builds arrays, so numpy is imported there and nowhere else in this
+module: importing it, or computing one margin, does not load numpy.
 """
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .contact import ContactModel, GraspState
 from .errors import DomainError, ZeroCapacityError
@@ -110,6 +110,10 @@ def gamma_sweep(model: ContactModel, state: GraspState,
     """
     if n_samples < 2:
         raise DomainError("n_samples must be >= 2")
+    # numpy is imported here, not at module level, so that the scalar
+    # margin and the CLI commands without a grid start without it
+    import numpy as np
+
     # the last sample can round one ulp above pi/2; clamp it onto the domain
     gamma_arr = np.minimum(math.pi / 2 * np.arange(n_samples) / (n_samples - 1),
                            math.pi / 2)

@@ -217,6 +217,11 @@ def grip_demand(dim: ToolDimensions, spring: SpringSpec, state: GraspState) -> f
     return max(_end_demands(dim, spring, state))
 
 
+def _linkage_length(problem: SizingProblem, m: float, sin_ti: float) -> float:
+    """r from the width tie w_init = m + 2*r*sin(theta_init)."""
+    return (problem.w_init - m) / (2.0 * sin_ti)
+
+
 def build_dimensions(problem: SizingProblem, m: float,
                      theta_init: float) -> ToolDimensions | None:
     """Candidate dims at (m, theta_init), or None when unrealizable.
@@ -228,7 +233,7 @@ def build_dimensions(problem: SizingProblem, m: float,
     sin_ti = math.sin(theta_init)
     if sin_ti <= 0.0 or theta_init >= math.pi / 2:
         return None
-    r = (problem.w_init - m) / (2.0 * sin_ti)
+    r = _linkage_length(problem, m, sin_ti)
     r_lo, r_hi = problem.r_bounds
     if not r_lo <= r <= r_hi:
         return None
@@ -258,11 +263,12 @@ def _evaluate(problem: SizingProblem, m: float,
               theta_init: float) -> tuple[ToolDimensions | None, str | None]:
     """(dims, None) for a feasible design within budget, else (None, check).
 
-    check names what failed: "theta_init" or "m" for their bounds, "r" for
-    whatever build_dimensions refuses (the r bounds, or no closed angle
-    below theta_init), "demand_end" or "demand_init" for the end of the
-    travel whose grip demand exceeds the budget (grip_demand is the larger
-    of the two).
+    check names what failed: "theta_init", "m" or "r" for their bounds,
+    "dims" for any other refusal of build_dimensions (edge clearance, no
+    closed angle below theta_init, an interference check), "demand_end" or
+    "demand_init" for the end of the travel whose grip demand exceeds the
+    budget (grip_demand is the larger of the two). Only a check that a
+    candidate's curve can fail by rounding has an ulp step; "dims" has none.
     """
     t_lo, t_hi = problem.theta_init_bounds
     if not t_lo <= theta_init <= t_hi:
@@ -272,7 +278,9 @@ def _evaluate(problem: SizingProblem, m: float,
         return None, "m"
     dims = build_dimensions(problem, m, theta_init)
     if dims is None:
-        return None, "r"
+        r_lo, r_hi = problem.r_bounds
+        r = _linkage_length(problem, m, math.sin(theta_init))
+        return None, "dims" if r_lo <= r <= r_hi else "r"
     at_end, at_init = _end_demands(dims, problem.spring, problem.grasp)
     if at_end > problem.grip_budget:
         return None, "demand_end"
@@ -450,8 +458,7 @@ def _nearest_bound_violations(problem: SizingProblem) -> list[Violation]:
     q = clearance_span(problem.d_axis, problem.r_edge)
     m = max(problem.m_bounds[0], q)
     t = problem.theta_init_bounds[1]
-    sin_ti = math.sin(t)
-    r = (problem.w_init - m) / (2.0 * sin_ti) if sin_ti > 0 else 0.0
+    r = _linkage_length(problem, m, math.sin(t))
     violations = []
     if r < problem.r_bounds[0]:
         violations.append(Violation("r_lower_bound", r - problem.r_bounds[0]))

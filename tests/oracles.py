@@ -107,8 +107,11 @@ def grid_max_stroke(problem, n_m=201, n_theta=201, grip_samples=64):
     or None when every point is infeasible.
     """
     q = problem.d_axis + 2.0 * problem.r_edge
-    ms = np.linspace(max(problem.m_bounds[0], q),
-                     min(problem.m_bounds[1], problem.w_init), n_m)
+    m_lo = max(problem.m_bounds[0], q)
+    m_hi = min(problem.m_bounds[1], problem.w_init)
+    if m_lo > m_hi:
+        return None
+    ms = np.linspace(m_lo, m_hi, n_m)
     ts = np.linspace(problem.theta_init_bounds[0],
                      problem.theta_init_bounds[1], n_theta)
     m_g, t_g = np.meshgrid(ms, ts, indexing="ij")

@@ -51,6 +51,39 @@ def first_run(argv):
     return tuple(json.loads(proc.stdout))
 
 
+class TestNumpyImport:
+    """numpy is loaded by the two sweeps alone: importing the package and
+    the scalar commands leave it unloaded. That a sweep which imports it
+    on its first call still prints its golden output is checked by
+    TestParserReuse.test_sequence_matches_first_runs."""
+
+    SCALAR = ["validate.txt", "analyze.txt", "optimize.txt"]
+
+    def test_scalar_commands_leave_numpy_unloaded(self):
+        script = ("import io, json, sys\n"
+                  "import grippertool\n"
+                  "from grippertool.cli import run\n"
+                  "loaded = ['numpy' in sys.modules]\n"
+                  "results = []\n"
+                  "for argv in json.loads(sys.argv[1]):\n"
+                  "    out, err = io.StringIO(), io.StringIO()\n"
+                  "    code = run(argv, out, err)\n"
+                  "    results.append([code, out.getvalue(), err.getvalue()])\n"
+                  "    loaded.append('numpy' in sys.modules)\n"
+                  "json.dump([loaded, results], sys.stdout)\n")
+        commands = [GOLDEN_COMMANDS[name] for name in self.SCALAR]
+        commands.append(GOLDEN_COMMANDS["pose_sweep.txt"])
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                              capture_output=True, text=True, cwd=str(ROOT),
+                              check=True)
+        loaded, results = json.loads(proc.stdout)
+        # after the import and each scalar command; the sweep then loads it
+        assert loaded == [False] * (1 + len(self.SCALAR)) + [True]
+        for name, result in zip(self.SCALAR, results):
+            expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+            assert result == [0, expected, ""]
+
+
 class TestExitCodes:
     def test_validate_feasible_sample(self):
         code, out, _ = invoke(["validate", SAMPLE])

@@ -24,7 +24,7 @@ from grippertool import (
     stroke,
     theta_end_min,
 )
-from grippertool.sizing import build_dimensions
+from grippertool.sizing import _evaluate, _realize, build_dimensions
 
 from oracles import grid_max_stroke
 
@@ -513,6 +513,31 @@ class TestMaximizeStroke:
             math.atan2(b, a) - math.asin(c), rel=1e-12)
         scan = grid_max_stroke(problem, n_m=401, n_theta=401, grip_samples=2)
         assert scan[0] <= result.stroke * (1.0 + 1e-12)
+
+    def test_m_upper_bound_below_clearance_span_is_infeasible(self):
+        # m_hi < q: every m within bounds violates the edge clearance
+        problem = make_problem(m_bounds=(0.002, 0.005))
+        assert problem.m_bounds[1] < clearance_span(problem.d_axis, problem.r_edge)
+        assert grid_max_stroke(problem) is None
+        with pytest.raises(InfeasibleProblemError):
+            maximize_stroke(problem)
+
+    def test_only_an_r_bound_refusal_takes_the_r_step(self):
+        problem = make_problem(m_bounds=(0.008, 0.075),
+                               theta_init_bounds=(0.1, 1.4))
+        # r = 0.0501 is within bounds, but its closed angle exceeds theta_init
+        m, theta_init = 0.07, 0.1
+        assert build_dimensions(problem, m, theta_init) is None
+        assert _evaluate(problem, m, theta_init) == (None, "dims")
+        assert _evaluate(problem, 0.012, theta_init) == (None, "r")
+        steps = []
+
+        def r_step(m, t, n):
+            steps.append(n)
+            return m, t
+
+        assert _realize(problem, m, theta_init, {"r": r_step}) == (None, 1)
+        assert steps == []
 
     def test_no_point_of_a_dense_scan_beats_it(self):
         # wide ranges of every parameter; about one draw in six has no
