@@ -32,6 +32,7 @@ from .mechanism import (
     stroke_fixed_width,
 )
 from .payload import (
+    PayloadGrid,
     PayloadResult,
     equilibrium_coefficients,
     max_payload,
@@ -64,6 +65,7 @@ __all__ = [
     "InfeasibleHoldError",
     "InfeasibleProblemError",
     "NoFeasiblePayloadError",
+    "PayloadGrid",
     "PayloadResult",
     "SingularTransmissionError",
     "SizingProblem",

@@ -6,9 +6,15 @@ units. Numeric output uses 9 significant digits. Exit codes: 0 success,
 1 domain errors, 2 usage errors. Non-finite numbers, reversed intervals,
 ranges or pose-sweep sample counts of more than MAX_RANGE_POINTS points
 and payload grids of more than MAX_GRID_CELLS cells are usage errors,
-refused before any grid is built. The sweep commands write their CSV a
-line at a time, so the text of the whole grid is never held in memory at
-once.
+refused before any grid is built.
+
+The sweep commands print their CSV straight from the float arrays the
+library returns. A payload sweep builds one line template per chunk of
+at most CHUNK_LINES d values once, and formats each alpha row, or each
+chunk of a longer row, with one % call. A pose sweep converts gamma to
+degrees with one vectorized divide and formats CHUNK_LINES lines per %
+call. A nan cell prints as INFEASIBLE. The text of the whole grid is
+never held in memory at once.
 
 The argument parser is built once per process, on the first call of
 run(), and reused: parse_args() returns a fresh Namespace and changes
@@ -43,6 +49,9 @@ MAX_RANGE_POINTS = 100_000
 # Largest number of (alpha, d) cells one payload sweep may compute.
 MAX_GRID_CELLS = 1_000_000
 
+# Most CSV lines a sweep formats with one % call.
+CHUNK_LINES = 1024
+
 
 class _UsageError(Exception):
     """A request that parsed but asks for more than the CLI will compute."""
@@ -51,6 +60,16 @@ class _UsageError(Exception):
 def fmt(value: float) -> str:
     """Canonical 9-significant-digit rendering used for all numeric output."""
     return f"{value:.9g}"
+
+
+def _mark_infeasible(lines: str) -> str:
+    """CSV lines with every nan last field printed as INFEASIBLE.
+
+    Only the last field can print nan: the others are alpha, d or gamma,
+    finite because the CLI refuses nan and inf input with exit 2. So
+    "nan\n" occurs exactly where a cell is infeasible.
+    """
+    return lines.replace("nan\n", f"{INFEASIBLE}\n")
 
 
 def _finite_float(text: str) -> float:
@@ -167,14 +186,19 @@ def _cmd_payload_sweep(args, out) -> int:
         raise _UsageError(
             f"payload grid has {cells} cells, more than {MAX_GRID_CELLS}")
     _, _, model, state = _load(args.design)
-    rows = payload_sweep(model, state, args.d_obj, args.alpha, args.d)
+    grid = payload_sweep(model, state, args.d_obj, args.alpha, args.d)
     out.write("alpha_deg,d_m,max_weight_N\n")
-    d_texts = [fmt(d) for d in args.d]
-    for start in range(0, len(rows), len(d_texts)):
-        alpha_text = fmt(rows[start][0] / DEG)
-        for d_text, (_, _, weight) in zip(d_texts, rows[start:start + len(d_texts)]):
-            out.write(f"{alpha_text},{d_text},"
-                      f"{INFEASIBLE if weight is None else f'{weight:.9g}'}\n")
+    # "\0" stands for the row's alpha text in these templates
+    templates = [(start, "".join(f"\0,{fmt(d)},%.9g\n"
+                                 for d in args.d[start:start + CHUNK_LINES]))
+                 for start in range(0, len(args.d), CHUNK_LINES)]
+    for alpha, row in zip(args.alpha, grid.weights):
+        alpha_text = fmt(alpha / DEG)
+        weights = row.tolist()
+        for start, template in templates:
+            lines = (template.replace("\0", alpha_text)
+                     % tuple(weights[start:start + CHUNK_LINES]))
+            out.write(_mark_infeasible(lines))
     return 0
 
 
@@ -204,9 +228,13 @@ def _cmd_pose_sweep(args, out) -> int:
     _, _, model, state = _load(args.design)
     curve = gamma_sweep(model, state, args.samples)
     out.write("gamma_deg,torque_margin_Nm\n")
-    for gamma, margin in curve.samples:
-        out.write(f"{gamma / DEG:.9g},"
-                  f"{INFEASIBLE if math.isnan(margin) else f'{margin:.9g}'}\n")
+    degrees = curve.gammas / DEG   # IEEE division, bit-identical to Python's /
+    for start in range(0, len(degrees), CHUNK_LINES):
+        gammas = degrees[start:start + CHUNK_LINES].tolist()
+        values = [0.0] * (2 * len(gammas))
+        values[0::2] = gammas
+        values[1::2] = curve.margins[start:start + CHUNK_LINES].tolist()
+        out.write(_mark_infeasible("%.9g,%.9g\n" * len(gammas) % tuple(values)))
     print(f"# peak gamma_deg = {fmt(curve.peak_gamma / DEG)} "
           f"margin_Nm = {fmt(curve.peak_margin)}", file=out)
     return 0

@@ -16,7 +16,9 @@ The coefficient, root and residual formulas are written once, with
 operators that work on floats and numpy arrays alike. The scalar
 functions call them with floats; payload_sweep() calls them once with
 the whole (alpha, d) grid, so a sweep cell is bit-identical to
-max_payload() on that cell.
+max_payload() on that cell. The sweep returns a PayloadGrid: the
+weights as one float array, nan where infeasible, with the cell counts
+and the worst root residual.
 
 Only payload_sweep() and its grid helper build arrays, so numpy is
 imported inside them: importing this module, or solving one payload,
@@ -24,9 +26,9 @@ does not load numpy.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import chain, repeat
 
 from .contact import ContactModel, GraspState, max_capacities
 from .errors import DegenerateContactError, NoFeasiblePayloadError
@@ -162,10 +164,57 @@ def max_payload(model: ContactModel, state: GraspState,
     return PayloadResult(root_hi, (a, b, c), residual)
 
 
-def _grid_weights(model, state, d_obj, alphas, ds) -> list:
-    """Row-major max weights (None where infeasible) over alphas x ds,
-    ds an array. The grid-sized temporaries live only in this call, so
-    they are freed before the caller builds its rows.
+class PayloadGrid(Sequence):
+    """Max payload over an (alpha, d) grid.
+
+    weights has shape (len(alphas), len(ds)), alpha outer, with nan in
+    the cells where no weight is feasible. As a sequence the grid is the
+    row-major view (alpha, d, weight), weight None where infeasible.
+    The counts and max_residual come from the solve's own masks:
+    zero_clamped counts the feasible cells whose capacity root was
+    negative and clamped to 0, and max_residual is the largest
+    normalized root residual over the feasible cells (0 when there are
+    none).
+
+    A plain class rather than a dataclass: the methods a dataclass
+    generates are compiled when the module is imported, which every
+    command pays for, sweep or not.
+    """
+
+    __slots__ = ("alphas", "ds", "weights", "feasible", "zero_clamped",
+                 "max_residual")
+
+    def __init__(self, alphas: list[float], ds: list[float], weights,
+                 feasible: int, zero_clamped: int, max_residual: float):
+        self.alphas = alphas
+        self.ds = ds
+        self.weights = weights
+        self.feasible = feasible
+        self.zero_clamped = zero_clamped
+        self.max_residual = max_residual
+
+    @property
+    def infeasible(self) -> int:
+        return self.weights.size - self.feasible
+
+    def __len__(self) -> int:
+        return self.weights.size
+
+    def __getitem__(self, index: int) -> tuple[float, float, float | None]:
+        i, j = divmod(range(self.weights.size)[index], len(self.ds))
+        weight = float(self.weights[i, j])
+        return self.alphas[i], self.ds[j], None if math.isnan(weight) else weight
+
+    def __iter__(self):
+        for alpha, row in zip(self.alphas, self.weights.tolist()):
+            for d, weight in zip(self.ds, row):
+                yield alpha, d, None if math.isnan(weight) else weight
+
+
+def _grid_weights(model, state, d_obj, alphas, ds) -> tuple:
+    """PayloadGrid's (weights, feasible, zero_clamped, max_residual) over
+    alphas x ds, ds an array. The other grid-sized temporaries live only
+    in this call; root_hi becomes the weights in place.
     """
     import numpy as np  # loaded by the first sweep, as in payload_sweep
 
@@ -190,22 +239,26 @@ def _grid_weights(model, state, d_obj, alphas, ds) -> list:
         PayloadResult(max(float(root_hi[i, j]), 0.0),
                       (float(a[i, 0]), float(b[i, j]), float(c[i, j])),
                       float(residual[i, j]))
-    weights = np.where(root_hi < 0.0, 0.0, root_hi).astype(object)
-    weights[~feasible] = None
-    return weights.ravel().tolist()
+    clamped = root_hi < 0.0
+    root_hi[clamped] = 0.0
+    root_hi[~feasible] = math.nan
+    return (root_hi, int(np.count_nonzero(feasible)),
+            int(np.count_nonzero(clamped & feasible)),
+            float(np.max(residual, where=feasible, initial=0.0)))
 
 
 def payload_sweep(model: ContactModel, state: GraspState, d_obj: float,
-                  alphas, ds) -> list[tuple[float, float, float | None]]:
-    """Max payload over an (alpha, d) grid, row-major with alpha outer.
+                  alphas, ds) -> PayloadGrid:
+    """Max payload over an (alpha, d) grid, alpha outer.
 
     The swept d is the grasp point's travel along the tool, so each cell
     is max_payload() on the state with alpha, d and d_com replaced. The
-    whole grid is solved in one vectorized pass; every cell equals the
-    scalar result bit for bit. Infeasible cells carry None instead of
-    being dropped so downstream plotting can distinguish zero payload
-    from no solution. The GraspState range checks and the residual bound
-    apply to every cell and raise the same ValueError as the scalar path.
+    whole grid is solved in one vectorized pass; every cell of the
+    returned weights equals the scalar result bit for bit. Infeasible
+    cells hold nan (None in the row view) instead of being dropped so
+    downstream plotting can distinguish zero payload from no solution.
+    The GraspState range checks and the residual bound apply to every
+    cell and raise the same ValueError as the scalar path.
     """
     # numpy is imported here, not at module level, so that the scalar
     # solves and the CLI commands without a grid start without it
@@ -217,17 +270,16 @@ def payload_sweep(model: ContactModel, state: GraspState, d_obj: float,
         raise ValueError("sweep ranges must be nonempty")
     alpha_arr = np.array(alphas, dtype=float)
     d_arr = np.array(ds, dtype=float)
-    # GraspState's range checks, made on the extreme values: min() keeps
-    # a nan alpha (rejected), fmin() skips a nan d (which GraspState accepts)
-    d_lo = float(np.fmin.reduce(d_arr))
+    # GraspState's checks, made on the extreme values: min() and max()
+    # keep a nan, which GraspState rejects like an infinite value
     for alpha in (alpha_arr.min(), alpha_arr.max()):
-        replace(state, alpha=float(alpha), d=d_lo, d_com=d_lo)
+        for d in (d_arr.min(), d_arr.max()):
+            replace(state, alpha=float(alpha), d=float(d), d_com=float(d))
 
     try:
         _check_tool_held(model, state)
     except NoFeasiblePayloadError:
-        weights = repeat(None)
+        solved = np.full((len(alphas), len(ds)), math.nan), 0, 0, 0.0
     else:
-        weights = _grid_weights(model, state, d_obj, alphas, d_arr)
-    alpha_cells = chain.from_iterable(repeat(a, len(ds)) for a in alphas)
-    return list(zip(alpha_cells, ds * len(alphas), weights))
+        solved = _grid_weights(model, state, d_obj, alphas, d_arr)
+    return PayloadGrid(alphas, ds, *solved)

@@ -18,11 +18,14 @@ beyond it.
 
 The margin formula is written once (_headroom, _margin), with operators
 that work on floats and numpy arrays alike: torque_margin() calls it for
-one gamma and gamma_sweep() once for all samples. A sample is then
-bit-identical to torque_margin() at that gamma wherever numpy's sin and
-cos round like math's, which the test suite checks. Only gamma_sweep()
-builds arrays, so numpy is imported there and nowhere else in this
-module: importing it, or computing one margin, does not load numpy.
+one gamma and gamma_sweep() once for all samples. The curve keeps the
+samples as two float arrays, gammas and margins (nan where the pads
+cannot carry the tool); its samples property is the (gamma, margin)
+pair view. A sample is bit-identical to torque_margin() at that gamma
+wherever numpy's sin and cos round like math's, which the test suite
+checks. Only gamma_sweep() builds arrays, so numpy is imported there
+and nowhere else in this module: importing it, or computing one
+margin, does not load numpy.
 """
 
 import math
@@ -32,17 +35,24 @@ from .contact import ContactModel, GraspState
 from .errors import DomainError, ZeroCapacityError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TorqueMarginCurve:
-    """Sampled margin curve. samples are (gamma, margin), gamma ascending.
+    """Sampled margin curve: gammas ascending and their margins, as
+    float arrays of one length.
 
     Error samples carry nan margins. peak_gamma/peak_margin locate the
     maximum, refined by quadratic interpolation around the best sample.
     """
 
-    samples: tuple[tuple[float, float], ...]
+    gammas: "numpy.ndarray"
+    margins: "numpy.ndarray"
     peak_gamma: float
     peak_margin: float
+
+    @property
+    def samples(self) -> tuple[tuple[float, float], ...]:
+        """(gamma, margin) pairs, built from gammas and margins."""
+        return tuple(zip(self.gammas.tolist(), self.margins.tolist()))
 
 
 def _headroom(model, state, cos_gamma):
@@ -126,17 +136,12 @@ def gamma_sweep(model: ContactModel, state: GraspState,
     if math.isnan(best):
         raise ZeroCapacityError("no sample has positive friction capacity")
     best_i = int(np.argmax(margin_arr == best))   # first of any ties
-    gammas = gamma_arr.tolist()
-    margins = margin_arr.tolist()
 
     if 0 < best_i < n_samples - 1:
+        around = slice(best_i - 1, best_i + 2)
         peak_gamma, peak_margin = _interpolated_peak(
-            model, state, gammas, margins, best_i
+            model, state, gamma_arr[around].tolist(), margin_arr[around].tolist(), 1
         )
     else:
-        peak_gamma, peak_margin = gammas[best_i], margins[best_i]
-    return TorqueMarginCurve(
-        samples=tuple(zip(gammas, margins)),
-        peak_gamma=peak_gamma,
-        peak_margin=peak_margin,
-    )
+        peak_gamma, peak_margin = float(gamma_arr[best_i]), float(margin_arr[best_i])
+    return TorqueMarginCurve(gamma_arr, margin_arr, peak_gamma, peak_margin)

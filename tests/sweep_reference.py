@@ -2,7 +2,8 @@
 
 Each reference calls the scalar library function once per cell or sample,
 the way the sweeps did before they were vectorized, so a test can demand
-that the sweeps agree with it bit for bit.
+that the sweeps agree with it bit for bit. payload_csv and pose_csv build
+the CLI's stdout from those cells with fmt, one line at a time.
 """
 
 import math
@@ -10,6 +11,7 @@ import struct
 from dataclasses import replace
 
 from grippertool import NoFeasiblePayloadError, ZeroCapacityError, max_payload, torque_margin
+from grippertool.cli import DEG, INFEASIBLE, fmt
 from grippertool.pose import _interpolated_peak
 
 
@@ -55,3 +57,24 @@ def gamma_curve(model, state, n_samples):
     else:
         peak = gammas[best_i], margins[best_i]
     return list(zip(gammas, margins)), peak[0], peak[1]
+
+
+def payload_csv(model, state, d_obj, alphas, ds):
+    """payload-sweep stdout from payload_rows and fmt."""
+    lines = ["alpha_deg,d_m,max_weight_N"]
+    for alpha, d, weight in payload_rows(model, state, d_obj, alphas, ds):
+        cell = INFEASIBLE if weight is None else fmt(weight)
+        lines.append(f"{fmt(alpha / DEG)},{fmt(d)},{cell}")
+    return "\n".join(lines) + "\n"
+
+
+def pose_csv(model, state, n_samples):
+    """pose-sweep stdout from gamma_curve and fmt."""
+    samples, peak_gamma, peak_margin = gamma_curve(model, state, n_samples)
+    lines = ["gamma_deg,torque_margin_Nm"]
+    for gamma, margin in samples:
+        cell = INFEASIBLE if math.isnan(margin) else fmt(margin)
+        lines.append(f"{fmt(gamma / DEG)},{cell}")
+    lines.append(f"# peak gamma_deg = {fmt(peak_gamma / DEG)} "
+                 f"margin_Nm = {fmt(peak_margin)}")
+    return "\n".join(lines) + "\n"

@@ -8,13 +8,15 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from grippertool import GripConfig, holding_max_offset, parse_design, required_grip_force
 from grippertool import cli
-from grippertool.cli import (DEG, INFEASIBLE, MAX_GRID_CELLS, MAX_RANGE_POINTS,
+from grippertool.cli import (CHUNK_LINES, DEG, INFEASIBLE, MAX_GRID_CELLS, MAX_RANGE_POINTS,
                              _build_parser, _parse_range, _sample_count, fmt, run)
 
-from sweep_reference import gamma_curve, payload_rows
+from design_mutations import mutated_designs
+from sweep_reference import gamma_curve, payload_csv, payload_rows, pose_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE = str(ROOT / "designs" / "example_tool.ini")
@@ -348,6 +350,84 @@ class TestSweepOutput:
                      f"margin_Nm = {fmt(peak_margin)}")
         assert out == "\n".join(lines) + "\n"
         assert (INFEASIBLE in out) == (mu == "0.11")
+
+
+def edited_design(tmp_path, old, new):
+    """Path of a copy of the sample design with one line replaced."""
+    text = Path(SAMPLE).read_text()
+    assert old in text
+    path = tmp_path / "design.ini"
+    path.write_text(text.replace(old, new))
+    return str(path)
+
+
+class TestSweepChunks:
+    """Row and chunk formatting prints what fmt gives cell by cell, at the
+    chunk boundaries and for every kind of cell."""
+
+    def payload(self, design, alpha_text, d_text):
+        code, out, err = invoke(["payload-sweep", design, "--alpha", alpha_text,
+                                 "--d", d_text])
+        assert (code, err) == (0, "")
+        _, _, model, state = parse_design(Path(design).read_text())
+        assert out == payload_csv(model, state, 0.0, _parse_range(alpha_text),
+                                  _parse_range(d_text))
+        return out.splitlines()[1:]
+
+    @pytest.mark.parametrize("n", [2, CHUNK_LINES - 1, CHUNK_LINES, CHUNK_LINES + 1])
+    def test_pose_sweep_at_chunk_boundaries(self, n):
+        code, out, err = invoke(["pose-sweep", SAMPLE, "--samples", str(n)])
+        assert (code, err) == (0, "")
+        _, _, model, state = parse_design(Path(SAMPLE).read_text())
+        assert out == pose_csv(model, state, n)
+
+    def test_payload_single_alpha_row_of_two_chunks(self):
+        lines = self.payload(SAMPLE, "40:40:1deg", "0:0.1:0.00005")
+        assert len(lines) == 2001 > CHUNK_LINES
+
+    def test_payload_single_d(self):
+        lines = self.payload(SAMPLE, "5:85:1deg", "0.03:0.03:1")
+        assert len(lines) == 81
+
+    def test_tool_not_held_prints_every_cell_infeasible(self, tmp_path):
+        design = edited_design(tmp_path, "f_n = 40", "f_n = 5")
+        lines = self.payload(design, "15:75:15deg", "0:0.04:0.01")
+        assert len(lines) == 25
+        assert all(line.endswith(f",{INFEASIBLE}") for line in lines)
+
+    def test_zero_clamped_and_exponent_form_weights(self, tmp_path):
+        # a vertical tool twice the sample's weight: the payload reaches 0
+        # near d = 0.0173205 and is clamped to 0 beyond it
+        design = edited_design(tmp_path, "g_tool = 10", "g_tool = 20")
+        lines = self.payload(design, "0:10:5deg", "0.0173204:0.0173206:0.00000001")
+        weights = [line.rsplit(",", 1)[1] for line in lines]
+        assert "0" in weights
+        assert any("e-05" in w for w in weights)
+
+
+class TestMutatedDesigns:
+    """Every subcommand on a damaged design file exits 0, 1 or 2, with no
+    exception escaping run() and no nan printed."""
+
+    # the golden commands, with a payload grid that has infeasible cells
+    # on the sample design, so that its nan weights must print INFEASIBLE
+    COMMANDS = dict(GOLDEN_COMMANDS, **{"payload_sweep.txt": [
+        "payload-sweep", SAMPLE, "--alpha", "15:75:15deg", "--d", "0:0.1:0.02"]})
+
+    @pytest.fixture(scope="class")
+    def design(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("mutated") / "design.ini"
+
+    @settings(max_examples=300)
+    @given(text=mutated_designs())
+    def test_every_command_exits_cleanly(self, design, text):
+        # garbled lines may hold lone surrogates: write them as invalid UTF-8
+        design.write_bytes(text.encode("utf-8", "surrogatepass"))
+        for name, argv in self.COMMANDS.items():
+            code, out, err = invoke([str(design) if a == SAMPLE else a for a in argv])
+            assert code in (0, 1, 2), name
+            assert "Traceback" not in err, name
+            assert "nan" not in out, name
 
 
 class TestPoseSweepGrid:

@@ -173,7 +173,7 @@ class TestPayloadSweep:
         assert [(a, d) for a, d, _ in rows] == [
             (a, d) for a in alphas for d in ds]
         again = payload_sweep(model, state, 0.05, alphas, ds)
-        assert rows == again
+        assert list(rows) == list(again)
 
     def test_infeasible_cells_are_explicit(self):
         model = ContactModel(mu=0.5, e=0.001)
@@ -221,16 +221,56 @@ class TestPayloadSweep:
         assert 0.0 in weights
         assert any(w is not None and w > 0.0 for w in weights)
 
+    def test_weights_array_holds_the_cells(self):
+        model = ContactModel(mu=0.5, e=0.01)
+        state = state_with()
+        alphas, ds = [0.0, 0.3, math.pi / 2], [0.0, 0.2, 5.0]
+        grid = payload_sweep(model, state, 0.0, alphas, ds)
+        rows = payload_rows(model, state, 0.0, alphas, ds)
+        assert grid.weights.shape == (3, 3)
+        assert [bits(w) for w in grid.weights.ravel().tolist()] == [
+            bits(math.nan if w is None else w) for _, _, w in rows]
+        # indexing, negative indices included, gives the same rows
+        assert None in [w for _, _, w in rows]
+        assert [grid[k] for k in range(-9, 9)] == rows + rows
+        with pytest.raises(IndexError):
+            grid[9]
+
+    def test_counts_and_worst_residual_match_scalar(self):
+        # positive, zero-clamped and no-real-root cells in one grid
+        model = ContactModel(mu=0.5, e=0.01)
+        state = state_with(g_tool=20.0)
+        alphas, ds = [0.0, 0.3], [0.0, 0.01732049, 0.019, 0.03]
+        grid = payload_sweep(model, state, 0.0, alphas, ds)
+        results = []
+        for alpha in alphas:
+            for d in ds:
+                try:
+                    results.append(max_payload(
+                        model, replace(state, alpha=alpha, d=d, d_com=d), 0.0))
+                except NoFeasiblePayloadError:
+                    pass
+        zero_clamped = sum(r.zero_clamped for r in results)
+        assert 0 < zero_clamped < len(results) < len(grid)
+        assert grid.feasible == len(results)
+        assert grid.infeasible == len(grid) - len(results)
+        assert grid.zero_clamped == zero_clamped
+        assert grid.max_residual == max(r.residual for r in results)
+
     def test_tool_too_heavy_every_cell_infeasible(self):
         model = ContactModel(mu=0.5, e=0.01)
         rows = payload_sweep(model, state_with(f_n=5.0, g_tool=10.0), 0.05,
                              [0.2, 1.0], [0.0, 0.02, 0.04])
         assert [w for _, _, w in rows] == [None] * 6
+        assert (rows.feasible, rows.infeasible, rows.zero_clamped,
+                rows.max_residual) == (0, 6, 0, 0.0)
 
     @pytest.mark.parametrize("alphas, ds", [
         ([0.5, math.pi + 0.1], [0.0, 0.02]),
         ([0.5, math.nan], [0.0]),
         ([0.5], [0.0, -0.01]),
+        ([0.5], [0.0, math.nan]),
+        ([0.5, 1.0], [0.0, math.inf]),
     ])
     def test_range_checks_match_scalar(self, alphas, ds):
         model = ContactModel(mu=0.5, e=0.01)
