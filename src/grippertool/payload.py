@@ -270,11 +270,12 @@ def payload_sweep(model: ContactModel, state: GraspState, d_obj: float,
         raise ValueError("sweep ranges must be nonempty")
     alpha_arr = np.array(alphas, dtype=float)
     d_arr = np.array(ds, dtype=float)
-    # GraspState's checks, made on the extreme values: min() and max()
-    # keep a nan, which GraspState rejects like an infinite value
-    for alpha in (alpha_arr.min(), alpha_arr.max()):
-        for d in (d_arr.min(), d_arr.max()):
-            replace(state, alpha=float(alpha), d=float(d), d_com=float(d))
+    # GraspState's checks where the scalar path meets them first: the first
+    # row, then the first column. min() and max() keep a nan.
+    a0, d0 = alphas[0], ds[0]
+    for alpha, d in ((a0, d0), (a0, d_arr.min()), (a0, d_arr.max()),
+                     (alpha_arr.min(), d0), (alpha_arr.max(), d0)):
+        replace(state, alpha=float(alpha), d=float(d), d_com=float(d))
 
     try:
         _check_tool_held(model, state)

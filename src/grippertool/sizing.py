@@ -49,25 +49,29 @@ backward_base) and B = grip_budget.
    in t, f falls at the open end, hence over the whole travel, and
    D_end > D_init. The falling branch is therefore implied by D_end <= B;
    only t <= h(e) is kept.
-5. No maximum on a single curve. S has no stationary point, so a
-   maximizer lies on the boundary, and S strictly improves along every
-   boundary curve: with t fixed toward smaller e; with e fixed toward
-   larger t; along an m curve toward larger t, since de/dt =
-   tan(e)/tan(t) there and dS/dt = 2*q*cos(t)*(tan(t) - tan(e)) > 0; along
-   t = g(e) and t = h(e) toward smaller e, since g' < 1, h' <= 0 and
-   dS/dt + dS/de = -2*q*cot(e)*sin(t - e)/sin(e) < 0. So the maximizer
-   sits where two curves meet.
-6. The candidate set. The four box corners. e on an r bound with t from
-   either m curve (sin(t) = (w_init - m)/(2*r)), from g or from h. t on a
-   bound with e from either m curve, from D_init = B
-   (sin(e) = R*sin(phi - t)/(K*beta)) or from D_end = B (g(e) = t: at most
-   two roots, split at sin(e)**2 = B/K). Each m curve with D_init = B
-   (along the curve D_init = (A + K*beta*a)*tan(t), so
-   tan(t) = B/(A + K*beta*a)) or with D_end = B (along the curve D_end is
-   negative or increasing: one root). The two m curves meet only at
-   e = t = 0, and where g meets h the boundary min(g, h) goes on toward
-   smaller e with S rising, so neither pair is a candidate. The roots are
-   bisected to the ulp; the rest are closed forms.
+5. No maximum on a single curve. S has no stationary point, and no
+   curve's outward normal in step 7 points along the gradient of S, so S
+   rises along every curve one way, and a maximizer sits where two meet.
+6. The candidate set. Step 7 leaves eight pairings of curves: t_lo with
+   the rising-branch root of D_end = B (g(e) = t, sin(e)**2 > B/K); r_hi
+   with t_hi, D_end = B (t = g(E_lo)) or D_init = B (t = h(E_lo)); m_lo
+   with t_hi, r_lo (sin(t) = (w_init - m)/(2*r)), D_init = B (along the
+   curve D_init = (A + K*beta*a)*tan(t), so tan(t) = B/(A + K*beta*a)) or
+   D_end = B (along the curve D_end is negative or increasing: one root).
+   The two D_end roots are bisected to the ulp; the rest are closed forms.
+7. The cone test. -dS/de - dS/dt = 2*q*cos(e)**2*cos(t)*(tan(t) -
+   tan(e))/sin(e)**2 > 0 and dS/dt > 0: the gradient of S points between
+   -90 and -45 degrees in (t, e). At a maximizer where two curves meet it
+   lies in the cone of their outward normals (of two of them where three
+   meet). Clockwise of it lie those of t_lo (180 degrees), r_hi (-90) and
+   m_lo ((a*cos(t), -cos(e)), steeper than the gradient as
+   (dS/dt)/(-dS/de) - tan(e)/tan(t) = sin(e)**2*sin(t - e)/(sin(t)*cos(e))
+   > 0); counterclockwise those of D_end = B ((1, -g'), in (-45, 0) on the
+   rising branch, in [0, 90) on the other), t_hi (0), D_init = B
+   ((1, -h'), in [0, 90)), r_lo (90) and m_hi (opposite m_lo). Joining one
+   of each less than 180 degrees apart gives the pairings of step 6. Where
+   both bounds of one variable meet, the feasible set is one curve, and
+   the maximizer is where it meets another of those curves.
 
 Floats: each candidate is an (m, theta_init) pair, exact in m on an m
 curve and in theta_init on a t bound, and is checked with build_dimensions,
@@ -76,7 +80,10 @@ travel end, so a failure names its curve), all unchanged. A
 candidate that fails only the check of a curve it lies on is moved toward
 that curve's feasible side by 1, 2, 4, ... ulps and checked again, at most
 _ULP_STEPS times in all. This is no search: on random problems no winning
-candidate needed more than 6 checks.
+candidate needed more than 6 checks. Where the r bounds meet, r must round
+to that one float, which a step in m or t can jump: a candidate on that
+curve whose r lands beyond the other bound steps t down an ulp at a time
+(its paired curves bound t from above) until the width-tie m hits it.
 """
 
 import math
@@ -255,10 +262,6 @@ def build_dimensions(problem: SizingProblem, m: float,
     return dims
 
 
-def _within_budget(problem: SizingProblem, dims: ToolDimensions) -> bool:
-    return grip_demand(dims, problem.spring, problem.grasp) <= problem.grip_budget
-
-
 def _evaluate(problem: SizingProblem, m: float,
               theta_init: float) -> tuple[ToolDimensions | None, str | None]:
     """(dims, None) for a feasible design within budget, else (None, check).
@@ -327,83 +330,77 @@ def _candidates(problem: SizingProblem):
     if grasp.config is GripConfig.FORWARD_BASE:
         a_grav = -a_grav
     budget = problem.grip_budget
-    radius, phi = math.hypot(a_grav, budget), math.atan2(budget, a_grav)
 
-    t_bounds = problem.theta_init_bounds
-    # m bounds with their curves sin(e) = a*sin(t); none where m >= w_init
-    m_curves = [(m, 2.0 * q / (w - m))
-                for m in (max(problem.m_bounds[0], q), problem.m_bounds[1])
-                if m < w]
-    # r bounds with their closed angles and the sign of the step in m (or in
-    # t at fixed m) toward the feasible side: it lengthens r at r_lo and
-    # shortens it at r_hi
-    r_sides = [(r, math.asin(q / r), side)
-               for r, side in zip(problem.r_bounds, (-1, 1)) if r > q]
-    e_lo = math.asin(min(1.0, q / problem.r_bounds[1]))
-    e_hi = math.asin(min(1.0, q / problem.r_bounds[0]))
+    t_lo, t_hi = problem.theta_init_bounds
+    r_lo, r_hi = problem.r_bounds
+    # the m lower bound, raised to q, and its curve sin(e) = a*sin(t)
+    m_lo = max(problem.m_bounds[0], q)
+    a = 2.0 * q / (w - m_lo) if m_lo < w else None
+    e_lo = math.asin(min(1.0, q / r_hi))
+    e_hi = math.asin(min(1.0, q / r_lo))
 
     def g(e):
         return e - beta + (budget / math.tan(e) - a_grav) / k_end
 
-    def h(e):
-        c = k_end * beta * math.sin(e) / radius
-        return phi - math.asin(c) if c <= 1.0 else None
+    def m_up(m, t, n):
+        return _nudge(m, n), t
 
-    def m_at(t, e):
-        return w - 2.0 * q * math.sin(t) / math.sin(e)
+    def t_down(m, t, n):
+        return m, _nudge(t, -n)
 
-    def m_step(sign):
-        return lambda m, t, n: (_nudge(m, sign * n), t)
+    def along_r_hi(m, t, n):
+        t = _nudge(t, -n)
+        return w - 2.0 * r_hi * math.sin(t), t
 
-    def t_step(sign):
-        return lambda m, t, n: (m, _nudge(t, sign * n))
-
-    def along_r(r):
+    def r_move(r, side, step):
+        # step while r is out beyond its own bound; beyond the other one,
+        # only where the two meet, walk down the curve (module docstring)
         def move(m, t, n):
-            t = _nudge(t, -n)
-            return w - 2.0 * r * math.sin(t), t
+            if (_linkage_length(problem, m, math.sin(t)) - r) * side > 0:
+                return step(m, t, n)
+            for _ in range(_ULP_STEPS):
+                m = w - 2.0 * r_lo * math.sin(t)
+                if r_lo <= _linkage_length(problem, m, math.sin(t)) <= r_hi:
+                    break
+                t = _nudge(t, -1)
+            return m, t
         return move
 
-    for t in t_bounds:
-        for m, _ in m_curves:
-            yield m, t, {}
-        for r, _, side in r_sides:
-            yield w - 2.0 * r * math.sin(t), t, {"r": m_step(side)}
-        if beta > 0.0:
-            s = radius * math.sin(phi - t) / (k_end * beta)
-            if 0.0 < s <= 1.0:
-                yield m_at(t, math.asin(s)), t, {"demand_init": m_step(-1)}
-        # g(e) = t: one root where g falls, one where it rises
-        split = math.asin(math.sqrt(budget / k_end)) if budget < k_end else e_hi
-        for lo, hi, side in ((e_lo, min(split, e_hi), -1),
-                             (max(split, e_lo), e_hi, 1)):
-            if lo < hi:
-                e = _boundary(lambda e: g(e) >= t, lo, hi)
-                if e is not None:
-                    yield m_at(t, e), t, {"demand_end": m_step(side)}
-
-    for r, e, side in r_sides:
-        for m, _ in m_curves:
-            s = (w - m) / (2.0 * r)
-            if s <= 1.0:
-                yield m, math.asin(s), {"r": t_step(side)}
-        for t, end in ((g(e), "demand_end"), (h(e), "demand_init")):
-            if t is not None:
-                yield (w - 2.0 * r * math.sin(t), t,
-                       {"r": m_step(side), end: along_r(r)})
-
-    def d_end(t, a):
-        e = math.asin(a * math.sin(t))
-        return math.tan(e) * (a_grav + k_end * (beta + t - e))
-
-    for m, a in m_curves:
+    # the m lower bound with t_hi, r_lo, D_init = B and D_end = B
+    if a is not None:
+        yield m_lo, t_hi, {}
+        s = (w - m_lo) / (2.0 * r_lo)
+        if r_lo > q and s <= 1.0:
+            yield m_lo, math.asin(s), {"r": r_move(r_lo, -1, t_down)}
         slope = a_grav + k_end * beta * a
         if slope > 0.0:
-            yield m, math.atan2(budget, slope), {"demand_init": t_step(-1)}
+            yield m_lo, math.atan2(budget, slope), {"demand_init": t_down}
         if a < 1.0:
-            t = _boundary(lambda t: d_end(t, a) <= budget, *t_bounds)
+            def d_end(t):
+                e = math.asin(a * math.sin(t))
+                return math.tan(e) * (a_grav + k_end * (beta + t - e))
+            t = _boundary(lambda t: d_end(t) <= budget, t_lo, t_hi)
             if t is not None:
-                yield m, t, {"demand_end": t_step(-1)}
+                yield m_lo, t, {"demand_end": t_down}
+
+    # the r upper bound with t_hi, D_end = B and D_init = B
+    if r_hi > q:
+        r_step = r_move(r_hi, 1, m_up)
+        yield w - 2.0 * r_hi * math.sin(t_hi), t_hi, {"r": r_step}
+        c = k_end * beta * math.sin(e_lo) / math.hypot(a_grav, budget)
+        h = math.atan2(budget, a_grav) - math.asin(c) if c <= 1.0 else None
+        for t, end in ((g(e_lo), "demand_end"), (h, "demand_init")):
+            if t is not None:
+                yield (w - 2.0 * r_hi * math.sin(t), t,
+                       {"r": r_step, end: along_r_hi})
+
+    # t_lo with the rising branch of D_end = B, past sin(e)**2 = B/K
+    split = math.asin(math.sqrt(budget / k_end)) if budget < k_end else e_hi
+    if max(split, e_lo) < e_hi:
+        e = _boundary(lambda e: g(e) >= t_lo, max(split, e_lo), e_hi)
+        if e is not None:
+            yield (w - 2.0 * q * math.sin(t_lo) / math.sin(e), t_lo,
+                   {"demand_end": m_up})
 
 
 def _realize(problem: SizingProblem, m: float, theta_init: float,
@@ -474,10 +471,11 @@ def _nearest_bound_violations(problem: SizingProblem) -> list[Violation]:
             violations.append(Violation("theta_end_min", t - t_end))
         else:
             dims = build_dimensions(problem, m, t)
-            if dims is not None and not _within_budget(problem, dims):
+            if dims is not None:
                 demand = grip_demand(dims, problem.spring, problem.grasp)
-                violations.append(Violation("grip_budget",
-                                            problem.grip_budget - demand))
+                if demand > problem.grip_budget:
+                    violations.append(Violation("grip_budget",
+                                                problem.grip_budget - demand))
     if not violations:
         violations.append(Violation("bounds", 0.0))
     return violations

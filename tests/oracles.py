@@ -3,7 +3,8 @@
 Each oracle re-derives its answer by a route different from the library
 code under test: static-equilibrium wrench construction plus feasibility
 bisection for the holding and payload limits, and exhaustive grid
-enumeration for the stroke optimizer. Formulas here are transcribed
+enumeration (or, for collapsed r bounds, a scan along the one r curve)
+for the stroke optimizer. Formulas here are transcribed
 separately from the library on purpose; do not refactor them to share
 code with src/.
 """
@@ -143,3 +144,50 @@ def grid_max_stroke(problem, n_m=201, n_theta=201, grip_samples=64):
     i, j = min(((int(i), int(j)) for i, j in np.argwhere(strokes == best)),
                key=lambda ij: (ts[ij[1]], ms[ij[0]]))
     return float(best), float(ms[i]), float(ts[j])
+
+
+def line_max_stroke(problem, r, n_theta=401, ulps=4):
+    """Scan along the fixed-r curve for the stroke maximization.
+
+    For r bounds collapsed to one value, where the feasible set is a line
+    and a point is feasible only when r rounds to that exact float. Walks
+    theta_init over a grid, takes m from the width tie m = w_init -
+    2*r*sin(theta_init) and tries m shifted by up to ulps ulps either way;
+    each point is judged with plain-float arithmetic in the optimizer's
+    order of operations (r = (w_init - m)/(2*sin(theta_init))). Returns
+    (stroke, m, theta_init) of the best point or None.
+    """
+    q = problem.d_axis + 2.0 * problem.r_edge
+    w = problem.w_init
+    t_lo, t_hi = problem.theta_init_bounds
+    m_lo, m_hi = problem.m_bounds
+    grasp, spring = problem.grasp, problem.spring
+    sign = 1.0 if grasp.config.value == "backward_base" else -1.0
+    best = None
+    for i in range(n_theta):
+        t = min(t_lo + (t_hi - t_lo) * i / max(n_theta - 1, 1), t_hi)
+        sin_t = math.sin(t)
+        m0 = w - 2.0 * r * sin_t
+        for k in range(-ulps, ulps + 1):
+            m = m0 + k * math.ulp(m0)
+            if not (m_lo <= m <= m_hi and m >= q):
+                continue
+            r_m = (w - m) / (2.0 * sin_t)
+            if not (problem.r_bounds[0] <= r_m <= problem.r_bounds[1]
+                    and q <= r_m):
+                continue
+            t_end = math.asin(q / r_m)
+            if not t_end < t < math.pi / 2:
+                continue
+            worst = -math.inf
+            for theta in (t_end, 0.5 * (t_end + t), t):
+                torque = spring.kappa * (spring.beta + (t - theta))
+                transmission = 2.0 * problem.v * torque / (r_m * math.cos(theta))
+                gravity = grasp.g_tool * math.cos(grasp.alpha) * math.tan(theta) / 2.0
+                worst = max(worst, sign * gravity + transmission)
+            if worst > problem.grip_budget:
+                continue
+            s = 2.0 * r_m * math.sin(t - t_end)
+            if best is None or s > best[0]:
+                best = (s, m, t)
+    return best

@@ -271,6 +271,9 @@ class TestPayloadSweep:
         ([0.5], [0.0, -0.01]),
         ([0.5], [0.0, math.nan]),
         ([0.5, 1.0], [0.0, math.inf]),
+        ([math.pi + 0.1, 0.5], [-0.01]),   # the first cell fails on alpha
+        ([0.5, math.pi + 0.1], [-0.01]),   # ... and on d
+        ([0.5, math.pi + 0.1], [0.0, -0.01]),
     ])
     def test_range_checks_match_scalar(self, alphas, ds):
         model = ContactModel(mu=0.5, e=0.01)

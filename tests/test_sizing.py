@@ -24,9 +24,9 @@ from grippertool import (
     stroke,
     theta_end_min,
 )
-from grippertool.sizing import _evaluate, _realize, build_dimensions
+from grippertool.sizing import _candidates, _evaluate, _realize, build_dimensions
 
-from oracles import grid_max_stroke
+from oracles import grid_max_stroke, line_max_stroke
 
 
 def make_problem(**kwargs):
@@ -350,6 +350,61 @@ class TestStrokeLemmas:
         split = sympy.asin(sympy.sqrt(B / K))
         assert sympy.simplify(sympy.diff(g, e).subs(e, split)) == 0
 
+    def test_gradient_cone_leaves_eight_pairings(self):
+        t, e, q = self.t, self.e, self.q
+        s = 2 * q * (sympy.sin(t) * sympy.cot(e) - sympy.cos(t))
+        s_t, s_e = sympy.diff(s, t), sympy.diff(s, e)
+        # -dS/de - dS/dt >= 0 exactly when tan(t) >= tan(e): with dS/dt > 0
+        # the gradient points between -90 and -45 degrees in (t, e)
+        assert sympy.simplify(-s_e - s_t - 2 * q * sympy.cos(e) ** 2 * sympy.cos(t)
+                              * (sympy.tan(t) - sympy.tan(e)) / sympy.sin(e) ** 2) == 0
+        # the m_lo curve a*sin(t) - sin(e) <= 0 has outward normal
+        # (a*cos(t), -cos(e)), a = sin(e)/sin(t): slope ratio tan(e)/tan(t),
+        # steeper than the gradient by sin(e)**2*sin(t - e)/(sin(t)*cos(e))
+        a = sympy.sin(e) / sympy.sin(t)
+        assert sympy.simplify(a * sympy.cos(t) / sympy.cos(e)
+                              - sympy.tan(e) / sympy.tan(t)) == 0
+        assert sympy.simplify(s_t / -s_e - sympy.tan(e) / sympy.tan(t)
+                              - sympy.sin(e) ** 2 * sympy.sin(t - e)
+                              / (sympy.sin(t) * sympy.cos(e))) == 0
+
+        # which pairs of outward normals hold the gradient in their cone,
+        # over random points and curve slopes g' < 1 (rising branch g' > 0)
+        # and h' <= 0
+        grad = sympy.lambdify((t, e), (s_t.subs(q, 1), s_e.subs(q, 1)), "math")
+        rng = random.Random(11)
+        held = set()
+        for _ in range(3000):
+            e_num = rng.uniform(0.01, 1.5)
+            t_num = rng.uniform(e_num + 1e-3, 1.56)
+            a_num = math.sin(e_num) / math.sin(t_num)
+            m_lo = (a_num * math.cos(t_num), -math.cos(e_num))
+            normals = {
+                "t_hi": (1.0, 0.0), "t_lo": (-1.0, 0.0),
+                "r_hi": (0.0, -1.0), "r_lo": (0.0, 1.0),
+                "m_lo": m_lo, "m_hi": (-m_lo[0], -m_lo[1]),
+                "d_end_rising": (1.0, -rng.uniform(0.0, 1.0)),
+                "d_end_falling": (1.0, rng.uniform(0.0, 5.0)),
+                "d_init": (1.0, rng.uniform(0.0, 5.0)),
+            }
+            gx, gy = grad(t_num, e_num)
+            names = sorted(normals)
+            for i, first in enumerate(names):
+                for second in names[i + 1:]:
+                    (ux, uy), (vx, vy) = normals[first], normals[second]
+                    det = ux * vy - uy * vx
+                    if abs(det) < 1e-9:  # the two bounds of one variable
+                        continue
+                    if ((gx * vy - gy * vx) / det >= 0.0
+                            and (ux * gy - uy * gx) / det >= 0.0):
+                        held.add((first, second))
+        assert held == {
+            ("r_hi", "t_hi"), ("m_lo", "t_hi"), ("d_end_rising", "t_lo"),
+            ("d_end_rising", "r_hi"), ("d_end_falling", "r_hi"),
+            ("d_init", "r_hi"), ("m_lo", "r_lo"), ("d_end_rising", "m_lo"),
+            ("d_end_falling", "m_lo"), ("d_init", "m_lo"),
+        }
+
 
 class TestMaximizeStroke:
     def test_unconstrained_pushes_to_bounds(self):
@@ -514,6 +569,113 @@ class TestMaximizeStroke:
         scan = grid_max_stroke(problem, n_m=401, n_theta=401, grip_samples=2)
         assert scan[0] <= result.stroke * (1.0 + 1e-12)
 
+    def test_theta_init_upper_bound_meets_r_upper_bound(self):
+        # the optimum is the box corner theta_init = t_hi, r = r_hi
+        problem = SizingProblem(
+            d_axis=0.0047497, r_edge=0.00083182, k=0.078066, w_init=0.10109,
+            m_bounds=(0.010162, 0.022529), r_bounds=(0.017085, 0.041447),
+            theta_init_bounds=(0.7062, 1.2924), grip_budget=46.942,
+            spring=SpringSpec(kappa=0.4946, beta=0.23415),
+            grasp=GraspState(f_n=40.0, g_tool=5.4888, alpha=1.8571, gamma=0.0,
+                             d=0.0, d_com=0.03, theta=0.5,
+                             config=GripConfig.BACKWARD_BASE),
+            v=0.76489)
+        result = maximize_stroke(problem)
+        assert_passes_every_check(problem, result)
+        assert {"r_upper_bound", "theta_init_upper_bound"} <= set(
+            result.active_constraints)
+        r, t = problem.r_bounds[1], problem.theta_init_bounds[1]
+        theta_end = math.asin(clearance_span(problem.d_axis, problem.r_edge) / r)
+        assert result.dims.theta_init == t
+        assert result.stroke == pytest.approx(
+            2.0 * r * math.sin(t - theta_end), rel=1e-12)
+        scan = grid_max_stroke(problem, n_m=401, n_theta=401, grip_samples=2)
+        assert scan[0] <= result.stroke * (1.0 + 1e-12)
+
+    def test_m_lower_bound_meets_open_end_demand(self):
+        # along the m curve D_init = (A + K*beta*a)*tan(theta_init), so the
+        # optimum has tan(theta_init) = B/(A + K*beta*a)
+        problem = SizingProblem(
+            d_axis=0.0024516, r_edge=0.0013191, k=0.06422, w_init=0.11301,
+            m_bounds=(0.012371, 0.041111), r_bounds=(0.016486, 0.0949),
+            theta_init_bounds=(0.5111, 1.3426), grip_budget=53.555,
+            spring=SpringSpec(kappa=0.53372, beta=0.47432),
+            grasp=GraspState(f_n=40.0, g_tool=26.041, alpha=1.7995, gamma=0.0,
+                             d=0.0, d_com=0.03, theta=0.5,
+                             config=GripConfig.FORWARD_BASE))
+        result = maximize_stroke(problem)
+        assert_passes_every_check(problem, result)
+        assert result.demand_end == "theta_init"
+        assert {"m_lower_bound", "grip_budget"} <= set(result.active_constraints)
+        q = clearance_span(problem.d_axis, problem.r_edge)
+        k_end = 2.0 * problem.v * problem.spring.kappa / q
+        a = 2.0 * q / (problem.w_init - problem.m_bounds[0])
+        a_grav = -problem.grasp.g_tool * math.cos(problem.grasp.alpha) / 2.0
+        assert result.dims.m == problem.m_bounds[0]
+        assert result.dims.theta_init == pytest.approx(math.atan2(
+            problem.grip_budget, a_grav + k_end * problem.spring.beta * a),
+            rel=1e-12)
+        scan = grid_max_stroke(problem, n_m=401, n_theta=401, grip_samples=2)
+        assert scan[0] <= result.stroke * (1.0 + 1e-12)
+
+    def test_collapsed_r_bounds_step_along_the_r_curve(self):
+        # with r_lo == r_hi a point is feasible only where r rounds to that
+        # one float; the optimum is where the r curve meets m_lo
+        problem = SizingProblem(
+            d_axis=0.0048454303147199, r_edge=0.0008113610732637722,
+            k=0.06402776875229356, w_init=0.05961348843442575,
+            m_bounds=(0.014152312031487597, 0.04042819860215691),
+            r_bounds=(0.04278032722466399,) * 2,
+            theta_init_bounds=(0.5124933850194491, 1.2742075901578354),
+            grip_budget=47.08562256956821,
+            spring=SpringSpec(kappa=0.42397502863963443,
+                              beta=0.18320421201262835),
+            grasp=GraspState(f_n=40, g_tool=15.551524990976523,
+                             alpha=1.8307064365268586, gamma=0, d=0, d_com=0.03,
+                             theta=0.5, config=GripConfig.BACKWARD_BASE))
+        result = maximize_stroke(problem)
+        assert_passes_every_check(problem, result)
+        assert result.stroke >= 0.0339793
+        assert "m_lower_bound" in result.active_constraints
+        scan = line_max_stroke(problem, problem.r_bounds[0])
+        assert scan[0] <= result.stroke * (1.0 + 1e-12)
+
+    def test_collapsed_r_bounds_beat_a_line_scan(self):
+        # each draw with its r bounds collapsed to r_lo and to r_hi
+        rng = random.Random(2027)
+        solved = 0
+        for _ in range(100):
+            drawn = draw_problem(rng)
+            for r in drawn.r_bounds:
+                problem = replace(drawn, r_bounds=(r, r))
+                scan = line_max_stroke(problem, r, n_theta=201)
+                try:
+                    result = maximize_stroke(problem)
+                except InfeasibleProblemError:
+                    assert scan is None
+                    continue
+                assert_passes_every_check(problem, result)
+                if scan is not None:
+                    assert scan[0] <= result.stroke * (1.0 + 1e-12)
+                solved += 1
+        assert solved >= 30
+
+    def test_candidates_lie_on_the_eight_pairings(self):
+        pairings = [{"t_hi", "r_hi"}, {"t_hi", "m_lo"}, {"t_lo", "d_end"},
+                    {"r_hi", "d_end"}, {"r_hi", "d_init"}, {"r_lo", "m_lo"},
+                    {"m_lo", "d_end"}, {"m_lo", "d_init"}]
+        rng = random.Random(2028)
+        for _ in range(60):
+            problem = draw_problem(rng)
+            points = list(_candidates(problem))
+            assert len(points) <= len(pairings)
+            t_lo, t_hi = problem.theta_init_bounds
+            for m, t, _ in points:
+                # a point outside the t bounds fails its first check
+                if t_lo <= t <= t_hi:
+                    on = curves_through(problem, m, t)
+                    assert any(pair <= on for pair in pairings), on
+
     def test_m_upper_bound_below_clearance_span_is_infeasible(self):
         # m_hi < q: every m within bounds violates the edge clearance
         problem = make_problem(m_bounds=(0.002, 0.005))
@@ -573,6 +735,34 @@ def draw_problem(rng):
                          alpha=rng.uniform(0, math.pi), gamma=0.0, d=0.0,
                          d_com=0.03, theta=0.5,
                          config=rng.choice(list(GripConfig))))
+
+
+def curves_through(problem, m, theta_init):
+    """The curves of the sizing docstring that (m, theta_init) lies on."""
+    q = clearance_span(problem.d_axis, problem.r_edge)
+    t = theta_init
+    r = (problem.w_init - m) / (2.0 * math.sin(t))
+    e = math.asin(min(1.0, q / r))
+    grasp, spring = problem.grasp, problem.spring
+    a_grav = grasp.g_tool * math.cos(grasp.alpha) / 2.0
+    if grasp.config is GripConfig.FORWARD_BASE:
+        a_grav = -a_grav
+
+    def demand(theta):
+        return (a_grav * math.tan(theta) + 2.0 * problem.v * spring.kappa
+                * (spring.beta + t - theta) / (r * math.cos(theta)))
+
+    budget = problem.grip_budget
+    on = {
+        "t_lo": t == problem.theta_init_bounds[0],
+        "t_hi": t == problem.theta_init_bounds[1],
+        "m_lo": m == max(problem.m_bounds[0], q),
+        "r_lo": math.isclose(r, problem.r_bounds[0], rel_tol=1e-12),
+        "r_hi": math.isclose(r, problem.r_bounds[1], rel_tol=1e-12),
+        "d_end": math.isclose(demand(e), budget, rel_tol=1e-9),
+        "d_init": math.isclose(demand(t), budget, rel_tol=1e-9),
+    }
+    return {name for name, hit in on.items() if hit}
 
 
 def assert_passes_every_check(problem, result):
