@@ -15,12 +15,11 @@ Usage:
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from grippertool import gamma_sweep, parse_design
+from grippertool import gamma_sweep, parse_design, replace
 
 
 def peak_for_alpha(model, state, alpha, samples):

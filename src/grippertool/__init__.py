@@ -22,6 +22,7 @@ from .errors import (
     NoFeasiblePayloadError,
     SingularTransmissionError,
     ZeroCapacityError,
+    replace,
 )
 from .mechanism import (
     SpringSpec,
@@ -88,6 +89,7 @@ __all__ = [
     "maximize_stroke",
     "parse_design",
     "payload_sweep",
+    "replace",
     "required_grip_force",
     "serialize_design",
     "spring_torque",

@@ -29,11 +29,10 @@ import contextlib
 import functools
 import math
 import sys
-from dataclasses import replace
 
 from .contact import GripConfig, holding_max_offset, required_grip_force
 from .designfile import parse_design
-from .errors import GripperToolError, InfeasibleHoldError, NoFeasiblePayloadError
+from .errors import GripperToolError, InfeasibleHoldError, NoFeasiblePayloadError, replace
 from .payload import max_payload, payload_sweep
 from .pose import gamma_sweep
 from .sizing import SizingProblem, check_feasible, maximize_stroke

@@ -10,11 +10,10 @@ to maximum tangential force). Two pads act on the tool, one per finger.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (DomainError, InfeasibleHoldError, SingularTransmissionError,
-                     require_finite)
+                     require_finite, value_type)
 from .mechanism import SpringSpec, ToolDimensions, spring_torque
 
 # Relative slack applied to the capacity boundary so that wrenches computed
@@ -35,7 +34,7 @@ class GripConfig(Enum):
     FORWARD_BASE = "forward_base"
 
 
-@dataclass(frozen=True)
+@value_type
 class ContactModel:
     mu: float   # Coulomb friction coefficient
     e: float    # contact eccentricity, meters
@@ -48,7 +47,7 @@ class ContactModel:
             raise ValueError("ContactModel.e must be > 0")
 
 
-@dataclass(frozen=True)
+@value_type
 class GraspState:
     """One held-tool situation.
 

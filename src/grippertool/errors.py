@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the finiteness check."""
+"""Exception types shared across the package, the finiteness check, and
+value_type() and replace(), which make and copy the frozen value types."""
 
 import math
+from operator import attrgetter
 
 
 def require_finite(obj, *names: str) -> None:
@@ -20,8 +22,66 @@ def require_finite(obj, *names: str) -> None:
                 f"{type(obj).__name__}.{name} must be finite, got {value!r}")
 
 
+def value_type(cls=None, *, eq=True):
+    """Class decorator: a frozen value over the annotated fields of cls.
+
+    __init__ takes the fields in order, by position or keyword, fills in
+    class-level defaults, then runs cls.__post_init__ if there is one.
+    Assignment raises FrozenInstanceError. __repr__ names every field;
+    __eq__ and __hash__ go by the field tuple unless eq=False, which
+    keeps identity. cls._fields holds the field names. The methods are
+    closures: dataclasses would import inspect and compile code at start-up.
+    """
+    if cls is None:
+        return lambda cls: value_type(cls, eq=eq)
+    names = cls._fields = tuple(cls.__annotations__)
+    known = frozenset(names)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", lambda self: None)
+    values = attrgetter(*names)
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__dict__
+        fields.update(defaults)
+        if args:
+            fields.update(zip(names, args))
+        fields.update(kwargs)
+        if (fields.keys() != known or len(args) > len(names) or args and kwargs
+                and not kwargs.keys().isdisjoint(names[:len(args)])):
+            raise TypeError(f"{cls.__qualname__}() takes one value for each of {names}, "
+                            f"got {len(args)} by position and {sorted(kwargs)} by keyword")
+        post_init(self)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return values(self) == values(other)
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"{cls.__qualname__} is frozen: cannot set {name!r}")
+
+    cls.__init__, cls.__setattr__, cls.__delattr__ = __init__, __setattr__, __setattr__
+    cls.__repr__ = lambda self: "%s(%s)" % (cls.__qualname__, ", ".join(
+        map("%s=%r".__mod__, zip(names, values(self)))))
+    if eq:
+        cls.__eq__, cls.__hash__ = __eq__, lambda self: hash(values(self))
+    return cls
+
+
+def replace(obj, /, **changes):
+    """A copy of the value obj with changes applied, validated again by
+    its class's __init__."""
+    return obj.__class__(**{**obj.__dict__, **changes})
+
+
 class GripperToolError(Exception):
     """Base class for all library errors."""
+
+
+class FrozenInstanceError(GripperToolError, AttributeError):
+    """Assignment to, or deletion of, a field of a value type."""
 
 
 class DomainError(GripperToolError, ValueError):

@@ -11,15 +11,14 @@ the jaw width is m + 2*r*sin(theta).
 """
 
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError, require_finite
+from .errors import DomainError, require_finite, value_type
 
 # m + 2*r*sin(theta_init) must reproduce w_init to this absolute tolerance.
 WIDTH_TIE_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@value_type
 class ToolDimensions:
     """Geometric parameters of the two-parallelogram mechanism.
 
@@ -69,7 +68,7 @@ class ToolDimensions:
                    w_init=m + 2.0 * r * math.sin(theta_init))
 
 
-@dataclass(frozen=True)
+@value_type
 class SpringSpec:
     """Torsion spring at the inner joints.
 

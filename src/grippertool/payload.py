@@ -27,18 +27,17 @@ does not load numpy.
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
 from functools import reduce
 
 from .contact import ContactModel, GraspState, max_capacities
-from .errors import DegenerateContactError, NoFeasiblePayloadError
+from .errors import DegenerateContactError, NoFeasiblePayloadError, replace, value_type
 
 # Residual of a*x^2 + b*x + c at the returned root, normalized by the
 # largest term, must stay below this bound.
 ROOT_RESIDUAL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@value_type
 class PayloadResult:
     """Outcome of a max-payload solve.
 
@@ -176,9 +175,10 @@ class PayloadGrid(Sequence):
     normalized root residual over the feasible cells (0 when there are
     none).
 
-    A plain class rather than a dataclass: the methods a dataclass
-    generates are compiled when the module is imported, which every
-    command pays for, sweep or not.
+    A plain __slots__ class rather than a value_type: payload_sweep()
+    builds it only after every input check, so there is nothing to
+    validate, and its weights array could not be compared or hashed by
+    field.
     """
 
     __slots__ = ("alphas", "ds", "weights", "feasible", "zero_clamped",

@@ -29,13 +29,12 @@ margin, does not load numpy.
 """
 
 import math
-from dataclasses import dataclass
 
 from .contact import ContactModel, GraspState
-from .errors import DomainError, ZeroCapacityError
+from .errors import DomainError, ZeroCapacityError, value_type
 
 
-@dataclass(frozen=True, eq=False)
+@value_type(eq=False)
 class TorqueMarginCurve:
     """Sampled margin curve: gammas ascending and their margins, as
     float arrays of one length.

@@ -87,10 +87,10 @@ curve whose r lands beyond the other bound steps t down an ulp at a time
 """
 
 import math
-from dataclasses import dataclass, replace
 
 from .contact import GraspState, GripConfig, required_grip_force
-from .errors import GeometryError, InfeasibleProblemError, require_finite
+from .errors import (GeometryError, InfeasibleProblemError, replace, require_finite,
+                     value_type)
 from .mechanism import SpringSpec, ToolDimensions, stroke
 
 # Most checks one candidate gets, its ulp steps included.
@@ -113,7 +113,7 @@ def theta_end_min(r: float, d_axis: float, r_edge: float) -> float:
     return math.asin(q / r)
 
 
-@dataclass(frozen=True)
+@value_type
 class Violation:
     """A failed feasibility constraint. margin < 0 is the shortfall."""
 
@@ -153,7 +153,7 @@ def check_feasible(dim: ToolDimensions) -> list[Violation]:
     return violations
 
 
-@dataclass(frozen=True)
+@value_type
 class SizingProblem:
     """Search space for the stroke maximization.
 
@@ -192,7 +192,7 @@ class SizingProblem:
             raise ValueError("SizingProblem.grip_budget must be > 0")
 
 
-@dataclass(frozen=True)
+@value_type
 class SizingResult:
     """The stroke-maximal design and what the solver saw on the way.
 

@@ -8,9 +8,9 @@ the CLI's stdout from those cells with fmt, one line at a time.
 
 import math
 import struct
-from dataclasses import replace
 
-from grippertool import NoFeasiblePayloadError, ZeroCapacityError, max_payload, torque_margin
+from grippertool import (NoFeasiblePayloadError, ZeroCapacityError, max_payload, replace,
+                         torque_margin)
 from grippertool.cli import DEG, INFEASIBLE, fmt
 from grippertool.pose import _interpolated_peak
 

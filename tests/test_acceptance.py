@@ -9,7 +9,6 @@ Run with -s to see the lines during a green run.
 import io
 import math
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +26,7 @@ from grippertool import (
     holding_max_offset,
     max_payload,
     maximize_stroke,
+    replace,
     required_grip_force,
     stroke_fixed_width,
     torque_margin,

@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -82,6 +83,41 @@ class TestNumpyImport:
         # after the import and each scalar command; the sweep then loads it
         assert loaded == [False] * (1 + len(self.SCALAR)) + [True]
         for name, result in zip(self.SCALAR, results):
+            expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+            assert result == [0, expected, ""]
+
+
+class TestDataclassesImport:
+    """The value types are built without dataclasses, so neither it nor
+    the inspect module it imports is loaded by the package or by the
+    scalar commands. python -S keeps site .pth files from loading them
+    first."""
+
+    UNWANTED = ("dataclasses", "inspect")
+
+    def test_scalar_commands_leave_dataclasses_unloaded(self):
+        script = ("import io, json, sys\n"
+                  "import grippertool\n"
+                  "from grippertool.cli import run\n"
+                  f"unwanted = {self.UNWANTED!r}\n"
+                  "loaded = [sorted(set(unwanted) & set(sys.modules))]\n"
+                  "results = []\n"
+                  "for argv in json.loads(sys.argv[1]):\n"
+                  "    out, err = io.StringIO(), io.StringIO()\n"
+                  "    code = run(argv, out, err)\n"
+                  "    results.append([code, out.getvalue(), err.getvalue()])\n"
+                  "    loaded.append(sorted(set(unwanted) & set(sys.modules)))\n"
+                  "json.dump([loaded, results], sys.stdout)\n")
+        scalar = TestNumpyImport.SCALAR
+        commands = [GOLDEN_COMMANDS[name] for name in scalar]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-S", "-c", script, json.dumps(commands)],
+                              capture_output=True, text=True, cwd=str(ROOT),
+                              env=env, check=True)
+        loaded, results = json.loads(proc.stdout)
+        assert loaded == [[]] * (1 + len(scalar))
+        for name, result in zip(scalar, results):
             expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
             assert result == [0, expected, ""]
 
@@ -449,7 +485,7 @@ class TestLibraryConsistency:
         lines = dict(line.split(" = ") for line in out.strip().split("\n"))
         assert lines["holding_max_offset_m"] == fmt(
             holding_max_offset(model, state))
-        from dataclasses import replace
+        from grippertool import replace
         assert lines["required_grip_force_backward_base_N"] == fmt(
             required_grip_force(dims, spring, state))
         assert lines["required_grip_force_forward_base_N"] == fmt(

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +13,7 @@ from grippertool import (
     capacity_check,
     holding_max_offset,
     max_capacities,
+    replace,
     required_grip_force,
 )
 

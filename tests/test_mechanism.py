@@ -1,5 +1,4 @@
 import math
-from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +8,7 @@ from grippertool import (
     SpringSpec,
     ToolDimensions,
     jaw_width,
+    replace,
     spring_torque,
     stroke,
     stroke_fixed_width,
@@ -132,7 +132,7 @@ NON_FINITE = (math.nan, math.inf)
 
 class TestNonFiniteRejected:
     @pytest.mark.parametrize("value", NON_FINITE)
-    @pytest.mark.parametrize("name", [f.name for f in fields(ToolDimensions)])
+    @pytest.mark.parametrize("name", ToolDimensions._fields)
     def test_tool_dimensions(self, name, value):
         with pytest.raises(ValueError, match=f"ToolDimensions.{name} must be finite"):
             replace(wide_dims(), **{name: value})

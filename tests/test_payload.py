@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -13,6 +12,7 @@ from grippertool import (
     max_payload,
     payload,
     payload_sweep,
+    replace,
     stable_quadratic_roots,
 )
 

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,6 +19,7 @@ from grippertool import (
     grip_demand,
     maximize_stroke,
     parse_design,
+    replace,
     required_grip_force,
     stroke,
     theta_end_min,
@@ -659,6 +659,33 @@ class TestMaximizeStroke:
                     assert scan[0] <= result.stroke * (1.0 + 1e-12)
                 solved += 1
         assert solved >= 30
+
+    def test_r_bounds_a_few_ulps_apart_beat_a_line_scan(self):
+        # r_bounds = (r, r + k ulps), r at either drawn bound: the result
+        # beats a scan along the r curve of every float in the band, and
+        # a refusal needs every scan to find nothing
+        rng = random.Random(2029)
+        solved = 0
+        for _ in range(120):
+            drawn = draw_problem(rng)
+            for r in drawn.r_bounds:
+                band = [r]
+                for _ in range(3):
+                    band.append(math.nextafter(band[-1], math.inf))
+                for k in (1, 2, 3):
+                    problem = replace(drawn, r_bounds=(r, band[k]))
+                    scans = [scan for scan in (line_max_stroke(problem, r_k, n_theta=201)
+                                               for r_k in band[:k + 1]) if scan]
+                    try:
+                        result = maximize_stroke(problem)
+                    except InfeasibleProblemError:
+                        assert scans == []
+                        continue
+                    assert_passes_every_check(problem, result)
+                    for scan in scans:
+                        assert scan[0] <= result.stroke * (1.0 + 1e-12)
+                    solved += 1
+        assert solved >= 100
 
     def test_candidates_lie_on_the_eight_pairings(self):
         pairings = [{"t_hi", "r_hi"}, {"t_hi", "m_lo"}, {"t_lo", "d_end"},
