@@ -119,7 +119,8 @@ def holding_max_offset(model: ContactModel, state: GraspState) -> float:
     Returns math.inf when sin(alpha) == 0: a vertical tool puts no spin
     demand on the contact, so any offset works once 2*mu*f_n >= g_tool.
 
-    Raises InfeasibleHoldError when 2*mu*f_n < g_tool (cannot hold at any d).
+    Raises InfeasibleHoldError when 2*mu*f_n < g_tool (cannot hold at any d),
+    and DomainError when a term of the formula overflows or underflows.
     """
     mu_fn = model.mu * state.f_n
     g = state.g_tool
@@ -129,9 +130,15 @@ def holding_max_offset(model: ContactModel, state: GraspState) -> float:
     if sin_a == 0.0:
         return math.inf
     _, max_t = max_capacities(model, state.f_n)
-    return max_t * math.sqrt(
-        (4.0 * mu_fn * mu_fn - g * g) / (g * g * sin_a * sin_a * mu_fn * mu_fn)
-    )
+    spin = g * g * sin_a * sin_a * mu_fn * mu_fn
+    # overflowing terms leave nan or inf, a spin term of inf would give 0,
+    # and one that underflows to 0 a division by zero
+    offset = (max_t * math.sqrt((4.0 * mu_fn * mu_fn - g * g) / spin)
+              if 0.0 < spin < math.inf else math.nan)
+    if not math.isfinite(offset):
+        raise DomainError("hold offset out of floating-point range: "
+                          f"mu*f_n = {mu_fn:g}, g_tool = {g:g}, sin(alpha) = {sin_a:g}")
+    return offset
 
 
 def required_grip_force(dim: ToolDimensions, spring: SpringSpec,

@@ -1,12 +1,17 @@
 """Design file parsing and serialization.
 
-INI-style text with exactly four sections, '#' comments, key = value
-pairs. Canonical units are meters, newtons, radians and N*m/rad. Angle
-keys accept a 'deg' suffix (converted via pi/180) and weight keys accept
-'kg' (converted with standard gravity). Unknown or missing keys are
-errors, and so is a number that is nan or infinite, or that overflows
-when parsed or converted; every parse error names the offending line and
-key.
+INI-style text with '#' comments and key = value pairs in four sections.
+SECTIONS gives each section's value type, whose fields (cls._fields) are
+the section's keys, in order. Canonical units are meters, newtons,
+radians and N*m/rad. Angle keys accept a 'deg' suffix (converted via
+pi/180) and weight keys accept 'kg' (converted with standard gravity).
+Unknown or missing keys are errors, and so is a number that is nan or
+infinite, or that overflows when parsed or converted.
+
+Of several faults, the one reported comes first in this order: layout
+faults, by line; missing sections and keys; bad values, by section and
+then field, so values are converted in a second pass over the stored
+(raw, line_no) pairs; violated invariants, by section.
 """
 
 import math
@@ -17,25 +22,25 @@ from .mechanism import SpringSpec, ToolDimensions
 
 STANDARD_GRAVITY = 9.80665  # m/s^2, for 'kg' mass inputs
 
-TOOL_KEYS = ("m", "r", "theta_init", "theta_end", "h", "p", "q", "k",
-             "d_axis", "r_edge", "v", "w_init")
-SPRING_KEYS = ("kappa", "beta")
-CONTACT_KEYS = ("mu", "e")
-GRASP_KEYS = ("f_n", "g_tool", "alpha", "gamma", "d", "d_com", "theta", "config")
-
 SECTIONS = {
-    "tool": TOOL_KEYS,
-    "spring": SPRING_KEYS,
-    "contact": CONTACT_KEYS,
-    "grasp": GRASP_KEYS,
+    "tool": ToolDimensions,
+    "spring": SpringSpec,
+    "contact": ContactModel,
+    "grasp": GraspState,
 }
 
 ANGLE_KEYS = {"theta_init", "theta_end", "alpha", "gamma", "theta", "beta"}
 WEIGHT_KEYS = {"g_tool"}
+CONFIGS = {config.value: config for config in GripConfig}
 
 
-def _parse_number(raw: str, key: str, line_no: int) -> float:
+def _parse_value(key: str, entry: tuple[str, int]) -> float | GripConfig:
+    raw, line_no = entry
     text = raw.strip()
+    if key == "config":
+        if text in CONFIGS:
+            return CONFIGS[text]
+        raise DesignFileError(f"config must be one of: {', '.join(CONFIGS)}", line_no, key)
     factor = 1.0
     if text.endswith("deg"):
         if key not in ANGLE_KEYS:
@@ -52,12 +57,10 @@ def _parse_number(raw: str, key: str, line_no: int) -> float:
     try:
         value = float(text) * factor
     except ValueError:
-        raise DesignFileError(f"non-numeric value {raw.strip()!r}",
-                              line_no, key) from None
+        raise DesignFileError(f"non-numeric value {raw.strip()!r}", line_no, key) from None
     # nan, inf, and values that overflow on parsing or unit conversion
     if not math.isfinite(value):
-        raise DesignFileError(f"non-finite value {raw.strip()!r}",
-                              line_no, key)
+        raise DesignFileError(f"non-finite value {raw.strip()!r}", line_no, key)
     return value
 
 
@@ -74,23 +77,22 @@ def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
                 raise DesignFileError(f"unknown section [{name}]", line_no)
             if name in sections:
                 raise DesignFileError(f"duplicate section [{name}]", line_no)
-            sections[name] = {}
-            current = name
+            current = sections[name] = {}
             continue
         if "=" not in line:
             raise DesignFileError("expected 'key = value'", line_no)
         if current is None:
             raise DesignFileError("key outside any section", line_no)
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in SECTIONS[current]:
-            raise DesignFileError(f"unknown key in [{current}]", line_no, key)
-        if key in sections[current]:
+        if key not in SECTIONS[name]._fields:
+            raise DesignFileError(f"unknown key in [{name}]", line_no, key)
+        if key in current:
             raise DesignFileError("duplicate key", line_no, key)
-        sections[current][key] = (value, line_no)
-    for name, keys in SECTIONS.items():
+        current[key] = (value, line_no)
+    for name, cls in SECTIONS.items():
         if name not in sections:
             raise DesignFileError(f"missing section [{name}]")
-        for key in keys:
+        for key in cls._fields:
             if key not in sections[name]:
                 raise DesignFileError(f"missing key in [{name}]", key=key)
     return sections
@@ -99,62 +101,25 @@ def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
 def parse_design(text: str) -> tuple[ToolDimensions, SpringSpec, ContactModel, GraspState]:
     """Parse design text into the four validated value objects."""
     sections = _parse_sections(text)
-
-    tool_vals = {k: _parse_number(sections["tool"][k][0], k, sections["tool"][k][1])
-                 for k in TOOL_KEYS}
-    spring_vals = {k: _parse_number(sections["spring"][k][0], k, sections["spring"][k][1])
-                   for k in SPRING_KEYS}
-    contact_vals = {k: _parse_number(sections["contact"][k][0], k, sections["contact"][k][1])
-                    for k in CONTACT_KEYS}
-    grasp_vals = {}
-    for k in GRASP_KEYS:
-        raw, line_no = sections["grasp"][k]
-        if k == "config":
-            try:
-                grasp_vals[k] = GripConfig(raw.strip())
-            except ValueError:
-                choices = ", ".join(c.value for c in GripConfig)
-                raise DesignFileError(
-                    f"config must be one of: {choices}", line_no, k
-                ) from None
-        else:
-            grasp_vals[k] = _parse_number(raw, k, line_no)
-
-    def build(factory, values, section):
+    values = [{key: _parse_value(key, sections[name][key]) for key in cls._fields}
+              for name, cls in SECTIONS.items()]
+    built = []
+    for (name, cls), kwargs in zip(SECTIONS.items(), values):
         try:
-            return factory(**values)
+            built.append(cls(**kwargs))
         except ValueError as exc:
-            raise DesignFileError(f"invariant violated in [{section}]: {exc}") from None
-
-    dims = build(ToolDimensions, tool_vals, "tool")
-    spring = build(SpringSpec, spring_vals, "spring")
-    model = build(ContactModel, contact_vals, "contact")
-    state = build(GraspState, grasp_vals, "grasp")
-    return dims, spring, model, state
+            raise DesignFileError(f"invariant violated in [{name}]: {exc}") from None
+    return tuple(built)
 
 
 def serialize_design(dims: ToolDimensions, spring: SpringSpec,
                      model: ContactModel, state: GraspState) -> str:
     """Canonical design text (radians, newtons); parse-stable round trip."""
     lines = []
-    lines.append("[tool]")
-    for key in TOOL_KEYS:
-        lines.append(f"{key} = {getattr(dims, key)!r}")
-    lines.append("")
-    lines.append("[spring]")
-    for key in SPRING_KEYS:
-        lines.append(f"{key} = {getattr(spring, key)!r}")
-    lines.append("")
-    lines.append("[contact]")
-    for key in CONTACT_KEYS:
-        lines.append(f"{key} = {getattr(model, key)!r}")
-    lines.append("")
-    lines.append("[grasp]")
-    for key in GRASP_KEYS:
-        value = getattr(state, key)
-        if key == "config":
-            lines.append(f"{key} = {value.value}")
-        else:
-            lines.append(f"{key} = {value!r}")
-    lines.append("")
+    for (name, cls), obj in zip(SECTIONS.items(), (dims, spring, model, state)):
+        lines.append(f"[{name}]")
+        for key in cls._fields:
+            value = getattr(obj, key)
+            lines.append(f"{key} = {value.value if key == 'config' else repr(value)}")
+        lines.append("")
     return "\n".join(lines)

@@ -30,7 +30,8 @@ from collections.abc import Sequence
 from functools import reduce
 
 from .contact import ContactModel, GraspState, max_capacities
-from .errors import DegenerateContactError, NoFeasiblePayloadError, replace, value_type
+from .errors import (DegenerateContactError, DomainError, NoFeasiblePayloadError, replace,
+                     value_type)
 
 # Residual of a*x^2 + b*x + c at the returned root, normalized by the
 # largest term, must stay below this bound.
@@ -56,7 +57,8 @@ class PayloadResult:
     def __post_init__(self):
         if self.max_weight < 0.0:
             raise ValueError("PayloadResult.max_weight must be >= 0")
-        if self.residual > ROOT_RESIDUAL_TOL:
+        # a nan residual, left by coefficients that overflow, fails too
+        if not self.residual <= ROOT_RESIDUAL_TOL:
             raise ValueError(
                 f"PayloadResult.residual {self.residual:g} exceeds "
                 f"{ROOT_RESIDUAL_TOL:g}"
@@ -77,10 +79,13 @@ def _coefficients(model, f_n, g, d_obj, d_com, sin_a, cos_a):
     """(a, b, c) of the payload quadratic; d_com, sin_a and cos_a may be
     broadcastable arrays."""
     _, max_t = max_capacities(model, f_n)
-    if max_t == 0.0:
-        raise DegenerateContactError("zero torque capacity: f_n is 0")
     max_t2 = max_t * max_t
-    m2f2 = (model.mu * f_n) ** 2
+    if max_t2 == 0.0:  # f_n is 0, or so small that the square underflows
+        raise DegenerateContactError(f"zero torque capacity: e*mu*f_n = {max_t:g}")
+    try:
+        m2f2 = (model.mu * f_n) ** 2
+    except OverflowError:
+        raise DomainError(f"(mu*f_n)^2 overflows at mu*f_n = {model.mu * f_n:g}") from None
     a = (max_t2 + d_obj * d_obj * sin_a * sin_a * m2f2) / (4.0 * max_t2)
     b = g * (max_t2 - d_obj * d_com * sin_a * cos_a * m2f2) / (2.0 * max_t2)
     c = (g * g * (max_t2 + d_com * d_com * cos_a * cos_a * m2f2)
@@ -233,7 +238,7 @@ def _grid_weights(model, state, d_obj, alphas, ds) -> tuple:
         root_hi = np.where(r1 <= r2, r2, r1)
         residual = _residual(a, b, c, root_hi, elementwise_max)
     # the residual bound of PayloadResult, raised for the first cell that breaks it
-    too_large = feasible & (residual > ROOT_RESIDUAL_TOL)
+    too_large = feasible & ~(residual <= ROOT_RESIDUAL_TOL)
     if too_large.any():
         i, j = np.unravel_index(np.argmax(too_large), too_large.shape)
         PayloadResult(max(float(root_hi[i, j]), 0.0),

@@ -203,7 +203,7 @@ class SizingResult:
 
     dims: ToolDimensions
     stroke: float
-    active_constraints: list[str]
+    active_constraints: tuple[str, ...]
     demand_end: str | None = None
     candidates: int = 0
 
@@ -423,7 +423,7 @@ def _realize(problem: SizingProblem, m: float, theta_init: float,
 
 
 def _active_constraints(problem: SizingProblem, dims: ToolDimensions,
-                        rel_tol: float = 1e-9) -> list[str]:
+                        rel_tol: float = 1e-9) -> tuple[str, ...]:
     names = []
 
     def tight(value, bound, scale):
@@ -447,7 +447,7 @@ def _active_constraints(problem: SizingProblem, dims: ToolDimensions,
     demand = grip_demand(dims, problem.spring, problem.grasp)
     if abs(demand - problem.grip_budget) <= 1e-6 * max(problem.grip_budget, 1.0):
         names.append("grip_budget")
-    return names
+    return tuple(names)
 
 
 def _nearest_bound_violations(problem: SizingProblem) -> list[Violation]:

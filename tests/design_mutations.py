@@ -14,7 +14,7 @@ def sample_text():
 
 BAD_VALUES = ["nan", "-nan", "inf", "-inf", "1e400", "-1e400", "nandeg",
               "infkg", "1e308kg", "1e-400", "0", "-0", "", "deg", "kg",
-              "0x10", "1_000", "1e", "--1", "1deg2", "\u0661\u0662"]
+              "0x10", "1_000", "1e", "--1", "1deg2", "\u0661\u0662", "1e160"]
 UNITS = ["deg", "kg", "m", "N", "rad", "%", " deg", "degdeg", "kgdeg", "degkg"]
 GARBLE = st.text(alphabet=st.sampled_from(list("=[]#.-+e019 \tdegkgnaif")) | st.characters(),
                  max_size=6)

@@ -441,6 +441,33 @@ class TestSweepChunks:
         assert any("e-05" in w for w in weights)
 
 
+class TestOverflow:
+    """Finite inputs whose squares overflow exit 1 with one error line,
+    printing no nan."""
+
+    def assert_refused(self, argv):
+        code, out, err = invoke(argv)
+        assert code == 1
+        assert "nan" not in out
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_huge_object_moment_arm(self):
+        err = self.assert_refused(["analyze", SAMPLE, "--d-obj", "1e160"])
+        assert "PayloadResult.residual nan" in err
+
+    @pytest.mark.parametrize("line, huge", [
+        ("f_n = 40", "f_n = 1e200"), ("mu = 0.5", "mu = 1e200"),
+        ("e = 0.01", "e = 1e200"), ("d_com = 0.03", "d_com = 1e200"),
+    ])
+    def test_huge_design_value(self, tmp_path, line, huge):
+        design = edited_design(tmp_path, line, huge)
+        self.assert_refused(["analyze", design, "--d-obj", "0.05"])
+        if not huge.startswith("d_com"):   # the sweep replaces d_com by d
+            self.assert_refused(["payload-sweep", design, "--alpha", "15:75:15deg",
+                                 "--d", "0:0.04:0.01"])
+
+
 class TestMutatedDesigns:
     """Every subcommand on a damaged design file exits 0, 1 or 2, with no
     exception escaping run() and no nan printed."""

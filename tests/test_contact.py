@@ -78,6 +78,18 @@ class TestHoldingMaxOffset:
             holding_max_offset(model, state_with(f_n=5.0, g_tool=10.0))
         assert exc_info.value.deficit == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("model, state", [
+        (ContactModel(mu=0.5, e=0.01), state_with(f_n=1e200)),
+        (ContactModel(mu=1e200, e=0.01), state_with()),
+        (ContactModel(mu=0.5, e=0.01), state_with(f_n=1e100, g_tool=1e100)),
+        (ContactModel(mu=0.5, e=0.01), state_with(alpha=1e-200)),
+    ])
+    def test_out_of_range_offset_is_domain_error(self, model, state):
+        # overflowing terms give nan, an overflowing spin term 0 and an
+        # underflowing one a division by zero
+        with pytest.raises(DomainError, match="floating-point range"):
+            holding_max_offset(model, state)
+
     def test_matches_feasibility_bisection(self):
         # frozen expectation computed with oracles.bisect_holding_offset
         model = ContactModel(mu=0.5, e=0.01)

@@ -7,10 +7,45 @@ from grippertool import (
     DesignFileError,
     GripConfig,
     parse_design,
+    replace,
     serialize_design,
 )
 
 from design_mutations import mutated_designs, sample_text
+
+SERIALIZED_SAMPLE = """\
+[tool]
+m = 0.012
+r = 0.03
+theta_init = 1.0471975511965976
+theta_end = 0.20943951023931956
+h = 0.032
+p = 0.011
+q = 0.006
+k = 0.05
+d_axis = 0.004
+r_edge = 0.001
+v = 1.0
+w_init = 0.063961524
+
+[spring]
+kappa = 0.5
+beta = 0.3490658503988659
+
+[contact]
+mu = 0.5
+e = 0.01
+
+[grasp]
+f_n = 40.0
+g_tool = 10.0
+alpha = 1.1693705988362009
+gamma = 0.0
+d = 0.0
+d_com = 0.03
+theta = 0.5235987755982988
+config = backward_base
+"""
 
 
 class TestParse:
@@ -96,6 +131,83 @@ class TestParse:
             parse_design(text)
 
 
+def line_of(text, line):
+    return text.splitlines().index(line) + 1
+
+
+def reported(text):
+    """(line_no, key, message) of the DesignFileError text raises."""
+    with pytest.raises(DesignFileError) as exc_info:
+        parse_design(text)
+    return exc_info.value.line_no, exc_info.value.key, str(exc_info.value)
+
+
+class TestErrorPrecedence:
+    """Layout faults, in line order, come before missing sections and
+    keys; those come before value faults, in section then field order;
+    invariant faults come last."""
+
+    def test_layout_fault_beats_earlier_value_fault(self):
+        text = (sample_text().replace("m = 0.012", "m = fast")
+                .replace("theta = 30deg", "theta = 30deg\nbogus = 1"))
+        line_no, key, message = reported(text)
+        assert (line_no, key) == (line_of(text, "bogus = 1"), "bogus")
+        assert "unknown key in [grasp]" in message
+
+    def test_layout_faults_reported_in_line_order(self):
+        text = (sample_text().replace("m = 0.012", "m = 0.012\nm = 0.013")
+                .replace("mu = 0.5", "mu = 0.5\nbogus = 1"))
+        line_no, key, message = reported(text)
+        assert (line_no, key) == (line_of(text, "m = 0.013"), "m")
+        assert "duplicate key" in message
+
+    def test_missing_key_beats_value_fault(self):
+        text = (sample_text().replace("m = 0.012", "m = fast")
+                .replace("config = backward_base", ""))
+        assert reported(text) == (
+            None, "config", "key 'config': missing key in [grasp]")
+
+    def test_missing_section_beats_value_fault(self):
+        text = (sample_text().replace("m = 0.012", "m = fast")
+                .replace("[spring]\nkappa = 0.5\nbeta = 20deg\n", ""))
+        assert reported(text) == (None, None, "missing section [spring]")
+
+    def test_value_fault_beats_earlier_invariant_fault(self):
+        text = (sample_text().replace("w_init = 0.063961524", "w_init = 0.07")
+                .replace("f_n = 40", "f_n = strong"))
+        line_no, key, message = reported(text)
+        assert (line_no, key) == (line_of(text, "f_n = strong"), "f_n")
+        assert "non-numeric value 'strong'" in message
+
+    def test_value_faults_in_one_section_reported_in_field_order(self):
+        # r's line comes first in the file, but m is the first field
+        text = (sample_text().replace("m = 0.012\nr = 0.03", "r = slow\nm = fast"))
+        line_no, key, _ = reported(text)
+        assert (line_no, key) == (line_of(text, "m = fast"), "m")
+
+    def test_value_faults_reported_in_section_order(self):
+        # [grasp] moved ahead of [tool]: the [tool] fault is still first
+        text = sample_text()
+        head, grasp = text.split("[grasp]")
+        text = ("[grasp]" + grasp.replace("f_n = 40", "f_n = strong") + "\n"
+                + head.replace("m = 0.012", "m = fast"))
+        line_no, key, _ = reported(text)
+        assert (line_no, key) == (line_of(text, "m = fast"), "m")
+
+    def test_bad_config_reported_after_earlier_fields_of_its_section(self):
+        text = (sample_text().replace("config = backward_base", "config = sideways")
+                .replace("theta = 30deg", "theta = 30kg"))
+        line_no, key, _ = reported(text)
+        assert (line_no, key) == (line_of(text, "theta = 30kg"), "theta")
+
+    def test_invariant_faults_reported_in_section_order(self):
+        text = (sample_text().replace("kappa = 0.5", "kappa = -0.5")
+                .replace("mu = 0.5", "mu = -0.5"))
+        line_no, key, message = reported(text)
+        assert (line_no, key) == (None, None)
+        assert message.startswith("invariant violated in [spring]: ")
+
+
 class TestMutatedFiles:
     @settings(max_examples=400)
     @given(mutated_designs())
@@ -113,6 +225,14 @@ class TestRoundTrip:
         text = serialize_design(*first)
         second = parse_design(text)
         assert first == second
+
+    def test_serialized_sample_bytes(self):
+        dims, spring, model, state = parse_design(sample_text())
+        text = serialize_design(dims, spring, model, state)
+        assert text == SERIALIZED_SAMPLE
+        forward = replace(state, config=GripConfig.FORWARD_BASE)
+        assert serialize_design(dims, spring, model, forward) == (
+            SERIALIZED_SAMPLE.replace("config = backward_base", "config = forward_base"))
 
     def test_round_trip_is_stable(self):
         once = serialize_design(*parse_design(sample_text()))

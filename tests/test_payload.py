@@ -5,8 +5,11 @@ from hypothesis import assume, example, given, strategies as st
 
 from grippertool import (
     ContactModel,
+    DegenerateContactError,
+    DomainError,
     GraspState,
     NoFeasiblePayloadError,
+    PayloadResult,
     capacity_check,
     equilibrium_coefficients,
     max_payload,
@@ -68,6 +71,39 @@ class TestMaxPayload:
         closed = 2.0 * math.sqrt((model.mu * state.f_n) ** 2
                                  - (t0 / model.e) ** 2) - state.g_tool
         assert result.max_weight == pytest.approx(closed, abs=1e-9)
+
+    def test_nan_residual_rejected(self):
+        with pytest.raises(ValueError, match="PayloadResult.residual nan"):
+            PayloadResult(1.0, (1.0, 0.0, -1.0), math.nan)
+
+    @pytest.mark.parametrize("model, state, d_obj", [
+        (ContactModel(mu=0.5, e=0.005), state_with(), 1e160),
+        (ContactModel(mu=0.5, e=1e200), state_with(), 0.05),
+    ])
+    def test_overflowing_coefficients_raise_like_sweep(self, model, state, d_obj):
+        # a term of a, b or c overflows; the nan residual fails the bound
+        with pytest.raises(ValueError) as scalar:
+            max_payload(model, state, d_obj)
+        with pytest.raises(ValueError) as sweep:
+            payload_sweep(model, state, d_obj, [state.alpha], [state.d])
+        assert "PayloadResult.residual nan" in str(scalar.value)
+        assert str(sweep.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("model, f_n", [
+        (ContactModel(mu=0.5, e=0.005), 1e200), (ContactModel(mu=1e200, e=0.005), 40.0),
+    ])
+    def test_squared_capacity_overflow_is_domain_error(self, model, f_n):
+        state = state_with(f_n=f_n)
+        with pytest.raises(DomainError, match="overflows") as scalar:
+            max_payload(model, state, 0.05)
+        with pytest.raises(DomainError) as sweep:
+            payload_sweep(model, state, 0.05, [state.alpha], [state.d])
+        assert str(sweep.value) == str(scalar.value)
+
+    def test_squared_capacity_underflow_is_degenerate(self):
+        state = state_with(f_n=1e-200, g_tool=1e-201)
+        with pytest.raises(DegenerateContactError):
+            max_payload(ContactModel(mu=0.5, e=0.005), state, 0.05)
 
     def test_nominal_against_bisection_oracle(self):
         # frozen from oracles.bisect_max_payload on these parameters

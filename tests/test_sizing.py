@@ -417,6 +417,13 @@ class TestMaximizeStroke:
         assert "m_lower_bound" in result.active_constraints
         assert "theta_init_upper_bound" in result.active_constraints
 
+    def test_result_is_hashable_and_its_names_frozen(self):
+        result = maximize_stroke(make_problem())
+        assert hash(result) == hash(maximize_stroke(make_problem()))
+        assert isinstance(result.active_constraints, tuple)
+        with pytest.raises(AttributeError):
+            result.active_constraints.append("grip_budget")
+
     def test_collapsed_bounds_return_that_point(self):
         problem = make_problem(m_bounds=(0.012, 0.012),
                                theta_init_bounds=(1.0, 1.0))
