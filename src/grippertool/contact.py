@@ -87,11 +87,20 @@ class GraspState:
 
 
 def capacity_check(model: ContactModel, f_n: float, f: float, t: float) -> bool:
-    """True when the wrench (f, t) is within the soft-finger limit at f_n."""
+    """True when the wrench (f, t) is within the soft-finger limit at f_n.
+
+    Raises DomainError when f_n < 0 or when a squared term overflows.
+    """
     if f_n < 0.0:
         raise DomainError("f_n must be >= 0")
-    lhs = f * f + (t / model.e) ** 2
-    rhs = (model.mu * f_n) ** 2
+    try:
+        rhs = (model.mu * f_n) ** 2
+    except OverflowError:
+        raise DomainError(f"(mu*f_n)^2 overflows at mu*f_n = {model.mu * f_n:g}") from None
+    try:
+        lhs = f * f + (t / model.e) ** 2
+    except OverflowError:
+        raise DomainError(f"(t/e)^2 overflows at t/e = {t / model.e:g}") from None
     return lhs <= rhs * (1.0 + CAPACITY_SLACK)
 
 

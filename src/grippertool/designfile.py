@@ -14,6 +14,7 @@ then field, so values are converted in a second pass over the stored
 (raw, line_no) pairs; violated invariants, by section.
 """
 
+import functools
 import math
 
 from .contact import ContactModel, GraspState, GripConfig
@@ -98,8 +99,13 @@ def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     return sections
 
 
+@functools.lru_cache
 def parse_design(text: str) -> tuple[ToolDimensions, SpringSpec, ContactModel, GraspState]:
-    """Parse design text into the four validated value objects."""
+    """Parse design text into the four validated value objects.
+
+    Memoized on the exact text: a repeated text returns the same tuple of
+    frozen values. Errors are not cached. A fresh process gains nothing.
+    """
     sections = _parse_sections(text)
     values = [{key: _parse_value(key, sections[name][key]) for key in cls._fields}
               for name, cls in SECTIONS.items()]

@@ -57,10 +57,14 @@ class TorqueMarginCurve:
 def _headroom(model, state, cos_gamma):
     """((mu*f_n)^2 - tangential^2, tangential, mu*f_n) for the per-pad
     tangential load (g_tool/2)*cos(gamma); negative headroom means the
-    pads cannot carry the tool."""
+    pads cannot carry the tool. Raises DomainError when (mu*f_n)^2
+    overflows."""
     tangential = (state.g_tool / 2.0) * cos_gamma
     mu_fn = model.mu * state.f_n
-    return mu_fn * mu_fn - tangential * tangential, tangential, mu_fn
+    mu_fn2 = mu_fn * mu_fn
+    if mu_fn2 == math.inf:
+        raise DomainError(f"(mu*f_n)^2 overflows at mu*f_n = {mu_fn:g}")
+    return mu_fn2 - tangential * tangential, tangential, mu_fn
 
 
 def _margin(model, state, sqrt_headroom, sin_offset):
@@ -75,7 +79,7 @@ def torque_margin(model: ContactModel, state: GraspState, gamma: float) -> float
     """Spin-torque margin of the grasp at hand-tool angle gamma.
 
     Raises ZeroCapacityError when the tangential demand exceeds mu*f_n, and
-    DomainError for gamma outside [0, pi/2].
+    DomainError for gamma outside [0, pi/2] or when (mu*f_n)^2 overflows.
     """
     if not 0.0 <= gamma <= math.pi / 2:
         raise DomainError(f"gamma={gamma:g} outside [0, pi/2]")

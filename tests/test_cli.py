@@ -339,6 +339,22 @@ class TestParserReuse:
         assert len(out.splitlines()) == 1 + 91 + 1
 
 
+class TestDesignReload:
+    def test_output_follows_a_rewritten_file(self, tmp_path):
+        # same path, size and mtime: only the text tells the designs apart
+        path = Path(edited_design(tmp_path, "f_n = 40", "f_n = 40"))
+        before = invoke(["analyze", str(path)])
+        stat = path.stat()
+        path.write_text(path.read_text().replace("f_n = 40", "f_n = 45"))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        after = invoke(["analyze", str(path)])
+        fresh = tmp_path / "fresh.ini"
+        fresh.write_text(path.read_text())
+        assert after == invoke(["analyze", str(fresh)])
+        assert after != before
+
+
 class TestRangeGrid:
     def test_inclusive_endpoint_grid(self):
         code, out, _ = invoke(["payload-sweep", SAMPLE,
@@ -466,6 +482,9 @@ class TestOverflow:
         if not huge.startswith("d_com"):   # the sweep replaces d_com by d
             self.assert_refused(["payload-sweep", design, "--alpha", "15:75:15deg",
                                  "--d", "0:0.04:0.01"])
+        if huge.startswith(("f_n", "mu")):   # (mu*f_n)^2 overflows
+            err = self.assert_refused(["pose-sweep", design, "--samples", "5"])
+            assert "(mu*f_n)^2 overflows" in err
 
 
 class TestMutatedDesigns:

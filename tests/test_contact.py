@@ -40,6 +40,15 @@ class TestCapacityCheck:
         model = ContactModel(mu=0.5, e=0.01)
         assert not capacity_check(model, 10.0, 0.0, 0.051)
 
+    @pytest.mark.parametrize("f_n, t, message", [
+        (1e200, 1.0, r"\(mu\*f_n\)\^2 overflows at mu\*f_n = 5e\+199"),
+        (10.0, 1e200, r"\(t/e\)\^2 overflows at t/e = 1e\+202"),
+    ])
+    def test_overflowing_square_is_domain_error(self, f_n, t, message):
+        model = ContactModel(mu=0.5, e=0.01)
+        with pytest.raises(DomainError, match=message):
+            capacity_check(model, f_n, 1.0, t)
+
     @given(st.floats(min_value=0.0, max_value=5.0),
            st.floats(min_value=0.0, max_value=0.05),
            st.floats(min_value=0.0, max_value=1.0),

@@ -219,6 +219,36 @@ class TestMutatedFiles:
         assert len(parsed) == 4
 
 
+class TestMemo:
+    """parse_design is memoized on the exact text; errors are not cached."""
+
+    def test_same_text_returns_same_tuple(self):
+        assert parse_design(sample_text()) is parse_design(sample_text())
+
+    def test_one_changed_value_parses_anew(self):
+        first = parse_design(sample_text())
+        changed = parse_design(sample_text().replace("mu = 0.5", "mu = 0.6"))
+        assert changed[2].mu == 0.6
+        assert changed[:2] == first[:2] and changed[3] == first[3]
+        assert parse_design(sample_text())[2].mu == 0.5
+
+    def test_failing_text_raises_equal_error_every_call(self):
+        text = sample_text().replace("mu = 0.5", "mu = fast")
+        parse_design.cache_clear()
+        raised = []
+        for _ in range(3):
+            with pytest.raises(DesignFileError) as exc_info:
+                parse_design(text)
+            raised.append(exc_info.value)
+        assert len({id(exc) for exc in raised}) == 3   # raised anew, not stored
+        assert {(str(exc), exc.line_no, exc.key) for exc in raised} == {
+            (str(raised[0]), line_of(text, "mu = fast"), "mu")}
+        assert parse_design.cache_info().currsize == 0
+
+    def test_cache_is_bounded(self):
+        assert parse_design.cache_info().maxsize is not None
+
+
 class TestRoundTrip:
     def test_serialize_parse_identity(self):
         first = parse_design(sample_text())
