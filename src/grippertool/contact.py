@@ -89,7 +89,7 @@ class GraspState:
 def capacity_check(model: ContactModel, f_n: float, f: float, t: float) -> bool:
     """True when the wrench (f, t) is within the soft-finger limit at f_n.
 
-    Raises DomainError when f_n < 0 or when a squared term overflows.
+    Raises DomainError when f_n < 0 or when (mu*f_n)^2 or (t/e)^2 overflows.
     """
     if f_n < 0.0:
         raise DomainError("f_n must be >= 0")

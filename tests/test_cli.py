@@ -338,8 +338,6 @@ class TestParserReuse:
         assert (code, err) == (0, "")
         assert len(out.splitlines()) == 1 + 91 + 1
 
-
-class TestDesignReload:
     def test_output_follows_a_rewritten_file(self, tmp_path):
         # same path, size and mtime: only the text tells the designs apart
         path = Path(edited_design(tmp_path, "f_n = 40", "f_n = 40"))
