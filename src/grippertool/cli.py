@@ -17,11 +17,18 @@ call. A nan cell prints as INFEASIBLE. The text of the whole grid is
 never held in memory at once.
 
 The argument parser is built once per process, on the first call of
-run(), and reused: parse_args() returns a fresh Namespace and changes
-nothing in the parser. Every byte a run() call prints, usage errors and
---help included, goes to its out and err streams. argparse's messages get
+run(), and reused: parsing returns a fresh Namespace and changes nothing
+in the parser. When argv[0] names a subcommand, run() parses argv[1:]
+with that subcommand's parser alone; any other argv, and one that leaves
+an argument over, goes to the full parser, so --help, usage
+errors and "unrecognized arguments" print exactly what the full parser
+prints. Every byte a run() call prints, usage errors and --help
+included, goes to its out and err streams. argparse's messages get
 there by swapping sys.stdout and sys.stderr while the arguments are
 parsed, so run() calls from concurrent threads can exchange them.
+
+Design files are read as bytes and decoded as UTF-8; parse_design splits
+lines with str.splitlines(), so CRLF and CR line endings parse as LF does.
 """
 
 import argparse
@@ -144,8 +151,8 @@ def _parse_interval(text: str) -> tuple[float, float]:
 
 
 def _load(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_design(fh.read())
+    with open(path, "rb") as fh:
+        return parse_design(fh.read().decode("utf-8"))
 
 
 def _cmd_validate(args, out) -> int:
@@ -166,15 +173,18 @@ def _cmd_analyze(args, out) -> int:
         offset_text = "unbounded" if math.isinf(offset) else fmt(offset)
     except InfeasibleHoldError:
         offset_text = INFEASIBLE
-    print(f"holding_max_offset_m = {offset_text}", file=out)
-    for config in (GripConfig.BACKWARD_BASE, GripConfig.FORWARD_BASE):
-        force = required_grip_force(dims, spring, replace(state, config=config))
-        print(f"required_grip_force_{config.value}_N = {fmt(force)}", file=out)
+    forces = [(config.value, required_grip_force(dims, spring, replace(state, config=config)))
+              for config in (GripConfig.BACKWARD_BASE, GripConfig.FORWARD_BASE)]
     try:
         result = max_payload(model, state, args.d_obj)
         payload_text = fmt(result.max_weight)
     except NoFeasiblePayloadError:
         payload_text = INFEASIBLE
+    # every value is computed before any is printed, so a refused request
+    # writes nothing to out
+    print(f"holding_max_offset_m = {offset_text}", file=out)
+    for name, force in forces:
+        print(f"required_grip_force_{name}_N = {fmt(force)}", file=out)
     print(f"max_payload_N = {payload_text}", file=out)
     return 0
 
@@ -240,7 +250,7 @@ def _cmd_pose_sweep(args, out) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="grippertool",
         description="Quasi-static analysis of the spring-return parallel-jaw tool",
@@ -288,17 +298,22 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="accepted for compatibility; has no effect")
     p.set_defaults(func=_cmd_pose_sweep)
 
-    return parser
+    return parser, sub.choices
 
 
 def run(argv, out=None, err=None) -> int:
     """Dispatch argv (without the program name); returns the exit code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
+    subparser = subparsers.get(argv[0]) if argv else None
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = parser.parse_args(argv)
+            if subparser is not None:
+                args, extras = subparser.parse_known_args(argv[1:])
+                args.command = argv[0]
+            if subparser is None or extras:
+                args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,0 +1,51 @@
+"""Argument lists that cli.run() must parse exactly as its full parser does.
+
+Plain Python with no third-party import, so that the corpus can also be
+run as a script under interpreters that have no pytest or numpy.
+"""
+
+
+def argv_corpus(design):
+    """Well-formed and malformed argv lists for a design file path."""
+    sweep = ["payload-sweep", design, "--alpha", "15:75:15deg", "--d", "0:0.04:0.01"]
+    optimize = ["optimize", design, "--m", "0.008:0.03", "--r", "0.005:0.08"]
+    return [
+        # no subcommand, help, unknown or miscased subcommand names
+        [], ["--help"], ["-h"], ["-h", "validate"], ["--bogus"], ["no-such-command"],
+        ["Validate", design], ["valid", design], ["-"],
+        # well-formed requests of each subcommand
+        ["validate", design], ["analyze", design], ["analyze", design, "--d-obj", "0.05"],
+        sweep, sweep + ["--d-obj", "0.05", "--workers", "3"],
+        optimize + ["--theta-init", "40:83deg", "--grip-budget", "36"],
+        ["pose-sweep", design], ["pose-sweep", design, "--samples", "19"],
+        # missing and extra arguments, options of another subcommand
+        ["validate"], ["analyze", "--d-obj", "0.05"], ["validate", design, "extra"],
+        ["validate", design, "--d-obj", "1"], ["validate", design, "--bogus"],
+        ["validate", design, "-x"], ["analyze", design, "--d-obj"],
+        ["payload-sweep", design, "--alpha", "15:75:15deg"],
+        optimize + ["--theta-init", "40:83deg"],
+        # option spellings: =value, abbreviations, negative values
+        ["analyze", design, "--d-obj=0.05"], ["analyze", design, "--d-o", "0.05"],
+        ["analyze", design, "--d", "0.05"],
+        ["pose-sweep", design, "--samp", "7"], ["pose-sweep", design, "--samples=7"],
+        optimize + ["--theta=40:83deg", "--grip-budget", "36"],
+        optimize + ["--theta-init", "40:83deg", "--grip", "36"],
+        sweep + ["--w", "2"],
+        ["analyze", design, "--d-obj", "-0.05"], ["analyze", design, "--d-obj=-0.05"],
+        ["pose-sweep", design, "--samples", "-3"],
+        # repeated options, positionals after options, "--"
+        ["analyze", design, "--d-obj", "0.01", "--d-obj", "0.05"],
+        ["analyze", "--d-obj", "0.05", design], ["pose-sweep", "--samples", "7", design],
+        ["validate", "--", design], ["validate", design, "--"], ["--", "validate", design],
+        ["analyze", design, "--", "--d-obj", "0.05"],
+        ["analyze", "--d-obj", "0.05", "--", design],
+        # values the type functions refuse
+        ["analyze", design, "--d-obj", "nan"], sweep + ["--d-obj", "nan"],
+        ["payload-sweep", design, "--alpha", "nan:75:15deg", "--d", "0:0.04:0.01"],
+        ["payload-sweep", design, "--alpha", "75:15:15deg", "--d", "0:0.04:0.01"],
+        optimize + ["--theta-init", "83:40deg", "--grip-budget", "36"],
+        ["pose-sweep", design, "--samples", "many"], sweep + ["--workers", "x"],
+        # subcommand help
+        ["validate", "-h"], ["pose-sweep", design, "--help"],
+        ["analyze", design, "--d-obj", "1", "-h"], ["validate", design, "--help=x"],
+    ]

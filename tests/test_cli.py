@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -16,6 +17,7 @@ from grippertool import cli
 from grippertool.cli import (CHUNK_LINES, DEG, INFEASIBLE, MAX_GRID_CELLS, MAX_RANGE_POINTS,
                              _build_parser, _parse_range, _sample_count, fmt, run)
 
+from argv_corpus import argv_corpus
 from design_mutations import mutated_designs
 from sweep_reference import gamma_curve, payload_csv, payload_rows, pose_csv
 
@@ -353,6 +355,81 @@ class TestParserReuse:
         assert after != before
 
 
+class TestDispatch:
+    """run() parses a request whose first argument names a subcommand with
+    that subcommand's parser alone, and any other argv, or one that leaves
+    an argument over, with the full parser, as if the full parser had
+    parsed them all."""
+
+    CORPUS = argv_corpus(SAMPLE)
+
+    @pytest.fixture
+    def handled(self):
+        """Namespaces passed to the subcommand handlers, which are replaced
+        by recorders while the test runs."""
+        _, subparsers = _build_parser()
+        handlers = {name: p.get_default("func") for name, p in subparsers.items()}
+        seen = []
+        for p in subparsers.values():
+            p.set_defaults(func=lambda args, out: seen.append(vars(args)) or 0)
+        yield seen
+        for name, p in subparsers.items():
+            p.set_defaults(func=handlers[name])
+
+    @pytest.mark.parametrize("argv", CORPUS,
+                             ids=[" ".join(a).replace(SAMPLE, "design") for a in CORPUS])
+    def test_parse_matches_full_parser(self, handled, argv):
+        parser, _ = _build_parser()
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                expected = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            assert invoke(argv) == (int(exc.code or 0), out.getvalue(), err.getvalue())
+            assert handled == []
+        else:
+            assert invoke(argv) == (0, "", "")
+            assert handled == [expected]
+
+    def test_good_requests_skip_the_full_parser(self, monkeypatch):
+        parser, _ = _build_parser()
+        calls = []
+        parse_known_args = parser.parse_known_args
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return parse_known_args(*args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_known_args", recording)
+        for name, argv in GOLDEN_COMMANDS.items():
+            expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+            assert invoke(argv) == (0, expected, "")
+        assert calls == []
+        for argv in (["validate", SAMPLE, "extra"], ["no-such-command"], ["--help"]):
+            invoke(argv)
+            assert calls.pop()[0] == argv
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_line_endings(self, tmp_path, newline):
+        text = Path(SAMPLE).read_bytes()
+        assert b"\r" not in text
+        design = tmp_path / "design.ini"
+        design.write_bytes(text.replace(b"\n", newline))
+        for name in ("validate.txt", "analyze.txt"):
+            argv = [str(design) if a == SAMPLE else a for a in GOLDEN_COMMANDS[name]]
+            expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+            assert invoke(argv) == (0, expected, "")
+
+    def test_invalid_utf8_is_domain_error(self, tmp_path):
+        text = Path(SAMPLE).read_bytes()
+        design = tmp_path / "design.ini"
+        design.write_bytes(text.replace(b"mu = 0.5", b"mu = 0.5\xff"))
+        position = text.index(b"mu = 0.5") + len(b"mu = 0.5")
+        assert invoke(["analyze", str(design)]) == (
+            1, "", f"error: 'utf-8' codec can't decode byte 0xff in position {position}: "
+                   "invalid start byte\n")
+
+
 class TestRangeGrid:
     def test_inclusive_endpoint_grid(self):
         code, out, _ = invoke(["payload-sweep", SAMPLE,
@@ -457,12 +534,13 @@ class TestSweepChunks:
 
 class TestOverflow:
     """Finite inputs whose squares overflow exit 1 with one error line,
-    printing no nan."""
+    printing no nan, and nothing at all to stdout."""
 
     def assert_refused(self, argv):
         code, out, err = invoke(argv)
         assert code == 1
         assert "nan" not in out
+        assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         return err
 
@@ -483,6 +561,12 @@ class TestOverflow:
         if huge.startswith(("f_n", "mu")):   # (mu*f_n)^2 overflows
             err = self.assert_refused(["pose-sweep", design, "--samples", "5"])
             assert "(mu*f_n)^2 overflows" in err
+
+    def test_grasp_outside_travel(self, tmp_path):
+        # analyze used to print the hold offset before the grip forces refused
+        design = edited_design(tmp_path, "theta = 30deg", "theta = 89deg")
+        err = self.assert_refused(["analyze", design])
+        assert "outside travel" in err
 
 
 class TestMutatedDesigns:
