@@ -131,11 +131,14 @@ def _parse_range(text: str) -> list[float]:
 
 
 def _sample_count(text: str) -> int:
-    """argparse type for --samples; counts above MAX_RANGE_POINTS are refused."""
+    """argparse type for --samples; counts below 2 or above MAX_RANGE_POINTS
+    are refused."""
     try:
         count = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if count < 2:
+        raise argparse.ArgumentTypeError(f"{count} samples, fewer than 2")
     if count > MAX_RANGE_POINTS:
         raise argparse.ArgumentTypeError(
             f"{count} samples, more than {MAX_RANGE_POINTS}")

@@ -162,7 +162,17 @@ def required_grip_force(dim: ToolDimensions, spring: SpringSpec,
     with the sign of the weight term set by the base-travel configuration.
     The result does not depend on where along the tool the gripper grabs.
     """
-    theta = state.theta
+    return _grip_force(dim, spring, state, state.theta)
+
+
+def _grip_force(dim: ToolDimensions, spring: SpringSpec, state: GraspState,
+                theta: float) -> float:
+    """required_grip_force at linkage angle theta instead of state.theta.
+
+    The one implementation of the formula. The sizing solver calls it at
+    the two travel ends of a design, which spares it a validated copy of
+    the GraspState per end.
+    """
     if not dim.theta_end <= theta <= dim.theta_init:
         raise DomainError(
             f"theta={theta:g} outside travel "

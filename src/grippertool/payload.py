@@ -93,6 +93,13 @@ def _coefficients(model, f_n, g, d_obj, d_com, sin_a, cos_a):
     return a, b, c
 
 
+def _out_of_range(model, d_obj, d_com) -> DomainError:
+    """The error for payload coefficients that overflowed, naming the inputs
+    that can overflow them once (mu*f_n)^2 is finite."""
+    return DomainError("payload quadratic out of floating-point range: "
+                       f"d_obj = {d_obj:g}, e = {model.e:g}, d_com = {d_com:g}")
+
+
 def _discriminant(a, b, c):
     return b * b - 4.0 * a * c
 
@@ -160,6 +167,8 @@ def max_payload(model: ContactModel, state: GraspState,
         raise NoFeasiblePayloadError(
             "no object weight satisfies the contact capacity"
         )
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        raise _out_of_range(model, d_obj, state.d_com)
     r1, r2 = _roots(a, b, c, math.sqrt(disc))
     root_hi = r2 if r1 <= r2 else r1
     residual = _residual(a, b, c, root_hi)
@@ -237,12 +246,15 @@ def _grid_weights(model, state, d_obj, alphas, ds) -> tuple:
         r1, r2 = _roots(a, b, c, np.sqrt(np.where(feasible, disc, 0.0)))
         root_hi = np.where(r1 <= r2, r2, r1)
         residual = _residual(a, b, c, root_hi, elementwise_max)
-    # the residual bound of PayloadResult, raised for the first cell that breaks it
+    # the overflow check and residual bound of max_payload, raised for the
+    # first cell that breaks one: an overflowed coefficient leaves a nan residual
     too_large = feasible & ~(residual <= ROOT_RESIDUAL_TOL)
     if too_large.any():
         i, j = np.unravel_index(np.argmax(too_large), too_large.shape)
-        PayloadResult(max(float(root_hi[i, j]), 0.0),
-                      (float(a[i, 0]), float(b[i, j]), float(c[i, j])),
+        coefficients = (float(a[i, 0]), float(b[i, j]), float(c[i, j]))
+        if not all(map(math.isfinite, coefficients)):
+            raise _out_of_range(model, d_obj, float(ds[j]))
+        PayloadResult(max(float(root_hi[i, j]), 0.0), coefficients,
                       float(residual[i, j]))
     clamped = root_hi < 0.0
     root_hi[clamped] = 0.0

@@ -58,7 +58,8 @@ backward_base) and B = grip_budget.
    with t_hi, r_lo (sin(t) = (w_init - m)/(2*r)), D_init = B (along the
    curve D_init = (A + K*beta*a)*tan(t), so tan(t) = B/(A + K*beta*a)) or
    D_end = B (along the curve D_end is negative or increasing: one root).
-   The two D_end roots are bisected to the ulp; the rest are closed forms.
+   The two D_end roots come from a bracketed secant narrowed to adjacent
+   floats (_boundary); the rest are closed forms.
 7. The cone test. -dS/de - dS/dt = 2*q*cos(e)**2*cos(t)*(tan(t) -
    tan(e))/sin(e)**2 > 0 and dS/dt > 0: the gradient of S points between
    -90 and -45 degrees in (t, e). At a maximizer where two curves meet it
@@ -74,23 +75,26 @@ backward_base) and B = grip_budget.
    the maximizer is where it meets another of those curves.
 
 Floats: each candidate is an (m, theta_init) pair, exact in m on an m
-curve and in theta_init on a t bound, and is checked with build_dimensions,
-the m and theta_init bounds and grip_demand <= grip_budget (taken per
-travel end, so a failure names its curve), all unchanged. A
-candidate that fails only the check of a curve it lies on is moved toward
-that curve's feasible side by 1, 2, 4, ... ulps and checked again, at most
-_ULP_STEPS times in all. This is no search: on random problems no winning
-candidate needed more than 6 checks. Where the r bounds meet, r must round
-to that one float, which a step in m or t can jump: a candidate on that
-curve whose r lands beyond the other bound steps t down an ulp at a time
-(its paired curves bound t from above) until the width-tie m hits it.
+curve and in theta_init on a t bound. A D_end root is the float next to a
+switch of the rounded budget check, on its within-budget side; where
+rounding makes that check switch several times within a few ulps, it is
+next to one of those switches. Each candidate is checked with
+build_dimensions, the m and theta_init bounds and grip_demand <=
+grip_budget (taken per travel end, so a failure names its curve), all
+unchanged. A candidate that fails only the check of a curve it lies on is
+moved toward that curve's feasible side by 1, 2, 4, ... ulps and checked
+again, at most _ULP_STEPS times in all. This is no search: on random
+problems no winning candidate needed more than 6 checks. Where the r
+bounds meet, r must round to that one float, which a step in m or t can
+jump: a candidate on that curve whose r lands beyond the other bound steps
+t down an ulp at a time (its paired curves bound t from above) until the
+width-tie m hits it.
 """
 
 import math
 
-from .contact import GraspState, GripConfig, required_grip_force
-from .errors import (GeometryError, InfeasibleProblemError, replace, require_finite,
-                     value_type)
+from .contact import GraspState, GripConfig, _grip_force
+from .errors import GeometryError, InfeasibleProblemError, require_finite, value_type
 from .mechanism import SpringSpec, ToolDimensions, stroke
 
 # Most checks one candidate gets, its ulp steps included.
@@ -211,8 +215,8 @@ class SizingResult:
 def _end_demands(dim: ToolDimensions, spring: SpringSpec,
                  state: GraspState) -> tuple[float, float]:
     """Required grip force at theta_end and at theta_init."""
-    return tuple(required_grip_force(dim, spring, replace(state, theta=theta))
-                 for theta in (dim.theta_end, dim.theta_init))
+    return (_grip_force(dim, spring, state, dim.theta_end),
+            _grip_force(dim, spring, state, dim.theta_init))
 
 
 def grip_demand(dim: ToolDimensions, spring: SpringSpec, state: GraspState) -> float:
@@ -292,22 +296,47 @@ def _evaluate(problem: SizingProblem, m: float,
     return dims, None
 
 
-def _boundary(ok, lo: float, hi: float) -> float | None:
-    """The float next to the one switch of ok on [lo, hi], on its ok side.
+def _boundary(f, lo: float, hi: float) -> float | None:
+    """The float next to a switch of f(x) <= 0 on [lo, hi], on its <= side.
 
-    None when ok(lo) == ok(hi). Bisects to adjacent floats.
+    None when f(lo) <= 0 and f(hi) <= 0 agree. The bracket [lo, hi] keeps
+    one end on each side of a switch, and the result is its <= end once
+    the two ends are adjacent floats. Each step evaluates f at the secant
+    point of the ends (regula falsi with the Illinois rule: an end kept
+    twice in a row has its value halved, so both ends close in). A secant
+    point that rounds onto an end moves one float in, but not twice in a
+    row; any other point not strictly inside (a nan, from an infinite
+    value) becomes the midpoint. Where the predicate switches once, the
+    result is the float bisection gives; where it switches several times
+    within a few ulps, it is next to one of those switches.
     """
-    ok_lo = ok(lo)
-    if ok_lo == ok(hi):
+    f_lo, f_hi = f(lo), f(hi)
+    ok_lo = f_lo <= 0.0
+    if ok_lo == (f_hi <= 0.0):
         return None
+    kept, nudged = 0, False  # kept: -1 or 1 after lo or hi was kept
     while True:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            return lo if ok_lo else hi
-        if ok(mid) == ok_lo:
-            lo = mid
+        x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        if (x == lo or x == hi) and not nudged:
+            # the secant puts the switch at an end: try the next float in
+            x, nudged = math.nextafter(x, hi if x == lo else lo), True
         else:
-            hi = mid
+            nudged = False
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if x <= lo or x >= hi:
+                return lo if ok_lo else hi
+        f_x = f(x)
+        if (f_x <= 0.0) == ok_lo:
+            lo, f_lo = x, f_x
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi = x, f_x
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
 
 
 def _nudge(x: float, ulps: int) -> float:
@@ -379,7 +408,7 @@ def _candidates(problem: SizingProblem):
             def d_end(t):
                 e = math.asin(a * math.sin(t))
                 return math.tan(e) * (a_grav + k_end * (beta + t - e))
-            t = _boundary(lambda t: d_end(t) <= budget, t_lo, t_hi)
+            t = _boundary(lambda t: d_end(t) - budget, t_lo, t_hi)
             if t is not None:
                 yield m_lo, t, {"demand_end": t_down}
 
@@ -397,7 +426,7 @@ def _candidates(problem: SizingProblem):
     # t_lo with the rising branch of D_end = B, past sin(e)**2 = B/K
     split = math.asin(math.sqrt(budget / k_end)) if budget < k_end else e_hi
     if max(split, e_lo) < e_hi:
-        e = _boundary(lambda e: g(e) >= t_lo, max(split, e_lo), e_hi)
+        e = _boundary(lambda e: t_lo - g(e), max(split, e_lo), e_hi)
         if e is not None:
             yield (w - 2.0 * q * math.sin(t_lo) / math.sin(e), t_lo,
                    {"demand_end": m_up})

@@ -265,6 +265,18 @@ class TestExitCodes:
         assert f"more than {MAX_RANGE_POINTS}" in err
         assert peak < 64 * 1024
 
+    @pytest.mark.parametrize("samples", ["1", "0", "-3"])
+    def test_too_few_samples_is_a_usage_error(self, samples):
+        code, out, err = invoke(["pose-sweep", SAMPLE, "--samples", samples])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: grippertool pose-sweep ")
+        assert err.endswith(f"error: argument --samples: {samples} samples, fewer than 2\n")
+
+    def test_sample_count_floor_is_inclusive(self):
+        assert _sample_count("2") == 2
+        with pytest.raises(argparse.ArgumentTypeError):
+            _sample_count("1")
+
     def test_sample_count_cap_is_inclusive(self):
         assert _sample_count(str(MAX_RANGE_POINTS)) == MAX_RANGE_POINTS
         with pytest.raises(argparse.ArgumentTypeError):
@@ -546,7 +558,8 @@ class TestOverflow:
 
     def test_huge_object_moment_arm(self):
         err = self.assert_refused(["analyze", SAMPLE, "--d-obj", "1e160"])
-        assert "PayloadResult.residual nan" in err
+        assert err == ("error: payload quadratic out of floating-point range: "
+                       "d_obj = 1e+160, e = 0.01, d_com = 0.03\n")
 
     @pytest.mark.parametrize("line, huge", [
         ("f_n = 40", "f_n = 1e200"), ("mu = 0.5", "mu = 1e200"),

@@ -76,18 +76,34 @@ class TestMaxPayload:
         with pytest.raises(ValueError, match="PayloadResult.residual nan"):
             PayloadResult(1.0, (1.0, 0.0, -1.0), math.nan)
 
-    @pytest.mark.parametrize("model, state, d_obj", [
-        (ContactModel(mu=0.5, e=0.005), state_with(), 1e160),
-        (ContactModel(mu=0.5, e=1e200), state_with(), 0.05),
+    @pytest.mark.parametrize("model, state, d_obj, named", [
+        (ContactModel(mu=0.5, e=0.005), state_with(), 1e160,
+         "d_obj = 1e+160, e = 0.005, d_com = 0.02"),
+        (ContactModel(mu=0.5, e=1e200), state_with(), 0.05,
+         "d_obj = 0.05, e = 1e+200, d_com = 0.02"),
     ])
-    def test_overflowing_coefficients_raise_like_sweep(self, model, state, d_obj):
-        # a term of a, b or c overflows; the nan residual fails the bound
-        with pytest.raises(ValueError) as scalar:
+    def test_overflowing_coefficients_raise_like_sweep(self, model, state, d_obj, named):
+        # a term of a, b or c overflows: the error names the inputs (the
+        # sweep's d_com is the cell's d) rather than the nan residual
+        state = replace(state, d_com=state.d)
+        with pytest.raises(DomainError) as scalar:
             max_payload(model, state, d_obj)
-        with pytest.raises(ValueError) as sweep:
+        with pytest.raises(DomainError) as sweep:
             payload_sweep(model, state, d_obj, [state.alpha], [state.d])
-        assert "PayloadResult.residual nan" in str(scalar.value)
+        assert str(scalar.value) == ("payload quadratic out of floating-point range: "
+                                     + named)
         assert str(sweep.value) == str(scalar.value)
+
+    def test_sweep_names_the_first_overflowing_cell(self):
+        # d_com = d: the cells with d = 0 stay finite, d = 1e154 overflows b and c
+        model, state = ContactModel(mu=0.5, e=0.005), state_with()
+        alphas, ds = [math.pi / 4, 1.0], [0.0, 1e154, 2e154]
+        with pytest.raises(DomainError) as expected:
+            payload_rows(model, state, 1e150, alphas, ds)
+        with pytest.raises(DomainError) as raised:
+            payload_sweep(model, state, 1e150, alphas, ds)
+        assert "d_obj = 1e+150, e = 0.005, d_com = 1e+154" in str(expected.value)
+        assert str(raised.value) == str(expected.value)
 
     @pytest.mark.parametrize("model, f_n", [
         (ContactModel(mu=0.5, e=0.005), 1e200), (ContactModel(mu=1e200, e=0.005), 40.0),

@@ -24,7 +24,9 @@ from grippertool import (
     stroke,
     theta_end_min,
 )
-from grippertool.sizing import _candidates, _evaluate, _realize, build_dimensions
+from grippertool import sizing
+from grippertool.sizing import (_boundary, _candidates, _end_demands, _evaluate, _realize,
+                                 build_dimensions)
 
 from oracles import grid_max_stroke, line_max_stroke
 
@@ -206,6 +208,25 @@ class TestGripDemand:
         demand = grip_demand(dims, spring, state)
         assert demand >= dense - 1e-12 * max(abs(demand), abs(dense))
 
+
+    def test_end_demands_match_required_grip_force_bit_for_bit(self):
+        # _end_demands evaluates the travel ends without a GraspState copy
+        rng = random.Random(2031)
+        designs = 0
+        for _ in range(500):
+            problem = draw_problem(rng)
+            m = rng.uniform(*problem.m_bounds)
+            theta_init = rng.uniform(*problem.theta_init_bounds)
+            dims = build_dimensions(problem, m, theta_init)
+            if dims is None:
+                continue
+            designs += 1
+            spring, grasp = problem.spring, problem.grasp
+            expected = [required_grip_force(dims, spring, replace(grasp, theta=theta))
+                        for theta in (dims.theta_end, dims.theta_init)]
+            got = _end_demands(dims, spring, grasp)
+            assert [x.hex() for x in got] == [x.hex() for x in expected]
+        assert designs >= 100
 
 class TestStrokeLemmas:
     """The steps of the candidate-set argument in the sizing docstring."""
@@ -405,6 +426,95 @@ class TestStrokeLemmas:
             ("d_end_falling", "m_lo"), ("d_init", "m_lo"),
         }
 
+
+def floats_from(x, count):
+    """count consecutive floats starting at x, upward."""
+    out = [x]
+    while len(out) < count:
+        out.append(math.nextafter(out[-1], math.inf))
+    return out
+
+
+class TestBoundary:
+    """_boundary: the float next to a switch of f(x) <= 0, bracketed by an
+    adjacent float on the other side."""
+
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: x - 0.7, 0.0, 1.0),
+        (lambda x: 0.7 - x, 0.0, 1.0),
+        (lambda x: math.exp(x) - 2.0, -3.0, 5.0),
+        (lambda x: 3.0 - math.tan(x), 0.1, 1.5),
+        (lambda x: x ** 9 - 1e-6, 0.0, 2.0),
+        (lambda x: math.inf if x > 0.9 else x - 0.3, 0.0, 1.0),
+        (lambda x: math.sqrt(x) - 0.1 if x > 1e-3 else -math.inf, 0.0, 1.0),
+        (lambda x: 1e-300 * (x - 0.25), 0.0, 1.0),
+        (lambda x: x - 5e-324, 0.0, 1.0),
+    ])
+    def test_monotone_function_gives_adjacent_floats(self, f, lo, hi):
+        def ok(x):
+            return f(x) <= 0.0
+        x = _boundary(f, lo, hi)
+        other = math.nextafter(x, hi if ok(lo) else lo)
+        assert ok(x) and not ok(other)
+
+    def test_matches_bisection_where_the_predicate_switches_once(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            root, scale = rng.uniform(0.2, 0.8), 10 ** rng.uniform(-3, 3)
+            lo, hi = 0.0, 1.0
+            x = _boundary(lambda x: scale * (math.sin(x) - math.sin(root)), lo, hi)
+            while True:   # the bisection the result must agree with
+                mid = 0.5 * (lo + hi)
+                if mid <= lo or mid >= hi:
+                    break
+                lo, hi = (mid, hi) if math.sin(mid) <= math.sin(root) else (lo, mid)
+            assert x == lo
+
+    @pytest.mark.parametrize("pattern", ["1111101000000", "1110000101000",
+                                         "1111100111000000", "1010101000000"])
+    @pytest.mark.parametrize("slope", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("ok_low", [True, False])
+    def test_several_switches_within_a_few_ulps(self, pattern, slope, ok_low):
+        # f(x) <= 0 follows pattern (1 = ok) on consecutive floats from x0,
+        # as a rounded demand near its budget can
+        x0 = 0.7
+        window = floats_from(x0, len(pattern))
+        if not ok_low:
+            pattern = pattern[::-1]
+        marks = dict(zip(window, pattern))
+
+        def f(x):
+            if x in marks:
+                return -1e-16 if marks[x] == "1" else 1e-16
+            return slope * (x - x0) * (1.0 if ok_low else -1.0)
+
+        x = _boundary(f, 0.0, 1.0)
+        inward = math.nextafter(x, 1.0 if ok_low else 0.0)
+        assert f(x) <= 0.0 < f(inward)
+        assert x in marks and inward in marks
+
+    @pytest.mark.parametrize("f", [lambda x: -1.0, lambda x: x - 2.0,
+                                   lambda x: 1.0, lambda x: math.nan])
+    def test_none_when_the_ends_agree(self, f):
+        assert _boundary(f, 0.0, 1.0) is None
+
+    def test_few_evaluations_per_root(self, monkeypatch):
+        # plain bisection took about 53 evaluations per root
+        counts = []
+
+        def counting(f, lo, hi):
+            calls = []
+            root = _boundary(lambda x: calls.append(x) or f(x), lo, hi)
+            if root is not None:
+                counts.append(len(calls))
+            return root
+
+        monkeypatch.setattr(sizing, "_boundary", counting)
+        rng = random.Random(2030)
+        for _ in range(300):
+            list(_candidates(draw_problem(rng)))
+        assert len(counts) >= 100
+        assert sum(counts) / len(counts) <= 16
 
 class TestMaximizeStroke:
     def test_unconstrained_pushes_to_bounds(self):
