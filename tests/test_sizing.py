@@ -208,7 +208,6 @@ class TestGripDemand:
         demand = grip_demand(dims, spring, state)
         assert demand >= dense - 1e-12 * max(abs(demand), abs(dense))
 
-
     def test_end_demands_match_required_grip_force_bit_for_bit(self):
         # _end_demands evaluates the travel ends without a GraspState copy
         rng = random.Random(2031)
@@ -227,6 +226,7 @@ class TestGripDemand:
             got = _end_demands(dims, spring, grasp)
             assert [x.hex() for x in got] == [x.hex() for x in expected]
         assert designs >= 100
+
 
 class TestStrokeLemmas:
     """The steps of the candidate-set argument in the sizing docstring."""
@@ -453,9 +453,13 @@ class TestBoundary:
     def test_monotone_function_gives_adjacent_floats(self, f, lo, hi):
         def ok(x):
             return f(x) <= 0.0
-        x = _boundary(f, lo, hi)
+        calls = []
+        x = _boundary(lambda x: calls.append(x) or f(x), lo, hi)
         other = math.nextafter(x, hi if ok(lo) else lo)
         assert ok(x) and not ok(other)
+        # no more than bisection to adjacent floats would take; regula
+        # falsi without the Illinois rule needs 10**8 on x**9
+        assert len(calls) <= 64
 
     def test_matches_bisection_where_the_predicate_switches_once(self):
         rng = random.Random(7)
@@ -515,6 +519,7 @@ class TestBoundary:
             list(_candidates(draw_problem(rng)))
         assert len(counts) >= 100
         assert sum(counts) / len(counts) <= 16
+
 
 class TestMaximizeStroke:
     def test_unconstrained_pushes_to_bounds(self):
