@@ -16,26 +16,32 @@ degrees with one vectorized divide and formats CHUNK_LINES lines per %
 call. A nan cell prints as INFEASIBLE. The text of the whole grid is
 never held in memory at once.
 
-The argument parser is built once per process, on the first call of
-run(), and reused: parsing returns a fresh Namespace and changes nothing
-in the parser. When argv[0] names a subcommand, run() parses argv[1:]
-with that subcommand's parser alone; any other argv, and one that leaves
-an argument over, goes to the full parser, so --help, usage
-errors and "unrecognized arguments" print exactly what the full parser
-prints. Every byte a run() call prints, usage errors and --help
-included, goes to its out and err streams. argparse's messages get
-there by swapping sys.stdout and sys.stderr while the arguments are
-parsed, so run() calls from concurrent threads can exchange them.
+Each subcommand's handler and options are described once, in _COMMANDS.
+When argv[0] names a subcommand and the rest is the design and exact
+flags, each followed by a value that does not start with "-", with no
+flag repeated, every required flag present and every value accepted by
+its type, run() parses it straight from that table. Any other argv goes
+to argparse: that subcommand's parser, or the full parser when argv[0]
+names none or an argument is left over, so --help, usage errors and
+"unrecognized arguments" print exactly what the full parser prints.
+argparse is imported only to build the parser, on the first request
+that needs it, or to report a refused value, so importing this module and
+running well-formed requests never load it. The parser is then reused by
+every later call: parsing returns a fresh Namespace and changes nothing
+in the parser. Every byte a run() call prints, usage errors and --help
+included, goes to its out and err streams. argparse's messages get there
+by swapping sys.stdout and sys.stderr while it parses, so run() calls
+from concurrent threads that fall back to argparse can exchange them.
 
 Design files are read as bytes and decoded as UTF-8; parse_design splits
 lines with str.splitlines(), so CRLF and CR line endings parse as LF does.
 """
 
-import argparse
 import contextlib
 import functools
 import math
 import sys
+from types import SimpleNamespace
 
 from .contact import GripConfig, holding_max_offset, required_grip_force
 from .designfile import parse_design
@@ -78,14 +84,22 @@ def _mark_infeasible(lines: str) -> str:
     return lines.replace("nan\n", f"{INFEASIBLE}\n")
 
 
+def _type_error(message: str) -> Exception:
+    """The argparse.ArgumentTypeError a type function raises for a refused
+    value. argparse is imported here and in _build_parser alone, so a
+    request whose values are all accepted never loads it."""
+    import argparse
+    return argparse.ArgumentTypeError(message)
+
+
 def _finite_float(text: str) -> float:
     """argparse type for a finite number; nan and inf are usage errors."""
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+        raise _type_error(f"{text!r} is not a number") from None
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+        raise _type_error(f"{text!r} is not a finite number")
     return value
 
 
@@ -100,11 +114,11 @@ def _parse_numbers(text: str, kind: str, form: str,
         raw = raw[:-3]
     parts = raw.split(":")
     if len(parts) != count:
-        raise argparse.ArgumentTypeError(f"{kind} {text!r} must be {form}")
+        raise _type_error(f"{kind} {text!r} must be {form}")
     try:
         return [_finite_float(p) for p in parts], factor
-    except argparse.ArgumentTypeError as exc:
-        raise argparse.ArgumentTypeError(f"{kind} {text!r}: {exc}") from None
+    except Exception as exc:  # the ArgumentTypeError of _finite_float
+        raise _type_error(f"{kind} {text!r}: {exc}") from None
 
 
 def _parse_range(text: str) -> list[float]:
@@ -114,18 +128,16 @@ def _parse_range(text: str) -> list[float]:
     (start, stop, step), factor = _parse_numbers(
         text, "range", "start:stop:step[deg]", 3)
     if step <= 0.0 or stop < start:
-        raise argparse.ArgumentTypeError(
-            f"range {text!r} needs step > 0 and stop >= start"
-        )
+        raise _type_error(f"range {text!r} needs step > 0 and stop >= start")
     span = (stop - start) / step
     if not math.isfinite(span):
-        raise argparse.ArgumentTypeError(
+        raise _type_error(
             f"range {text!r} has more than {MAX_RANGE_POINTS} points")
     count = round(span)
     if abs(span - count) > 1e-12 * max(1.0, abs(span)):
         count = math.floor(span)
     if count + 1 > MAX_RANGE_POINTS:
-        raise argparse.ArgumentTypeError(
+        raise _type_error(
             f"range {text!r} has {count + 1} points, more than {MAX_RANGE_POINTS}")
     return [(start + i * step) * factor for i in range(count + 1)]
 
@@ -136,12 +148,11 @@ def _sample_count(text: str) -> int:
     try:
         count = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        raise _type_error(f"{text!r} is not an integer") from None
     if count < 2:
-        raise argparse.ArgumentTypeError(f"{count} samples, fewer than 2")
+        raise _type_error(f"{count} samples, fewer than 2")
     if count > MAX_RANGE_POINTS:
-        raise argparse.ArgumentTypeError(
-            f"{count} samples, more than {MAX_RANGE_POINTS}")
+        raise _type_error(f"{count} samples, more than {MAX_RANGE_POINTS}")
     return count
 
 
@@ -149,7 +160,7 @@ def _parse_interval(text: str) -> tuple[float, float]:
     """lo:hi, optional trailing 'deg'; lo must not exceed hi."""
     (lo, hi), factor = _parse_numbers(text, "interval", "lo:hi[deg]", 2)
     if lo > hi:
-        raise argparse.ArgumentTypeError(f"interval {text!r} needs lo <= hi")
+        raise _type_error(f"interval {text!r} needs lo <= hi")
     return lo * factor, hi * factor
 
 
@@ -252,75 +263,110 @@ def _cmd_pose_sweep(args, out) -> int:
     return 0
 
 
+# Each subcommand's handler, help and options, in the order the parser
+# adds them after the design file positional: flag -> (type, default,
+# required, help).
+_COMMANDS = {
+    "validate": (_cmd_validate, "check dimension feasibility", {}),
+    "analyze": (_cmd_analyze, "hold offset, grip forces, max payload", {
+        "--d-obj": (_finite_float, 0.0, False,
+                    "object moment arm in meters (default 0)"),
+    }),
+    "payload-sweep": (_cmd_payload_sweep, "max payload over (alpha, d) grid", {
+        "--alpha": (_parse_range, None, True, "tool angle range start:stop:step[deg]"),
+        "--d": (_parse_range, None, True, "grasp offset range start:stop:step (meters)"),
+        "--d-obj": (_finite_float, 0.0, False, None),
+        "--workers": (int, 1, False, "accepted for compatibility; has no effect"),
+    }),
+    "optimize": (_cmd_optimize, "maximize stroke within bounds", {
+        "--m": (_parse_interval, None, True, "bounds lo:hi for the base half-gap (meters)"),
+        "--r": (_parse_interval, None, True, "bounds lo:hi for the linkage length (meters)"),
+        "--theta-init": (_parse_interval, None, True, "bounds lo:hi[deg] for the open angle"),
+        "--grip-budget": (_finite_float, None, True, "maximum acceptable grip force (N)"),
+    }),
+    "pose-sweep": (_cmd_pose_sweep, "torque margin over the hand-tool angle", {
+        "--samples": (_sample_count, 91, False,
+                      f"number of samples, at most {MAX_RANGE_POINTS}"),
+        "--workers": (int, 1, False, "accepted for compatibility; has no effect"),
+    }),
+}
+
+
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _build_parser():
+    """The full parser and its subparsers by name, built from _COMMANDS."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="grippertool",
         description="Quasi-static analysis of the spring-return parallel-jaw tool",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check dimension feasibility")
-    p.add_argument("design")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("analyze", help="hold offset, grip forces, max payload")
-    p.add_argument("design")
-    p.add_argument("--d-obj", type=_finite_float, default=0.0,
-                   help="object moment arm in meters (default 0)")
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("payload-sweep", help="max payload over (alpha, d) grid")
-    p.add_argument("design")
-    p.add_argument("--alpha", type=_parse_range, required=True,
-                   help="tool angle range start:stop:step[deg]")
-    p.add_argument("--d", type=_parse_range, required=True,
-                   help="grasp offset range start:stop:step (meters)")
-    p.add_argument("--d-obj", type=_finite_float, default=0.0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; has no effect")
-    p.set_defaults(func=_cmd_payload_sweep)
-
-    p = sub.add_parser("optimize", help="maximize stroke within bounds")
-    p.add_argument("design")
-    p.add_argument("--m", type=_parse_interval, required=True,
-                   help="bounds lo:hi for the base half-gap (meters)")
-    p.add_argument("--r", type=_parse_interval, required=True,
-                   help="bounds lo:hi for the linkage length (meters)")
-    p.add_argument("--theta-init", type=_parse_interval, required=True,
-                   help="bounds lo:hi[deg] for the open angle")
-    p.add_argument("--grip-budget", type=_finite_float, required=True,
-                   help="maximum acceptable grip force (N)")
-    p.set_defaults(func=_cmd_optimize)
-
-    p = sub.add_parser("pose-sweep", help="torque margin over the hand-tool angle")
-    p.add_argument("design")
-    p.add_argument("--samples", type=_sample_count, default=91,
-                   help=f"number of samples, at most {MAX_RANGE_POINTS}")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; has no effect")
-    p.set_defaults(func=_cmd_pose_sweep)
-
+    for name, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("design")
+        for flag, (type_, default, required, option_help) in options.items():
+            p.add_argument(flag, type=type_, default=default, required=required,
+                           help=option_help)
     return parser, sub.choices
+
+
+def _parse_request(argv):
+    """The arguments of a request whose argv[0] names a subcommand, parsed
+    from _COMMANDS, or None for an argv that argparse must parse (see the
+    module docstring); where both parse, they give the same values."""
+    options = _COMMANDS[argv[0]][2]
+    given = {}
+    design = None
+    i, n = 1, len(argv)
+    while i < n:
+        arg = argv[i]
+        if arg[:1] != "-":
+            if design is not None:
+                return None
+            design = arg
+            i += 1
+        elif arg in options and arg not in given and i + 1 < n and argv[i + 1][:1] != "-":
+            given[arg] = argv[i + 1]
+            i += 2
+        else:
+            return None
+    if design is None:
+        return None
+    args = SimpleNamespace(command=argv[0], design=design)
+    for flag, (type_, default, required, _) in options.items():
+        text = given.get(flag)
+        if text is None:
+            if required:
+                return None
+            value = default
+        else:
+            try:
+                value = type_(text)
+            except Exception:  # argparse reports it, or raises it again
+                return None
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return args
 
 
 def run(argv, out=None, err=None) -> int:
     """Dispatch argv (without the program name); returns the exit code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser, subparsers = _build_parser()
-    subparser = subparsers.get(argv[0]) if argv else None
+    args = _parse_request(argv) if argv and argv[0] in _COMMANDS else None
+    if args is None:
+        parser, subparsers = _build_parser()
+        subparser = subparsers.get(argv[0]) if argv else None
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                if subparser is not None:
+                    args, extras = subparser.parse_known_args(argv[1:])
+                    args.command = argv[0]
+                if subparser is None or extras:
+                    args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            if subparser is not None:
-                args, extras = subparser.parse_known_args(argv[1:])
-                args.command = argv[0]
-            if subparser is None or extras:
-                args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return args.func(args, out)
+        return _COMMANDS[args.command][0](args, out)
     except _UsageError as exc:
         print(f"grippertool {args.command}: error: {exc}", file=err)
         return 2

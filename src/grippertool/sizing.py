@@ -202,7 +202,8 @@ class SizingResult:
 
     demand_end names the travel end ("theta_end" or "theta_init") whose
     grip demand is the worst case; candidates counts the (m, theta_init)
-    points maximize_stroke checked, ulp steps included.
+    points maximize_stroke checked, ulp steps included. Only points within
+    the theta_init bounds are checked, so each could have won.
     """
 
     dims: ToolDimensions
@@ -349,6 +350,8 @@ def _candidates(problem: SizingProblem):
     moves maps a check the point may fail only by rounding, because the
     point lies on that check's curve, to a step f(m, theta_init, n) that
     moves it n ulps toward the feasible side. See the module docstring.
+    A point whose theta_init lies outside its bounds is not yielded: its
+    first check refuses it, and no step moves it back in.
     """
     q = clearance_span(problem.d_axis, problem.r_edge)
     w = problem.w_init
@@ -399,11 +402,11 @@ def _candidates(problem: SizingProblem):
     if a is not None:
         yield m_lo, t_hi, {}
         s = (w - m_lo) / (2.0 * r_lo)
-        if r_lo > q and s <= 1.0:
-            yield m_lo, math.asin(s), {"r": r_move(r_lo, -1, t_down)}
+        if r_lo > q and s <= 1.0 and t_lo <= (t := math.asin(s)) <= t_hi:
+            yield m_lo, t, {"r": r_move(r_lo, -1, t_down)}
         slope = a_grav + k_end * beta * a
-        if slope > 0.0:
-            yield m_lo, math.atan2(budget, slope), {"demand_init": t_down}
+        if slope > 0.0 and t_lo <= (t := math.atan2(budget, slope)) <= t_hi:
+            yield m_lo, t, {"demand_init": t_down}
         if a < 1.0:
             def d_end(t):
                 e = math.asin(a * math.sin(t))
@@ -419,7 +422,7 @@ def _candidates(problem: SizingProblem):
         c = k_end * beta * math.sin(e_lo) / math.hypot(a_grav, budget)
         h = math.atan2(budget, a_grav) - math.asin(c) if c <= 1.0 else None
         for t, end in ((g(e_lo), "demand_end"), (h, "demand_init")):
-            if t is not None:
+            if t is not None and t_lo <= t <= t_hi:
                 yield (w - 2.0 * r_hi * math.sin(t), t,
                        {"r": r_step, end: along_r_hi})
 

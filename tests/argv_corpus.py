@@ -45,6 +45,22 @@ def argv_corpus(design):
         ["payload-sweep", design, "--alpha", "75:15:15deg", "--d", "0:0.04:0.01"],
         optimize + ["--theta-init", "83:40deg", "--grip-budget", "36"],
         ["pose-sweep", design, "--samples", "many"], sweep + ["--workers", "x"],
+        # shapes only the table parse sees: an empty value, a negative value
+        # argparse takes for a flag, a refused value repeated, a value that
+        # is itself a flag, "-" and "-x" as the design, flags before the
+        # design, small counts and numbers with underscores
+        ["analyze", design, "--d-obj", ""], ["analyze", design, "--d-obj", "-1e-3"],
+        ["analyze", design, "--d-obj", "nan", "--d-obj", "0.05"],
+        ["pose-sweep", design, "--samples", "-1_000"],
+        ["payload-sweep", design, "--alpha", "--d", "0:0.04:0.01"],
+        ["analyze", design, "--d-obj", "--d-obj"],
+        ["validate", "-"], ["analyze", "-", "--d-obj", "0.05"], ["analyze", "-x"],
+        ["payload-sweep", "--alpha", "15:75:15deg", "--d", "0:0.04:0.01", design],
+        ["optimize", "--m", "0.008:0.03", "--r", "0.005:0.08", "--theta-init", "40:83deg",
+         "--grip-budget", "36", design],
+        sweep + ["--workers", "0"], ["pose-sweep", design, "--samples", "2"],
+        ["pose-sweep", design, "--samples", "1_000"], ["analyze", design, "--d-obj", "1_000"],
+        ["payload-sweep", design, "--alpha", "1_5:7_5:1_5deg", "--d", "0:0.04:0.01"],
         # subcommand help
         ["validate", "-h"], ["pose-sweep", design, "--help"],
         ["analyze", design, "--d-obj", "1", "-h"], ["validate", design, "--help=x"],

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grippertool import GripConfig, holding_max_offset, parse_design, required_grip_force
 from grippertool import cli
@@ -122,6 +123,55 @@ class TestDataclassesImport:
         for name, result in zip(scalar, results):
             expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
             assert result == [0, expected, ""]
+
+
+class TestArgparseImport:
+    """Importing the CLI and running well-formed requests load neither
+    argparse nor the gettext module it imports; the first usage error
+    loads them and prints what the full parser prints. python -S keeps
+    site from loading them first; numpy's directory goes on the path by
+    hand."""
+
+    UNWANTED = ("argparse", "gettext")
+    USAGE_ERROR = ["analyze", SAMPLE, "--d-obj", "nan"]
+
+    def test_golden_commands_leave_argparse_unloaded(self):
+        script = ("import contextlib, io, json, sys\n"
+                  "from grippertool.cli import _build_parser, run\n"
+                  f"unwanted = {self.UNWANTED!r}\n"
+                  "loaded = [sorted(set(unwanted) & set(sys.modules))]\n"
+                  "results = []\n"
+                  "for argv in json.loads(sys.argv[1]):\n"
+                  "    out, err = io.StringIO(), io.StringIO()\n"
+                  "    code = run(argv, out, err)\n"
+                  "    results.append([code, out.getvalue(), err.getvalue()])\n"
+                  "    loaded.append(sorted(set(unwanted) & set(sys.modules)))\n"
+                  "out, err = io.StringIO(), io.StringIO()\n"
+                  "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+                  "    try:\n"
+                  "        _build_parser()[0].parse_args(argv)\n"
+                  "    except SystemExit as exc:\n"
+                  "        results.append([exc.code, out.getvalue(), err.getvalue()])\n"
+                  "json.dump([loaded, results], sys.stdout)\n")
+        commands = [GOLDEN_COMMANDS[name] for name in sorted(GOLDEN_COMMANDS)]
+        commands.append(self.USAGE_ERROR)
+        import numpy
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), str(Path(numpy.__file__).parents[1]),
+                          os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-S", "-c", script, json.dumps(commands)],
+                              capture_output=True, text=True, cwd=str(ROOT),
+                              env=env, check=True)
+        loaded, results = json.loads(proc.stdout)
+        assert loaded == [[]] * (1 + len(GOLDEN_COMMANDS)) + [list(self.UNWANTED)]
+        for name, result in zip(sorted(GOLDEN_COMMANDS), results):
+            expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+            assert result == [0, expected, ""]
+        refused, full_parser = results[-2:]
+        assert refused == full_parser
+        assert refused[:2] == [2, ""]
+        assert refused[2].endswith(
+            "error: argument --d-obj: 'nan' is not a finite number\n")
 
 
 class TestExitCodes:
@@ -367,30 +417,73 @@ class TestParserReuse:
         assert after != before
 
 
+# Option values by type function: ones the type accepts, and odd ones
+# that are negative, empty, non-finite, reversed or not numbers at all.
+# argparse takes "-0.05" as a value but "-1e-3" as a flag.
+TABLE_VALUES = {
+    cli._finite_float: (["0.05", "36", "1_000", "1e-3"],
+                        ["-0.05", "-1e-3", "", "nan", "inf", "x"]),
+    cli._parse_range: (["15:75:15deg", "0:0.04:0.01"],
+                       ["-0.01:0.01:0.01", "75:15:15deg", "0:1", "nan:1:1"]),
+    cli._parse_interval: (["0.008:0.03", "40:83deg"], ["-1:1", "83:40deg", "a:b"]),
+    cli._sample_count: (["19", "2", "1_000"], ["1", "-3", "-1_000", "many"]),
+    int: (["3", "0", "1_000"], ["-1", "-1_000", "x"]),
+}
+
+
+@st.composite
+def table_argvs(draw):
+    """argvs built from a subcommand's table entry: each flag dropped, kept
+    or repeated, spelled exactly, abbreviated or joined to its value with
+    "=", given an accepted or an odd value, the design dropped or doubled,
+    and the whole shuffled. Three in four draws keep each part as a
+    well-formed request has it."""
+    usually = st.sampled_from([True, True, True, False])
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    items = [["design.ini"]] * (1 if draw(usually) else draw(st.sampled_from([0, 2])))
+    for flag, (type_, *_) in cli._COMMANDS[name][2].items():
+        for _ in range(1 if draw(usually) else draw(st.sampled_from([0, 2]))):
+            accepted, odd = TABLE_VALUES[type_]
+            value = draw(st.sampled_from(accepted if draw(usually) else odd))
+            if draw(usually):
+                items.append([flag, value])
+            elif draw(st.booleans()):
+                items.append([f"{flag}={value}"])
+            else:
+                items.append([flag[:draw(st.integers(3, len(flag)))], value])
+    return [name] + [arg for item in draw(st.permutations(items)) for arg in item]
+
+
 class TestDispatch:
-    """run() parses a request whose first argument names a subcommand with
-    that subcommand's parser alone, and any other argv, or one that leaves
-    an argument over, with the full parser, as if the full parser had
-    parsed them all."""
+    """run() parses a request whose first argument names a subcommand from
+    the option table alone when it is made of the design and exact flags
+    with accepted values, else with that subcommand's parser, and any other
+    argv, or one that leaves an argument over, with the full parser, as if
+    the full parser had parsed them all."""
 
     CORPUS = argv_corpus(SAMPLE)
 
+    @staticmethod
+    @contextlib.contextmanager
+    def recording():
+        """Namespaces passed to the subcommand handlers, which are replaced
+        by recorders in cli._COMMANDS while the context is open."""
+        saved = dict(cli._COMMANDS)
+        seen = []
+        for name, (_, help_text, options) in saved.items():
+            cli._COMMANDS[name] = (lambda args, out: seen.append(vars(args)) or 0,
+                                   help_text, options)
+        try:
+            yield seen
+        finally:
+            cli._COMMANDS.update(saved)
+
     @pytest.fixture
     def handled(self):
-        """Namespaces passed to the subcommand handlers, which are replaced
-        by recorders while the test runs."""
-        _, subparsers = _build_parser()
-        handlers = {name: p.get_default("func") for name, p in subparsers.items()}
-        seen = []
-        for p in subparsers.values():
-            p.set_defaults(func=lambda args, out: seen.append(vars(args)) or 0)
-        yield seen
-        for name, p in subparsers.items():
-            p.set_defaults(func=handlers[name])
+        with self.recording() as seen:
+            yield seen
 
-    @pytest.mark.parametrize("argv", CORPUS,
-                             ids=[" ".join(a).replace(SAMPLE, "design") for a in CORPUS])
-    def test_parse_matches_full_parser(self, handled, argv):
+    def assert_parsed_as_full_parser(self, argv, handled):
         parser, _ = _build_parser()
         out, err = io.StringIO(), io.StringIO()
         try:
@@ -402,6 +495,17 @@ class TestDispatch:
         else:
             assert invoke(argv) == (0, "", "")
             assert handled == [expected]
+
+    @pytest.mark.parametrize("argv", CORPUS,
+                             ids=[" ".join(a).replace(SAMPLE, "design") for a in CORPUS])
+    def test_parse_matches_full_parser(self, handled, argv):
+        self.assert_parsed_as_full_parser(argv, handled)
+
+    @settings(max_examples=1000)
+    @given(argv=table_argvs())
+    def test_table_argvs_match_full_parser(self, argv):
+        with self.recording() as handled:
+            self.assert_parsed_as_full_parser(argv, handled)
 
     def test_good_requests_skip_the_full_parser(self, monkeypatch):
         parser, _ = _build_parser()
@@ -584,7 +688,8 @@ class TestOverflow:
 
 class TestMutatedDesigns:
     """Every subcommand on a damaged design file exits 0, 1 or 2, with no
-    exception escaping run() and no nan printed."""
+    exception escaping run(), no nan printed and, when it prints an error,
+    nothing on stdout."""
 
     # the golden commands, with a payload grid that has infeasible cells
     # on the sample design, so that its nan weights must print INFEASIBLE
@@ -605,6 +710,10 @@ class TestMutatedDesigns:
             assert code in (0, 1, 2), name
             assert "Traceback" not in err, name
             assert "nan" not in out, name
+            # a refused run writes nothing to stdout; validate's violation
+            # listing exits 1 with no error: line
+            if "error:" in err:
+                assert out == "", name
 
 
 class TestPoseSweepGrid:

@@ -820,10 +820,10 @@ class TestMaximizeStroke:
             assert len(points) <= len(pairings)
             t_lo, t_hi = problem.theta_init_bounds
             for m, t, _ in points:
-                # a point outside the t bounds fails its first check
-                if t_lo <= t <= t_hi:
-                    on = curves_through(problem, m, t)
-                    assert any(pair <= on for pair in pairings), on
+                # a point outside the t bounds would fail its first check
+                assert t_lo <= t <= t_hi
+                on = curves_through(problem, m, t)
+                assert any(pair <= on for pair in pairings), on
 
     def test_m_upper_bound_below_clearance_span_is_infeasible(self):
         # m_hi < q: every m within bounds violates the edge clearance
