@@ -67,23 +67,34 @@ class GraspState:
     config: GripConfig = GripConfig.BACKWARD_BASE
 
     def __post_init__(self):
-        require_finite(self, "f_n", "g_tool", "alpha", "gamma", "d", "d_com", "theta")
-        if self.f_n < 0.0:
-            raise ValueError("GraspState.f_n must be >= 0")
-        if self.g_tool <= 0.0:
-            raise ValueError("GraspState.g_tool must be > 0")
-        if not 0.0 <= self.alpha <= math.pi:
-            raise ValueError("GraspState.alpha must be in [0, pi]")
-        if not 0.0 <= self.gamma <= math.pi / 2:
-            raise ValueError("GraspState.gamma must be in [0, pi/2]")
-        if self.d < 0.0:
-            raise ValueError("GraspState.d must be >= 0")
-        if self.d_com < 0.0:
-            raise ValueError("GraspState.d_com must be >= 0")
-        if self.theta < 0.0:
-            raise ValueError("GraspState.theta must be >= 0")
-        if not isinstance(self.config, GripConfig):
-            raise ValueError("GraspState.config must be a GripConfig")
+        check_grasp(self.f_n, self.g_tool, self.alpha, self.gamma, self.d,
+                    self.d_com, self.theta, self.config)
+
+
+def check_grasp(f_n, g_tool, alpha, gamma, d, d_com, theta, config) -> None:
+    """GraspState's checks on raw field values, in GraspState's order and
+    with its messages. payload_sweep checks grid cells with it without
+    building a state per cell."""
+    for name, value in zip(("f_n", "g_tool", "alpha", "gamma", "d", "d_com", "theta"),
+                           (f_n, g_tool, alpha, gamma, d, d_com, theta)):
+        if not math.isfinite(value):
+            raise ValueError(f"GraspState.{name} must be finite, got {value!r}")
+    if f_n < 0.0:
+        raise ValueError("GraspState.f_n must be >= 0")
+    if g_tool <= 0.0:
+        raise ValueError("GraspState.g_tool must be > 0")
+    if not 0.0 <= alpha <= math.pi:
+        raise ValueError("GraspState.alpha must be in [0, pi]")
+    if not 0.0 <= gamma <= math.pi / 2:
+        raise ValueError("GraspState.gamma must be in [0, pi/2]")
+    if d < 0.0:
+        raise ValueError("GraspState.d must be >= 0")
+    if d_com < 0.0:
+        raise ValueError("GraspState.d_com must be >= 0")
+    if theta < 0.0:
+        raise ValueError("GraspState.theta must be >= 0")
+    if not isinstance(config, GripConfig):
+        raise ValueError("GraspState.config must be a GripConfig")
 
 
 def capacity_check(model: ContactModel, f_n: float, f: float, t: float) -> bool:
@@ -162,16 +173,17 @@ def required_grip_force(dim: ToolDimensions, spring: SpringSpec,
     with the sign of the weight term set by the base-travel configuration.
     The result does not depend on where along the tool the gripper grabs.
     """
-    return _grip_force(dim, spring, state, state.theta)
+    return _grip_force(dim, spring, state, state.theta, state.config)
 
 
 def _grip_force(dim: ToolDimensions, spring: SpringSpec, state: GraspState,
-                theta: float) -> float:
-    """required_grip_force at linkage angle theta instead of state.theta.
+                theta: float, config: GripConfig) -> float:
+    """required_grip_force at linkage angle theta and in configuration
+    config instead of the state's own.
 
     The one implementation of the formula. The sizing solver calls it at
-    the two travel ends of a design, which spares it a validated copy of
-    the GraspState per end.
+    the two travel ends of a design, and analyze in both configurations,
+    which spares each a validated copy of the GraspState per value.
     """
     if not dim.theta_end <= theta <= dim.theta_init:
         raise DomainError(
@@ -185,6 +197,6 @@ def _grip_force(dim: ToolDimensions, spring: SpringSpec, state: GraspState,
     t_spring = spring_torque(spring, dim.theta_init - theta)
     transmission = 2.0 * dim.v * t_spring / (dim.r * math.cos(theta))
     gravity = state.g_tool * math.cos(state.alpha) * math.tan(theta) / 2.0
-    if state.config is GripConfig.BACKWARD_BASE:
+    if config is GripConfig.BACKWARD_BASE:
         return gravity + transmission
     return -gravity + transmission

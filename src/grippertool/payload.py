@@ -14,13 +14,17 @@ quadratic; max_payload() solves it with a cancellation-safe root formula.
 
 The coefficient, root and residual formulas are written once, with
 operators that work on floats and numpy arrays alike. The scalar
-functions call them with floats; payload_sweep() calls them once with
-the whole (alpha, d) grid, so a sweep cell is bit-identical to
-max_payload() on that cell. The sweep returns a PayloadGrid: the
-weights as one float array, nan where infeasible, with the cell counts
-and the worst root residual.
+functions call them with floats. payload_sweep() solves a grid of at
+most SCALAR_GRID_CELLS cells with them one float cell at a time, as
+max_payload() does, and a larger grid with one call on the whole
+(alpha, d) grid of arrays, whose fixed cost only a larger grid repays.
+Either way a sweep cell is bit-identical to max_payload() on that cell.
+Before solving, the sweep checks the GraspState ranges at the three
+cells where a row-order walk of the grid would meet a bad value first.
+The sweep returns a PayloadGrid: the weights as one float array, nan
+where infeasible, with the cell counts and the worst root residual.
 
-Only payload_sweep() and its grid helper build arrays, so numpy is
+Only payload_sweep() and its grid helpers build arrays, so numpy is
 imported inside them: importing this module, or solving one payload,
 does not load numpy.
 """
@@ -29,13 +33,18 @@ import math
 from collections.abc import Sequence
 from functools import reduce
 
-from .contact import ContactModel, GraspState, max_capacities
-from .errors import (DegenerateContactError, DomainError, NoFeasiblePayloadError, replace,
-                     value_type)
+from .contact import ContactModel, GraspState, check_grasp, max_capacities
+from .errors import DegenerateContactError, DomainError, NoFeasiblePayloadError, value_type
 
 # Residual of a*x^2 + b*x + c at the returned root, normalized by the
 # largest term, must stay below this bound.
 ROOT_RESIDUAL_TOL = 1e-9
+
+# Largest grid payload_sweep solves one cell at a time; a larger one goes
+# through one numpy pass. The two cost the same at about this many cells:
+# on a 2-core x86_64 VM with Python 3.11, about 1.6 us a cell against a
+# fixed 55 us (CHANGES.md holds the table).
+SCALAR_GRID_CELLS = 36
 
 
 @value_type
@@ -75,17 +84,21 @@ def _check_tool_held(model: ContactModel, state: GraspState) -> None:
         )
 
 
-def _coefficients(model, f_n, g, d_obj, d_com, sin_a, cos_a):
-    """(a, b, c) of the payload quadratic; d_com, sin_a and cos_a may be
-    broadcastable arrays."""
+def _capacity_squares(model, f_n) -> tuple[float, float]:
+    """max_t^2 and (mu*f_n)^2, the payload quadratic's per-state constants."""
     _, max_t = max_capacities(model, f_n)
     max_t2 = max_t * max_t
     if max_t2 == 0.0:  # f_n is 0, or so small that the square underflows
         raise DegenerateContactError(f"zero torque capacity: e*mu*f_n = {max_t:g}")
     try:
-        m2f2 = (model.mu * f_n) ** 2
+        return max_t2, (model.mu * f_n) ** 2
     except OverflowError:
         raise DomainError(f"(mu*f_n)^2 overflows at mu*f_n = {model.mu * f_n:g}") from None
+
+
+def _coefficients(max_t2, m2f2, g, d_obj, d_com, sin_a, cos_a):
+    """(a, b, c) of the payload quadratic from _capacity_squares(); d_com,
+    sin_a and cos_a may be broadcastable arrays."""
     a = (max_t2 + d_obj * d_obj * sin_a * sin_a * m2f2) / (4.0 * max_t2)
     b = g * (max_t2 - d_obj * d_com * sin_a * cos_a * m2f2) / (2.0 * max_t2)
     c = (g * g * (max_t2 + d_com * d_com * cos_a * cos_a * m2f2)
@@ -131,8 +144,8 @@ def equilibrium_coefficients(model: ContactModel, state: GraspState,
     eliminated via the two balance equations, so its sign is exactly the
     capacity feasibility of weight w. a > 0 always.
     """
-    return _coefficients(model, state.f_n, state.g_tool, d_obj, state.d_com,
-                         math.sin(state.alpha), math.cos(state.alpha))
+    return _coefficients(*_capacity_squares(model, state.f_n), state.g_tool, d_obj,
+                         state.d_com, math.sin(state.alpha), math.cos(state.alpha))
 
 
 def stable_quadratic_roots(a: float, b: float, c: float) -> tuple[float, float]:
@@ -162,19 +175,31 @@ def max_payload(model: ContactModel, state: GraspState,
     """
     _check_tool_held(model, state)
     a, b, c = equilibrium_coefficients(model, state, d_obj)
-    disc = _discriminant(a, b, c)
-    if disc < 0.0:
+    root = _capacity_root(model, d_obj, state.d_com, a, b, c)
+    if root is None:
         raise NoFeasiblePayloadError(
             "no object weight satisfies the contact capacity"
         )
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        raise _out_of_range(model, d_obj, state.d_com)
-    r1, r2 = _roots(a, b, c, math.sqrt(disc))
-    root_hi = r2 if r1 <= r2 else r1
-    residual = _residual(a, b, c, root_hi)
+    root_hi, residual = root
     if root_hi < 0.0:
         return PayloadResult(0.0, (a, b, c), residual, zero_clamped=True)
     return PayloadResult(root_hi, (a, b, c), residual)
+
+
+def _capacity_root(model, d_obj, d_com, a, b, c) -> tuple[float, float] | None:
+    """(root_hi, residual) of the float payload quadratic: its larger root,
+    not yet clamped at 0, and that root's normalized residual. None when
+    no real root exists. Raises the overflow DomainError, naming d_obj,
+    e and d_com, when a coefficient is not finite.
+    """
+    disc = _discriminant(a, b, c)
+    if disc < 0.0:
+        return None
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        raise _out_of_range(model, d_obj, d_com)
+    r1, r2 = _roots(a, b, c, math.sqrt(disc))
+    root_hi = r2 if r1 <= r2 else r1
+    return root_hi, _residual(a, b, c, root_hi)
 
 
 class PayloadGrid(Sequence):
@@ -225,22 +250,54 @@ class PayloadGrid(Sequence):
                 yield alpha, d, None if math.isnan(weight) else weight
 
 
+def _cell_weights(model, state, d_obj, alphas, ds) -> tuple:
+    """_grid_weights' result, solved one cell at a time with max_payload's
+    float steps. Only the weights array is built with numpy.
+    """
+    import numpy as np  # loaded by the first sweep, not by importing this module
+
+    max_t2, m2f2 = _capacity_squares(model, state.f_n)
+    g = state.g_tool
+    rows, feasible, zero_clamped, max_residual = [], 0, 0, 0.0
+    for alpha in alphas:
+        sin_a, cos_a = math.sin(alpha), math.cos(alpha)
+        row = []
+        for d in ds:
+            a, b, c = _coefficients(max_t2, m2f2, g, d_obj, d, sin_a, cos_a)
+            root = _capacity_root(model, d_obj, d, a, b, c)
+            if root is None:
+                row.append(math.nan)
+                continue
+            weight, residual = root
+            if not residual <= ROOT_RESIDUAL_TOL:  # raises max_payload's ValueError
+                PayloadResult(max(weight, 0.0), (a, b, c), residual)
+            feasible += 1
+            max_residual = max(max_residual, residual)
+            if weight < 0.0:
+                zero_clamped += 1
+                weight = 0.0
+            row.append(weight)
+        rows.append(row)
+    return np.array(rows), feasible, zero_clamped, max_residual
+
+
 def _grid_weights(model, state, d_obj, alphas, ds) -> tuple:
     """PayloadGrid's (weights, feasible, zero_clamped, max_residual) over
-    alphas x ds, ds an array. The other grid-sized temporaries live only
-    in this call; root_hi becomes the weights in place.
+    alphas x ds in one numpy pass. The other grid-sized temporaries live
+    only in this call; root_hi becomes the weights in place.
     """
-    import numpy as np  # loaded by the first sweep, as in payload_sweep
+    import numpy as np  # loaded by the first sweep, not by importing this module
 
     def elementwise_max(*arrays):
         return reduce(np.maximum, arrays)
 
+    ds = np.array(ds, dtype=float)
     # one sin and cos per alpha, from math as in the scalar path
     sin_a = np.array([math.sin(a) for a in alphas])[:, None]
     cos_a = np.array([math.cos(a) for a in alphas])[:, None]
     with np.errstate(all="ignore"):
-        a, b, c = _coefficients(model, state.f_n, state.g_tool, d_obj,
-                                ds, sin_a, cos_a)
+        a, b, c = _coefficients(*_capacity_squares(model, state.f_n), state.g_tool,
+                                d_obj, ds, sin_a, cos_a)
         disc = _discriminant(a, b, c)
         feasible = ~(disc < 0.0)
         r1, r2 = _roots(a, b, c, np.sqrt(np.where(feasible, disc, 0.0)))
@@ -269,35 +326,39 @@ def payload_sweep(model: ContactModel, state: GraspState, d_obj: float,
     """Max payload over an (alpha, d) grid, alpha outer.
 
     The swept d is the grasp point's travel along the tool, so each cell
-    is max_payload() on the state with alpha, d and d_com replaced. The
-    whole grid is solved in one vectorized pass; every cell of the
-    returned weights equals the scalar result bit for bit. Infeasible
-    cells hold nan (None in the row view) instead of being dropped so
-    downstream plotting can distinguish zero payload from no solution.
-    The GraspState range checks and the residual bound apply to every
-    cell and raise the same ValueError as the scalar path.
-    """
-    # numpy is imported here, not at module level, so that the scalar
-    # solves and the CLI commands without a grid start without it
-    import numpy as np
+    is max_payload() on the state with alpha, d and d_com replaced. A grid
+    of at most SCALAR_GRID_CELLS cells is solved one cell at a time with
+    max_payload's float steps, a larger one in one vectorized numpy pass;
+    either way every cell of the returned weights equals the scalar
+    result bit for bit. Infeasible cells hold nan (None in the row view)
+    instead of being dropped so downstream plotting can distinguish zero
+    payload from no solution.
 
+    The GraspState range checks and the residual bound apply to every
+    cell and raise the same ValueError as the scalar path, which walks
+    the grid in row order. The ranges are checked before any cell is
+    solved, at the three cells where that walk meets them first: (alpha0,
+    d0), then (alpha0, the first d outside [0, inf)), then (the first
+    alpha outside [0, pi], d0).
+    """
     alphas = list(alphas)
     ds = list(ds)
     if not alphas or not ds:
         raise ValueError("sweep ranges must be nonempty")
-    alpha_arr = np.array(alphas, dtype=float)
-    d_arr = np.array(ds, dtype=float)
-    # GraspState's checks where the scalar path meets them first: the first
-    # row, then the first column. min() and max() keep a nan.
     a0, d0 = alphas[0], ds[0]
-    for alpha, d in ((a0, d0), (a0, d_arr.min()), (a0, d_arr.max()),
-                     (alpha_arr.min(), d0), (alpha_arr.max(), d0)):
-        replace(state, alpha=float(alpha), d=float(d), d_com=float(d))
+    bad_d = next((d for d in ds if not 0.0 <= d < math.inf), d0)
+    bad_alpha = next((alpha for alpha in alphas if not 0.0 <= alpha <= math.pi), a0)
+    for alpha, d in ((a0, d0), (a0, bad_d), (bad_alpha, d0)):
+        check_grasp(state.f_n, state.g_tool, float(alpha), state.gamma, float(d),
+                    float(d), state.theta, state.config)
 
     try:
         _check_tool_held(model, state)
     except NoFeasiblePayloadError:
+        import numpy as np
         solved = np.full((len(alphas), len(ds)), math.nan), 0, 0, 0.0
     else:
-        solved = _grid_weights(model, state, d_obj, alphas, d_arr)
+        solve = (_cell_weights if len(alphas) * len(ds) <= SCALAR_GRID_CELLS
+                 else _grid_weights)
+        solved = solve(model, state, d_obj, alphas, ds)
     return PayloadGrid(alphas, ds, *solved)

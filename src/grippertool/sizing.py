@@ -216,8 +216,9 @@ class SizingResult:
 def _end_demands(dim: ToolDimensions, spring: SpringSpec,
                  state: GraspState) -> tuple[float, float]:
     """Required grip force at theta_end and at theta_init."""
-    return (_grip_force(dim, spring, state, dim.theta_end),
-            _grip_force(dim, spring, state, dim.theta_init))
+    config = state.config
+    return (_grip_force(dim, spring, state, dim.theta_end, config),
+            _grip_force(dim, spring, state, dim.theta_init, config))
 
 
 def grip_demand(dim: ToolDimensions, spring: SpringSpec, state: GraspState) -> float:

@@ -17,6 +17,7 @@ from grippertool import GripConfig, holding_max_offset, parse_design, required_g
 from grippertool import cli
 from grippertool.cli import (CHUNK_LINES, DEG, INFEASIBLE, MAX_GRID_CELLS, MAX_RANGE_POINTS,
                              _build_parser, _parse_range, _sample_count, fmt, run)
+from grippertool.payload import SCALAR_GRID_CELLS
 
 from argv_corpus import argv_corpus
 from design_mutations import mutated_designs
@@ -575,6 +576,22 @@ class TestSweepOutput:
             lines.append(f"{fmt(alpha / DEG)},{fmt(d)},{cell}")
         assert INFEASIBLE in out
         assert out == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("cells", [SCALAR_GRID_CELLS, SCALAR_GRID_CELLS + 1])
+    def test_payload_sweep_at_the_driver_threshold(self, cells):
+        # the largest grid solved one cell at a time, then the smallest
+        # solved by the numpy pass
+        rows = max(k for k in range(1, 8) if cells % k == 0)
+        alpha_text = f"30:{30 + 5 * (rows - 1)}:5deg"
+        d_text = f"0:{0.02 * (cells // rows - 1)!r}:0.02"
+        code, out, err = invoke(["payload-sweep", SAMPLE, "--alpha", alpha_text,
+                                 "--d", d_text, "--d-obj", "0.05"])
+        assert (code, err) == (0, "")
+        _, _, model, state = parse_design(Path(SAMPLE).read_text())
+        alphas, ds = _parse_range(alpha_text), _parse_range(d_text)
+        assert len(alphas) * len(ds) == cells
+        assert INFEASIBLE in out
+        assert out == payload_csv(model, state, 0.05, alphas, ds)
 
     @pytest.mark.parametrize("mu", ["0.5", "0.11"])
     def test_pose_sweep_matches_scalar_reference(self, tmp_path, mu):

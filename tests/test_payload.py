@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from grippertool import (
     ContactModel,
@@ -18,6 +18,8 @@ from grippertool import (
     replace,
     stable_quadratic_roots,
 )
+
+from grippertool.cli import MAX_GRID_CELLS
 
 from oracles import bisect_max_payload, object_wrench, payload_feasible
 from sweep_reference import bits, payload_rows
@@ -57,6 +59,15 @@ class TestStableQuadraticRoots:
             assert residual <= 1e-9 * scale
 
 
+@pytest.fixture(params=["numpy", "scalar"])
+def driver(request, monkeypatch):
+    """Runs the test once with payload_sweep's numpy pass on every grid and
+    once with its one-cell-at-a-time pass on every grid."""
+    limit = 0 if request.param == "numpy" else MAX_GRID_CELLS
+    monkeypatch.setattr(payload, "SCALAR_GRID_CELLS", limit)
+    return request.param
+
+
 class TestMaxPayload:
     def test_tool_too_heavy(self):
         model = ContactModel(mu=0.5, e=0.005)
@@ -82,7 +93,8 @@ class TestMaxPayload:
         (ContactModel(mu=0.5, e=1e200), state_with(), 0.05,
          "d_obj = 0.05, e = 1e+200, d_com = 0.02"),
     ])
-    def test_overflowing_coefficients_raise_like_sweep(self, model, state, d_obj, named):
+    def test_overflowing_coefficients_raise_like_sweep(self, model, state, d_obj, named,
+                                                       driver):
         # a term of a, b or c overflows: the error names the inputs (the
         # sweep's d_com is the cell's d) rather than the nan residual
         state = replace(state, d_com=state.d)
@@ -94,7 +106,7 @@ class TestMaxPayload:
                                      + named)
         assert str(sweep.value) == str(scalar.value)
 
-    def test_sweep_names_the_first_overflowing_cell(self):
+    def test_sweep_names_the_first_overflowing_cell(self, driver):
         # d_com = d: the cells with d = 0 stay finite, d = 1e154 overflows b and c
         model, state = ContactModel(mu=0.5, e=0.005), state_with()
         alphas, ds = [math.pi / 4, 1.0], [0.0, 1e154, 2e154]
@@ -108,7 +120,7 @@ class TestMaxPayload:
     @pytest.mark.parametrize("model, f_n", [
         (ContactModel(mu=0.5, e=0.005), 1e200), (ContactModel(mu=1e200, e=0.005), 40.0),
     ])
-    def test_squared_capacity_overflow_is_domain_error(self, model, f_n):
+    def test_squared_capacity_overflow_is_domain_error(self, model, f_n, driver):
         state = state_with(f_n=f_n)
         with pytest.raises(DomainError, match="overflows") as scalar:
             max_payload(model, state, 0.05)
@@ -206,6 +218,7 @@ class TestMaxPayload:
             assert feasible == (value < 0.0)
 
 
+@pytest.mark.usefixtures("driver")
 class TestPayloadSweep:
     def test_single_cell_equals_direct_call(self):
         model = ContactModel(mu=0.5, e=0.01)
@@ -326,6 +339,12 @@ class TestPayloadSweep:
         ([math.pi + 0.1, 0.5], [-0.01]),   # the first cell fails on alpha
         ([0.5, math.pi + 0.1], [-0.01]),   # ... and on d
         ([0.5, math.pi + 0.1], [0.0, -0.01]),
+        # the first bad value in grid order names the error, not the
+        # smallest or largest one
+        ([0.5], [0.0, -0.01, math.nan]),
+        ([0.5], [0.0, math.inf, -math.inf]),
+        ([0.5, 4.0, math.nan], [0.0]),
+        ([0.5, math.inf, -math.inf], [0.0]),
     ])
     def test_range_checks_match_scalar(self, alphas, ds):
         model = ContactModel(mu=0.5, e=0.01)
@@ -365,6 +384,8 @@ class TestPayloadSweep:
              alphas=[0.0], ds=[0.0399])                      # zero-clamped
     @example(mu=0.5, e=0.01, f_n=5.0, load=4.0, d_obj=0.05,
              alphas=[0.2, 1.0], ds=[0.0, 0.02])              # tool too heavy
+    # the driver fixture is set once per test, not per example
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_matches_scalar_cells(self, mu, e, f_n, load, d_obj, alphas, ds):
         # load is g_tool / (2*mu*f_n): above 1 the tool itself slips
         model = ContactModel(mu=mu, e=e)
