@@ -3,15 +3,14 @@ tool driven by a 2-finger parallel gripper."""
 
 from .contact import (ContactModel, GraspState, GripConfig, capacity_check,
                       holding_max_offset, max_capacities, required_grip_force)
-from .designfile import parse_design, serialize_design
+from .designfile import parse_design
 from .errors import (DegenerateContactError, DesignFileError, DomainError, GeometryError,
                      GripperToolError, InfeasibleHoldError, InfeasibleProblemError,
                      NoFeasiblePayloadError, SingularTransmissionError, ZeroCapacityError,
                      replace)
-from .mechanism import (SpringSpec, ToolDimensions, jaw_width, spring_torque, stroke,
-                        stroke_fixed_width)
+from .mechanism import SpringSpec, ToolDimensions, spring_torque, stroke, stroke_fixed_width
 from .payload import (PayloadGrid, PayloadResult, equilibrium_coefficients, max_payload,
-                      payload_sweep, stable_quadratic_roots)
+                      payload_sweep)
 from .pose import TorqueMarginCurve, gamma_sweep, torque_margin
 from .sizing import (SizingProblem, SizingResult, Violation, check_feasible, clearance_span,
                      grip_demand, maximize_stroke, theta_end_min)

@@ -1,4 +1,4 @@
-"""Design file parsing and serialization.
+"""Design file parsing.
 
 INI-style text with '#' comments and key = value pairs in four sections.
 SECTIONS gives each section's value type, whose fields (cls._fields) are
@@ -117,15 +117,3 @@ def parse_design(text: str) -> tuple[ToolDimensions, SpringSpec, ContactModel, G
             raise DesignFileError(f"invariant violated in [{name}]: {exc}") from None
     return tuple(built)
 
-
-def serialize_design(dims: ToolDimensions, spring: SpringSpec,
-                     model: ContactModel, state: GraspState) -> str:
-    """Canonical design text (radians, newtons); parse-stable round trip."""
-    lines = []
-    for (name, cls), obj in zip(SECTIONS.items(), (dims, spring, model, state)):
-        lines.append(f"[{name}]")
-        for key in cls._fields:
-            value = getattr(obj, key)
-            lines.append(f"{key} = {value.value if key == 'config' else repr(value)}")
-        lines.append("")
-    return "\n".join(lines)

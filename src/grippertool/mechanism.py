@@ -87,19 +87,6 @@ class SpringSpec:
             raise ValueError("SpringSpec.beta must be >= 0")
 
 
-def jaw_width(dim: ToolDimensions, theta: float) -> float:
-    """Jaw opening width at linkage angle theta.
-
-    theta must lie within the tool's travel [theta_end, theta_init].
-    """
-    if not dim.theta_end <= theta <= dim.theta_init:
-        raise DomainError(
-            f"theta={theta:g} outside travel "
-            f"[{dim.theta_end:g}, {dim.theta_init:g}]"
-        )
-    return dim.m + 2.0 * dim.r * math.sin(theta)
-
-
 def stroke(dim: ToolDimensions) -> float:
     """Jaw stroke 2*r*sin(theta_init - theta_end)."""
     return 2.0 * dim.r * math.sin(dim.theta_init - dim.theta_end)

@@ -148,20 +148,6 @@ def equilibrium_coefficients(model: ContactModel, state: GraspState,
                          state.d_com, math.sin(state.alpha), math.cos(state.alpha))
 
 
-def stable_quadratic_roots(a: float, b: float, c: float) -> tuple[float, float]:
-    """Both real roots of a*x^2 + b*x + c, ordered, without cancellation.
-
-    Uses q = -(b + sign(b)*sqrt(disc))/2 so that neither root subtracts
-    nearly equal quantities. Requires a != 0 and a nonnegative
-    discriminant.
-    """
-    disc = _discriminant(a, b, c)
-    if disc < 0.0:
-        raise ValueError("negative discriminant")
-    r1, r2 = _roots(a, b, c, math.sqrt(disc))
-    return (r1, r2) if r1 <= r2 else (r2, r1)
-
-
 def max_payload(model: ContactModel, state: GraspState,
                 d_obj: float) -> PayloadResult:
     """Largest object weight the held tool can lift quasi-statically.

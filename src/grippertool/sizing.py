@@ -109,12 +109,18 @@ def clearance_span(d_axis: float, r_edge: float) -> float:
 def theta_end_min(r: float, d_axis: float, r_edge: float) -> float:
     """Smallest closed angle before the parallel linkage hits the base frame."""
     q = clearance_span(d_axis, r_edge)
-    if q > r:
+    angle = _closed_angle(q, r)
+    if angle is None:
         raise GeometryError(
             f"clearance span {q:g} exceeds linkage length {r:g}; "
             "no closed angle is reachable"
         )
-    return math.asin(q / r)
+    return angle
+
+
+def _closed_angle(q: float, r: float) -> float | None:
+    """asin(q/r), the smallest closed angle for span q, or None when q > r."""
+    return None if q > r else math.asin(q / r)
 
 
 @value_type
@@ -134,17 +140,18 @@ def check_feasible(dim: ToolDimensions) -> list[Violation]:
       p_linkage_clearance     p >= k*sin(theta_end)
       h_bar_overlap           h >= r*cos(theta_end) + tan(theta_end)*(d_axis + 2*r_edge)
       theta_init_singular     theta_init < pi/2
+
+    The box bounds of a SizingProblem are margins in _bound_margins.
     """
     violations = []
     q = clearance_span(dim.d_axis, dim.r_edge)
     if dim.m < q:
         violations.append(Violation("m_edge_clearance", dim.m - q))
-    if q > dim.r:
+    limit = _closed_angle(q, dim.r)
+    if limit is None:
         violations.append(Violation("theta_end_min", dim.r - q))
-    else:
-        limit = math.asin(q / dim.r)
-        if dim.theta_end < limit:
-            violations.append(Violation("theta_end_min", dim.theta_end - limit))
+    elif dim.theta_end < limit:
+        violations.append(Violation("theta_end_min", dim.theta_end - limit))
     p_needed = dim.k * math.sin(dim.theta_end)
     if dim.p < p_needed:
         violations.append(Violation("p_linkage_clearance", dim.p - p_needed))
@@ -240,8 +247,9 @@ def build_dimensions(problem: SizingProblem, m: float,
     """Candidate dims at (m, theta_init), or None when unrealizable.
 
     r follows from the width tie, theta_end sits at its geometric minimum,
-    and p and h take their smallest feasible values (compact design).
-    Bound and feasibility failures return None rather than raising.
+    and p and h take their smallest feasible values (compact design), so
+    a returned design passes check_feasible by construction. The m and
+    theta_init bounds are the caller's (_evaluate).
     """
     sin_ti = math.sin(theta_init)
     if sin_ti <= 0.0 or theta_init >= math.pi / 2:
@@ -251,21 +259,16 @@ def build_dimensions(problem: SizingProblem, m: float,
     if not r_lo <= r <= r_hi:
         return None
     q = clearance_span(problem.d_axis, problem.r_edge)
-    if m < q or q > r:
-        return None
-    theta_end = math.asin(q / r)
-    if theta_end >= theta_init:
+    theta_end = _closed_angle(q, r)
+    if m < q or theta_end is None or theta_end >= theta_init:
         return None
     h = r * math.cos(theta_end) + math.tan(theta_end) * q
     p = problem.k * math.sin(theta_end)
-    dims = ToolDimensions(
+    return ToolDimensions(
         m=m, r=r, theta_init=theta_init, theta_end=theta_end, h=h, p=p, q=q,
         k=problem.k, d_axis=problem.d_axis, r_edge=problem.r_edge,
         v=problem.v, w_init=problem.w_init,
     )
-    if check_feasible(dims):
-        return None
-    return dims
 
 
 def _evaluate(problem: SizingProblem, m: float,
@@ -273,11 +276,11 @@ def _evaluate(problem: SizingProblem, m: float,
     """(dims, None) for a feasible design within budget, else (None, check).
 
     check names what failed: "theta_init", "m" or "r" for their bounds,
-    "dims" for any other refusal of build_dimensions (edge clearance, no
-    closed angle below theta_init, an interference check), "demand_end" or
-    "demand_init" for the end of the travel whose grip demand exceeds the
-    budget (grip_demand is the larger of the two). Only a check that a
-    candidate's curve can fail by rounding has an ulp step; "dims" has none.
+    "dims" for any other refusal of build_dimensions (edge clearance or no
+    closed angle below theta_init), "demand_end" or "demand_init" for the
+    end of the travel whose grip demand exceeds the budget (grip_demand is
+    the larger of the two). Only a check that a candidate's curve can fail
+    by rounding has an ulp step; "dims" has none.
     """
     t_lo, t_hi = problem.theta_init_bounds
     if not t_lo <= theta_init <= t_hi:
@@ -455,28 +458,29 @@ def _realize(problem: SizingProblem, m: float, theta_init: float,
     return dims, checked
 
 
-def _active_constraints(problem: SizingProblem, dims: ToolDimensions,
-                        rel_tol: float = 1e-9) -> tuple[str, ...]:
-    names = []
+def _bound_margins(problem: SizingProblem, m: float, r: float,
+                   theta_init: float) -> tuple[tuple[str, float, float], ...]:
+    """(name, margin, scale) of each box bound and of the edge clearance at
+    (m, r, theta_init). A margin is >= 0 where its constraint holds; scale
+    is the size a margin counts as small against."""
+    q = clearance_span(problem.d_axis, problem.r_edge)
+    (m_lo, m_hi), (r_lo, r_hi) = problem.m_bounds, problem.r_bounds
+    t_lo, t_hi = problem.theta_init_bounds
+    return (("m_lower_bound", m - m_lo, m),
+            ("m_upper_bound", m_hi - m, m),
+            ("m_edge_clearance", m - q, m),
+            ("r_lower_bound", r - r_lo, r),
+            ("r_upper_bound", r_hi - r, r),
+            ("theta_init_lower_bound", theta_init - t_lo, 1.0),
+            ("theta_init_upper_bound", t_hi - theta_init, 1.0))
 
-    def tight(value, bound, scale):
-        return abs(value - bound) <= rel_tol * max(abs(scale), 1e-12)
 
-    if tight(dims.m, problem.m_bounds[0], dims.m):
-        names.append("m_lower_bound")
-    if tight(dims.m, problem.m_bounds[1], dims.m):
-        names.append("m_upper_bound")
-    if tight(dims.m, clearance_span(problem.d_axis, problem.r_edge), dims.m):
-        names.append("m_edge_clearance")
-    if tight(dims.r, problem.r_bounds[0], dims.r):
-        names.append("r_lower_bound")
-    if tight(dims.r, problem.r_bounds[1], dims.r):
-        names.append("r_upper_bound")
-    if tight(dims.theta_init, problem.theta_init_bounds[0], 1.0):
-        names.append("theta_init_lower_bound")
-    if tight(dims.theta_init, problem.theta_init_bounds[1], 1.0):
-        names.append("theta_init_upper_bound")
-    names.append("theta_end_min")  # held at the geometric minimum by construction
+def _active_constraints(problem: SizingProblem, dims: ToolDimensions) -> tuple[str, ...]:
+    """Names of the bounds within 1e-9 of their scale, and of the budget."""
+    names = [name for name, margin, scale
+             in _bound_margins(problem, dims.m, dims.r, dims.theta_init)
+             if abs(margin) <= 1e-9 * max(abs(scale), 1e-12)]
+    names.append("theta_end_min")  # held at its limit by construction
     demand = grip_demand(dims, problem.spring, problem.grasp)
     if abs(demand - problem.grip_budget) <= 1e-6 * max(problem.grip_budget, 1.0):
         names.append("grip_budget")
@@ -489,29 +493,22 @@ def _nearest_bound_violations(problem: SizingProblem) -> list[Violation]:
     m = max(problem.m_bounds[0], q)
     t = problem.theta_init_bounds[1]
     r = _linkage_length(problem, m, math.sin(t))
-    violations = []
-    if r < problem.r_bounds[0]:
-        violations.append(Violation("r_lower_bound", r - problem.r_bounds[0]))
-    if r > problem.r_bounds[1]:
-        violations.append(Violation("r_upper_bound", problem.r_bounds[1] - r))
-    if m > problem.m_bounds[1]:
-        violations.append(Violation("m_upper_bound", problem.m_bounds[1] - m))
-    if r > 0 and q > r:
-        violations.append(Violation("theta_end_min", r - q))
-    elif r > 0:
-        t_end = math.asin(q / r)
-        if t_end >= t:
+    margins = {name: margin for name, margin, _ in _bound_margins(problem, m, r, t)}
+    violations = [Violation(name, margins[name])
+                  for name in ("r_lower_bound", "r_upper_bound", "m_upper_bound")
+                  if margins[name] < 0.0]
+    if r > 0:
+        t_end = _closed_angle(q, r)
+        if t_end is None:
+            violations.append(Violation("theta_end_min", r - q))
+        elif t_end >= t:
             violations.append(Violation("theta_end_min", t - t_end))
-        else:
-            dims = build_dimensions(problem, m, t)
-            if dims is not None:
-                demand = grip_demand(dims, problem.spring, problem.grasp)
-                if demand > problem.grip_budget:
-                    violations.append(Violation("grip_budget",
-                                                problem.grip_budget - demand))
-    if not violations:
-        violations.append(Violation("bounds", 0.0))
-    return violations
+        elif (dims := build_dimensions(problem, m, t)) is not None:
+            demand = grip_demand(dims, problem.spring, problem.grasp)
+            if demand > problem.grip_budget:
+                violations.append(Violation("grip_budget",
+                                            problem.grip_budget - demand))
+    return violations or [Violation("bounds", 0.0)]
 
 
 def maximize_stroke(problem: SizingProblem) -> SizingResult:

@@ -3,50 +3,9 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from grippertool import (
-    DesignFileError,
-    GripConfig,
-    parse_design,
-    replace,
-    serialize_design,
-)
+from grippertool import DesignFileError, GripConfig, parse_design
 
 from design_mutations import mutated_designs, sample_text
-
-SERIALIZED_SAMPLE = """\
-[tool]
-m = 0.012
-r = 0.03
-theta_init = 1.0471975511965976
-theta_end = 0.20943951023931956
-h = 0.032
-p = 0.011
-q = 0.006
-k = 0.05
-d_axis = 0.004
-r_edge = 0.001
-v = 1.0
-w_init = 0.063961524
-
-[spring]
-kappa = 0.5
-beta = 0.3490658503988659
-
-[contact]
-mu = 0.5
-e = 0.01
-
-[grasp]
-f_n = 40.0
-g_tool = 10.0
-alpha = 1.1693705988362009
-gamma = 0.0
-d = 0.0
-d_com = 0.03
-theta = 0.5235987755982988
-config = backward_base
-"""
-
 
 class TestParse:
     def test_sample_file_parses(self):
@@ -247,24 +206,3 @@ class TestMemo:
 
     def test_cache_is_bounded(self):
         assert parse_design.cache_info().maxsize is not None
-
-
-class TestRoundTrip:
-    def test_serialize_parse_identity(self):
-        first = parse_design(sample_text())
-        text = serialize_design(*first)
-        second = parse_design(text)
-        assert first == second
-
-    def test_serialized_sample_bytes(self):
-        dims, spring, model, state = parse_design(sample_text())
-        text = serialize_design(dims, spring, model, state)
-        assert text == SERIALIZED_SAMPLE
-        forward = replace(state, config=GripConfig.FORWARD_BASE)
-        assert serialize_design(dims, spring, model, forward) == (
-            SERIALIZED_SAMPLE.replace("config = backward_base", "config = forward_base"))
-
-    def test_round_trip_is_stable(self):
-        once = serialize_design(*parse_design(sample_text()))
-        twice = serialize_design(*parse_design(once))
-        assert once == twice

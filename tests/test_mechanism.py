@@ -7,7 +7,6 @@ from grippertool import (
     DomainError,
     SpringSpec,
     ToolDimensions,
-    jaw_width,
     replace,
     spring_torque,
     stroke,
@@ -20,31 +19,6 @@ def wide_dims(theta_init=math.pi / 2, theta_end=0.0, m=0.02, r=0.03):
         m=m, r=r, theta_init=theta_init, theta_end=theta_end,
         h=0.05, p=0.02, q=0.006, k=0.05, d_axis=0.004, r_edge=0.001,
     )
-
-
-class TestJawWidth:
-    def test_closed_flat(self):
-        assert jaw_width(wide_dims(), 0.0) == pytest.approx(0.02, abs=1e-15)
-
-    def test_fully_extended(self):
-        assert jaw_width(wide_dims(), math.pi / 2) == pytest.approx(0.08, abs=1e-15)
-
-    def test_half_extension(self):
-        assert jaw_width(wide_dims(), math.pi / 6) == pytest.approx(0.05, abs=1e-15)
-
-    def test_angle_outside_travel_rejected(self):
-        dims = wide_dims(theta_init=1.0, theta_end=0.2)
-        with pytest.raises(DomainError):
-            jaw_width(dims, 0.1)
-        with pytest.raises(DomainError):
-            jaw_width(dims, 1.1)
-
-    @given(st.floats(min_value=1e-3, max_value=math.pi / 2 - 1e-3),
-           st.floats(min_value=1e-4, max_value=0.4))
-    def test_strictly_increasing_in_theta(self, theta, delta):
-        dims = wide_dims()
-        hi = min(theta + delta, math.pi / 2)
-        assert jaw_width(dims, hi) > jaw_width(dims, theta) or hi == theta
 
 
 class TestStroke:

@@ -8,15 +8,14 @@ PUBLIC_NAMES = {
     "SizingResult", "SpringSpec", "TorqueMarginCurve", "ToolDimensions", "Violation",
     "ZeroCapacityError", "capacity_check", "check_feasible", "clearance_span",
     "equilibrium_coefficients", "gamma_sweep", "grip_demand", "holding_max_offset",
-    "jaw_width", "max_capacities", "max_payload", "maximize_stroke", "parse_design",
-    "payload_sweep", "replace", "required_grip_force", "serialize_design",
-    "spring_torque", "stable_quadratic_roots", "stroke", "stroke_fixed_width",
-    "theta_end_min", "torque_margin",
+    "max_capacities", "max_payload", "maximize_stroke", "parse_design",
+    "payload_sweep", "replace", "required_grip_force", "spring_torque", "stroke",
+    "stroke_fixed_width", "theta_end_min", "torque_margin",
 }
 
 
 def test_all_names_the_public_api():
-    assert len(PUBLIC_NAMES) == 43
+    assert len(PUBLIC_NAMES) == 40
     assert sorted(grippertool.__all__) == sorted(PUBLIC_NAMES)
     namespace = {}
     exec("from grippertool import *", namespace)

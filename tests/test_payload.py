@@ -16,7 +16,6 @@ from grippertool import (
     payload,
     payload_sweep,
     replace,
-    stable_quadratic_roots,
 )
 
 from grippertool.cli import MAX_GRID_CELLS
@@ -33,13 +32,19 @@ def state_with(**kwargs):
 
 
 class TestStableQuadraticRoots:
+    """payload._roots, the cancellation-safe quadratic root formula that
+    max_payload uses."""
+
+    @staticmethod
+    def roots(a, b, c):
+        return sorted(payload._roots(a, b, c, math.sqrt(payload._discriminant(a, b, c))))
+
     def test_plain_quadratic(self):
-        lo, hi = stable_quadratic_roots(1.0, -3.0, 2.0)
-        assert (lo, hi) == (1.0, 2.0)
+        assert self.roots(1.0, -3.0, 2.0) == [1.0, 2.0]
 
     def test_cancellation_prone_case(self):
         # roots 1e-8 and 1e8; naive formula loses the small root
-        lo, hi = stable_quadratic_roots(1.0, -(1e8 + 1e-8), 1.0)
+        lo, hi = self.roots(1.0, -(1e8 + 1e-8), 1.0)
         assert lo == pytest.approx(1e-8, rel=1e-12)
         assert hi == pytest.approx(1e8, rel=1e-12)
 
@@ -48,12 +53,11 @@ class TestStableQuadraticRoots:
            st.floats(min_value=0.01, max_value=100.0))
     def test_roots_satisfy_quadratic(self, r1, r2, a):
         # near-double roots can round to a tiny negative discriminant,
-        # which the solver treats as no real roots by contract
+        # which max_payload treats as no real roots
         assume(abs(r1 - r2) > 1e-6 * (abs(r1) + abs(r2) + 1.0))
         b = -a * (r1 + r2)
         c = a * r1 * r2
-        lo, hi = stable_quadratic_roots(a, b, c)
-        for x in (lo, hi):
+        for x in self.roots(a, b, c):
             residual = abs(a * x * x + b * x + c)
             scale = max(abs(a * x * x), abs(b * x), abs(c), 1.0)
             assert residual <= 1e-9 * scale

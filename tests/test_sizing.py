@@ -29,6 +29,7 @@ from grippertool.sizing import (_boundary, _candidates, _end_demands, _evaluate,
                                  build_dimensions)
 
 from oracles import grid_max_stroke, line_max_stroke
+from sizing_cases import draw_case, draw_problem
 
 
 def make_problem(**kwargs):
@@ -42,6 +43,19 @@ def make_problem(**kwargs):
     )
     base.update(kwargs)
     return SizingProblem(**base)
+
+
+def example_problem(m_bounds, r_bounds):
+    """The optimize golden's problem on designs/example_tool.ini, with the
+    given m and r bounds."""
+    root = Path(__file__).resolve().parent.parent
+    dims, spring, _, state = parse_design(
+        (root / "designs" / "example_tool.ini").read_text())
+    return SizingProblem(
+        d_axis=dims.d_axis, r_edge=dims.r_edge, k=dims.k, w_init=dims.w_init,
+        m_bounds=m_bounds, r_bounds=r_bounds,
+        theta_init_bounds=(math.radians(40), math.radians(83)),
+        grip_budget=36.0, spring=spring, grasp=state, v=dims.v)
 
 
 def feasible_dims(m=0.012, r=0.03, theta_init=math.radians(60),
@@ -97,8 +111,7 @@ class TestCheckFeasible:
         dims = ToolDimensions.with_derived_width(
             m=0.012, r=0.03, theta_init=math.pi / 2, theta_end=math.radians(12),
             h=0.032, p=0.011, q=0.006, k=0.05, d_axis=0.004, r_edge=0.001)
-        names = [v.constraint for v in check_feasible(dims)]
-        assert names == ["theta_init_singular"]
+        assert check_feasible(dims) == [sizing.Violation("theta_init_singular", 0.0)]
 
     def test_p_and_h_violations(self):
         dims = ToolDimensions.with_derived_width(
@@ -106,6 +119,33 @@ class TestCheckFeasible:
             h=0.01, p=0.001, q=0.006, k=0.05, d_axis=0.004, r_edge=0.001)
         names = {v.constraint for v in check_feasible(dims)}
         assert {"p_linkage_clearance", "h_bar_overlap"} <= names
+
+    def test_every_built_design_passes(self, monkeypatch):
+        # build_dimensions holds theta_end, p and h at their limits, so no
+        # design it returns fails a check: every one a solve builds, and
+        # random points of each bounds box, collapsed r bounds included
+        built = []
+
+        def recording(problem, m, theta_init):
+            dims = build_dimensions(problem, m, theta_init)
+            if dims is not None:
+                built.append((problem, dims))
+            return dims
+
+        monkeypatch.setattr(sizing, "build_dimensions", recording)
+        rng = random.Random(2033)
+        for seed in range(600):
+            problem = draw_case(seed)
+            try:
+                maximize_stroke(problem)
+            except InfeasibleProblemError:
+                pass
+            for _ in range(5):
+                recording(problem, rng.uniform(*problem.m_bounds),
+                          rng.uniform(*problem.theta_init_bounds))
+        assert all(check_feasible(dims) == [] for _, dims in built)
+        collapsed = sum(problem.r_bounds[0] == problem.r_bounds[1] for problem, _ in built)
+        assert len(built) >= 2000 and collapsed >= 50
 
 
 class TestStrokeMonotonicity:
@@ -592,14 +632,8 @@ class TestMaximizeStroke:
         assert a.dims == b.dims
 
     def test_golden_optimize_reports_demand_end_and_candidates(self):
-        root = Path(__file__).resolve().parent.parent
-        dims, spring, _, state = parse_design(
-            (root / "designs" / "example_tool.ini").read_text())
-        problem = SizingProblem(
-            d_axis=dims.d_axis, r_edge=dims.r_edge, k=dims.k, w_init=dims.w_init,
-            m_bounds=(0.008, 0.03), r_bounds=(0.005, 0.08),
-            theta_init_bounds=(math.radians(40), math.radians(83)),
-            grip_budget=36.0, spring=spring, grasp=state, v=dims.v)
+        problem = example_problem(m_bounds=(0.008, 0.03), r_bounds=(0.005, 0.08))
+        spring, state = problem.spring, problem.grasp
         result = maximize_stroke(problem)
         assert result.demand_end == "theta_end"
         at_end = required_grip_force(result.dims, spring,
@@ -830,8 +864,17 @@ class TestMaximizeStroke:
         problem = make_problem(m_bounds=(0.002, 0.005))
         assert problem.m_bounds[1] < clearance_span(problem.d_axis, problem.r_edge)
         assert grid_max_stroke(problem) is None
-        with pytest.raises(InfeasibleProblemError):
+        with pytest.raises(InfeasibleProblemError) as exc_info:
             maximize_stroke(problem)
+        assert str(exc_info.value) == (
+            "no feasible design within bounds; binding: m_upper_bound (-0.001)")
+        # an r bound fails at the diagnosed corner too: r is named first
+        problem = example_problem(m_bounds=(0.0006, 0.0007), r_bounds=(0.005, 0.01))
+        with pytest.raises(InfeasibleProblemError) as exc_info:
+            maximize_stroke(problem)
+        assert str(exc_info.value) == (
+            "no feasible design within bounds; binding: "
+            "r_upper_bound (-0.0191984), m_upper_bound (-0.0053)")
 
     def test_only_an_r_bound_refusal_takes_the_r_step(self):
         problem = make_problem(m_bounds=(0.008, 0.075),
@@ -868,22 +911,6 @@ class TestMaximizeStroke:
                 assert scan[0] <= result.stroke * (1.0 + 1e-12)
             solved += 1
         assert solved >= 30
-
-
-def draw_problem(rng):
-    mm = 1e-3
-    return SizingProblem(
-        d_axis=rng.uniform(2, 8) * mm, r_edge=rng.uniform(0.5, 2) * mm,
-        k=rng.uniform(20, 80) * mm, w_init=rng.uniform(50, 120) * mm,
-        m_bounds=(rng.uniform(5, 15) * mm, rng.uniform(20, 50) * mm),
-        r_bounds=(rng.uniform(3, 20) * mm, rng.uniform(40, 100) * mm),
-        theta_init_bounds=(rng.uniform(0.3, 0.9), rng.uniform(1.0, 1.5)),
-        grip_budget=1e6 if rng.random() < 0.2 else rng.uniform(10, 60),
-        spring=SpringSpec(kappa=rng.uniform(0.2, 1.0), beta=rng.uniform(0, 0.6)),
-        grasp=GraspState(f_n=40.0, g_tool=rng.uniform(1, 30),
-                         alpha=rng.uniform(0, math.pi), gamma=0.0, d=0.0,
-                         d_com=0.03, theta=0.5,
-                         config=rng.choice(list(GripConfig))))
 
 
 def curves_through(problem, m, theta_init):
