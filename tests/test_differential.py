@@ -9,6 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from grippertool import InfeasibleProblemError, maximize_stroke
+
+from sizing_cases import draw_case
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -24,6 +28,21 @@ def test_repo_against_itself():
     assert code == 0
     assert summary == {"suite": "sizing", "seeds": "0:300", "cases": 300 * 9,
                        "differing": 0, "differences": []}
+
+
+def test_cases_reach_the_refusals():
+    # collapsed r bounds and m bounds across q and w_init make every kind of
+    # refusal, m_upper_bound after an r bound included
+    bindings = []
+    for seed in range(300):
+        try:
+            maximize_stroke(draw_case(seed))
+        except InfeasibleProblemError as exc:
+            bindings.append([item.split(" ")[0]
+                             for item in str(exc).split("binding: ")[1].split(", ")])
+    firsts = {names[0] for names in bindings}
+    assert {"r_lower_bound", "r_upper_bound", "m_upper_bound", "grip_budget"} <= firsts
+    assert any(names[0].startswith("r_") and "m_upper_bound" in names for names in bindings)
 
 
 @pytest.mark.parametrize("old, new, kind", [

@@ -85,6 +85,12 @@ class TestThetaEndMin:
         with pytest.raises(GeometryError):
             theta_end_min(r=0.005, d_axis=0.004, r_edge=0.001)
 
+    def test_closed_angle_is_none_past_the_span(self):
+        q = clearance_span(0.004, 0.001)
+        assert sizing._closed_angle(q, 0.005) is None
+        assert sizing._closed_angle(q, q) == math.pi / 2
+        assert sizing._closed_angle(q, 0.03) == theta_end_min(0.03, 0.004, 0.001)
+
 
 class TestCheckFeasible:
     def test_clean_design(self):
@@ -112,6 +118,11 @@ class TestCheckFeasible:
             m=0.012, r=0.03, theta_init=math.pi / 2, theta_end=math.radians(12),
             h=0.032, p=0.011, q=0.006, k=0.05, d_axis=0.004, r_edge=0.001)
         assert check_feasible(dims) == [sizing.Violation("theta_init_singular", 0.0)]
+
+    def test_linkage_shorter_than_span_carries_margin(self):
+        dims = feasible_dims(r=0.005)
+        q = clearance_span(dims.d_axis, dims.r_edge)
+        assert check_feasible(dims) == [sizing.Violation("theta_end_min", dims.r - q)]
 
     def test_p_and_h_violations(self):
         dims = ToolDimensions.with_derived_width(
@@ -146,6 +157,38 @@ class TestCheckFeasible:
         assert all(check_feasible(dims) == [] for _, dims in built)
         collapsed = sum(problem.r_bounds[0] == problem.r_bounds[1] for problem, _ in built)
         assert len(built) >= 2000 and collapsed >= 50
+
+
+class TestBoundMargins:
+    NAMES = ("m_lower_bound", "m_upper_bound", "m_edge_clearance", "r_lower_bound",
+             "r_upper_bound", "theta_init_lower_bound", "theta_init_upper_bound")
+
+    def test_inside_the_box_every_margin_holds(self):
+        table = sizing._bound_margins(make_problem(), 0.01, 0.04, 1.0)
+        assert tuple(name for name, _, _ in table) == self.NAMES
+        assert all(margin >= 0.0 for _, margin, _ in table)
+        assert [scale for _, _, scale in table] == [0.01] * 3 + [0.04] * 2 + [1.0] * 2
+
+    @pytest.mark.parametrize("m, r, theta_init, failed", [
+        (0.007, 0.04, 1.0, "m_lower_bound"),
+        (0.031, 0.04, 1.0, "m_upper_bound"),
+        (0.01, 0.004, 1.0, "r_lower_bound"),
+        (0.01, 0.081, 1.0, "r_upper_bound"),
+        (0.01, 0.04, 0.5, "theta_init_lower_bound"),
+        (0.01, 0.04, 1.5, "theta_init_upper_bound"),
+    ])
+    def test_outside_one_bound_only_its_margin_fails(self, m, r, theta_init, failed):
+        table = sizing._bound_margins(make_problem(), m, r, theta_init)
+        assert [name for name, margin, _ in table if margin < 0.0] == [failed]
+
+    def test_active_constraints_name_the_corner_a_design_sits_on(self):
+        problem = make_problem()
+        upper = build_dimensions(problem, 0.03, 1.4)
+        assert sizing._active_constraints(problem, upper) == (
+            "m_upper_bound", "theta_init_upper_bound", "theta_end_min")
+        lower = build_dimensions(problem, 0.008, 0.6)
+        assert sizing._active_constraints(problem, lower) == (
+            "m_lower_bound", "theta_init_lower_bound", "theta_end_min")
 
 
 class TestStrokeMonotonicity:
