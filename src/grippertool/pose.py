@@ -13,8 +13,24 @@ moment loads the spin axis only through its projection, which vanishes
 where the hand-tool angle equals the tool angle's complement; the finger
 pair's normal-force couple carries the rest. For a horizontal tool
 (alpha = pi/2) the demand reduces to g_tool*d_com*sin(gamma). With
-alpha < pi/2 the margin rises to a peak at gamma = pi/2 - alpha and falls
-beyond it.
+alpha < pi/2 the margin rises up to its kink at gamma0 = pi/2 - alpha,
+and beyond it mostly falls.
+
+The peak is exact, whatever the sample count: _peak takes the best
+torque_margin() over candidates that hold the maximum. With c = g_tool/2
+and M = mu*f_n, the headroom M^2 - c^2*cos(gamma)^2 rises with gamma, so
+the pads hold the tool on [edge, pi/2]. The margin rises on [edge,
+gamma0] and, for alpha > pi/2, past pi - alpha, where the demand falls.
+Past start = max(edge, gamma0) a maximum has zero slope; squared and
+divided by cos(gamma)^4, that is Q(tan(gamma)) = 0 for
+
+  Q(t) = w*(C + S*t)^2*(M^2*t^2 + K) - 4*e^2*c^4*t^2
+
+with w = (g_tool*d_com)^2, K = M^2 - c^2, C = cos(gamma0), S = sin(gamma0).
+The candidates are edge, start, pi/2 and each root of Q from tan(start)
+to tan(min(pi/2, pi - alpha)); a root that squaring added is one more
+candidate, nothing worse. Where Descartes' rule of signs rules out roots,
+the search is skipped.
 
 The margin formula is written once (_headroom, _margin), with operators
 that work on floats and numpy arrays alike: torque_margin() calls it for
@@ -32,6 +48,7 @@ import math
 
 from .contact import ContactModel, GraspState
 from .errors import DomainError, ZeroCapacityError, value_type
+from .sizing import _boundary
 
 
 @value_type(eq=False)
@@ -39,8 +56,8 @@ class TorqueMarginCurve:
     """Sampled margin curve: gammas ascending and their margins, as
     float arrays of one length.
 
-    Error samples carry nan margins. peak_gamma/peak_margin locate the
-    maximum, refined by quadratic interpolation around the best sample.
+    Error samples carry nan margins. peak_gamma/peak_margin are the exact
+    maximum over [0, pi/2], the same for any sample count.
     """
 
     gammas: "numpy.ndarray"
@@ -92,34 +109,89 @@ def torque_margin(model: ContactModel, state: GraspState, gamma: float) -> float
                    math.sin(gamma - (math.pi / 2 - state.alpha)))
 
 
-def _interpolated_peak(model, state, gammas, margins, i):
-    """Quadratic fit through the best sample and its neighbors."""
-    g0, g1, g2 = gammas[i - 1], gammas[i], gammas[i + 1]
-    m0, m1, m2 = margins[i - 1], margins[i], margins[i + 1]
-    if math.isnan(m0) or math.isnan(m2):
-        return g1, m1
-    denom = (m0 - 2.0 * m1 + m2)
-    if denom >= 0.0 or abs(denom) < 1e-300:
-        return g1, m1
-    step = (g2 - g0) / 2.0
-    vertex = g1 + 0.5 * step * (m0 - m2) / denom
-    vertex = min(max(vertex, g0), g2)
-    try:
-        refined = torque_margin(model, state, vertex)
-    except ZeroCapacityError:
-        return g1, m1
-    if refined >= m1:
-        return vertex, refined
-    return g1, m1
+def _shifted(coeffs, t0):
+    """Coefficients, lowest first, of p(t0 + u) in u."""
+    shifted = list(coeffs)
+    for i in range(len(shifted) - 1):
+        for j in range(len(shifted) - 2, i - 1, -1):
+            shifted[j] += t0 * shifted[j + 1]
+    return shifted
+
+
+def _one_sign(coeffs, magnitudes):
+    """Whether the coefficients share one sign, exact zeros aside, each
+    beyond its rounding bound: 2**-44 times its sum over absolute terms,
+    in magnitudes. By Descartes' rule of signs the polynomial then has no
+    root above 0; for p(t0 + u), none above t0."""
+    signs = set()
+    for coeff, bound in zip(coeffs, magnitudes):
+        if coeff == 0.0 == bound:
+            continue
+        if not abs(coeff) > 2.0**-44 * bound:
+            return False
+        signs.add(coeff > 0.0)
+    return len(signs) < 2
+
+
+def _roots(coeffs, lo, hi):
+    """The float next to each sign switch of the polynomial on [lo, hi],
+    on pieces cut at its derivative's roots, where it is monotone."""
+    if len(coeffs) < 2:
+        return []
+    cuts = [lo, *_roots([i * coeff for i, coeff in enumerate(coeffs)][1:], lo, hi), hi]
+    found = (_boundary(lambda t: sum(coeff * t**i for i, coeff in enumerate(coeffs)), a, b)
+             for a, b in zip(cuts, cuts[1:]))
+    return [root for root in found if root is not None]
+
+
+def _quartic(model, state, kink):
+    """Coefficients of Q, lowest first, and their sums over absolute terms."""
+    # products, not **: an overflow gives inf rather than raising
+    k, c, mu_fn = _headroom(model, state, 1.0)
+    big_m2, c2, g_d = mu_fn * mu_fn, c * c, state.g_tool * state.d_com
+    w, spin2 = g_d * g_d, (2.0 * model.e * c2) * (2.0 * model.e * c2)
+    cos0, sin0 = math.cos(kink), math.sin(kink)
+
+    def terms(k_term, spin_term, cos_sin):
+        return [w * cos0 * cos0 * k_term, 2.0 * w * cos_sin * k_term,
+                w * (sin0 * sin0 * k_term + cos0 * cos0 * big_m2) + spin_term,
+                2.0 * w * cos_sin * big_m2, w * sin0 * sin0 * big_m2]
+    return terms(k, -spin2, cos0 * sin0), terms(big_m2 + c2, spin2, abs(cos0 * sin0))
+
+
+def _peak(model, state):
+    """(gamma, margin) of the largest torque_margin over [0, pi/2], ties to
+    the smaller gamma, from the candidates in the module docstring. Raises
+    ZeroCapacityError when the pads hold the tool at no gamma."""
+    half_pi = math.pi / 2
+    if _headroom(model, state, math.cos(half_pi))[0] < 0.0:
+        raise ZeroCapacityError("no hand-tool angle has positive friction capacity")
+    edge = 0.0
+    if _headroom(model, state, 1.0)[0] < 0.0:   # the first float where the pads hold
+        edge = _boundary(lambda g: -_headroom(model, state, math.cos(g))[0], 0.0, half_pi)
+    kink = math.pi / 2 - state.alpha
+    start = max(edge, kink)
+    end = min(half_pi, math.pi - state.alpha)
+    gammas = {edge, start, half_pi}
+    if start < end:
+        coeffs, magnitudes = _quartic(model, state, kink)
+        t0 = math.tan(start)
+        # no root above 0 leaves none above t0, and needs no shift
+        if not (_one_sign(coeffs, magnitudes)
+                or _one_sign(_shifted(coeffs, t0), _shifted(magnitudes, t0))):
+            gammas.update(max(math.atan(t), start) for t in _roots(coeffs, t0, math.tan(end)))
+    return max(((gamma, torque_margin(model, state, gamma)) for gamma in sorted(gammas)),
+               key=lambda pair: pair[1])
 
 
 def gamma_sweep(model: ContactModel, state: GraspState,
                 n_samples: int) -> TorqueMarginCurve:
-    """Uniform margin samples over [0, pi/2] with the peak located.
+    """Uniform margin samples over [0, pi/2] and the exact peak.
 
     All samples are computed in one vectorized pass. Samples where
     torque_margin() would raise ZeroCapacityError carry nan margins rather
-    than aborting the sweep. Ties for the peak break toward smaller gamma.
+    than aborting the sweep; the sweep raises it only when every gamma
+    does. Ties for the peak break toward smaller gamma.
     """
     if n_samples < 2:
         raise DomainError("n_samples must be >= 2")
@@ -135,16 +207,4 @@ def gamma_sweep(model: ContactModel, state: GraspState,
         margin_arr = _margin(model, state, np.sqrt(np.maximum(headroom, 0.0)),
                              np.sin(gamma_arr - (math.pi / 2 - state.alpha)))
     margin_arr[headroom < 0.0] = math.nan
-    best = np.fmax.reduce(margin_arr)   # skips nan; nan only if all are
-    if math.isnan(best):
-        raise ZeroCapacityError("no sample has positive friction capacity")
-    best_i = int(np.argmax(margin_arr == best))   # first of any ties
-
-    if 0 < best_i < n_samples - 1:
-        around = slice(best_i - 1, best_i + 2)
-        peak_gamma, peak_margin = _interpolated_peak(
-            model, state, gamma_arr[around].tolist(), margin_arr[around].tolist(), 1
-        )
-    else:
-        peak_gamma, peak_margin = float(gamma_arr[best_i]), float(margin_arr[best_i])
-    return TorqueMarginCurve(gamma_arr, margin_arr, peak_gamma, peak_margin)
+    return TorqueMarginCurve(gamma_arr, margin_arr, *_peak(model, state))

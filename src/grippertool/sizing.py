@@ -310,10 +310,10 @@ def _boundary(f, lo: float, hi: float) -> float | None:
     point of the ends (regula falsi with the Illinois rule: an end kept
     twice in a row has its value halved, so both ends close in). A secant
     point that rounds onto an end moves one float in, but not twice in a
-    row; any other point not strictly inside (a nan, from an infinite
-    value) becomes the midpoint. Where the predicate switches once, the
-    result is the float bisection gives; where it switches several times
-    within a few ulps, it is next to one of those switches.
+    row; any other point not strictly inside (a nan, from infinite or
+    equal end values) becomes the midpoint. Where the predicate switches
+    once, the result is the float bisection gives; where it switches
+    several times within a few ulps, it is next to one of those switches.
     """
     f_lo, f_hi = f(lo), f(hi)
     ok_lo = f_lo <= 0.0
@@ -321,7 +321,7 @@ def _boundary(f, lo: float, hi: float) -> float | None:
         return None
     kept, nudged = 0, False  # kept: -1 or 1 after lo or hi was kept
     while True:
-        x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        x = lo - f_lo * (hi - lo) / (f_hi - f_lo) if f_hi != f_lo else math.nan
         if (x == lo or x == hi) and not nudged:
             # the secant puts the switch at an end: try the next float in
             x, nudged = math.nextafter(x, hi if x == lo else lo), True

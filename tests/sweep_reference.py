@@ -2,17 +2,21 @@
 
 Each reference calls the scalar library function once per cell or sample,
 the way the sweeps did before they were vectorized, so a test can demand
-that the sweeps agree with it bit for bit. payload_csv and pose_csv build
-the CLI's stdout from those cells with fmt, one line at a time.
+that the sweeps agree with it bit for bit. The pose peak is not sampled
+but exact; certified_peak checks it against a certificate built from
+torque_margin alone. payload_csv and pose_csv build the CLI's stdout from
+those cells with fmt, one line at a time.
 """
 
 import math
 import struct
 
-from grippertool import (NoFeasiblePayloadError, ZeroCapacityError, max_payload, replace,
-                         torque_margin)
+from grippertool import (NoFeasiblePayloadError, ZeroCapacityError, gamma_sweep, max_payload,
+                         replace, torque_margin)
 from grippertool.cli import DEG, INFEASIBLE, fmt
-from grippertool.pose import _interpolated_peak
+
+# points of the scalar scan that no exact peak may fall below
+SCAN_POINTS = 20001
 
 
 def bits(value):
@@ -36,27 +40,31 @@ def payload_rows(model, state, d_obj, alphas, ds):
 
 
 def gamma_curve(model, state, n_samples):
-    """(samples, peak_gamma, peak_margin) from torque_margin on each
-    sample; raises ZeroCapacityError when every sample does."""
-    gammas = [min(math.pi / 2 * i / (n_samples - 1), math.pi / 2)
-              for i in range(n_samples)]
-    margins = []
-    for gamma in gammas:
+    """(gamma, margin) rows from torque_margin on each sample, nan where it
+    raises ZeroCapacityError."""
+    rows = []
+    for i in range(n_samples):
+        gamma = min(math.pi / 2 * i / (n_samples - 1), math.pi / 2)
         try:
-            margins.append(torque_margin(model, state, gamma))
+            rows.append((gamma, torque_margin(model, state, gamma)))
         except ZeroCapacityError:
-            margins.append(math.nan)
-    best_i = None
-    for i, margin in enumerate(margins):
-        if not math.isnan(margin) and (best_i is None or margin > margins[best_i]):
-            best_i = i
-    if best_i is None:
-        raise ZeroCapacityError("no sample has positive friction capacity")
-    if 0 < best_i < n_samples - 1:
-        peak = _interpolated_peak(model, state, gammas, margins, best_i)
-    else:
-        peak = gammas[best_i], margins[best_i]
-    return list(zip(gammas, margins)), peak[0], peak[1]
+            rows.append((gamma, math.nan))
+    return rows
+
+
+def certified_peak(model, state):
+    """gamma_sweep's (peak_gamma, peak_margin), once it passes the
+    certificate of an exact peak: its bits are the same for 2, 19, 91 and
+    1001 samples, torque_margin attains it at peak_gamma, and no margin of
+    a SCAN_POINTS-point scalar scan exceeds it."""
+    peaks = {(bits(curve.peak_gamma), bits(curve.peak_margin))
+             for curve in (gamma_sweep(model, state, n) for n in (2, 19, 91, 1001))}
+    assert len(peaks) == 1, "the peak depends on the sample count"
+    curve = gamma_sweep(model, state, 2)
+    assert curve.peak_margin == torque_margin(model, state, curve.peak_gamma)
+    for gamma, margin in gamma_curve(model, state, SCAN_POINTS):
+        assert not margin > curve.peak_margin, f"margin {margin!r} at gamma {gamma!r}"
+    return curve.peak_gamma, curve.peak_margin
 
 
 def payload_csv(model, state, d_obj, alphas, ds):
@@ -69,10 +77,10 @@ def payload_csv(model, state, d_obj, alphas, ds):
 
 
 def pose_csv(model, state, n_samples):
-    """pose-sweep stdout from gamma_curve and fmt."""
-    samples, peak_gamma, peak_margin = gamma_curve(model, state, n_samples)
+    """pose-sweep stdout from gamma_curve, certified_peak and fmt."""
+    peak_gamma, peak_margin = certified_peak(model, state)
     lines = ["gamma_deg,torque_margin_Nm"]
-    for gamma, margin in samples:
+    for gamma, margin in gamma_curve(model, state, n_samples):
         cell = INFEASIBLE if math.isnan(margin) else fmt(margin)
         lines.append(f"{fmt(gamma / DEG)},{cell}")
     lines.append(f"# peak gamma_deg = {fmt(peak_gamma / DEG)} "

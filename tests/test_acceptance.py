@@ -240,7 +240,7 @@ class TestCriterion8:
         m3 = torque_margin(nominal_model, nominal_state, g3)
         assert g1 < g2 < g3
         assert m2 > m1 and m2 > m3
-        # the peak location itself is a calibration outcome, not asserted
+        # test_pose pins the peak itself at the kink, pi/2 - alpha
         report(8, "pose margin rises then falls; peak near "
                   f"{math.degrees(curve.peak_gamma):.1f} deg")
 

@@ -21,7 +21,7 @@ from grippertool.payload import SCALAR_GRID_CELLS
 
 from argv_corpus import argv_corpus
 from design_mutations import mutated_designs
-from sweep_reference import gamma_curve, payload_csv, payload_rows, pose_csv
+from sweep_reference import payload_csv, payload_rows, pose_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE = str(ROOT / "designs" / "example_tool.ini")
@@ -601,14 +601,7 @@ class TestSweepOutput:
         code, out, err = invoke(["pose-sweep", str(design), "--samples", "10000"])
         assert (code, err) == (0, "")
         _, _, model, state = parse_design(design.read_text())
-        samples, peak_gamma, peak_margin = gamma_curve(model, state, 10000)
-        lines = ["gamma_deg,torque_margin_Nm"]
-        for gamma, margin in samples:
-            cell = INFEASIBLE if margin != margin else fmt(margin)
-            lines.append(f"{fmt(gamma / DEG)},{cell}")
-        lines.append(f"# peak gamma_deg = {fmt(peak_gamma / DEG)} "
-                     f"margin_Nm = {fmt(peak_margin)}")
-        assert out == "\n".join(lines) + "\n"
+        assert out == pose_csv(model, state, 10000)
         assert (INFEASIBLE in out) == (mu == "0.11")
 
 

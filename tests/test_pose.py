@@ -1,6 +1,8 @@
 import math
+import random
 
 import pytest
+import sympy
 from hypothesis import example, given, strategies as st
 
 from grippertool import (
@@ -12,7 +14,9 @@ from grippertool import (
     torque_margin,
 )
 
-from sweep_reference import bits, gamma_curve
+from grippertool.pose import _one_sign, _quartic, _roots, _shifted
+
+from sweep_reference import bits, certified_peak, gamma_curve
 
 
 def pose_state(**kwargs):
@@ -126,6 +130,9 @@ class TestGammaSweep:
         model = ContactModel(mu=0.5, e=0.01)
         curve = gamma_sweep(model, pose_state(g_tool=1e-12), 31)
         assert curve.peak_gamma == 0.0
+        # every margin rounds to 0.4, the kink's (near 33 deg) too
+        curve = gamma_sweep(model, pose_state(g_tool=1e-12, alpha=1.0, d_com=0.0), 31)
+        assert (curve.peak_gamma, curve.peak_margin) == (0.0, 0.4)
 
     def test_two_samples_pick_larger_endpoint(self):
         model = ContactModel(mu=0.5, e=0.01)
@@ -137,10 +144,36 @@ class TestGammaSweep:
         assert curve.peak_gamma == (0.0 if m0 >= m1 else math.pi / 2)
 
     def test_interior_peak_located(self, nominal_model, nominal_state):
+        # the kink of the margin, where the demand vanishes
         curve = gamma_sweep(nominal_model, nominal_state, 91)
-        assert 0.0 < curve.peak_gamma < math.pi / 2
-        assert math.degrees(curve.peak_gamma) == pytest.approx(23.0, abs=1.0)
+        kink = math.pi / 2 - nominal_state.alpha
+        assert curve.peak_gamma == kink
+        assert curve.peak_margin == torque_margin(nominal_model, nominal_state, kink)
         assert curve.peak_margin >= max(m for _, m in curve.samples)
+
+    def test_stationary_peak_past_the_kink(self):
+        # the margin peaks near 60 deg, where its slope vanishes, not at
+        # the kink (about 29 deg) or at either end
+        model = ContactModel(mu=0.15, e=0.0106)
+        state = pose_state(f_n=61.5, g_tool=36.8, alpha=1.07, d_com=0.092)
+        peak_gamma, peak_margin = certified_peak(model, state)
+        assert math.pi / 2 - state.alpha + 0.5 < peak_gamma < math.pi / 2 - 0.5
+        h = 1e-6
+        for side in (-h, h):
+            assert torque_margin(model, state, peak_gamma + side) <= peak_margin
+
+    @pytest.mark.parametrize("f_n, g_tool, alpha, d_com", [
+        (1e90, 1e100, 1.0, 0.1),      # the pads hold from about 1e-10 below pi/2
+        (1e150, 1e150, 1.2, 1e100),   # only the kink has a positive margin
+    ])
+    def test_huge_loads_keep_an_attained_peak(self, f_n, g_tool, alpha, d_com):
+        # Q's coefficients overflow to inf; the peak is still a candidate's
+        # margin and beats every sample
+        model = ContactModel(mu=0.5, e=0.01)
+        state = pose_state(f_n=f_n, g_tool=g_tool, alpha=alpha, d_com=d_com)
+        curve = gamma_sweep(model, state, 1001)
+        assert curve.peak_margin == torque_margin(model, state, curve.peak_gamma)
+        assert curve.peak_margin >= max(m for _, m in curve.samples if not math.isnan(m))
 
     def test_error_samples_become_nan(self):
         model = ContactModel(mu=0.1, e=0.01)
@@ -164,20 +197,125 @@ class TestGammaSweep:
     @example(mu=0.1, e=0.01, f_n=40.0, g_tool=10.0, alpha=math.pi / 2,
              d_com=0.0, n=10)                     # nan near gamma = 0
     @example(mu=0.05, e=0.01, f_n=40.0, g_tool=10.0, alpha=1.0,
+             d_com=0.03, n=5)                     # only negative margins
+    @example(mu=0.05, e=0.01, f_n=1e-18, g_tool=10.0, alpha=1.0,
              d_com=0.03, n=5)                     # nan everywhere
     @example(mu=0.5, e=0.01, f_n=40.0, g_tool=1e-12, alpha=1.0,
              d_com=0.0, n=7)                      # every sample ties
+    @example(mu=0.15, e=0.0106, f_n=61.5, g_tool=36.8, alpha=1.07,
+             d_com=0.092, n=19)                   # stationary peak past the kink
     def test_matches_scalar_samples(self, mu, e, f_n, g_tool, alpha, d_com, n):
         model = ContactModel(mu=mu, e=e)
         state = pose_state(f_n=f_n, g_tool=g_tool, alpha=alpha, d_com=d_com)
-        try:
-            samples, peak_gamma, peak_margin = gamma_curve(model, state, n)
-        except ZeroCapacityError:
+        rows = gamma_curve(model, state, n)
+        if all(math.isnan(m) for _, m in rows):
             with pytest.raises(ZeroCapacityError):
                 gamma_sweep(model, state, n)
             return
         curve = gamma_sweep(model, state, n)
         assert [(bits(g), bits(m)) for g, m in curve.samples] == [
-            (bits(g), bits(m)) for g, m in samples]
+            (bits(g), bits(m)) for g, m in rows]
+        peak_gamma, peak_margin = certified_peak(model, state)
         assert bits(curve.peak_gamma) == bits(peak_gamma)
         assert bits(curve.peak_margin) == bits(peak_margin)
+
+
+class TestPeakLemmas:
+    """The steps of the candidate-set argument in the pose docstring."""
+
+    gamma, kink, G, d, e, M, t = sympy.symbols("gamma kink G d e M t", real=True)
+
+    def parts(self):
+        """(h, slope of the available torque) with c = G/2."""
+        gamma, G, e, M = self.gamma, self.G, self.e, self.M
+        c = G / 2
+        h = M**2 - c**2 * sympy.cos(gamma)**2
+        return h, 2 * e * c**2 * sympy.sin(gamma) * sympy.cos(gamma) / sympy.sqrt(h)
+
+    def quartic(self):
+        G, d, e, M, t, kink = self.G, self.d, self.e, self.M, self.t, self.kink
+        c = G / 2
+        C, S, K, w = sympy.cos(kink), sympy.sin(kink), M**2 - c**2, (G * d)**2
+        return w * (C + S * t)**2 * (M**2 * t**2 + K) - 4 * e**2 * c**4 * t**2
+
+    def test_quartic_is_the_squared_stationarity_condition(self):
+        gamma, kink, G, d, e, t = self.gamma, self.kink, self.G, self.d, self.e, self.t
+        h, available_slope = self.parts()
+        # on the falling branch sin(gamma - kink) >= 0: the demand is smooth
+        margin = 2 * e * sympy.sqrt(h) - G * d * sympy.sin(gamma - kink)
+        assert sympy.simplify(sympy.diff(margin, gamma) - (
+            available_slope - G * d * sympy.cos(gamma - kink))) == 0
+        # slope 0 squared, times cos(gamma)**4, is Q(tan(gamma))
+        c = G / 2
+        lhs = self.quartic().subs(t, sympy.tan(gamma)) * sympy.cos(gamma)**4
+        rhs = ((G * d * sympy.cos(gamma - kink))**2 * h
+               - (2 * e * c**2 * sympy.sin(gamma) * sympy.cos(gamma))**2)
+        assert sympy.simplify(sympy.expand(sympy.expand_trig(lhs - rhs))) == 0
+
+    def test_library_coefficients_are_the_quartic(self):
+        symbols = (self.G, self.d, self.e, self.M, self.kink)
+        expected = sympy.lambdify(symbols, sympy.Poly(self.quartic(), self.t).all_coeffs()[::-1])
+        rng = random.Random(11)
+        for _ in range(20):
+            model = ContactModel(mu=rng.uniform(0.05, 1.2), e=rng.uniform(0.0005, 0.03))
+            state = pose_state(f_n=rng.uniform(1.0, 100.0), g_tool=rng.uniform(0.5, 40.0),
+                               alpha=rng.uniform(0.1, 1.4), d_com=rng.uniform(0.01, 0.1))
+            kink = math.pi / 2 - state.alpha
+            coeffs, magnitudes = _quartic(model, state, kink)
+            want = expected(state.g_tool, state.d_com, model.e, model.mu * state.f_n, kink)
+            assert len(coeffs) == len(want) == 5
+            for got, value, bound in zip(coeffs, want, magnitudes):
+                assert abs(got - value) <= 1e-13 * bound
+
+    def test_margin_rises_off_the_falling_branch(self):
+        gamma, kink, G, d, e = self.gamma, self.kink, self.G, self.d, self.e
+        h, available_slope = self.parts()
+        # sin(gamma), cos(gamma) and sqrt(h) are positive inside the
+        # feasible range, and so is the demand's cosine factor v
+        s, k, r, v = sympy.symbols("s k r v", positive=True)
+        e_, G_, d_ = sympy.symbols("e G d", positive=True)
+        positive = {sympy.sin(gamma): s, sympy.cos(gamma): k, sympy.sqrt(h): r,
+                    e: e_, G: G_, d: d_}
+        # on [edge, kink] the demand G*d*sin(kink - gamma) falls
+        before = sympy.diff(2 * e * sympy.sqrt(h) - G * d * sympy.sin(kink - gamma), gamma)
+        assert sympy.simplify(before - (available_slope
+                                        + G * d * sympy.cos(kink - gamma))) == 0
+        assert (available_slope + G * d * v).subs(positive).is_positive
+        # past pi - alpha, cos(gamma - kink) = -v < 0
+        assert (available_slope - G * d * -v).subs(positive).is_positive
+
+    def test_descartes_skip_leaves_no_root(self):
+        # wherever the sign rule skips the search, on Q's own coefficients
+        # or on those of Q(t0 + u), Q keeps one sign on the rest of
+        # [0, pi/2], evaluated from its formula, and the search finds nothing
+        rng = random.Random(26)
+        skips = {"own": 0, "shifted": 0, "none": 0}
+        for _ in range(400):
+            mu, e, f_n = rng.uniform(0.05, 1.2), rng.uniform(0.0005, 0.03), rng.uniform(1.0, 100.0)
+            g_tool, alpha, d_com = rng.uniform(0.5, 40.0), rng.uniform(0.0, math.pi), rng.uniform(0.0, 0.1)
+            model, state = ContactModel(mu=mu, e=e), pose_state(
+                f_n=f_n, g_tool=g_tool, alpha=alpha, d_com=d_com)
+            kink, c, big_m = math.pi / 2 - alpha, g_tool / 2.0, mu * f_n
+            start = max(kink, math.acos(min(big_m / c, 1.0)))
+            if not start < min(math.pi / 2, math.pi - alpha):
+                continue
+            coeffs, magnitudes = _quartic(model, state, kink)
+            t0 = math.tan(start)
+            if _one_sign(coeffs, magnitudes):
+                skips["own"] += 1
+            elif _one_sign(_shifted(coeffs, t0), _shifted(magnitudes, t0)):
+                skips["shifted"] += 1
+            else:
+                skips["none"] += 1
+                continue
+            assert _roots(coeffs, t0, math.tan(math.pi / 2)) == []
+            w, cos0, sin0 = (g_tool * d_com)**2, math.cos(kink), math.sin(kink)
+            signs = set()
+            for i in range(2000):
+                t = math.tan(start + (math.pi / 2 - start) * i / 2000)
+                q = (w * (cos0 + sin0 * t)**2 * (big_m**2 * t * t + big_m**2 - c * c)
+                     - 4.0 * e * e * c**4 * t * t)
+                assert q != 0.0
+                signs.add(q > 0.0)
+            assert len(signs) == 1
+        assert min(skips.values()) >= 20, skips

@@ -580,6 +580,14 @@ class TestBoundary:
         assert f(x) <= 0.0 < f(inward)
         assert x in marks and inward in marks
 
+    def test_ends_of_equal_value_take_the_midpoint(self):
+        # f is 0 from lo up to about 3.4e-300, where the product underflows:
+        # bisecting down to it halves f_hi into f_lo, and 0/0 once raised
+        def f(x):
+            return 1.44e-24 * x
+        x = _boundary(f, 0.0, 2.0)
+        assert f(x) <= 0.0 < f(math.nextafter(x, 2.0))
+
     @pytest.mark.parametrize("f", [lambda x: -1.0, lambda x: x - 2.0,
                                    lambda x: 1.0, lambda x: math.nan])
     def test_none_when_the_ends_agree(self, f):
