@@ -8,10 +8,11 @@ ranges or pose-sweep sample counts of more than MAX_RANGE_POINTS points
 and payload grids of more than MAX_GRID_CELLS cells are usage errors,
 refused before any grid is built.
 
-The sweep commands print their CSV straight from the float arrays the
-library returns. A payload sweep builds one line template per chunk of
-at most CHUNK_LINES d values once, and formats each alpha row, or each
-chunk of a longer row, with one % call. A pose sweep converts gamma to
+The sweep commands print their CSV straight from the floats the library
+returns: a payload grid's rows of floats, a pose curve's float arrays.
+A payload sweep builds one line template per chunk of at most
+CHUNK_LINES d values once, and formats each alpha row, or each chunk of
+a longer row, with one % call. A pose sweep converts gamma to
 degrees with one vectorized divide and formats CHUNK_LINES lines per %
 call. A nan cell prints as INFEASIBLE. The text of the whole grid is
 never held in memory at once.
@@ -217,10 +218,9 @@ def _cmd_payload_sweep(args, out) -> int:
                  for start in range(0, len(args.d), CHUNK_LINES)]
     for alpha, row in zip(args.alpha, grid.weights):
         alpha_text = fmt(alpha / DEG)
-        weights = row.tolist()
         for start, template in templates:
             lines = (template.replace("\0", alpha_text)
-                     % tuple(weights[start:start + CHUNK_LINES]))
+                     % tuple(row[start:start + CHUNK_LINES]))
             out.write(_mark_infeasible(lines))
     return 0
 

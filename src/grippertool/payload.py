@@ -21,12 +21,13 @@ max_payload() does, and a larger grid with one call on the whole
 Either way a sweep cell is bit-identical to max_payload() on that cell.
 Before solving, the sweep checks the GraspState ranges at the three
 cells where a row-order walk of the grid would meet a bad value first.
-The sweep returns a PayloadGrid: the weights as one float array, nan
-where infeasible, with the cell counts and the worst root residual.
+The sweep returns a PayloadGrid: the weights as one row of floats per
+alpha, nan where infeasible, with the cell counts and the worst root
+residual.
 
-Only payload_sweep() and its grid helpers build arrays, so numpy is
-imported inside them: importing this module, or solving one payload,
-does not load numpy.
+Only the large-grid pass builds arrays, so numpy is imported inside it:
+importing this module, solving one payload, or sweeping a grid of at
+most SCALAR_GRID_CELLS cells does not load numpy.
 """
 
 import math
@@ -188,60 +189,49 @@ def _capacity_root(model, d_obj, d_com, a, b, c) -> tuple[float, float] | None:
     return root_hi, _residual(a, b, c, root_hi)
 
 
+@value_type(eq=False)
 class PayloadGrid(Sequence):
     """Max payload over an (alpha, d) grid.
 
-    weights has shape (len(alphas), len(ds)), alpha outer, with nan in
-    the cells where no weight is feasible. As a sequence the grid is the
-    row-major view (alpha, d, weight), weight None where infeasible.
-    The counts and max_residual come from the solve's own masks:
-    zero_clamped counts the feasible cells whose capacity root was
-    negative and clamped to 0, and max_residual is the largest
+    weights holds one row of len(ds) floats per alpha, alpha outer, with
+    nan in the cells where no weight is feasible. As a sequence the grid
+    is the row-major view (alpha, d, weight), weight None where
+    infeasible. The counts and max_residual come from the solve's own
+    masks: zero_clamped counts the feasible cells whose capacity root
+    was negative and clamped to 0, and max_residual is the largest
     normalized root residual over the feasible cells (0 when there are
     none).
-
-    A plain __slots__ class rather than a value_type: payload_sweep()
-    builds it only after every input check, so there is nothing to
-    validate, and its weights array could not be compared or hashed by
-    field.
     """
 
-    __slots__ = ("alphas", "ds", "weights", "feasible", "zero_clamped",
-                 "max_residual")
-
-    def __init__(self, alphas: list[float], ds: list[float], weights,
-                 feasible: int, zero_clamped: int, max_residual: float):
-        self.alphas = alphas
-        self.ds = ds
-        self.weights = weights
-        self.feasible = feasible
-        self.zero_clamped = zero_clamped
-        self.max_residual = max_residual
+    alphas: list[float]
+    ds: list[float]
+    weights: list[list[float]]
+    feasible: int
+    zero_clamped: int
+    max_residual: float
 
     @property
     def infeasible(self) -> int:
-        return self.weights.size - self.feasible
+        return len(self) - self.feasible
 
     def __len__(self) -> int:
-        return self.weights.size
+        return len(self.alphas) * len(self.ds)
 
     def __getitem__(self, index: int) -> tuple[float, float, float | None]:
-        i, j = divmod(range(self.weights.size)[index], len(self.ds))
-        weight = float(self.weights[i, j])
+        i, j = divmod(range(len(self))[index], len(self.ds))
+        weight = self.weights[i][j]
         return self.alphas[i], self.ds[j], None if math.isnan(weight) else weight
 
     def __iter__(self):
-        for alpha, row in zip(self.alphas, self.weights.tolist()):
+        for alpha, row in zip(self.alphas, self.weights):
             for d, weight in zip(self.ds, row):
                 yield alpha, d, None if math.isnan(weight) else weight
 
 
 def _cell_weights(model, state, d_obj, alphas, ds) -> tuple:
     """_grid_weights' result, solved one cell at a time with max_payload's
-    float steps. Only the weights array is built with numpy.
+    float steps.
     """
-    import numpy as np  # loaded by the first sweep, not by importing this module
-
     max_t2, m2f2 = _capacity_squares(model, state.f_n)
     g = state.g_tool
     rows, feasible, zero_clamped, max_residual = [], 0, 0, 0.0
@@ -264,13 +254,13 @@ def _cell_weights(model, state, d_obj, alphas, ds) -> tuple:
                 weight = 0.0
             row.append(weight)
         rows.append(row)
-    return np.array(rows), feasible, zero_clamped, max_residual
+    return rows, feasible, zero_clamped, max_residual
 
 
 def _grid_weights(model, state, d_obj, alphas, ds) -> tuple:
     """PayloadGrid's (weights, feasible, zero_clamped, max_residual) over
-    alphas x ds in one numpy pass. The other grid-sized temporaries live
-    only in this call; root_hi becomes the weights in place.
+    alphas x ds in one numpy pass. The grid-sized arrays live only in this
+    call; root_hi, set in place, leaves it as the rows of float weights.
     """
     import numpy as np  # loaded by the first sweep, not by importing this module
 
@@ -288,6 +278,7 @@ def _grid_weights(model, state, d_obj, alphas, ds) -> tuple:
         feasible = ~(disc < 0.0)
         r1, r2 = _roots(a, b, c, np.sqrt(np.where(feasible, disc, 0.0)))
         root_hi = np.where(r1 <= r2, r2, r1)
+        del disc, r1, r2  # _residual's temporaries reuse their memory: a lower peak RSS
         residual = _residual(a, b, c, root_hi, elementwise_max)
     # the overflow check and residual bound of max_payload, raised for the
     # first cell that breaks one: an overflowed coefficient leaves a nan residual
@@ -302,14 +293,15 @@ def _grid_weights(model, state, d_obj, alphas, ds) -> tuple:
     clamped = root_hi < 0.0
     root_hi[clamped] = 0.0
     root_hi[~feasible] = math.nan
-    return (root_hi, int(np.count_nonzero(feasible)),
+    return (root_hi.tolist(), int(np.count_nonzero(feasible)),
             int(np.count_nonzero(clamped & feasible)),
             float(np.max(residual, where=feasible, initial=0.0)))
 
 
 def payload_sweep(model: ContactModel, state: GraspState, d_obj: float,
                   alphas, ds) -> PayloadGrid:
-    """Max payload over an (alpha, d) grid, alpha outer.
+    """Max payload over an (alpha, d) grid, alpha outer; the grid keeps
+    alphas and ds as lists of floats.
 
     The swept d is the grasp point's travel along the tool, so each cell
     is max_payload() on the state with alpha, d and d_com replaced. A grid
@@ -327,22 +319,21 @@ def payload_sweep(model: ContactModel, state: GraspState, d_obj: float,
     d0), then (alpha0, the first d outside [0, inf)), then (the first
     alpha outside [0, pi], d0).
     """
-    alphas = list(alphas)
-    ds = list(ds)
+    alphas = list(map(float, alphas))
+    ds = list(map(float, ds))
     if not alphas or not ds:
         raise ValueError("sweep ranges must be nonempty")
     a0, d0 = alphas[0], ds[0]
     bad_d = next((d for d in ds if not 0.0 <= d < math.inf), d0)
     bad_alpha = next((alpha for alpha in alphas if not 0.0 <= alpha <= math.pi), a0)
     for alpha, d in ((a0, d0), (a0, bad_d), (bad_alpha, d0)):
-        check_grasp(state.f_n, state.g_tool, float(alpha), state.gamma, float(d),
-                    float(d), state.theta, state.config)
+        check_grasp(state.f_n, state.g_tool, alpha, state.gamma, d, d, state.theta,
+                    state.config)
 
     try:
         _check_tool_held(model, state)
     except NoFeasiblePayloadError:
-        import numpy as np
-        solved = np.full((len(alphas), len(ds)), math.nan), 0, 0, 0.0
+        solved = [[math.nan] * len(ds) for _ in alphas], 0, 0, 0.0
     else:
         solve = (_cell_weights if len(alphas) * len(ds) <= SCALAR_GRID_CELLS
                  else _grid_weights)

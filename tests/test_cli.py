@@ -59,14 +59,18 @@ def first_run(argv):
 
 
 class TestNumpyImport:
-    """numpy is loaded by the two sweeps alone: importing the package and
-    the scalar commands leave it unloaded. That a sweep which imports it
-    on its first call still prints its golden output is checked by
-    TestParserReuse.test_sequence_matches_first_runs."""
+    """numpy is loaded by the large-grid pass and the pose sweep alone:
+    importing the package, the scalar commands and a payload sweep of at
+    most SCALAR_GRID_CELLS cells leave it unloaded. That a sweep which
+    imports it on its first call still prints its golden output is
+    checked by TestParserReuse.test_sequence_matches_first_runs."""
 
     SCALAR = ["validate.txt", "analyze.txt", "optimize.txt"]
 
-    def test_scalar_commands_leave_numpy_unloaded(self):
+    @staticmethod
+    def loaded_after(commands):
+        """Whether numpy is loaded after the import and after each command
+        of a fresh interpreter, and each command's (code, stdout, stderr)."""
         script = ("import io, json, sys\n"
                   "import grippertool\n"
                   "from grippertool.cli import run\n"
@@ -78,17 +82,41 @@ class TestNumpyImport:
                   "    results.append([code, out.getvalue(), err.getvalue()])\n"
                   "    loaded.append('numpy' in sys.modules)\n"
                   "json.dump([loaded, results], sys.stdout)\n")
-        commands = [GOLDEN_COMMANDS[name] for name in self.SCALAR]
-        commands.append(GOLDEN_COMMANDS["pose_sweep.txt"])
         proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
                               capture_output=True, text=True, cwd=str(ROOT),
                               check=True)
-        loaded, results = json.loads(proc.stdout)
-        # after the import and each scalar command; the sweep then loads it
-        assert loaded == [False] * (1 + len(self.SCALAR)) + [True]
-        for name, result in zip(self.SCALAR, results):
+        return json.loads(proc.stdout)
+
+    @staticmethod
+    def sweep(design, cells):
+        """A one-alpha payload-sweep of the given number of cells."""
+        return ["payload-sweep", design, "--alpha", "45:45:1deg",
+                "--d", f"0:{0.001 * (cells - 1)!r}:0.001"]
+
+    def test_scalar_commands_leave_numpy_unloaded(self, tmp_path):
+        # the largest grid solved one cell at a time, for a tool too heavy to hold
+        heavy = edited_design(tmp_path, "f_n = 40", "f_n = 5")
+        heavy_sweep = self.sweep(heavy, SCALAR_GRID_CELLS)
+        names = self.SCALAR + ["payload_sweep.txt"]
+        commands = [GOLDEN_COMMANDS[name] for name in names]
+        commands += [heavy_sweep, GOLDEN_COMMANDS["pose_sweep.txt"]]
+        loaded, results = self.loaded_after(commands)
+        # after the import, each scalar command and both small sweeps; the
+        # pose sweep then loads it
+        assert loaded == [False] * (1 + len(names) + 1) + [True]
+        for name, result in zip(names, results):
             expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
             assert result == [0, expected, ""]
+        code, out, err = results[len(names)]
+        lines = out.splitlines()
+        assert (code, err, len(lines)) == (0, "", 1 + SCALAR_GRID_CELLS)
+        assert all(line.endswith(f",{INFEASIBLE}") for line in lines[1:])
+
+    def test_grid_above_the_threshold_loads_numpy(self):
+        cells = SCALAR_GRID_CELLS + 1
+        loaded, [result] = self.loaded_after([self.sweep(SAMPLE, cells)])
+        assert loaded == [False, True]
+        assert result[0] == 0 and len(result[1].splitlines()) == 1 + cells
 
 
 class TestDataclassesImport:

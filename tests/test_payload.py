@@ -290,20 +290,34 @@ class TestPayloadSweep:
         assert 0.0 in weights
         assert any(w is not None and w > 0.0 for w in weights)
 
-    def test_weights_array_holds_the_cells(self):
+    @pytest.mark.parametrize("state", [state_with(), state_with(f_n=5.0, g_tool=10.0)],
+                             ids=["held", "tool-too-heavy"])
+    def test_weights_are_rows_of_floats(self, state):
         model = ContactModel(mu=0.5, e=0.01)
-        state = state_with()
         alphas, ds = [0.0, 0.3, math.pi / 2], [0.0, 0.2, 5.0]
         grid = payload_sweep(model, state, 0.0, alphas, ds)
         rows = payload_rows(model, state, 0.0, alphas, ds)
-        assert grid.weights.shape == (3, 3)
-        assert [bits(w) for w in grid.weights.ravel().tolist()] == [
+        assert len(grid.weights) == len(alphas)
+        assert all(len(row) == len(ds) for row in grid.weights)
+        cells = [w for row in grid.weights for w in row]
+        assert all(type(w) is float for w in cells)
+        assert [bits(w) for w in cells] == [
             bits(math.nan if w is None else w) for _, _, w in rows]
         # indexing, negative indices included, gives the same rows
         assert None in [w for _, _, w in rows]
         assert [grid[k] for k in range(-9, 9)] == rows + rows
         with pytest.raises(IndexError):
             grid[9]
+
+    def test_numpy_ranges_give_python_floats(self):
+        import numpy as np
+        model = ContactModel(mu=0.5, e=0.01)
+        alphas, ds = np.array([0.0, 0.3]), np.array([0.0, 0.02])
+        grid = payload_sweep(model, state_with(), 0.0, alphas, ds)
+        assert all(type(v) is float for v in grid.alphas + grid.ds)
+        assert all(type(w) is float for row in grid.weights for w in row)
+        assert list(grid) == payload_rows(model, state_with(), 0.0,
+                                          alphas.tolist(), ds.tolist())
 
     def test_counts_and_worst_residual_match_scalar(self):
         # positive, zero-clamped and no-real-root cells in one grid

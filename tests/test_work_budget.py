@@ -1,39 +1,62 @@
 """Work budgets of golden requests, counted rather than timed.
 
 Each test runs a CLI request in-process with counting wrappers on the
-entry points it must call at most so often, and asserts upper bounds.
-A change that lowers a count should tighten its bound; one that raises
-a bound should say why.
+entry points it must call at most so often, and asserts upper bounds,
+or the exact count where fewer calls could not give the output. A
+function is wrapped under every module name it is bound to, since
+wrapping only the defining module counts no call made through an
+imported name. A change that lowers a count should tighten its bound;
+one that raises a bound should say why.
 """
 
+import builtins
 import collections
 import functools
 import io
 
 import pytest
 
-from grippertool import GraspState, cli, parse_design, payload
+from grippertool import GraspState, cli, contact, parse_design, payload, pose, sizing
 
 from test_cli import GOLDEN_COMMANDS, SAMPLE
 
 
+def counting(counted, name, function):
+    @functools.wraps(function)
+    def wrapper(*args, **kwargs):
+        counted[name] += 1
+        return function(*args, **kwargs)
+    return wrapper
+
+
 @pytest.fixture
 def counts(monkeypatch):
-    """Calls of GraspState() (copies by replace included) and of the
-    numpy grid pass, from a parse with an empty memo onward."""
+    """Calls of GraspState() (copies by replace included), of the numpy
+    grid pass, of the solver's entry points under every name they are
+    bound to, of the predicates _boundary evaluates ("predicate"), and of
+    open(), from a parse with an empty memo onward."""
     counted = collections.Counter()
 
-    def counting(name, function):
-        @functools.wraps(function)
-        def wrapper(*args, **kwargs):
-            counted[name] += 1
-            return function(*args, **kwargs)
-        return wrapper
+    def count(name, *modules):
+        wrapper = counting(counted, name, getattr(modules[0], name))
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapper)
 
+    sizing_boundary = sizing._boundary
+
+    def boundary(f, lo, hi):
+        counted["_boundary"] += 1
+        return sizing_boundary(counting(counted, "predicate", f), lo, hi)
+
+    for module in (sizing, pose):
+        monkeypatch.setattr(module, "_boundary", boundary)
     monkeypatch.setattr(GraspState, "__init__",
-                        counting("GraspState", GraspState.__init__))
-    monkeypatch.setattr(payload, "_grid_weights",
-                        counting("_grid_weights", payload._grid_weights))
+                        counting(counted, "GraspState", GraspState.__init__))
+    count("_grid_weights", payload)
+    count("_evaluate", sizing)
+    count("_grip_force", contact, sizing, cli)
+    count("check_feasible", sizing, cli)
+    count("open", builtins)
     parse_design.cache_clear()
     yield counted
     parse_design.cache_clear()
@@ -58,3 +81,27 @@ def test_grid_above_the_threshold_takes_one_numpy_pass(counts):
             "--d", f"0:{0.001 * (cells - 1)!r}:0.001"])
     assert counts["GraspState"] <= 1
     assert counts["_grid_weights"] == 1
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_golden_request_reads_its_design_once(counts, name):
+    run_ok(GOLDEN_COMMANDS[name])
+    assert counts["open"] == 1
+
+
+def test_golden_optimize_checks_few_candidates(counts):
+    run_ok(GOLDEN_COMMANDS["optimize.txt"])
+    assert counts["_evaluate"] <= 6
+    assert counts["_grip_force"] <= 10
+    assert counts["_boundary"] <= 2
+    assert counts["predicate"] <= 21
+
+
+def test_golden_analyze_solves_each_configuration_once(counts):
+    run_ok(GOLDEN_COMMANDS["analyze.txt"])
+    assert counts["_grip_force"] == 2
+
+
+def test_golden_validate_checks_the_design_once(counts):
+    run_ok(GOLDEN_COMMANDS["validate.txt"])
+    assert counts["check_feasible"] == 1
