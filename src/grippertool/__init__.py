@@ -4,16 +4,15 @@ tool driven by a 2-finger parallel gripper."""
 from .contact import (ContactModel, GraspState, GripConfig, capacity_check,
                       holding_max_offset, max_capacities, required_grip_force)
 from .designfile import parse_design
-from .errors import (DegenerateContactError, DesignFileError, DomainError, GeometryError,
-                     GripperToolError, InfeasibleHoldError, InfeasibleProblemError,
-                     NoFeasiblePayloadError, SingularTransmissionError, ZeroCapacityError,
-                     replace)
+from .errors import (DegenerateContactError, DesignFileError, DomainError, GripperToolError,
+                     InfeasibleHoldError, InfeasibleProblemError, NoFeasiblePayloadError,
+                     SingularTransmissionError, ZeroCapacityError, replace)
 from .mechanism import SpringSpec, ToolDimensions, spring_torque, stroke, stroke_fixed_width
 from .payload import (PayloadGrid, PayloadResult, equilibrium_coefficients, max_payload,
                       payload_sweep)
 from .pose import TorqueMarginCurve, gamma_sweep, torque_margin
 from .sizing import (SizingProblem, SizingResult, Violation, check_feasible, clearance_span,
-                     grip_demand, maximize_stroke, theta_end_min)
+                     grip_demand, maximize_stroke)
 
 __version__ = "0.1.0"
 

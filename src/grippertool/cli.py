@@ -44,7 +44,7 @@ import math
 import sys
 from types import SimpleNamespace
 
-from .contact import GripConfig, _grip_force, holding_max_offset
+from .contact import GripConfig, holding_max_offset, required_grip_force
 from .designfile import parse_design
 from .errors import GripperToolError, InfeasibleHoldError, NoFeasiblePayloadError
 from .payload import max_payload, payload_sweep
@@ -188,7 +188,7 @@ def _cmd_analyze(args, out) -> int:
         offset_text = "unbounded" if math.isinf(offset) else fmt(offset)
     except InfeasibleHoldError:
         offset_text = INFEASIBLE
-    forces = [(config.value, _grip_force(dims, spring, state, state.theta, config))
+    forces = [(config.value, required_grip_force(dims, spring, state, config=config))
               for config in (GripConfig.BACKWARD_BASE, GripConfig.FORWARD_BASE)]
     try:
         result = max_payload(model, state, args.d_obj)

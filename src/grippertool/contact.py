@@ -7,6 +7,9 @@ force f and a spin torque t about the contact normal, limited jointly by
 
 where e is the eccentricity of the contact patch (ratio of maximum torque
 to maximum tangential force). Two pads act on the tool, one per finger.
+Each formula is one function here: required_grip_force for the grip
+force, and _friction_capacity for mu*f_n and its square, which the
+payload and pose modules call too.
 """
 
 import math
@@ -104,15 +107,26 @@ def capacity_check(model: ContactModel, f_n: float, f: float, t: float) -> bool:
     """
     if f_n < 0.0:
         raise DomainError("f_n must be >= 0")
-    try:
-        rhs = (model.mu * f_n) ** 2
-    except OverflowError:
-        raise DomainError(f"(mu*f_n)^2 overflows at mu*f_n = {model.mu * f_n:g}") from None
+    rhs = _friction_capacity(model, f_n)[1]
     try:
         lhs = f * f + (t / model.e) ** 2
     except OverflowError:
         raise DomainError(f"(t/e)^2 overflows at t/e = {t / model.e:g}") from None
     return lhs <= rhs * (1.0 + CAPACITY_SLACK)
+
+
+def _friction_capacity(model: ContactModel, f_n: float) -> tuple[float, float]:
+    """mu*f_n and its square, the limit surface's right-hand side.
+
+    The one place the square is taken, by product: capacity_check, the
+    payload quadratic and the pose margin all see the same bits. Raises
+    DomainError when the square overflows.
+    """
+    mu_fn = model.mu * f_n
+    mu_fn2 = mu_fn * mu_fn
+    if mu_fn2 == math.inf:
+        raise DomainError(f"(mu*f_n)^2 overflows at mu*f_n = {mu_fn:g}")
+    return mu_fn, mu_fn2
 
 
 def max_capacities(model: ContactModel, f_n: float) -> tuple[float, float]:
@@ -161,9 +175,11 @@ def holding_max_offset(model: ContactModel, state: GraspState) -> float:
     return offset
 
 
-def required_grip_force(dim: ToolDimensions, spring: SpringSpec,
-                        state: GraspState) -> float:
-    """Grip force needed to keep the jaw closed at the state's linkage angle.
+def required_grip_force(dim: ToolDimensions, spring: SpringSpec, state: GraspState,
+                        theta: float | None = None,
+                        config: GripConfig | None = None) -> float:
+    """Grip force needed to keep the jaw closed at linkage angle theta in
+    configuration config; None takes the state's own theta or config.
 
     Balances the spring torque reflected through the linkage plus (for
     BACKWARD_BASE) the weight component pulled in by the closing motion:
@@ -172,19 +188,18 @@ def required_grip_force(dim: ToolDimensions, spring: SpringSpec,
 
     with the sign of the weight term set by the base-travel configuration.
     The result does not depend on where along the tool the gripper grabs.
+    The one implementation of the formula: the sizing solver calls it at
+    the two ends of a design's travel, and analyze in both
+    configurations, which spares each a validated GraspState copy per
+    value.
+
+    Raises DomainError when theta lies outside [theta_end, theta_init],
+    and SingularTransmissionError when theta >= pi/2.
     """
-    return _grip_force(dim, spring, state, state.theta, state.config)
-
-
-def _grip_force(dim: ToolDimensions, spring: SpringSpec, state: GraspState,
-                theta: float, config: GripConfig) -> float:
-    """required_grip_force at linkage angle theta and in configuration
-    config instead of the state's own.
-
-    The one implementation of the formula. The sizing solver calls it at
-    the two travel ends of a design, and analyze in both configurations,
-    which spares each a validated copy of the GraspState per value.
-    """
+    if theta is None:
+        theta = state.theta
+    if config is None:
+        config = state.config
     if not dim.theta_end <= theta <= dim.theta_init:
         raise DomainError(
             f"theta={theta:g} outside travel "

@@ -117,10 +117,6 @@ class ZeroCapacityError(DomainError):
     """Tangential load demand exceeds the friction capacity mu*f_n."""
 
 
-class GeometryError(DomainError):
-    """Requested geometry cannot be realized (e.g. clearance span > linkage)."""
-
-
 class InfeasibleProblemError(GripperToolError):
     """Sizing search space contains no feasible design."""
 

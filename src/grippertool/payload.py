@@ -34,7 +34,8 @@ import math
 from collections.abc import Sequence
 from functools import reduce
 
-from .contact import ContactModel, GraspState, check_grasp, max_capacities
+from .contact import (ContactModel, GraspState, _friction_capacity, check_grasp,
+                      max_capacities)
 from .errors import DegenerateContactError, DomainError, NoFeasiblePayloadError, value_type
 
 # Residual of a*x^2 + b*x + c at the returned root, normalized by the
@@ -91,10 +92,7 @@ def _capacity_squares(model, f_n) -> tuple[float, float]:
     max_t2 = max_t * max_t
     if max_t2 == 0.0:  # f_n is 0, or so small that the square underflows
         raise DegenerateContactError(f"zero torque capacity: e*mu*f_n = {max_t:g}")
-    try:
-        return max_t2, (model.mu * f_n) ** 2
-    except OverflowError:
-        raise DomainError(f"(mu*f_n)^2 overflows at mu*f_n = {model.mu * f_n:g}") from None
+    return max_t2, _friction_capacity(model, f_n)[1]
 
 
 def _coefficients(max_t2, m2f2, g, d_obj, d_com, sin_a, cos_a):

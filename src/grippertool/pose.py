@@ -46,7 +46,7 @@ margin, does not load numpy.
 
 import math
 
-from .contact import ContactModel, GraspState
+from .contact import ContactModel, GraspState, _friction_capacity
 from .errors import DomainError, ZeroCapacityError, value_type
 from .sizing import _boundary
 
@@ -74,13 +74,9 @@ class TorqueMarginCurve:
 def _headroom(model, state, cos_gamma):
     """((mu*f_n)^2 - tangential^2, tangential, mu*f_n) for the per-pad
     tangential load (g_tool/2)*cos(gamma); negative headroom means the
-    pads cannot carry the tool. Raises DomainError when (mu*f_n)^2
-    overflows."""
+    pads cannot carry the tool. Raises _friction_capacity's DomainError."""
     tangential = (state.g_tool / 2.0) * cos_gamma
-    mu_fn = model.mu * state.f_n
-    mu_fn2 = mu_fn * mu_fn
-    if mu_fn2 == math.inf:
-        raise DomainError(f"(mu*f_n)^2 overflows at mu*f_n = {mu_fn:g}")
+    mu_fn, mu_fn2 = _friction_capacity(model, state.f_n)
     return mu_fn2 - tangential * tangential, tangential, mu_fn
 
 
@@ -96,7 +92,8 @@ def torque_margin(model: ContactModel, state: GraspState, gamma: float) -> float
     """Spin-torque margin of the grasp at hand-tool angle gamma.
 
     Raises ZeroCapacityError when the tangential demand exceeds mu*f_n, and
-    DomainError for gamma outside [0, pi/2] or when (mu*f_n)^2 overflows.
+    DomainError for gamma outside [0, pi/2] or when the square of mu*f_n
+    overflows.
     """
     if not 0.0 <= gamma <= math.pi / 2:
         raise DomainError(f"gamma={gamma:g} outside [0, pi/2]")
@@ -146,9 +143,10 @@ def _roots(coeffs, lo, hi):
 
 def _quartic(model, state, kink):
     """Coefficients of Q, lowest first, and their sums over absolute terms."""
+    big_m2 = _friction_capacity(model, state.f_n)[1]
     # products, not **: an overflow gives inf rather than raising
-    k, c, mu_fn = _headroom(model, state, 1.0)
-    big_m2, c2, g_d = mu_fn * mu_fn, c * c, state.g_tool * state.d_com
+    c = state.g_tool / 2.0
+    k, c2, g_d = big_m2 - c * c, c * c, state.g_tool * state.d_com
     w, spin2 = g_d * g_d, (2.0 * model.e * c2) * (2.0 * model.e * c2)
     cos0, sin0 = math.cos(kink), math.sin(kink)
 

@@ -93,8 +93,8 @@ width-tie m hits it.
 
 import math
 
-from .contact import GraspState, GripConfig, _grip_force
-from .errors import GeometryError, InfeasibleProblemError, require_finite, value_type
+from .contact import GraspState, GripConfig, required_grip_force
+from .errors import InfeasibleProblemError, require_finite, value_type
 from .mechanism import SpringSpec, ToolDimensions, stroke
 
 # Most checks one candidate gets, its ulp steps included.
@@ -104,18 +104,6 @@ _ULP_STEPS = 12
 def clearance_span(d_axis: float, r_edge: float) -> float:
     """Material span a joint needs: shaft diameter plus an edge each side."""
     return d_axis + 2.0 * r_edge
-
-
-def theta_end_min(r: float, d_axis: float, r_edge: float) -> float:
-    """Smallest closed angle before the parallel linkage hits the base frame."""
-    q = clearance_span(d_axis, r_edge)
-    angle = _closed_angle(q, r)
-    if angle is None:
-        raise GeometryError(
-            f"clearance span {q:g} exceeds linkage length {r:g}; "
-            "no closed angle is reachable"
-        )
-    return angle
 
 
 def _closed_angle(q: float, r: float) -> float | None:
@@ -223,9 +211,8 @@ class SizingResult:
 def _end_demands(dim: ToolDimensions, spring: SpringSpec,
                  state: GraspState) -> tuple[float, float]:
     """Required grip force at theta_end and at theta_init."""
-    config = state.config
-    return (_grip_force(dim, spring, state, dim.theta_end, config),
-            _grip_force(dim, spring, state, dim.theta_init, config))
+    return (required_grip_force(dim, spring, state, dim.theta_end),
+            required_grip_force(dim, spring, state, dim.theta_init))
 
 
 def grip_demand(dim: ToolDimensions, spring: SpringSpec, state: GraspState) -> float:
@@ -475,13 +462,14 @@ def _bound_margins(problem: SizingProblem, m: float, r: float,
             ("theta_init_upper_bound", t_hi - theta_init, 1.0))
 
 
-def _active_constraints(problem: SizingProblem, dims: ToolDimensions) -> tuple[str, ...]:
-    """Names of the bounds within 1e-9 of their scale, and of the budget."""
+def _active_constraints(problem: SizingProblem, dims: ToolDimensions,
+                        demand: float) -> tuple[str, ...]:
+    """Names of the bounds within 1e-9 of their scale, and of the budget,
+    which demand, the design's grip_demand, meets within 1e-6."""
     names = [name for name, margin, scale
              in _bound_margins(problem, dims.m, dims.r, dims.theta_init)
              if abs(margin) <= 1e-9 * max(abs(scale), 1e-12)]
     names.append("theta_end_min")  # held at its limit by construction
-    demand = grip_demand(dims, problem.spring, problem.grasp)
     if abs(demand - problem.grip_budget) <= 1e-6 * max(problem.grip_budget, 1.0):
         names.append("grip_budget")
     return tuple(names)
@@ -539,7 +527,7 @@ def maximize_stroke(problem: SizingProblem) -> SizingResult:
     at_end, at_init = _end_demands(best, problem.spring, problem.grasp)
     return SizingResult(
         dims=best, stroke=stroke(best),
-        active_constraints=_active_constraints(problem, best),
+        active_constraints=_active_constraints(problem, best, max(at_end, at_init)),
         demand_end="theta_end" if at_end >= at_init else "theta_init",
         candidates=checked,
     )

@@ -16,6 +16,7 @@ from grippertool import (
     replace,
     required_grip_force,
 )
+from grippertool import payload, pose
 
 from oracles import bisect_holding_offset, holding_feasible, holding_wrench
 
@@ -57,6 +58,17 @@ class TestCapacityCheck:
         model = ContactModel(mu=0.5, e=0.01)
         if capacity_check(model, 10.0, f, t):
             assert capacity_check(model, 10.0, f * shrink_f, t * shrink_t)
+
+
+class TestFrictionCapacity:
+    def test_payload_and_pose_share_the_square_bits(self):
+        # libm's x**2 rounds this square one ulp above the product
+        model = ContactModel(mu=0.529, e=0.01)
+        state = state_with(f_n=40.872)
+        mu_fn = 0.529 * 40.872
+        assert payload._capacity_squares(model, 40.872)[1] == mu_fn * mu_fn
+        # with no tangential load the headroom is the square itself
+        assert pose._headroom(model, state, 0.0)[0] == mu_fn * mu_fn
 
 
 class TestMaxCapacities:

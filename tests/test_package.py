@@ -2,7 +2,7 @@ import grippertool
 
 PUBLIC_NAMES = {
     "ContactModel", "DegenerateContactError", "DesignFileError", "DomainError",
-    "GeometryError", "GraspState", "GripConfig", "GripperToolError",
+    "GraspState", "GripConfig", "GripperToolError",
     "InfeasibleHoldError", "InfeasibleProblemError", "NoFeasiblePayloadError",
     "PayloadGrid", "PayloadResult", "SingularTransmissionError", "SizingProblem",
     "SizingResult", "SpringSpec", "TorqueMarginCurve", "ToolDimensions", "Violation",
@@ -10,12 +10,12 @@ PUBLIC_NAMES = {
     "equilibrium_coefficients", "gamma_sweep", "grip_demand", "holding_max_offset",
     "max_capacities", "max_payload", "maximize_stroke", "parse_design",
     "payload_sweep", "replace", "required_grip_force", "spring_torque", "stroke",
-    "stroke_fixed_width", "theta_end_min", "torque_margin",
+    "stroke_fixed_width", "torque_margin",
 }
 
 
 def test_all_names_the_public_api():
-    assert len(PUBLIC_NAMES) == 40
+    assert len(PUBLIC_NAMES) == 38
     assert sorted(grippertool.__all__) == sorted(PUBLIC_NAMES)
     namespace = {}
     exec("from grippertool import *", namespace)

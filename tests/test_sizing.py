@@ -7,7 +7,6 @@ import sympy
 from hypothesis import assume, given, strategies as st
 
 from grippertool import (
-    GeometryError,
     GraspState,
     GripConfig,
     InfeasibleProblemError,
@@ -22,7 +21,6 @@ from grippertool import (
     replace,
     required_grip_force,
     stroke,
-    theta_end_min,
 )
 from grippertool import sizing
 from grippertool.sizing import (_boundary, _candidates, _end_demands, _evaluate, _realize,
@@ -66,30 +64,12 @@ def feasible_dims(m=0.012, r=0.03, theta_init=math.radians(60),
 
 
 class TestThetaEndMin:
-    def test_span_equals_linkage(self):
-        assert theta_end_min(r=0.01, d_axis=0.005, r_edge=0.0025) == pytest.approx(
-            math.pi / 2)
-
-    def test_span_equals_linkage_via_ratios(self):
-        r = 0.02
-        assert theta_end_min(r=r, d_axis=r / 2, r_edge=r / 4) == pytest.approx(
-            math.pi / 2)
-
-    def test_direct_evaluation(self):
-        assert theta_end_min(r=0.03, d_axis=0.004, r_edge=0.001) == pytest.approx(
-            math.asin(0.2))
-        assert theta_end_min(r=0.03, d_axis=0.004, r_edge=0.001) == pytest.approx(
-            0.2014, abs=1e-4)
-
-    def test_impossible_geometry(self):
-        with pytest.raises(GeometryError):
-            theta_end_min(r=0.005, d_axis=0.004, r_edge=0.001)
-
     def test_closed_angle_is_none_past_the_span(self):
         q = clearance_span(0.004, 0.001)
         assert sizing._closed_angle(q, 0.005) is None
         assert sizing._closed_angle(q, q) == math.pi / 2
-        assert sizing._closed_angle(q, 0.03) == theta_end_min(0.03, 0.004, 0.001)
+        assert sizing._closed_angle(q, 0.03) == pytest.approx(math.asin(0.2))
+        assert sizing._closed_angle(q, 0.03) == pytest.approx(0.2014, abs=1e-4)
 
 
 class TestCheckFeasible:
@@ -184,10 +164,12 @@ class TestBoundMargins:
     def test_active_constraints_name_the_corner_a_design_sits_on(self):
         problem = make_problem()
         upper = build_dimensions(problem, 0.03, 1.4)
-        assert sizing._active_constraints(problem, upper) == (
+        demand = grip_demand(upper, problem.spring, problem.grasp)
+        assert sizing._active_constraints(problem, upper, demand) == (
             "m_upper_bound", "theta_init_upper_bound", "theta_end_min")
         lower = build_dimensions(problem, 0.008, 0.6)
-        assert sizing._active_constraints(problem, lower) == (
+        demand = grip_demand(lower, problem.spring, problem.grasp)
+        assert sizing._active_constraints(problem, lower, demand) == (
             "m_lower_bound", "theta_init_lower_bound", "theta_end_min")
 
 
@@ -618,8 +600,8 @@ class TestMaximizeStroke:
         result = maximize_stroke(problem)
         assert result.dims.m == pytest.approx(problem.m_bounds[0])
         assert result.dims.theta_init == pytest.approx(problem.theta_init_bounds[1])
-        assert result.dims.theta_end == pytest.approx(
-            theta_end_min(result.dims.r, problem.d_axis, problem.r_edge))
+        assert result.dims.theta_end == pytest.approx(sizing._closed_angle(
+            clearance_span(problem.d_axis, problem.r_edge), result.dims.r))
         assert "m_lower_bound" in result.active_constraints
         assert "theta_init_upper_bound" in result.active_constraints
 
@@ -999,7 +981,8 @@ def assert_passes_every_check(problem, result):
     assert problem.r_bounds[0] <= dims.r <= problem.r_bounds[1]
     t_lo, t_hi = problem.theta_init_bounds
     assert t_lo <= dims.theta_init <= t_hi
-    assert dims.theta_end == theta_end_min(dims.r, problem.d_axis, problem.r_edge)
+    assert dims.theta_end == sizing._closed_angle(
+        clearance_span(problem.d_axis, problem.r_edge), dims.r)
     assert grip_demand(dims, problem.spring, problem.grasp) <= problem.grip_budget
     assert result.stroke == stroke(dims)
 

@@ -16,9 +16,11 @@ import io
 
 import pytest
 
-from grippertool import GraspState, cli, contact, parse_design, payload, pose, sizing
+from grippertool import (ContactModel, GraspState, cli, contact, parse_design, payload, pose,
+                         sizing)
 
 from test_cli import GOLDEN_COMMANDS, SAMPLE
+from test_pose import pose_state
 
 
 def counting(counted, name, function):
@@ -54,7 +56,8 @@ def counts(monkeypatch):
                         counting(counted, "GraspState", GraspState.__init__))
     count("_grid_weights", payload)
     count("_evaluate", sizing)
-    count("_grip_force", contact, sizing, cli)
+    count("required_grip_force", contact, sizing, cli)
+    count("torque_margin", pose)
     count("check_feasible", sizing, cli)
     count("open", builtins)
     parse_design.cache_clear()
@@ -92,16 +95,34 @@ def test_golden_request_reads_its_design_once(counts, name):
 def test_golden_optimize_checks_few_candidates(counts):
     run_ok(GOLDEN_COMMANDS["optimize.txt"])
     assert counts["_evaluate"] <= 6
-    assert counts["_grip_force"] <= 10
+    assert counts["required_grip_force"] <= 8
     assert counts["_boundary"] <= 2
     assert counts["predicate"] <= 21
 
 
 def test_golden_analyze_solves_each_configuration_once(counts):
     run_ok(GOLDEN_COMMANDS["analyze.txt"])
-    assert counts["_grip_force"] == 2
+    assert counts["required_grip_force"] == 2
 
 
 def test_golden_validate_checks_the_design_once(counts):
     run_ok(GOLDEN_COMMANDS["validate.txt"])
     assert counts["check_feasible"] == 1
+
+
+@pytest.mark.parametrize("samples", ["2", "19", "91", "1001"])
+def test_golden_pose_sweep_takes_three_peak_candidates(counts, samples):
+    # the candidates are gamma = 0 (the pads hold there), the kink and
+    # pi/2; Descartes' rule rules out a stationary point, so no root is
+    # searched, and the samples take the vectorized pass
+    run_ok([*GOLDEN_COMMANDS["pose_sweep.txt"][:-1], samples])
+    assert counts["_boundary"] == 0
+    assert counts["torque_margin"] == 3
+
+
+def test_stationary_peak_searches_the_quartic_briefly(counts):
+    model = ContactModel(mu=0.15, e=0.0106)
+    state = pose_state(f_n=61.5, g_tool=36.8, alpha=1.07, d_com=0.092)
+    pose.gamma_sweep(model, state, 19)
+    assert counts["_boundary"] <= 5
+    assert counts["predicate"] <= 146
