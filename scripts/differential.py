@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Compare the sizing outputs of two source trees, case by case.
+"""Compare the outputs of two source trees, case by case.
 
 Usage:
-    python scripts/differential.py TREE_A TREE_B --seeds 0:27000
+    python scripts/differential.py TREE_A TREE_B --seeds 0:27000 [--suite contact]
 
 Each tree runs in its own subprocess with PYTHONPATH=<tree>/src, so each
 imports its own grippertool, while the cases come from this script's
-tests/sizing_cases.py, so both trees see the same inputs. Seed s gives:
+tests/ modules, so both trees see the same inputs. In the sizing suite,
+the default, seed s gives:
 
   - one stroke problem, sizing_cases.draw_case(s), solved with
     maximize_stroke: the dims and stroke as float.hex, the active
@@ -15,6 +16,11 @@ tests/sizing_cases.py, so both trees see the same inputs. Seed s gives:
   - DIMS_PER_SEED random ToolDimensions from sizing_cases.draw_dims,
     checked with check_feasible: each violation's name and margin.
 
+In the contact suite, seed s gives one (ContactModel, GraspState, d_obj)
+draw, contact_cases.draw_contact(s), and three cases: holding_max_offset,
+max_payload's weight and gamma_sweep's exact peak (gamma and margin),
+each as float.hex or as the error's type and text.
+
 Prints one JSON line: the suite, the seed range, the number of cases,
 the number that differ and the first MAX_SHOWN differences in full.
 Exits 0 when no case differs and 1 when some do.
@@ -22,6 +28,7 @@ Exits 0 when no case differs and 1 when some do.
 
 import argparse
 import json
+import operator
 import os
 import random
 import subprocess
@@ -54,10 +61,12 @@ def _problem_output(problem):
             "demand_end": result.demand_end, "candidates": result.candidates}
 
 
-def _cases(seeds):
-    """Yield (case name, output) for every case of seeds in this process."""
-    # grippertool is imported in the child processes only, from their tree
-    sys.path.insert(0, str(ROOT / "tests"))
+def _error_text(exc):
+    return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def _sizing_cases(seeds):
+    """Yield (case name, output) for every sizing case of seeds."""
     from grippertool import check_feasible
     from sizing_cases import draw_case, draw_dims
 
@@ -65,7 +74,7 @@ def _cases(seeds):
         try:
             output = _problem_output(draw_case(seed))
         except Exception as exc:  # a crash in one tree is a difference
-            output = {"error": f"{type(exc).__name__}: {exc}"}
+            output = _error_text(exc)
         yield f"problem {seed}", output
         rng = random.Random(seed)
         for i in range(DIMS_PER_SEED):
@@ -74,27 +83,54 @@ def _cases(seeds):
                                        for v in check_feasible(dims)]
 
 
-def _child(seeds, tree):
+def _hex_or_error(call):
+    """call()'s floats as float.hex, or the error it raises."""
+    try:
+        return [value.hex() for value in call()]
+    except Exception as exc:  # a crash in one tree is a difference
+        return _error_text(exc)
+
+
+def _contact_cases(seeds):
+    """Yield (case name, output) for every contact case of seeds."""
+    from contact_cases import draw_contact
+    from grippertool import gamma_sweep, holding_max_offset, max_payload
+
+    peak = operator.attrgetter("peak_gamma", "peak_margin")
+    for seed in seeds:
+        model, state, d_obj = draw_contact(seed)
+        yield f"hold {seed}", _hex_or_error(lambda: [holding_max_offset(model, state)])
+        yield f"payload {seed}", _hex_or_error(
+            lambda: [max_payload(model, state, d_obj).max_weight])
+        yield f"peak {seed}", _hex_or_error(lambda: peak(gamma_sweep(model, state, 2)))
+
+
+SUITES = {"sizing": _sizing_cases, "contact": _contact_cases}
+
+
+def _child(seeds, tree, suite):
+    # grippertool is imported in the child processes only, from their tree
+    sys.path.insert(0, str(ROOT / "tests"))
     import grippertool
 
     expected = (Path(tree) / "src").resolve()
     if expected not in Path(grippertool.__file__).resolve().parents:
         sys.exit(f"grippertool was imported from {grippertool.__file__}, not {expected}")
-    for case, output in _cases(seeds):
+    for case, output in SUITES[suite](seeds):
         print(json.dumps([case, output]))
 
 
-def _spawn(tree, seeds):
+def _spawn(tree, seeds, suite):
     env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"))
     return subprocess.Popen(
         [sys.executable, __file__, "--child", tree, tree,
-         "--seeds", f"{seeds.start}:{seeds.stop}"],
+         "--seeds", f"{seeds.start}:{seeds.stop}", "--suite", suite],
         env=env, stdout=subprocess.PIPE, text=True)
 
 
-def compare(tree_a, tree_b, seeds):
-    """The JSON-ready summary of running seeds on both trees."""
-    procs = [_spawn(tree, seeds) for tree in (tree_a, tree_b)]
+def compare(tree_a, tree_b, seeds, suite="sizing"):
+    """The JSON-ready summary of running a suite's seeds on both trees."""
+    procs = [_spawn(tree, seeds, suite) for tree in (tree_a, tree_b)]
     cases, differing, differences = 0, 0, []
     for line_a, line_b in zip(*(proc.stdout for proc in procs)):
         cases += 1
@@ -108,7 +144,7 @@ def compare(tree_a, tree_b, seeds):
         if proc.wait() != 0 or rest:
             raise RuntimeError(f"{proc.args[3]}: exit status {proc.returncode}, "
                                "or more cases than the other tree")
-    return {"suite": "sizing", "seeds": f"{seeds.start}:{seeds.stop}", "cases": cases,
+    return {"suite": suite, "seeds": f"{seeds.start}:{seeds.stop}", "cases": cases,
             "differing": differing, "differences": differences}
 
 
@@ -117,12 +153,13 @@ def main():
     parser.add_argument("tree_a")
     parser.add_argument("tree_b")
     parser.add_argument("--seeds", type=seed_range, required=True, help="A:B")
+    parser.add_argument("--suite", choices=sorted(SUITES), default="sizing")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
-        _child(args.seeds, args.tree_a)
+        _child(args.seeds, args.tree_a, args.suite)
         return 0
-    summary = compare(args.tree_a, args.tree_b, args.seeds)
+    summary = compare(args.tree_a, args.tree_b, args.seeds, args.suite)
     print(json.dumps(summary))
     return 1 if summary["differing"] else 0
 

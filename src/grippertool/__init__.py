@@ -2,7 +2,7 @@
 tool driven by a 2-finger parallel gripper."""
 
 from .contact import (ContactModel, GraspState, GripConfig, capacity_check,
-                      holding_max_offset, max_capacities, required_grip_force)
+                      holding_max_offset, required_grip_force)
 from .designfile import parse_design
 from .errors import (DegenerateContactError, DesignFileError, DomainError, GripperToolError,
                      InfeasibleHoldError, InfeasibleProblemError, NoFeasiblePayloadError,

@@ -8,11 +8,12 @@ force f and a spin torque t about the contact normal, limited jointly by
 where e is the eccentricity of the contact patch (ratio of maximum torque
 to maximum tangential force). Two pads act on the tool, one per finger.
 Each formula is one function here: required_grip_force for the grip
-force, and _friction_capacity for mu*f_n and its square, which the
-payload and pose modules call too.
+force, and _friction_capacity for mu*f_n and its square, which the hold
+offset, the payload and the pose modules each call once per request.
 """
 
 import math
+import sys
 from enum import Enum
 
 from .errors import (DomainError, InfeasibleHoldError, SingularTransmissionError,
@@ -22,6 +23,8 @@ from .mechanism import SpringSpec, ToolDimensions, spring_torque
 # Relative slack applied to the capacity boundary so that wrenches computed
 # to sit exactly on it classify as feasible despite rounding.
 CAPACITY_SLACK = 1e-9
+# A term below the smallest normal float has lost significant digits.
+_MIN_NORMAL = sys.float_info.min
 
 
 class GripConfig(Enum):
@@ -119,26 +122,14 @@ def _friction_capacity(model: ContactModel, f_n: float) -> tuple[float, float]:
     """mu*f_n and its square, the limit surface's right-hand side.
 
     The one place the square is taken, by product: capacity_check, the
-    payload quadratic and the pose margin all see the same bits. Raises
-    DomainError when the square overflows.
+    hold offset, the payload quadratic and the pose margin all see the
+    same bits. Raises DomainError when the square overflows.
     """
     mu_fn = model.mu * f_n
     mu_fn2 = mu_fn * mu_fn
     if mu_fn2 == math.inf:
         raise DomainError(f"(mu*f_n)^2 overflows at mu*f_n = {mu_fn:g}")
     return mu_fn, mu_fn2
-
-
-def max_capacities(model: ContactModel, f_n: float) -> tuple[float, float]:
-    """Largest pure tangential force and pure spin torque at grip force f_n.
-
-    max_f = mu*f_n follows from the limit surface with t = 0; max_t then
-    follows from the eccentricity definition e = max_t / max_f.
-    """
-    if f_n < 0.0:
-        raise DomainError("f_n must be >= 0")
-    max_f = model.mu * f_n
-    return max_f, model.e * max_f
 
 
 def holding_max_offset(model: ContactModel, state: GraspState) -> float:
@@ -148,27 +139,29 @@ def holding_max_offset(model: ContactModel, state: GraspState) -> float:
     tangential force g_tool/2 and a spin torque g_tool*sin(alpha)*d/2.
     Setting that wrench on the capacity boundary and solving for d gives
 
-        d_max = max_t * sqrt((4*mu^2*f_n^2 - G^2) / (G^2*sin(alpha)^2*mu^2*f_n^2))
+        d_max = e * sqrt(4*(mu*f_n)^2 - G^2) / (G*sin(alpha))
 
-    Returns math.inf when sin(alpha) == 0: a vertical tool puts no spin
-    demand on the contact, so any offset works once 2*mu*f_n >= g_tool.
+    Returns math.inf for a vertical tool, alpha = 0 or pi (float pi's sine
+    is 1.2e-16): it puts no spin demand on the contact, so any offset
+    works once 2*mu*f_n >= g_tool.
 
     Raises InfeasibleHoldError when 2*mu*f_n < g_tool (cannot hold at any d),
-    and DomainError when a term of the formula overflows or underflows.
+    and DomainError when (mu*f_n)^2 or a term of the formula leaves the
+    normal float range.
     """
     mu_fn = model.mu * state.f_n
     g = state.g_tool
     if 2.0 * mu_fn < g:
         raise InfeasibleHoldError(deficit=g - 2.0 * mu_fn)
-    sin_a = math.sin(state.alpha)
-    if sin_a == 0.0:
+    if state.alpha == 0.0 or state.alpha == math.pi:
         return math.inf
-    _, max_t = max_capacities(model, state.f_n)
-    spin = g * g * sin_a * sin_a * mu_fn * mu_fn
-    # overflowing terms leave nan or inf, a spin term of inf would give 0,
-    # and one that underflows to 0 a division by zero
-    offset = (max_t * math.sqrt((4.0 * mu_fn * mu_fn - g * g) / spin)
-              if 0.0 < spin < math.inf else math.nan)
+    mu_fn2 = _friction_capacity(model, state.f_n)[1]
+    sin_a = math.sin(state.alpha)
+    spin = g * sin_a
+    # 4*M^2 or G^2 that overflows leaves nan or inf, and below the normal
+    # range M^2 or G*sin(alpha) has lost digits; 4*M^2 >= G^2 otherwise
+    offset = (model.e * math.sqrt(4.0 * mu_fn2 - g * g) / spin
+              if mu_fn2 >= _MIN_NORMAL and spin >= _MIN_NORMAL else math.nan)
     if not math.isfinite(offset):
         raise DomainError("hold offset out of floating-point range: "
                           f"mu*f_n = {mu_fn:g}, g_tool = {g:g}, sin(alpha) = {sin_a:g}")

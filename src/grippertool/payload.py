@@ -34,8 +34,7 @@ import math
 from collections.abc import Sequence
 from functools import reduce
 
-from .contact import (ContactModel, GraspState, _friction_capacity, check_grasp,
-                      max_capacities)
+from .contact import ContactModel, GraspState, _friction_capacity, check_grasp
 from .errors import DegenerateContactError, DomainError, NoFeasiblePayloadError, value_type
 
 # Residual of a*x^2 + b*x + c at the returned root, normalized by the
@@ -88,7 +87,7 @@ def _check_tool_held(model: ContactModel, state: GraspState) -> None:
 
 def _capacity_squares(model, f_n) -> tuple[float, float]:
     """max_t^2 and (mu*f_n)^2, the payload quadratic's per-state constants."""
-    _, max_t = max_capacities(model, f_n)
+    max_t = model.e * (model.mu * f_n)  # the largest pure spin torque
     max_t2 = max_t * max_t
     if max_t2 == 0.0:  # f_n is 0, or so small that the square underflows
         raise DegenerateContactError(f"zero torque capacity: e*mu*f_n = {max_t:g}")

@@ -34,7 +34,8 @@ the search is skipped.
 
 The margin formula is written once (_headroom, _margin), with operators
 that work on floats and numpy arrays alike: torque_margin() calls it for
-one gamma and gamma_sweep() once for all samples. The curve keeps the
+one gamma and gamma_sweep() once for all samples; each of the two takes
+contact._friction_capacity once and hands it down. The curve keeps the
 samples as two float arrays, gammas and margins (nan where the pads
 cannot carry the tool); its samples property is the (gamma, margin)
 pair view. A sample is bit-identical to torque_margin() at that gamma
@@ -71,13 +72,12 @@ class TorqueMarginCurve:
         return tuple(zip(self.gammas.tolist(), self.margins.tolist()))
 
 
-def _headroom(model, state, cos_gamma):
-    """((mu*f_n)^2 - tangential^2, tangential, mu*f_n) for the per-pad
-    tangential load (g_tool/2)*cos(gamma); negative headroom means the
-    pads cannot carry the tool. Raises _friction_capacity's DomainError."""
+def _headroom(mu_fn2, state, cos_gamma):
+    """((mu*f_n)^2 - tangential^2, tangential) for the per-pad tangential
+    load (g_tool/2)*cos(gamma), from mu_fn2 = (mu*f_n)^2; negative
+    headroom means the pads cannot carry the tool."""
     tangential = (state.g_tool / 2.0) * cos_gamma
-    mu_fn, mu_fn2 = _friction_capacity(model, state.f_n)
-    return mu_fn2 - tangential * tangential, tangential, mu_fn
+    return mu_fn2 - tangential * tangential, tangential
 
 
 def _margin(model, state, sqrt_headroom, sin_offset):
@@ -97,7 +97,13 @@ def torque_margin(model: ContactModel, state: GraspState, gamma: float) -> float
     """
     if not 0.0 <= gamma <= math.pi / 2:
         raise DomainError(f"gamma={gamma:g} outside [0, pi/2]")
-    headroom, tangential, mu_fn = _headroom(model, state, math.cos(gamma))
+    return _margin_at(model, state, _friction_capacity(model, state.f_n), gamma)
+
+
+def _margin_at(model, state, capacity, gamma):
+    """torque_margin() at gamma, from capacity = _friction_capacity()."""
+    mu_fn, mu_fn2 = capacity
+    headroom, tangential = _headroom(mu_fn2, state, math.cos(gamma))
     if headroom < 0.0:
         raise ZeroCapacityError(
             f"tangential demand {tangential:g} N exceeds capacity {mu_fn:g} N"
@@ -141,9 +147,8 @@ def _roots(coeffs, lo, hi):
     return [root for root in found if root is not None]
 
 
-def _quartic(model, state, kink):
+def _quartic(model, state, big_m2, kink):
     """Coefficients of Q, lowest first, and their sums over absolute terms."""
-    big_m2 = _friction_capacity(model, state.f_n)[1]
     # products, not **: an overflow gives inf rather than raising
     c = state.g_tool / 2.0
     k, c2, g_d = big_m2 - c * c, c * c, state.g_tool * state.d_com
@@ -157,28 +162,29 @@ def _quartic(model, state, kink):
     return terms(k, -spin2, cos0 * sin0), terms(big_m2 + c2, spin2, abs(cos0 * sin0))
 
 
-def _peak(model, state):
+def _peak(model, state, capacity):
     """(gamma, margin) of the largest torque_margin over [0, pi/2], ties to
     the smaller gamma, from the candidates in the module docstring. Raises
     ZeroCapacityError when the pads hold the tool at no gamma."""
     half_pi = math.pi / 2
-    if _headroom(model, state, math.cos(half_pi))[0] < 0.0:
+    mu_fn2 = capacity[1]
+    if _headroom(mu_fn2, state, math.cos(half_pi))[0] < 0.0:
         raise ZeroCapacityError("no hand-tool angle has positive friction capacity")
     edge = 0.0
-    if _headroom(model, state, 1.0)[0] < 0.0:   # the first float where the pads hold
-        edge = _boundary(lambda g: -_headroom(model, state, math.cos(g))[0], 0.0, half_pi)
+    if _headroom(mu_fn2, state, 1.0)[0] < 0.0:   # the first float where the pads hold
+        edge = _boundary(lambda g: -_headroom(mu_fn2, state, math.cos(g))[0], 0.0, half_pi)
     kink = math.pi / 2 - state.alpha
     start = max(edge, kink)
     end = min(half_pi, math.pi - state.alpha)
     gammas = {edge, start, half_pi}
     if start < end:
-        coeffs, magnitudes = _quartic(model, state, kink)
+        coeffs, magnitudes = _quartic(model, state, mu_fn2, kink)
         t0 = math.tan(start)
         # no root above 0 leaves none above t0, and needs no shift
         if not (_one_sign(coeffs, magnitudes)
                 or _one_sign(_shifted(coeffs, t0), _shifted(magnitudes, t0))):
             gammas.update(max(math.atan(t), start) for t in _roots(coeffs, t0, math.tan(end)))
-    return max(((gamma, torque_margin(model, state, gamma)) for gamma in sorted(gammas)),
+    return max(((gamma, _margin_at(model, state, capacity, gamma)) for gamma in sorted(gammas)),
                key=lambda pair: pair[1])
 
 
@@ -200,9 +206,10 @@ def gamma_sweep(model: ContactModel, state: GraspState,
     # the last sample can round one ulp above pi/2; clamp it onto the domain
     gamma_arr = np.minimum(math.pi / 2 * np.arange(n_samples) / (n_samples - 1),
                            math.pi / 2)
+    capacity = _friction_capacity(model, state.f_n)
     with np.errstate(all="ignore"):
-        headroom = _headroom(model, state, np.cos(gamma_arr))[0]
+        headroom = _headroom(capacity[1], state, np.cos(gamma_arr))[0]
         margin_arr = _margin(model, state, np.sqrt(np.maximum(headroom, 0.0)),
                              np.sin(gamma_arr - (math.pi / 2 - state.alpha)))
     margin_arr[headroom < 0.0] = math.nan
-    return TorqueMarginCurve(gamma_arr, margin_arr, *_peak(model, state))
+    return TorqueMarginCurve(gamma_arr, margin_arr, *_peak(model, state, capacity))

@@ -717,6 +717,16 @@ class TestOverflow:
             err = self.assert_refused(["pose-sweep", design, "--samples", "5"])
             assert "(mu*f_n)^2 overflows" in err
 
+    def test_overflowing_capacity_is_one_error_line(self, tmp_path):
+        # the hold offset, the payload and the pose margin form (mu*f_n)^2
+        # in one place, so every command refuses it with one message
+        design = edited_design(tmp_path, "f_n = 40", "f_n = 1e200")
+        for argv in (["analyze", design, "--d-obj", "0.05"],
+                     ["payload-sweep", design, "--alpha", "15:75:15deg", "--d", "0:0.04:0.01"],
+                     ["pose-sweep", design, "--samples", "19"]):
+            err = self.assert_refused(argv)
+            assert err == "error: (mu*f_n)^2 overflows at mu*f_n = 5e+199\n"
+
     def test_grasp_outside_travel(self, tmp_path):
         # analyze used to print the hold offset before the grip forces refused
         design = edited_design(tmp_path, "theta = 30deg", "theta = 89deg")
@@ -788,6 +798,13 @@ class TestLibraryConsistency:
         f = tmp_path / "vertical.ini"
         f.write_text(text)
         _, out, _ = invoke(["analyze", str(f)])
+        assert "holding_max_offset_m = unbounded" in out
+
+    def test_upside_down_hold_prints_unbounded(self, tmp_path):
+        # the other vertical pose: float pi's sine is 1.2e-16, not 0
+        design = edited_design(tmp_path, "alpha = 67deg", "alpha = 180deg")
+        code, out, _ = invoke(["analyze", design])
+        assert code == 0
         assert "holding_max_offset_m = unbounded" in out
 
     def test_infeasible_hold_prints_sentinel(self, tmp_path):

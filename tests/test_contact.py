@@ -12,11 +12,10 @@ from grippertool import (
     SingularTransmissionError,
     capacity_check,
     holding_max_offset,
-    max_capacities,
     replace,
     required_grip_force,
 )
-from grippertool import payload, pose
+from grippertool import contact, payload, pose
 
 from oracles import bisect_holding_offset, holding_feasible, holding_wrench
 
@@ -68,19 +67,9 @@ class TestFrictionCapacity:
         mu_fn = 0.529 * 40.872
         assert payload._capacity_squares(model, 40.872)[1] == mu_fn * mu_fn
         # with no tangential load the headroom is the square itself
-        assert pose._headroom(model, state, 0.0)[0] == mu_fn * mu_fn
-
-
-class TestMaxCapacities:
-    @pytest.mark.parametrize("mu,e,f_n,expected", [
-        (0.5, 0.01, 0.0, (0.0, 0.0)),
-        (0.5, 0.01, 10.0, (5.0, 0.05)),
-        (1.0, 0.005, 40.0, (40.0, 0.2)),
-    ])
-    def test_direct_products(self, mu, e, f_n, expected):
-        max_f, max_t = max_capacities(ContactModel(mu=mu, e=e), f_n)
-        assert max_f == pytest.approx(expected[0], abs=1e-15)
-        assert max_t == pytest.approx(expected[1], abs=1e-15)
+        capacity = contact._friction_capacity(model, state.f_n)
+        assert capacity == (mu_fn, mu_fn * mu_fn)
+        assert pose._headroom(capacity[1], state, 0.0)[0] == mu_fn * mu_fn
 
 
 class TestHoldingMaxOffset:
@@ -93,6 +82,11 @@ class TestHoldingMaxOffset:
         model = ContactModel(mu=0.5, e=0.01)
         assert math.isinf(holding_max_offset(model, state_with(alpha=0.0)))
 
+    def test_upside_down_tool_unbounded(self):
+        # float pi, 180 deg, has a sine of 1.2e-16, not 0
+        model = ContactModel(mu=0.5, e=0.01)
+        assert math.isinf(holding_max_offset(model, state_with(alpha=math.pi)))
+
     def test_infeasible_hold_carries_deficit(self):
         model = ContactModel(mu=0.5, e=0.01)
         with pytest.raises(InfeasibleHoldError) as exc_info:
@@ -102,14 +96,41 @@ class TestHoldingMaxOffset:
     @pytest.mark.parametrize("model, state", [
         (ContactModel(mu=0.5, e=0.01), state_with(f_n=1e200)),
         (ContactModel(mu=1e200, e=0.01), state_with()),
-        (ContactModel(mu=0.5, e=0.01), state_with(f_n=1e100, g_tool=1e100)),
-        (ContactModel(mu=0.5, e=0.01), state_with(alpha=1e-200)),
     ])
     def test_out_of_range_offset_is_domain_error(self, model, state):
-        # overflowing terms give nan, an overflowing spin term 0 and an
-        # underflowing one a division by zero
-        with pytest.raises(DomainError, match="floating-point range"):
+        # the message of the payload and pose modules, from the one square
+        mu_fn = model.mu * state.f_n
+        with pytest.raises(DomainError) as exc_info:
             holding_max_offset(model, state)
+        assert str(exc_info.value) == f"(mu*f_n)^2 overflows at mu*f_n = {mu_fn:g}"
+
+    @pytest.mark.parametrize("model, state, message", [
+        # G*sin(alpha) below the normal range: e*sqrt(4*M^2 - G^2)/(G*sin(alpha))
+        # would be 3.87e317
+        (ContactModel(mu=0.5, e=0.01), state_with(alpha=1e-320),
+         "^hold offset out of floating-point range: "
+         r"mu\*f_n = 20, g_tool = 10, sin\(alpha\) = 9\.99989e-321$"),
+        # below the normal range the offset would be finite but inexact:
+        # G*sin(alpha) = 1e-310 ...
+        (ContactModel(mu=0.5, e=1e-6), state_with(g_tool=1e-300, alpha=1e-10),
+         "^hold offset out of floating-point range"),
+        # ... and (mu*f_n)^2 = 2.5e-321
+        (ContactModel(mu=0.5, e=0.01), state_with(f_n=1e-160, g_tool=5e-161),
+         "^hold offset out of floating-point range"),
+    ])
+    def test_offset_beyond_the_normal_range_is_domain_error(self, model, state, message):
+        with pytest.raises(DomainError, match=message):
+            holding_max_offset(model, state)
+
+    @pytest.mark.parametrize("state, offset", [
+        # 2*mu*f_n = g_tool: no spin capacity is left
+        (state_with(f_n=1e100, g_tool=1e100), 0.0),
+        # e*sqrt(4*M^2 - G^2)/(G*sin(alpha)) = 0.01*sqrt(1500)/1e-199, with
+        # no product of squares that underflows
+        (state_with(alpha=1e-200), 0.01 * math.sqrt(1500.0) / 1e-199),
+    ])
+    def test_extreme_offsets_are_exact(self, state, offset):
+        assert holding_max_offset(ContactModel(mu=0.5, e=0.01), state) == offset
 
     def test_matches_feasibility_bisection(self):
         # frozen expectation computed with oracles.bisect_holding_offset

@@ -1,7 +1,9 @@
 """scripts/differential.py finds no difference between the repo and itself,
-and finds those of a copy with one sizing output changed."""
+and finds those of a copy with one sizing or contact output changed."""
 
+import collections
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -9,18 +11,31 @@ from pathlib import Path
 
 import pytest
 
-from grippertool import InfeasibleProblemError, maximize_stroke
+from grippertool import (GripperToolError, InfeasibleProblemError, gamma_sweep,
+                         holding_max_offset, max_payload, maximize_stroke)
 
+from contact_cases import draw_contact
 from sizing_cases import draw_case
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def differential(tree_a, tree_b, seeds="0:300"):
+def differential(tree_a, tree_b, seeds="0:300", *suite):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "differential.py"),
-                           str(tree_a), str(tree_b), "--seeds", seeds],
+                           str(tree_a), str(tree_b), "--seeds", seeds, *suite],
                           capture_output=True, text=True, check=False)
     return proc.returncode, json.loads(proc.stdout)
+
+
+def patched_copy(tmp_path, module, old, new):
+    """tmp_path holding a copy of src/ with old replaced by new in module."""
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = tmp_path / "src" / "grippertool" / f"{module}.py"
+    text = source.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    source.write_text(text.replace(old, new), encoding="utf-8")
+    return tmp_path
 
 
 def test_repo_against_itself():
@@ -53,14 +68,51 @@ def test_cases_reach_the_refusals():
     ("if dim.theta_init >= math.pi / 2:", "if dim.theta_init > math.pi / 2:", "dims"),
 ])
 def test_patched_copy_differs(tmp_path, old, new, kind):
-    shutil.copytree(ROOT / "src", tmp_path / "src",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    sizing = tmp_path / "src" / "grippertool" / "sizing.py"
-    text = sizing.read_text(encoding="utf-8")
-    assert text.count(old) == 1
-    sizing.write_text(text.replace(old, new), encoding="utf-8")
-    code, summary = differential(ROOT, tmp_path)
+    code, summary = differential(ROOT, patched_copy(tmp_path, "sizing", old, new))
     assert code == 1
     assert summary["cases"] == 300 * 9 and summary["differing"] > 0
+    assert all(d["case"].startswith(kind + " ") and d["a"] != d["b"]
+               for d in summary["differences"])
+
+
+def test_contact_suite_against_itself():
+    code, summary = differential(ROOT, ROOT, "0:300", "--suite", "contact")
+    assert code == 0
+    assert summary == {"suite": "contact", "seeds": "0:300", "cases": 300 * 3,
+                       "differing": 0, "differences": []}
+
+
+def test_contact_cases_reach_every_outcome():
+    # vertical poses and overflowing or denormal terms: every hold outcome,
+    # and values and errors of the payload and the peak
+    outcomes = collections.Counter()
+    for seed in range(300):
+        model, state, d_obj = draw_contact(seed)
+        for name, call in (("hold", lambda: holding_max_offset(model, state)),
+                           ("payload", lambda: max_payload(model, state, d_obj)),
+                           ("peak", lambda: gamma_sweep(model, state, 2))):
+            try:
+                value = call()
+                outcomes[name, "inf" if value == math.inf else "value"] += 1
+            except (GripperToolError, ValueError) as exc:   # the CLI's refusals
+                outcomes[name, type(exc).__name__] += 1
+    assert {("hold", "inf"), ("hold", "value"), ("hold", "InfeasibleHoldError"),
+            ("hold", "DomainError"), ("payload", "value"), ("payload", "DomainError"),
+            ("peak", "value"), ("peak", "DomainError")} <= outcomes.keys(), outcomes
+
+
+@pytest.mark.parametrize("module, old, new, kind", [
+    # alpha = pi is no longer a vertical pose
+    ("contact", "if state.alpha == 0.0 or state.alpha == math.pi:", "if state.alpha == 0.0:",
+     "hold"),
+    # the available spin torque one ulp larger
+    ("pose", "available = 2.0 * model.e * sqrt_headroom",
+     "available = 2.0 * model.e * sqrt_headroom * (1.0 + 2.0**-52)", "peak"),
+])
+def test_patched_contact_copy_differs(tmp_path, module, old, new, kind):
+    code, summary = differential(ROOT, patched_copy(tmp_path, module, old, new), "0:300",
+                                 "--suite", "contact")
+    assert code == 1
+    assert summary["cases"] == 300 * 3 and summary["differing"] > 0
     assert all(d["case"].startswith(kind + " ") and d["a"] != d["b"]
                for d in summary["differences"])

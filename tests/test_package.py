@@ -8,14 +8,14 @@ PUBLIC_NAMES = {
     "SizingResult", "SpringSpec", "TorqueMarginCurve", "ToolDimensions", "Violation",
     "ZeroCapacityError", "capacity_check", "check_feasible", "clearance_span",
     "equilibrium_coefficients", "gamma_sweep", "grip_demand", "holding_max_offset",
-    "max_capacities", "max_payload", "maximize_stroke", "parse_design",
+    "max_payload", "maximize_stroke", "parse_design",
     "payload_sweep", "replace", "required_grip_force", "spring_torque", "stroke",
     "stroke_fixed_width", "torque_margin",
 }
 
 
 def test_all_names_the_public_api():
-    assert len(PUBLIC_NAMES) == 38
+    assert len(PUBLIC_NAMES) == 37
     assert sorted(grippertool.__all__) == sorted(PUBLIC_NAMES)
     namespace = {}
     exec("from grippertool import *", namespace)

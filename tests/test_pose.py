@@ -14,6 +14,7 @@ from grippertool import (
     torque_margin,
 )
 
+from grippertool.contact import _friction_capacity
 from grippertool.pose import _one_sign, _quartic, _roots, _shifted
 
 from sweep_reference import bits, certified_peak, gamma_curve
@@ -261,7 +262,8 @@ class TestPeakLemmas:
             state = pose_state(f_n=rng.uniform(1.0, 100.0), g_tool=rng.uniform(0.5, 40.0),
                                alpha=rng.uniform(0.1, 1.4), d_com=rng.uniform(0.01, 0.1))
             kink = math.pi / 2 - state.alpha
-            coeffs, magnitudes = _quartic(model, state, kink)
+            big_m2 = _friction_capacity(model, state.f_n)[1]
+            coeffs, magnitudes = _quartic(model, state, big_m2, kink)
             want = expected(state.g_tool, state.d_com, model.e, model.mu * state.f_n, kink)
             assert len(coeffs) == len(want) == 5
             for got, value, bound in zip(coeffs, want, magnitudes):
@@ -299,7 +301,8 @@ class TestPeakLemmas:
             start = max(kink, math.acos(min(big_m / c, 1.0)))
             if not start < min(math.pi / 2, math.pi - alpha):
                 continue
-            coeffs, magnitudes = _quartic(model, state, kink)
+            big_m2 = _friction_capacity(model, f_n)[1]
+            coeffs, magnitudes = _quartic(model, state, big_m2, kink)
             t0 = math.tan(start)
             if _one_sign(coeffs, magnitudes):
                 skips["own"] += 1

@@ -58,6 +58,8 @@ def counts(monkeypatch):
     count("_evaluate", sizing)
     count("required_grip_force", contact, sizing, cli)
     count("torque_margin", pose)
+    count("_margin_at", pose)
+    count("_friction_capacity", contact, payload, pose)
     count("check_feasible", sizing, cli)
     count("open", builtins)
     parse_design.cache_clear()
@@ -108,16 +110,31 @@ def test_golden_analyze_solves_each_configuration_once(counts):
 def test_golden_validate_checks_the_design_once(counts):
     run_ok(GOLDEN_COMMANDS["validate.txt"])
     assert counts["check_feasible"] == 1
+    assert counts["_friction_capacity"] == 0
+
+
+@pytest.mark.parametrize("name, capacities", [
+    # the hold offset and the payload quadratic, one each
+    ("analyze.txt", 2),
+    # one for the whole grid, solved one cell at a time
+    ("payload_sweep.txt", 1),
+])
+def test_golden_request_forms_each_capacity_once(counts, name, capacities):
+    run_ok(GOLDEN_COMMANDS[name])
+    assert counts["_friction_capacity"] == capacities
 
 
 @pytest.mark.parametrize("samples", ["2", "19", "91", "1001"])
 def test_golden_pose_sweep_takes_three_peak_candidates(counts, samples):
     # the candidates are gamma = 0 (the pads hold there), the kink and
     # pi/2; Descartes' rule rules out a stationary point, so no root is
-    # searched, and the samples take the vectorized pass
+    # searched, and the samples take the vectorized pass. The samples,
+    # the peak and its candidates share one capacity.
     run_ok([*GOLDEN_COMMANDS["pose_sweep.txt"][:-1], samples])
     assert counts["_boundary"] == 0
-    assert counts["torque_margin"] == 3
+    assert counts["_margin_at"] == 3
+    assert counts["torque_margin"] == 0
+    assert counts["_friction_capacity"] == 1
 
 
 def test_stationary_peak_searches_the_quartic_briefly(counts):
