@@ -19,11 +19,14 @@ most SCALAR_GRID_CELLS cells with them one float cell at a time, as
 max_payload() does, and a larger grid with one call on the whole
 (alpha, d) grid of arrays, whose fixed cost only a larger grid repays.
 Either way a sweep cell is bit-identical to max_payload() on that cell.
-Before solving, the sweep checks the GraspState ranges at the three
-cells where a row-order walk of the grid would meet a bad value first.
-The sweep returns a PayloadGrid: the weights as one row of floats per
-alpha, nan where infeasible, with the cell counts and the worst root
-residual.
+_solve_cell() decides a float cell: its root, residual bound, overflow
+error and clamp. max_payload() and the one-cell pass call it on every
+cell, the numpy pass only on the first cell whose residual fails the
+bound, to raise that cell's error. Before solving, the sweep checks the
+GraspState ranges at the three cells where a row-order walk of the grid
+would meet a bad value first. The sweep returns a PayloadGrid: the
+weights as one row of floats per alpha, nan where infeasible, with the
+cell counts and the worst root residual.
 
 Only the large-grid pass builds arrays, so numpy is imported inside it:
 importing this module, solving one payload, or sweeping a grid of at
@@ -67,12 +70,12 @@ class PayloadResult:
     def __post_init__(self):
         if self.max_weight < 0.0:
             raise ValueError("PayloadResult.max_weight must be >= 0")
-        # a nan residual, left by coefficients that overflow, fails too
-        if not self.residual <= ROOT_RESIDUAL_TOL:
-            raise ValueError(
-                f"PayloadResult.residual {self.residual:g} exceeds "
-                f"{ROOT_RESIDUAL_TOL:g}"
-            )
+        if not self.residual <= ROOT_RESIDUAL_TOL:  # a nan residual fails too
+            raise _residual_error(self.residual)
+
+
+def _residual_error(residual) -> ValueError:
+    return ValueError(f"PayloadResult.residual {residual:g} exceeds {ROOT_RESIDUAL_TOL:g}")
 
 
 def _check_tool_held(model: ContactModel, state: GraspState) -> None:
@@ -102,13 +105,6 @@ def _coefficients(max_t2, m2f2, g, d_obj, d_com, sin_a, cos_a):
     c = (g * g * (max_t2 + d_com * d_com * cos_a * cos_a * m2f2)
          / (4.0 * max_t2) - m2f2)
     return a, b, c
-
-
-def _out_of_range(model, d_obj, d_com) -> DomainError:
-    """The error for payload coefficients that overflowed, naming the inputs
-    that can overflow them once (mu*f_n)^2 is finite."""
-    return DomainError("payload quadratic out of floating-point range: "
-                       f"d_obj = {d_obj:g}, e = {model.e:g}, d_com = {d_com:g}")
 
 
 def _discriminant(a, b, c):
@@ -159,31 +155,37 @@ def max_payload(model: ContactModel, state: GraspState,
     """
     _check_tool_held(model, state)
     a, b, c = equilibrium_coefficients(model, state, d_obj)
-    root = _capacity_root(model, d_obj, state.d_com, a, b, c)
-    if root is None:
+    solved = _solve_cell(model, d_obj, state.d_com, a, b, c)
+    if solved is None:
         raise NoFeasiblePayloadError(
             "no object weight satisfies the contact capacity"
         )
-    root_hi, residual = root
-    if root_hi < 0.0:
-        return PayloadResult(0.0, (a, b, c), residual, zero_clamped=True)
-    return PayloadResult(root_hi, (a, b, c), residual)
+    weight, residual, zero_clamped = solved
+    return PayloadResult(weight, (a, b, c), residual, zero_clamped)
 
 
-def _capacity_root(model, d_obj, d_com, a, b, c) -> tuple[float, float] | None:
-    """(root_hi, residual) of the float payload quadratic: its larger root,
-    not yet clamped at 0, and that root's normalized residual. None when
-    no real root exists. Raises the overflow DomainError, naming d_obj,
-    e and d_com, when a coefficient is not finite.
+def _solve_cell(model, d_obj, d_com, a, b, c) -> tuple[float, float, bool] | None:
+    """(weight, residual, zero_clamped) of a float payload quadratic, or
+    None with no real root (disc < 0, -inf included). weight is the larger
+    root, clamped at 0 when negative. A residual that fails the bound (nan
+    included) raises the overflow DomainError, naming d_obj, e and d_com,
+    when a coefficient, disc or the residual is not finite, and
+    PayloadResult's ValueError when all are finite.
     """
     disc = _discriminant(a, b, c)
     if disc < 0.0:
         return None
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        raise _out_of_range(model, d_obj, d_com)
     r1, r2 = _roots(a, b, c, math.sqrt(disc))
     root_hi = r2 if r1 <= r2 else r1
-    return root_hi, _residual(a, b, c, root_hi)
+    residual = _residual(a, b, c, root_hi)
+    if not residual <= ROOT_RESIDUAL_TOL:
+        if not all(map(math.isfinite, (a, b, c, disc, residual))):
+            raise DomainError("payload quadratic out of floating-point range: "
+                              f"d_obj = {d_obj:g}, e = {model.e:g}, d_com = {d_com:g}")
+        raise _residual_error(residual)
+    if root_hi < 0.0:
+        return 0.0, residual, True
+    return root_hi, residual, False
 
 
 @value_type(eq=False)
@@ -226,9 +228,8 @@ class PayloadGrid(Sequence):
 
 
 def _cell_weights(model, state, d_obj, alphas, ds) -> tuple:
-    """_grid_weights' result, solved one cell at a time with max_payload's
-    float steps.
-    """
+    """_grid_weights' result, each cell solved by _solve_cell as
+    max_payload solves it."""
     max_t2, m2f2 = _capacity_squares(model, state.f_n)
     g = state.g_tool
     rows, feasible, zero_clamped, max_residual = [], 0, 0, 0.0
@@ -237,18 +238,14 @@ def _cell_weights(model, state, d_obj, alphas, ds) -> tuple:
         row = []
         for d in ds:
             a, b, c = _coefficients(max_t2, m2f2, g, d_obj, d, sin_a, cos_a)
-            root = _capacity_root(model, d_obj, d, a, b, c)
-            if root is None:
+            solved = _solve_cell(model, d_obj, d, a, b, c)
+            if solved is None:
                 row.append(math.nan)
                 continue
-            weight, residual = root
-            if not residual <= ROOT_RESIDUAL_TOL:  # raises max_payload's ValueError
-                PayloadResult(max(weight, 0.0), (a, b, c), residual)
+            weight, residual, clamped = solved
             feasible += 1
+            zero_clamped += clamped
             max_residual = max(max_residual, residual)
-            if weight < 0.0:
-                zero_clamped += 1
-                weight = 0.0
             row.append(weight)
         rows.append(row)
     return rows, feasible, zero_clamped, max_residual
@@ -277,16 +274,12 @@ def _grid_weights(model, state, d_obj, alphas, ds) -> tuple:
         root_hi = np.where(r1 <= r2, r2, r1)
         del disc, r1, r2  # _residual's temporaries reuse their memory: a lower peak RSS
         residual = _residual(a, b, c, root_hi, elementwise_max)
-    # the overflow check and residual bound of max_payload, raised for the
-    # first cell that breaks one: an overflowed coefficient leaves a nan residual
+    # the first cell in row order whose residual fails the bound (nan
+    # included) is solved again alone, by _solve_cell, to raise its error
     too_large = feasible & ~(residual <= ROOT_RESIDUAL_TOL)
     if too_large.any():
         i, j = np.unravel_index(np.argmax(too_large), too_large.shape)
-        coefficients = (float(a[i, 0]), float(b[i, j]), float(c[i, j]))
-        if not all(map(math.isfinite, coefficients)):
-            raise _out_of_range(model, d_obj, float(ds[j]))
-        PayloadResult(max(float(root_hi[i, j]), 0.0), coefficients,
-                      float(residual[i, j]))
+        _cell_weights(model, state, d_obj, [alphas[i]], [float(ds[j])])
     clamped = root_hi < 0.0
     root_hi[clamped] = 0.0
     root_hi[~feasible] = math.nan

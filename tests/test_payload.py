@@ -96,11 +96,19 @@ class TestMaxPayload:
          "d_obj = 1e+160, e = 0.005, d_com = 0.02"),
         (ContactModel(mu=0.5, e=1e200), state_with(), 0.05,
          "d_obj = 0.05, e = 1e+200, d_com = 0.02"),
+        # finite coefficients: a*x^2 overflows in the residual, which is nan
+        (ContactModel(mu=0.5, e=1e-143), state_with(), 0.05,
+         "d_obj = 0.05, e = 1e-143, d_com = 0.02"),
+        # finite coefficients: 4*a*c overflows, so the discriminant is inf,
+        # the root 0 and its residual 1
+        (ContactModel(mu=1.5e152, e=0.005), state_with(d=0.0), 0.05,
+         "d_obj = 0.05, e = 0.005, d_com = 0"),
     ])
     def test_overflowing_coefficients_raise_like_sweep(self, model, state, d_obj, named,
                                                        driver):
-        # a term of a, b or c overflows: the error names the inputs (the
-        # sweep's d_com is the cell's d) rather than the nan residual
+        # a term of a, b or c, the discriminant or the residual overflows:
+        # the error names the inputs (the sweep's d_com is the cell's d)
+        # rather than the residual
         state = replace(state, d_com=state.d)
         with pytest.raises(DomainError) as scalar:
             max_payload(model, state, d_obj)

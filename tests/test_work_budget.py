@@ -16,8 +16,8 @@ import io
 
 import pytest
 
-from grippertool import (ContactModel, GraspState, cli, contact, parse_design, payload, pose,
-                         sizing)
+from grippertool import (ContactModel, DomainError, GraspState, cli, contact, parse_design,
+                         payload, pose, sizing)
 
 from test_cli import GOLDEN_COMMANDS, SAMPLE
 from test_pose import pose_state
@@ -33,10 +33,11 @@ def counting(counted, name, function):
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Calls of GraspState() (copies by replace included), of the numpy
-    grid pass, of the solver's entry points under every name they are
-    bound to, of the predicates _boundary evaluates ("predicate"), and of
-    open(), from a parse with an empty memo onward."""
+    """Calls of GraspState() (copies by replace included), of the payload
+    grid passes and the one-cell payload solve, of the solver's entry
+    points under every name they are bound to, of the predicates _boundary
+    evaluates ("predicate"), and of open(), from a parse with an empty
+    memo onward."""
     counted = collections.Counter()
 
     def count(name, *modules):
@@ -55,6 +56,8 @@ def counts(monkeypatch):
     monkeypatch.setattr(GraspState, "__init__",
                         counting(counted, "GraspState", GraspState.__init__))
     count("_grid_weights", payload)
+    count("_cell_weights", payload)
+    count("_solve_cell", payload)
     count("_evaluate", sizing)
     count("required_grip_force", contact, sizing, cli)
     count("torque_margin", pose)
@@ -86,6 +89,24 @@ def test_grid_above_the_threshold_takes_one_numpy_pass(counts):
             "--d", f"0:{0.001 * (cells - 1)!r}:0.001"])
     assert counts["GraspState"] <= 1
     assert counts["_grid_weights"] == 1
+
+
+@pytest.mark.parametrize("name, cells", [("analyze.txt", 1), ("payload_sweep.txt", 25)])
+def test_golden_request_solves_each_payload_cell_once(counts, name, cells):
+    run_ok(GOLDEN_COMMANDS[name])
+    assert counts["_solve_cell"] == cells
+
+
+def test_overflowing_grid_solves_only_its_first_bad_cell_again(counts):
+    # d_com = d: the cells with d = 0 stay finite, d = 1e154 overflows b and c
+    ds = [0.0] * payload.SCALAR_GRID_CELLS + [1e154]
+    state = GraspState(f_n=40.0, g_tool=10.0, alpha=0.8, gamma=0.0, d=0.0, d_com=0.0,
+                       theta=0.3)
+    with pytest.raises(DomainError, match="d_com = 1e[+]154"):
+        payload.payload_sweep(ContactModel(mu=0.5, e=0.005), state, 1e150, [0.8], ds)
+    assert counts["_grid_weights"] == 1
+    assert counts["_cell_weights"] == 1
+    assert counts["_solve_cell"] == 1
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
