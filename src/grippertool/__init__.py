@@ -1,21 +1,34 @@
 """Quasi-static design model of a spring-return double-parallelogram jaw
-tool driven by a 2-finger parallel gripper."""
+tool driven by a 2-finger parallel gripper.
 
-from .contact import (ContactModel, GraspState, GripConfig, capacity_check,
-                      holding_max_offset, required_grip_force)
-from .designfile import parse_design
-from .errors import (DegenerateContactError, DesignFileError, DomainError, GripperToolError,
-                     InfeasibleHoldError, InfeasibleProblemError, NoFeasiblePayloadError,
-                     SingularTransmissionError, ZeroCapacityError, replace)
-from .mechanism import SpringSpec, ToolDimensions, spring_torque, stroke, stroke_fixed_width
-from .payload import (PayloadGrid, PayloadResult, equilibrium_coefficients, max_payload,
-                      payload_sweep)
-from .pose import TorqueMarginCurve, gamma_sweep, torque_margin
-from .sizing import (SizingProblem, SizingResult, Violation, check_feasible, clearance_span,
-                     grip_demand, maximize_stroke)
+Importing the package loads no submodule: each public name is imported
+from the submodule that defines it on first access (PEP 562)."""
 
 __version__ = "0.1.0"
 
-# every class and function imported above; the submodules are not callable
-__all__ = sorted(name for name, value in globals().items()
-                 if callable(value) and not name.startswith("_"))
+_SUBMODULES = {name: module for module, names in (
+    ("contact", "ContactModel GraspState GripConfig capacity_check holding_max_offset"
+                " required_grip_force"),
+    ("designfile", "parse_design"),
+    ("errors", "DegenerateContactError DesignFileError DomainError GripperToolError"
+               " InfeasibleHoldError InfeasibleProblemError NoFeasiblePayloadError"
+               " SingularTransmissionError ZeroCapacityError replace"),
+    ("mechanism", "SpringSpec ToolDimensions spring_torque stroke stroke_fixed_width"),
+    ("payload", "PayloadGrid PayloadResult equilibrium_coefficients max_payload payload_sweep"),
+    ("pose", "TorqueMarginCurve gamma_sweep torque_margin"),
+    ("sizing", "SizingProblem SizingResult Violation check_feasible clearance_span grip_demand"
+               " maximize_stroke"),
+) for name in names.split()}
+
+__all__ = sorted(_SUBMODULES)
+
+
+def __getattr__(name):
+    if name not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # what `from .submodule import name` runs, so -X importtime logs it
+    return getattr(__import__(f"{__name__}.{_SUBMODULES[name]}", fromlist=[name]), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

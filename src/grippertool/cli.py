@@ -34,6 +34,9 @@ included, goes to its out and err streams. argparse's messages get there
 by swapping sys.stdout and sys.stderr while it parses, so run() calls
 from concurrent threads that fall back to argparse can exchange them.
 
+Importing this module loads only what parse_design needs; a handler
+imports the payload, pose or sizing solver through _lib on first use.
+
 Design files are read as bytes and decoded as UTF-8; parse_design splits
 lines with str.splitlines(), so CRLF and CR line endings parse as LF does.
 """
@@ -47,9 +50,6 @@ from types import SimpleNamespace
 from .contact import GripConfig, holding_max_offset, required_grip_force
 from .designfile import parse_design
 from .errors import GripperToolError, InfeasibleHoldError, NoFeasiblePayloadError
-from .payload import max_payload, payload_sweep
-from .pose import gamma_sweep
-from .sizing import SizingProblem, check_feasible, maximize_stroke
 
 INFEASIBLE = "INFEASIBLE"
 
@@ -165,6 +165,12 @@ def _parse_interval(text: str) -> tuple[float, float]:
     return lo * factor, hi * factor
 
 
+@functools.cache
+def _lib(name: str):
+    # what `from . import name` runs, so -X importtime logs it
+    return getattr(__import__(__package__, fromlist=[name]), name)
+
+
 def _load(path: str):
     with open(path, "rb") as fh:
         return parse_design(fh.read().decode("utf-8"))
@@ -172,7 +178,7 @@ def _load(path: str):
 
 def _cmd_validate(args, out) -> int:
     dims, _, _, _ = _load(args.design)
-    violations = check_feasible(dims)
+    violations = _lib("sizing").check_feasible(dims)
     if not violations:
         print("no violations", file=out)
         return 0
@@ -191,7 +197,7 @@ def _cmd_analyze(args, out) -> int:
     forces = [(config.value, required_grip_force(dims, spring, state, config=config))
               for config in (GripConfig.BACKWARD_BASE, GripConfig.FORWARD_BASE)]
     try:
-        result = max_payload(model, state, args.d_obj)
+        result = _lib("payload").max_payload(model, state, args.d_obj)
         payload_text = fmt(result.max_weight)
     except NoFeasiblePayloadError:
         payload_text = INFEASIBLE
@@ -210,7 +216,7 @@ def _cmd_payload_sweep(args, out) -> int:
         raise _UsageError(
             f"payload grid has {cells} cells, more than {MAX_GRID_CELLS}")
     _, _, model, state = _load(args.design)
-    grid = payload_sweep(model, state, args.d_obj, args.alpha, args.d)
+    grid = _lib("payload").payload_sweep(model, state, args.d_obj, args.alpha, args.d)
     out.write("alpha_deg,d_m,max_weight_N\n")
     # "\0" stands for the row's alpha text in these templates
     templates = [(start, "".join(f"\0,{fmt(d)},%.9g\n"
@@ -227,12 +233,12 @@ def _cmd_payload_sweep(args, out) -> int:
 
 def _cmd_optimize(args, out) -> int:
     dims, spring, _, state = _load(args.design)
-    problem = SizingProblem(
+    problem = _lib("sizing").SizingProblem(
         d_axis=dims.d_axis, r_edge=dims.r_edge, k=dims.k, w_init=dims.w_init,
         m_bounds=args.m, r_bounds=args.r, theta_init_bounds=args.theta_init,
         grip_budget=args.grip_budget, spring=spring, grasp=state, v=dims.v,
     )
-    result = maximize_stroke(problem)
+    result = _lib("sizing").maximize_stroke(problem)
     d = result.dims
     print(f"m_m = {fmt(d.m)}", file=out)
     print(f"r_m = {fmt(d.r)}", file=out)
@@ -249,7 +255,7 @@ def _cmd_optimize(args, out) -> int:
 
 def _cmd_pose_sweep(args, out) -> int:
     _, _, model, state = _load(args.design)
-    curve = gamma_sweep(model, state, args.samples)
+    curve = _lib("pose").gamma_sweep(model, state, args.samples)
     out.write("gamma_deg,torque_margin_Nm\n")
     degrees = curve.gammas / DEG   # IEEE division, bit-identical to Python's /
     for start in range(0, len(degrees), CHUNK_LINES):

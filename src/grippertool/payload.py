@@ -175,7 +175,9 @@ def _solve_cell(model, d_obj, d_com, a, b, c) -> tuple[float, float, bool] | Non
     disc = _discriminant(a, b, c)
     if disc < 0.0:
         return None
-    r1, r2 = _roots(a, b, c, math.sqrt(disc))
+    # a >= 1/4 in exact arithmetic, so a = 0 means 4*max_t^2 overflowed:
+    # the roots stay nan, and the nan residual raises the overflow error
+    r1, r2 = _roots(a, b, c, math.sqrt(disc)) if a else (math.nan, math.nan)
     root_hi = r2 if r1 <= r2 else r1
     residual = _residual(a, b, c, root_hi)
     if not residual <= ROOT_RESIDUAL_TOL:
@@ -275,8 +277,10 @@ def _grid_weights(model, state, d_obj, alphas, ds) -> tuple:
         del disc, r1, r2  # _residual's temporaries reuse their memory: a lower peak RSS
         residual = _residual(a, b, c, root_hi, elementwise_max)
     # the first cell in row order whose residual fails the bound (nan
-    # included) is solved again alone, by _solve_cell, to raise its error
-    too_large = feasible & ~(residual <= ROOT_RESIDUAL_TOL)
+    # included) is solved again alone, by _solve_cell, to raise its error;
+    # so is one with a = 0, whose linear root passes the bound but not the
+    # quadratic that 4*max_t^2 lost by overflowing
+    too_large = (feasible & ~(residual <= ROOT_RESIDUAL_TOL)) | (a == 0.0)
     if too_large.any():
         i, j = np.unravel_index(np.argmax(too_large), too_large.shape)
         _cell_weights(model, state, d_obj, [alphas[i]], [float(ds[j])])

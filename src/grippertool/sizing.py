@@ -94,7 +94,7 @@ width-tie m hits it.
 import math
 
 from .contact import GraspState, GripConfig, required_grip_force
-from .errors import InfeasibleProblemError, require_finite, value_type
+from .errors import DomainError, InfeasibleProblemError, require_finite, value_type
 from .mechanism import SpringSpec, ToolDimensions, stroke
 
 # Most checks one candidate gets, its ulp steps included.
@@ -348,6 +348,9 @@ def _candidates(problem: SizingProblem):
     w = problem.w_init
     beta = problem.spring.beta
     k_end = 2.0 * problem.v * problem.spring.kappa / q
+    if k_end == 0.0:  # g() divides by it
+        raise DomainError(f"2*v*kappa/q underflows to 0: v = {problem.v:g}, "
+                          f"kappa = {problem.spring.kappa:g}, q = {q:g}")
     grasp = problem.grasp
     a_grav = grasp.g_tool * math.cos(grasp.alpha) / 2.0
     if grasp.config is GripConfig.FORWARD_BASE:

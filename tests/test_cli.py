@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grippertool
 from grippertool import GripConfig, holding_max_offset, parse_design, required_grip_force
 from grippertool import cli
 from grippertool.cli import (CHUNK_LINES, DEG, INFEASIBLE, MAX_GRID_CELLS, MAX_RANGE_POINTS,
@@ -117,6 +118,76 @@ class TestNumpyImport:
         loaded, [result] = self.loaded_after([self.sweep(SAMPLE, cells)])
         assert loaded == [False, True]
         assert result[0] == 0 and len(result[1].splitlines()) == 1 + cells
+
+
+class TestModuleLoading:
+    """Importing the CLI and parsing a design load contact, designfile,
+    errors and mechanism alone; each command then loads only the solver
+    modules it calls. Importing the package loads no submodule: it
+    imports each public name from its submodule on first access."""
+
+    PARSE = ["cli", "contact", "designfile", "errors", "mechanism"]
+    # pose imports sizing's _boundary
+    SOLVERS = {"validate.txt": ["sizing"], "optimize.txt": ["sizing"],
+               "analyze.txt": ["payload"], "payload_sweep.txt": ["payload"],
+               "pose_sweep.txt": ["pose", "sizing"]}
+
+    @staticmethod
+    def fresh(script, *args):
+        """The JSON a script prints in a fresh interpreter; loaded() there
+        lists the grippertool submodules in sys.modules."""
+        script = ("import io, json, sys\n"
+                  "def loaded():\n"
+                  "    return sorted(name.split('.')[1] for name in sys.modules\n"
+                  "                  if name.startswith('grippertool.'))\n" + script)
+        proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                              text=True, cwd=str(ROOT), check=True)
+        return json.loads(proc.stdout)
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_each_command_loads_only_its_solvers(self, name):
+        script = ("import grippertool.cli\n"
+                  "from grippertool.designfile import parse_design\n"
+                  "with open(sys.argv[2], encoding='utf-8') as fh:\n"
+                  "    parse_design(fh.read())\n"
+                  "parsed = loaded()\n"
+                  "out, err = io.StringIO(), io.StringIO()\n"
+                  "code = grippertool.cli.run(json.loads(sys.argv[1]), out, err)\n"
+                  "json.dump([parsed, loaded(), code, out.getvalue(), err.getvalue()],\n"
+                  "          sys.stdout)\n")
+        parsed, ran, code, out, err = self.fresh(
+            script, json.dumps(GOLDEN_COMMANDS[name]), SAMPLE)
+        assert parsed == self.PARSE
+        assert ran == sorted(self.PARSE + self.SOLVERS[name])
+        assert (code, out, err) == (0, (GOLDEN_DIR / name).read_text(encoding="utf-8"), "")
+
+    def test_package_resolves_names_on_first_access(self):
+        script = ("import grippertool\n"
+                  "imported = loaded()\n"
+                  "star = {}\n"
+                  "exec('from grippertool import *', star)\n"
+                  "json.dump([imported, sorted(star.keys() - {'__builtins__'}), loaded()],\n"
+                  "          sys.stdout)\n")
+        imported, star, loaded = self.fresh(script)
+        assert imported == []
+        assert star == grippertool.__all__
+        assert loaded == ["contact", "designfile", "errors", "mechanism", "payload", "pose",
+                          "sizing"]
+
+    def test_package_names_are_the_submodules_objects(self):
+        for name in grippertool.__all__:
+            value = getattr(grippertool, name)
+            assert getattr(sys.modules[value.__module__], name) is value
+        assert set(grippertool.__all__) <= set(dir(grippertool))
+        from grippertool import payload
+        assert payload is sys.modules["grippertool.payload"]
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError) as missing:
+            grippertool.no_such_name
+        assert str(missing.value) == "module 'grippertool' has no attribute 'no_such_name'"
+        with pytest.raises(ImportError, match="cannot import name 'no_such_name'"):
+            from grippertool import no_such_name  # noqa: F401
 
 
 class TestDataclassesImport:
@@ -244,6 +315,21 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert out.startswith("usage: grippertool")
         assert "--help" in out
+
+    @pytest.mark.parametrize("line, value, message", [
+        ("f_n = 40", "f_n = -1",
+         "invariant violated in [grasp]: GraspState.f_n must be >= 0"),
+        ("mu = 0.5", "mu = 0",
+         "invariant violated in [contact]: ContactModel.mu must be > 0"),
+    ])
+    def test_out_of_range_design_value_names_its_check(self, tmp_path, line, value,
+                                                       message):
+        design = edited_design(tmp_path, line, value)
+        assert invoke(["analyze", design]) == (1, "", f"error: {message}\n")
+
+    def test_zero_grip_budget_names_its_check(self):
+        argv = GOLDEN_COMMANDS["optimize.txt"][:-1] + ["0"]
+        assert invoke(argv) == (1, "", "error: SizingProblem.grip_budget must be > 0\n")
 
     def test_non_finite_design_value_is_domain_error(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -726,6 +812,29 @@ class TestOverflow:
                      ["pose-sweep", design, "--samples", "19"]):
             err = self.assert_refused(argv)
             assert err == "error: (mu*f_n)^2 overflows at mu*f_n = 5e+199\n"
+
+    @pytest.mark.parametrize("argv, d_obj, d_com", [
+        (GOLDEN_COMMANDS["analyze.txt"], "0.05", "0.03"),
+        (GOLDEN_COMMANDS["payload_sweep.txt"], "0", "0"),
+        (["payload-sweep", SAMPLE, "--alpha", "5:85:5deg", "--d", "0:0.1:0.01"], "0", "0"),
+    ])
+    def test_overflowing_payload_normalizer(self, tmp_path, argv, d_obj, d_com):
+        # (e*mu*f_n)^2 is finite but 4*(e*mu*f_n)^2 is not, so the payload
+        # quadratic's a is 0; the root used to divide by it
+        design = edited_design(tmp_path, "e = 0.01", "e = 5e152")
+        err = self.assert_refused([design if a == SAMPLE else a for a in argv])
+        assert err == ("error: payload quadratic out of floating-point range: "
+                       f"d_obj = {d_obj}, e = 5e+152, d_com = {d_com}\n")
+
+    def test_underflowing_transmission_gain(self, tmp_path):
+        # 2*v*kappa/q underflows to 0, and the closed-end curve divides by it
+        design = edited_design(tmp_path, "v = 1.0", "v = 1e-200")
+        Path(design).write_text(Path(design).read_text().replace(
+            "kappa = 0.5", "kappa = 1e-200"))
+        argv = [design if a == SAMPLE else a for a in GOLDEN_COMMANDS["optimize.txt"]]
+        err = self.assert_refused(argv)
+        assert err == ("error: 2*v*kappa/q underflows to 0: "
+                       "v = 1e-200, kappa = 1e-200, q = 0.006\n")
 
     def test_grasp_outside_travel(self, tmp_path):
         # analyze used to print the hold offset before the grip forces refused

@@ -269,3 +269,15 @@ class TestNonFiniteRejected:
     def test_grasp_state(self, name, value):
         with pytest.raises(ValueError, match=f"GraspState.{name} must be finite"):
             state_with(**{name: value})
+
+
+class TestOutOfRangeRejected:
+    def test_zero_friction(self):
+        with pytest.raises(ValueError) as refused:
+            ContactModel(mu=0.0, e=0.01)
+        assert str(refused.value) == "ContactModel.mu must be > 0"
+
+    def test_negative_normal_force(self):
+        with pytest.raises(ValueError) as refused:
+            state_with(f_n=-1.0)
+        assert str(refused.value) == "GraspState.f_n must be >= 0"

@@ -103,6 +103,14 @@ class TestMaxPayload:
         # the root 0 and its residual 1
         (ContactModel(mu=1.5e152, e=0.005), state_with(d=0.0), 0.05,
          "d_obj = 0.05, e = 0.005, d_com = 0"),
+        # 4*max_t^2 overflows, so a = 0 although a >= 1/4: b and c are nan,
+        # and the scalar solve divided by a = 0
+        (ContactModel(mu=0.5, e=5e152), state_with(), 0.05,
+         "d_obj = 0.05, e = 5e+152, d_com = 0.02"),
+        # a = 0 with b and c finite: the numpy pass's root of b*w + c = 0
+        # passed the residual bound and printed 800 where the weight is 39
+        (ContactModel(mu=0.5, e=3.54e152), state_with(g_tool=1.0), 0.05,
+         "d_obj = 0.05, e = 3.54e+152, d_com = 0.02"),
     ])
     def test_overflowing_coefficients_raise_like_sweep(self, model, state, d_obj, named,
                                                        driver):

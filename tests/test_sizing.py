@@ -7,6 +7,7 @@ import sympy
 from hypothesis import assume, given, strategies as st
 
 from grippertool import (
+    DomainError,
     GraspState,
     GripConfig,
     InfeasibleProblemError,
@@ -997,3 +998,16 @@ class TestSizingProblem:
         bad = (getattr(problem, name)[0], value) if name.endswith("_bounds") else value
         with pytest.raises(ValueError, match=f"SizingProblem.{name} must be finite"):
             replace(problem, **{name: bad})
+
+    def test_zero_grip_budget_rejected(self):
+        with pytest.raises(ValueError) as refused:
+            make_problem(grip_budget=0.0)
+        assert str(refused.value) == "SizingProblem.grip_budget must be > 0"
+
+    def test_underflowing_transmission_gain_is_domain_error(self):
+        # 2*v*kappa/q rounds to 0, and the closed-end curve divides by it
+        problem = make_problem(v=1e-200, spring=SpringSpec(kappa=1e-200, beta=0.3))
+        with pytest.raises(DomainError) as refused:
+            maximize_stroke(problem)
+        assert str(refused.value) == ("2*v*kappa/q underflows to 0: "
+                                      "v = 1e-200, kappa = 1e-200, q = 0.006")

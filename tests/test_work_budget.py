@@ -63,7 +63,7 @@ def counts(monkeypatch):
     count("torque_margin", pose)
     count("_margin_at", pose)
     count("_friction_capacity", contact, payload, pose)
-    count("check_feasible", sizing, cli)
+    count("check_feasible", sizing)
     count("open", builtins)
     parse_design.cache_clear()
     yield counted
