@@ -3,6 +3,7 @@
 
 Usage:
     python scripts/differential.py TREE_A TREE_B --seeds 0:27000 [--suite contact]
+    python scripts/differential.py TREE_A TREE_B --seeds 1:4 --suite workloads
 
 Each tree runs in its own subprocess with PYTHONPATH=<tree>/src, so each
 imports its own grippertool, while the cases come from this script's
@@ -21,23 +22,35 @@ draw, contact_cases.draw_contact(s), and three cases: holding_max_offset,
 max_payload's weight and gamma_sweep's exact peak (gamma and margin),
 each as float.hex or as the error's type and text.
 
+In the workloads suite, seed s gives every request of the benchmark's
+interactive, surface and sizing cycles for seed s, from
+perfbench/workloads.py (imported, never written), with their design
+files in a temporary directory. Each request runs in-process through
+cli.run, and its case is the exit code, stdout and stderr, with the
+directory's path replaced by <dir>; an output longer than MAX_TEXT
+characters is given by its SHA-256.
+
 Prints one JSON line: the suite, the seed range, the number of cases,
 the number that differ and the first MAX_SHOWN differences in full.
 Exits 0 when no case differs and 1 when some do.
 """
 
 import argparse
+import hashlib
+import io
 import json
 import operator
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DIMS_PER_SEED = 8
 MAX_SHOWN = 5
+MAX_TEXT = 400
 
 
 def seed_range(text):
@@ -105,7 +118,38 @@ def _contact_cases(seeds):
         yield f"peak {seed}", _hex_or_error(lambda: peak(gamma_sweep(model, state, 2)))
 
 
-SUITES = {"sizing": _sizing_cases, "contact": _contact_cases}
+def _short(text, directory):
+    text = text.replace(directory, "<dir>")
+    if len(text) <= MAX_TEXT:
+        return text
+    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _workload_cases(seeds):
+    """Yield (case name, output) for every benchmark request of seeds."""
+    from grippertool import cli
+
+    sys.dont_write_bytecode = True  # leave perfbench/ as it is
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    for seed in seeds:
+        for workload in sorted(workloads.GENERATORS):
+            with tempfile.TemporaryDirectory() as directory:
+                requests = workloads.generate(workload, seed, Path(directory))
+                for i, request in enumerate(requests):
+                    out, err = io.StringIO(), io.StringIO()
+                    try:
+                        code = cli.run(request["argv"], out, err)
+                    except Exception as exc:  # a crash in one tree is a difference
+                        code = _error_text(exc)
+                    yield (f"{workload} {seed}.{i}",
+                           [code, _short(out.getvalue(), directory),
+                            _short(err.getvalue(), directory)])
+
+
+SUITES = {"sizing": _sizing_cases, "contact": _contact_cases,
+          "workloads": _workload_cases}
 
 
 def _child(seeds, tree, suite):

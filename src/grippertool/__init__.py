@@ -13,10 +13,11 @@ _SUBMODULES = {name: module for module, names in (
     ("errors", "DegenerateContactError DesignFileError DomainError GripperToolError"
                " InfeasibleHoldError InfeasibleProblemError NoFeasiblePayloadError"
                " SingularTransmissionError ZeroCapacityError replace"),
-    ("mechanism", "SpringSpec ToolDimensions spring_torque stroke stroke_fixed_width"),
+    ("mechanism", "SpringSpec ToolDimensions clearance_span spring_torque stroke"
+                  " stroke_fixed_width"),
     ("payload", "PayloadGrid PayloadResult equilibrium_coefficients max_payload payload_sweep"),
     ("pose", "TorqueMarginCurve gamma_sweep torque_margin"),
-    ("sizing", "SizingProblem SizingResult Violation check_feasible clearance_span grip_demand"
+    ("sizing", "SizingProblem SizingResult Violation check_feasible grip_demand"
                " maximize_stroke"),
 ) for name in names.split()}
 

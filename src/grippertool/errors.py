@@ -1,5 +1,6 @@
-"""Exception types shared across the package, the finiteness check, and
-value_type() and replace(), which make and copy the frozen value types."""
+"""Exception types shared across the package, the finiteness check,
+value_type() and replace(), which make and copy the frozen value types,
+and _boundary(), the root search of the sizing and pose solvers."""
 
 import math
 from operator import attrgetter
@@ -74,6 +75,49 @@ def replace(obj, /, **changes):
     """A copy of the value obj with changes applied, validated again by
     its class's __init__."""
     return obj.__class__(**{**obj.__dict__, **changes})
+
+
+def _boundary(f, lo: float, hi: float) -> float | None:
+    """The float next to a switch of f(x) <= 0 on [lo, hi], on its <= side.
+
+    None when f(lo) <= 0 and f(hi) <= 0 agree. The bracket [lo, hi] keeps
+    one end on each side of a switch, and the result is its <= end once
+    the two ends are adjacent floats. Each step evaluates f at the secant
+    point of the ends (regula falsi with the Illinois rule: an end kept
+    twice in a row has its value halved, so both ends close in). A secant
+    point that rounds onto an end moves one float in, but not twice in a
+    row; any other point not strictly inside (a nan, from infinite or
+    equal end values) becomes the midpoint. Where the predicate switches
+    once, the result is the float bisection gives; where it switches
+    several times within a few ulps, it is next to one of those switches.
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    ok_lo = f_lo <= 0.0
+    if ok_lo == (f_hi <= 0.0):
+        return None
+    kept, nudged = 0, False  # kept: -1 or 1 after lo or hi was kept
+    while True:
+        x = lo - f_lo * (hi - lo) / (f_hi - f_lo) if f_hi != f_lo else math.nan
+        if (x == lo or x == hi) and not nudged:
+            # the secant puts the switch at an end: try the next float in
+            x, nudged = math.nextafter(x, hi if x == lo else lo), True
+        else:
+            nudged = False
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if x <= lo or x >= hi:
+                return lo if ok_lo else hi
+        f_x = f(x)
+        if (f_x <= 0.0) == ok_lo:
+            lo, f_lo = x, f_x
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi = x, f_x
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
 
 
 class GripperToolError(Exception):

@@ -14,7 +14,8 @@ import math
 
 from .errors import DomainError, require_finite, value_type
 
-# m + 2*r*sin(theta_init) must reproduce w_init to this absolute tolerance.
+# m + 2*r*sin(theta_init) must reproduce w_init, and d_axis + 2*r_edge
+# must reproduce q, to this absolute tolerance.
 WIDTH_TIE_TOL = 1e-6
 
 
@@ -22,10 +23,11 @@ WIDTH_TIE_TOL = 1e-6
 class ToolDimensions:
     """Geometric parameters of the two-parallelogram mechanism.
 
-    w_init is stored redundantly and validated against m + 2*r*sin(theta_init)
-    so that inconsistent design files are rejected instead of silently
-    reinterpreted. theta_init may equal pi/2 for analysis purposes; such a
-    design is flagged as unusable by sizing.check_feasible.
+    q and w_init are stored redundantly and validated against
+    d_axis + 2*r_edge and m + 2*r*sin(theta_init), each within
+    WIDTH_TIE_TOL, so that inconsistent design files are rejected instead
+    of silently reinterpreted. theta_init may equal pi/2 for analysis
+    purposes; such a design is flagged as unusable by sizing.check_feasible.
     """
 
     m: float            # base half-gap width
@@ -34,7 +36,7 @@ class ToolDimensions:
     theta_end: float    # fully-closed linkage angle
     h: float            # base-frame height clearance
     p: float            # linkage offset clearance
-    q: float            # joint clearance span
+    q: float            # joint clearance span (redundant, validated)
     k: float            # parallel-linkage length
     d_axis: float       # joint shaft diameter
     r_edge: float       # minimum material edge radius around a shaft
@@ -51,6 +53,12 @@ class ToolDimensions:
             raise ValueError(
                 "ToolDimensions requires 0 <= theta_end < theta_init <= pi/2, got "
                 f"theta_end={self.theta_end:g}, theta_init={self.theta_init:g}"
+            )
+        span = clearance_span(self.d_axis, self.r_edge)
+        if abs(span - self.q) > WIDTH_TIE_TOL:
+            raise ValueError(
+                f"ToolDimensions.q={self.q!r} inconsistent with "
+                f"d_axis + 2*r_edge={span!r}"
             )
         derived = self.m + 2.0 * self.r * math.sin(self.theta_init)
         if abs(derived - self.w_init) > WIDTH_TIE_TOL:
@@ -85,6 +93,11 @@ class SpringSpec:
             raise ValueError("SpringSpec.kappa must be > 0")
         if self.beta < 0.0:
             raise ValueError("SpringSpec.beta must be >= 0")
+
+
+def clearance_span(d_axis: float, r_edge: float) -> float:
+    """Material span a joint needs: shaft diameter plus an edge each side."""
+    return d_axis + 2.0 * r_edge
 
 
 def stroke(dim: ToolDimensions) -> float:

@@ -48,8 +48,7 @@ margin, does not load numpy.
 import math
 
 from .contact import ContactModel, GraspState, _friction_capacity
-from .errors import DomainError, ZeroCapacityError, value_type
-from .sizing import _boundary
+from .errors import DomainError, ZeroCapacityError, _boundary, value_type
 
 
 @value_type(eq=False)

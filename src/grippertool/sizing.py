@@ -74,36 +74,32 @@ backward_base) and B = grip_budget.
    both bounds of one variable meet, the feasible set is one curve, and
    the maximizer is where it meets another of those curves.
 
-Floats: each candidate is an (m, theta_init) pair, exact in m on an m
-curve and in theta_init on a t bound. A D_end root is the float next to a
-switch of the rounded budget check, on its within-budget side; where
-rounding makes that check switch several times within a few ulps, it is
-next to one of those switches. Each candidate is checked with
-build_dimensions, the m and theta_init bounds and grip_demand <=
-grip_budget (taken per travel end, so a failure names its curve), all
-unchanged. A candidate that fails only the check of a curve it lies on is
-moved toward that curve's feasible side by 1, 2, 4, ... ulps and checked
-again, at most _ULP_STEPS times in all. This is no search: on random
-problems no winning candidate needed more than 6 checks. Where the r
-bounds meet, r must round to that one float, which a step in m or t can
-jump: a candidate on that curve whose r lands beyond the other bound steps
-t down an ulp at a time (its paired curves bound t from above) until the
-width-tie m hits it.
+Floats: each candidate is an (m, r, theta_init) triple, exact in m on an
+m curve, in r on an r curve and in theta_init on a t bound; the third
+value follows from the width tie w_init = m + 2*r*sin(theta_init), which
+ToolDimensions checks within WIDTH_TIE_TOL. So a point on an r curve
+meets its r bound exactly, collapsed r bounds included. A D_end root is
+the float next to a switch of the rounded budget check, on its
+within-budget side; where rounding makes that check switch several times
+within a few ulps, it is next to one of those switches. Each candidate
+is checked with build_dimensions, the m, r and theta_init bounds and
+grip_demand <= grip_budget (taken per travel end, so a failure names its
+curve), all unchanged. A candidate that fails only the budget check of a
+curve it lies on is moved toward that curve's feasible side by 1, 2, 4,
+... ulps along the other curve it lies on, and checked again, at most
+_ULP_STEPS times in all. This is no search: on random problems no
+winning candidate needed more than 6 checks.
 """
 
 import math
 
 from .contact import GraspState, GripConfig, required_grip_force
-from .errors import DomainError, InfeasibleProblemError, require_finite, value_type
-from .mechanism import SpringSpec, ToolDimensions, stroke
+from .errors import (DomainError, InfeasibleProblemError, _boundary, require_finite,
+                     value_type)
+from .mechanism import SpringSpec, ToolDimensions, clearance_span, stroke
 
 # Most checks one candidate gets, its ulp steps included.
 _ULP_STEPS = 12
-
-
-def clearance_span(d_axis: float, r_edge: float) -> float:
-    """Material span a joint needs: shaft diameter plus an edge each side."""
-    return d_axis + 2.0 * r_edge
 
 
 def _closed_angle(q: float, r: float) -> float | None:
@@ -224,24 +220,17 @@ def grip_demand(dim: ToolDimensions, spring: SpringSpec, state: GraspState) -> f
     return max(_end_demands(dim, spring, state))
 
 
-def _linkage_length(problem: SizingProblem, m: float, sin_ti: float) -> float:
-    """r from the width tie w_init = m + 2*r*sin(theta_init)."""
-    return (problem.w_init - m) / (2.0 * sin_ti)
-
-
-def build_dimensions(problem: SizingProblem, m: float,
+def build_dimensions(problem: SizingProblem, m: float, r: float,
                      theta_init: float) -> ToolDimensions | None:
-    """Candidate dims at (m, theta_init), or None when unrealizable.
+    """Candidate dims at (m, r, theta_init), or None when unrealizable.
 
-    r follows from the width tie, theta_end sits at its geometric minimum,
-    and p and h take their smallest feasible values (compact design), so
-    a returned design passes check_feasible by construction. The m and
-    theta_init bounds are the caller's (_evaluate).
+    (m, r, theta_init) must meet the width tie, which ToolDimensions checks
+    within WIDTH_TIE_TOL, and theta_init must lie in (0, pi/2). r must lie
+    within its bounds, theta_end sits at its geometric minimum, and p and
+    h take their smallest feasible values (compact design), so a returned
+    design passes check_feasible by construction. The m and theta_init
+    bounds are the caller's (_evaluate).
     """
-    sin_ti = math.sin(theta_init)
-    if sin_ti <= 0.0 or theta_init >= math.pi / 2:
-        return None
-    r = _linkage_length(problem, m, sin_ti)
     r_lo, r_hi = problem.r_bounds
     if not r_lo <= r <= r_hi:
         return None
@@ -258,7 +247,7 @@ def build_dimensions(problem: SizingProblem, m: float,
     )
 
 
-def _evaluate(problem: SizingProblem, m: float,
+def _evaluate(problem: SizingProblem, m: float, r: float,
               theta_init: float) -> tuple[ToolDimensions | None, str | None]:
     """(dims, None) for a feasible design within budget, else (None, check).
 
@@ -267,7 +256,8 @@ def _evaluate(problem: SizingProblem, m: float,
     closed angle below theta_init), "demand_end" or "demand_init" for the
     end of the travel whose grip demand exceeds the budget (grip_demand is
     the larger of the two). Only a check that a candidate's curve can fail
-    by rounding has an ulp step; "dims" has none.
+    by rounding has an ulp step: neither "r", which a point on an r curve
+    meets exactly, nor "dims".
     """
     t_lo, t_hi = problem.theta_init_bounds
     if not t_lo <= theta_init <= t_hi:
@@ -275,10 +265,9 @@ def _evaluate(problem: SizingProblem, m: float,
     m_lo, m_hi = problem.m_bounds
     if not m_lo <= m <= m_hi:
         return None, "m"
-    dims = build_dimensions(problem, m, theta_init)
+    dims = build_dimensions(problem, m, r, theta_init)
     if dims is None:
         r_lo, r_hi = problem.r_bounds
-        r = _linkage_length(problem, m, math.sin(theta_init))
         return None, "dims" if r_lo <= r <= r_hi else "r"
     at_end, at_init = _end_demands(dims, problem.spring, problem.grasp)
     if at_end > problem.grip_budget:
@@ -288,61 +277,21 @@ def _evaluate(problem: SizingProblem, m: float,
     return dims, None
 
 
-def _boundary(f, lo: float, hi: float) -> float | None:
-    """The float next to a switch of f(x) <= 0 on [lo, hi], on its <= side.
-
-    None when f(lo) <= 0 and f(hi) <= 0 agree. The bracket [lo, hi] keeps
-    one end on each side of a switch, and the result is its <= end once
-    the two ends are adjacent floats. Each step evaluates f at the secant
-    point of the ends (regula falsi with the Illinois rule: an end kept
-    twice in a row has its value halved, so both ends close in). A secant
-    point that rounds onto an end moves one float in, but not twice in a
-    row; any other point not strictly inside (a nan, from infinite or
-    equal end values) becomes the midpoint. Where the predicate switches
-    once, the result is the float bisection gives; where it switches
-    several times within a few ulps, it is next to one of those switches.
-    """
-    f_lo, f_hi = f(lo), f(hi)
-    ok_lo = f_lo <= 0.0
-    if ok_lo == (f_hi <= 0.0):
-        return None
-    kept, nudged = 0, False  # kept: -1 or 1 after lo or hi was kept
-    while True:
-        x = lo - f_lo * (hi - lo) / (f_hi - f_lo) if f_hi != f_lo else math.nan
-        if (x == lo or x == hi) and not nudged:
-            # the secant puts the switch at an end: try the next float in
-            x, nudged = math.nextafter(x, hi if x == lo else lo), True
-        else:
-            nudged = False
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-            if x <= lo or x >= hi:
-                return lo if ok_lo else hi
-        f_x = f(x)
-        if (f_x <= 0.0) == ok_lo:
-            lo, f_lo = x, f_x
-            if kept == 1:
-                f_hi *= 0.5
-            kept = 1
-        else:
-            hi, f_hi = x, f_x
-            if kept == -1:
-                f_lo *= 0.5
-            kept = -1
-
-
 def _nudge(x: float, ulps: int) -> float:
     return x + ulps * math.ulp(x)
 
 
 def _candidates(problem: SizingProblem):
-    """Yield (m, theta_init, moves) for each point of the candidate set.
+    """Yield ((m, r, theta_init), moves) for each point of the candidate set.
 
-    moves maps a check the point may fail only by rounding, because the
-    point lies on that check's curve, to a step f(m, theta_init, n) that
-    moves it n ulps toward the feasible side. See the module docstring.
-    A point whose theta_init lies outside its bounds is not yielded: its
-    first check refuses it, and no step moves it back in.
+    m is exact on an m curve, r on an r curve and theta_init on a
+    theta_init bound; the third value follows from the width tie. moves
+    maps a check the point may fail only by rounding, because the point
+    lies on that check's curve, to a step f(m, r, theta_init, n) that
+    gives the point n ulps toward the feasible side along the other curve
+    it lies on. See the module docstring. A point whose theta_init lies
+    outside its bounds is not yielded: its first check refuses it, and no
+    step moves it back in.
     """
     q = clearance_span(problem.d_axis, problem.r_edge)
     w = problem.w_init
@@ -368,83 +317,73 @@ def _candidates(problem: SizingProblem):
     def g(e):
         return e - beta + (budget / math.tan(e) - a_grav) / k_end
 
-    def m_up(m, t, n):
-        return _nudge(m, n), t
+    def at_m(m, t):
+        return m, (w - m) / (2.0 * math.sin(t)), t
 
-    def t_down(m, t, n):
-        return m, _nudge(t, -n)
+    def at_r(r, t):
+        return w - 2.0 * r * math.sin(t), r, t
 
-    def along_r_hi(m, t, n):
-        t = _nudge(t, -n)
-        return w - 2.0 * r_hi * math.sin(t), t
+    def m_up(m, r, t, n):
+        return at_m(_nudge(m, n), t)
 
-    def r_move(r, side, step):
-        # step while r is out beyond its own bound; beyond the other one,
-        # only where the two meet, walk down the curve (module docstring)
-        def move(m, t, n):
-            if (_linkage_length(problem, m, math.sin(t)) - r) * side > 0:
-                return step(m, t, n)
-            for _ in range(_ULP_STEPS):
-                m = w - 2.0 * r_lo * math.sin(t)
-                if r_lo <= _linkage_length(problem, m, math.sin(t)) <= r_hi:
-                    break
-                t = _nudge(t, -1)
-            return m, t
-        return move
+    def t_down_at_m(m, r, t, n):
+        return at_m(m, _nudge(t, -n))
+
+    def t_down_at_r(m, r, t, n):
+        return at_r(r, _nudge(t, -n))
 
     # the m lower bound with t_hi, r_lo, D_init = B and D_end = B
     if a is not None:
-        yield m_lo, t_hi, {}
+        yield at_m(m_lo, t_hi), {}
         s = (w - m_lo) / (2.0 * r_lo)
         if r_lo > q and s <= 1.0 and t_lo <= (t := math.asin(s)) <= t_hi:
-            yield m_lo, t, {"r": r_move(r_lo, -1, t_down)}
+            yield (m_lo, r_lo, t), {}
         slope = a_grav + k_end * beta * a
         if slope > 0.0 and t_lo <= (t := math.atan2(budget, slope)) <= t_hi:
-            yield m_lo, t, {"demand_init": t_down}
+            yield at_m(m_lo, t), {"demand_init": t_down_at_m}
         if a < 1.0:
             def d_end(t):
                 e = math.asin(a * math.sin(t))
                 return math.tan(e) * (a_grav + k_end * (beta + t - e))
             t = _boundary(lambda t: d_end(t) - budget, t_lo, t_hi)
             if t is not None:
-                yield m_lo, t, {"demand_end": t_down}
+                yield at_m(m_lo, t), {"demand_end": t_down_at_m}
 
     # the r upper bound with t_hi, D_end = B and D_init = B
     if r_hi > q:
-        r_step = r_move(r_hi, 1, m_up)
-        yield w - 2.0 * r_hi * math.sin(t_hi), t_hi, {"r": r_step}
+        yield at_r(r_hi, t_hi), {}
         c = k_end * beta * math.sin(e_lo) / math.hypot(a_grav, budget)
         h = math.atan2(budget, a_grav) - math.asin(c) if c <= 1.0 else None
         for t, end in ((g(e_lo), "demand_end"), (h, "demand_init")):
             if t is not None and t_lo <= t <= t_hi:
-                yield (w - 2.0 * r_hi * math.sin(t), t,
-                       {"r": r_step, end: along_r_hi})
+                yield at_r(r_hi, t), {end: t_down_at_r}
 
     # t_lo with the rising branch of D_end = B, past sin(e)**2 = B/K
     split = math.asin(math.sqrt(budget / k_end)) if budget < k_end else e_hi
     if max(split, e_lo) < e_hi:
         e = _boundary(lambda e: t_lo - g(e), max(split, e_lo), e_hi)
         if e is not None:
-            yield (w - 2.0 * q * math.sin(t_lo) / math.sin(e), t_lo,
-                   {"demand_end": m_up})
+            m = w - 2.0 * q * math.sin(t_lo) / math.sin(e)
+            yield at_m(m, t_lo), {"demand_end": m_up}
 
 
-def _realize(problem: SizingProblem, m: float, theta_init: float,
+def _realize(problem: SizingProblem, point: tuple[float, float, float],
              moves) -> tuple[ToolDimensions | None, int]:
     """Check a candidate, stepping it while it fails only its own curves.
 
     Returns the feasible design or None, and the number of points checked.
     Each kind of step doubles its size in ulps every time it is taken.
     """
+    m, r, theta_init = point
     taken = {}
     for checked in range(1, _ULP_STEPS + 1):
-        dims, failed = _evaluate(problem, m, theta_init)
+        dims, failed = _evaluate(problem, m, r, theta_init)
         move = moves.get(failed)
         if move is None:
             break
         n = taken.get(failed, 0)
         taken[failed] = n + 1
-        m, theta_init = move(m, theta_init, 1 << n)
+        m, r, theta_init = move(m, r, theta_init, 1 << n)
     return dims, checked
 
 
@@ -483,7 +422,7 @@ def _nearest_bound_violations(problem: SizingProblem) -> list[Violation]:
     q = clearance_span(problem.d_axis, problem.r_edge)
     m = max(problem.m_bounds[0], q)
     t = problem.theta_init_bounds[1]
-    r = _linkage_length(problem, m, math.sin(t))
+    r = (problem.w_init - m) / (2.0 * math.sin(t))
     margins = {name: margin for name, margin, _ in _bound_margins(problem, m, r, t)}
     violations = [Violation(name, margins[name])
                   for name in ("r_lower_bound", "r_upper_bound", "m_upper_bound")
@@ -494,7 +433,7 @@ def _nearest_bound_violations(problem: SizingProblem) -> list[Violation]:
             violations.append(Violation("theta_end_min", r - q))
         elif t_end >= t:
             violations.append(Violation("theta_end_min", t - t_end))
-        elif (dims := build_dimensions(problem, m, t)) is not None:
+        elif (dims := build_dimensions(problem, m, r, t)) is not None:
             demand = grip_demand(dims, problem.spring, problem.grasp)
             if demand > problem.grip_budget:
                 violations.append(Violation("grip_budget",
@@ -514,8 +453,8 @@ def maximize_stroke(problem: SizingProblem) -> SizingResult:
     bounds contain no feasible design.
     """
     best_key, best, checked = None, None, 0
-    for m, theta_init, moves in _candidates(problem):
-        dims, points = _realize(problem, m, theta_init, moves)
+    for point, moves in _candidates(problem):
+        dims, points = _realize(problem, point, moves)
         checked += points
         if dims is not None:
             key = (stroke(dims), -dims.theta_init, -dims.m)

@@ -127,10 +127,9 @@ class TestModuleLoading:
     imports each public name from its submodule on first access."""
 
     PARSE = ["cli", "contact", "designfile", "errors", "mechanism"]
-    # pose imports sizing's _boundary
     SOLVERS = {"validate.txt": ["sizing"], "optimize.txt": ["sizing"],
                "analyze.txt": ["payload"], "payload_sweep.txt": ["payload"],
-               "pose_sweep.txt": ["pose", "sizing"]}
+               "pose_sweep.txt": ["pose"]}
 
     @staticmethod
     def fresh(script, *args):
@@ -321,6 +320,8 @@ class TestExitCodes:
          "invariant violated in [grasp]: GraspState.f_n must be >= 0"),
         ("mu = 0.5", "mu = 0",
          "invariant violated in [contact]: ContactModel.mu must be > 0"),
+        ("q = 0.006", "q = 0.5", "invariant violated in [tool]: ToolDimensions.q=0.5 "
+                                 "inconsistent with d_axis + 2*r_edge=0.006"),
     ])
     def test_out_of_range_design_value_names_its_check(self, tmp_path, line, value,
                                                        message):

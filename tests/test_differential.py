@@ -1,5 +1,5 @@
 """scripts/differential.py finds no difference between the repo and itself,
-and finds those of a copy with one sizing or contact output changed."""
+and finds those of a copy with one sizing, contact or CLI output changed."""
 
 import collections
 import json
@@ -116,3 +116,22 @@ def test_patched_contact_copy_differs(tmp_path, module, old, new, kind):
     assert summary["cases"] == 300 * 3 and summary["differing"] > 0
     assert all(d["case"].startswith(kind + " ") and d["a"] != d["b"]
                for d in summary["differences"])
+
+
+def test_workloads_suite_against_itself():
+    # seed 1 of the benchmark's three workloads: 1,000 interactive, 36
+    # surface and 12 sizing requests
+    code, summary = differential(ROOT, ROOT, "1:2", "--suite", "workloads")
+    assert code == 0
+    assert summary == {"suite": "workloads", "seeds": "1:2", "cases": 1048,
+                       "differing": 0, "differences": []}
+
+
+def test_patched_workloads_copy_differs(tmp_path):
+    tree = patched_copy(tmp_path, "cli", 'print("no violations", file=out)',
+                        'print("no violation", file=out)')
+    code, summary = differential(ROOT, tree, "1:2", "--suite", "workloads")
+    assert code == 1
+    assert summary["cases"] == 1048 and summary["differing"] > 0
+    assert all(d["case"].startswith("interactive ") and d["a"] == [0, "no violations\n", ""]
+               and d["b"] == [0, "no violation\n", ""] for d in summary["differences"])

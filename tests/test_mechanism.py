@@ -14,10 +14,10 @@ from grippertool import (
 )
 
 
-def wide_dims(theta_init=math.pi / 2, theta_end=0.0, m=0.02, r=0.03):
+def wide_dims(theta_init=math.pi / 2, theta_end=0.0, m=0.02, r=0.03, q=0.006):
     return ToolDimensions.with_derived_width(
         m=m, r=r, theta_init=theta_init, theta_end=theta_end,
-        h=0.05, p=0.02, q=0.006, k=0.05, d_axis=0.004, r_edge=0.001,
+        h=0.05, p=0.02, q=q, k=0.05, d_axis=0.004, r_edge=0.001,
     )
 
 
@@ -86,6 +86,18 @@ class TestToolDimensions:
                        theta_end=math.radians(12), h=0.032, p=0.011, q=0.006,
                        k=0.05, d_axis=0.004, r_edge=0.001, v=1.0,
                        w_init=0.063961524)
+
+    def test_clearance_span_validated(self):
+        # the model reads d_axis + 2*r_edge, so a q that disagrees is refused
+        # rather than silently reinterpreted
+        with pytest.raises(ValueError) as refused:
+            wide_dims(q=0.5)
+        assert str(refused.value) == (
+            "ToolDimensions.q=0.5 inconsistent with d_axis + 2*r_edge=0.006")
+
+    def test_clearance_span_tolerates_rounding(self):
+        # within the 1e-6 tolerance, as the width tie is
+        assert wide_dims(q=0.006 + 9e-7).q == 0.006 + 9e-7
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError, match="r "):

@@ -57,6 +57,11 @@ def example_problem(m_bounds, r_bounds):
         grip_budget=36.0, spring=spring, grasp=state, v=dims.v)
 
 
+def tied(problem, m, theta_init):
+    """The (m, r, theta_init) point the width tie gives at (m, theta_init)."""
+    return m, (problem.w_init - m) / (2.0 * math.sin(theta_init)), theta_init
+
+
 def feasible_dims(m=0.012, r=0.03, theta_init=math.radians(60),
                   theta_end=math.radians(12)):
     return ToolDimensions.with_derived_width(
@@ -118,8 +123,8 @@ class TestCheckFeasible:
         # random points of each bounds box, collapsed r bounds included
         built = []
 
-        def recording(problem, m, theta_init):
-            dims = build_dimensions(problem, m, theta_init)
+        def recording(problem, m, r, theta_init):
+            dims = build_dimensions(problem, m, r, theta_init)
             if dims is not None:
                 built.append((problem, dims))
             return dims
@@ -133,8 +138,8 @@ class TestCheckFeasible:
             except InfeasibleProblemError:
                 pass
             for _ in range(5):
-                recording(problem, rng.uniform(*problem.m_bounds),
-                          rng.uniform(*problem.theta_init_bounds))
+                recording(problem, *tied(problem, rng.uniform(*problem.m_bounds),
+                                         rng.uniform(*problem.theta_init_bounds)))
         assert all(check_feasible(dims) == [] for _, dims in built)
         collapsed = sum(problem.r_bounds[0] == problem.r_bounds[1] for problem, _ in built)
         assert len(built) >= 2000 and collapsed >= 50
@@ -164,11 +169,11 @@ class TestBoundMargins:
 
     def test_active_constraints_name_the_corner_a_design_sits_on(self):
         problem = make_problem()
-        upper = build_dimensions(problem, 0.03, 1.4)
+        upper = build_dimensions(problem, *tied(problem, 0.03, 1.4))
         demand = grip_demand(upper, problem.spring, problem.grasp)
         assert sizing._active_constraints(problem, upper, demand) == (
             "m_upper_bound", "theta_init_upper_bound", "theta_end_min")
-        lower = build_dimensions(problem, 0.008, 0.6)
+        lower = build_dimensions(problem, *tied(problem, 0.008, 0.6))
         demand = grip_demand(lower, problem.spring, problem.grasp)
         assert sizing._active_constraints(problem, lower, demand) == (
             "m_lower_bound", "theta_init_lower_bound", "theta_end_min")
@@ -280,9 +285,8 @@ class TestGripDemand:
         designs = 0
         for _ in range(500):
             problem = draw_problem(rng)
-            m = rng.uniform(*problem.m_bounds)
-            theta_init = rng.uniform(*problem.theta_init_bounds)
-            dims = build_dimensions(problem, m, theta_init)
+            dims = build_dimensions(problem, *tied(problem, rng.uniform(*problem.m_bounds),
+                                                   rng.uniform(*problem.theta_init_bounds)))
             if dims is None:
                 continue
             designs += 1
@@ -322,7 +326,7 @@ class TestStrokeLemmas:
         q_num = clearance_span(problem.d_axis, problem.r_edge)
         stroke_of = sympy.lambdify((t, e, q), closed, "math")
         for m, theta_init in ((0.01, 0.9), (0.02, 1.3), (0.008, 1.4)):
-            dims = build_dimensions(problem, m, theta_init)
+            dims = build_dimensions(problem, *tied(problem, m, theta_init))
             e_num = dims.theta_end
             assert math.sin(e_num) == pytest.approx(q_num / dims.r, rel=1e-14)
             assert dims.m == pytest.approx(
@@ -809,8 +813,8 @@ class TestMaximizeStroke:
         assert scan[0] <= result.stroke * (1.0 + 1e-12)
 
     def test_collapsed_r_bounds_step_along_the_r_curve(self):
-        # with r_lo == r_hi a point is feasible only where r rounds to that
-        # one float; the optimum is where the r curve meets m_lo
+        # with r_lo == r_hi the feasible set is the one r curve, which each
+        # candidate on it meets exactly; the optimum is where it meets m_lo
         problem = SizingProblem(
             d_axis=0.0048454303147199, r_edge=0.0008113610732637722,
             k=0.06402776875229356, w_init=0.05961348843442575,
@@ -887,10 +891,11 @@ class TestMaximizeStroke:
             points = list(_candidates(problem))
             assert len(points) <= len(pairings)
             t_lo, t_hi = problem.theta_init_bounds
-            for m, t, _ in points:
+            for (m, r, t), _ in points:
                 # a point outside the t bounds would fail its first check
                 assert t_lo <= t <= t_hi
-                on = curves_through(problem, m, t)
+                assert m + 2.0 * r * math.sin(t) == pytest.approx(problem.w_init, rel=1e-14)
+                on = curves_through(problem, m, r, t)
                 assert any(pair <= on for pair in pairings), on
 
     def test_m_upper_bound_below_clearance_span_is_infeasible(self):
@@ -910,22 +915,32 @@ class TestMaximizeStroke:
             "no feasible design within bounds; binding: "
             "r_upper_bound (-0.0191984), m_upper_bound (-0.0053)")
 
-    def test_only_an_r_bound_refusal_takes_the_r_step(self):
+    def test_only_a_budget_refusal_takes_a_step(self):
         problem = make_problem(m_bounds=(0.008, 0.075),
                                theta_init_bounds=(0.1, 1.4))
         # r = 0.0501 is within bounds, but its closed angle exceeds theta_init
-        m, theta_init = 0.07, 0.1
-        assert build_dimensions(problem, m, theta_init) is None
-        assert _evaluate(problem, m, theta_init) == (None, "dims")
-        assert _evaluate(problem, 0.012, theta_init) == (None, "r")
+        closed = tied(problem, 0.07, 0.1)
+        assert build_dimensions(problem, *closed) is None
+        assert _evaluate(problem, *closed) == (None, "dims")
+        # r = 0.339 is beyond its upper bound
+        too_long = tied(problem, 0.012, 0.1)
+        assert _evaluate(problem, *too_long) == (None, "r")
         steps = []
 
-        def r_step(m, t, n):
+        def step(m, r, t, n):
             steps.append(n)
-            return m, t
+            return m, r, t
 
-        assert _realize(problem, m, theta_init, {"r": r_step}) == (None, 1)
+        budget_steps = {"demand_end": step, "demand_init": step}
+        assert _realize(problem, closed, budget_steps) == (None, 1)
+        assert _realize(problem, too_long, budget_steps) == (None, 1)
         assert steps == []
+        # an over-budget point takes its steps, doubling, until they run out
+        tight = replace(problem, grip_budget=1.0)
+        assert _evaluate(tight, *tied(tight, 0.012, 1.0))[1] == "demand_end"
+        assert _realize(tight, tied(tight, 0.012, 1.0), budget_steps) == (
+            None, sizing._ULP_STEPS)
+        assert steps[:4] == [1, 2, 4, 8]
 
     def test_no_point_of_a_dense_scan_beats_it(self):
         # wide ranges of every parameter; about one draw in six has no
@@ -947,11 +962,10 @@ class TestMaximizeStroke:
         assert solved >= 30
 
 
-def curves_through(problem, m, theta_init):
-    """The curves of the sizing docstring that (m, theta_init) lies on."""
+def curves_through(problem, m, r, theta_init):
+    """The curves of the sizing docstring that (m, r, theta_init) lies on."""
     q = clearance_span(problem.d_axis, problem.r_edge)
     t = theta_init
-    r = (problem.w_init - m) / (2.0 * math.sin(t))
     e = math.asin(min(1.0, q / r))
     grasp, spring = problem.grasp, problem.spring
     a_grav = grasp.g_tool * math.cos(grasp.alpha) / 2.0
@@ -967,8 +981,8 @@ def curves_through(problem, m, theta_init):
         "t_lo": t == problem.theta_init_bounds[0],
         "t_hi": t == problem.theta_init_bounds[1],
         "m_lo": m == max(problem.m_bounds[0], q),
-        "r_lo": math.isclose(r, problem.r_bounds[0], rel_tol=1e-12),
-        "r_hi": math.isclose(r, problem.r_bounds[1], rel_tol=1e-12),
+        "r_lo": r == problem.r_bounds[0],
+        "r_hi": r == problem.r_bounds[1],
         "d_end": math.isclose(demand(e), budget, rel_tol=1e-9),
         "d_init": math.isclose(demand(t), budget, rel_tol=1e-9),
     }
@@ -986,6 +1000,76 @@ def assert_passes_every_check(problem, result):
         clearance_span(problem.d_axis, problem.r_edge), dims.r)
     assert grip_demand(dims, problem.spring, problem.grasp) <= problem.grip_budget
     assert result.stroke == stroke(dims)
+
+
+# draw_case seeds with collapsed r bounds, with m_lo lowered: a scan along
+# the r curve finds designs for each, so none may be refused
+COLLAPSED_R_LOWERED_M = [
+    (2121, 0.04073454494331093),
+    (5058, 0.005764626128887694),
+    (5058, 0.0053644294479183695),
+    (5058, 0.006330348584341711),
+    (5058, 0.006936497866602219),
+    (8223, 0.0065373857929434415),
+    (13629, 0.005752266626331126),
+    (13629, 0.008448481984955845),
+    (13629, 0.005618538842515166),
+]
+
+# the most a relaxation may shorten the stroke: a D_end root is next to one
+# of the switches of the rounded budget check, and which one can move
+# with the bracket
+RELAXED_ULPS = 4
+
+
+def relaxations(problem, rng):
+    """problem with each of its bounds relaxed by a random factor, one at a
+    time."""
+    (m_lo, m_hi), (r_lo, r_hi) = problem.m_bounds, problem.r_bounds
+    t_lo, t_hi = problem.theta_init_bounds
+    return [
+        replace(problem, grip_budget=problem.grip_budget * rng.uniform(1.0, 1.5)),
+        replace(problem, m_bounds=(m_lo * rng.uniform(0.5, 1.0), m_hi)),
+        replace(problem, m_bounds=(m_lo, m_hi * rng.uniform(1.0, 1.3))),
+        replace(problem, r_bounds=(r_lo * rng.uniform(0.7, 1.0), r_hi)),
+        replace(problem, r_bounds=(r_lo, r_hi * rng.uniform(1.0, 1.3))),
+        replace(problem, theta_init_bounds=(t_lo * rng.uniform(0.7, 1.0), t_hi)),
+        replace(problem, theta_init_bounds=(t_lo, min(1.57, t_hi * rng.uniform(1.0, 1.1)))),
+    ]
+
+
+class TestRelaxation:
+    """Relaxing a bound only widens the feasible set, so it can neither
+    refuse a solved problem nor shorten its maximum stroke."""
+
+    @pytest.mark.parametrize("seed, m_lo", COLLAPSED_R_LOWERED_M)
+    def test_collapsed_r_with_lowered_m_lo_beats_a_line_scan(self, seed, m_lo):
+        drawn = draw_case(seed)
+        r_lo, r_hi = drawn.r_bounds
+        assert r_lo == r_hi and m_lo < drawn.m_bounds[0]
+        problem = replace(drawn, m_bounds=(m_lo, drawn.m_bounds[1]))
+        scan = line_max_stroke(problem, r_lo, n_theta=2001)
+        assert scan is not None
+        result = maximize_stroke(problem)
+        assert_passes_every_check(problem, result)
+        assert result.stroke >= scan[0]
+        assert result.dims.r == r_lo
+
+    def test_relaxing_one_bound_never_refuses_or_shortens(self):
+        rng = random.Random(2032)
+        solved, relaxed = 0, 0
+        for seed in range(6000):
+            problem = draw_case(seed)
+            try:
+                base = maximize_stroke(problem).stroke
+            except InfeasibleProblemError:
+                continue
+            solved += 1
+            for wider in relaxations(problem, rng):
+                stroke = maximize_stroke(wider).stroke
+                assert stroke >= base - RELAXED_ULPS * math.ulp(base), (seed, wider)
+                relaxed += 1
+        assert solved >= 3000 and relaxed == 7 * solved
 
 
 class TestSizingProblem:
