@@ -186,8 +186,9 @@ def required_grip_force(dim: ToolDimensions, spring: SpringSpec, state: GraspSta
     configurations, which spares each a validated GraspState copy per
     value.
 
-    Raises DomainError when theta lies outside [theta_end, theta_init],
-    and SingularTransmissionError when theta >= pi/2.
+    Raises DomainError when theta lies outside [theta_end, theta_init] or
+    the force leaves the float range, and SingularTransmissionError when
+    theta >= pi/2.
     """
     if theta is None:
         theta = state.theta
@@ -205,6 +206,9 @@ def required_grip_force(dim: ToolDimensions, spring: SpringSpec, state: GraspSta
     t_spring = spring_torque(spring, dim.theta_init - theta)
     transmission = 2.0 * dim.v * t_spring / (dim.r * math.cos(theta))
     gravity = state.g_tool * math.cos(state.alpha) * math.tan(theta) / 2.0
-    if config is GripConfig.BACKWARD_BASE:
-        return gravity + transmission
-    return -gravity + transmission
+    force = (transmission + gravity if config is GripConfig.BACKWARD_BASE
+             else transmission - gravity)
+    if not math.isfinite(force):
+        raise DomainError("grip force out of floating-point range: "
+                          f"transmission = {transmission:g}, gravity = {gravity:g}")
+    return force

@@ -96,7 +96,20 @@ def torque_margin(model: ContactModel, state: GraspState, gamma: float) -> float
     """
     if not 0.0 <= gamma <= math.pi / 2:
         raise DomainError(f"gamma={gamma:g} outside [0, pi/2]")
-    return _margin_at(model, state, _friction_capacity(model, state.f_n), gamma)
+    return _margin_at(model, state, _capacity(model, state), gamma)
+
+
+def _capacity(model, state):
+    """contact._friction_capacity(), once per request. Raises DomainError
+    when 2*e*mu*f_n or g_tool*d_com, the bounds of the margin's two terms,
+    leaves the float range; within them every margin is finite."""
+    capacity = _friction_capacity(model, state.f_n)
+    available = 2.0 * model.e * capacity[0]
+    demand = state.g_tool * state.d_com
+    if not (math.isfinite(available) and math.isfinite(demand)):
+        raise DomainError("torque margin out of floating-point range: "
+                          f"2*e*mu*f_n = {available:g}, g_tool*d_com = {demand:g}")
+    return capacity
 
 
 def _margin_at(model, state, capacity, gamma):
@@ -198,6 +211,7 @@ def gamma_sweep(model: ContactModel, state: GraspState,
     """
     if n_samples < 2:
         raise DomainError("n_samples must be >= 2")
+    capacity = _capacity(model, state)
     # numpy is imported here, not at module level, so that the scalar
     # margin and the CLI commands without a grid start without it
     import numpy as np
@@ -205,7 +219,6 @@ def gamma_sweep(model: ContactModel, state: GraspState,
     # the last sample can round one ulp above pi/2; clamp it onto the domain
     gamma_arr = np.minimum(math.pi / 2 * np.arange(n_samples) / (n_samples - 1),
                            math.pi / 2)
-    capacity = _friction_capacity(model, state.f_n)
     with np.errstate(all="ignore"):
         headroom = _headroom(capacity[1], state, np.cos(gamma_arr))[0]
         margin_arr = _margin(model, state, np.sqrt(np.maximum(headroom, 0.0)),

@@ -827,6 +827,28 @@ class TestOverflow:
         assert err == ("error: payload quadratic out of floating-point range: "
                        f"d_obj = {d_obj}, e = 5e+152, d_com = {d_com}\n")
 
+    OPTIMIZE_EXAMPLE = ["optimize", SAMPLE, "--m", "0.008:0.03", "--r", "0.005:0.08",
+                        "--theta-init", "40:83deg", "--grip-budget", "36"]
+
+    @pytest.mark.parametrize("line, huge, argv, message", [
+        # the spring term of the grip force overflows; analyze used to print
+        # inf, and optimize to refuse with "binding: grip_budget (-inf)"
+        ("kappa = 0.5", "kappa = 1e308", ["analyze", SAMPLE],
+         "grip force out of floating-point range: transmission = inf, gravity = 1.12794"),
+        ("kappa = 0.5", "kappa = 1e308", OPTIMIZE_EXAMPLE,
+         "grip force out of floating-point range: transmission = inf, gravity = 0.425556"),
+        # a bound of the torque margin overflows; pose-sweep used to print
+        # inf and -inf margins
+        ("e = 0.01", "e = 1e307", ["pose-sweep", SAMPLE, "--samples", "3"],
+         "torque margin out of floating-point range: 2*e*mu*f_n = inf, g_tool*d_com = 0.3"),
+        ("d_com = 0.03", "d_com = 1e308", ["pose-sweep", SAMPLE, "--samples", "3"],
+         "torque margin out of floating-point range: 2*e*mu*f_n = 0.4, g_tool*d_com = inf"),
+    ])
+    def test_infinite_result(self, tmp_path, line, huge, argv, message):
+        design = edited_design(tmp_path, line, huge)
+        err = self.assert_refused([design if a == SAMPLE else a for a in argv])
+        assert err == f"error: {message}\n"
+
     def test_underflowing_transmission_gain(self, tmp_path):
         # 2*v*kappa/q underflows to 0, and the closed-end curve divides by it
         design = edited_design(tmp_path, "v = 1.0", "v = 1e-200")
