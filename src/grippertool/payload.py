@@ -34,7 +34,6 @@ most SCALAR_GRID_CELLS cells does not load numpy.
 """
 
 import math
-from collections.abc import Sequence
 from functools import reduce
 
 from .contact import ContactModel, GraspState, _friction_capacity, check_grasp
@@ -191,17 +190,17 @@ def _solve_cell(model, d_obj, d_com, a, b, c) -> tuple[float, float, bool] | Non
 
 
 @value_type(eq=False)
-class PayloadGrid(Sequence):
+class PayloadGrid:
     """Max payload over an (alpha, d) grid.
 
     weights holds one row of len(ds) floats per alpha, alpha outer, with
-    nan in the cells where no weight is feasible. As a sequence the grid
-    is the row-major view (alpha, d, weight), weight None where
-    infeasible. The counts and max_residual come from the solve's own
-    masks: zero_clamped counts the feasible cells whose capacity root
-    was negative and clamped to 0, and max_residual is the largest
-    normalized root residual over the feasible cells (0 when there are
-    none).
+    nan in the cells where no weight is feasible. Iterating the grid
+    gives the row-major view (alpha, d, weight), weight None where
+    infeasible; len() counts the cells. The counts and max_residual come
+    from the solve's own masks: zero_clamped counts the feasible cells
+    whose capacity root was negative and clamped to 0, and max_residual
+    is the largest normalized root residual over the feasible cells (0
+    when there are none).
     """
 
     alphas: list[float]
@@ -217,11 +216,6 @@ class PayloadGrid(Sequence):
 
     def __len__(self) -> int:
         return len(self.alphas) * len(self.ds)
-
-    def __getitem__(self, index: int) -> tuple[float, float, float | None]:
-        i, j = divmod(range(len(self))[index], len(self.ds))
-        weight = self.weights[i][j]
-        return self.alphas[i], self.ds[j], None if math.isnan(weight) else weight
 
     def __iter__(self):
         for alpha, row in zip(self.alphas, self.weights):

@@ -12,9 +12,13 @@ def sample_text():
     return SAMPLE.read_text(encoding="utf-8")
 
 
+# values near where a square, a product or a quotient of design values
+# leaves the float range
+THRESHOLDS = ["5e152", "1e154", "1e200", "1e307", "1e308", "1e-200", "1e-320"]
 BAD_VALUES = ["nan", "-nan", "inf", "-inf", "1e400", "-1e400", "nandeg",
               "infkg", "1e308kg", "1e-400", "0", "-0", "", "deg", "kg",
-              "0x10", "1_000", "1e", "--1", "1deg2", "\u0661\u0662", "1e160"]
+              "0x10", "1_000", "1e", "--1", "1deg2", "\u0661\u0662", "1e160",
+              *THRESHOLDS]
 UNITS = ["deg", "kg", "m", "N", "rad", "%", " deg", "degdeg", "kgdeg", "degkg"]
 GARBLE = st.text(alphabet=st.sampled_from(list("=[]#.-+e019 \tdegkgnaif")) | st.characters(),
                  max_size=6)

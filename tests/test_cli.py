@@ -3,12 +3,14 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 
 from pathlib import Path
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ from grippertool.cli import (CHUNK_LINES, DEG, INFEASIBLE, MAX_GRID_CELLS, MAX_R
 from grippertool.payload import SCALAR_GRID_CELLS
 
 from argv_corpus import argv_corpus
-from design_mutations import mutated_designs
+from design_mutations import THRESHOLDS, mutated_designs, sample_text
 from sweep_reference import payload_csv, payload_rows, pose_csv
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,23 +42,47 @@ GOLDEN_COMMANDS = {
 }
 
 
+def golden(name):
+    return (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+
 def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(argv, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
 
 
-def first_run(argv):
-    """(code, stdout, stderr) of argv as the first run() call of a fresh
-    interpreter."""
-    script = ("import io, json, sys\n"
-              "from grippertool.cli import run\n"
-              "out, err = io.StringIO(), io.StringIO()\n"
-              "code = run(sys.argv[1:], out, err)\n"
-              "json.dump([code, out.getvalue(), err.getvalue()], sys.stdout)\n")
-    proc = subprocess.run([sys.executable, "-c", script, *argv],
-                          capture_output=True, text=True, cwd=str(ROOT), check=True)
-    return tuple(json.loads(proc.stdout))
+FRESH_SCRIPT = """\
+import io, json, sys
+first, watch, commands = json.loads(sys.argv[1])
+prefixes = tuple(name for name in watch if name.endswith("."))
+def loaded():
+    return [name for name in sorted(sys.modules) if name in watch or name.startswith(prefixes)]
+exec(first, {})
+modules, results = [loaded()], []
+for argv in commands:
+    from grippertool.cli import run
+    out, err = io.StringIO(), io.StringIO()
+    results.append([run(argv, out, err), out.getvalue(), err.getvalue()])
+    modules.append(loaded())
+json.dump([modules, results], sys.stdout)
+"""
+
+
+def fresh(commands, watch=(), first="import grippertool.cli"):
+    """Runs the statement first, then each argv of commands through run(),
+    in one fresh interpreter. Returns the watched modules loaded after
+    first and after each command, and each command's [code, stdout,
+    stderr]. A watched name ending in "." matches every module under it.
+    python -S keeps site .pth files from loading modules first, so src and
+    numpy's directory go on the path by hand."""
+    path = [str(ROOT / "src"), str(Path(numpy.__file__).parents[1]),
+            os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", FRESH_SCRIPT, json.dumps([first, list(watch), commands])],
+        capture_output=True, text=True, cwd=str(ROOT), env=env, check=True)
+    return json.loads(proc.stdout)
 
 
 class TestNumpyImport:
@@ -67,26 +93,6 @@ class TestNumpyImport:
     checked by TestParserReuse.test_sequence_matches_first_runs."""
 
     SCALAR = ["validate.txt", "analyze.txt", "optimize.txt"]
-
-    @staticmethod
-    def loaded_after(commands):
-        """Whether numpy is loaded after the import and after each command
-        of a fresh interpreter, and each command's (code, stdout, stderr)."""
-        script = ("import io, json, sys\n"
-                  "import grippertool\n"
-                  "from grippertool.cli import run\n"
-                  "loaded = ['numpy' in sys.modules]\n"
-                  "results = []\n"
-                  "for argv in json.loads(sys.argv[1]):\n"
-                  "    out, err = io.StringIO(), io.StringIO()\n"
-                  "    code = run(argv, out, err)\n"
-                  "    results.append([code, out.getvalue(), err.getvalue()])\n"
-                  "    loaded.append('numpy' in sys.modules)\n"
-                  "json.dump([loaded, results], sys.stdout)\n")
-        proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
-                              capture_output=True, text=True, cwd=str(ROOT),
-                              check=True)
-        return json.loads(proc.stdout)
 
     @staticmethod
     def sweep(design, cells):
@@ -101,13 +107,12 @@ class TestNumpyImport:
         names = self.SCALAR + ["payload_sweep.txt"]
         commands = [GOLDEN_COMMANDS[name] for name in names]
         commands += [heavy_sweep, GOLDEN_COMMANDS["pose_sweep.txt"]]
-        loaded, results = self.loaded_after(commands)
+        loaded, results = fresh(commands, ["numpy"])
         # after the import, each scalar command and both small sweeps; the
         # pose sweep then loads it
-        assert loaded == [False] * (1 + len(names) + 1) + [True]
+        assert loaded == [[]] * (1 + len(names) + 1) + [["numpy"]]
         for name, result in zip(names, results):
-            expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
-            assert result == [0, expected, ""]
+            assert result == [0, golden(name), ""]
         code, out, err = results[len(names)]
         lines = out.splitlines()
         assert (code, err, len(lines)) == (0, "", 1 + SCALAR_GRID_CELLS)
@@ -115,16 +120,16 @@ class TestNumpyImport:
 
     def test_grid_above_the_threshold_loads_numpy(self):
         cells = SCALAR_GRID_CELLS + 1
-        loaded, [result] = self.loaded_after([self.sweep(SAMPLE, cells)])
-        assert loaded == [False, True]
+        loaded, [result] = fresh([self.sweep(SAMPLE, cells)], ["numpy"])
+        assert loaded == [[], ["numpy"]]
         assert result[0] == 0 and len(result[1].splitlines()) == 1 + cells
 
 
 class TestModuleLoading:
-    """Importing the CLI and parsing a design load contact, designfile,
-    errors and mechanism alone; each command then loads only the solver
-    modules it calls. Importing the package loads no submodule: it
-    imports each public name from its submodule on first access."""
+    """Importing the CLI loads contact, designfile, errors and mechanism
+    alone; each command then loads only the solver modules it calls.
+    Importing the package loads no submodule: it imports each public name
+    from its submodule on first access."""
 
     PARSE = ["cli", "contact", "designfile", "errors", "mechanism"]
     SOLVERS = {"validate.txt": ["sizing"], "optimize.txt": ["sizing"],
@@ -132,46 +137,24 @@ class TestModuleLoading:
                "pose_sweep.txt": ["pose"]}
 
     @staticmethod
-    def fresh(script, *args):
-        """The JSON a script prints in a fresh interpreter; loaded() there
-        lists the grippertool submodules in sys.modules."""
-        script = ("import io, json, sys\n"
-                  "def loaded():\n"
-                  "    return sorted(name.split('.')[1] for name in sys.modules\n"
-                  "                  if name.startswith('grippertool.'))\n" + script)
-        proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
-                              text=True, cwd=str(ROOT), check=True)
-        return json.loads(proc.stdout)
+    def modules(names):
+        return [f"grippertool.{name}" for name in sorted(names)]
 
     @pytest.mark.parametrize("name", sorted(SOLVERS))
     def test_each_command_loads_only_its_solvers(self, name):
-        script = ("import grippertool.cli\n"
-                  "from grippertool.designfile import parse_design\n"
-                  "with open(sys.argv[2], encoding='utf-8') as fh:\n"
-                  "    parse_design(fh.read())\n"
-                  "parsed = loaded()\n"
-                  "out, err = io.StringIO(), io.StringIO()\n"
-                  "code = grippertool.cli.run(json.loads(sys.argv[1]), out, err)\n"
-                  "json.dump([parsed, loaded(), code, out.getvalue(), err.getvalue()],\n"
-                  "          sys.stdout)\n")
-        parsed, ran, code, out, err = self.fresh(
-            script, json.dumps(GOLDEN_COMMANDS[name]), SAMPLE)
-        assert parsed == self.PARSE
-        assert ran == sorted(self.PARSE + self.SOLVERS[name])
-        assert (code, out, err) == (0, (GOLDEN_DIR / name).read_text(encoding="utf-8"), "")
+        (imported, ran), [result] = fresh([GOLDEN_COMMANDS[name]], ["grippertool."])
+        assert imported == self.modules(self.PARSE)
+        assert ran == self.modules(self.PARSE + self.SOLVERS[name])
+        assert result == [0, golden(name), ""]
 
     def test_package_resolves_names_on_first_access(self):
-        script = ("import grippertool\n"
-                  "imported = loaded()\n"
-                  "star = {}\n"
-                  "exec('from grippertool import *', star)\n"
-                  "json.dump([imported, sorted(star.keys() - {'__builtins__'}), loaded()],\n"
-                  "          sys.stdout)\n")
-        imported, star, loaded = self.fresh(script)
-        assert imported == []
-        assert star == grippertool.__all__
-        assert loaded == ["contact", "designfile", "errors", "mechanism", "payload", "pose",
-                          "sizing"]
+        assert fresh([], ["grippertool."], first="import grippertool") == [[[]], []]
+        [starred], _ = fresh([], ["grippertool."], first="from grippertool import *")
+        assert starred == self.modules(["contact", "designfile", "errors", "mechanism",
+                                        "payload", "pose", "sizing"])
+        star = {}
+        exec("from grippertool import *", star)
+        assert sorted(star.keys() - {"__builtins__"}) == grippertool.__all__
 
     def test_package_names_are_the_submodules_objects(self):
         for name in grippertool.__all__:
@@ -192,82 +175,39 @@ class TestModuleLoading:
 class TestDataclassesImport:
     """The value types are built without dataclasses, so neither it nor
     the inspect module it imports is loaded by the package or by the
-    scalar commands. python -S keeps site .pth files from loading them
-    first."""
+    scalar commands."""
 
     UNWANTED = ("dataclasses", "inspect")
 
     def test_scalar_commands_leave_dataclasses_unloaded(self):
-        script = ("import io, json, sys\n"
-                  "import grippertool\n"
-                  "from grippertool.cli import run\n"
-                  f"unwanted = {self.UNWANTED!r}\n"
-                  "loaded = [sorted(set(unwanted) & set(sys.modules))]\n"
-                  "results = []\n"
-                  "for argv in json.loads(sys.argv[1]):\n"
-                  "    out, err = io.StringIO(), io.StringIO()\n"
-                  "    code = run(argv, out, err)\n"
-                  "    results.append([code, out.getvalue(), err.getvalue()])\n"
-                  "    loaded.append(sorted(set(unwanted) & set(sys.modules)))\n"
-                  "json.dump([loaded, results], sys.stdout)\n")
         scalar = TestNumpyImport.SCALAR
-        commands = [GOLDEN_COMMANDS[name] for name in scalar]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-S", "-c", script, json.dumps(commands)],
-                              capture_output=True, text=True, cwd=str(ROOT),
-                              env=env, check=True)
-        loaded, results = json.loads(proc.stdout)
+        loaded, results = fresh([GOLDEN_COMMANDS[name] for name in scalar], self.UNWANTED)
         assert loaded == [[]] * (1 + len(scalar))
         for name, result in zip(scalar, results):
-            expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
-            assert result == [0, expected, ""]
+            assert result == [0, golden(name), ""]
 
 
 class TestArgparseImport:
     """Importing the CLI and running well-formed requests load neither
     argparse nor the gettext module it imports; the first usage error
-    loads them and prints what the full parser prints. python -S keeps
-    site from loading them first; numpy's directory goes on the path by
-    hand."""
+    loads them and prints what the full parser prints."""
 
     UNWANTED = ("argparse", "gettext")
     USAGE_ERROR = ["analyze", SAMPLE, "--d-obj", "nan"]
 
     def test_golden_commands_leave_argparse_unloaded(self):
-        script = ("import contextlib, io, json, sys\n"
-                  "from grippertool.cli import _build_parser, run\n"
-                  f"unwanted = {self.UNWANTED!r}\n"
-                  "loaded = [sorted(set(unwanted) & set(sys.modules))]\n"
-                  "results = []\n"
-                  "for argv in json.loads(sys.argv[1]):\n"
-                  "    out, err = io.StringIO(), io.StringIO()\n"
-                  "    code = run(argv, out, err)\n"
-                  "    results.append([code, out.getvalue(), err.getvalue()])\n"
-                  "    loaded.append(sorted(set(unwanted) & set(sys.modules)))\n"
-                  "out, err = io.StringIO(), io.StringIO()\n"
-                  "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
-                  "    try:\n"
-                  "        _build_parser()[0].parse_args(argv)\n"
-                  "    except SystemExit as exc:\n"
-                  "        results.append([exc.code, out.getvalue(), err.getvalue()])\n"
-                  "json.dump([loaded, results], sys.stdout)\n")
-        commands = [GOLDEN_COMMANDS[name] for name in sorted(GOLDEN_COMMANDS)]
-        commands.append(self.USAGE_ERROR)
-        import numpy
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(ROOT / "src"), str(Path(numpy.__file__).parents[1]),
-                          os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-S", "-c", script, json.dumps(commands)],
-                              capture_output=True, text=True, cwd=str(ROOT),
-                              env=env, check=True)
-        loaded, results = json.loads(proc.stdout)
-        assert loaded == [[]] * (1 + len(GOLDEN_COMMANDS)) + [list(self.UNWANTED)]
-        for name, result in zip(sorted(GOLDEN_COMMANDS), results):
-            expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
-            assert result == [0, expected, ""]
-        refused, full_parser = results[-2:]
-        assert refused == full_parser
+        names = sorted(GOLDEN_COMMANDS)
+        commands = [GOLDEN_COMMANDS[name] for name in names] + [self.USAGE_ERROR]
+        loaded, results = fresh(commands, self.UNWANTED)
+        assert loaded == [[]] * (1 + len(names)) + [list(self.UNWANTED)]
+        for name, result in zip(names, results):
+            assert result == [0, golden(name), ""]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                pytest.raises(SystemExit) as full_parser:
+            _build_parser()[0].parse_args(self.USAGE_ERROR)
+        refused = results[-1]
+        assert refused == [full_parser.value.code, out.getvalue(), err.getvalue()]
         assert refused[:2] == [2, ""]
         assert refused[2].endswith(
             "error: argument --d-obj: 'nan' is not a finite number\n")
@@ -287,6 +227,13 @@ class TestExitCodes:
         code, out, _ = invoke(["validate", str(bad)])
         assert code == 1
         assert "theta_end_min" in out
+        # theta_init = 90deg is singular: check_feasible's limit is strict
+        bad.write_text(Path(SAMPLE).read_text().replace(
+            "theta_init = 60deg", "theta_init = 90deg").replace(
+            "w_init = 0.063961524", "w_init = 0.072"))
+        code, out, _ = invoke(["validate", str(bad)])
+        assert code == 1
+        assert "violation theta_init_singular: margin = 0" in out.splitlines()
 
     def test_parse_error_is_domain_error(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -308,11 +255,12 @@ class TestExitCodes:
             assert (code, out) == (2, "")
             assert err.startswith("usage: grippertool")
 
-    @pytest.mark.parametrize("argv", [["--help"], ["pose-sweep", "--help"]])
+    @pytest.mark.parametrize("argv", [["--help"], ["pose-sweep", "--help"],
+                                      ["optimize", "--help"]])
     def test_help_goes_to_out(self, argv):
         code, out, err = invoke(argv)
         assert (code, err) == (0, "")
-        assert out.startswith("usage: grippertool")
+        assert out.startswith(" ".join(["usage: grippertool", *argv[:-1]]) + " ")
         assert "--help" in out
 
     @pytest.mark.parametrize("line, value, message", [
@@ -331,6 +279,14 @@ class TestExitCodes:
     def test_zero_grip_budget_names_its_check(self):
         argv = GOLDEN_COMMANDS["optimize.txt"][:-1] + ["0"]
         assert invoke(argv) == (1, "", "error: SizingProblem.grip_budget must be > 0\n")
+
+    def test_infeasible_bounds_name_their_binding_checks(self):
+        # an m box below the clearance span: the refusal names the failing
+        # r bound before m_upper_bound
+        argv = ["optimize", SAMPLE, "--m", "0.0006:0.0007", "--r", "0.005:0.01",
+                "--theta-init", "40:83deg", "--grip-budget", "36"]
+        assert invoke(argv) == (1, "", "error: no feasible design within bounds; binding: "
+                                       "r_upper_bound (-0.0191984), m_upper_bound (-0.0053)\n")
 
     def test_non_finite_design_value_is_domain_error(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -503,13 +459,15 @@ class TestParserReuse:
         assert built == []
 
     def test_sequence_matches_first_runs(self):
-        first = {argv: first_run(argv)
-                 for argv in dict.fromkeys(map(tuple, self.sequence()))}
+        # each distinct request as the first run() call of a fresh interpreter
+        first = {}
+        for argv in dict.fromkeys(map(tuple, self.sequence())):
+            _, [result] = fresh([list(argv)])
+            first[argv] = tuple(result)
         for argv in self.sequence():
             assert invoke(argv) == first[tuple(argv)]
         for name, argv in GOLDEN_COMMANDS.items():
-            expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
-            assert first[tuple(argv)] == (0, expected, "")
+            assert first[tuple(argv)] == (0, golden(name), "")
         for argv in self.USAGE_ERRORS:
             code, out, err = first[tuple(argv)]
             assert (code, out) == (2, "")
@@ -634,8 +592,7 @@ class TestDispatch:
 
         monkeypatch.setattr(parser, "parse_known_args", recording)
         for name, argv in GOLDEN_COMMANDS.items():
-            expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
-            assert invoke(argv) == (0, expected, "")
+            assert invoke(argv) == (0, golden(name), "")
         assert calls == []
         for argv in (["validate", SAMPLE, "extra"], ["no-such-command"], ["--help"]):
             invoke(argv)
@@ -649,8 +606,7 @@ class TestDispatch:
         design.write_bytes(text.replace(b"\n", newline))
         for name in ("validate.txt", "analyze.txt"):
             argv = [str(design) if a == SAMPLE else a for a in GOLDEN_COMMANDS[name]]
-            expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
-            assert invoke(argv) == (0, expected, "")
+            assert invoke(argv) == (0, golden(name), "")
 
     def test_invalid_utf8_is_domain_error(self, tmp_path):
         text = Path(SAMPLE).read_bytes()
@@ -843,6 +799,15 @@ class TestOverflow:
          "torque margin out of floating-point range: 2*e*mu*f_n = inf, g_tool*d_com = 0.3"),
         ("d_com = 0.03", "d_com = 1e308", ["pose-sweep", SAMPLE, "--samples", "3"],
          "torque margin out of floating-point range: 2*e*mu*f_n = 0.4, g_tool*d_com = inf"),
+        # finite payload coefficients whose residual (tiny e) or discriminant
+        # (huge mu) overflows, through both payload drivers
+        ("e = 0.01", "e = 1e-143", ["analyze", SAMPLE, "--d-obj", "0.05"],
+         "payload quadratic out of floating-point range: d_obj = 0.05, e = 1e-143, d_com = 0.03"),
+        ("mu = 0.5", "mu = 1.5e152", GOLDEN_COMMANDS["payload_sweep.txt"] + ["--d-obj", "0.05"],
+         "payload quadratic out of floating-point range: d_obj = 0.05, e = 0.01, d_com = 0"),
+        ("mu = 0.5", "mu = 1.5e152", ["payload-sweep", SAMPLE, "--alpha", "5:85:5deg",
+                                      "--d", "0:0.1:0.01", "--d-obj", "0.05"],
+         "payload quadratic out of floating-point range: d_obj = 0.05, e = 0.01, d_com = 0"),
     ])
     def test_infinite_result(self, tmp_path, line, huge, argv, message):
         design = edited_design(tmp_path, line, huge)
@@ -868,8 +833,9 @@ class TestOverflow:
 
 class TestMutatedDesigns:
     """Every subcommand on a damaged design file exits 0, 1 or 2, with no
-    exception escaping run(), no nan printed and, when it prints an error,
-    nothing on stdout."""
+    exception escaping run(), no nan or inf printed, nothing on stderr at
+    exit 0 and, when it prints an error, nothing on stdout and one line
+    on stderr."""
 
     # the golden commands, with a payload grid that has infeasible cells
     # on the sample design, so that its nan weights must print INFEASIBLE
@@ -880,20 +846,38 @@ class TestMutatedDesigns:
     def design(self, tmp_path_factory):
         return tmp_path_factory.mktemp("mutated") / "design.ini"
 
-    @settings(max_examples=300)
-    @given(text=mutated_designs())
-    def test_every_command_exits_cleanly(self, design, text):
-        # garbled lines may hold lone surrogates: write them as invalid UTF-8
-        design.write_bytes(text.encode("utf-8", "surrogatepass"))
+    def assert_exits_cleanly(self, design):
         for name, argv in self.COMMANDS.items():
             code, out, err = invoke([str(design) if a == SAMPLE else a for a in argv])
             assert code in (0, 1, 2), name
             assert "Traceback" not in err, name
             assert "nan" not in out, name
-            # a refused run writes nothing to stdout; validate's violation
-            # listing exits 1 with no error: line
+            assert not {"inf", "-inf"} & set(re.split(r"[\s,=]+", out)), name
+            assert code != 0 or err == "", name
+            # a refused run writes nothing to stdout and one line to stderr;
+            # validate's violation listing exits 1 with no error: line
             if "error:" in err:
                 assert out == "", name
+                assert err.count("\n") == 1 and err.endswith("\n"), name
+
+    @settings(max_examples=300)
+    @given(text=mutated_designs())
+    def test_every_command_exits_cleanly(self, design, text):
+        # garbled lines may hold lone surrogates: write them as invalid UTF-8
+        design.write_bytes(text.encode("utf-8", "surrogatepass"))
+        self.assert_exits_cleanly(design)
+
+    def test_each_value_at_each_threshold_exits_cleanly(self, design):
+        # a draw above sets a given key to a given threshold in about one
+        # line edit of 5,000, so each pair is also run here
+        lines = sample_text().splitlines()
+        for i, line in enumerate(lines):
+            key, eq, _ = line.partition("=")
+            if not eq:
+                continue
+            for value in THRESHOLDS:
+                design.write_text("\n".join(lines[:i] + [f"{key}= {value}"] + lines[i + 1:]))
+                self.assert_exits_cleanly(design)
 
 
 class TestPoseSweepGrid:
@@ -954,8 +938,7 @@ class TestGoldenFiles:
         code, out, err = invoke(GOLDEN_COMMANDS[name])
         assert err == ""
         assert code == 0
-        expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
-        assert out == expected
+        assert out == golden(name)
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
     def test_reruns_byte_identical(self, name):
@@ -973,10 +956,18 @@ class TestGoldenFiles:
         assert serial == threaded
 
     def test_fresh_process_matches_golden(self):
-        # bit-stable across interpreter instances, not just within one
-        proc = subprocess.run(
-            [sys.executable, "-m", "grippertool.cli"] + GOLDEN_COMMANDS["analyze.txt"],
-            capture_output=True, text=True, cwd=str(ROOT),
-        )
-        assert proc.returncode == 0
-        assert proc.stdout == (GOLDEN_DIR / "analyze.txt").read_text(encoding="utf-8")
+        # bit-stable across interpreter instances, not just within one; main()
+        # exits with run()'s code, 1 for a refused input and 2 for a usage error
+        usage_error = TestArgparseImport.USAGE_ERROR
+        usage = invoke(usage_error)
+        assert usage[:2] == (2, "")
+        requests = [(GOLDEN_COMMANDS[name], (0, golden(name), ""))
+                    for name in sorted(GOLDEN_COMMANDS)]
+        requests += [(["analyze", SAMPLE, "--d-obj", "1e160"],
+                      (1, "", "error: payload quadratic out of floating-point range: "
+                              "d_obj = 1e+160, e = 0.01, d_com = 0.03\n")),
+                     (usage_error, usage)]
+        for argv, expected in requests:
+            proc = subprocess.run([sys.executable, "-m", "grippertool.cli", *argv],
+                                  capture_output=True, text=True, cwd=str(ROOT))
+            assert (proc.returncode, proc.stdout, proc.stderr) == expected
