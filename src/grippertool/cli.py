@@ -10,12 +10,12 @@ refused before any grid is built.
 
 The sweep commands print their CSV straight from the floats the library
 returns: a payload grid's rows of floats, a pose curve's float arrays.
-A payload sweep builds one line template per chunk of at most
-CHUNK_LINES d values once, and formats each alpha row, or each chunk of
-a longer row, with one % call. A pose sweep converts gamma to
-degrees with one vectorized divide and formats CHUNK_LINES lines per %
-call. A nan cell prints as INFEASIBLE. The text of the whole grid is
-never held in memory at once.
+A payload sweep builds one line template over all d values once and
+formats each alpha row with one % call. A pose sweep converts gamma to
+degrees with one vectorized divide, interleaves it with the margins in
+one array and formats CHUNK_LINES lines per % call. A nan cell prints as
+INFEASIBLE. Output goes one row or chunk at a time, so the text of the
+whole grid is never held in memory at once.
 
 Each subcommand's handler and options are described once, in _COMMANDS.
 When argv[0] names a subcommand and the rest is the design and exact
@@ -48,12 +48,10 @@ import sys
 from types import SimpleNamespace
 
 from .contact import GripConfig, holding_max_offset, required_grip_force
-from .designfile import parse_design
+from .designfile import DEG, parse_design
 from .errors import GripperToolError, InfeasibleHoldError, NoFeasiblePayloadError
 
 INFEASIBLE = "INFEASIBLE"
-
-DEG = math.pi / 180.0
 
 # Largest number of points one start:stop:step range, or one pose sweep,
 # may expand to.
@@ -62,7 +60,7 @@ MAX_RANGE_POINTS = 100_000
 # Largest number of (alpha, d) cells one payload sweep may compute.
 MAX_GRID_CELLS = 1_000_000
 
-# Most CSV lines a sweep formats with one % call.
+# Most CSV lines a pose sweep formats with one % call.
 CHUNK_LINES = 1024
 
 
@@ -218,16 +216,10 @@ def _cmd_payload_sweep(args, out) -> int:
     _, _, model, state = _load(args.design)
     grid = _lib("payload").payload_sweep(model, state, args.d_obj, args.alpha, args.d)
     out.write("alpha_deg,d_m,max_weight_N\n")
-    # "\0" stands for the row's alpha text in these templates
-    templates = [(start, "".join(f"\0,{fmt(d)},%.9g\n"
-                                 for d in args.d[start:start + CHUNK_LINES]))
-                 for start in range(0, len(args.d), CHUNK_LINES)]
+    # "\0" stands for the row's alpha text in this template
+    template = "".join(f"\0,{fmt(d)},%.9g\n" for d in args.d)
     for alpha, row in zip(args.alpha, grid.weights):
-        alpha_text = fmt(alpha / DEG)
-        for start, template in templates:
-            lines = (template.replace("\0", alpha_text)
-                     % tuple(row[start:start + CHUNK_LINES]))
-            out.write(_mark_infeasible(lines))
+        out.write(_mark_infeasible(template.replace("\0", fmt(alpha / DEG)) % tuple(row)))
     return 0
 
 
@@ -257,13 +249,11 @@ def _cmd_pose_sweep(args, out) -> int:
     _, _, model, state = _load(args.design)
     curve = _lib("pose").gamma_sweep(model, state, args.samples)
     out.write("gamma_deg,torque_margin_Nm\n")
-    degrees = curve.gammas / DEG   # IEEE division, bit-identical to Python's /
-    for start in range(0, len(degrees), CHUNK_LINES):
-        gammas = degrees[start:start + CHUNK_LINES].tolist()
-        values = [0.0] * (2 * len(gammas))
-        values[0::2] = gammas
-        values[1::2] = curve.margins[start:start + CHUNK_LINES].tolist()
-        out.write(_mark_infeasible("%.9g,%.9g\n" * len(gammas) % tuple(values)))
+    values = (curve.gammas / DEG).repeat(2)   # IEEE division, bit-identical to Python's /
+    values[1::2] = curve.margins
+    for start in range(0, len(values), 2 * CHUNK_LINES):
+        chunk = values[start:start + 2 * CHUNK_LINES].tolist()
+        out.write(_mark_infeasible("%.9g,%.9g\n" * (len(chunk) // 2) % tuple(chunk)))
     print(f"# peak gamma_deg = {fmt(curve.peak_gamma / DEG)} "
           f"margin_Nm = {fmt(curve.peak_margin)}", file=out)
     return 0

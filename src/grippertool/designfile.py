@@ -22,6 +22,7 @@ from .errors import DesignFileError
 from .mechanism import SpringSpec, ToolDimensions
 
 STANDARD_GRAVITY = 9.80665  # m/s^2, for 'kg' mass inputs
+DEG = math.pi / 180.0  # radians per degree, for the 'deg' suffix
 
 SECTIONS = {
     "tool": ToolDimensions,
@@ -48,7 +49,7 @@ def _parse_value(key: str, entry: tuple[str, int]) -> float | GripConfig:
             raise DesignFileError("'deg' suffix only valid on angle keys",
                                   line_no, key)
         text = text[:-3].strip()
-        factor = math.pi / 180.0
+        factor = DEG
     elif text.endswith("kg"):
         if key not in WEIGHT_KEYS:
             raise DesignFileError("'kg' suffix only valid on weight keys",

@@ -5,17 +5,26 @@ code under test: static-equilibrium wrench construction plus feasibility
 bisection for the holding and payload limits, and exhaustive grid
 enumeration (or, for collapsed r bounds, a scan along the one r curve)
 for the stroke optimizer. Formulas here are transcribed
-separately from the library on purpose; do not refactor them to share
-code with src/.
+separately from the library on purpose, the soft-finger limit surface
+and its tolerance included; do not refactor them to share code with
+src/, and import nothing from it.
 """
 
 import math
 
 import numpy as np
 
-from grippertool.contact import capacity_check
-
 BISECTION_ITERS = 200
+# Relative tolerance on the limit surface's right-hand side, so that a
+# wrench computed to lie on the surface counts as held despite rounding.
+LIMIT_REL_TOL = 1e-9
+
+
+def within_limit(mu, e, f_n, f, t, rel_tol=LIMIT_REL_TOL):
+    """True when one pad at normal force f_n transmits the tangential
+    force f and spin torque t: f^2 + (t/e)^2 <= (mu*f_n)^2, the right side
+    widened by the relative tolerance rel_tol."""
+    return f * f + (t / e) ** 2 <= (mu * f_n) ** 2 * (1.0 + rel_tol)
 
 
 def holding_wrench(g_tool, alpha, d):
@@ -31,7 +40,7 @@ def holding_wrench(g_tool, alpha, d):
 
 def holding_feasible(model, f_n, g_tool, alpha, d):
     f, t = holding_wrench(g_tool, alpha, d)
-    return capacity_check(model, f_n, f, t)
+    return within_limit(model.mu, model.e, f_n, f, t)
 
 
 def bisect_holding_offset(model, f_n, g_tool, alpha):
@@ -62,7 +71,7 @@ def object_wrench(g_tool, g_obj, alpha, d_com, d_obj):
 
 def payload_feasible(model, state, d_obj, g_obj):
     f, t = object_wrench(state.g_tool, g_obj, state.alpha, state.d_com, d_obj)
-    return capacity_check(model, state.f_n, f, t)
+    return within_limit(model.mu, model.e, state.f_n, f, t)
 
 
 def bisect_max_payload(model, state, d_obj, scan_points=4096):

@@ -288,6 +288,14 @@ class TestExitCodes:
         assert invoke(argv) == (1, "", "error: no feasible design within bounds; binding: "
                                        "r_upper_bound (-0.0191984), m_upper_bound (-0.0053)\n")
 
+    def test_closed_angle_at_theta_hi_names_theta_end_min(self):
+        # an m box so high that r at the theta_init upper bound closes the
+        # jaw only at or past that bound
+        argv = ["optimize", SAMPLE, "--m", "0.052:0.06", "--r", "0.005:0.08",
+                "--theta-init", "40:83deg", "--grip-budget", "36"]
+        assert invoke(argv) == (1, "", "error: no feasible design within bounds; binding: "
+                                       "theta_end_min (-0.0298236)\n")
+
     def test_non_finite_design_value_is_domain_error(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text(Path(SAMPLE).read_text().replace("mu = 0.5", "mu = nan"))
@@ -349,6 +357,15 @@ class TestExitCodes:
                                  "--alpha", "15:75:15deg", "--d", "0:1e12:1"])
         assert (code, out) == (2, "")
         assert "points" in err
+
+    def test_range_of_non_finite_span_is_usage_error(self):
+        # (stop - start) / step overflows to inf
+        code, out, err = invoke(["payload-sweep", SAMPLE, "--alpha", "10:20:5deg",
+                                 "--d", "0:1e308:1e-300"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: grippertool payload-sweep ")
+        assert err.endswith("error: argument --d: range '0:1e308:1e-300' "
+                            "has more than 100000 points\n")
 
     def test_oversized_grid_refused_before_allocating(self):
         # 1,001 x 1,001 cells: each axis is far below MAX_RANGE_POINTS
@@ -686,8 +703,9 @@ def edited_design(tmp_path, old, new):
 
 
 class TestSweepChunks:
-    """Row and chunk formatting prints what fmt gives cell by cell, at the
-    chunk boundaries and for every kind of cell."""
+    """Payload row and pose chunk formatting prints what fmt gives cell by
+    cell, at the pose chunk boundaries, for a long payload row and for
+    every kind of cell."""
 
     def payload(self, design, alpha_text, d_text):
         code, out, err = invoke(["payload-sweep", design, "--alpha", alpha_text,
@@ -705,7 +723,8 @@ class TestSweepChunks:
         _, _, model, state = parse_design(Path(SAMPLE).read_text())
         assert out == pose_csv(model, state, n)
 
-    def test_payload_single_alpha_row_of_two_chunks(self):
+    def test_payload_single_alpha_row_of_2001_cells(self):
+        # one % call formats the whole row
         lines = self.payload(SAMPLE, "40:40:1deg", "0:0.1:0.00005")
         assert len(lines) == 2001 > CHUNK_LINES
 

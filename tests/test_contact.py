@@ -281,3 +281,35 @@ class TestOutOfRangeRejected:
         with pytest.raises(ValueError) as refused:
             state_with(f_n=-1.0)
         assert str(refused.value) == "GraspState.f_n must be >= 0"
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("mu", -0.5, "ContactModel.mu must be > 0"),
+        ("e", 0.0, "ContactModel.e must be > 0"),
+        ("e", -0.01, "ContactModel.e must be > 0"),
+    ])
+    def test_contact_model(self, name, value, message):
+        with pytest.raises(ValueError) as refused:
+            replace(ContactModel(mu=0.5, e=0.01), **{name: value})
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("g_tool", 0.0, "GraspState.g_tool must be > 0"),
+        ("g_tool", -10.0, "GraspState.g_tool must be > 0"),
+        ("alpha", -0.1, "GraspState.alpha must be in [0, pi]"),
+        ("alpha", 3.2, "GraspState.alpha must be in [0, pi]"),
+        ("gamma", -0.1, "GraspState.gamma must be in [0, pi/2]"),
+        ("gamma", 1.6, "GraspState.gamma must be in [0, pi/2]"),
+        ("d", -0.01, "GraspState.d must be >= 0"),
+        ("d_com", -0.01, "GraspState.d_com must be >= 0"),
+        ("theta", -0.1, "GraspState.theta must be >= 0"),
+        ("config", "backward_base", "GraspState.config must be a GripConfig"),
+    ])
+    def test_grasp_state(self, name, value, message):
+        with pytest.raises(ValueError) as refused:
+            state_with(**{name: value})
+        assert str(refused.value) == message
+
+    def test_capacity_check_negative_normal_force(self):
+        with pytest.raises(DomainError) as refused:
+            capacity_check(ContactModel(mu=0.5, e=0.01), -1.0, 0.0, 0.0)
+        assert str(refused.value) == "f_n must be >= 0"

@@ -128,3 +128,15 @@ class TestNonFiniteRejected:
     def test_spring_spec(self, name, value):
         with pytest.raises(ValueError, match=f"SpringSpec.{name} must be finite"):
             replace(SpringSpec(kappa=0.5, beta=0.3), **{name: value})
+
+
+class TestOutOfRangeRejected:
+    @pytest.mark.parametrize("name, value, message", [
+        ("kappa", 0.0, "SpringSpec.kappa must be > 0"),
+        ("kappa", -0.5, "SpringSpec.kappa must be > 0"),
+        ("beta", -0.1, "SpringSpec.beta must be >= 0"),
+    ])
+    def test_spring_spec(self, name, value, message):
+        with pytest.raises(ValueError) as refused:
+            replace(SpringSpec(kappa=0.5, beta=0.3), **{name: value})
+        assert str(refused.value) == message

@@ -91,6 +91,16 @@ class TestMaxPayload:
         with pytest.raises(ValueError, match="PayloadResult.residual nan"):
             PayloadResult(1.0, (1.0, 0.0, -1.0), math.nan)
 
+    @pytest.mark.parametrize("max_weight, residual, message", [
+        (-1.0, 0.0, "PayloadResult.max_weight must be >= 0"),
+        (-1e-300, 0.0, "PayloadResult.max_weight must be >= 0"),
+        (1.0, 2e-9, "PayloadResult.residual 2e-09 exceeds 1e-09"),
+    ])
+    def test_out_of_range_result_rejected(self, max_weight, residual, message):
+        with pytest.raises(ValueError) as refused:
+            PayloadResult(max_weight, (1.0, 0.0, -1.0), residual)
+        assert str(refused.value) == message
+
     @pytest.mark.parametrize("model, state, d_obj, named", [
         (ContactModel(mu=0.5, e=0.005), state_with(), 1e160,
          "d_obj = 1e+160, e = 0.005, d_com = 0.02"),

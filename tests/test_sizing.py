@@ -1141,6 +1141,22 @@ class TestSizingProblem:
             make_problem(grip_budget=0.0)
         assert str(refused.value) == "SizingProblem.grip_budget must be > 0"
 
+    @pytest.mark.parametrize("name, value, message", [
+        *((name, value, f"SizingProblem.{name} must be > 0")
+          for name in ("d_axis", "r_edge", "k", "w_init", "v", "grip_budget")
+          for value in (0.0, -1.0)),
+        *((name, bounds, f"SizingProblem.{name} must satisfy 0 < lo <= hi")
+          for name in ("m_bounds", "r_bounds", "theta_init_bounds")
+          for bounds in ((0.0, 0.5), (-0.5, 0.5), (0.5, 0.4))),
+        ("theta_init_bounds", (0.6, math.pi / 2),
+         "theta_init upper bound must stay below pi/2"),
+        ("theta_init_bounds", (0.6, 2.0), "theta_init upper bound must stay below pi/2"),
+    ])
+    def test_out_of_range_rejected(self, name, value, message):
+        with pytest.raises(ValueError) as refused:
+            make_problem(**{name: value})
+        assert str(refused.value) == message
+
     def test_underflowing_transmission_gain_is_domain_error(self):
         # 2*v*kappa/q rounds to 0, and the closed-end curve divides by it
         problem = make_problem(v=1e-200, spring=SpringSpec(kappa=1e-200, beta=0.3))
