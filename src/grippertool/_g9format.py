@@ -1,0 +1,184 @@
+"""Exact vectorized '%.9g' for the CLI's large sweeps.
+
+table_blocks() and grid_blocks() give the text of a sweep's CSV lines,
+block_lines lines at a time, each float written as '%.9g' % value
+writes it. Each float becomes one FIELD-byte record of fixed slots, with
+NUL in the slots its text does not use, so that no byte moves with the
+value's decimal exponent X:
+
+    sign, "0", ".", "0", "0", "0", b0, ..., b9, end
+
+A value below 1 (X < 0) writes "0." and then -X-1 zeros in the slots
+after the sign; its nine digits d0..d8 fill b0..b8. A value of 1 or more
+fills b0..bX with d0..dX, puts the decimal point in b(X+1) and the rest
+of the digits after it. Body slots after the last nonzero digit, and
+after dX at least, hold NUL, as do the point when no fraction digit
+follows it, so the text has no leading zeros and none of the trailing
+fraction zeros that '%g' strips. The end slot holds the comma or newline
+that follows the field. A block's records, after the texts that start
+each line, are joined into one bytes object, and one bytes.translate
+deletes its NULs.
+
+The digits come from one float product per value: y = |x|*10**(8 - X)
+rounds to the nine-digit integer n. 10**(8 - X) is exact for -4 <= X <= 8
+and y < 2**30, so y is off the exact product by one rounding of at most
+2**-24, and n is '%.9g''s own rounding whenever y lies more than TIE_TOL
+from the middle of two integers. The fast path takes a value only then,
+and only for -4 <= X <= 8, where '%g' writes fixed notation. X starts as
+floor(log10|x|) and is corrected once, by the n of the first product:
+n >= 10**9 means that log10 was one low or that the rounding carried into
+a tenth digit, n < 10**8 that log10 was one high. A corrected value is
+fast only if both of its products are. Every other finite nonzero value
+(near-ties, scientific notation, subnormals) and +-inf is formatted by
+Python's own '%16.9g', all of a block's such values in one % call, and
+its spaces become NUL. nan is written "nan", and +-0 "0" or "-0", as '%'
+writes them.
+
+Only the CLI imports this module, for sweeps of at least CHUNK_LINES
+lines, so numpy is already loaded by the sweep. Integer scalars carry
+explicit dtypes, so NumPy 1 and NumPy 2 promote alike.
+"""
+
+from itertools import chain
+
+import numpy as np
+
+# Distance from the middle of two integers that y must keep: well above
+# y's rounding error of at most 2**-24. It is a margin: the middles are
+# floats and rounding is monotone, so a y off a middle lies on the same
+# side of it as the exact product.
+TIE_TOL = 2.0 ** -20
+
+# Slots of a record: the sign, the five of "0.000", ten body slots (nine
+# digits and a point) and the end byte.
+FIELD = 1 + 5 + 10 + 1
+_BODY = slice(6, 16)
+_SLOTS = np.arange(10, dtype=np.int8)[:, None]
+
+# 10**(8 - X) for -5 <= X <= 8, all exact: a value whose log10 is just
+# below -4 may round up to X = -4
+_POW10 = 10.0 ** np.arange(14)
+_TEN = np.uint32(10)
+_SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
+
+
+def _scaled(ax, exp):
+    """The nearest integer to ax*10**(8 - exp), and where it is the exact
+    product's rounding; exp outside [-5, 8] gives an integer the caller
+    discards. In place where it can: a block's float temporaries set the
+    sweep's peak memory."""
+    y = _POW10.take((8.0 - exp).astype(np.intp), mode="clip")
+    y *= ax
+    n = np.rint(y)
+    y -= n
+    np.abs(y, out=y)
+    y -= 0.5
+    np.abs(y, out=y)
+    return n, y > TIE_TOL
+
+
+def _exponent_digits(ax):
+    """(X, n, fast) for positive finite ax: the decimal exponent and the
+    nine-digit integer of ax's '%.9g' rounding where fast holds, 0 and 0
+    elsewhere."""
+    exp = np.log10(ax)
+    np.floor(exp, out=exp)
+    n, fast = _scaled(ax, exp)
+    low = n < 1e8
+    off = np.flatnonzero(low | (n >= 1e9))
+    if len(off):   # the exponent correction
+        exp[off] += 1.0 - 2.0 * low[off]
+        n[off], again = _scaled(ax[off], exp[off])
+        fast[off] &= again
+    fast &= (exp >= -4.0) & (exp <= 8.0) & (n >= 1e8) & (n < 1e9)
+    return ((exp * fast).astype(np.int8), np.where(fast, n, 0.0).astype(np.uint32),
+            fast)
+
+
+def _char(mask, char):
+    """The byte char where mask holds, NUL elsewhere."""
+    return mask.view(np.uint8) * np.uint8(ord(char))
+
+
+def records(values, ends):
+    """(len(values), FIELD) uint8 records of the float64 values' '%.9g'
+    texts (see the module docstring); ends is one byte per value."""
+    count = len(values)
+    ax = np.abs(values)
+    nan = np.isnan(values)
+    zero = ax == 0.0
+    ax[~np.isfinite(values) | zero] = 1.0
+    exp, n, fast = _exponent_digits(ax)
+    del ax
+    # nan, +-inf and +-0 got X = 0 and n = 10**8 from 1.0: a zero writes
+    # the digit of n = 0, a nan no digit but "nan" in the first three
+    # slots, and +-inf falls back
+    fast &= ~np.isinf(values)
+    n *= ~zero
+    out = np.empty((FIELD, count), dtype=np.uint8)   # slot-major, transposed on return
+    out[0] = _char(np.signbit(values) & ~nan, "-") + _char(nan, "n")
+    below = exp < 0
+    out[1] = _char(below, "0") + _char(nan, "a")
+    out[2] = _char(below, ".") + _char(nan, "n")
+    for k in (3, 4, 5):   # the zeros of 0.0d, 0.00d and 0.000d
+        out[k] = _char(exp <= 1 - k, "0")
+    digits = np.empty((10, count), dtype=np.uint8)
+    for p in range(8, -1, -1):
+        q = n // _TEN
+        digits[p] = n - q * _TEN
+        n = q
+    digits[9] = 0
+    last = ((digits[:9] != 0) * _SLOTS[:9]).max(axis=0)   # the last nonzero digit
+    digits += np.uint8(ord("0"))
+    # the point's body slot: after dX, and past b9 for a value below 1
+    point = np.where(exp < 0, np.int8(9), exp) + np.int8(1)
+    body = out[_BODY]
+    np.multiply(digits, _SLOTS < point, out=body)
+    body[1:] += digits[:-1] * (_SLOTS[1:] > point)
+    body += _char(_SLOTS == point, ".")
+    # keep the slots up to dX and up to the last nonzero digit; none for nan
+    body *= _SLOTS <= np.maximum(exp, last + ((last > exp) & (exp >= 0))) - nan
+    out[-1] = ends
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        text = "%16.9g" * len(slow) % tuple(values[slow].tolist())
+        out[:-1, slow] = 0
+        out[:16, slow] = np.frombuffer(
+            text.encode("ascii").translate(_SPACE_TO_NUL), dtype=np.uint8
+        ).reshape(-1, 16).T
+    return out.T
+
+
+def _padded(texts):
+    """The ASCII texts as the rows of a NUL-padded uint8 array."""
+    width = max(map(len, texts))
+    joined = "".join(text.ljust(width, "\0") for text in texts)
+    return np.frombuffer(joined.encode("ascii"), dtype=np.uint8).reshape(len(texts), width)
+
+
+def table_blocks(values, block_lines, keys=None):
+    """The CSV text of the (lines, fields) float64 array values, one line
+    per row, its '%.9g' fields separated by commas, block_lines lines per
+    block. Given keys, the NUL-padded texts (outer, inner), line i starts
+    with outer[i // len(inner)] and inner[i % len(inner)]."""
+    lines, fields = values.shape
+    ends = np.tile(np.frombuffer(b"," * (fields - 1) + b"\n", dtype=np.uint8), block_lines)
+    for start in range(0, lines, block_lines):
+        block = values[start:start + block_lines].ravel()
+        text = records(block, ends[:len(block)])
+        if keys is not None:
+            outer, inner = keys
+            row, column = np.divmod(np.arange(start, start + len(text)), len(inner))
+            text = np.hstack((outer.take(row, axis=0), inner.take(column, axis=0), text))
+        text = text.tobytes().translate(None, b"\0")
+        yield text.decode("ascii")
+
+
+def grid_blocks(rows, block_lines, outer, inner):
+    """table_blocks of a grid: rows of floats, one row per text of outer
+    and one float per text of inner, each text ending in a comma. Row r's
+    float c is written on the line outer[r] inner[c] '%.9g'."""
+    cells = len(outer) * len(inner)
+    values = np.fromiter(chain.from_iterable(rows), np.float64, cells)
+    return table_blocks(values.reshape(cells, 1), block_lines,
+                        (_padded(outer), _padded(inner)))

@@ -10,12 +10,16 @@ refused before any grid is built.
 
 The sweep commands print their CSV straight from the floats the library
 returns: a payload grid's rows of floats, a pose curve's float arrays.
-A payload sweep builds one line template over all d values once and
-formats each alpha row with one % call. A pose sweep converts gamma to
-degrees with one vectorized divide, interleaves it with the margins in
-one array and formats CHUNK_LINES lines per % call. A nan cell prints as
-INFEASIBLE. Output goes one row or chunk at a time, so the text of the
-whole grid is never held in memory at once.
+A pose sweep converts gamma to degrees with one vectorized divide and
+interleaves it with the margins in one array. A sweep of fewer than
+CHUNK_LINES lines is formatted by %: a payload sweep builds one line
+template over all d values once and formats each alpha row with one %
+call, and a pose sweep formats all its lines with one. A longer sweep is
+written through _g9format, CHUNK_LINES lines per block: numpy writes
+each float's exact '%.9g' text, and the floats it cannot decide exactly
+go through one % call per block. A nan cell prints as INFEASIBLE. Output
+goes one row or block at a time, so the text of the whole grid is never
+held in memory at once.
 
 Each subcommand's handler and options are described once, in _COMMANDS.
 When argv[0] names a subcommand and the rest is the design and exact
@@ -35,7 +39,8 @@ by swapping sys.stdout and sys.stderr while it parses, so run() calls
 from concurrent threads that fall back to argparse can exchange them.
 
 Importing this module loads only what parse_design needs; a handler
-imports the payload, pose or sizing solver through _lib on first use.
+imports the payload, pose or sizing solver, and a long sweep _g9format,
+through _lib on first use.
 
 Design files are read as bytes and decoded as UTF-8; parse_design splits
 lines with str.splitlines(), so CRLF and CR line endings parse as LF does.
@@ -60,8 +65,10 @@ MAX_RANGE_POINTS = 100_000
 # Largest number of (alpha, d) cells one payload sweep may compute.
 MAX_GRID_CELLS = 1_000_000
 
-# Most CSV lines a pose sweep formats with one % call.
-CHUNK_LINES = 1024
+# A sweep of at least this many CSV lines is written through _g9format,
+# this many lines per block; a shorter one is formatted by one % call
+# (pose) or one per alpha row (payload).
+CHUNK_LINES = 4096
 
 
 class _UsageError(Exception):
@@ -216,10 +223,17 @@ def _cmd_payload_sweep(args, out) -> int:
     _, _, model, state = _load(args.design)
     grid = _lib("payload").payload_sweep(model, state, args.d_obj, args.alpha, args.d)
     out.write("alpha_deg,d_m,max_weight_N\n")
-    # "\0" stands for the row's alpha text in this template
-    template = "".join(f"\0,{fmt(d)},%.9g\n" for d in args.d)
-    for alpha, row in zip(args.alpha, grid.weights):
-        out.write(_mark_infeasible(template.replace("\0", fmt(alpha / DEG)) % tuple(row)))
+    if cells >= CHUNK_LINES:
+        blocks = _lib("_g9format").grid_blocks(
+            grid.weights, CHUNK_LINES, [f"{fmt(alpha / DEG)}," for alpha in args.alpha],
+            [f"{fmt(d)}," for d in args.d])
+    else:
+        # "\0" stands for the row's alpha text in this template
+        template = "".join(f"\0,{fmt(d)},%.9g\n" for d in args.d)
+        blocks = (template.replace("\0", fmt(alpha / DEG)) % tuple(row)
+                  for alpha, row in zip(args.alpha, grid.weights))
+    for block in blocks:
+        out.write(_mark_infeasible(block))
     return 0
 
 
@@ -251,9 +265,12 @@ def _cmd_pose_sweep(args, out) -> int:
     out.write("gamma_deg,torque_margin_Nm\n")
     values = (curve.gammas / DEG).repeat(2)   # IEEE division, bit-identical to Python's /
     values[1::2] = curve.margins
-    for start in range(0, len(values), 2 * CHUNK_LINES):
-        chunk = values[start:start + 2 * CHUNK_LINES].tolist()
-        out.write(_mark_infeasible("%.9g,%.9g\n" * (len(chunk) // 2) % tuple(chunk)))
+    if args.samples >= CHUNK_LINES:
+        blocks = _lib("_g9format").table_blocks(values.reshape(-1, 2), CHUNK_LINES)
+    else:
+        blocks = ["%.9g,%.9g\n" * args.samples % tuple(values.tolist())]
+    for block in blocks:
+        out.write(_mark_infeasible(block))
     print(f"# peak gamma_deg = {fmt(curve.peak_gamma / DEG)} "
           f"margin_Nm = {fmt(curve.peak_margin)}", file=out)
     return 0

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
+from sympy.calculus.util import minimum
 
 from grippertool import (
     ContactModel,
@@ -149,6 +151,51 @@ class TestCriterion5:
             assert abs(gap - expected) <= 1e-12 * scale
             assert gap >= 0.0
         report(5, "configuration gap exact and nonnegative on 500 draws")
+
+
+class TestCriterion5Proof:
+    """Criterion 5 proved, next to the sampled check above: a symbolic
+    transcription of required_grip_force gives backward - forward =
+    g*cos(alpha)*tan(theta) identically, and that gap is >= 0 for alpha
+    in [0, pi/2] and theta in [0, pi/2)."""
+
+    g, v, r, kappa, beta, theta_init = sympy.symbols("g v r kappa beta theta_init",
+                                                     positive=True)
+    alpha, theta = sympy.symbols("alpha theta", real=True)
+
+    def forces(self):
+        """(backward, forward) as required_grip_force computes them."""
+        t_spring = self.kappa * (self.beta + self.theta_init - self.theta)   # spring_torque
+        transmission = 2 * self.v * t_spring / (self.r * sympy.cos(self.theta))
+        gravity = self.g * sympy.cos(self.alpha) * sympy.tan(self.theta) / 2
+        return transmission + gravity, transmission - gravity
+
+    def test_transcription_is_required_grip_force(self, nominal_dims, nominal_spring):
+        names = (self.g, self.v, self.r, self.kappa, self.beta, self.theta_init,
+                 self.alpha, self.theta)
+        transcribed = sympy.lambdify(names, self.forces(), "math")
+        rng = np.random.default_rng(5155)
+        for _ in range(50):
+            alpha = rng.uniform(0.0, math.pi / 2)
+            theta = rng.uniform(nominal_dims.theta_end, nominal_dims.theta_init)
+            g = rng.uniform(1.0, 60.0)
+            state = base_state(alpha=alpha, theta=theta, g_tool=g)
+            library = [required_grip_force(nominal_dims, nominal_spring, state, config=config)
+                       for config in (GripConfig.BACKWARD_BASE, GripConfig.FORWARD_BASE)]
+            symbolic = transcribed(g, nominal_dims.v, nominal_dims.r, nominal_spring.kappa,
+                                   nominal_spring.beta, nominal_dims.theta_init, alpha, theta)
+            assert library == pytest.approx(symbolic, rel=1e-12, abs=1e-12)
+
+    def test_gap_is_g_cos_alpha_tan_theta_and_nonnegative(self):
+        backward, forward = self.forces()
+        gap = self.g * sympy.cos(self.alpha) * sympy.tan(self.theta)
+        assert sympy.simplify(backward - forward - gap) == 0
+        # g > 0, and neither factor falls below 0 on its interval
+        assert self.g.is_positive
+        assert minimum(sympy.cos(self.alpha), self.alpha, sympy.Interval(0, sympy.pi / 2)) == 0
+        assert minimum(sympy.tan(self.theta), self.theta,
+                       sympy.Interval.Ropen(0, sympy.pi / 2)) == 0
+        report(5, "configuration gap proved from the symbolic grip force")
 
 
 SIZING_SPRING = SpringSpec(kappa=0.5, beta=math.radians(20))

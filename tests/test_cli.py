@@ -147,6 +147,29 @@ class TestModuleLoading:
         assert ran == self.modules(self.PARSE + self.SOLVERS[name])
         assert result == [0, golden(name), ""]
 
+    @staticmethod
+    def sweeps(lines):
+        """A pose sweep and a one-alpha payload sweep of the given number of
+        CSV lines, each with its stdout's number of lines."""
+        return [(["pose-sweep", SAMPLE, "--samples", str(lines)], lines + 2),
+                (["payload-sweep", SAMPLE, "--alpha", "40:40:1deg",
+                  "--d", f"0:{0.00002 * (lines - 1)!r}:0.00002"], lines + 1)]
+
+    def test_only_sweeps_of_chunk_lines_load_the_formatter(self):
+        formatter = "grippertool._g9format"
+        names = sorted(GOLDEN_COMMANDS)
+        for (short, short_lines), (long, long_lines) in zip(self.sweeps(CHUNK_LINES - 1),
+                                                            self.sweeps(CHUNK_LINES)):
+            commands = [GOLDEN_COMMANDS[name] for name in names] + [short, long]
+            loaded, results = fresh(commands, [formatter])
+            # after the import, each golden command and the short sweep;
+            # the sweep of CHUNK_LINES lines then loads it
+            assert loaded == [[]] * (2 + len(names)) + [[formatter]]
+            for name, result in zip(names, results):
+                assert result == [0, golden(name), ""]
+            assert [len(out.splitlines()) for _, out, _ in results[-2:]] == [short_lines,
+                                                                             long_lines]
+
     def test_package_resolves_names_on_first_access(self):
         assert fresh([], ["grippertool."], first="import grippertool") == [[[]], []]
         [starred], _ = fresh([], ["grippertool."], first="from grippertool import *")
@@ -703,9 +726,10 @@ def edited_design(tmp_path, old, new):
 
 
 class TestSweepChunks:
-    """Payload row and pose chunk formatting prints what fmt gives cell by
-    cell, at the pose chunk boundaries, for a long payload row and for
-    every kind of cell."""
+    """Sweep output prints what fmt gives cell by cell: on both sides of
+    CHUNK_LINES, where the formatter module takes over from %, at its
+    block boundaries, for a long payload row and for every kind of
+    cell."""
 
     def payload(self, design, alpha_text, d_text):
         code, out, err = invoke(["payload-sweep", design, "--alpha", alpha_text,
@@ -716,7 +740,8 @@ class TestSweepChunks:
                                   _parse_range(d_text))
         return out.splitlines()[1:]
 
-    @pytest.mark.parametrize("n", [2, CHUNK_LINES - 1, CHUNK_LINES, CHUNK_LINES + 1])
+    @pytest.mark.parametrize("n", [2, CHUNK_LINES - 1, CHUNK_LINES, CHUNK_LINES + 1,
+                                   2 * CHUNK_LINES + 1])
     def test_pose_sweep_at_chunk_boundaries(self, n):
         code, out, err = invoke(["pose-sweep", SAMPLE, "--samples", str(n)])
         assert (code, err) == (0, "")
@@ -726,7 +751,18 @@ class TestSweepChunks:
     def test_payload_single_alpha_row_of_2001_cells(self):
         # one % call formats the whole row
         lines = self.payload(SAMPLE, "40:40:1deg", "0:0.1:0.00005")
-        assert len(lines) == 2001 > CHUNK_LINES
+        assert len(lines) == 2001 < CHUNK_LINES
+
+    @pytest.mark.parametrize("cells", [CHUNK_LINES - 1, CHUNK_LINES, 2 * CHUNK_LINES + 1])
+    def test_payload_single_alpha_row_at_chunk_boundaries(self, cells):
+        # the formatter's blocks split the row from CHUNK_LINES cells on
+        lines = self.payload(SAMPLE, "40:40:1deg", f"0:{0.00002 * (cells - 1)!r}:0.00002")
+        assert len(lines) == cells
+
+    def test_payload_grid_whose_rows_do_not_divide_a_block(self):
+        lines = self.payload(SAMPLE, "5:85:1deg", "0:0.1:0.001")
+        assert len(lines) == 81 * 101 > CHUNK_LINES
+        assert CHUNK_LINES % 101 and any(line.endswith(INFEASIBLE) for line in lines)
 
     def test_payload_single_d(self):
         lines = self.payload(SAMPLE, "5:85:1deg", "0.03:0.03:1")
@@ -861,12 +897,20 @@ class TestMutatedDesigns:
     COMMANDS = dict(GOLDEN_COMMANDS, **{"payload_sweep.txt": [
         "payload-sweep", SAMPLE, "--alpha", "15:75:15deg", "--d", "0:0.1:0.02"]})
 
+    # and, for the threshold values, a grid that takes the numpy pass and a
+    # pose sweep written through the formatter module, whose fallback then
+    # gets subnormal and scientific-notation values
+    THRESHOLD_COMMANDS = dict(COMMANDS, **{
+        "payload_grid": ["payload-sweep", SAMPLE, "--alpha", "15:75:15deg",
+                         "--d", "0:0.1:0.0125"],
+        "pose_chunk": ["pose-sweep", SAMPLE, "--samples", str(CHUNK_LINES)]})
+
     @pytest.fixture(scope="class")
     def design(self, tmp_path_factory):
         return tmp_path_factory.mktemp("mutated") / "design.ini"
 
-    def assert_exits_cleanly(self, design):
-        for name, argv in self.COMMANDS.items():
+    def assert_exits_cleanly(self, design, commands=COMMANDS):
+        for name, argv in commands.items():
             code, out, err = invoke([str(design) if a == SAMPLE else a for a in argv])
             assert code in (0, 1, 2), name
             assert "Traceback" not in err, name
@@ -887,6 +931,8 @@ class TestMutatedDesigns:
         self.assert_exits_cleanly(design)
 
     def test_each_value_at_each_threshold_exits_cleanly(self, design):
+        grid = self.THRESHOLD_COMMANDS["payload_grid"]
+        assert len(_parse_range(grid[3])) * len(_parse_range(grid[5])) > SCALAR_GRID_CELLS
         # a draw above sets a given key to a given threshold in about one
         # line edit of 5,000, so each pair is also run here
         lines = sample_text().splitlines()
@@ -896,7 +942,7 @@ class TestMutatedDesigns:
                 continue
             for value in THRESHOLDS:
                 design.write_text("\n".join(lines[:i] + [f"{key}= {value}"] + lines[i + 1:]))
-                self.assert_exits_cleanly(design)
+                self.assert_exits_cleanly(design, self.THRESHOLD_COMMANDS)
 
 
 class TestPoseSweepGrid:

@@ -1,0 +1,123 @@
+"""The CLI's vectorized '%.9g' writes exactly what Python's '%.9g' writes."""
+
+import math
+
+import numpy as np
+import pytest
+
+from grippertool import _g9format
+from grippertool._g9format import grid_blocks, records, table_blocks
+
+
+def g9(values):
+    """Each value's text from records(), one per line."""
+    values = np.asarray(values, dtype=np.float64)
+    ends = np.full(len(values), ord("\n"), dtype=np.uint8)
+    return records(values, ends).tobytes().translate(None, b"\0").decode("ascii")
+
+
+def reference(values):
+    return "".join("%.9g\n" % value for value in np.asarray(values, dtype=np.float64).tolist())
+
+
+def assert_texts_match(values):
+    got, want = g9(values).splitlines(), reference(values).splitlines()
+    assert len(got) == len(want) == len(values)
+    wrong = [(float(v), g, w) for v, g, w in zip(np.asarray(values), got, want) if g != w]
+    assert not wrong, wrong[:5]
+
+
+def neighbours(value, ulps=3):
+    """value and the floats up to ulps steps below and above it."""
+    below, above = [value], [value]
+    for _ in range(ulps):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
+
+
+CRAFTED = [
+    *(v for k in range(-5, 11) for v in neighbours(10.0 ** k)),
+    # the fixed/scientific edge: the first rounds up to 0.0001, X = -4
+    9.9999999995e-05, 1e-04, *neighbours(9.9999999995e-05),
+    # nine digits and the carry into a tenth
+    99999999.95, 999999999.4, 999999999.5, 1e9, *neighbours(999999999.5),
+    # ties in fixed notation, exact in binary: '%.9g' rounds half to even
+    12345678.25, 12345678.75, 1234567.125, 0.5, 2.5, 0.125,
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+    5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300,
+]
+
+
+class TestExactness:
+    def test_crafted_values_of_both_signs(self):
+        assert_texts_match(CRAFTED + [-v for v in CRAFTED])
+
+    def test_every_exponent_of_fixed_and_scientific_notation(self):
+        rng = np.random.default_rng(9)
+        mantissas = rng.uniform(1.0, 10.0, 40)
+        assert_texts_match([m * 10.0 ** k for k in range(-12, 14) for m in mantissas])
+
+    def test_seeded_property_over_a_million_values(self):
+        rng = np.random.default_rng(37)
+        magnitudes = 10.0 ** rng.uniform(-6.0, 10.0, 1_000_000)
+        assert_texts_match(magnitudes * rng.choice([-1.0, 1.0], magnitudes.size))
+
+    def test_nine_digit_integers_and_their_tenths(self):
+        # every n*10**k with few significant digits: trailing zeros stripped
+        rng = np.random.default_rng(11)
+        n = rng.integers(1, 10**9, 20_000)
+        digits = n // 10 ** rng.integers(0, 9, n.size)
+        assert_texts_match(digits * 10.0 ** rng.integers(-13, 1, n.size))
+
+    def test_decimal_ties_that_are_not_binary_ties(self):
+        # nine digits and a 5, parsed: the float lies just above or below
+        # the decimal tie, and its scaled product often rounds onto it
+        rng = np.random.default_rng(21)
+        texts = [f"{rng.integers(1, 10)}.{rng.integers(0, 10**8):08d}5e{k}"
+                 for k in range(-4, 9) for _ in range(200)]
+        assert_texts_match([float(text) for text in texts])
+
+    def test_carries_and_decade_edges_take_the_fast_path(self):
+        # the first product of each carries into a tenth digit, or log10
+        # lands one decade off; the exponent correction keeps them exact
+        # and off the fallback
+        values = np.array([9.99999999999e-05, 0.999999999999, 9.99999999999, 99999.9999999,
+                           99999999.9999, *(v for k in range(-4, 9)
+                                            for v in neighbours(10.0 ** k)[1:])])
+        assert _g9format._exponent_digits(values)[2].all()
+        assert_texts_match(values)
+
+    def test_block_of_fallback_values(self):
+        # scientific notation, subnormals and near-ties: no value of the
+        # block takes the fast path
+        tiny = np.geomspace(1e-300, 1e-200, 2001)
+        ties = 1e7 + np.arange(1000) + 0.25   # nine digits and a 5 after them
+        for values in (tiny, -tiny, np.geomspace(5e-324, 2e-308, 500), ties, ties + 0.5):
+            assert not _g9format._exponent_digits(np.abs(values))[2].any()
+            assert_texts_match(values)
+
+
+class TestBlocks:
+    def test_table_lines_across_blocks(self):
+        rng = np.random.default_rng(3)
+        values = rng.uniform(-5.0, 95.0, (1001, 2))
+        values[::7, 1] = math.nan
+        text = "".join(table_blocks(values, 100))
+        assert text == "%.9g,%.9g\n" * 1001 % tuple(values.ravel().tolist())
+
+    def test_grid_lines_across_blocks(self):
+        rows = [[0.1 * a + 1e-3 * d for d in range(13)] for a in range(7)]
+        rows[2][5] = math.nan
+        outer, inner = [f"{a}," for a in range(7)], [f"{0.01 * d:.9g}," for d in range(13)]
+        blocks = list(grid_blocks(rows, 10, outer, inner))
+        assert len(blocks) == 10
+        assert "".join(blocks) == "".join(
+            f"{a}{d}{w:.9g}\n" for a, row in zip(outer, rows) for d, w in zip(inner, row))
+
+    @pytest.mark.parametrize("lines", [1, 9, 10, 11])
+    def test_block_sizes(self, lines):
+        values = np.arange(lines * 3, dtype=np.float64).reshape(lines, 3) / 7.0
+        blocks = list(table_blocks(values, 10))
+        assert len(blocks) == -(-lines // 10)
+        assert "".join(blocks) == "%.9g,%.9g,%.9g\n" * lines % tuple(values.ravel().tolist())
