@@ -19,17 +19,19 @@ that follows the field. A block's records, after the texts that start
 each line, are joined into one bytes object, and one bytes.translate
 deletes its NULs.
 
-The digits come from one float product per value: y = |x|*10**(8 - X)
-rounds to the nine-digit integer n. 10**(8 - X) is exact for -4 <= X <= 8
-and y < 2**30, so y is off the exact product by one rounding of at most
-2**-24, and n is '%.9g''s own rounding whenever y lies more than TIE_TOL
-from the middle of two integers. The fast path takes a value only then,
-and only for -4 <= X <= 8, where '%g' writes fixed notation. X starts as
-floor(log10|x|) and is corrected once, by the n of the first product:
-n >= 10**9 means that log10 was one low or that the rounding carried into
-a tenth digit, n < 10**8 that log10 was one high. A corrected value is
-fast only if both of its products are. Every other finite nonzero value
-(near-ties, scientific notation, subnormals) and +-inf is formatted by
+The digits come from one float product per value: y = |x|*10**(8 - X),
+with X = floor(log10|x|), rounds to the nine-digit integer n. 10**(8 - X)
+is exact for -5 <= X <= 8, so y is the exact product rounded once, and
+y - n is exact (Sterbenz). The middles of two integers are floats and
+rounding is monotone, so a y that is not on a middle lies on the same
+side of each middle as the exact product: n is '%.9g''s own rounding
+wherever y - n != +-1/2, and the fast path takes a value only there and
+only for -4 <= X <= 8, where '%g' writes fixed notation. n = 10**9 is a
+carry into a tenth digit: X becomes X + 1 and n becomes 10**8. A log10
+one decade high lands on x within a few ulps below 10**X, whose y rounds
+to n = 10**8, the carried rounding, at once; one decade low gives n >=
+10**9, which is a carry or falls back. Every other finite nonzero value
+(ties, scientific notation, subnormals) and +-inf is formatted by
 Python's own '%16.9g', all of a block's such values in one % call, and
 its spaces become NUL. nan is written "nan", and +-0 "0" or "-0", as '%'
 writes them.
@@ -43,53 +45,35 @@ from itertools import chain
 
 import numpy as np
 
-# Distance from the middle of two integers that y must keep: well above
-# y's rounding error of at most 2**-24. It is a margin: the middles are
-# floats and rounding is monotone, so a y off a middle lies on the same
-# side of it as the exact product.
-TIE_TOL = 2.0 ** -20
-
 # Slots of a record: the sign, the five of "0.000", ten body slots (nine
 # digits and a point) and the end byte.
 FIELD = 1 + 5 + 10 + 1
 _BODY = slice(6, 16)
 _SLOTS = np.arange(10, dtype=np.int8)[:, None]
 
-# 10**(8 - X) for -5 <= X <= 8, all exact: a value whose log10 is just
-# below -4 may round up to X = -4
-_POW10 = 10.0 ** np.arange(14)
+# 10**(8 - X) for -5 <= X <= 8, all exact: integers below 2**53, as
+# numpy's pow need not give them. A value with X = -5 may carry to
+# X = -4.
+_POW10 = np.array([float(10 ** k) for k in range(14)])
 _TEN = np.uint32(10)
 _SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
-
-
-def _scaled(ax, exp):
-    """The nearest integer to ax*10**(8 - exp), and where it is the exact
-    product's rounding; exp outside [-5, 8] gives an integer the caller
-    discards. In place where it can: a block's float temporaries set the
-    sweep's peak memory."""
-    y = _POW10.take((8.0 - exp).astype(np.intp), mode="clip")
-    y *= ax
-    n = np.rint(y)
-    y -= n
-    np.abs(y, out=y)
-    y -= 0.5
-    np.abs(y, out=y)
-    return n, y > TIE_TOL
 
 
 def _exponent_digits(ax):
     """(X, n, fast) for positive finite ax: the decimal exponent and the
     nine-digit integer of ax's '%.9g' rounding where fast holds, 0 and 0
-    elsewhere."""
+    elsewhere. In place where it can: a block's float temporaries set the
+    sweep's peak memory."""
     exp = np.log10(ax)
     np.floor(exp, out=exp)
-    n, fast = _scaled(ax, exp)
-    low = n < 1e8
-    off = np.flatnonzero(low | (n >= 1e9))
-    if len(off):   # the exponent correction
-        exp[off] += 1.0 - 2.0 * low[off]
-        n[off], again = _scaled(ax[off], exp[off])
-        fast[off] &= again
+    y = _POW10.take((8.0 - exp).astype(np.intp), mode="clip")
+    y *= ax
+    n = np.rint(y)
+    y -= n
+    fast = np.abs(y, out=y) != 0.5
+    carry = n == 1e9
+    exp += carry
+    n[carry] = 1e8
     fast &= (exp >= -4.0) & (exp <= 8.0) & (n >= 1e8) & (n < 1e9)
     return ((exp * fast).astype(np.int8), np.where(fast, n, 0.0).astype(np.uint32),
             fast)

@@ -36,6 +36,11 @@ def neighbours(value, ulps=3):
     return below[::-1] + above[1:]
 
 
+def ulps_from(value, steps):
+    """The floats steps ulps from the positive float value."""
+    return (np.float64(value).view(np.int64) + steps).view(np.float64)
+
+
 CRAFTED = [
     *(v for k in range(-5, 11) for v in neighbours(10.0 ** k)),
     # the fixed/scientific edge: the first rounds up to 0.0001, X = -4
@@ -60,7 +65,17 @@ class TestExactness:
 
     def test_seeded_property_over_a_million_values(self):
         rng = np.random.default_rng(37)
-        magnitudes = 10.0 ** rng.uniform(-6.0, 10.0, 1_000_000)
+        # log-uniform magnitudes, the floats within 40 ulps of each 10**k,
+        # and nine-digit decimal ties (n*10 + 5)*10**(e - 9) with the floats
+        # one ulp away on either side
+        n = rng.integers(10**8, 10**9, 20_000)
+        e = rng.integers(-4, 9, n.size)
+        ties = np.array([float(f"{m * 10 + 5}e{k - 9}") for m, k in zip(n.tolist(), e.tolist())])
+        magnitudes = np.concatenate([
+            10.0 ** rng.uniform(-6.0, 10.0, 1_000_000),
+            *(ulps_from(float(f"1e{k}"), np.arange(-40, 41)) for k in range(-6, 11)),
+            np.nextafter(ties, 0.0), ties, np.nextafter(ties, np.inf),
+        ])
         assert_texts_match(magnitudes * rng.choice([-1.0, 1.0], magnitudes.size))
 
     def test_nine_digit_integers_and_their_tenths(self):
@@ -79,18 +94,26 @@ class TestExactness:
         assert_texts_match([float(text) for text in texts])
 
     def test_carries_and_decade_edges_take_the_fast_path(self):
-        # the first product of each carries into a tenth digit, or log10
-        # lands one decade off; the exponent correction keeps them exact
-        # and off the fallback
+        # the product of each rounds to n = 10**9, a carry that moves X up
+        # one decade with n = 10**8, or log10 lands one decade off; all of
+        # them stay exact and off the fallback
         values = np.array([9.99999999999e-05, 0.999999999999, 9.99999999999, 99999.9999999,
                            99999999.9999, *(v for k in range(-4, 9)
                                             for v in neighbours(10.0 ** k)[1:])])
         assert _g9format._exponent_digits(values)[2].all()
         assert_texts_match(values)
+        # the floats within 5,000 ulps below 10**k whose floor(log10) is k,
+        # one decade high: their product rounds to the carried n = 10**8
+        for k in (*range(-4, 0), *range(2, 9)):
+            below = ulps_from(float(f"1e{k}"), np.arange(-5000, 0))
+            high = below[np.floor(np.log10(below)) == k]
+            exp, n, fast = _g9format._exponent_digits(high)
+            assert fast.all() and (exp == k).all() and (n == 10**8).all()
+            assert_texts_match(high)
 
     def test_block_of_fallback_values(self):
-        # scientific notation, subnormals and near-ties: no value of the
-        # block takes the fast path
+        # scientific notation, subnormals and products on a midpoint: no
+        # value of the block takes the fast path
         tiny = np.geomspace(1e-300, 1e-200, 2001)
         ties = 1e7 + np.arange(1000) + 0.25   # nine digits and a 5 after them
         for values in (tiny, -tiny, np.geomspace(5e-324, 2e-308, 500), ties, ties + 0.5):
