@@ -33,15 +33,14 @@ to n = 10**8, the carried rounding, at once; one decade low gives n >=
 10**9, which is a carry or falls back. Every other finite nonzero value
 (ties, scientific notation, subnormals) and +-inf is formatted by
 Python's own '%16.9g', all of a block's such values in one % call, and
-its spaces become NUL. nan is written "nan", and +-0 "0" or "-0", as '%'
-writes them.
+its spaces become NUL. +-0 is written "0" or "-0", as '%' writes it. A
+nan of either sign is written as the caller's nan text, by default "nan"
+as '%' writes it; one scatter puts that text in every nan record.
 
 Only the CLI imports this module, for sweeps of at least CHUNK_LINES
 lines, so numpy is already loaded by the sweep. Integer scalars carry
 explicit dtypes, so NumPy 1 and NumPy 2 promote alike.
 """
-
-from itertools import chain
 
 import numpy as np
 
@@ -84,26 +83,26 @@ def _char(mask, char):
     return mask.view(np.uint8) * np.uint8(ord(char))
 
 
-def records(values, ends):
+def records(values, ends, nan_text="nan"):
     """(len(values), FIELD) uint8 records of the float64 values' '%.9g'
-    texts (see the module docstring); ends is one byte per value."""
+    texts (see the module docstring), with nan_text, of at most FIELD - 1
+    ASCII characters, for each nan; ends is one byte per value."""
     count = len(values)
     ax = np.abs(values)
-    nan = np.isnan(values)
     zero = ax == 0.0
     ax[~np.isfinite(values) | zero] = 1.0
     exp, n, fast = _exponent_digits(ax)
     del ax
     # nan, +-inf and +-0 got X = 0 and n = 10**8 from 1.0: a zero writes
-    # the digit of n = 0, a nan no digit but "nan" in the first three
-    # slots, and +-inf falls back
+    # the digit of n = 0, a nan's record is overwritten last, and +-inf
+    # falls back
     fast &= ~np.isinf(values)
     n *= ~zero
     out = np.empty((FIELD, count), dtype=np.uint8)   # slot-major, transposed on return
-    out[0] = _char(np.signbit(values) & ~nan, "-") + _char(nan, "n")
+    out[0] = _char(np.signbit(values), "-")
     below = exp < 0
-    out[1] = _char(below, "0") + _char(nan, "a")
-    out[2] = _char(below, ".") + _char(nan, "n")
+    out[1] = _char(below, "0")
+    out[2] = _char(below, ".")
     for k in (3, 4, 5):   # the zeros of 0.0d, 0.00d and 0.000d
         out[k] = _char(exp <= 1 - k, "0")
     digits = np.empty((10, count), dtype=np.uint8)
@@ -120,8 +119,8 @@ def records(values, ends):
     np.multiply(digits, _SLOTS < point, out=body)
     body[1:] += digits[:-1] * (_SLOTS[1:] > point)
     body += _char(_SLOTS == point, ".")
-    # keep the slots up to dX and up to the last nonzero digit; none for nan
-    body *= _SLOTS <= np.maximum(exp, last + ((last > exp) & (exp >= 0))) - nan
+    # keep the slots up to dX and up to the last nonzero digit
+    body *= _SLOTS <= np.maximum(exp, last + ((last > exp) & (exp >= 0)))
     out[-1] = ends
     slow = np.flatnonzero(~fast)
     if len(slow):
@@ -130,6 +129,8 @@ def records(values, ends):
         out[:16, slow] = np.frombuffer(
             text.encode("ascii").translate(_SPACE_TO_NUL), dtype=np.uint8
         ).reshape(-1, 16).T
+    out[:-1, np.flatnonzero(np.isnan(values))] = np.frombuffer(
+        nan_text.encode("ascii").ljust(FIELD - 1, b"\0"), dtype=np.uint8)[:, None]
     return out.T
 
 
@@ -140,16 +141,17 @@ def _padded(texts):
     return np.frombuffer(joined.encode("ascii"), dtype=np.uint8).reshape(len(texts), width)
 
 
-def table_blocks(values, block_lines, keys=None):
+def table_blocks(values, block_lines, keys=None, nan_text="nan"):
     """The CSV text of the (lines, fields) float64 array values, one line
-    per row, its '%.9g' fields separated by commas, block_lines lines per
-    block. Given keys, the NUL-padded texts (outer, inner), line i starts
-    with outer[i // len(inner)] and inner[i % len(inner)]."""
+    per row, its '%.9g' fields separated by commas and each nan written
+    as nan_text, block_lines lines per block. Given keys, the NUL-padded
+    texts (outer, inner), line i starts with outer[i // len(inner)] and
+    inner[i % len(inner)]."""
     lines, fields = values.shape
     ends = np.tile(np.frombuffer(b"," * (fields - 1) + b"\n", dtype=np.uint8), block_lines)
     for start in range(0, lines, block_lines):
         block = values[start:start + block_lines].ravel()
-        text = records(block, ends[:len(block)])
+        text = records(block, ends[:len(block)], nan_text)
         if keys is not None:
             outer, inner = keys
             row, column = np.divmod(np.arange(start, start + len(text)), len(inner))
@@ -158,11 +160,10 @@ def table_blocks(values, block_lines, keys=None):
         yield text.decode("ascii")
 
 
-def grid_blocks(rows, block_lines, outer, inner):
-    """table_blocks of a grid: rows of floats, one row per text of outer
-    and one float per text of inner, each text ending in a comma. Row r's
-    float c is written on the line outer[r] inner[c] '%.9g'."""
-    cells = len(outer) * len(inner)
-    values = np.fromiter(chain.from_iterable(rows), np.float64, cells)
-    return table_blocks(values.reshape(cells, 1), block_lines,
-                        (_padded(outer), _padded(inner)))
+def grid_blocks(rows, block_lines, outer, inner, nan_text="nan"):
+    """table_blocks of a grid: a (len(outer), len(inner)) float64 array,
+    read without a copy, or rows of floats, each text of outer and inner
+    ending in a comma. Row r's float c is written on the line outer[r]
+    inner[c] '%.9g'."""
+    values = np.asarray(rows, dtype=np.float64).reshape(-1, 1)
+    return table_blocks(values, block_lines, (_padded(outer), _padded(inner)), nan_text)

@@ -9,17 +9,20 @@ and payload grids of more than MAX_GRID_CELLS cells are usage errors,
 refused before any grid is built.
 
 The sweep commands print their CSV straight from the floats the library
-returns: a payload grid's rows of floats, a pose curve's float arrays.
-A pose sweep converts gamma to degrees with one vectorized divide and
-interleaves it with the margins in one array. A sweep of fewer than
-CHUNK_LINES lines is formatted by %: a payload sweep builds one line
-template over all d values once and formats each alpha row with one %
+returns: a payload grid's weights (its numpy pass's float64 array, or
+rows of floats), a pose curve's float arrays. A pose sweep converts
+gamma to degrees with one vectorized divide and interleaves it with the
+margins in one array. A nan cell prints as INFEASIBLE. A sweep of fewer
+than CHUNK_LINES lines is formatted by %, and _mark_infeasible rewrites
+its nan cells: a payload sweep builds one line template over all d
+values once and formats each alpha row, as Python floats, with one %
 call, and a pose sweep formats all its lines with one. A longer sweep is
-written through _g9format, CHUNK_LINES lines per block: numpy writes
-each float's exact '%.9g' text, and the floats it cannot decide exactly
-go through one % call per block. A nan cell prints as INFEASIBLE. Output
-goes one row or block at a time, so the text of the whole grid is never
-held in memory at once.
+written through _g9format, CHUNK_LINES lines per block, from float64
+arrays (a numpy-pass payload grid's own, without a copy): numpy writes
+each float's exact '%.9g' text and INFEASIBLE for each nan, and the
+floats it cannot decide exactly go through one % call per block.
+Output goes one row or block at a time, so the text of the whole grid
+is never held in memory at once.
 
 Each subcommand's handler and options are described once, in _COMMANDS.
 When argv[0] names a subcommand and the rest is the design and exact
@@ -81,7 +84,9 @@ def fmt(value: float) -> str:
 
 
 def _mark_infeasible(lines: str) -> str:
-    """CSV lines with every nan last field printed as INFEASIBLE.
+    """%-formatted CSV lines with every nan last field printed as
+    INFEASIBLE; a sweep of CHUNK_LINES lines or more has _g9format write
+    INFEASIBLE itself.
 
     Only the last field can print nan: the others are alpha, d or gamma,
     finite because the CLI refuses nan and inf input with exit 2. So
@@ -223,17 +228,20 @@ def _cmd_payload_sweep(args, out) -> int:
     _, _, model, state = _load(args.design)
     grid = _lib("payload").payload_sweep(model, state, args.d_obj, args.alpha, args.d)
     out.write("alpha_deg,d_m,max_weight_N\n")
+    rows = grid.weights
     if cells >= CHUNK_LINES:
         blocks = _lib("_g9format").grid_blocks(
-            grid.weights, CHUNK_LINES, [f"{fmt(alpha / DEG)}," for alpha in args.alpha],
-            [f"{fmt(d)}," for d in args.d])
+            rows, CHUNK_LINES, [f"{fmt(alpha / DEG)}," for alpha in args.alpha],
+            [f"{fmt(d)}," for d in args.d], INFEASIBLE)
     else:
+        if not isinstance(rows, list):   # % formats Python floats faster than numpy's
+            rows = rows.tolist()
         # "\0" stands for the row's alpha text in this template
         template = "".join(f"\0,{fmt(d)},%.9g\n" for d in args.d)
-        blocks = (template.replace("\0", fmt(alpha / DEG)) % tuple(row)
-                  for alpha, row in zip(args.alpha, grid.weights))
+        blocks = (_mark_infeasible(template.replace("\0", fmt(alpha / DEG)) % tuple(row))
+                  for alpha, row in zip(args.alpha, rows))
     for block in blocks:
-        out.write(_mark_infeasible(block))
+        out.write(block)
     return 0
 
 
@@ -266,11 +274,12 @@ def _cmd_pose_sweep(args, out) -> int:
     values = (curve.gammas / DEG).repeat(2)   # IEEE division, bit-identical to Python's /
     values[1::2] = curve.margins
     if args.samples >= CHUNK_LINES:
-        blocks = _lib("_g9format").table_blocks(values.reshape(-1, 2), CHUNK_LINES)
+        blocks = _lib("_g9format").table_blocks(values.reshape(-1, 2), CHUNK_LINES,
+                                                nan_text=INFEASIBLE)
     else:
-        blocks = ["%.9g,%.9g\n" * args.samples % tuple(values.tolist())]
+        blocks = [_mark_infeasible("%.9g,%.9g\n" * args.samples % tuple(values.tolist()))]
     for block in blocks:
-        out.write(_mark_infeasible(block))
+        out.write(block)
     print(f"# peak gamma_deg = {fmt(curve.peak_gamma / DEG)} "
           f"margin_Nm = {fmt(curve.peak_margin)}", file=out)
     return 0

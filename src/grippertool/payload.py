@@ -25,8 +25,10 @@ cell, the numpy pass only on the first cell whose residual fails the
 bound, to raise that cell's error. Before solving, the sweep checks the
 GraspState ranges at the three cells where a row-order walk of the grid
 would meet a bad value first. The sweep returns a PayloadGrid: the
-weights as one row of floats per alpha, nan where infeasible, with the
-cell counts and the worst root residual.
+weights, nan where infeasible, with the cell counts and the worst root
+residual. The numpy pass leaves the weights as its (alphas x ds) float64
+array, which the CLI formats without a copy; the one-cell pass, and a
+grid whose tool is not held, give one row of floats per alpha.
 
 Only the large-grid pass builds arrays, so numpy is imported inside it:
 importing this module, solving one payload, or sweeping a grid of at
@@ -193,19 +195,20 @@ def _solve_cell(model, d_obj, d_com, a, b, c) -> tuple[float, float, bool] | Non
 class PayloadGrid:
     """Max payload over an (alpha, d) grid.
 
-    weights holds one row of len(ds) floats per alpha, alpha outer, with
-    nan in the cells where no weight is feasible. Iterating the grid
-    gives the row-major view (alpha, d, weight), weight None where
-    infeasible; len() counts the cells. The counts and max_residual come
-    from the solve's own masks: zero_clamped counts the feasible cells
-    whose capacity root was negative and clamped to 0, and max_residual
-    is the largest normalized root residual over the feasible cells (0
-    when there are none).
+    weights holds one row of len(ds) weights per alpha, alpha outer, with
+    nan in the cells where no weight is feasible: the numpy pass's
+    (len(alphas), len(ds)) float64 array, or else lists of floats.
+    Iterating the grid gives the row-major view (alpha, d, weight) in
+    Python floats, weight None where infeasible; len() counts the cells.
+    The counts and max_residual come from the solve's own masks:
+    zero_clamped counts the feasible cells whose capacity root was
+    negative and clamped to 0, and max_residual is the largest normalized
+    root residual over the feasible cells (0 when there are none).
     """
 
     alphas: list[float]
     ds: list[float]
-    weights: list[list[float]]
+    weights: "list[list[float]] | numpy.ndarray"
     feasible: int
     zero_clamped: int
     max_residual: float
@@ -218,7 +221,10 @@ class PayloadGrid:
         return len(self.alphas) * len(self.ds)
 
     def __iter__(self):
-        for alpha, row in zip(self.alphas, self.weights):
+        rows = self.weights
+        if not isinstance(rows, list):   # the numpy pass's array
+            rows = rows.tolist()
+        for alpha, row in zip(self.alphas, rows):
             for d, weight in zip(self.ds, row):
                 yield alpha, d, None if math.isnan(weight) else weight
 
@@ -249,8 +255,8 @@ def _cell_weights(model, state, d_obj, alphas, ds) -> tuple:
 
 def _grid_weights(model, state, d_obj, alphas, ds) -> tuple:
     """PayloadGrid's (weights, feasible, zero_clamped, max_residual) over
-    alphas x ds in one numpy pass. The grid-sized arrays live only in this
-    call; root_hi, set in place, leaves it as the rows of float weights.
+    alphas x ds in one numpy pass. The other grid-sized arrays live only
+    in this call; root_hi, set in place, leaves it as the weights array.
     """
     import numpy as np  # loaded by the first sweep, not by importing this module
 
@@ -281,7 +287,7 @@ def _grid_weights(model, state, d_obj, alphas, ds) -> tuple:
     clamped = root_hi < 0.0
     root_hi[clamped] = 0.0
     root_hi[~feasible] = math.nan
-    return (root_hi.tolist(), int(np.count_nonzero(feasible)),
+    return (root_hi, int(np.count_nonzero(feasible)),
             int(np.count_nonzero(clamped & feasible)),
             float(np.max(residual, where=feasible, initial=0.0)))
 

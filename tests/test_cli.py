@@ -774,6 +774,13 @@ class TestSweepChunks:
         assert len(lines) == 25
         assert all(line.endswith(f",{INFEASIBLE}") for line in lines)
 
+    def test_tool_not_held_prints_every_cell_infeasible_in_blocks(self, tmp_path):
+        # the one grid of lists that reaches the formatter: its nan rows
+        design = edited_design(tmp_path, "f_n = 40", "f_n = 5")
+        lines = self.payload(design, "5:85:1deg", "0:0.1:0.001")
+        assert len(lines) == 81 * 101 >= CHUNK_LINES
+        assert all(line.endswith(f",{INFEASIBLE}") for line in lines)
+
     def test_zero_clamped_and_exponent_form_weights(self, tmp_path):
         # a vertical tool twice the sample's weight: the payload reaches 0
         # near d = 0.0173205 and is clamped to 0 beyond it

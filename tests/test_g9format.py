@@ -1,6 +1,10 @@
 """The CLI's vectorized '%.9g' writes exactly what Python's '%.9g' writes."""
 
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +13,14 @@ from grippertool import _g9format
 from grippertool._g9format import grid_blocks, records, table_blocks
 
 
-def g9(values):
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def g9(values, *nan_text):
     """Each value's text from records(), one per line."""
     values = np.asarray(values, dtype=np.float64)
     ends = np.full(len(values), ord("\n"), dtype=np.uint8)
-    return records(values, ends).tobytes().translate(None, b"\0").decode("ascii")
+    return records(values, ends, *nan_text).tobytes().translate(None, b"\0").decode("ascii")
 
 
 def reference(values):
@@ -120,6 +127,37 @@ class TestExactness:
             assert not _g9format._exponent_digits(np.abs(values))[2].any()
             assert_texts_match(values)
 
+    def test_stress_script_finds_no_mismatch(self):
+        proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "g9stress.py"),
+                               "--count", "3000"], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"values": 6 * 3000 + 17 * 81 + 9 * 1000,
+                                           "mismatches": 0, "first": []}
+
+
+class TestNanText:
+    # +-nan among fast, fallback (scientific, inf, a tie) and +-0 values
+    VALUES = [1.5, math.nan, -0.0, 1e-300, -math.nan, 0.0, -123.456, math.inf, 12345678.25,
+              -math.nan, -2.5e20, math.nan]
+
+    def test_nan_records_hold_the_text_alone(self):
+        values = np.array(self.VALUES)
+        nan = np.isnan(values)
+        assert np.signbit(values[nan]).any() and not np.signbit(values[nan]).all()
+        want = ["INFEASIBLE" if isnan else text
+                for isnan, text in zip(nan, reference(values).splitlines())]
+        assert g9(values, "INFEASIBLE").splitlines() == want
+        ends = np.full(len(values), ord(","), dtype=np.uint8)
+        plain, marked = records(values, ends), records(values, ends, "INFEASIBLE")
+        assert (marked[~nan] == plain[~nan]).all()
+        # a text of every slot but the end byte
+        assert g9(values, "x" * (_g9format.FIELD - 1)).splitlines() == [
+            "x" * (_g9format.FIELD - 1) if isnan else text for isnan, text in zip(nan, want)]
+
+    def test_default_text_is_nan(self):
+        assert g9(self.VALUES) == reference(self.VALUES)
+        assert g9(self.VALUES).count("nan\n") == 4
+
 
 class TestBlocks:
     def test_table_lines_across_blocks(self):
@@ -137,6 +175,23 @@ class TestBlocks:
         assert len(blocks) == 10
         assert "".join(blocks) == "".join(
             f"{a}{d}{w:.9g}\n" for a, row in zip(outer, rows) for d, w in zip(inner, row))
+
+    def test_array_grid_is_read_in_place(self, monkeypatch):
+        # the payload numpy pass's weights reach records() with no copy
+        grid = np.arange(7 * 13, dtype=np.float64).reshape(7, 13) / 3.0
+        grid[2, 5] = grid[6, 12] = math.nan
+        outer, inner = [f"{a}," for a in range(7)], [f"{0.01 * d:.9g}," for d in range(13)]
+        seen = []
+
+        def spy(values, ends, nan_text):
+            seen.append(np.shares_memory(values, grid))
+            return records(values, ends, nan_text)
+
+        monkeypatch.setattr(_g9format, "records", spy)
+        text = "".join(grid_blocks(grid, 10, outer, inner, "INFEASIBLE"))
+        assert seen == [True] * 10
+        assert text == "".join(f"{a}{d}{w:.9g}\n".replace("nan", "INFEASIBLE")
+                               for a, row in zip(outer, grid.tolist()) for d, w in zip(inner, row))
 
     @pytest.mark.parametrize("lines", [1, 9, 10, 11])
     def test_block_sizes(self, lines):

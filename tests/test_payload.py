@@ -316,30 +316,48 @@ class TestPayloadSweep:
         assert 0.0 in weights
         assert any(w is not None and w > 0.0 for w in weights)
 
-    @pytest.mark.parametrize("state", [state_with(), state_with(f_n=5.0, g_tool=10.0)],
+    @staticmethod
+    def weight_cells(grid, numpy_pass):
+        """grid.weights' cells in row order, after checking their type: the
+        numpy pass's float64 array, which the CLI formats without a copy,
+        or lists of Python floats, which load no numpy."""
+        import numpy as np
+        shape = (len(grid.alphas), len(grid.ds))
+        if numpy_pass:
+            assert type(grid.weights) is np.ndarray
+            assert (grid.weights.dtype, grid.weights.shape) == (np.float64, shape)
+            return grid.weights.ravel().tolist()
+        assert type(grid.weights) is list and len(grid.weights) == shape[0]
+        assert all(type(row) is list and len(row) == shape[1] for row in grid.weights)
+        cells = [w for row in grid.weights for w in row]
+        assert all(type(w) is float for w in cells)
+        return cells
+
+    @pytest.mark.parametrize("state, held", [(state_with(), True),
+                                             (state_with(f_n=5.0, g_tool=10.0), False)],
                              ids=["held", "tool-too-heavy"])
-    def test_weights_are_rows_of_floats(self, state):
+    def test_weights_are_rows_of_floats(self, state, held, driver):
+        # a tool not held takes neither pass: its grid is nan lists
         model = ContactModel(mu=0.5, e=0.01)
         alphas, ds = [0.0, 0.3, math.pi / 2], [0.0, 0.2, 5.0]
         grid = payload_sweep(model, state, 0.0, alphas, ds)
         rows = payload_rows(model, state, 0.0, alphas, ds)
-        assert len(grid.weights) == len(alphas)
-        assert all(len(row) == len(ds) for row in grid.weights)
-        cells = [w for row in grid.weights for w in row]
-        assert all(type(w) is float for w in cells)
+        cells = self.weight_cells(grid, driver == "numpy" and held)
         assert [bits(w) for w in cells] == [
             bits(math.nan if w is None else w) for _, _, w in rows]
-        # iterating gives the same rows
+        # iterating gives the same rows, in Python floats
         assert None in [w for _, _, w in rows]
         assert list(grid) == rows
+        assert all(w is None or type(w) is float for _, _, w in grid)
 
-    def test_numpy_ranges_give_python_floats(self):
+    def test_numpy_ranges_give_python_floats(self, driver):
         import numpy as np
         model = ContactModel(mu=0.5, e=0.01)
         alphas, ds = np.array([0.0, 0.3]), np.array([0.0, 0.02])
         grid = payload_sweep(model, state_with(), 0.0, alphas, ds)
         assert all(type(v) is float for v in grid.alphas + grid.ds)
-        assert all(type(w) is float for row in grid.weights for w in row)
+        self.weight_cells(grid, driver == "numpy")
+        assert all(type(v) is float for cell in grid for v in cell)
         assert list(grid) == payload_rows(model, state_with(), 0.0,
                                           alphas.tolist(), ds.tolist())
 

@@ -16,10 +16,10 @@ import io
 
 import pytest
 
-from grippertool import (ContactModel, DomainError, GraspState, cli, contact, parse_design,
-                         payload, pose, sizing)
+from grippertool import (ContactModel, DomainError, GraspState, _g9format, cli, contact,
+                         parse_design, payload, pose, sizing)
 
-from test_cli import GOLDEN_COMMANDS, SAMPLE
+from test_cli import GOLDEN_COMMANDS, SAMPLE, edited_design
 from test_pose import pose_state
 
 
@@ -36,8 +36,9 @@ def counts(monkeypatch):
     """Calls of GraspState() (copies by replace included), of the payload
     grid passes and the one-cell payload solve, of the solver's entry
     points under every name they are bound to, of the predicates _boundary
-    evaluates ("predicate"), and of open(), from a parse with an empty
-    memo onward."""
+    evaluates ("predicate"), of the CLI's two INFEASIBLE writers
+    (_mark_infeasible and the formatter's records) and of open(), from a
+    parse with an empty memo onward."""
     counted = collections.Counter()
 
     def count(name, *modules):
@@ -64,6 +65,8 @@ def counts(monkeypatch):
     count("_margin_at", pose)
     count("_friction_capacity", contact, payload, pose)
     count("check_feasible", sizing)
+    count("_mark_infeasible", cli)
+    count("records", _g9format)
     count("open", builtins)
     parse_design.cache_clear()
     yield counted
@@ -73,6 +76,7 @@ def counts(monkeypatch):
 def run_ok(argv):
     out = io.StringIO()
     assert cli.run(argv, out, out) == 0, out.getvalue()
+    return out.getvalue()
 
 
 @pytest.mark.parametrize("name", ["analyze.txt", "payload_sweep.txt"])
@@ -164,3 +168,37 @@ def test_stationary_peak_searches_the_quartic_briefly(counts):
     pose.gamma_sweep(model, state, 19)
     assert counts["_boundary"] <= 5
     assert counts["predicate"] <= 146
+
+
+def pose_argv(design, samples):
+    return ["pose-sweep", design, "--samples", str(samples)]
+
+
+@pytest.mark.parametrize("sweep, blocks", [
+    ("pose", 1), ("pose-long", 3), ("payload-row", 1), ("payload-grid", 2)])
+def test_long_sweep_writes_infeasible_from_the_formatter(counts, tmp_path, sweep, blocks):
+    # f_n = 5 leaves the pads unable to carry the tool below gamma = 60 deg;
+    # the payload sweeps have infeasible cells at large d
+    not_held = edited_design(tmp_path, "f_n = 40", "f_n = 5")
+    argv = {"pose": pose_argv(not_held, cli.CHUNK_LINES),
+            "pose-long": pose_argv(not_held, 2 * cli.CHUNK_LINES + 1),
+            "payload-row": ["payload-sweep", SAMPLE, "--alpha", "40:40:1deg",
+                            "--d", f"0:{0.00002 * (cli.CHUNK_LINES - 1)!r}:0.00002"],
+            "payload-grid": ["payload-sweep", SAMPLE, "--alpha", "5:85:1deg",
+                             "--d", "0:0.1:0.001"]}[sweep]
+    out = run_ok(argv)
+    assert counts["_mark_infeasible"] == 0
+    assert counts["records"] == blocks
+    assert cli.INFEASIBLE in out
+
+
+@pytest.mark.parametrize("sweep, rows", [("payload", 5), ("pose", 1)])
+def test_short_sweep_marks_each_percent_call(counts, tmp_path, sweep, rows):
+    # one call per alpha row of the golden payload sweep, one per pose sweep
+    not_held = edited_design(tmp_path, "f_n = 40", "f_n = 5")
+    argv = {"payload": GOLDEN_COMMANDS["payload_sweep.txt"],
+            "pose": pose_argv(not_held, cli.CHUNK_LINES - 1)}[sweep]
+    out = run_ok(argv)
+    assert counts["_mark_infeasible"] == rows
+    assert counts["records"] == 0
+    assert (cli.INFEASIBLE in out) == (sweep == "pose")
