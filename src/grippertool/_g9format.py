@@ -1,10 +1,11 @@
 """Exact vectorized '%.9g' for the CLI's large sweeps.
 
-table_blocks() and grid_blocks() give the text of a sweep's CSV lines,
-block_lines lines at a time, each float written as '%.9g' % value
-writes it. Each float becomes one FIELD-byte record of fixed slots, with
-NUL in the slots its text does not use, so that no byte moves with the
-value's decimal exponent X:
+table_blocks() and grid_blocks() give the text of a sweep's CSV lines a
+block at a time, each float written as '%.9g' % value writes it:
+table_blocks() block_lines lines per block, grid_blocks() whole grid rows
+per block of about block_lines lines. Each float becomes one FIELD-byte
+record of fixed slots, with NUL in the slots its text does not use, so
+that no byte moves with the value's decimal exponent X:
 
     sign, "0", ".", "0", "0", "0", b0, ..., b9, end
 
@@ -15,9 +16,9 @@ of the digits after it. Body slots after the last nonzero digit, and
 after dX at least, hold NUL, as do the point when no fraction digit
 follows it, so the text has no leading zeros and none of the trailing
 fraction zeros that '%g' strips. The end slot holds the comma or newline
-that follows the field. A block's records, after the texts that start
-each line, are joined into one bytes object, and one bytes.translate
-deletes its NULs.
+that follows the field. A block's lines, each grid line's records after
+the NUL-padded '%.9g,' texts of its keys, are one uint8 array; its
+bytes, with one bytes.translate deleting the NULs, are the block's text.
 
 The digits come from one float product per value: y = |x|*10**(8 - X),
 with X = floor(log10|x|), rounds to the nine-digit integer n. 10**(8 - X)
@@ -86,7 +87,9 @@ def _char(mask, char):
 def records(values, ends, nan_text="nan"):
     """(len(values), FIELD) uint8 records of the float64 values' '%.9g'
     texts (see the module docstring), with nan_text, of at most FIELD - 1
-    ASCII characters, for each nan; ends is one byte per value."""
+    ASCII characters, for each nan; ends is one byte per value, or one
+    for all. The records are built slot by slot in a slot-major array, of
+    which this returns the transposed view."""
     count = len(values)
     ax = np.abs(values)
     zero = ax == 0.0
@@ -134,36 +137,64 @@ def records(values, ends, nan_text="nan"):
     return out.T
 
 
-def _padded(texts):
-    """The ASCII texts as the rows of a NUL-padded uint8 array."""
+def _keys(values):
+    """The floats values' '%.9g,' texts, from one % call, as the rows of a
+    NUL-padded uint8 array."""
+    texts = ("%.9g, " * len(values) % tuple(values)).split()   # '%.9g' writes no space
     width = max(map(len, texts))
-    joined = "".join(text.ljust(width, "\0") for text in texts)
-    return np.frombuffer(joined.encode("ascii"), dtype=np.uint8).reshape(len(texts), width)
+    joined = (f"%-{width}s" * len(texts) % tuple(texts)).encode("ascii")
+    return np.frombuffer(joined.translate(_SPACE_TO_NUL), dtype=np.uint8).reshape(-1, width)
 
 
-def table_blocks(values, block_lines, keys=None, nan_text="nan"):
+def _text(lines):
+    """The text of a block's (lines, width) uint8 line array, NULs deleted."""
+    return lines.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def table_blocks(values, block_lines, nan_text="nan"):
     """The CSV text of the (lines, fields) float64 array values, one line
     per row, its '%.9g' fields separated by commas and each nan written
-    as nan_text, block_lines lines per block. Given keys, the NUL-padded
-    texts (outer, inner), line i starts with outer[i // len(inner)] and
-    inner[i % len(inner)]."""
+    as nan_text, block_lines lines per block."""
     lines, fields = values.shape
     ends = np.tile(np.frombuffer(b"," * (fields - 1) + b"\n", dtype=np.uint8), block_lines)
     for start in range(0, lines, block_lines):
         block = values[start:start + block_lines].ravel()
-        text = records(block, ends[:len(block)], nan_text)
-        if keys is not None:
-            outer, inner = keys
-            row, column = np.divmod(np.arange(start, start + len(text)), len(inner))
-            text = np.hstack((outer.take(row, axis=0), inner.take(column, axis=0), text))
-        text = text.tobytes().translate(None, b"\0")
-        yield text.decode("ascii")
+        yield _text(records(block, ends[:len(block)], nan_text))
 
 
 def grid_blocks(rows, block_lines, outer, inner, nan_text="nan"):
-    """table_blocks of a grid: a (len(outer), len(inner)) float64 array,
-    read without a copy, or rows of floats, each text of outer and inner
-    ending in a comma. Row r's float c is written on the line outer[r]
-    inner[c] '%.9g'."""
-    values = np.asarray(rows, dtype=np.float64).reshape(-1, 1)
-    return table_blocks(values, block_lines, (_padded(outer), _padded(inner)), nan_text)
+    """The CSV text of a grid, a (len(outer), len(inner)) float64 array,
+    read without a copy, or rows of floats: row r's float c is written on
+    the line '%.9g,%.9g,%.9g' of outer[r], inner[c] and itself, each nan
+    as nan_text.
+
+    The cells are split into ceil(cells / block_lines) blocks of whole
+    rows, each of ceil(rows / blocks) rows, so a block may exceed
+    block_lines by less than one row. A row longer than block_lines is
+    split into ceil(len(inner) / block_lines) pieces of equal length but
+    the last, which may be shorter. Every block is written into one line
+    buffer, allocated once: the inner texts once per sweep when blocks
+    hold whole rows (once per piece otherwise), the outer texts once per
+    block, both broadcast, and the block's records with one copy.
+    records() builds them slot-major: writing each slot straight into the
+    lines measured slower.
+    """
+    values = np.asarray(rows, dtype=np.float64)
+    outer, inner = _keys(outer), _keys(inner)
+    height, width = values.shape
+    piece = -(-width // -(-width // block_lines))          # cells of a row per block
+    step = -(-height // -(-values.size // block_lines))    # rows per block, 1 for pieces
+    key, field = outer.shape[1], outer.shape[1] + inner.shape[1]
+    buffer = np.empty((step * piece, field + FIELD), dtype=np.uint8)
+    if piece == width:
+        buffer.reshape(step, width, -1)[:, :, key:field] = inner
+    newline = np.uint8(ord("\n"))
+    for r in range(0, height, step):
+        for c in range(0, width, piece):
+            block = values[r:r + step, c:c + piece]
+            lines = buffer[:block.size]
+            lines.reshape(*block.shape, -1)[:, :, :key] = outer[r:r + step, None]
+            if piece < width:
+                lines[:, key:field] = inner[c:c + piece]
+            lines[:, field:] = records(block.ravel(), newline, nan_text)
+            yield _text(lines)

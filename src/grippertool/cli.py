@@ -17,12 +17,15 @@ than CHUNK_LINES lines is formatted by %, and _mark_infeasible rewrites
 its nan cells: a payload sweep builds one line template over all d
 values once and formats each alpha row, as Python floats, with one %
 call, and a pose sweep formats all its lines with one. A longer sweep is
-written through _g9format, CHUNK_LINES lines per block, from float64
-arrays (a numpy-pass payload grid's own, without a copy): numpy writes
-each float's exact '%.9g' text and INFEASIBLE for each nan, and the
-floats it cannot decide exactly go through one % call per block.
-Output goes one row or block at a time, so the text of the whole grid
-is never held in memory at once.
+written through _g9format from float64 arrays (a numpy-pass payload
+grid's own, without a copy): numpy writes each float's exact '%.9g' text
+and INFEASIBLE for each nan, and the floats it cannot decide exactly go
+through one % call per block. A pose sweep goes CHUNK_LINES lines per
+block. A payload sweep goes in blocks of whole alpha rows, about
+CHUNK_LINES lines each, or pieces of a row longer than that, with the
+alpha and d texts formatted once per axis. Output goes one row or block
+at a time, so the text of the whole grid is never held in memory at
+once.
 
 Each subcommand's handler and options are described once, in _COMMANDS.
 When argv[0] names a subcommand and the rest is the design and exact
@@ -69,8 +72,8 @@ MAX_RANGE_POINTS = 100_000
 MAX_GRID_CELLS = 1_000_000
 
 # A sweep of at least this many CSV lines is written through _g9format,
-# this many lines per block; a shorter one is formatted by one % call
-# (pose) or one per alpha row (payload).
+# about this many lines per block; a shorter one is formatted by one %
+# call (pose) or one per alpha row (payload).
 CHUNK_LINES = 4096
 
 
@@ -231,8 +234,7 @@ def _cmd_payload_sweep(args, out) -> int:
     rows = grid.weights
     if cells >= CHUNK_LINES:
         blocks = _lib("_g9format").grid_blocks(
-            rows, CHUNK_LINES, [f"{fmt(alpha / DEG)}," for alpha in args.alpha],
-            [f"{fmt(d)}," for d in args.d], INFEASIBLE)
+            rows, CHUNK_LINES, [alpha / DEG for alpha in args.alpha], args.d, INFEASIBLE)
     else:
         if not isinstance(rows, list):   # % formats Python floats faster than numpy's
             rows = rows.tolist()

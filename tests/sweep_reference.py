@@ -5,11 +5,14 @@ the way the sweeps did before they were vectorized, so a test can demand
 that the sweeps agree with it bit for bit. The pose peak is not sampled
 but exact; certified_peak checks it against a certificate built from
 torque_margin alone. payload_csv and pose_csv build the CLI's stdout from
-those cells with fmt, one line at a time.
+those cells with fmt, one line at a time, and assert_same_text compares
+such long texts.
 """
 
 import math
 import struct
+
+import pytest
 
 from grippertool import (NoFeasiblePayloadError, ZeroCapacityError, gamma_sweep, max_payload,
                          replace, torque_margin)
@@ -23,6 +26,17 @@ def bits(value):
     """Exact bit pattern of a float (None stays None), for == comparisons
     that tell -0.0 from 0.0 and match nan with nan."""
     return None if value is None else struct.pack("<d", value)
+
+
+def assert_same_text(got, want):
+    """got == want, failing with the first line that differs: pytest's
+    rewritten assert would diff two long sweep outputs for minutes."""
+    if got != want:
+        got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
+        line = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+                    min(len(got), len(want)))
+        pytest.fail(f"line {line + 1} of {len(got)} reads {got[line:line + 1]}, "
+                    f"not line {line + 1} of {len(want)}, {want[line:line + 1]}")
 
 
 def payload_rows(model, state, d_obj, alphas, ds):

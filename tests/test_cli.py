@@ -24,7 +24,7 @@ from grippertool.payload import SCALAR_GRID_CELLS
 
 from argv_corpus import argv_corpus
 from design_mutations import THRESHOLDS, mutated_designs, sample_text
-from sweep_reference import payload_csv, payload_rows, pose_csv
+from sweep_reference import assert_same_text, payload_csv, payload_rows, pose_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE = str(ROOT / "designs" / "example_tool.ini")
@@ -686,7 +686,7 @@ class TestSweepOutput:
             cell = INFEASIBLE if weight is None else fmt(weight)
             lines.append(f"{fmt(alpha / DEG)},{fmt(d)},{cell}")
         assert INFEASIBLE in out
-        assert out == "\n".join(lines) + "\n"
+        assert_same_text(out, "\n".join(lines) + "\n")
 
     @pytest.mark.parametrize("cells", [SCALAR_GRID_CELLS, SCALAR_GRID_CELLS + 1])
     def test_payload_sweep_at_the_driver_threshold(self, cells):
@@ -702,7 +702,7 @@ class TestSweepOutput:
         alphas, ds = _parse_range(alpha_text), _parse_range(d_text)
         assert len(alphas) * len(ds) == cells
         assert INFEASIBLE in out
-        assert out == payload_csv(model, state, 0.05, alphas, ds)
+        assert_same_text(out, payload_csv(model, state, 0.05, alphas, ds))
 
     @pytest.mark.parametrize("mu", ["0.5", "0.11"])
     def test_pose_sweep_matches_scalar_reference(self, tmp_path, mu):
@@ -712,7 +712,7 @@ class TestSweepOutput:
         code, out, err = invoke(["pose-sweep", str(design), "--samples", "10000"])
         assert (code, err) == (0, "")
         _, _, model, state = parse_design(design.read_text())
-        assert out == pose_csv(model, state, 10000)
+        assert_same_text(out, pose_csv(model, state, 10000))
         assert (INFEASIBLE in out) == (mu == "0.11")
 
 
@@ -736,8 +736,8 @@ class TestSweepChunks:
                                  "--d", d_text])
         assert (code, err) == (0, "")
         _, _, model, state = parse_design(Path(design).read_text())
-        assert out == payload_csv(model, state, 0.0, _parse_range(alpha_text),
-                                  _parse_range(d_text))
+        assert_same_text(out, payload_csv(model, state, 0.0, _parse_range(alpha_text),
+                                          _parse_range(d_text)))
         return out.splitlines()[1:]
 
     @pytest.mark.parametrize("n", [2, CHUNK_LINES - 1, CHUNK_LINES, CHUNK_LINES + 1,
@@ -746,7 +746,7 @@ class TestSweepChunks:
         code, out, err = invoke(["pose-sweep", SAMPLE, "--samples", str(n)])
         assert (code, err) == (0, "")
         _, _, model, state = parse_design(Path(SAMPLE).read_text())
-        assert out == pose_csv(model, state, n)
+        assert_same_text(out, pose_csv(model, state, n))
 
     def test_payload_single_alpha_row_of_2001_cells(self):
         # one % call formats the whole row
@@ -758,6 +758,11 @@ class TestSweepChunks:
         # the formatter's blocks split the row from CHUNK_LINES cells on
         lines = self.payload(SAMPLE, "40:40:1deg", f"0:{0.00002 * (cells - 1)!r}:0.00002")
         assert len(lines) == cells
+
+    def test_payload_grid_of_rows_longer_than_a_block(self):
+        # each row is written in two pieces, after its alpha and d texts
+        lines = self.payload(SAMPLE, "40:42:1deg", f"0:{0.00002 * CHUNK_LINES!r}:0.00002")
+        assert len(lines) == 3 * (CHUNK_LINES + 1)
 
     def test_payload_grid_whose_rows_do_not_divide_a_block(self):
         lines = self.payload(SAMPLE, "5:85:1deg", "0:0.1:0.001")

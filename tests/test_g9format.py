@@ -12,6 +12,8 @@ import pytest
 from grippertool import _g9format
 from grippertool._g9format import grid_blocks, records, table_blocks
 
+from sweep_reference import assert_same_text
+
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -165,22 +167,59 @@ class TestBlocks:
         values = rng.uniform(-5.0, 95.0, (1001, 2))
         values[::7, 1] = math.nan
         text = "".join(table_blocks(values, 100))
-        assert text == "%.9g,%.9g\n" * 1001 % tuple(values.ravel().tolist())
+        assert_same_text(text, "%.9g,%.9g\n" * 1001 % tuple(values.ravel().tolist()))
+
+    # (rows, columns), block_lines and the lines of each block: whole rows,
+    # ceil(rows / ceil(cells / block_lines)) of them, or pieces of a row
+    # longer than a block
+    LAYOUTS = [
+        pytest.param((7, 13), 40, [39, 39, 13], id="short-last-block"),
+        pytest.param((7, 13), 30, [26, 26, 26, 13], id="whole-rows"),
+        pytest.param((81, 101), 4096, [4141, 4040], id="over-by-less-than-a-row"),
+        pytest.param((3, 10), 10, [10, 10, 10], id="rows-of-a-block"),
+        pytest.param((25, 1), 10, [9, 9, 7], id="one-column"),
+        pytest.param((1, 25), 10, [9, 9, 7], id="one-row-longer-than-a-block"),
+    ]
+
+    @staticmethod
+    def grid(shape):
+        """A grid with nan cells, and keys whose texts differ in width and
+        form (1e-05)."""
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        grid = rng.uniform(-5.0, 95.0, shape)
+        grid[rng.random(shape) < 0.1] = math.nan
+        return grid, [7.5 * a for a in range(shape[0])], [1e-5 * d * d for d in range(shape[1])]
+
+    @staticmethod
+    def grid_text(rows, outer, inner, nan_text):
+        return "".join(f"{a:.9g},{d:.9g},{nan_text if math.isnan(w) else format(w, '.9g')}\n"
+                       for a, row in zip(outer, rows) for d, w in zip(inner, row))
 
     def test_grid_lines_across_blocks(self):
-        rows = [[0.1 * a + 1e-3 * d for d in range(13)] for a in range(7)]
-        rows[2][5] = math.nan
-        outer, inner = [f"{a}," for a in range(7)], [f"{0.01 * d:.9g}," for d in range(13)]
-        blocks = list(grid_blocks(rows, 10, outer, inner))
-        assert len(blocks) == 10
-        assert "".join(blocks) == "".join(
-            f"{a}{d}{w:.9g}\n" for a, row in zip(outer, rows) for d, w in zip(inner, row))
+        # 7 rows of 13 cells at 10 lines a block: each row in two pieces
+        self.test_grid_layout((7, 13), 10, [7, 6] * 7)
+
+    @pytest.mark.parametrize("shape, block_lines, lines", LAYOUTS)
+    def test_grid_layout(self, shape, block_lines, lines):
+        grid, outer, inner = self.grid(shape)
+        blocks = list(grid_blocks(grid, block_lines, outer, inner, "INFEASIBLE"))
+        assert [block.count("\n") for block in blocks] == lines
+        assert_same_text("".join(blocks),
+                         self.grid_text(grid.tolist(), outer, inner, "INFEASIBLE"))
+
+    @pytest.mark.parametrize("shape, block_lines", [((7, 13), 30), ((7, 13), 10)],
+                             ids=["whole-rows", "rows-longer-than-a-block"])
+    def test_list_grid_of_a_tool_not_held(self, shape, block_lines):
+        # payload_sweep's rows of nan floats when the tool is not held
+        _, outer, inner = self.grid(shape)
+        rows = [[math.nan] * shape[1] for _ in range(shape[0])]
+        text = "".join(grid_blocks(rows, block_lines, outer, inner, "INFEASIBLE"))
+        assert_same_text(text, self.grid_text(rows, outer, inner, "INFEASIBLE"))
 
     def test_array_grid_is_read_in_place(self, monkeypatch):
-        # the payload numpy pass's weights reach records() with no copy
-        grid = np.arange(7 * 13, dtype=np.float64).reshape(7, 13) / 3.0
-        grid[2, 5] = grid[6, 12] = math.nan
-        outer, inner = [f"{a}," for a in range(7)], [f"{0.01 * d:.9g}," for d in range(13)]
+        # the payload numpy pass's weights reach records() with no copy,
+        # in blocks of whole rows and in pieces of rows
+        grid, outer, inner = self.grid((7, 13))
         seen = []
 
         def spy(values, ends, nan_text):
@@ -188,14 +227,16 @@ class TestBlocks:
             return records(values, ends, nan_text)
 
         monkeypatch.setattr(_g9format, "records", spy)
-        text = "".join(grid_blocks(grid, 10, outer, inner, "INFEASIBLE"))
-        assert seen == [True] * 10
-        assert text == "".join(f"{a}{d}{w:.9g}\n".replace("nan", "INFEASIBLE")
-                               for a, row in zip(outer, grid.tolist()) for d, w in zip(inner, row))
+        for block_lines, blocks in ((30, 4), (10, 14)):
+            seen.clear()
+            text = "".join(grid_blocks(grid, block_lines, outer, inner, "INFEASIBLE"))
+            assert seen == [True] * blocks
+            assert_same_text(text, self.grid_text(grid.tolist(), outer, inner, "INFEASIBLE"))
 
     @pytest.mark.parametrize("lines", [1, 9, 10, 11])
     def test_block_sizes(self, lines):
         values = np.arange(lines * 3, dtype=np.float64).reshape(lines, 3) / 7.0
         blocks = list(table_blocks(values, 10))
         assert len(blocks) == -(-lines // 10)
-        assert "".join(blocks) == "%.9g,%.9g,%.9g\n" * lines % tuple(values.ravel().tolist())
+        assert_same_text("".join(blocks),
+                         "%.9g,%.9g,%.9g\n" * lines % tuple(values.ravel().tolist()))

@@ -1,4 +1,6 @@
 import math
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
@@ -8,11 +10,13 @@ from grippertool import (
     DegenerateContactError,
     DomainError,
     GraspState,
+    GripperToolError,
     NoFeasiblePayloadError,
     PayloadResult,
     capacity_check,
     equilibrium_coefficients,
     max_payload,
+    parse_design,
     payload,
     payload_sweep,
     replace,
@@ -454,3 +458,78 @@ class TestPayloadSweep:
         expected = payload_rows(model, state, d_obj, alphas, ds)
         assert [(a, d, bits(w)) for a, d, w in rows] == [
             (a, d, bits(w)) for a, d, w in expected]
+
+
+EXAMPLE = Path(__file__).resolve().parent.parent / "designs" / "example_tool.ini"
+PAYLOAD_FIELDS = {"mu": "model", "e": "model", "f_n": "state", "g_tool": "state"}
+
+
+def scaling_draws(seed, count):
+    """count draws of two payload fields of the example design, each to be
+    scaled by 10**x: x uniform over the float range, within 2 of an
+    overflow or underflow threshold, or within 3 of 0."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(count):
+        draw = {}
+        for field in rng.sample(sorted(PAYLOAD_FIELDS), 2):
+            draw[field] = rng.choice([
+                rng.uniform(-320.0, 300.0),
+                rng.choice([-320.0, -308.0, -154.0, 154.0, 308.0]) + rng.uniform(-2.0, 2.0),
+                rng.uniform(-3.0, 3.0)])
+        draws.append(draw)
+    return draws
+
+
+class TestDriversAgree:
+    """payload_sweep's numpy pass and its one-cell pass give the same grid
+    bit for bit, or raise the same error, on the example design with two
+    fields scaled by powers of ten: an invariant that needs no oracle and
+    reaches cells where a coefficient overflows."""
+
+    ALPHAS = [math.radians(a) for a in (15.0, 30.0, 45.0, 60.0, 75.0)]
+    DS = [0.0, 0.01, 0.02, 0.03, 0.04]
+
+    def outcome(self, model, state, monkeypatch, driver_limit):
+        monkeypatch.setattr(payload, "SCALAR_GRID_CELLS", driver_limit)
+        try:
+            grid = payload_sweep(model, state, 0.05, self.ALPHAS, self.DS)
+        except (GripperToolError, ValueError) as exc:
+            return type(exc).__name__, str(exc)
+        return ([bits(float(w)) for row in grid.weights for w in row], grid.feasible,
+                grid.zero_clamped, bits(grid.max_residual))
+
+    def assert_drivers_agree(self, monkeypatch, values):
+        """False when the scaled design is refused before any sweep."""
+        _, _, model, state = parse_design(EXAMPLE.read_text())
+        try:
+            model = replace(model, **{f: v for f, v in values.items()
+                                      if PAYLOAD_FIELDS[f] == "model"})
+            state = replace(state, **{f: v for f, v in values.items()
+                                      if PAYLOAD_FIELDS[f] == "state"})
+        except (GripperToolError, ValueError):
+            return False
+        numpy_pass = self.outcome(model, state, monkeypatch, 0)
+        cell_pass = self.outcome(model, state, monkeypatch, MAX_GRID_CELLS)
+        assert numpy_pass == cell_pass, values
+        return True
+
+    @pytest.mark.parametrize("values", [
+        # a = 0 with b and c finite: the numpy pass must solve the cell
+        # again alone, or it prints a finite weight where max_payload raises
+        {"e": 3.54e152, "g_tool": 1.0},
+        {"e": 5e152, "mu": 0.5},   # a = 0 with b and c nan
+    ], ids=["e=3.54e152,g_tool=1", "e=5e152,mu=0.5"])
+    def test_named_draw(self, monkeypatch, values):
+        assert self.assert_drivers_agree(monkeypatch, values)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_seeded_two_field_scalings(self, monkeypatch, seed):
+        _, _, model, state = parse_design(EXAMPLE.read_text())
+        base = {"mu": model.mu, "e": model.e, "f_n": state.f_n, "g_tool": state.g_tool}
+        swept = 0
+        for draw in scaling_draws(seed, 300):
+            # two factors of 10**(x/2): each is finite where 10**x is not
+            values = {f: base[f] * 10.0 ** (x / 2) * 10.0 ** (x / 2) for f, x in draw.items()}
+            swept += self.assert_drivers_agree(monkeypatch, values)
+        assert swept >= 100

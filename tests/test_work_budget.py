@@ -175,7 +175,8 @@ def pose_argv(design, samples):
 
 
 @pytest.mark.parametrize("sweep, blocks", [
-    ("pose", 1), ("pose-long", 3), ("payload-row", 1), ("payload-grid", 2)])
+    ("pose", 1), ("pose-long", 3), ("payload-row", 1), ("payload-long-row", 25),
+    ("payload-grid", 2)])
 def test_long_sweep_writes_infeasible_from_the_formatter(counts, tmp_path, sweep, blocks):
     # f_n = 5 leaves the pads unable to carry the tool below gamma = 60 deg;
     # the payload sweeps have infeasible cells at large d
@@ -184,6 +185,8 @@ def test_long_sweep_writes_infeasible_from_the_formatter(counts, tmp_path, sweep
             "pose-long": pose_argv(not_held, 2 * cli.CHUNK_LINES + 1),
             "payload-row": ["payload-sweep", SAMPLE, "--alpha", "40:40:1deg",
                             "--d", f"0:{0.00002 * (cli.CHUNK_LINES - 1)!r}:0.00002"],
+            "payload-long-row": ["payload-sweep", SAMPLE, "--alpha", "40:40:1deg",
+                                 "--d", "0:0.99999:0.00001"],
             "payload-grid": ["payload-sweep", SAMPLE, "--alpha", "5:85:1deg",
                              "--d", "0:0.1:0.001"]}[sweep]
     out = run_ok(argv)
