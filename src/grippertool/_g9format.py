@@ -116,8 +116,8 @@ def records(values, ends, nan_text="nan"):
     digits[9] = 0
     last = ((digits[:9] != 0) * _SLOTS[:9]).max(axis=0)   # the last nonzero digit
     digits += np.uint8(ord("0"))
-    # the point's body slot: after dX, and past b9 for a value below 1
-    point = np.where(exp < 0, np.int8(9), exp) + np.int8(1)
+    # the point's body slot: after dX, and past b9 (10) for a value below 1
+    point = np.maximum(exp + np.int8(1), below.view(np.int8) * np.int8(10))
     body = out[_BODY]
     np.multiply(digits, _SLOTS < point, out=body)
     body[1:] += digits[:-1] * (_SLOTS[1:] > point)

@@ -13,10 +13,14 @@ root is the maximum weight. equilibrium_coefficients() builds that
 quadratic; max_payload() solves it with a cancellation-safe root formula.
 
 The coefficient, root and residual formulas are written once, with
-operators that work on floats and numpy arrays alike. The scalar
-functions call them with floats. payload_sweep() solves a grid of at
-most SCALAR_GRID_CELLS cells with them one float cell at a time, as
-max_payload() does, and a larger grid with one call on the whole
+operators that work on floats and numpy arrays alike. Each builds a
+value from its first full-sized operation on in place, by augmented
+assignment: on floats that rebinds, and on the numpy pass's grid it
+allocates each grid-sized value once rather than once per operation.
+Only the numpy pass itself writes with out= and putmask. The scalar
+functions call the formulas with floats. payload_sweep() solves a grid
+of at most SCALAR_GRID_CELLS cells with them one float cell at a time,
+as max_payload() does, and a larger grid with one call on the whole
 (alpha, d) grid of arrays, whose fixed cost only a larger grid repays.
 Either way a sweep cell is bit-identical to max_payload() on that cell.
 _solve_cell() decides a float cell: its root, residual bound, overflow
@@ -36,7 +40,6 @@ most SCALAR_GRID_CELLS cells does not load numpy.
 """
 
 import math
-from functools import reduce
 
 from .contact import ContactModel, GraspState, _friction_capacity, check_grasp
 from .errors import DegenerateContactError, DomainError, NoFeasiblePayloadError, value_type
@@ -100,35 +103,73 @@ def _capacity_squares(model, f_n) -> tuple[float, float]:
 
 def _coefficients(max_t2, m2f2, g, d_obj, d_com, sin_a, cos_a):
     """(a, b, c) of the payload quadratic from _capacity_squares(); d_com,
-    sin_a and cos_a may be broadcastable arrays."""
+    sin_a and cos_a may be broadcastable arrays. b and c are each built
+    from their first full-sized product on, in place."""
     a = (max_t2 + d_obj * d_obj * sin_a * sin_a * m2f2) / (4.0 * max_t2)
-    b = g * (max_t2 - d_obj * d_com * sin_a * cos_a * m2f2) / (2.0 * max_t2)
-    c = (g * g * (max_t2 + d_com * d_com * cos_a * cos_a * m2f2)
-         / (4.0 * max_t2) - m2f2)
+    b = d_obj * d_com * sin_a
+    b *= cos_a
+    b *= m2f2
+    b = max_t2 - b
+    b *= g
+    b /= 2.0 * max_t2
+    c = d_com * d_com * cos_a
+    c *= cos_a
+    c *= m2f2
+    c += max_t2
+    c *= g * g
+    c /= 4.0 * max_t2
+    c -= m2f2
     return a, b, c
 
 
 def _discriminant(a, b, c):
-    return b * b - 4.0 * a * c
+    disc = b * b
+    disc -= 4.0 * a * c
+    return disc
 
 
-def _roots(a, b, c, sq):
-    """Both roots (q/a, c/q), unordered, from sq = sqrt(disc) >= 0.
+def _pick(cond, x, y):
+    """x if cond holds, else y: _larger_root's choice on floats; the numpy
+    pass hands it numpy.where."""
+    return x if cond else y
 
-    q = -(b + sign(b)*sq)/2 with sign(0) = +1, so neither root subtracts
-    nearly equal quantities. q is 0 only when b = disc = 0, a double root
-    at 0 with c = 0; the divisor q + 1 then returns c instead of dividing
-    by zero.
+
+def _larger_root(a, b, c, sq, where=_pick):
+    """The larger root of a*x^2 + b*x + c, a > 0, from sq = sqrt(disc) >=
+    0, with one division; where(cond, x, y) is x where cond holds, else y.
+
+    q = -(b + sign(b)*sq)/2 with sign(0) = +1, taken as (-sign(b)*sq -
+    b)/2, so no step subtracts nearly equal quantities. The roots are q/a
+    and c/q: where b >= 0, q <= 0 and the larger is c/q, and where b < 0,
+    q > 0 and it is q/a. q is 0 only when b = disc = 0, a double root at
+    0 with c = 0; c/a then returns c instead of dividing by zero.
     """
-    sign_b = (b >= 0.0) * 2.0 - 1.0
-    q = -(b + sign_b * sq) / 2.0
-    return q / a, c / (q + (q == 0.0))
+    nonneg = b >= 0.0
+    q = where(nonneg, -sq, sq)
+    q -= b
+    q /= 2.0
+    divisor = where(q < 0.0, q, a)
+    q = where(nonneg, c, q)   # the dividend, in q's place
+    q /= divisor
+    return q
 
 
 def _residual(a, b, c, x, maximum=max):
-    """|a*x^2 + b*x + c| over its largest term (at least 1)."""
-    ax2 = a * x * x
-    return abs(ax2 + b * x + c) / maximum(abs(ax2), abs(b * x), abs(c), 1.0)
+    """|a*x^2 + b*x + c| over its largest term (at least 1). a >= 0, so
+    a*x^2 is its own absolute value: a nan's sign aside, and a nan fails
+    the bound either way."""
+    ax2 = a * x
+    ax2 *= x
+    total = b * x
+    abs_bx = abs(total)
+    total += ax2
+    total += c
+    largest = maximum(ax2, abs_bx)
+    del abs_bx  # freed before |c| is made: one grid-sized temporary at a time
+    largest = maximum(largest, abs(c), 1.0)
+    total = abs(total)
+    total /= largest
+    return total
 
 
 def equilibrium_coefficients(model: ContactModel, state: GraspState,
@@ -177,9 +218,8 @@ def _solve_cell(model, d_obj, d_com, a, b, c) -> tuple[float, float, bool] | Non
     if disc < 0.0:
         return None
     # a >= 1/4 in exact arithmetic, so a = 0 means 4*max_t^2 overflowed:
-    # the roots stay nan, and the nan residual raises the overflow error
-    r1, r2 = _roots(a, b, c, math.sqrt(disc)) if a else (math.nan, math.nan)
-    root_hi = r2 if r1 <= r2 else r1
+    # the root stays nan, and the nan residual raises the overflow error
+    root_hi = _larger_root(a, b, c, math.sqrt(disc)) if a else math.nan
     residual = _residual(a, b, c, root_hi)
     if not residual <= ROOT_RESIDUAL_TOL:
         if not all(map(math.isfinite, (a, b, c, disc, residual))):
@@ -255,13 +295,18 @@ def _cell_weights(model, state, d_obj, alphas, ds) -> tuple:
 
 def _grid_weights(model, state, d_obj, alphas, ds) -> tuple:
     """PayloadGrid's (weights, feasible, zero_clamped, max_residual) over
-    alphas x ds in one numpy pass. The other grid-sized arrays live only
-    in this call; root_hi, set in place, leaves it as the weights array.
+    alphas x ds in one numpy pass. Each grid-sized value is one array,
+    made once and then updated in place, and every array is made in this
+    call, so concurrent sweeps share none; the larger root's array, set
+    in place, leaves it as the weights array.
     """
     import numpy as np  # loaded by the first sweep, not by importing this module
 
-    def elementwise_max(*arrays):
-        return reduce(np.maximum, arrays)
+    def elementwise_max(first, *rest):
+        # first is _residual's own a*x^2, so the maximum goes into it
+        for array in rest:
+            np.maximum(first, array, out=first)
+        return first
 
     ds = np.array(ds, dtype=float)
     # one sin and cos per alpha, from math as in the scalar path
@@ -270,11 +315,11 @@ def _grid_weights(model, state, d_obj, alphas, ds) -> tuple:
     with np.errstate(all="ignore"):
         a, b, c = _coefficients(*_capacity_squares(model, state.f_n), state.g_tool,
                                 d_obj, ds, sin_a, cos_a)
-        disc = _discriminant(a, b, c)
-        feasible = ~(disc < 0.0)
-        r1, r2 = _roots(a, b, c, np.sqrt(np.where(feasible, disc, 0.0)))
-        root_hi = np.where(r1 <= r2, r2, r1)
-        del disc, r1, r2  # _residual's temporaries reuse their memory: a lower peak RSS
+        sq = _discriminant(a, b, c)
+        feasible = ~(sq < 0.0)
+        np.putmask(sq, ~feasible, 0.0)
+        root_hi = _larger_root(a, b, c, np.sqrt(sq, out=sq), np.where)
+        del sq  # _residual's temporaries reuse its memory: a lower peak RSS
         residual = _residual(a, b, c, root_hi, elementwise_max)
     # the first cell in row order whose residual fails the bound (nan
     # included) is solved again alone, by _solve_cell, to raise its error;
@@ -285,8 +330,8 @@ def _grid_weights(model, state, d_obj, alphas, ds) -> tuple:
         i, j = np.unravel_index(np.argmax(too_large), too_large.shape)
         _cell_weights(model, state, d_obj, [alphas[i]], [float(ds[j])])
     clamped = root_hi < 0.0
-    root_hi[clamped] = 0.0
-    root_hi[~feasible] = math.nan
+    np.putmask(root_hi, clamped, 0.0)
+    np.putmask(root_hi, ~feasible, math.nan)
     return (root_hi, int(np.count_nonzero(feasible)),
             int(np.count_nonzero(clamped & feasible)),
             float(np.max(residual, where=feasible, initial=0.0)))

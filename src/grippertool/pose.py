@@ -35,14 +35,16 @@ the search is skipped.
 The margin formula is written once (_headroom, _margin), with operators
 that work on floats and numpy arrays alike: torque_margin() calls it for
 one gamma and gamma_sweep() once for all samples; each of the two takes
-contact._friction_capacity once and hands it down. The curve keeps the
-samples as two float arrays, gammas and margins (nan where the pads
-cannot carry the tool); its samples property is the (gamma, margin)
-pair view. A sample is bit-identical to torque_margin() at that gamma
-wherever numpy's sin and cos round like math's, which the test suite
-checks. Only gamma_sweep() builds arrays, so numpy is imported there
-and nowhere else in this module: importing it, or computing one
-margin, does not load numpy.
+contact._friction_capacity once and hands it down. _margin updates its
+terms by augmented assignment, and gamma_sweep() writes its own arrays
+with out= and putmask, so each sample-sized value is one array. The
+curve keeps the samples as two float arrays, gammas and margins (nan
+where the pads cannot carry the tool); its samples property is the
+(gamma, margin) pair view. A sample is bit-identical to torque_margin()
+at that gamma wherever numpy's sin and cos round like math's, which the
+test suite checks. Only gamma_sweep() builds arrays, so numpy is
+imported there and nowhere else in this module: importing it, or
+computing one margin, does not load numpy.
 """
 
 import math
@@ -83,8 +85,10 @@ def _margin(model, state, sqrt_headroom, sin_offset):
     """Available spin torque minus the gravity moment on the spin axis;
     sin_offset is sin(gamma - (pi/2 - alpha))."""
     available = 2.0 * model.e * sqrt_headroom
-    demand = state.g_tool * state.d_com * abs(sin_offset)
-    return available - demand
+    demand = abs(sin_offset)
+    demand *= state.g_tool * state.d_com
+    available -= demand
+    return available
 
 
 def torque_margin(model: ContactModel, state: GraspState, gamma: float) -> float:
@@ -204,10 +208,11 @@ def gamma_sweep(model: ContactModel, state: GraspState,
                 n_samples: int) -> TorqueMarginCurve:
     """Uniform margin samples over [0, pi/2] and the exact peak.
 
-    All samples are computed in one vectorized pass. Samples where
-    torque_margin() would raise ZeroCapacityError carry nan margins rather
-    than aborting the sweep; the sweep raises it only when every gamma
-    does. Ties for the peak break toward smaller gamma.
+    All samples are computed in one vectorized pass, each sample-sized
+    value in one array made in this call and updated in place. Samples
+    where torque_margin() would raise ZeroCapacityError carry nan margins
+    rather than aborting the sweep; the sweep raises it only when every
+    gamma does. Ties for the peak break toward smaller gamma.
     """
     if n_samples < 2:
         raise DomainError("n_samples must be >= 2")
@@ -217,11 +222,16 @@ def gamma_sweep(model: ContactModel, state: GraspState,
     import numpy as np
 
     # the last sample can round one ulp above pi/2; clamp it onto the domain
-    gamma_arr = np.minimum(math.pi / 2 * np.arange(n_samples) / (n_samples - 1),
-                           math.pi / 2)
+    gamma_arr = np.arange(n_samples, dtype=float)
+    gamma_arr *= math.pi / 2
+    gamma_arr /= n_samples - 1
+    np.minimum(gamma_arr, math.pi / 2, out=gamma_arr)
     with np.errstate(all="ignore"):
         headroom = _headroom(capacity[1], state, np.cos(gamma_arr))[0]
-        margin_arr = _margin(model, state, np.sqrt(np.maximum(headroom, 0.0)),
-                             np.sin(gamma_arr - (math.pi / 2 - state.alpha)))
-    margin_arr[headroom < 0.0] = math.nan
+        failed = headroom < 0.0
+        np.maximum(headroom, 0.0, out=headroom)
+        sin_offset = gamma_arr - (math.pi / 2 - state.alpha)
+        margin_arr = _margin(model, state, np.sqrt(headroom, out=headroom),
+                             np.sin(sin_offset, out=sin_offset))
+    np.putmask(margin_arr, failed, math.nan)
     return TorqueMarginCurve(gamma_arr, margin_arr, *_peak(model, state, capacity))

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grippertool
-from grippertool import GripConfig, holding_max_offset, parse_design, required_grip_force
+from grippertool import (GripConfig, gamma_sweep, holding_max_offset, parse_design,
+                         payload_sweep, required_grip_force)
 from grippertool import cli
 from grippertool.cli import (CHUNK_LINES, DEG, INFEASIBLE, MAX_GRID_CELLS, MAX_RANGE_POINTS,
                              _build_parser, _parse_range, _sample_count, fmt, run)
@@ -448,6 +449,52 @@ class TestExitCodes:
         assert len(_parse_range(f"0:{MAX_RANGE_POINTS - 1}:1")) == MAX_RANGE_POINTS
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_range(f"0:{MAX_RANGE_POINTS}:1")
+
+
+class TestSweepMemory:
+    """The two numpy sweeps compute in place: each grid- or sample-sized
+    value is one array, updated in place, alive only within its call."""
+
+    ALPHAS = [i * DEG for i in range(5, 86)]      # 81 x 101 cells, numpy pass
+    DS = [i * 0.001 for i in range(101)]
+    SAMPLES = 10_000
+
+    def sweeps(self):
+        _, _, model, state = parse_design(Path(SAMPLE).read_text())
+        return (lambda: payload_sweep(model, state, 0.05, self.ALPHAS, self.DS),
+                lambda: gamma_sweep(model, state, self.SAMPLES))
+
+    @staticmethod
+    def traced_peak(sweep):
+        sweep()   # numpy loaded outside the traced window
+        tracemalloc.start()
+        try:
+            sweep()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_payload_sweep_peak_in_grid_arrays(self):
+        # a new array per numpy operation peaked at 10.2 grid arrays
+        payload, _ = self.sweeps()
+        grid = len(self.ALPHAS) * len(self.DS) * 8
+        assert self.traced_peak(payload) / grid <= 6.6
+
+    def test_gamma_sweep_peak_in_sample_arrays(self):
+        # a new array per numpy operation peaked at 7.0 sample arrays
+        _, pose = self.sweeps()
+        assert self.traced_peak(pose) / (self.SAMPLES * 8) <= 5.2
+
+    def test_consecutive_sweeps_share_no_memory(self):
+        payload, pose = self.sweeps()
+        grids, curves = (payload(), payload()), (pose(), pose())
+        arrays = [grids[0].weights, curves[0].gammas, curves[0].margins]
+        before = [array.tobytes() for array in arrays]
+        later = [grids[1].weights, curves[1].gammas, curves[1].margins]
+        assert not any(numpy.shares_memory(a, b) for a in arrays for b in later)
+        assert [array.tobytes() for array in arrays] == before
+        assert [array.tobytes() for array in later] == before
 
 
 class TestParserReuse:

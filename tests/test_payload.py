@@ -36,21 +36,27 @@ def state_with(**kwargs):
 
 
 class TestStableQuadraticRoots:
-    """payload._roots, the cancellation-safe quadratic root formula that
-    max_payload uses."""
+    """payload._larger_root, the cancellation-safe quadratic root formula
+    that max_payload and both sweep passes use."""
 
     @staticmethod
-    def roots(a, b, c):
-        return sorted(payload._roots(a, b, c, math.sqrt(payload._discriminant(a, b, c))))
+    def root(a, b, c):
+        return payload._larger_root(a, b, c, math.sqrt(payload._discriminant(a, b, c)))
 
     def test_plain_quadratic(self):
-        assert self.roots(1.0, -3.0, 2.0) == [1.0, 2.0]
+        assert self.root(1.0, -3.0, 2.0) == 2.0   # b < 0: q/a
+        assert self.root(1.0, 3.0, 2.0) == -1.0   # b >= 0: c/q
 
     def test_cancellation_prone_case(self):
-        # roots 1e-8 and 1e8; naive formula loses the small root
-        lo, hi = self.roots(1.0, -(1e8 + 1e-8), 1.0)
-        assert lo == pytest.approx(1e-8, rel=1e-12)
-        assert hi == pytest.approx(1e8, rel=1e-12)
+        # roots 1e-8 and 1e8, and their mirror: the naive formula loses
+        # the small root, which is the larger one for b > 0
+        assert self.root(1.0, -(1e8 + 1e-8), 1.0) == pytest.approx(1e8, rel=1e-12)
+        assert self.root(1.0, 1e8 + 1e-8, 1.0) == pytest.approx(-1e-8, rel=1e-12)
+
+    def test_double_root_at_zero(self):
+        # q = 0: the root is c, not 0/0
+        assert bits(self.root(1.0, 0.0, 0.0)) == bits(0.0)
+        assert bits(self.root(0.25, 0.0, 0.0)) == bits(0.0)
 
     @given(st.floats(min_value=-1e3, max_value=1e3),
            st.floats(min_value=-1e3, max_value=1e3),
@@ -61,10 +67,11 @@ class TestStableQuadraticRoots:
         assume(abs(r1 - r2) > 1e-6 * (abs(r1) + abs(r2) + 1.0))
         b = -a * (r1 + r2)
         c = a * r1 * r2
-        for x in self.roots(a, b, c):
-            residual = abs(a * x * x + b * x + c)
-            scale = max(abs(a * x * x), abs(b * x), abs(c), 1.0)
-            assert residual <= 1e-9 * scale
+        x = self.root(a, b, c)
+        assert abs(x - max(r1, r2)) <= 1e-8 * (abs(r1) + abs(r2) + 1.0)
+        residual = abs(a * x * x + b * x + c)
+        scale = max(abs(a * x * x), abs(b * x), abs(c), 1.0)
+        assert residual <= 1e-9 * scale
 
 
 @pytest.fixture(params=["numpy", "scalar"])
@@ -464,15 +471,16 @@ EXAMPLE = Path(__file__).resolve().parent.parent / "designs" / "example_tool.ini
 PAYLOAD_FIELDS = {"mu": "model", "e": "model", "f_n": "state", "g_tool": "state"}
 
 
-def scaling_draws(seed, count):
-    """count draws of two payload fields of the example design, each to be
-    scaled by 10**x: x uniform over the float range, within 2 of an
-    overflow or underflow threshold, or within 3 of 0."""
+def scaling_draws(seed, count, fields=PAYLOAD_FIELDS):
+    """count draws of two of the example design's fields (payload fields
+    by default), each to be scaled by 10**x: x uniform over the float
+    range, within 2 of an overflow or underflow threshold, or within 3 of
+    0."""
     rng = random.Random(seed)
     draws = []
     for _ in range(count):
         draw = {}
-        for field in rng.sample(sorted(PAYLOAD_FIELDS), 2):
+        for field in rng.sample(sorted(fields), 2):
             draw[field] = rng.choice([
                 rng.uniform(-320.0, 300.0),
                 rng.choice([-320.0, -308.0, -154.0, 154.0, 308.0]) + rng.uniform(-2.0, 2.0),

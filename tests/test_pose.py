@@ -9,8 +9,11 @@ from grippertool import (
     ContactModel,
     DomainError,
     GraspState,
+    GripperToolError,
     ZeroCapacityError,
     gamma_sweep,
+    parse_design,
+    replace,
     torque_margin,
 )
 
@@ -18,6 +21,7 @@ from grippertool.contact import _friction_capacity
 from grippertool.pose import _one_sign, _quartic, _roots, _shifted
 
 from sweep_reference import bits, certified_peak, gamma_curve
+from test_payload import EXAMPLE, scaling_draws
 
 
 def pose_state(**kwargs):
@@ -219,6 +223,60 @@ class TestGammaSweep:
         peak_gamma, peak_margin = certified_peak(model, state)
         assert bits(curve.peak_gamma) == bits(peak_gamma)
         assert bits(curve.peak_margin) == bits(peak_margin)
+
+
+POSE_FIELDS = {"mu": "model", "e": "model", "f_n": "state", "g_tool": "state",
+               "d_com": "state"}
+
+
+class TestScaledDesigns:
+    """gamma_sweep's numpy pass equals torque_margin bit for bit at every
+    sample, or both refuse with one error type, on the example design with
+    two fields scaled by powers of ten: squares and products that overflow
+    or fall below the normal range, which the drawn designs above never
+    reach."""
+
+    SAMPLES = 37
+
+    @staticmethod
+    def outcome(compute):
+        try:
+            return [(bits(g), bits(m)) for g, m in compute()]
+        except (GripperToolError, ValueError) as exc:
+            return type(exc).__name__
+
+    def assert_sweep_matches_scalar(self, model, state):
+        def sweep():
+            curve = gamma_sweep(model, state, self.SAMPLES)
+            return zip(curve.gammas.tolist(), curve.margins.tolist())
+
+        def scalar():
+            rows = gamma_curve(model, state, self.SAMPLES)
+            if all(math.isnan(m) for _, m in rows):
+                raise ZeroCapacityError("no sample holds the tool")
+            return rows
+
+        assert self.outcome(sweep) == self.outcome(scalar)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_seeded_two_field_scalings(self, seed):
+        _, _, model, state = parse_design(EXAMPLE.read_text())
+        base = {f: getattr(model if where == "model" else state, f)
+                for f, where in POSE_FIELDS.items()}
+        swept = 0
+        for draw in scaling_draws(seed, 300, POSE_FIELDS):
+            # two factors of 10**(x/2): each is finite where 10**x is not
+            values = {f: base[f] * 10.0 ** (x / 2) * 10.0 ** (x / 2) for f, x in draw.items()}
+            try:
+                scaled_model = replace(model, **{f: v for f, v in values.items()
+                                                 if POSE_FIELDS[f] == "model"})
+                scaled_state = replace(state, **{f: v for f, v in values.items()
+                                                 if POSE_FIELDS[f] == "state"})
+            except (GripperToolError, ValueError):
+                continue
+            self.assert_sweep_matches_scalar(scaled_model, scaled_state)
+            swept += 1
+        assert swept >= 100
 
 
 class TestPeakLemmas:
