@@ -28,21 +28,26 @@ at a time, so the text of the whole grid is never held in memory at
 once.
 
 Each subcommand's handler and options are described once, in _COMMANDS.
-When argv[0] names a subcommand and the rest is the design and exact
-flags, each followed by a value that does not start with "-", with no
-flag repeated, every required flag present and every value accepted by
-its type, run() parses it straight from that table. Any other argv goes
-to argparse: that subcommand's parser, or the full parser when argv[0]
-names none or an argument is left over, so --help, usage errors and
-"unrecognized arguments" print exactly what the full parser prints.
+A request is table-shaped when argv[0] names a subcommand and the rest
+is the design and exact flags, each followed by a value that does not
+start with "-", with no flag repeated. _parse_request converts the
+values of a table-shaped argv in argv order, as argparse does. When a
+type function refuses one with ArgumentTypeError, ValueError or
+TypeError, run() prints what argparse prints for it: the subcommand's
+usage, formatted once per terminal width, and "argument FLAG: MESSAGE".
+When every value is accepted and the design and every required flag are
+present, run() parses the request straight from the table. Any other
+argv goes to argparse's full parser, so --help, usage errors and
+"unrecognized arguments" print exactly what it prints.
 argparse is imported only to build the parser, on the first request
-that needs it, or to report a refused value, so importing this module and
-running well-formed requests never load it. The parser is then reused by
-every later call: parsing returns a fresh Namespace and changes nothing
-in the parser. Every byte a run() call prints, usage errors and --help
-included, goes to its out and err streams. argparse's messages get there
-by swapping sys.stdout and sys.stderr while it parses, so run() calls
-from concurrent threads that fall back to argparse can exchange them.
+that needs it or refuses a value, so importing this module and running
+well-formed requests never load it. The parser is then reused by every
+later call: parsing returns a fresh Namespace and changes nothing in the
+parser. Every byte a run() call prints, usage errors and --help
+included, goes to its out and err streams. For the argvs that argparse
+parses, its messages get there by swapping sys.stdout and sys.stderr
+while it parses, so concurrent run() calls that fall back to argparse
+can exchange them.
 
 Importing this module loads only what parse_design needs; a handler
 imports the payload, pose or sizing solver, and a long sweep _g9format,
@@ -81,6 +86,11 @@ class _UsageError(Exception):
     """A request that parsed but asks for more than the CLI will compute."""
 
 
+class _RefusedValue(Exception):
+    """A table-shaped request with a value its type function refused; the
+    message is argparse's "argument FLAG: MESSAGE"."""
+
+
 def fmt(value: float) -> str:
     """Canonical 9-significant-digit rendering used for all numeric output."""
     return f"{value:.9g}"
@@ -100,8 +110,9 @@ def _mark_infeasible(lines: str) -> str:
 
 def _type_error(message: str) -> Exception:
     """The argparse.ArgumentTypeError a type function raises for a refused
-    value. argparse is imported here and in _build_parser alone, so a
-    request whose values are all accepted never loads it."""
+    value. argparse is imported only where a value is refused or the
+    parser is built, so a request whose values are all accepted never
+    loads it."""
     import argparse
     return argparse.ArgumentTypeError(message)
 
@@ -337,7 +348,14 @@ def _build_parser():
 def _parse_request(argv):
     """The arguments of a request whose argv[0] names a subcommand, parsed
     from _COMMANDS, or None for an argv that argparse must parse (see the
-    module docstring); where both parse, they give the same values."""
+    module docstring); where both parse, they give the same values.
+
+    Values are converted in argv order, before the design and the required
+    flags are checked, which is the order argparse reports errors in. The
+    first value refused with ArgumentTypeError, ValueError or TypeError
+    raises _RefusedValue with argparse's text for it; any other exception
+    leaves the request to argparse, which raises it again.
+    """
     options = _COMMANDS[argv[0]][2]
     given = {}
     design = None
@@ -354,42 +372,53 @@ def _parse_request(argv):
             i += 2
         else:
             return None
+    args = SimpleNamespace(command=argv[0], design=design)
+    for flag, text in given.items():
+        type_ = options[flag][0]
+        try:
+            setattr(args, flag[2:].replace("-", "_"), type_(text))
+        except Exception as exc:
+            import argparse
+            if isinstance(exc, argparse.ArgumentTypeError):
+                message = str(exc)
+            elif isinstance(exc, (TypeError, ValueError)):
+                message = f"invalid {type_.__name__} value: {text!r}"
+            else:
+                return None
+            raise _RefusedValue(f"argument {flag}: {message}") from None
     if design is None:
         return None
-    args = SimpleNamespace(command=argv[0], design=design)
-    for flag, (type_, default, required, _) in options.items():
-        text = given.get(flag)
-        if text is None:
+    for flag, (_, default, required, _) in options.items():
+        if flag not in given:
             if required:
                 return None
-            value = default
-        else:
-            try:
-                value = type_(text)
-            except Exception:  # argparse reports it, or raises it again
-                return None
-        setattr(args, flag[2:].replace("-", "_"), value)
+            setattr(args, flag[2:].replace("-", "_"), default)
     return args
+
+
+@functools.cache
+def _error_prefix(command: str, columns: int) -> str:
+    """What argparse's error() prints before the message on a subcommand's
+    parser at a terminal width: the usage text, then "PROG: error: ". The
+    usage formatter reads nothing but the parser and the width."""
+    sub = _build_parser()[1][command]
+    return f"{sub.format_usage()}{sub.prog}: error: "
 
 
 def run(argv, out=None, err=None) -> int:
     """Dispatch argv (without the program name); returns the exit code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    args = _parse_request(argv) if argv and argv[0] in _COMMANDS else None
+    try:
+        args = _parse_request(argv) if argv and argv[0] in _COMMANDS else None
+    except _RefusedValue as exc:
+        import shutil
+        err.write(f"{_error_prefix(argv[0], shutil.get_terminal_size().columns)}{exc}\n")
+        return 2
     if args is None:
-        parser, subparsers = _build_parser()
-        subparser = subparsers.get(argv[0]) if argv else None
-        # The full parser alone gives the same output, but the subparser
-        # first is faster on a refused value: a reversed --alpha range took
-        # 168-177 us against 195-202 us (best of 40x25, one core, Python 3.11).
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                if subparser is not None:
-                    args, extras = subparser.parse_known_args(argv[1:])
-                    args.command = argv[0]
-                if subparser is None or extras:
-                    args = parser.parse_args(argv)
+                args = _build_parser()[0].parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
     try:

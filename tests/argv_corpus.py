@@ -5,6 +5,32 @@ run as a script under interpreters that have no pytest or numpy.
 """
 
 
+def refused_values(design):
+    """Table-shaped argv lists with a value that a type function refuses:
+    the first refused value in argv order is reported, before a missing
+    design or required flag."""
+    sweep = ["payload-sweep", design, "--alpha", "15:75:15deg", "--d", "0:0.04:0.01"]
+    optimize = ["optimize", design, "--m", "0.008:0.03", "--r", "0.005:0.08"]
+    reversed_alpha = ["--alpha", "75:15:15deg", "--d", "0:0.04:0.01"]
+    rest = ["--theta-init", "40:83deg", "--grip-budget", "36"]
+    return [
+        ["analyze", design, "--d-obj", "nan"], sweep + ["--d-obj", "nan"],
+        ["payload-sweep", design, "--alpha", "nan:75:15deg", "--d", "0:0.04:0.01"],
+        ["payload-sweep", design] + reversed_alpha,
+        optimize + ["--theta-init", "83:40deg", "--grip-budget", "36"],
+        ["pose-sweep", design, "--samples", "many"], sweep + ["--workers", "x"],
+        # two refused values in each order, a refused value with a required
+        # flag or the design missing, or before the design, and int's
+        # ValueError next to a refused range
+        ["optimize", design, "--m", "1:0", "--r", "1:0"] + rest,
+        ["optimize", design, "--r", "1:0", "--m", "1:0"] + rest,
+        ["optimize", design, "--r", "0.005:0.08", "--m", "1:0"],
+        ["pose-sweep", "--samples", "many"], ["analyze", "--d-obj", "nan", design],
+        ["payload-sweep", design, "--workers", "x"] + reversed_alpha,
+        ["payload-sweep", design] + reversed_alpha + ["--workers", "x"],
+    ]
+
+
 def argv_corpus(design):
     """Well-formed and malformed argv lists for a design file path."""
     sweep = ["payload-sweep", design, "--alpha", "15:75:15deg", "--d", "0:0.04:0.01"]
@@ -40,11 +66,7 @@ def argv_corpus(design):
         ["analyze", design, "--", "--d-obj", "0.05"],
         ["analyze", "--d-obj", "0.05", "--", design],
         # values the type functions refuse
-        ["analyze", design, "--d-obj", "nan"], sweep + ["--d-obj", "nan"],
-        ["payload-sweep", design, "--alpha", "nan:75:15deg", "--d", "0:0.04:0.01"],
-        ["payload-sweep", design, "--alpha", "75:15:15deg", "--d", "0:0.04:0.01"],
-        optimize + ["--theta-init", "83:40deg", "--grip-budget", "36"],
-        ["pose-sweep", design, "--samples", "many"], sweep + ["--workers", "x"],
+        *refused_values(design),
         # shapes only the table parse sees: an empty value, a negative value
         # argparse takes for a flag, a refused value repeated, a value that
         # is itself a flag, "-" and "-x" as the design, flags before the

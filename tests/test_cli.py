@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 from pathlib import Path
@@ -23,7 +24,7 @@ from grippertool.cli import (CHUNK_LINES, DEG, INFEASIBLE, MAX_GRID_CELLS, MAX_R
                              _build_parser, _parse_range, _sample_count, fmt, run)
 from grippertool.payload import SCALAR_GRID_CELLS
 
-from argv_corpus import argv_corpus
+from argv_corpus import argv_corpus, refused_values
 from design_mutations import THRESHOLDS, mutated_designs, sample_text
 from sweep_reference import assert_same_text, payload_csv, payload_rows, pose_csv
 
@@ -618,9 +619,9 @@ def table_argvs(draw):
 class TestDispatch:
     """run() parses a request whose first argument names a subcommand from
     the option table alone when it is made of the design and exact flags
-    with accepted values, else with that subcommand's parser, and any other
-    argv, or one that leaves an argument over, with the full parser, as if
-    the full parser had parsed them all."""
+    with accepted values, and reports the first refused value of such a
+    request from the table too; it parses any other argv with the full
+    parser, and prints what the full parser prints for every argv."""
 
     CORPUS = argv_corpus(SAMPLE)
 
@@ -669,21 +670,75 @@ class TestDispatch:
             self.assert_parsed_as_full_parser(argv, handled)
 
     def test_good_requests_skip_the_full_parser(self, monkeypatch):
-        parser, _ = _build_parser()
+        parser, subparsers = _build_parser()
         calls = []
-        parse_known_args = parser.parse_known_args
 
-        def recording(*args, **kwargs):
-            calls.append(args)
-            return parse_known_args(*args, **kwargs)
+        def spy(prog, parse):
+            def record(*args, **kwargs):
+                calls.append((prog, *args))
+                return parse(*args, **kwargs)
+            return record
 
-        monkeypatch.setattr(parser, "parse_known_args", recording)
+        for each in (parser, *subparsers.values()):
+            for method in ("parse_known_args", "parse_args"):
+                monkeypatch.setattr(each, method, spy(each.prog, getattr(each, method)))
         for name, argv in GOLDEN_COMMANDS.items():
             assert invoke(argv) == (0, golden(name), "")
         assert calls == []
+        # refused values are reported from the table; the corpus test
+        # checks their bytes against the full parser
+        for argv in refused_values(SAMPLE):
+            assert invoke(argv)[:2] == (2, "")
+            assert calls == [], argv
         for argv in (["validate", SAMPLE, "extra"], ["no-such-command"], ["--help"]):
             invoke(argv)
-            assert calls.pop()[0] == argv
+            assert ("grippertool", argv) in calls
+            calls.clear()
+
+    def test_refusal_usage_follows_the_terminal_width(self, monkeypatch):
+        argv = ["payload-sweep", SAMPLE, "--alpha", "56:43:5deg", "--d", "0:0.04:0.01"]
+        printed = []
+        for columns in ("40", "200", "40"):
+            monkeypatch.setenv("COLUMNS", columns)
+            with self.recording() as handled:
+                self.assert_parsed_as_full_parser(argv, handled)
+            printed.append(invoke(argv))
+        assert printed[0] == printed[2] != printed[1]
+
+    def test_concurrent_refusals_reach_their_own_err(self):
+        """Refused values are written to the request's err alone, and
+        sys.stdout and sys.stderr are left as they were."""
+        threads, requests = 8, 100
+        results = {}
+
+        def serve(t):
+            for i in range(requests):
+                alpha = f"{56 + t}:{43 - i}:5deg"
+                out, err = io.StringIO(), io.StringIO()
+                argv = ["payload-sweep", SAMPLE, "--alpha", alpha, "--d", "0:0.04:0.01"]
+                results[t, i] = alpha, run(argv, out, err), out.getvalue(), err.getvalue()
+
+        streams = sys.stdout, sys.stderr
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=serve, args=(t,)) for t in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            after = sys.stdout, sys.stderr
+            sys.stdout, sys.stderr = streams
+        assert after[0] is streams[0] and after[1] is streams[1]
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(results) == threads * requests
+        for alpha, code, out, err in results.values():
+            assert (code, out) == (2, "")
+            assert [line for line in err.splitlines() if "error:" in line] == [
+                f"grippertool payload-sweep: error: argument --alpha: range {alpha!r} "
+                "needs step > 0 and stop >= start"]
 
     @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
     def test_line_endings(self, tmp_path, newline):

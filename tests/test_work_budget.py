@@ -9,6 +9,7 @@ imported name. A change that lowers a count should tighten its bound;
 one that raises a bound should say why.
 """
 
+import argparse
 import builtins
 import collections
 import functools
@@ -205,3 +206,18 @@ def test_short_sweep_marks_each_percent_call(counts, tmp_path, sweep, rows):
     assert counts["_mark_infeasible"] == rows
     assert counts["records"] == 0
     assert (cli.INFEASIBLE in out) == (sweep == "pose")
+
+
+def test_refusals_of_one_subcommand_format_its_usage_once(counts, monkeypatch):
+    # two reversed ranges at one terminal width; neither reads the design
+    monkeypatch.setenv("COLUMNS", "97")
+    monkeypatch.setattr(argparse.ArgumentParser, "format_usage",
+                        counting(counts, "format_usage", argparse.ArgumentParser.format_usage))
+    cli._error_prefix.cache_clear()
+    for alpha in ("56:43:5deg", "57:43:5deg"):
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.run(["payload-sweep", SAMPLE, "--alpha", alpha, "--d", "0:0.04:0.01"],
+                       out, err) == 2
+        assert f"error: argument --alpha: range '{alpha}'" in err.getvalue()
+    assert counts["format_usage"] == 1
+    assert counts["open"] == 0
