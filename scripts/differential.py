@@ -125,14 +125,19 @@ def _short(text, directory):
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def load_workloads():
+    """perfbench/workloads.py, imported without writing bytecode there."""
+    sys.dont_write_bytecode = True  # leave perfbench/ as it is
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+    return workloads
+
+
 def _workload_cases(seeds):
     """Yield (case name, output) for every benchmark request of seeds."""
     from grippertool import cli
 
-    sys.dont_write_bytecode = True  # leave perfbench/ as it is
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
-
+    workloads = load_workloads()
     for seed in seeds:
         for workload in sorted(workloads.GENERATORS):
             with tempfile.TemporaryDirectory() as directory:
@@ -152,24 +157,34 @@ SUITES = {"sizing": _sizing_cases, "contact": _contact_cases,
           "workloads": _workload_cases}
 
 
-def _child(seeds, tree, suite):
-    # grippertool is imported in the child processes only, from their tree
-    sys.path.insert(0, str(ROOT / "tests"))
+def import_from(tree):
+    """Import grippertool in a child process started with tree_env(tree);
+    exit if it came from anywhere but tree's src/."""
     import grippertool
 
     expected = (Path(tree) / "src").resolve()
     if expected not in Path(grippertool.__file__).resolve().parents:
         sys.exit(f"grippertool was imported from {grippertool.__file__}, not {expected}")
+
+
+def tree_env(tree):
+    """The environment of a child process that imports tree's grippertool."""
+    return dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"))
+
+
+def _child(seeds, tree, suite):
+    # grippertool is imported in the child processes only, from their tree
+    sys.path.insert(0, str(ROOT / "tests"))
+    import_from(tree)
     for case, output in SUITES[suite](seeds):
         print(json.dumps([case, output]))
 
 
 def _spawn(tree, seeds, suite):
-    env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"))
     return subprocess.Popen(
         [sys.executable, __file__, "--child", tree, tree,
          "--seeds", f"{seeds.start}:{seeds.stop}", "--suite", suite],
-        env=env, stdout=subprocess.PIPE, text=True)
+        env=tree_env(tree), stdout=subprocess.PIPE, text=True)
 
 
 def compare(tree_a, tree_b, seeds, suite="sizing"):

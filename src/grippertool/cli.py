@@ -44,23 +44,29 @@ that needs it or refuses a value, so importing this module and running
 well-formed requests never load it. The parser is then reused by every
 later call: parsing returns a fresh Namespace and changes nothing in the
 parser. Every byte a run() call prints, usage errors and --help
-included, goes to its out and err streams. For the argvs that argparse
-parses, its messages get there by swapping sys.stdout and sys.stderr
-while it parses, so concurrent run() calls that fall back to argparse
-can exchange them.
+included, goes to its out and err streams, and to no other: the parser
+writes what argparse would print on sys.stdout or sys.stderr to the
+streams of the run() call parsing on its thread. So run() calls on
+concurrent threads each print to their own streams, whatever their argv.
+
+validate, analyze and optimize compute every value, then write their
+whole result with one out.write.
 
 Importing this module loads only what parse_design needs; a handler
 imports the payload, pose or sizing solver, and a long sweep _g9format,
 through _lib on first use.
 
-Design files are read as bytes and decoded as UTF-8; parse_design splits
-lines with str.splitlines(), so CRLF and CR line endings parse as LF does.
+Design files are read with os.open and os.read, without Python's io
+stack, and decoded as UTF-8; a read error names the path as open()
+does. parse_design splits lines with str.splitlines(), so CRLF and CR
+line endings parse as LF does.
 """
 
-import contextlib
 import functools
 import math
+import os
 import sys
+import threading
 from types import SimpleNamespace
 
 from .contact import GripConfig, holding_max_offset, required_grip_force
@@ -196,18 +202,27 @@ def _lib(name: str):
 
 
 def _load(path: str):
-    with open(path, "rb") as fh:
-        return parse_design(fh.read().decode("utf-8"))
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
+    chunks = []
+    try:
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    except IsADirectoryError as exc:
+        # os.read names no file, where open() names the path
+        raise IsADirectoryError(exc.errno, exc.strerror, path) from None
+    finally:
+        os.close(fd)
+    return parse_design(b"".join(chunks).decode("utf-8"))
 
 
 def _cmd_validate(args, out) -> int:
     dims, _, _, _ = _load(args.design)
     violations = _lib("sizing").check_feasible(dims)
     if not violations:
-        print("no violations", file=out)
+        out.write("no violations\n")
         return 0
-    for v in violations:
-        print(f"violation {v.constraint}: margin = {fmt(v.margin)}", file=out)
+    out.write("".join(f"violation {v.constraint}: margin = {fmt(v.margin)}\n"
+                      for v in violations))
     return 1
 
 
@@ -218,8 +233,10 @@ def _cmd_analyze(args, out) -> int:
         offset_text = "unbounded" if math.isinf(offset) else fmt(offset)
     except InfeasibleHoldError:
         offset_text = INFEASIBLE
-    forces = [(config.value, required_grip_force(dims, spring, state, config=config))
-              for config in (GripConfig.BACKWARD_BASE, GripConfig.FORWARD_BASE)]
+    forces = "".join(
+        f"required_grip_force_{config.value}_N = "
+        f"{fmt(required_grip_force(dims, spring, state, config=config))}\n"
+        for config in (GripConfig.BACKWARD_BASE, GripConfig.FORWARD_BASE))
     try:
         result = _lib("payload").max_payload(model, state, args.d_obj)
         payload_text = fmt(result.max_weight)
@@ -227,10 +244,8 @@ def _cmd_analyze(args, out) -> int:
         payload_text = INFEASIBLE
     # every value is computed before any is printed, so a refused request
     # writes nothing to out
-    print(f"holding_max_offset_m = {offset_text}", file=out)
-    for name, force in forces:
-        print(f"required_grip_force_{name}_N = {fmt(force)}", file=out)
-    print(f"max_payload_N = {payload_text}", file=out)
+    out.write(f"holding_max_offset_m = {offset_text}\n{forces}"
+              f"max_payload_N = {payload_text}\n")
     return 0
 
 
@@ -267,16 +282,16 @@ def _cmd_optimize(args, out) -> int:
     )
     result = _lib("sizing").maximize_stroke(problem)
     d = result.dims
-    print(f"m_m = {fmt(d.m)}", file=out)
-    print(f"r_m = {fmt(d.r)}", file=out)
-    print(f"theta_init_deg = {fmt(d.theta_init / DEG)}", file=out)
-    print(f"theta_end_deg = {fmt(d.theta_end / DEG)}", file=out)
-    print(f"h_m = {fmt(d.h)}", file=out)
-    print(f"p_m = {fmt(d.p)}", file=out)
-    print(f"q_m = {fmt(d.q)}", file=out)
-    print(f"w_init_m = {fmt(d.w_init)}", file=out)
-    print(f"stroke_m = {fmt(result.stroke)}", file=out)
-    print(f"active_constraints = {','.join(result.active_constraints)}", file=out)
+    out.write(f"m_m = {fmt(d.m)}\n"
+              f"r_m = {fmt(d.r)}\n"
+              f"theta_init_deg = {fmt(d.theta_init / DEG)}\n"
+              f"theta_end_deg = {fmt(d.theta_end / DEG)}\n"
+              f"h_m = {fmt(d.h)}\n"
+              f"p_m = {fmt(d.p)}\n"
+              f"q_m = {fmt(d.q)}\n"
+              f"w_init_m = {fmt(d.w_init)}\n"
+              f"stroke_m = {fmt(result.stroke)}\n"
+              f"active_constraints = {','.join(result.active_constraints)}\n")
     return 0
 
 
@@ -293,8 +308,8 @@ def _cmd_pose_sweep(args, out) -> int:
         blocks = [_mark_infeasible("%.9g,%.9g\n" * args.samples % tuple(values.tolist()))]
     for block in blocks:
         out.write(block)
-    print(f"# peak gamma_deg = {fmt(curve.peak_gamma / DEG)} "
-          f"margin_Nm = {fmt(curve.peak_margin)}", file=out)
+    out.write(f"# peak gamma_deg = {fmt(curve.peak_gamma / DEG)} "
+              f"margin_Nm = {fmt(curve.peak_margin)}\n")
     return 0
 
 
@@ -327,11 +342,26 @@ _COMMANDS = {
 }
 
 
+# streams: (out, err) of the run() call whose argv the parser is parsing
+# on this thread, or None
+_request = threading.local()
+
+
 @functools.cache
 def _build_parser():
-    """The full parser and its subparsers by name, built from _COMMANDS."""
+    """The full parser and its subparsers by name, built from _COMMANDS.
+    Within run(), they print to that call's out and err."""
     import argparse
-    parser = argparse.ArgumentParser(
+
+    class Parser(argparse.ArgumentParser):
+        def _print_message(self, message, file=None):
+            # argparse passes sys.stdout or sys.stderr
+            streams = getattr(_request, "streams", None)
+            if streams is not None:
+                file = streams[0] if file is sys.stdout else streams[1]
+            super()._print_message(message, file)
+
+    parser = Parser(
         prog="grippertool",
         description="Quasi-static analysis of the spring-return parallel-jaw tool",
     )
@@ -416,18 +446,20 @@ def run(argv, out=None, err=None) -> int:
         err.write(f"{_error_prefix(argv[0], shutil.get_terminal_size().columns)}{exc}\n")
         return 2
     if args is None:
+        _request.streams = out, err
         try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                args = _build_parser()[0].parse_args(argv)
+            args = _build_parser()[0].parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
+        finally:
+            _request.streams = None
     try:
         return _COMMANDS[args.command][0](args, out)
     except _UsageError as exc:
-        print(f"grippertool {args.command}: error: {exc}", file=err)
+        err.write(f"grippertool {args.command}: error: {exc}\n")
         return 2
     except (GripperToolError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=err)
+        err.write(f"error: {exc}\n")
         return 1
 
 

@@ -268,9 +268,15 @@ class TestExitCodes:
         assert "mu" in err
 
     def test_missing_file_is_domain_error(self):
-        code, _, err = invoke(["analyze", "no_such_file.ini"])
-        assert code == 1
-        assert err.startswith("error:")
+        assert invoke(["analyze", "no_such_file.ini"]) == (
+            1, "", "error: [Errno 2] No such file or directory: 'no_such_file.ini'\n")
+
+    def test_unreadable_paths_print_what_open_prints(self, tmp_path):
+        # a directory opens on Linux and fails on its first read; a path
+        # with a NUL byte is refused before any system call
+        assert invoke(["analyze", str(tmp_path)]) == (
+            1, "", f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
+        assert invoke(["analyze", "design\0.ini"]) == (1, "", "error: embedded null byte\n")
 
     def test_usage_error_exit_2(self):
         for argv in (["payload-sweep", SAMPLE, "--alpha", "nonsense",
@@ -705,18 +711,19 @@ class TestDispatch:
             printed.append(invoke(argv))
         assert printed[0] == printed[2] != printed[1]
 
-    def test_concurrent_refusals_reach_their_own_err(self):
-        """Refused values are written to the request's err alone, and
-        sys.stdout and sys.stderr are left as they were."""
-        threads, requests = 8, 100
+    @staticmethod
+    def concurrently(argv_of, threads=8, requests=100):
+        """Runs argv_of(t, i) for each i < requests on each of threads
+        threads, switching between them every microsecond. Returns each
+        argv with run()'s code, out and err, after checking that
+        sys.stdout and sys.stderr are the objects they were before."""
         results = {}
 
         def serve(t):
             for i in range(requests):
-                alpha = f"{56 + t}:{43 - i}:5deg"
+                argv = argv_of(t, i)
                 out, err = io.StringIO(), io.StringIO()
-                argv = ["payload-sweep", SAMPLE, "--alpha", alpha, "--d", "0:0.04:0.01"]
-                results[t, i] = alpha, run(argv, out, err), out.getvalue(), err.getvalue()
+                results[t, i] = argv, run(argv, out, err), out.getvalue(), err.getvalue()
 
         streams = sys.stdout, sys.stderr
         interval = sys.getswitchinterval()
@@ -734,11 +741,37 @@ class TestDispatch:
         assert after[0] is streams[0] and after[1] is streams[1]
         assert not any(worker.is_alive() for worker in workers)
         assert len(results) == threads * requests
-        for alpha, code, out, err in results.values():
+        return results.values()
+
+    @staticmethod
+    def alpha_refusal(argv):
+        return ("grippertool payload-sweep: error: argument --alpha: "
+                f"range {argv[3]!r} needs step > 0 and stop >= start")
+
+    def test_concurrent_refusals_reach_their_own_err(self):
+        """Refused values are written to the request's err alone, and
+        sys.stdout and sys.stderr are left as they were."""
+        for argv, code, out, err in self.concurrently(lambda t, i: [
+                "payload-sweep", SAMPLE, "--alpha", f"{56 + t}:{43 - i}:5deg",
+                "--d", "0:0.04:0.01"]):
             assert (code, out) == (2, "")
             assert [line for line in err.splitlines() if "error:" in line] == [
-                f"grippertool payload-sweep: error: argument --alpha: range {alpha!r} "
-                "needs step > 0 and stop >= start"]
+                self.alpha_refusal(argv)]
+
+    def test_concurrent_argparse_messages_reach_their_own_streams(self):
+        """What argparse's parser prints, an abbreviated flag's refused
+        value and --help alike, goes to the request's own out or err."""
+        help_text = invoke(["pose-sweep", "--help"])[1]
+        assert help_text.startswith("usage: grippertool pose-sweep [-h]")
+        refused = invoke(["payload-sweep", "--alph", "2:1:1"])[2]
+        usage = refused[:refused.index("grippertool payload-sweep: error:")]
+        for argv, code, out, err in self.concurrently(lambda t, i: [
+                "payload-sweep", SAMPLE, "--alph", f"{56 + t}:{43 - i}:5deg",
+                "--d", "0:0.04:0.01"] if i % 2 else ["pose-sweep", "--help"]):
+            if argv[1] == "--help":
+                assert (code, out, err) == (0, help_text, "")
+            else:
+                assert (code, out, err) == (2, "", f"{usage}{self.alpha_refusal(argv)}\n")
 
     @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
     def test_line_endings(self, tmp_path, newline):

@@ -128,8 +128,8 @@ def test_workloads_suite_against_itself():
 
 
 def test_patched_workloads_copy_differs(tmp_path):
-    tree = patched_copy(tmp_path, "cli", 'print("no violations", file=out)',
-                        'print("no violation", file=out)')
+    tree = patched_copy(tmp_path, "cli", 'out.write("no violations\\n")',
+                        'out.write("no violation\\n")')
     code, summary = differential(ROOT, tree, "1:2", "--suite", "workloads")
     assert code == 1
     assert summary["cases"] == 1048 and summary["differing"] > 0

@@ -10,17 +10,17 @@ one that raises a bound should say why.
 """
 
 import argparse
-import builtins
 import collections
 import functools
 import io
+import os
 
 import pytest
 
 from grippertool import (ContactModel, DomainError, GraspState, _g9format, cli, contact,
                          parse_design, payload, pose, sizing)
 
-from test_cli import GOLDEN_COMMANDS, SAMPLE, edited_design
+from test_cli import GOLDEN_COMMANDS, SAMPLE, edited_design, golden
 from test_pose import pose_state
 
 
@@ -38,8 +38,8 @@ def counts(monkeypatch):
     grid passes and the one-cell payload solve, of the solver's entry
     points under every name they are bound to, of the predicates _boundary
     evaluates ("predicate"), of the CLI's two INFEASIBLE writers
-    (_mark_infeasible and the formatter's records) and of open(), from a
-    parse with an empty memo onward."""
+    (_mark_infeasible and the formatter's records) and of os.open, which
+    opens each design file, from a parse with an empty memo onward."""
     counted = collections.Counter()
 
     def count(name, *modules):
@@ -68,7 +68,7 @@ def counts(monkeypatch):
     count("check_feasible", sizing)
     count("_mark_infeasible", cli)
     count("records", _g9format)
-    count("open", builtins)
+    count("open", os)
     parse_design.cache_clear()
     yield counted
     parse_design.cache_clear()
@@ -118,6 +118,23 @@ def test_overflowing_grid_solves_only_its_first_bad_cell_again(counts):
 def test_golden_request_reads_its_design_once(counts, name):
     run_ok(GOLDEN_COMMANDS[name])
     assert counts["open"] == 1
+
+
+class CountingOut(io.StringIO):
+    """A text stream that counts its write calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("name", ["validate.txt", "analyze.txt", "optimize.txt"])
+def test_golden_result_is_written_at_once(name):
+    out, err = CountingOut(), io.StringIO()
+    assert cli.run(GOLDEN_COMMANDS[name], out, err) == 0
+    assert (out.getvalue(), err.getvalue(), out.writes) == (golden(name), "", 1)
 
 
 def test_golden_optimize_checks_few_candidates(counts):
