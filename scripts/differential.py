@@ -37,6 +37,7 @@ Exits 0 when no case differs and 1 when some do.
 
 import argparse
 import hashlib
+import importlib
 import io
 import json
 import operator
@@ -125,19 +126,19 @@ def _short(text, directory):
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def load_workloads():
-    """perfbench/workloads.py, imported without writing bytecode there."""
+def load_perfbench(name):
+    """The module perfbench/<name>.py, imported without writing bytecode there."""
     sys.dont_write_bytecode = True  # leave perfbench/ as it is
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
-    return workloads
+    if str(ROOT / "perfbench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "perfbench"))
+    return importlib.import_module(name)
 
 
 def _workload_cases(seeds):
     """Yield (case name, output) for every benchmark request of seeds."""
     from grippertool import cli
 
-    workloads = load_workloads()
+    workloads = load_perfbench("workloads")
     for seed in seeds:
         for workload in sorted(workloads.GENERATORS):
             with tempfile.TemporaryDirectory() as directory:

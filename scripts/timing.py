@@ -3,29 +3,30 @@
 
 Usage:
     python scripts/timing.py --in-process TREE_A TREE_B --workload interactive \\
-        --seeds 1:7 [--cycles 15] [--cpu N]
+        --seeds 1:7 [--cycles 15]
 
 For each seed of the range, one fresh child process per tree runs the
 workload's cycle for that seed, from perfbench/workloads.py (imported,
 never written), with its design files in a temporary directory. The
 order of the two children alternates from seed to seed. Each child pins
-itself to one CPU (--cpu, by default the highest one this process may
-use) where the platform allows it, imports grippertool from its tree's
-src/, and sends the cycle through cli.run once untimed, then --cycles
-times timed. A request's latency is the wall time of its cli.run call,
-and its best latency is the smallest over the timed cycles.
+itself to the highest CPU it may use, where the platform allows it,
+imports grippertool from its tree's src/, and sends the cycle through
+cli.run once untimed, then --cycles times timed. A request's latency is
+the wall time of its cli.run call, and its best latency is the smallest
+over the timed cycles.
 
 Over each request's best latency, a child gives what perfbench/run.py
 reports for a run: the median (p50_ms), the workload's tail percentile
-(tail_ms, nearest rank) and the requests per second of busy time. Each
-seed is one pair of children.
+(tail_ms, with perfbench/run.py's own nearest-rank function) and the
+requests per second of busy time. Each seed is one pair of children.
 
-Prints one JSON line: per tree, the median over the pairs of those three
-values, the median over the pairs of each request kind's median best
-latency (kind_p50_ms) and the number of cli.run calls, warm-up cycles
-included, that returned an exit code other than the one the workload
-expects (failed); the pairs each tree wins on each of the three values
-(a tie counts for neither); and every pair's three values.
+Prints one JSON line: the CPUs the children ran on (cpus); per tree, the
+median over the pairs of those three values, the median over the pairs
+of each request kind's median best latency (kind_p50_ms) and the number
+of cli.run calls, warm-up cycles included, that returned an exit code
+other than the one the workload expects (failed); the pairs each tree
+wins on each of the three values (a tie counts for neither); and every
+pair's three values.
 """
 
 import argparse
@@ -40,23 +41,9 @@ import tempfile
 import time
 from pathlib import Path
 
-from differential import import_from, load_workloads, seed_range, tree_env
+from differential import import_from, load_perfbench, seed_range, tree_env
 
 METRICS = {"p50_ms": "lower", "tail_ms": "lower", "requests_per_s": "higher"}
-
-
-def default_cpu():
-    """The highest CPU this process may run on, or None where the
-    platform cannot pin a process."""
-    if not hasattr(os, "sched_setaffinity"):
-        return None
-    return max(os.sched_getaffinity(0))
-
-
-def percentile(values, pct):
-    """Nearest-rank percentile of values, as perfbench/run.py takes it."""
-    ordered = sorted(values)
-    return ordered[max(1, math.ceil(len(ordered) * pct / 100)) - 1]
 
 
 def replay(requests, cycles):
@@ -85,30 +72,30 @@ def summarize(best, kinds, tail_pct):
     for latency, kind in zip(best, kinds):
         by_kind.setdefault(kind, []).append(latency)
     return {"p50_ms": statistics.median(best) * 1e3,
-            "tail_ms": percentile(best, tail_pct) * 1e3,
+            "tail_ms": load_perfbench("run")._percentile(best, tail_pct) * 1e3,
             "requests_per_s": len(best) / sum(best),
             "kind_p50_ms": {kind: statistics.median(values) * 1e3
                             for kind, values in sorted(by_kind.items())}}
 
 
 def _child(args, workloads):
-    if args.cpu is not None:
-        os.sched_setaffinity(0, {args.cpu})
+    cpu = None
+    if hasattr(os, "sched_setaffinity"):
+        cpu = max(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {cpu})
     import_from(args.tree_a)
     with tempfile.TemporaryDirectory() as directory:
         requests = workloads.generate(args.workload, args.seeds.start, Path(directory))
         best, failed = replay(requests, args.cycles)
     summary = summarize(best, [request["kind"] for request in requests],
                         workloads.WORKLOADS[args.workload]["tail_pct"])
-    print(json.dumps(dict(summary, failed=failed)))
+    print(json.dumps(dict(summary, failed=failed, cpu=cpu)))
 
 
 def _spawn(tree, args, seed):
     command = [sys.executable, __file__, "--in-process", tree, tree, "--child",
                "--workload", args.workload, "--seeds", f"{seed}:{seed + 1}",
                "--cycles", str(args.cycles)]
-    if args.cpu is not None:
-        command += ["--cpu", str(args.cpu)]
     proc = subprocess.run(command, env=tree_env(tree), capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{tree} seed {seed}: exit status {proc.returncode}\n"
@@ -132,7 +119,9 @@ def compare(args, workloads):
         runs = {name: _spawn(trees[name], args, seed) for name in order}
         pairs.append({"seed": seed, "a": runs["a"], "b": runs["b"]})
     summary = {"workload": args.workload, "seeds": f"{args.seeds.start}:{args.seeds.stop}",
-               "cycles": args.cycles, "cpu": args.cpu,
+               "cycles": args.cycles,
+               "cpus": sorted({pair[name]["cpu"] for pair in pairs for name in trees},
+                              key=str),
                "tail_pct": workloads.WORKLOADS[args.workload]["tail_pct"]}
     for name, tree in trees.items():
         runs = [pair[name] for pair in pairs]
@@ -154,7 +143,7 @@ def compare(args, workloads):
 
 
 def main():
-    workloads = load_workloads()
+    workloads = load_perfbench("workloads")
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--in-process", action="store_true", required=True,
                         help="time cli.run calls inside the child processes")
@@ -165,8 +154,6 @@ def main():
     parser.add_argument("--seeds", type=seed_range, required=True, help="A:B")
     parser.add_argument("--cycles", type=int, default=15,
                         help="timed cycles per child (default 15)")
-    parser.add_argument("--cpu", type=int, default=default_cpu(),
-                        help="the CPU each child runs on (default: the highest allowed)")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.cycles < 1:

@@ -16,8 +16,9 @@ def test_in_process_pairs_report_each_tree():
                           capture_output=True, text=True, check=True)
     summary = json.loads(proc.stdout)
     metrics = ["p50_ms", "tail_ms", "requests_per_s"]
-    assert list(summary) == ["workload", "seeds", "cycles", "cpu", "tail_pct",
+    assert list(summary) == ["workload", "seeds", "cycles", "cpus", "tail_pct",
                              "a", "b", "wins", "pairs"]
+    assert len(summary["cpus"]) == 1  # every child pins itself to the same CPU
     assert (summary["workload"], summary["seeds"], summary["cycles"],
             summary["tail_pct"]) == ("interactive", "1:3", 1, 99.0)
     for tree in ("a", "b"):
