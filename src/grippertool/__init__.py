@@ -13,12 +13,11 @@ _SUBMODULES = {name: module for module, names in (
     ("errors", "DegenerateContactError DesignFileError DomainError GripperToolError"
                " InfeasibleHoldError InfeasibleProblemError NoFeasiblePayloadError"
                " SingularTransmissionError ZeroCapacityError replace"),
-    ("mechanism", "SpringSpec ToolDimensions clearance_span spring_torque stroke"
-                  " stroke_fixed_width"),
+    ("mechanism", "SpringSpec ToolDimensions Violation check_feasible clearance_span"
+                  " spring_torque stroke stroke_fixed_width"),
     ("payload", "PayloadGrid PayloadResult equilibrium_coefficients max_payload payload_sweep"),
     ("pose", "TorqueMarginCurve gamma_sweep torque_margin"),
-    ("sizing", "SizingProblem SizingResult Violation check_feasible grip_demand"
-               " maximize_stroke"),
+    ("sizing", "SizingProblem SizingResult grip_demand maximize_stroke"),
 ) for name in names.split()}
 
 __all__ = sorted(_SUBMODULES)

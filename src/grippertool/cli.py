@@ -52,9 +52,9 @@ concurrent threads each print to their own streams, whatever their argv.
 validate, analyze and optimize compute every value, then write their
 whole result with one out.write.
 
-Importing this module loads only what parse_design needs; a handler
-imports the payload, pose or sizing solver, and a long sweep _g9format,
-through _lib on first use.
+Importing this module loads only what parse_design needs, and validate
+needs no more; a handler imports the payload, pose or sizing solver, and
+a long sweep _g9format, through _lib on first use.
 
 Design files are read with os.open and os.read, without Python's io
 stack, and decoded as UTF-8; a read error names the path as open()
@@ -72,6 +72,7 @@ from types import SimpleNamespace
 from .contact import GripConfig, holding_max_offset, required_grip_force
 from .designfile import DEG, parse_design
 from .errors import GripperToolError, InfeasibleHoldError, NoFeasiblePayloadError
+from .mechanism import check_feasible
 
 INFEASIBLE = "INFEASIBLE"
 
@@ -217,7 +218,7 @@ def _load(path: str):
 
 def _cmd_validate(args, out) -> int:
     dims, _, _, _ = _load(args.design)
-    violations = _lib("sizing").check_feasible(dims)
+    violations = check_feasible(dims)
     if not violations:
         out.write("no violations\n")
         return 0

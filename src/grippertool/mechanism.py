@@ -8,6 +8,10 @@ at the inner joints re-open the jaw when the gripper releases.
 All angles are radians, lengths meters, forces newtons. Angle convention:
 theta is measured between the angular linkage and the base frame plane, so
 the jaw width is m + 2*r*sin(theta).
+
+Feasibility captures the interference limits of the real linkage: shafts
+need material around them, the parallel linkage must not touch the base
+frame at full closure, and the link bars must not overlap (check_feasible).
 """
 
 import math
@@ -27,7 +31,7 @@ class ToolDimensions:
     d_axis + 2*r_edge and m + 2*r*sin(theta_init), each within
     WIDTH_TIE_TOL, so that inconsistent design files are rejected instead
     of silently reinterpreted. theta_init may equal pi/2 for analysis
-    purposes; such a design is flagged as unusable by sizing.check_feasible.
+    purposes; such a design is flagged as unusable by check_feasible.
     """
 
     m: float            # base half-gap width
@@ -98,6 +102,58 @@ class SpringSpec:
 def clearance_span(d_axis: float, r_edge: float) -> float:
     """Material span a joint needs: shaft diameter plus an edge each side."""
     return d_axis + 2.0 * r_edge
+
+
+def _closed_angle(q: float, r: float) -> float | None:
+    """asin(q/r), the smallest closed angle for span q, or None when q > r."""
+    return None if q > r else math.asin(q / r)
+
+
+def _min_clearances(k: float, r: float, q: float,
+                    theta_end: float) -> tuple[float, float]:
+    """(p, h): the smallest linkage offset and base-frame height clearances
+    at closed angle theta_end, for span q."""
+    return k * math.sin(theta_end), r * math.cos(theta_end) + math.tan(theta_end) * q
+
+
+@value_type
+class Violation:
+    """A failed feasibility constraint. margin < 0 is the shortfall."""
+
+    constraint: str
+    margin: float
+
+
+def check_feasible(dim: ToolDimensions) -> list[Violation]:
+    """All interference constraints violated by dim; empty means feasible.
+
+    Boundary equality counts as feasible. Checked constraints:
+      m_edge_clearance        m >= d_axis + 2*r_edge
+      theta_end_min           theta_end >= asin((d_axis + 2*r_edge)/r)
+      p_linkage_clearance     p >= k*sin(theta_end)
+      h_bar_overlap           h >= r*cos(theta_end) + tan(theta_end)*(d_axis + 2*r_edge)
+      theta_init_singular     theta_init < pi/2
+
+    The box bounds of a SizingProblem are margins in sizing._bound_margins.
+    """
+    violations = []
+    q = clearance_span(dim.d_axis, dim.r_edge)
+    if dim.m < q:
+        violations.append(Violation("m_edge_clearance", dim.m - q))
+    limit = _closed_angle(q, dim.r)
+    if limit is None:
+        violations.append(Violation("theta_end_min", dim.r - q))
+    elif dim.theta_end < limit:
+        violations.append(Violation("theta_end_min", dim.theta_end - limit))
+    p_needed, h_needed = _min_clearances(dim.k, dim.r, q, dim.theta_end)
+    if dim.p < p_needed:
+        violations.append(Violation("p_linkage_clearance", dim.p - p_needed))
+    if dim.h < h_needed:
+        violations.append(Violation("h_bar_overlap", dim.h - h_needed))
+    if dim.theta_init >= math.pi / 2:
+        violations.append(Violation("theta_init_singular",
+                                    math.pi / 2 - dim.theta_init))
+    return violations
 
 
 def stroke(dim: ToolDimensions) -> float:

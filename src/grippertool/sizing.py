@@ -1,11 +1,9 @@
-"""Dimension feasibility and exact stroke maximization.
+"""Exact stroke maximization.
 
-Feasibility captures the interference limits of the real linkage: shafts
-need material around them, the parallel linkage must not touch the base
-frame at full closure, and the link bars must not overlap. The stroke
-maximization fixes the open width w_init, holds theta_end at its geometric
-minimum and takes p and h at their smallest feasible values, so a design
-is fixed by its two travel angles.
+The stroke maximization fixes the open width w_init, holds theta_end at
+its geometric minimum and takes p and h at their smallest feasible values
+(the interference limits of mechanism.check_feasible), so a design is
+fixed by its two travel angles.
 
 The budget caps the worst-case grip force over the travel, and that worst
 case is computed exactly: with A = +-g_tool*cos(alpha)/2, B = 2*v*kappa/r
@@ -98,56 +96,13 @@ import math
 from .contact import GraspState, GripConfig, required_grip_force
 from .errors import (DomainError, InfeasibleProblemError, _boundary, require_finite,
                      value_type)
-from .mechanism import SpringSpec, ToolDimensions, clearance_span, stroke
+from .mechanism import (SpringSpec, ToolDimensions, Violation, _closed_angle,
+                        _min_clearances, clearance_span, stroke)
+# perfbench imports check_feasible from here and traces it as sizing.check_feasible
+from .mechanism import check_feasible  # noqa: F401
 
 # Most checks one candidate gets, the points of its walk included.
 _ULP_STEPS = 12
-
-
-def _closed_angle(q: float, r: float) -> float | None:
-    """asin(q/r), the smallest closed angle for span q, or None when q > r."""
-    return None if q > r else math.asin(q / r)
-
-
-@value_type
-class Violation:
-    """A failed feasibility constraint. margin < 0 is the shortfall."""
-
-    constraint: str
-    margin: float
-
-
-def check_feasible(dim: ToolDimensions) -> list[Violation]:
-    """All interference constraints violated by dim; empty means feasible.
-
-    Boundary equality counts as feasible. Checked constraints:
-      m_edge_clearance        m >= d_axis + 2*r_edge
-      theta_end_min           theta_end >= asin((d_axis + 2*r_edge)/r)
-      p_linkage_clearance     p >= k*sin(theta_end)
-      h_bar_overlap           h >= r*cos(theta_end) + tan(theta_end)*(d_axis + 2*r_edge)
-      theta_init_singular     theta_init < pi/2
-
-    The box bounds of a SizingProblem are margins in _bound_margins.
-    """
-    violations = []
-    q = clearance_span(dim.d_axis, dim.r_edge)
-    if dim.m < q:
-        violations.append(Violation("m_edge_clearance", dim.m - q))
-    limit = _closed_angle(q, dim.r)
-    if limit is None:
-        violations.append(Violation("theta_end_min", dim.r - q))
-    elif dim.theta_end < limit:
-        violations.append(Violation("theta_end_min", dim.theta_end - limit))
-    p_needed = dim.k * math.sin(dim.theta_end)
-    if dim.p < p_needed:
-        violations.append(Violation("p_linkage_clearance", dim.p - p_needed))
-    h_needed = dim.r * math.cos(dim.theta_end) + math.tan(dim.theta_end) * q
-    if dim.h < h_needed:
-        violations.append(Violation("h_bar_overlap", dim.h - h_needed))
-    if dim.theta_init >= math.pi / 2:
-        violations.append(Violation("theta_init_singular",
-                                    math.pi / 2 - dim.theta_init))
-    return violations
 
 
 @value_type
@@ -240,8 +195,7 @@ def build_dimensions(problem: SizingProblem, m: float, r: float,
     theta_end = _closed_angle(q, r)
     if m < q or theta_end is None or theta_end >= theta_init:
         return None
-    h = r * math.cos(theta_end) + math.tan(theta_end) * q
-    p = problem.k * math.sin(theta_end)
+    p, h = _min_clearances(problem.k, r, q, theta_end)
     return ToolDimensions(
         m=m, r=r, theta_init=theta_init, theta_end=theta_end, h=h, p=p, q=q,
         k=problem.k, d_axis=problem.d_axis, r_edge=problem.r_edge,

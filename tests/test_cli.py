@@ -134,7 +134,7 @@ class TestModuleLoading:
     from its submodule on first access."""
 
     PARSE = ["cli", "contact", "designfile", "errors", "mechanism"]
-    SOLVERS = {"validate.txt": ["sizing"], "optimize.txt": ["sizing"],
+    SOLVERS = {"validate.txt": [], "optimize.txt": ["sizing"],
                "analyze.txt": ["payload"], "payload_sweep.txt": ["payload"],
                "pose_sweep.txt": ["pose"]}
 

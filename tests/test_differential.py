@@ -60,15 +60,16 @@ def test_cases_reach_the_refusals():
     assert any(names[0].startswith("r_") and "m_upper_bound" in names for names in bindings)
 
 
-@pytest.mark.parametrize("old, new, kind", [
+@pytest.mark.parametrize("old, new, kind, module", [
     # the refusal names m_upper_bound before an r bound
     ('("r_lower_bound", "r_upper_bound", "m_upper_bound")',
-     '("m_upper_bound", "r_lower_bound", "r_upper_bound")', "problem"),
+     '("m_upper_bound", "r_lower_bound", "r_upper_bound")', "problem", "sizing"),
     # theta_init = pi/2 passes check_feasible
-    ("if dim.theta_init >= math.pi / 2:", "if dim.theta_init > math.pi / 2:", "dims"),
+    ("if dim.theta_init >= math.pi / 2:", "if dim.theta_init > math.pi / 2:", "dims",
+     "mechanism"),
 ])
-def test_patched_copy_differs(tmp_path, old, new, kind):
-    code, summary = differential(ROOT, patched_copy(tmp_path, "sizing", old, new))
+def test_patched_copy_differs(tmp_path, old, new, kind, module):
+    code, summary = differential(ROOT, patched_copy(tmp_path, module, old, new))
     assert code == 1
     assert summary["cases"] == 300 * 9 and summary["differing"] > 0
     assert all(d["case"].startswith(kind + " ") and d["a"] != d["b"]

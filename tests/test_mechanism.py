@@ -7,6 +7,8 @@ from grippertool import (
     DomainError,
     SpringSpec,
     ToolDimensions,
+    Violation,
+    check_feasible,
     replace,
     spring_torque,
     stroke,
@@ -19,6 +21,25 @@ def wide_dims(theta_init=math.pi / 2, theta_end=0.0, m=0.02, r=0.03, q=0.006):
         m=m, r=r, theta_init=theta_init, theta_end=theta_end,
         h=0.05, p=0.02, q=q, k=0.05, d_axis=0.004, r_edge=0.001,
     )
+
+
+class TestClearanceLimits:
+    """p and h at their limits, written out here, pass check_feasible; one
+    float below fails with the exact shortfall."""
+
+    @pytest.mark.parametrize("theta_end", [0.21, 0.4, 0.9, 1.3])
+    def test_p_and_h_limits_are_the_closed_forms(self, theta_end):
+        k, r, q = 0.05, 0.03, 0.006
+        p = k * math.sin(theta_end)
+        h = r * math.cos(theta_end) + math.tan(theta_end) * q
+        dims = ToolDimensions.with_derived_width(
+            m=0.012, r=r, theta_init=1.5, theta_end=theta_end, h=h, p=p, q=q, k=k,
+            d_axis=0.004, r_edge=0.001)
+        assert check_feasible(dims) == []
+        below = replace(dims, p=math.nextafter(p, 0.0), h=math.nextafter(h, 0.0))
+        assert check_feasible(below) == [
+            Violation("p_linkage_clearance", below.p - p),
+            Violation("h_bar_overlap", below.h - h)]
 
 
 class TestStroke:

@@ -20,3 +20,10 @@ def test_all_names_the_public_api():
     namespace = {}
     exec("from grippertool import *", namespace)
     assert PUBLIC_NAMES <= namespace.keys()
+
+
+def test_sizing_keeps_the_feasibility_names_of_mechanism():
+    # the benchmark imports check_feasible from sizing and traces it there
+    from grippertool import mechanism, sizing
+    assert sizing.check_feasible is mechanism.check_feasible
+    assert sizing.Violation is mechanism.Violation

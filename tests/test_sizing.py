@@ -23,7 +23,7 @@ from grippertool import (
     required_grip_force,
     stroke,
 )
-from grippertool import sizing
+from grippertool import mechanism, sizing
 from grippertool.sizing import (_boundary, _candidates, _end_demands, _evaluate, _realize,
                                  build_dimensions)
 
@@ -72,10 +72,10 @@ def feasible_dims(m=0.012, r=0.03, theta_init=math.radians(60),
 class TestThetaEndMin:
     def test_closed_angle_is_none_past_the_span(self):
         q = clearance_span(0.004, 0.001)
-        assert sizing._closed_angle(q, 0.005) is None
-        assert sizing._closed_angle(q, q) == math.pi / 2
-        assert sizing._closed_angle(q, 0.03) == pytest.approx(math.asin(0.2))
-        assert sizing._closed_angle(q, 0.03) == pytest.approx(0.2014, abs=1e-4)
+        assert mechanism._closed_angle(q, 0.005) is None
+        assert mechanism._closed_angle(q, q) == math.pi / 2
+        assert mechanism._closed_angle(q, 0.03) == pytest.approx(math.asin(0.2))
+        assert mechanism._closed_angle(q, 0.03) == pytest.approx(0.2014, abs=1e-4)
 
 
 class TestCheckFeasible:
@@ -103,12 +103,12 @@ class TestCheckFeasible:
         dims = ToolDimensions.with_derived_width(
             m=0.012, r=0.03, theta_init=math.pi / 2, theta_end=math.radians(12),
             h=0.032, p=0.011, q=0.006, k=0.05, d_axis=0.004, r_edge=0.001)
-        assert check_feasible(dims) == [sizing.Violation("theta_init_singular", 0.0)]
+        assert check_feasible(dims) == [mechanism.Violation("theta_init_singular", 0.0)]
 
     def test_linkage_shorter_than_span_carries_margin(self):
         dims = feasible_dims(r=0.005)
         q = clearance_span(dims.d_axis, dims.r_edge)
-        assert check_feasible(dims) == [sizing.Violation("theta_end_min", dims.r - q)]
+        assert check_feasible(dims) == [mechanism.Violation("theta_end_min", dims.r - q)]
 
     def test_p_and_h_violations(self):
         dims = ToolDimensions.with_derived_width(
@@ -605,7 +605,7 @@ class TestMaximizeStroke:
         result = maximize_stroke(problem)
         assert result.dims.m == pytest.approx(problem.m_bounds[0])
         assert result.dims.theta_init == pytest.approx(problem.theta_init_bounds[1])
-        assert result.dims.theta_end == pytest.approx(sizing._closed_angle(
+        assert result.dims.theta_end == pytest.approx(mechanism._closed_angle(
             clearance_span(problem.d_axis, problem.r_edge), result.dims.r))
         assert "m_lower_bound" in result.active_constraints
         assert "theta_init_upper_bound" in result.active_constraints
@@ -1046,7 +1046,7 @@ def assert_passes_every_check(problem, result):
     assert problem.r_bounds[0] <= dims.r <= problem.r_bounds[1]
     t_lo, t_hi = problem.theta_init_bounds
     assert t_lo <= dims.theta_init <= t_hi
-    assert dims.theta_end == sizing._closed_angle(
+    assert dims.theta_end == mechanism._closed_angle(
         clearance_span(problem.d_axis, problem.r_edge), dims.r)
     assert grip_demand(dims, problem.spring, problem.grasp) <= problem.grip_budget
     assert result.stroke == stroke(dims)

@@ -18,7 +18,7 @@ import os
 import pytest
 
 from grippertool import (ContactModel, DomainError, GraspState, _g9format, cli, contact,
-                         parse_design, payload, pose, sizing)
+                         mechanism, parse_design, payload, pose, sizing)
 
 from test_cli import GOLDEN_COMMANDS, SAMPLE, edited_design, golden
 from test_pose import pose_state
@@ -65,7 +65,7 @@ def counts(monkeypatch):
     count("torque_margin", pose)
     count("_margin_at", pose)
     count("_friction_capacity", contact, payload, pose)
-    count("check_feasible", sizing)
+    count("check_feasible", mechanism, sizing, cli)
     count("_mark_infeasible", cli)
     count("records", _g9format)
     count("open", os)
