@@ -4,6 +4,7 @@
 Usage:
     python scripts/differential.py TREE_A TREE_B --seeds 0:27000 [--suite contact]
     python scripts/differential.py TREE_A TREE_B --seeds 1:4 --suite workloads
+    python scripts/differential.py TREE TREE --seeds 0:20000 --suite contact --perturb down
 
 Each tree runs in its own subprocess with PYTHONPATH=<tree>/src, so each
 imports its own grippertool, while the cases come from this script's
@@ -30,12 +31,20 @@ cli.run, and its case is the exit code, stdout and stderr, with the
 directory's path replaced by <dir>; an output longer than MAX_TEXT
 characters is given by its SHA-256.
 
+With --perturb up or --perturb down, TREE_B's process runs the library
+with every function in tests/libm_nudge.py (math's sin, cos, tan, asin,
+atan, atan2 and hypot, numpy's sin and cos) returning its neighbouring
+float in that direction, as another platform's libm may round. Each
+case's inputs are drawn before the nudge. Given one tree twice, the
+differences are the cases that turn on the last bit of a libm result.
+
 Prints one JSON line: the suite, the seed range, the number of cases,
 the number that differ and the first MAX_SHOWN differences in full.
 Exits 0 when no case differs and 1 when some do.
 """
 
 import argparse
+import contextlib
 import hashlib
 import importlib
 import io
@@ -80,43 +89,34 @@ def _error_text(exc):
 
 
 def _sizing_cases(seeds):
-    """Yield (case name, output) for every sizing case of seeds."""
+    """Yield (case name, call) for every sizing case of seeds."""
     from grippertool import check_feasible
     from sizing_cases import draw_case, draw_dims
 
+    def violations(dims):
+        return [[v.constraint, v.margin.hex()] for v in check_feasible(dims)]
+
     for seed in seeds:
-        try:
-            output = _problem_output(draw_case(seed))
-        except Exception as exc:  # a crash in one tree is a difference
-            output = _error_text(exc)
-        yield f"problem {seed}", output
+        problem = draw_case(seed)
+        yield f"problem {seed}", lambda: _problem_output(problem)
         rng = random.Random(seed)
         for i in range(DIMS_PER_SEED):
             dims = draw_dims(rng)
-            yield f"dims {seed}.{i}", [[v.constraint, v.margin.hex()]
-                                       for v in check_feasible(dims)]
-
-
-def _hex_or_error(call):
-    """call()'s floats as float.hex, or the error it raises."""
-    try:
-        return [value.hex() for value in call()]
-    except Exception as exc:  # a crash in one tree is a difference
-        return _error_text(exc)
+            yield f"dims {seed}.{i}", lambda: violations(dims)
 
 
 def _contact_cases(seeds):
-    """Yield (case name, output) for every contact case of seeds."""
+    """Yield (case name, call) for every contact case of seeds; each call
+    gives its floats as float.hex."""
     from contact_cases import draw_contact
     from grippertool import gamma_sweep, holding_max_offset, max_payload
 
-    peak = operator.attrgetter("peak_gamma", "peak_margin")
     for seed in seeds:
         model, state, d_obj = draw_contact(seed)
-        yield f"hold {seed}", _hex_or_error(lambda: [holding_max_offset(model, state)])
-        yield f"payload {seed}", _hex_or_error(
-            lambda: [max_payload(model, state, d_obj).max_weight])
-        yield f"peak {seed}", _hex_or_error(lambda: peak(gamma_sweep(model, state, 2)))
+        yield f"hold {seed}", lambda: [holding_max_offset(model, state).hex()]
+        yield f"payload {seed}", lambda: [max_payload(model, state, d_obj).max_weight.hex()]
+        yield f"peak {seed}", lambda: [value.hex() for value in operator.attrgetter(
+            "peak_gamma", "peak_margin")(gamma_sweep(model, state, 2))]
 
 
 def _short(text, directory):
@@ -135,8 +135,13 @@ def load_perfbench(name):
 
 
 def _workload_cases(seeds):
-    """Yield (case name, output) for every benchmark request of seeds."""
+    """Yield (case name, call) for every benchmark request of seeds."""
     from grippertool import cli
+
+    def request_output(argv, directory):
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.run(argv, out, err)
+        return [code, _short(out.getvalue(), directory), _short(err.getvalue(), directory)]
 
     workloads = load_perfbench("workloads")
     for seed in seeds:
@@ -144,14 +149,8 @@ def _workload_cases(seeds):
             with tempfile.TemporaryDirectory() as directory:
                 requests = workloads.generate(workload, seed, Path(directory))
                 for i, request in enumerate(requests):
-                    out, err = io.StringIO(), io.StringIO()
-                    try:
-                        code = cli.run(request["argv"], out, err)
-                    except Exception as exc:  # a crash in one tree is a difference
-                        code = _error_text(exc)
                     yield (f"{workload} {seed}.{i}",
-                           [code, _short(out.getvalue(), directory),
-                            _short(err.getvalue(), directory)])
+                           lambda: request_output(request["argv"], directory))
 
 
 SUITES = {"sizing": _sizing_cases, "contact": _contact_cases,
@@ -173,24 +172,39 @@ def tree_env(tree):
     return dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"))
 
 
-def _child(seeds, tree, suite):
+def _output(call):
+    """call()'s result, or the error it raises."""
+    try:
+        return call()
+    except Exception as exc:  # a crash in one tree is a difference
+        return _error_text(exc)
+
+
+def _child(seeds, tree, suite, perturb):
     # grippertool is imported in the child processes only, from their tree
     sys.path.insert(0, str(ROOT / "tests"))
     import_from(tree)
-    for case, output in SUITES[suite](seeds):
+    if perturb:
+        from libm_nudge import nudged
+    # the inputs are drawn with the plain functions, the library runs nudged
+    for case, call in SUITES[suite](seeds):
+        with nudged(perturb) if perturb else contextlib.nullcontext():
+            output = _output(call)
         print(json.dumps([case, output]))
 
 
-def _spawn(tree, seeds, suite):
+def _spawn(tree, seeds, suite, perturb=None):
     return subprocess.Popen(
         [sys.executable, __file__, "--child", tree, tree,
-         "--seeds", f"{seeds.start}:{seeds.stop}", "--suite", suite],
+         "--seeds", f"{seeds.start}:{seeds.stop}", "--suite", suite,
+         *(["--perturb", perturb] if perturb else [])],
         env=tree_env(tree), stdout=subprocess.PIPE, text=True)
 
 
-def compare(tree_a, tree_b, seeds, suite="sizing"):
-    """The JSON-ready summary of running a suite's seeds on both trees."""
-    procs = [_spawn(tree, seeds, suite) for tree in (tree_a, tree_b)]
+def compare(tree_a, tree_b, seeds, suite="sizing", perturb=None):
+    """The JSON-ready summary of running a suite's seeds on both trees,
+    tree_b with the libm functions nudged when perturb is given."""
+    procs = [_spawn(tree_a, seeds, suite), _spawn(tree_b, seeds, suite, perturb)]
     cases, differing, differences = 0, 0, []
     for line_a, line_b in zip(*(proc.stdout for proc in procs)):
         cases += 1
@@ -214,12 +228,15 @@ def main():
     parser.add_argument("tree_b")
     parser.add_argument("--seeds", type=seed_range, required=True, help="A:B")
     parser.add_argument("--suite", choices=sorted(SUITES), default="sizing")
+    parser.add_argument("--perturb", choices=("up", "down"),
+                        help="run TREE_B with each libm function in "
+                             "tests/libm_nudge.py one float up or down")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
-        _child(args.seeds, args.tree_a, args.suite)
+        _child(args.seeds, args.tree_a, args.suite, args.perturb)
         return 0
-    summary = compare(args.tree_a, args.tree_b, args.seeds, args.suite)
+    summary = compare(args.tree_a, args.tree_b, args.seeds, args.suite, args.perturb)
     print(json.dumps(summary))
     return 1 if summary["differing"] else 0
 

@@ -136,3 +136,16 @@ def test_patched_workloads_copy_differs(tmp_path):
     assert summary["cases"] == 1048 and summary["differing"] > 0
     assert all(d["case"].startswith("interactive ") and d["a"] == [0, "no violations\n", ""]
                and d["b"] == [0, "no violation\n", ""] for d in summary["differences"])
+
+
+@pytest.mark.parametrize("direction", ["up", "down"])
+def test_perturbed_run_moves_last_bits(direction):
+    # the same tree with every libm function one float off: values move in
+    # their last bits, so some cases differ, and each by little
+    code, summary = differential(ROOT, ROOT, "0:100", "--suite", "contact",
+                                 "--perturb", direction)
+    assert code == 1
+    assert summary["cases"] == 100 * 3 and 0 < summary["differing"] < 300
+    for difference in summary["differences"]:
+        a, b = ([float.fromhex(value) for value in difference[side]] for side in "ab")
+        assert a != b and b == pytest.approx(a, rel=1e-12), difference
