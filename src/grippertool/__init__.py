@@ -15,7 +15,7 @@ _SUBMODULES = {name: module for module, names in (
                " SingularTransmissionError ZeroCapacityError replace"),
     ("mechanism", "SpringSpec ToolDimensions Violation check_feasible clearance_span"
                   " spring_torque stroke stroke_fixed_width"),
-    ("payload", "PayloadGrid PayloadResult equilibrium_coefficients max_payload payload_sweep"),
+    ("payload", "PayloadGrid PayloadResult max_payload payload_sweep"),
     ("pose", "TorqueMarginCurve gamma_sweep torque_margin"),
     ("sizing", "SizingProblem SizingResult grip_demand maximize_stroke"),
 ) for name in names.split()}

@@ -122,8 +122,8 @@ def _friction_capacity(model: ContactModel, f_n: float) -> tuple[float, float]:
     """mu*f_n and its square, the limit surface's right-hand side.
 
     The one place the square is taken, by product: capacity_check, the
-    hold offset, the payload quadratic and the pose margin all see the
-    same bits. Raises DomainError when the square overflows.
+    hold offset and the pose margin all see the same bits, and the
+    payload the same mu*f_n. Raises DomainError when the square overflows.
     """
     mu_fn = model.mu * f_n
     mu_fn2 = mu_fn * mu_fn

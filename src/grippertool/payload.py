@@ -7,29 +7,44 @@ per-pad spin torque t, object weight w):
     2*f - g_tool - w = 0
     g_tool*d_com*cos(alpha) + 2*t - w*d_obj*sin(alpha) = 0
 
-Substituting the resulting (f, t) into the soft-finger limit surface and
-demanding equality yields a quadratic a*w^2 + b*w + c = 0 whose larger
-root is the maximum weight. equilibrium_coefficients() builds that
-quadratic; max_payload() solves it with a cancellation-safe root formula.
+Substituting the resulting (f, t) into the soft-finger limit surface
+f^2 + (t/e)^2 = (mu*f_n)^2 gives a quadratic in w. With M = mu*f_n,
+D = d_obj*sin(alpha), Q = d_com*cos(alpha), E = e^2 + D^2 and L = Q + D,
+its discriminant is e^2*K with
 
-The coefficient, root and residual formulas are written once, with
-operators that work on floats and numpy arrays alike. Each builds a
-value from its first full-sized operation on in place, by augmented
-assignment: on floats that rebinds, and on the numpy pass's grid it
-allocates each grid-sized value once rather than once per operation.
-Only the numpy pass itself writes with out= and putmask. The scalar
-functions call the formulas with floats. payload_sweep() solves a grid
-of at most SCALAR_GRID_CELLS cells with them one float cell at a time,
-as max_payload() does, and a larger grid with one call on the whole
+    K = (2*M)^2*E - (g_tool*L)^2
+      = (2*M*sqrt(E) - g_tool*|L|) * (2*M*sqrt(E) + g_tool*|L|),
+
+so a weight is feasible exactly when 2*M*sqrt(E) >= g_tool*|L|, a
+comparison of two products, and K is taken as that product. With
+n = g_tool*(D*Q - e^2), the largest weight is
+
+    w = (n + e*sqrt(K)) / E                                 where n >= 0,
+    w = ((g_tool*Q)^2 - e^2*(2*M - g_tool)*(2*M + g_tool))
+        / (n - e*sqrt(K))                                   where n < 0,
+
+the second being the first times its conjugate over itself, so n and
+e*sqrt(K) are never subtracted. tests/test_acceptance.py proves both
+forms with sympy. Nothing divides by e*mu*f_n, so a small e loses no
+digits to a quadratic whose terms cancel.
+
+The formulas are written once, with operators that work on floats and
+numpy arrays alike. Each builds a value from its first full-sized
+operation on in place, by augmented assignment: on floats that rebinds,
+and on the numpy pass's grid it allocates each grid-sized value once
+rather than once per operation. Only the numpy pass itself writes with
+out= and putmask. payload_sweep() solves a grid of at most
+SCALAR_GRID_CELLS cells with them one float cell at a time, as
+max_payload() does, and a larger grid with one call on the whole
 (alpha, d) grid of arrays, whose fixed cost only a larger grid repays.
 Either way a sweep cell is bit-identical to max_payload() on that cell.
-_solve_cell() decides a float cell: its root, residual bound, overflow
+_solve_cell() decides a float cell: its weight, residual bound, overflow
 error and clamp. max_payload() and the one-cell pass call it on every
 cell, the numpy pass only on the first cell whose residual fails the
 bound, to raise that cell's error. Before solving, the sweep checks the
 GraspState ranges at the three cells where a row-order walk of the grid
 would meet a bad value first. The sweep returns a PayloadGrid: the
-weights, nan where infeasible, with the cell counts and the worst root
+weights, nan where infeasible, with the cell counts and the worst
 residual. The numpy pass leaves the weights as its (alphas x ds) float64
 array, which the CLI formats without a copy; the one-cell pass, and a
 grid whose tool is not held, give one row of floats per alpha.
@@ -42,10 +57,10 @@ most SCALAR_GRID_CELLS cells does not load numpy.
 import math
 
 from .contact import ContactModel, GraspState, _friction_capacity, check_grasp
-from .errors import DegenerateContactError, DomainError, NoFeasiblePayloadError, value_type
+from .errors import DomainError, NoFeasiblePayloadError, value_type
 
-# Residual of a*x^2 + b*x + c at the returned root, normalized by the
-# largest term, must stay below this bound.
+# The limit-surface residual at the returned weight (see _residual) must
+# stay below this bound.
 ROOT_RESIDUAL_TOL = 1e-9
 
 # Largest grid payload_sweep solves one cell at a time; a larger one goes
@@ -59,15 +74,14 @@ SCALAR_GRID_CELLS = 36
 class PayloadResult:
     """Outcome of a max-payload solve.
 
-    coefficients holds the (a, b, c) actually solved. residual is the
-    normalized quadratic residual at the capacity root and must meet
-    ROOT_RESIDUAL_TOL. zero_clamped marks the case where the capacity
-    root is negative and max_weight was clamped to zero; the residual
-    then refers to the negative root rather than to max_weight.
+    residual is the limit-surface residual at the weight solved for (see
+    _residual) and must meet ROOT_RESIDUAL_TOL. zero_clamped marks the
+    case where that weight is negative and max_weight was clamped to
+    zero; the residual then refers to the negative weight rather than to
+    max_weight.
     """
 
     max_weight: float
-    coefficients: tuple[float, float, float]
     residual: float
     zero_clamped: bool = False
 
@@ -84,151 +98,126 @@ def _residual_error(residual) -> ValueError:
 
 def _check_tool_held(model: ContactModel, state: GraspState) -> None:
     """Raise NoFeasiblePayloadError when friction cannot carry the tool."""
-    mu_fn = model.mu * state.f_n
-    if 2.0 * mu_fn < state.g_tool:
-        raise NoFeasiblePayloadError(
-            f"tool weight {state.g_tool:g} N exceeds friction capacity "
-            f"{2.0 * mu_fn:g} N"
-        )
-
-
-def _capacity_squares(model, f_n) -> tuple[float, float]:
-    """max_t^2 and (mu*f_n)^2, the payload quadratic's per-state constants."""
-    max_t = model.e * (model.mu * f_n)  # the largest pure spin torque
-    max_t2 = max_t * max_t
-    if max_t2 == 0.0:  # f_n is 0, or so small that the square underflows
-        raise DegenerateContactError(f"zero torque capacity: e*mu*f_n = {max_t:g}")
-    return max_t2, _friction_capacity(model, f_n)[1]
-
-
-def _coefficients(max_t2, m2f2, g, d_obj, d_com, sin_a, cos_a):
-    """(a, b, c) of the payload quadratic from _capacity_squares(); d_com,
-    sin_a and cos_a may be broadcastable arrays. b and c are each built
-    from their first full-sized product on, in place."""
-    a = (max_t2 + d_obj * d_obj * sin_a * sin_a * m2f2) / (4.0 * max_t2)
-    b = d_obj * d_com * sin_a
-    b *= cos_a
-    b *= m2f2
-    b = max_t2 - b
-    b *= g
-    b /= 2.0 * max_t2
-    c = d_com * d_com * cos_a
-    c *= cos_a
-    c *= m2f2
-    c += max_t2
-    c *= g * g
-    c /= 4.0 * max_t2
-    c -= m2f2
-    return a, b, c
-
-
-def _discriminant(a, b, c):
-    disc = b * b
-    disc -= 4.0 * a * c
-    return disc
+    capacity = 2.0 * model.mu * state.f_n
+    if capacity < state.g_tool:
+        raise NoFeasiblePayloadError(f"tool weight {state.g_tool:g} N exceeds friction "
+                                     f"capacity {capacity:g} N")
 
 
 def _pick(cond, x, y):
-    """x if cond holds, else y: _larger_root's choice on floats; the numpy
-    pass hands it numpy.where."""
+    """x if cond holds, else y: the branch choice on floats; the numpy
+    pass hands its own in place."""
     return x if cond else y
 
 
-def _larger_root(a, b, c, sq, where=_pick):
-    """The larger root of a*x^2 + b*x + c, a > 0, from sq = sqrt(disc) >=
-    0, with one division; where(cond, x, y) is x where cond holds, else y.
-
-    q = -(b + sign(b)*sq)/2 with sign(0) = +1, taken as (-sign(b)*sq -
-    b)/2, so no step subtracts nearly equal quantities. The roots are q/a
-    and c/q: where b >= 0, q <= 0 and the larger is c/q, and where b < 0,
-    q > 0 and it is q/a. q is 0 only when b = disc = 0, a double root at
-    0 with c = 0; c/a then returns c instead of dividing by zero.
-    """
-    nonneg = b >= 0.0
-    q = where(nonneg, -sq, sq)
-    q -= b
-    q /= 2.0
-    divisor = where(q < 0.0, q, a)
-    q = where(nonneg, c, q)   # the dividend, in q's place
-    q /= divisor
-    return q
+def _terms(mu_fn, e, g, d_obj, d_com, sin_a, cos_a, sqrt):
+    """(D, Q, E, 2*M*sqrt(E), slack) of the module docstring, where
+    slack = 2*M*sqrt(E) - g*|L| is >= 0 exactly where a weight is
+    feasible. d_com may be a row array, and sin_a and cos_a columns."""
+    d = d_obj * sin_a
+    big_e = d * d + e * e
+    reach = 2.0 * mu_fn * sqrt(big_e)
+    q = d_com * cos_a
+    slack = abs(q + d)
+    slack *= -g
+    slack += reach
+    return d, q, big_e, reach, slack
 
 
-def _residual(a, b, c, x, maximum=max):
-    """|a*x^2 + b*x + c| over its largest term (at least 1). a >= 0, so
-    a*x^2 is its own absolute value: a nan's sign aside, and a nan fails
-    the bound either way."""
-    ax2 = a * x
-    ax2 *= x
-    total = b * x
-    abs_bx = abs(total)
-    total += ax2
-    total += c
-    largest = maximum(ax2, abs_bx)
-    del abs_bx  # freed before |c| is made: one grid-sized temporary at a time
-    largest = maximum(largest, abs(c), 1.0)
-    total = abs(total)
-    total /= largest
-    return total
+def _root_parts(mu_fn, e, g, d, q, big_e, reach, slack, sqrt, where=_pick):
+    """(numerator, denominator) of a feasible cell's larger root from
+    _terms(), each chosen by n >= 0 with where(cond, x, y), x where cond
+    holds, else y. sqrt may work in place, and an array slack is spent on
+    e*sqrt(K). The denominator is 0 only where E underflows."""
+    total = sqrt(reach - slack + reach)       # sqrt(2*M*sqrt(E) + g*|L|)
+    e_root_k = sqrt(slack)
+    e_root_k *= total
+    del total
+    e_root_k *= e
+    n = d * q
+    n -= e * e
+    n *= g
+    nonneg = n >= 0.0
+    conjugate = g * q
+    conjugate *= conjugate
+    conjugate -= e * e * ((2.0 * mu_fn - g) * (2.0 * mu_fn + g))
+    numerator = where(nonneg, n + e_root_k, conjugate)
+    n -= e_root_k
+    return numerator, where(nonneg, big_e, n)
 
 
-def equilibrium_coefficients(model: ContactModel, state: GraspState,
-                             d_obj: float) -> tuple[float, float, float]:
-    """Payload quadratic derived from the force and torque balance.
-
-    a*w^2 + b*w + c equals f(w)^2 + t(w)^2/e^2 - (mu*f_n)^2 with f and t
-    eliminated via the two balance equations, so its sign is exactly the
-    capacity feasibility of weight w. a > 0 always.
-    """
-    return _coefficients(*_capacity_squares(model, state.f_n), state.g_tool, d_obj,
-                         state.d_com, math.sin(state.alpha), math.cos(state.alpha))
+def _residual(w, mu_fn, e, g, d, q, maximum=max):
+    """|f^2 + (t/e)^2 - M^2| / s^2 at weight w, with f = (g + w)/2 and
+    t = (w*D - g*Q)/2 from the balance and s the larger of M and
+    |w*D|/(2*e): unit-free, and near the rounding error of w even where
+    a small e makes t/e steep in w, which a residual over M^2 alone is
+    not. Each term is divided by s before it is squared."""
+    spin = w * d
+    spin /= 2.0 * e
+    scale = maximum(abs(spin), mu_fn)
+    torque = g * q
+    torque /= 2.0 * e
+    torque -= spin                 # -t/e
+    del spin
+    torque /= scale
+    torque *= torque
+    force = w + g
+    force *= 0.5
+    force /= scale
+    force *= force
+    torque += force
+    del force
+    force = mu_fn / scale
+    del scale
+    force *= force
+    torque -= force
+    del force
+    return abs(torque)
 
 
 def max_payload(model: ContactModel, state: GraspState,
                 d_obj: float) -> PayloadResult:
     """Largest object weight the held tool can lift quasi-statically.
 
-    Solves the balance-derived quadratic for the weight at which the
-    contact wrench reaches the soft-finger boundary. Raises
+    The closed form of the module docstring: the weight at which the
+    contact wrench reaches the soft-finger limit surface. Raises
     NoFeasiblePayloadError when the tool itself cannot be supported
-    (2*mu*f_n < g_tool) or when no real weight satisfies the capacity.
-    A negative capacity root is clamped to a zero-payload result with
-    zero_clamped set.
+    (2*mu*f_n < g_tool) or when no weight satisfies the capacity, and
+    DomainError when a term leaves the float range. A negative weight is
+    clamped to a zero-payload result with zero_clamped set.
     """
     _check_tool_held(model, state)
-    a, b, c = equilibrium_coefficients(model, state, d_obj)
-    solved = _solve_cell(model, d_obj, state.d_com, a, b, c)
+    solved = _solve_cell(model, _friction_capacity(model, state.f_n)[0], state.g_tool,
+                         d_obj, state.d_com, math.sin(state.alpha), math.cos(state.alpha))
     if solved is None:
-        raise NoFeasiblePayloadError(
-            "no object weight satisfies the contact capacity"
-        )
-    weight, residual, zero_clamped = solved
-    return PayloadResult(weight, (a, b, c), residual, zero_clamped)
+        raise NoFeasiblePayloadError("no object weight satisfies the contact capacity")
+    return PayloadResult(*solved)
 
 
-def _solve_cell(model, d_obj, d_com, a, b, c) -> tuple[float, float, bool] | None:
-    """(weight, residual, zero_clamped) of a float payload quadratic, or
-    None with no real root (disc < 0, -inf included). weight is the larger
-    root, clamped at 0 when negative. A residual that fails the bound (nan
-    included) raises the overflow DomainError, naming d_obj, e and d_com,
-    when a coefficient, disc or the residual is not finite, and
-    PayloadResult's ValueError when all are finite.
+def _solve_cell(model, mu_fn, g, d_obj, d_com, sin_a, cos_a
+                ) -> tuple[float, float, bool] | None:
+    """(weight, residual, zero_clamped) of one float cell, or None where
+    no weight is feasible. The weight is clamped at 0 when negative. A
+    residual that fails the bound (nan included) raises the overflow
+    DomainError, naming d_obj, e and d_com, when the root's numerator or
+    denominator or the residual is not finite, and PayloadResult's
+    ValueError when all are finite.
     """
-    disc = _discriminant(a, b, c)
-    if disc < 0.0:
+    e = model.e
+    d, q, big_e, reach, slack = _terms(mu_fn, e, g, d_obj, d_com, sin_a, cos_a, math.sqrt)
+    if slack < 0.0:   # a nan slack goes on, to the overflow error
         return None
-    # a >= 1/4 in exact arithmetic, so a = 0 means 4*max_t^2 overflowed:
-    # the root stays nan, and the nan residual raises the overflow error
-    root_hi = _larger_root(a, b, c, math.sqrt(disc)) if a else math.nan
-    residual = _residual(a, b, c, root_hi)
+    numerator, denominator = _root_parts(mu_fn, e, g, d, q, big_e, reach, slack, math.sqrt)
+    root = numerator / denominator if denominator else math.nan
+    residual = _residual(root, mu_fn, e, g, d, q)
     if not residual <= ROOT_RESIDUAL_TOL:
-        if not all(map(math.isfinite, (a, b, c, disc, residual))):
+        if not all(map(math.isfinite, (numerator, denominator, residual))):
             raise DomainError("payload quadratic out of floating-point range: "
-                              f"d_obj = {d_obj:g}, e = {model.e:g}, d_com = {d_com:g}")
+                              f"d_obj = {d_obj:g}, e = {e:g}, d_com = {d_com:g}")
         raise _residual_error(residual)
-    if root_hi < 0.0:
+    if root < 0.0:
         return 0.0, residual, True
-    return root_hi, residual, False
+    return root, residual, False
 
 
 @value_type(eq=False)
@@ -241,9 +230,10 @@ class PayloadGrid:
     Iterating the grid gives the row-major view (alpha, d, weight) in
     Python floats, weight None where infeasible; len() counts the cells.
     The counts and max_residual come from the solve's own masks:
-    zero_clamped counts the feasible cells whose capacity root was
-    negative and clamped to 0, and max_residual is the largest normalized
-    root residual over the feasible cells (0 when there are none).
+    zero_clamped counts the feasible cells whose weight was negative and
+    clamped to 0, and max_residual is the largest limit-surface residual
+    (PayloadResult.residual) over the feasible cells (0 when there are
+    none).
     """
 
     alphas: list[float]
@@ -272,15 +262,14 @@ class PayloadGrid:
 def _cell_weights(model, state, d_obj, alphas, ds) -> tuple:
     """_grid_weights' result, each cell solved by _solve_cell as
     max_payload solves it."""
-    max_t2, m2f2 = _capacity_squares(model, state.f_n)
+    mu_fn = _friction_capacity(model, state.f_n)[0]
     g = state.g_tool
     rows, feasible, zero_clamped, max_residual = [], 0, 0, 0.0
     for alpha in alphas:
         sin_a, cos_a = math.sin(alpha), math.cos(alpha)
         row = []
         for d in ds:
-            a, b, c = _coefficients(max_t2, m2f2, g, d_obj, d, sin_a, cos_a)
-            solved = _solve_cell(model, d_obj, d, a, b, c)
+            solved = _solve_cell(model, mu_fn, g, d_obj, d, sin_a, cos_a)
             if solved is None:
                 row.append(math.nan)
                 continue
@@ -297,42 +286,48 @@ def _grid_weights(model, state, d_obj, alphas, ds) -> tuple:
     """PayloadGrid's (weights, feasible, zero_clamped, max_residual) over
     alphas x ds in one numpy pass. Each grid-sized value is one array,
     made once and then updated in place, and every array is made in this
-    call, so concurrent sweeps share none; the larger root's array, set
-    in place, leaves it as the weights array.
+    call, so concurrent sweeps share none; the root's numerator, divided
+    in place, becomes the weights array.
     """
     import numpy as np  # loaded by the first sweep, not by importing this module
 
-    def elementwise_max(first, *rest):
-        # first is _residual's own a*x^2, so the maximum goes into it
-        for array in rest:
-            np.maximum(first, array, out=first)
-        return first
+    def sqrt_in_place(array):
+        return np.sqrt(array, out=array)
 
-    ds = np.array(ds, dtype=float)
+    def where(cond, x, y):
+        # x where cond holds, written into y
+        np.copyto(y, x, where=cond)
+        return y
+
+    def elementwise_max(first, second):
+        # first is _residual's own |w*D/(2*e)|, so the maximum goes into it
+        return np.maximum(first, second, out=first)
+
+    mu_fn = _friction_capacity(model, state.f_n)[0]
+    e, g = model.e, state.g_tool
     # one sin and cos per alpha, from math as in the scalar path
     sin_a = np.array([math.sin(a) for a in alphas])[:, None]
     cos_a = np.array([math.cos(a) for a in alphas])[:, None]
     with np.errstate(all="ignore"):
-        a, b, c = _coefficients(*_capacity_squares(model, state.f_n), state.g_tool,
-                                d_obj, ds, sin_a, cos_a)
-        sq = _discriminant(a, b, c)
-        feasible = ~(sq < 0.0)
-        np.putmask(sq, ~feasible, 0.0)
-        root_hi = _larger_root(a, b, c, np.sqrt(sq, out=sq), np.where)
-        del sq  # _residual's temporaries reuse its memory: a lower peak RSS
-        residual = _residual(a, b, c, root_hi, elementwise_max)
+        d, q, big_e, reach, slack = _terms(mu_fn, e, g, d_obj, np.array(ds), sin_a, cos_a,
+                                           np.sqrt)
+        feasible = ~(slack < 0.0)
+        root, denominator = _root_parts(mu_fn, e, g, d, q, big_e, reach, slack,
+                                        sqrt_in_place, where)
+        del slack
+        root /= denominator
+        del denominator  # _residual's temporaries reuse its memory: a lower peak RSS
+        residual = _residual(root, mu_fn, e, g, d, q, elementwise_max)
     # the first cell in row order whose residual fails the bound (nan
-    # included) is solved again alone, by _solve_cell, to raise its error;
-    # so is one with a = 0, whose linear root passes the bound but not the
-    # quadratic that 4*max_t^2 lost by overflowing
-    too_large = (feasible & ~(residual <= ROOT_RESIDUAL_TOL)) | (a == 0.0)
+    # included) is solved again alone, by _solve_cell, to raise its error
+    too_large = feasible & ~(residual <= ROOT_RESIDUAL_TOL)
     if too_large.any():
         i, j = np.unravel_index(np.argmax(too_large), too_large.shape)
-        _cell_weights(model, state, d_obj, [alphas[i]], [float(ds[j])])
-    clamped = root_hi < 0.0
-    np.putmask(root_hi, clamped, 0.0)
-    np.putmask(root_hi, ~feasible, math.nan)
-    return (root_hi, int(np.count_nonzero(feasible)),
+        _cell_weights(model, state, d_obj, [alphas[i]], [ds[j]])
+    clamped = root < 0.0
+    np.putmask(root, clamped, 0.0)
+    np.putmask(root, ~feasible, math.nan)
+    return (root, int(np.count_nonzero(feasible)),
             int(np.count_nonzero(clamped & feasible)),
             float(np.max(residual, where=feasible, initial=0.0)))
 

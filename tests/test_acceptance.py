@@ -11,6 +11,7 @@ import math
 import time
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -94,7 +95,85 @@ class TestCriterion1And2:
         assert elapsed < 30.0
         report(1, f"payload oracle equivalence, worst rel gap {worst_gap:.2e}, "
                   f"{elapsed:.1f} s")
-        report(2, f"quadratic residual, worst {worst_residual:.2e}")
+        report(2, f"limit-surface residual, worst {worst_residual:.2e}")
+
+
+class TestCriterion1And2Proof:
+    """The payload's closed form proved, next to the sampled check above:
+    the balance substituted into the limit surface is a quadratic whose
+    discriminant factors as e^2*K, and both forms of the root that
+    max_payload takes are one value, on the limit surface, and the larger
+    root."""
+
+    g, e, m = sympy.symbols("g e M", positive=True)   # M = mu*f_n
+    d, q, w = sympy.symbols("D Q w", real=True)       # D = d_obj*sin, Q = d_com*cos
+
+    def quadratic(self):
+        """4*e^2*(f^2 + (t/e)^2 - M^2) at weight w, as a polynomial in w,
+        with f and t solved from the two balance equations."""
+        f, t = sympy.symbols("f t", real=True)
+        balance = sympy.solve([2 * f - self.g - self.w,
+                               self.g * self.q + 2 * t - self.w * self.d], [f, t], dict=True)
+        excess = (f ** 2 + (t / self.e) ** 2 - self.m ** 2).subs(balance[0])
+        return sympy.Poly(sympy.expand(4 * self.e ** 2 * excess), self.w)
+
+    def forms(self):
+        """E, K, n and the two root forms as payload transcribes them."""
+        g, e, m, d, q = self.g, self.e, self.m, self.d, self.q
+        big_e = e ** 2 + d ** 2
+        k = (2 * m) ** 2 * big_e - (g * (q + d)) ** 2
+        n = g * (d * q - e ** 2)
+        root_k = sympy.sqrt(k)
+        summed = (n + e * root_k) / big_e
+        conjugate = ((g * q) ** 2 - e ** 2 * (2 * m - g) * (2 * m + g)) / (n - e * root_k)
+        return big_e, k, n, summed, conjugate
+
+    def test_discriminant_factors_and_both_forms_are_the_larger_root(self):
+        quadratic = self.quadratic()
+        a2, a1, a0 = quadratic.all_coeffs()
+        big_e, k, n, summed, conjugate = self.forms()
+        e = self.e
+        assert sympy.expand(a2 - big_e) == 0 and sympy.expand(a1 + 2 * n) == 0
+        # (b/2)^2 - a*c = e^2*K, and K = (2*M*sqrt(E) - g*|L|)*(2*M*sqrt(E) + g*|L|),
+        # whose second factor is >= 0: feasible exactly where 2*M*sqrt(E) >= g*|L|
+        assert sympy.expand((a1 / 2) ** 2 - a2 * a0 - e ** 2 * k) == 0
+        reach, load = 2 * self.m * sympy.sqrt(big_e), self.g * sympy.Abs(self.q + self.d)
+        assert sympy.expand((reach - load) * (reach + load) - k) == 0
+        # the two forms are one value: cross-multiplied, their difference is 0
+        root_k = sympy.sqrt(k)
+        assert sympy.expand((n + e * root_k) * (n - e * root_k)
+                            - big_e * conjugate * (n - e * root_k)) == 0
+        # each lies on the limit surface
+        surface = quadratic.as_expr()
+        assert sympy.expand(sympy.cancel(big_e * surface.subs(self.w, summed))) == 0
+        assert sympy.expand(sympy.cancel(
+            (n - e * root_k) ** 2 * surface.subs(self.w, conjugate))) == 0
+        # with the other root, it sums and multiplies to -a1/a2 and a0/a2,
+        # and exceeds it by 2*e*sqrt(K)/E >= 0
+        other = (n - e * root_k) / big_e
+        assert sympy.simplify(summed + other + a1 / a2) == 0
+        assert sympy.simplify(summed * other - a0 / a2) == 0
+        assert sympy.simplify(summed - other - 2 * e * root_k / big_e) == 0
+        report(2, "payload closed form proved from the balance and limit surface")
+
+    def test_transcription_is_max_payload(self):
+        big_e, k, n, summed, conjugate = self.forms()
+        names = (self.g, self.e, self.m, self.d, self.q)
+        transcribed = sympy.lambdify(names, (n, summed, conjugate), "mpmath")
+        rng = np.random.default_rng(2929)
+        forms_seen = set()
+        for _ in range(50):
+            model, state, d_obj = draw_payload_case(rng)
+            weight = max_payload(model, state, d_obj).max_weight
+            with mpmath.workdps(40):
+                n_value, *roots = transcribed(
+                    mpmath.mpf(state.g_tool), mpmath.mpf(model.e),
+                    mpmath.mpf(model.mu) * state.f_n, mpmath.mpf(d_obj) * math.sin(state.alpha),
+                    mpmath.mpf(state.d_com) * math.cos(state.alpha))
+            forms_seen.add(n_value >= 0)
+            for root in roots:
+                assert weight == pytest.approx(max(float(root), 0.0), rel=1e-12, abs=1e-12)
+        assert forms_seen == {True, False}
 
 
 class TestCriterion3:

@@ -483,10 +483,11 @@ class TestSweepMemory:
         return peak
 
     def test_payload_sweep_peak_in_grid_arrays(self):
-        # a new array per numpy operation peaked at 10.2 grid arrays
+        # a new array per numpy operation peaked at 10.2 grid arrays, the
+        # quadratic computed in place at 6.5, and the closed form at 5.4
         payload, _ = self.sweeps()
         grid = len(self.ALPHAS) * len(self.DS) * 8
-        assert self.traced_peak(payload) / grid <= 6.6
+        assert self.traced_peak(payload) / grid <= 5.5
 
     def test_gamma_sweep_peak_in_sample_arrays(self):
         # a new array per numpy operation peaked at 7.0 sample arrays
@@ -954,7 +955,14 @@ class TestOverflow:
     ])
     def test_huge_design_value(self, tmp_path, line, huge):
         design = edited_design(tmp_path, line, huge)
-        self.assert_refused(["analyze", design, "--d-obj", "0.05"])
+        if huge.startswith("d_com"):
+            # g_tool*|d_com*cos(alpha) + d_obj*sin(alpha)| is finite and far
+            # past the capacity, so no object weight is feasible
+            code, out, err = invoke(["analyze", design, "--d-obj", "0.05"])
+            assert (code, err) == (0, "")
+            assert out.endswith("max_payload_N = INFEASIBLE\n")
+        else:
+            self.assert_refused(["analyze", design, "--d-obj", "0.05"])
         if not huge.startswith("d_com"):   # the sweep replaces d_com by d
             self.assert_refused(["payload-sweep", design, "--alpha", "15:75:15deg",
                                  "--d", "0:0.04:0.01"])
@@ -978,8 +986,8 @@ class TestOverflow:
         (["payload-sweep", SAMPLE, "--alpha", "5:85:5deg", "--d", "0:0.1:0.01"], "0", "0"),
     ])
     def test_overflowing_payload_normalizer(self, tmp_path, argv, d_obj, d_com):
-        # (e*mu*f_n)^2 is finite but 4*(e*mu*f_n)^2 is not, so the payload
-        # quadratic's a is 0; the root used to divide by it
+        # K = (2*mu*f_n*sqrt(E))^2 - (g_tool*L)^2 overflows; in the old
+        # quadratic 4*(e*mu*f_n)^2 did, which left a = 0
         design = edited_design(tmp_path, "e = 0.01", "e = 5e152")
         err = self.assert_refused([design if a == SAMPLE else a for a in argv])
         assert err == ("error: payload quadratic out of floating-point range: "
@@ -1001,20 +1009,32 @@ class TestOverflow:
          "torque margin out of floating-point range: 2*e*mu*f_n = inf, g_tool*d_com = 0.3"),
         ("d_com = 0.03", "d_com = 1e308", ["pose-sweep", SAMPLE, "--samples", "3"],
          "torque margin out of floating-point range: 2*e*mu*f_n = 0.4, g_tool*d_com = inf"),
-        # finite payload coefficients whose residual (tiny e) or discriminant
-        # (huge mu) overflows, through both payload drivers
-        ("e = 0.01", "e = 1e-143", ["analyze", SAMPLE, "--d-obj", "0.05"],
-         "payload quadratic out of floating-point range: d_obj = 0.05, e = 1e-143, d_com = 0.03"),
-        ("mu = 0.5", "mu = 1.5e152", GOLDEN_COMMANDS["payload_sweep.txt"] + ["--d-obj", "0.05"],
-         "payload quadratic out of floating-point range: d_obj = 0.05, e = 0.01, d_com = 0"),
-        ("mu = 0.5", "mu = 1.5e152", ["payload-sweep", SAMPLE, "--alpha", "5:85:5deg",
-                                      "--d", "0:0.1:0.01", "--d-obj", "0.05"],
-         "payload quadratic out of floating-point range: d_obj = 0.05, e = 0.01, d_com = 0"),
     ])
     def test_infinite_result(self, tmp_path, line, huge, argv, message):
         design = edited_design(tmp_path, line, huge)
         err = self.assert_refused([design if a == SAMPLE else a for a in argv])
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("line, huge, argv, printed", [
+        # a tiny e overflowed the old payload quadratic's residual, and a
+        # huge mu its discriminant, through both payload drivers; the
+        # closed form has no such term. As e goes to 0 the weight goes to
+        # g_tool*d_com*cos(alpha)/(d_obj*sin(alpha)).
+        ("e = 0.01", "e = 1e-143", ["analyze", SAMPLE, "--d-obj", "0.05"],
+         "max_payload_N = 2.5468489"),
+        ("mu = 0.5", "mu = 1.5e152", GOLDEN_COMMANDS["payload_sweep.txt"] + ["--d-obj", "0.05"],
+         "15,0,7.33744961e+153"),
+        ("mu = 0.5", "mu = 1.5e152", ["payload-sweep", SAMPLE, "--alpha", "5:85:5deg",
+                                      "--d", "0:0.1:0.01", "--d-obj", "0.05"],
+         "85,0.1,2.36203554e+153"),
+    ])
+    def test_payload_past_the_old_quadratics_range(self, tmp_path, line, huge, argv,
+                                                   printed):
+        design = edited_design(tmp_path, line, huge)
+        code, out, err = invoke([design if a == SAMPLE else a for a in argv])
+        assert (code, err) == (0, "")
+        assert printed in out.splitlines()
+        assert "nan" not in out and "inf" not in out
 
     def test_underflowing_transmission_gain(self, tmp_path):
         # 2*v*kappa/q underflows to 0, and the closed-end curve divides by it

@@ -65,7 +65,9 @@ class TestFrictionCapacity:
         model = ContactModel(mu=0.529, e=0.01)
         state = state_with(f_n=40.872)
         mu_fn = 0.529 * 40.872
-        assert payload._capacity_squares(model, 40.872)[1] == mu_fn * mu_fn
+        # the payload takes mu*f_n, and the square's overflow check, from
+        # the same function
+        assert payload._friction_capacity is contact._friction_capacity
         # with no tangential load the headroom is the square itself
         capacity = contact._friction_capacity(model, state.f_n)
         assert capacity == (mu_fn, mu_fn * mu_fn)

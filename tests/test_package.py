@@ -7,7 +7,7 @@ PUBLIC_NAMES = {
     "PayloadGrid", "PayloadResult", "SingularTransmissionError", "SizingProblem",
     "SizingResult", "SpringSpec", "TorqueMarginCurve", "ToolDimensions", "Violation",
     "ZeroCapacityError", "capacity_check", "check_feasible", "clearance_span",
-    "equilibrium_coefficients", "gamma_sweep", "grip_demand", "holding_max_offset",
+    "gamma_sweep", "grip_demand", "holding_max_offset",
     "max_payload", "maximize_stroke", "parse_design",
     "payload_sweep", "replace", "required_grip_force", "spring_torque", "stroke",
     "stroke_fixed_width", "torque_margin",
@@ -15,7 +15,7 @@ PUBLIC_NAMES = {
 
 
 def test_all_names_the_public_api():
-    assert len(PUBLIC_NAMES) == 37
+    assert len(PUBLIC_NAMES) == 36
     assert sorted(grippertool.__all__) == sorted(PUBLIC_NAMES)
     namespace = {}
     exec("from grippertool import *", namespace)

@@ -7,14 +7,12 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 from grippertool import (
     ContactModel,
-    DegenerateContactError,
     DomainError,
     GraspState,
     GripperToolError,
     NoFeasiblePayloadError,
     PayloadResult,
     capacity_check,
-    equilibrium_coefficients,
     max_payload,
     parse_design,
     payload,
@@ -24,6 +22,8 @@ from grippertool import (
 
 from grippertool.cli import MAX_GRID_CELLS
 
+import payload_reference as reference
+from contact_cases import draw_contact
 from oracles import bisect_max_payload, object_wrench, payload_feasible
 from sweep_reference import bits, payload_rows
 
@@ -35,43 +35,85 @@ def state_with(**kwargs):
     return GraspState(**base)
 
 
-class TestStableQuadraticRoots:
-    """payload._larger_root, the cancellation-safe quadratic root formula
-    that max_payload and both sweep passes use."""
+def reference_args(model, state, d_obj):
+    """payload_reference's arguments for max_payload's float inputs."""
+    return (model.mu, model.e, state.f_n, state.g_tool, d_obj, state.d_com,
+            math.sin(state.alpha), math.cos(state.alpha))
 
-    @staticmethod
-    def root(a, b, c):
-        return payload._larger_root(a, b, c, math.sqrt(payload._discriminant(a, b, c)))
+
+def reference_root(model, state, d_obj):
+    """The 80-digit larger root on max_payload's float inputs, or None."""
+    return reference.larger_root(*reference_args(model, state, d_obj))
+
+
+def near_tie(model, state, d_obj):
+    """Whether K lies within rounding of 0, where the float verdict may
+    go either way: M = mu*f_n alone is rounded once."""
+    k, size = reference.capacity(*reference_args(model, state, d_obj))
+    return abs(k) <= 1e-12 * size
+
+
+class TestStableQuadraticRoots:
+    """max_payload's closed form for the larger root of the payload
+    quadratic: (n + e*sqrt(K))/E where n >= 0 and its conjugate where
+    n < 0, so that neither subtracts n and e*sqrt(K)."""
 
     def test_plain_quadratic(self):
-        assert self.root(1.0, -3.0, 2.0) == 2.0   # b < 0: q/a
-        assert self.root(1.0, 3.0, 2.0) == -1.0   # b >= 0: c/q
+        # a vertical tool with its center of mass on the grasp line takes
+        # the conjugate: w = 2*mu*f_n - g_tool, exactly
+        model = ContactModel(mu=0.5, e=0.5)
+        assert max_payload(model, state_with(f_n=32.0, alpha=0.0, d_com=0.0),
+                           0.05).max_weight == 22.0
+        # a tilted one with d_obj*d_com*sin*cos > e^2 takes the sum form
+        model, state = ContactModel(mu=0.5, e=0.005), state_with()
+        assert max_payload(model, state, 0.05).max_weight == pytest.approx(
+            float(reference_root(model, state, 0.05)), rel=4e-16)
 
     def test_cancellation_prone_case(self):
-        # roots 1e-8 and 1e8, and their mirror: the naive formula loses
-        # the small root, which is the larger one for b > 0
-        assert self.root(1.0, -(1e8 + 1e-8), 1.0) == pytest.approx(1e8, rel=1e-12)
-        assert self.root(1.0, 1e8 + 1e-8, 1.0) == pytest.approx(-1e-8, rel=1e-12)
+        # draws with a small e, where b^2 and 4*a*c of the old quadratic
+        # agreed to 16 digits: it refused the first four, and printed a
+        # weight for the last four; the reference says the opposite
+        for seed in (4602, 6645, 14662, 23781, 4980, 15448, 16542, 25702):
+            model, state, d_obj = draw_contact(seed)
+            assert model.e < 1e-8
+            root = reference_root(model, state, d_obj)
+            if root is None:
+                with pytest.raises(NoFeasiblePayloadError):
+                    max_payload(model, state, d_obj)
+            else:
+                assert max_payload(model, state, d_obj).max_weight == pytest.approx(
+                    float(root), rel=1e-14), seed
 
     def test_double_root_at_zero(self):
-        # q = 0: the root is c, not 0/0
-        assert bits(self.root(1.0, 0.0, 0.0)) == bits(0.0)
-        assert bits(self.root(0.25, 0.0, 0.0)) == bits(0.0)
+        # K = 0: 2*mu*f_n*e = g_tool*d_com for a vertical tool, so the two
+        # roots meet at w = n/E = -g_tool, which clamps to 0; the conjugate
+        # divides by n = -g_tool*e^2 rather than 0/0
+        model = ContactModel(mu=0.5, e=0.5)
+        result = max_payload(model, state_with(alpha=0.0, d_com=2.0), 0.05)
+        assert (result.max_weight, result.residual, result.zero_clamped) == (0.0, 0.0, True)
 
-    @given(st.floats(min_value=-1e3, max_value=1e3),
-           st.floats(min_value=-1e3, max_value=1e3),
-           st.floats(min_value=0.01, max_value=100.0))
-    def test_roots_satisfy_quadratic(self, r1, r2, a):
-        # near-double roots can round to a tiny negative discriminant,
-        # which max_payload treats as no real roots
-        assume(abs(r1 - r2) > 1e-6 * (abs(r1) + abs(r2) + 1.0))
-        b = -a * (r1 + r2)
-        c = a * r1 * r2
-        x = self.root(a, b, c)
-        assert abs(x - max(r1, r2)) <= 1e-8 * (abs(r1) + abs(r2) + 1.0)
-        residual = abs(a * x * x + b * x + c)
-        scale = max(abs(a * x * x), abs(b * x), abs(c), 1.0)
-        assert residual <= 1e-9 * scale
+    @given(mu=st.floats(min_value=0.2, max_value=1.2),
+           e=st.floats(min_value=1e-12, max_value=0.03),
+           f_n=st.floats(min_value=1.0, max_value=100.0),
+           load=st.floats(min_value=0.05, max_value=1.0),
+           alpha=st.floats(min_value=0.0, max_value=math.pi),
+           d_com=st.floats(min_value=0.0, max_value=0.1),
+           d_obj=st.floats(min_value=0.0, max_value=0.2))
+    def test_roots_satisfy_quadratic(self, mu, e, f_n, load, alpha, d_com, d_obj):
+        # the weight is the reference's larger root of the balance
+        # quadratic, within rounding of the terms of size g_tool
+        model = ContactModel(mu=mu, e=e)
+        state = state_with(f_n=f_n, g_tool=2.0 * mu * f_n * load, alpha=alpha, d_com=d_com)
+        root = reference_root(model, state, d_obj)
+        try:
+            result = max_payload(model, state, d_obj)
+        except NoFeasiblePayloadError:
+            assert root is None or near_tie(model, state, d_obj)
+            return
+        if root is None:
+            assert near_tie(model, state, d_obj)
+            return
+        assert abs(result.max_weight - max(float(root), 0.0)) <= 1e-11 * state.g_tool
 
 
 @pytest.fixture(params=["numpy", "scalar"])
@@ -100,7 +142,7 @@ class TestMaxPayload:
 
     def test_nan_residual_rejected(self):
         with pytest.raises(ValueError, match="PayloadResult.residual nan"):
-            PayloadResult(1.0, (1.0, 0.0, -1.0), math.nan)
+            PayloadResult(1.0, math.nan)
 
     @pytest.mark.parametrize("max_weight, residual, message", [
         (-1.0, 0.0, "PayloadResult.max_weight must be >= 0"),
@@ -109,36 +151,46 @@ class TestMaxPayload:
     ])
     def test_out_of_range_result_rejected(self, max_weight, residual, message):
         with pytest.raises(ValueError) as refused:
-            PayloadResult(max_weight, (1.0, 0.0, -1.0), residual)
+            PayloadResult(max_weight, residual)
         assert str(refused.value) == message
 
     @pytest.mark.parametrize("model, state, d_obj, named", [
+        # E = e^2 + D^2 overflows
         (ContactModel(mu=0.5, e=0.005), state_with(), 1e160,
          "d_obj = 1e+160, e = 0.005, d_com = 0.02"),
         (ContactModel(mu=0.5, e=1e200), state_with(), 0.05,
          "d_obj = 0.05, e = 1e+200, d_com = 0.02"),
-        # finite coefficients: a*x^2 overflows in the residual, which is nan
-        (ContactModel(mu=0.5, e=1e-143), state_with(), 0.05,
-         "d_obj = 0.05, e = 1e-143, d_com = 0.02"),
-        # finite coefficients: 4*a*c overflows, so the discriminant is inf,
-        # the root 0 and its residual 1
-        (ContactModel(mu=1.5e152, e=0.005), state_with(d=0.0), 0.05,
-         "d_obj = 0.05, e = 0.005, d_com = 0"),
-        # 4*max_t^2 overflows, so a = 0 although a >= 1/4: b and c are nan,
-        # and the scalar solve divided by a = 0
+        # the old quadratic's residual overflowed its a*x^2; the closed
+        # form forms no such term
+        (ContactModel(mu=0.5, e=1e-143), state_with(), 0.05, None),
+        # the old discriminant's 4*a*c overflowed
+        (ContactModel(mu=1.5e152, e=0.005), state_with(d=0.0), 0.05, None),
+        # K = (2*mu*f_n*sqrt(E))^2 - (g_tool*L)^2 overflows (once a = 0 in
+        # the old quadratic, whose a is at least 1/4)
         (ContactModel(mu=0.5, e=5e152), state_with(), 0.05,
          "d_obj = 0.05, e = 5e+152, d_com = 0.02"),
-        # a = 0 with b and c finite: the numpy pass's root of b*w + c = 0
-        # passed the residual bound and printed 800 where the weight is 39
         (ContactModel(mu=0.5, e=3.54e152), state_with(g_tool=1.0), 0.05,
          "d_obj = 0.05, e = 3.54e+152, d_com = 0.02"),
+        # E = e^2 + (d_obj*sin(alpha))^2 underflows to 0, the sum form's
+        # denominator
+        (ContactModel(mu=0.5, e=1e-170), state_with(alpha=0.0, d=0.0), 0.05,
+         "d_obj = 0.05, e = 1e-170, d_com = 0"),
     ])
     def test_overflowing_coefficients_raise_like_sweep(self, model, state, d_obj, named,
                                                        driver):
-        # a term of a, b or c, the discriminant or the residual overflows:
-        # the error names the inputs (the sweep's d_com is the cell's d)
-        # rather than the residual
+        # inputs whose old quadratic coefficients, discriminant or residual
+        # overflowed: where a term of the closed form overflows, the error
+        # names the inputs (the sweep's d_com is the cell's d) rather than
+        # the residual; elsewhere max_payload gives the reference's weight,
+        # and the sweep the same bits
         state = replace(state, d_com=state.d)
+        if named is None:
+            weight = max_payload(model, state, d_obj).max_weight
+            assert weight == pytest.approx(float(reference_root(model, state, d_obj)),
+                                           rel=1e-15)
+            grid = payload_sweep(model, state, d_obj, [state.alpha], [state.d])
+            assert bits(float(grid.weights[0][0])) == bits(weight)
+            return
         with pytest.raises(DomainError) as scalar:
             max_payload(model, state, d_obj)
         with pytest.raises(DomainError) as sweep:
@@ -148,14 +200,16 @@ class TestMaxPayload:
         assert str(sweep.value) == str(scalar.value)
 
     def test_sweep_names_the_first_overflowing_cell(self, driver):
-        # d_com = d: the cells with d = 0 stay finite, d = 1e154 overflows b and c
+        # d_com = d: the cells with d = 0 stay finite, and at d = 1e154,
+        # where d_obj*sin(alpha) + d*cos(alpha) nearly cancels, n =
+        # g_tool*(d_obj*d*sin(alpha)*cos(alpha) - e^2) overflows
         model, state = ContactModel(mu=0.5, e=0.005), state_with()
-        alphas, ds = [math.pi / 4, 1.0], [0.0, 1e154, 2e154]
+        alphas, ds = [3 * math.pi / 4, 2.5], [0.0, 1e154, 2e154]
         with pytest.raises(DomainError) as expected:
-            payload_rows(model, state, 1e150, alphas, ds)
+            payload_rows(model, state, 1e154, alphas, ds)
         with pytest.raises(DomainError) as raised:
-            payload_sweep(model, state, 1e150, alphas, ds)
-        assert "d_obj = 1e+150, e = 0.005, d_com = 1e+154" in str(expected.value)
+            payload_sweep(model, state, 1e154, alphas, ds)
+        assert "d_obj = 1e+154, e = 0.005, d_com = 1e+154" in str(expected.value)
         assert str(raised.value) == str(expected.value)
 
     @pytest.mark.parametrize("model, f_n", [
@@ -169,10 +223,18 @@ class TestMaxPayload:
             payload_sweep(model, state, 0.05, [state.alpha], [state.d])
         assert str(sweep.value) == str(scalar.value)
 
-    def test_squared_capacity_underflow_is_degenerate(self):
-        state = state_with(f_n=1e-200, g_tool=1e-201)
-        with pytest.raises(DegenerateContactError):
-            max_payload(ContactModel(mu=0.5, e=0.005), state, 0.05)
+    def test_squared_capacity_underflow_keeps_the_weight(self, monkeypatch):
+        # (mu*f_n)^2 underflows to 0, which the old quadratic refused as a
+        # zero torque capacity; the closed form squares no capacity
+        model, state = ContactModel(mu=0.5, e=0.005), state_with(f_n=1e-200, g_tool=1e-201)
+        weight = max_payload(model, state, 0.05).max_weight
+        assert weight == pytest.approx(float(reference_root(model, state, 0.05)), rel=1e-15)
+        cell = replace(state, d_com=state.d)
+        for limit in (0, MAX_GRID_CELLS):   # the numpy pass, then the one-cell pass
+            monkeypatch.setattr(payload, "SCALAR_GRID_CELLS", limit)
+            grid = payload_sweep(model, cell, 0.05, [state.alpha], [state.d])
+            assert bits(float(grid.weights[0][0])) == bits(
+                max_payload(model, cell, 0.05).max_weight)
 
     def test_nominal_against_bisection_oracle(self):
         # frozen from oracles.bisect_max_payload on these parameters
@@ -184,13 +246,24 @@ class TestMaxPayload:
         assert result.max_weight == pytest.approx(oracle, rel=1e-6)
 
     def test_residual_within_bound(self):
-        model = ContactModel(mu=0.5, e=0.01)
-        result = max_payload(model, state_with(), 0.05)
-        assert result.residual <= 1e-9
-        a, b, c = result.coefficients
-        x = result.max_weight
-        assert abs(a * x * x + b * x + c) <= 1e-9 * max(
-            abs(a * x * x), abs(b * x), abs(c), 1.0)
+        # the residual is the limit surface's, at the balance wrench of
+        # the returned weight, over (mu*f_n)^2 here
+        model, state = ContactModel(mu=0.5, e=0.01), state_with()
+        result = max_payload(model, state, 0.05)
+        assert result.residual <= 1e-15
+        f, t = object_wrench(state.g_tool, result.max_weight, state.alpha, state.d_com, 0.05)
+        mu_fn2 = (model.mu * state.f_n) ** 2
+        assert abs(f * f + (t / model.e) ** 2 - mu_fn2) / mu_fn2 <= 1e-15
+
+    @pytest.mark.parametrize("e", [1e-6, 1e-9, 1e-12])
+    def test_residual_is_the_rounding_of_the_weight_for_small_e(self, e):
+        # over (mu*f_n)^2 alone, t/e's slope D/(2*e) would make the residual
+        # of the correctly rounded weight ~ 1e-18/e, past the bound
+        model, state = ContactModel(mu=0.5, e=e), state_with()
+        result = max_payload(model, state, 0.05)
+        assert result.max_weight == pytest.approx(
+            float(reference_root(model, state, 0.05)), rel=1e-15)
+        assert result.residual <= 1e-15
 
     def test_capacity_tight_at_the_root(self):
         model = ContactModel(mu=0.5, e=0.01)
@@ -249,14 +322,76 @@ class TestMaxPayload:
            weight=st.floats(min_value=0.0, max_value=60.0))
     def test_equilibrium_quadratic_sign_is_feasibility(self, alpha, d_com,
                                                        d_obj, weight):
-        # a*w^2 + b*w + c has the sign of the capacity excess at weight w
+        # the balance quadratic has the sign of the capacity excess at
+        # weight w, and max_payload's weight is its larger root: feasible
+        # weights lie at or below it, and none lies above it
         model = ContactModel(mu=0.5, e=0.01)
         state = state_with(alpha=alpha, d_com=d_com)
-        a, b, c = equilibrium_coefficients(model, state, d_obj)
-        value = a * weight * weight + b * weight + c
+        value, scale = reference.balance_quadratic(weight, *reference_args(model, state, d_obj))
         feasible = payload_feasible(model, state, d_obj, weight)
-        if abs(value) > 1e-9 * max(abs(a * weight * weight), abs(c), 1.0):
+        if abs(value) > 1e-9 * scale:
             assert feasible == (value < 0.0)
+        try:
+            top = max_payload(model, state, d_obj).max_weight
+        except NoFeasiblePayloadError:
+            assert reference_root(model, state, d_obj) is None or near_tie(model, state, d_obj)
+            return
+        if weight > top * (1.0 + 1e-9) + 1e-12:
+            assert not feasible
+
+
+class TestClosedFormVerdicts:
+    """Seeded draw_contact checks against the 80-digit reference, which
+    the old quadratic failed at small e."""
+
+    SEEDS = range(27_000)
+
+    def test_verdict_is_the_sign_of_k(self):
+        # a weight exactly where K >= 0 on the float inputs; 36 of these
+        # draws had the wrong verdict under the old quadratic
+        answered = 0
+        for seed in self.SEEDS:
+            model, state, d_obj = draw_contact(seed)
+            if 2.0 * model.mu * state.f_n < state.g_tool:
+                continue
+            sign = reference.capacity_sign(*reference_args(model, state, d_obj))
+            try:
+                max_payload(model, state, d_obj)
+            except NoFeasiblePayloadError:
+                assert sign < 0, seed
+            except DomainError:
+                continue   # a term out of the float range
+            else:
+                assert sign >= 0, seed
+            answered += 1
+        # about 23% of the draws cannot hold the tool, and 3% overflow
+        assert answered > 0.7 * len(self.SEEDS)
+
+    @staticmethod
+    def outcome(model, state, d_obj):
+        """The weight, None where no weight is feasible, or the error type
+        of a term out of the float range."""
+        try:
+            return max_payload(model, state, d_obj).max_weight
+        except NoFeasiblePayloadError:
+            return None
+        except DomainError as exc:
+            return type(exc)
+
+    @pytest.mark.parametrize("factor", [1.001, 1.5])
+    def test_weight_does_not_decrease_in_mu_or_f_n(self, factor):
+        # more friction capacity only widens the feasible set; the old
+        # quadratic took 7 to 9 of 20,000 draws from a weight to none
+        # (seed 4980: 77.8 N, then none at mu * 1.001)
+        for seed in (4980, *range(20_000)):
+            model, state, d_obj = draw_contact(seed)
+            before = self.outcome(model, state, d_obj)
+            if not isinstance(before, float):
+                continue
+            for raised in (self.outcome(replace(model, mu=model.mu * factor), state, d_obj),
+                           self.outcome(model, replace(state, f_n=state.f_n * factor), d_obj)):
+                if raised is not DomainError:   # (mu*f_n)^2 or K may overflow
+                    assert raised is not None and raised >= before, seed
 
 
 @pytest.mark.usefixtures("driver")
@@ -493,7 +628,7 @@ class TestDriversAgree:
     """payload_sweep's numpy pass and its one-cell pass give the same grid
     bit for bit, or raise the same error, on the example design with two
     fields scaled by powers of ten: an invariant that needs no oracle and
-    reaches cells where a coefficient overflows."""
+    reaches cells where a term of the closed form overflows."""
 
     ALPHAS = [math.radians(a) for a in (15.0, 30.0, 45.0, 60.0, 75.0)]
     DS = [0.0, 0.01, 0.02, 0.03, 0.04]
@@ -523,10 +658,11 @@ class TestDriversAgree:
         return True
 
     @pytest.mark.parametrize("values", [
-        # a = 0 with b and c finite: the numpy pass must solve the cell
-        # again alone, or it prints a finite weight where max_payload raises
+        # K overflows: the numpy pass must solve the cell again alone to
+        # raise max_payload's error (under the old quadratic, a = 0 with b
+        # and c finite, then with b and c nan)
         {"e": 3.54e152, "g_tool": 1.0},
-        {"e": 5e152, "mu": 0.5},   # a = 0 with b and c nan
+        {"e": 5e152, "mu": 0.5},
     ], ids=["e=3.54e152,g_tool=1", "e=5e152,mu=0.5"])
     def test_named_draw(self, monkeypatch, values):
         assert self.assert_drivers_agree(monkeypatch, values)

@@ -146,7 +146,7 @@ def test_defaults_apply(nominal_dims, nominal_state):
         theta_init_bounds=(0.6, 1.4), grip_budget=40.0,
         spring=SpringSpec(kappa=0.5, beta=0.3), grasp=nominal_state)
     assert problem.v == 1.0
-    assert PayloadResult(1.0, (1.0, 2.0, 3.0), 0.0).zero_clamped is False
+    assert PayloadResult(1.0, 0.0).zero_clamped is False
     result = SizingResult(nominal_dims, 0.04, [])
     assert result.demand_end is None
     assert result.candidates == 0

@@ -103,12 +103,13 @@ def test_golden_request_solves_each_payload_cell_once(counts, name, cells):
 
 
 def test_overflowing_grid_solves_only_its_first_bad_cell_again(counts):
-    # d_com = d: the cells with d = 0 stay finite, d = 1e154 overflows b and c
+    # d_com = d: the cells with d = 0 stay finite, and at d = 1e154 the
+    # closed form's g_tool*d_obj*d*sin(alpha)*cos(alpha) overflows
     ds = [0.0] * payload.SCALAR_GRID_CELLS + [1e154]
-    state = GraspState(f_n=40.0, g_tool=10.0, alpha=0.8, gamma=0.0, d=0.0, d_com=0.0,
+    state = GraspState(f_n=40.0, g_tool=10.0, alpha=2.5, gamma=0.0, d=0.0, d_com=0.0,
                        theta=0.3)
     with pytest.raises(DomainError, match="d_com = 1e[+]154"):
-        payload.payload_sweep(ContactModel(mu=0.5, e=0.005), state, 1e150, [0.8], ds)
+        payload.payload_sweep(ContactModel(mu=0.5, e=0.005), state, 1e154, [2.5], ds)
     assert counts["_grid_weights"] == 1
     assert counts["_cell_weights"] == 1
     assert counts["_solve_cell"] == 1
@@ -157,7 +158,7 @@ def test_golden_validate_checks_the_design_once(counts):
 
 
 @pytest.mark.parametrize("name, capacities", [
-    # the hold offset and the payload quadratic, one each
+    # the hold offset and the payload, one each
     ("analyze.txt", 2),
     # one for the whole grid, solved one cell at a time
     ("payload_sweep.txt", 1),
