@@ -111,12 +111,12 @@ def _contact_cases(seeds):
     from contact_cases import draw_contact
     from grippertool import gamma_sweep, holding_max_offset, max_payload
 
+    peak = operator.attrgetter("peak_gamma", "peak_margin")
     for seed in seeds:
         model, state, d_obj = draw_contact(seed)
         yield f"hold {seed}", lambda: [holding_max_offset(model, state).hex()]
         yield f"payload {seed}", lambda: [max_payload(model, state, d_obj).max_weight.hex()]
-        yield f"peak {seed}", lambda: [value.hex() for value in operator.attrgetter(
-            "peak_gamma", "peak_margin")(gamma_sweep(model, state, 2))]
+        yield f"peak {seed}", lambda: [value.hex() for value in peak(gamma_sweep(model, state, 2))]
 
 
 def _short(text, directory):

@@ -98,10 +98,12 @@ def _residual_error(residual) -> ValueError:
 
 def _check_tool_held(model: ContactModel, state: GraspState) -> None:
     """Raise NoFeasiblePayloadError when friction cannot carry the tool."""
-    capacity = 2.0 * model.mu * state.f_n
-    if capacity < state.g_tool:
-        raise NoFeasiblePayloadError(f"tool weight {state.g_tool:g} N exceeds friction "
-                                     f"capacity {capacity:g} N")
+    mu_fn = model.mu * state.f_n
+    if 2.0 * mu_fn < state.g_tool:
+        raise NoFeasiblePayloadError(
+            f"tool weight {state.g_tool:g} N exceeds friction capacity "
+            f"{2.0 * mu_fn:g} N"
+        )
 
 
 def _pick(cond, x, y):

@@ -986,8 +986,7 @@ class TestOverflow:
         (["payload-sweep", SAMPLE, "--alpha", "5:85:5deg", "--d", "0:0.1:0.01"], "0", "0"),
     ])
     def test_overflowing_payload_normalizer(self, tmp_path, argv, d_obj, d_com):
-        # K = (2*mu*f_n*sqrt(E))^2 - (g_tool*L)^2 overflows; in the old
-        # quadratic 4*(e*mu*f_n)^2 did, which left a = 0
+        # e*sqrt(K) of the payload's closed form overflows
         design = edited_design(tmp_path, "e = 0.01", "e = 5e152")
         err = self.assert_refused([design if a == SAMPLE else a for a in argv])
         assert err == ("error: payload quadratic out of floating-point range: "

@@ -10,7 +10,7 @@ import pytest
 
 from grippertool import parse_design
 
-from libm_nudge import NUDGED, label, next_float, nudged, patched
+from libm_nudge import NUDGED, label, nudged, patched
 from test_cli import GOLDEN_COMMANDS, golden, invoke
 
 
