@@ -5,18 +5,22 @@ Usage:
     python scripts/g9stress.py [--count N]
 
 Draws, with numpy.random.default_rng(2026) and a random sign per value,
-the values of nine blocks plus one:
+the values of ten blocks, and adds one fixed block of both signs:
 
   - 6 blocks of N magnitudes 10**U(-7, 11);
   - the floats within 40 ulps of 10**k, k = -6..10 (1,377 values),
     found by stepping the float's int64 bits;
   - 3 blocks of N // 3 nine-digit decimal ties float(f"{n*10 + 5}e{e - 9}"),
     n in [10**8, 10**9) and e in [-5, 9], each with the floats next to it
-    toward 0 and toward inf.
+    toward 0 and toward inf;
+  - +-0, +-inf, +-nan, +-5e-324, +-1.7976931348623157e308 and, for
+    k = -4..8, the carries just below 10**k: the three floats below it
+    and 9.999999999e(k-1), which all round up to 10**k (114 values).
+    With the rest, they reach every branch of records().
 
 Each block goes through _g9format.records() of this tree's src/ and is
 compared, value by value, with "%.9g\\n" * len % tuple(values). With the
-default N = 1,000,000 that is 9,001,374 values. Prints one JSON line:
+default N = 1,000,000 that is 9,001,488 values. Prints one JSON line:
 the number of values, the number of mismatches and the first MAX_SHOWN
 of them as [value.hex(), records() text, '%' text]. Exits 0 when no
 value differs and 1 when some do.
@@ -53,6 +57,12 @@ def blocks(count):
         e = rng.integers(-5, 10, n.size)
         ties = np.array([float(f"{m * 10 + 5}e{k - 9}") for m, k in zip(n.tolist(), e.tolist())])
         yield signed(np.concatenate([np.nextafter(ties, 0.0), ties, np.nextafter(ties, np.inf)]))
+    carries = [float(f"9.999999999e{k - 1}") for k in range(-4, 9)]
+    for _ in range(3):
+        powers = np.nextafter(powers, 0.0)
+        carries += powers[2:15].tolist()   # 10**-4 .. 10**8
+    fixed = np.array([0.0, np.inf, np.nan, 5e-324, 1.7976931348623157e308, *carries])
+    yield np.concatenate([fixed, -fixed])
 
 
 def compare(count):

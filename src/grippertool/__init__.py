@@ -10,9 +10,9 @@ _SUBMODULES = {name: module for module, names in (
     ("contact", "ContactModel GraspState GripConfig capacity_check holding_max_offset"
                 " required_grip_force"),
     ("designfile", "parse_design"),
-    ("errors", "DegenerateContactError DesignFileError DomainError GripperToolError"
-               " InfeasibleHoldError InfeasibleProblemError NoFeasiblePayloadError"
-               " SingularTransmissionError ZeroCapacityError replace"),
+    ("errors", "DesignFileError DomainError GripperToolError InfeasibleHoldError"
+               " InfeasibleProblemError NoFeasiblePayloadError SingularTransmissionError"
+               " ZeroCapacityError replace"),
     ("mechanism", "SpringSpec ToolDimensions Violation check_feasible clearance_span"
                   " spring_torque stroke stroke_fixed_width"),
     ("payload", "PayloadGrid PayloadResult max_payload payload_sweep"),

@@ -21,22 +21,22 @@ the NUL-padded '%.9g,' texts of its keys, are one uint8 array; its
 bytes, with one bytes.translate deleting the NULs, are the block's text.
 
 The digits come from one float product per value: y = |x|*10**(8 - X),
-with X = floor(log10|x|), rounds to the nine-digit integer n. 10**(8 - X)
-is exact for -5 <= X <= 8, so y is the exact product rounded once, and
-y - n is exact (Sterbenz). The middles of two integers are floats and
-rounding is monotone, so a y that is not on a middle lies on the same
-side of each middle as the exact product: n is '%.9g''s own rounding
-wherever y - n != +-1/2, and the fast path takes a value only there and
-only for -4 <= X <= 8, where '%g' writes fixed notation. n = 10**9 is a
-carry into a tenth digit: X becomes X + 1 and n becomes 10**8. A log10
-one decade high lands on x within a few ulps below 10**X, whose y rounds
-to n = 10**8, the carried rounding, at once; one decade low gives n >=
-10**9, which is a carry or falls back. Every other finite nonzero value
-(ties, scientific notation, subnormals) and +-inf is formatted by
-Python's own '%16.9g', all of a block's such values in one % call, and
-its spaces become NUL. +-0 is written "0" or "-0", as '%' writes it. A
-nan of either sign is written as the caller's nan text, by default "nan"
-as '%' writes it; one scatter puts that text in every nan record.
+with X = floor(log10|x|), rounds to the nine-digit integer n.
+10**(8 - X) is exact for -5 <= X <= 8, so y is the exact product rounded
+once, and y - n is exact (Sterbenz). The middles of two integers are
+floats and rounding is monotone, so a y that is not on a middle lies on
+the same side of each middle as the exact product: n is '%.9g''s own
+rounding wherever y - n != +-1/2, and the fast path takes a finite
+nonzero value only there and only for -4 <= X <= 8, where '%g' writes
+fixed notation. n = 10**9 is a carry into a tenth digit: X becomes X + 1
+and n becomes 10**8. A log10 one decade high lands on x within a few
+ulps below 10**X, whose y rounds to n = 10**8, the carried rounding, at
+once; one decade low gives n >= 10**9, which is a carry or falls back.
+Every other value but nan (ties, scientific notation, subnormals, +-0
+and +-inf) is formatted by Python's own '%16.9g', all of a block's such
+values in one % call, and its spaces become NUL. A nan of either sign is
+written as the caller's nan text, by default "nan" as '%' writes it; one
+scatter puts that text in every nan record.
 
 Only the CLI imports this module, for sweeps of at least CHUNK_LINES
 lines, so numpy is already loaded by the sweep. Integer scalars carry
@@ -50,6 +50,10 @@ import numpy as np
 FIELD = 1 + 5 + 10 + 1
 _BODY = slice(6, 16)
 _SLOTS = np.arange(10, dtype=np.int8)[:, None]
+# The prefix slots after the sign, each written where X is at most its
+# exponent.
+_PREFIX = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
+_PREFIX_EXP = np.array([-1, -1, -2, -3, -4], dtype=np.int8)[:, None]
 
 # 10**(8 - X) for -5 <= X <= 8, all exact: integers below 2**53, as
 # numpy's pow need not give them. A value with X = -5 may carry to
@@ -59,24 +63,29 @@ _TEN = np.uint32(10)
 _SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
 
 
-def _exponent_digits(ax):
-    """(X, n, fast) for positive finite ax: the decimal exponent and the
-    nine-digit integer of ax's '%.9g' rounding where fast holds, 0 and 0
-    elsewhere. In place where it can: a block's float temporaries set the
-    sweep's peak memory."""
-    exp = np.log10(ax)
-    np.floor(exp, out=exp)
-    y = _POW10.take((8.0 - exp).astype(np.intp), mode="clip")
+def _exponent_digits(values):
+    """(X, n, fast) for the float64 values: the decimal exponent and the
+    nine-digit integer of |value|'s '%.9g' rounding where fast holds,
+    which is only for finite nonzero values, and 0 and 0 elsewhere. In
+    place where it can: a block's float temporaries set the sweep's peak
+    memory."""
+    ax = np.abs(values)
+    # +-0, +-inf and nan become 1e-300, which is outside fixed notation
+    # and so never fast
+    ax[~((ax > 0.0) & (ax < np.inf))] = 1e-300
+    shift = (8.0 - np.floor(np.log10(ax))).astype(np.intp)   # 8 - X
+    y = _POW10.take(shift, mode="clip")
     y *= ax
+    del ax
     n = np.rint(y)
     y -= n
     fast = np.abs(y, out=y) != 0.5
     carry = n == 1e9
-    exp += carry
+    shift[carry] -= 1
     n[carry] = 1e8
-    fast &= (exp >= -4.0) & (exp <= 8.0) & (n >= 1e8) & (n < 1e9)
-    return ((exp * fast).astype(np.int8), np.where(fast, n, 0.0).astype(np.uint32),
-            fast)
+    fast &= (shift >= 0) & (shift <= 12) & (n >= 1e8) & (n < 1e9)
+    return (np.where(fast, 8 - shift, 0).astype(np.int8),
+            np.where(fast, n, 0.0).astype(np.uint32), fast)
 
 
 def _char(mask, char):
@@ -91,23 +100,11 @@ def records(values, ends, nan_text="nan"):
     for all. The records are built slot by slot in a slot-major array, of
     which this returns the transposed view."""
     count = len(values)
-    ax = np.abs(values)
-    zero = ax == 0.0
-    ax[~np.isfinite(values) | zero] = 1.0
-    exp, n, fast = _exponent_digits(ax)
-    del ax
-    # nan, +-inf and +-0 got X = 0 and n = 10**8 from 1.0: a zero writes
-    # the digit of n = 0, a nan's record is overwritten last, and +-inf
-    # falls back
-    fast &= ~np.isinf(values)
-    n *= ~zero
+    exp, n, fast = _exponent_digits(values)
     out = np.empty((FIELD, count), dtype=np.uint8)   # slot-major, transposed on return
     out[0] = _char(np.signbit(values), "-")
-    below = exp < 0
-    out[1] = _char(below, "0")
-    out[2] = _char(below, ".")
-    for k in (3, 4, 5):   # the zeros of 0.0d, 0.00d and 0.000d
-        out[k] = _char(exp <= 1 - k, "0")
+    prefix = exp <= _PREFIX_EXP   # the "0.000" of 0.d, 0.0d, 0.00d and 0.000d
+    np.multiply(prefix.view(np.uint8), _PREFIX, out=out[1:6])
     digits = np.empty((10, count), dtype=np.uint8)
     for p in range(8, -1, -1):
         q = n // _TEN
@@ -117,7 +114,7 @@ def records(values, ends, nan_text="nan"):
     last = ((digits[:9] != 0) * _SLOTS[:9]).max(axis=0)   # the last nonzero digit
     digits += np.uint8(ord("0"))
     # the point's body slot: after dX, and past b9 (10) for a value below 1
-    point = np.maximum(exp + np.int8(1), below.view(np.int8) * np.int8(10))
+    point = np.maximum(exp + np.int8(1), prefix[0].view(np.int8) * np.int8(10))
     body = out[_BODY]
     np.multiply(digits, _SLOTS < point, out=body)
     body[1:] += digits[:-1] * (_SLOTS[1:] > point)
@@ -125,14 +122,14 @@ def records(values, ends, nan_text="nan"):
     # keep the slots up to dX and up to the last nonzero digit
     body *= _SLOTS <= np.maximum(exp, last + ((last > exp) & (exp >= 0)))
     out[-1] = ends
-    slow = np.flatnonzero(~fast)
+    nan = np.isnan(values)
+    slow = np.flatnonzero(~(fast | nan))   # a nan's record is overwritten last
     if len(slow):
         text = "%16.9g" * len(slow) % tuple(values[slow].tolist())
-        out[:-1, slow] = 0
         out[:16, slow] = np.frombuffer(
             text.encode("ascii").translate(_SPACE_TO_NUL), dtype=np.uint8
         ).reshape(-1, 16).T
-    out[:-1, np.flatnonzero(np.isnan(values))] = np.frombuffer(
+    out[:-1, np.flatnonzero(nan)] = np.frombuffer(
         nan_text.encode("ascii").ljust(FIELD - 1, b"\0"), dtype=np.uint8)[:, None]
     return out.T
 

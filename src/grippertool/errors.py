@@ -149,10 +149,6 @@ class SingularTransmissionError(DomainError):
     """Linkage angle at 90 degrees; the jaw transmission has no leverage."""
 
 
-class DegenerateContactError(DomainError):
-    """Contact torque capacity is zero (no grip force)."""
-
-
 class NoFeasiblePayloadError(DomainError):
     """No object weight satisfies equilibrium within the contact capacity."""
 

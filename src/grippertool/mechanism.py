@@ -167,7 +167,9 @@ def stroke_fixed_width(w_init: float, m: float, theta_init: float,
 
     Substituting r = (w_init - m) / (2*sin(theta_init)) into the stroke
     expression. Useful when the open width is a fixed requirement and r is
-    a derived quantity, as in the sizing search.
+    a derived quantity. The sizing search does not call it; release
+    criterion 7 checks the stroke's monotonicity in theta_init, theta_end
+    and m with it.
     """
     return (w_init - m) * math.sin(theta_init - theta_end) / math.sin(theta_init)
 

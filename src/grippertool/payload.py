@@ -65,8 +65,10 @@ ROOT_RESIDUAL_TOL = 1e-9
 
 # Largest grid payload_sweep solves one cell at a time; a larger one goes
 # through one numpy pass. The two cost the same at about this many cells:
-# on a 2-core x86_64 VM with Python 3.11, about 1.6 us a cell against a
-# fixed 55 us (CHANGES.md holds the table).
+# on a 2-core x86_64 VM with Python 3.11, a payload-sweep request costs
+# about 31 us + 1.6-1.8 us a cell one cell at a time and
+# 76 us + 0.3-0.4 us a cell in the numpy pass, so they cross at 32-36
+# cells (CHANGES.md holds the table).
 SCALAR_GRID_CELLS = 36
 
 

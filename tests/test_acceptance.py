@@ -193,6 +193,51 @@ class TestCriterion3:
         report(3, "holding-condition boundary marginal on 200 draws")
 
 
+class TestCriterion3Proof:
+    """Criterion 3 proved, next to the sampled check above: the wrench
+    that the hanging tool puts on each pad lies exactly on the limit
+    surface f^2 + (t/e)^2 = (mu*f_n)^2 at holding_max_offset's closed
+    form, and its torque term grows with d, so that offset is the one
+    boundary between held and dropped."""
+
+    g, e, m, s = sympy.symbols("g e M s", positive=True)   # M = mu*f_n, s = sin(alpha)
+    d = sympy.symbols("d", positive=True)
+
+    def wrench(self):
+        """(f, t) per pad at offset d, solved from the tool's force and
+        moment balance over the two pads."""
+        f, t = sympy.symbols("f t", real=True)
+        balance = sympy.solve([2 * f - self.g, 2 * t - self.g * self.s * self.d], [f, t],
+                              dict=True)[0]
+        return balance[f], balance[t]
+
+    def offset(self):
+        """d_max as holding_max_offset transcribes it."""
+        return self.e * sympy.sqrt(4 * self.m ** 2 - self.g ** 2) / (self.g * self.s)
+
+    def test_offset_is_on_the_limit_surface_and_the_torque_grows_with_d(self):
+        f, t = self.wrench()
+        excess = f ** 2 + (t / self.e) ** 2 - self.m ** 2
+        assert sympy.simplify(excess.subs(self.d, self.offset())) == 0
+        # only the torque term depends on d, and it rises for every d > 0
+        assert not f.has(self.d)
+        assert sympy.diff((t / self.e) ** 2, self.d).is_positive
+        report(3, "hold offset proved on the limit surface, the excess rising in d")
+
+    def test_transcription_is_holding_max_offset(self):
+        transcribed = sympy.lambdify((self.g, self.e, self.m, self.s), self.offset(), "math")
+        rng = np.random.default_rng(7073)
+        for _ in range(50):
+            mu = rng.uniform(0.2, 1.2)
+            e = rng.uniform(0.002, 0.03)
+            f_n = rng.uniform(10.0, 100.0)
+            g = rng.uniform(0.1, 0.95) * 2.0 * mu * f_n
+            alpha = rng.uniform(0.1, math.pi - 0.1)
+            d = holding_max_offset(ContactModel(mu=mu, e=e),
+                                   base_state(f_n=f_n, g_tool=g, alpha=alpha))
+            assert d == pytest.approx(transcribed(g, e, mu * f_n, math.sin(alpha)), rel=1e-12)
+
+
 class TestCriterion4:
     def test_closed_form_identities(self):
         model = ContactModel(mu=0.5, e=0.01)

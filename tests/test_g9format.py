@@ -121,11 +121,13 @@ class TestExactness:
             assert_texts_match(high)
 
     def test_block_of_fallback_values(self):
-        # scientific notation, subnormals and products on a midpoint: no
-        # value of the block takes the fast path
+        # scientific notation, subnormals, products on a midpoint, +-0 and
+        # +-inf: no value of the block takes the fast path
         tiny = np.geomspace(1e-300, 1e-200, 2001)
         ties = 1e7 + np.arange(1000) + 0.25   # nine digits and a 5 after them
-        for values in (tiny, -tiny, np.geomspace(5e-324, 2e-308, 500), ties, ties + 0.5):
+        zeros_and_infs = np.array([0.0, -0.0, math.inf, -math.inf])
+        for values in (tiny, -tiny, np.geomspace(5e-324, 2e-308, 500), ties, ties + 0.5,
+                       zeros_and_infs):
             assert not _g9format._exponent_digits(np.abs(values))[2].any()
             assert_texts_match(values)
 
@@ -133,7 +135,7 @@ class TestExactness:
         proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "g9stress.py"),
                                "--count", "3000"], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {"values": 6 * 3000 + 17 * 81 + 9 * 1000,
+        assert json.loads(proc.stdout) == {"values": 6 * 3000 + 17 * 81 + 9 * 1000 + 114,
                                            "mismatches": 0, "first": []}
 
 
