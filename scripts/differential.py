@@ -4,6 +4,7 @@
 Usage:
     python scripts/differential.py TREE_A TREE_B --seeds 0:27000 [--suite contact]
     python scripts/differential.py TREE_A TREE_B --seeds 1:4 --suite workloads
+    python scripts/differential.py TREE_A TREE_B --seeds 0:20 --suite sweeps
     python scripts/differential.py TREE TREE --seeds 0:20000 --suite contact --perturb down
 
 Each tree runs in its own subprocess with PYTHONPATH=<tree>/src, so each
@@ -30,6 +31,13 @@ files in a temporary directory. Each request runs in-process through
 cli.run, and its case is the exit code, stdout and stderr, with the
 directory's path replaced by <dir>; an output longer than MAX_TEXT
 characters is given by its SHA-256.
+
+In the sweeps suite, seed s gives three payload-sweep requests of more
+than CHUNK_LINES cells, run in-process through cli.run: a one-alpha row
+of 4,097 to 20,000 cells and a grid of several alpha rows, both on
+designs/example_tool.ini, and that grid again on a copy whose f_n = 5
+cannot hold the tool. Each case is the exit code and the SHA-256 of
+stdout and of stderr.
 
 With --perturb up or --perturb down, TREE_B's process runs the library
 with every function in tests/libm_nudge.py (math's sin, cos, tan, asin,
@@ -119,11 +127,13 @@ def _contact_cases(seeds):
         yield f"peak {seed}", lambda: [value.hex() for value in peak(gamma_sweep(model, state, 2))]
 
 
+def _sha256(text):
+    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def _short(text, directory):
     text = text.replace(directory, "<dir>")
-    if len(text) <= MAX_TEXT:
-        return text
-    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return text if len(text) <= MAX_TEXT else _sha256(text)
 
 
 def load_perfbench(name):
@@ -153,8 +163,40 @@ def _workload_cases(seeds):
                            lambda: request_output(request["argv"], directory))
 
 
+def _sweep_cases(seeds):
+    """Yield (case name, call) for every payload sweep of seeds."""
+    from grippertool import cli
+
+    def sweep_output(argv):
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.run(argv, out, err)
+        return [code, _sha256(out.getvalue()), _sha256(err.getvalue())]
+
+    design = ROOT / "designs" / "example_tool.ini"
+    with tempfile.TemporaryDirectory() as directory:
+        not_held = Path(directory) / "not_held.ini"
+        text = design.read_text(encoding="utf-8")
+        assert text.count("f_n = 40") == 1
+        not_held.write_text(text.replace("f_n = 40", "f_n = 5"), encoding="utf-8")
+        for seed in seeds:
+            rng = random.Random(seed)
+            d_obj = ["--d-obj", repr(rng.choice([0.0, rng.uniform(0.0, 0.1)]))]
+            cells = rng.randint(cli.CHUNK_LINES + 1, 20_000)
+            alpha = rng.randint(0, 90)
+            row = ["--alpha", f"{alpha}:{alpha}:1deg", "--d", f"0:{(cells - 1) * 1e-5!r}:1e-05"]
+            rows = rng.randint(2, 40)
+            columns = rng.randint(cli.CHUNK_LINES // rows + 1, 20_000 // rows)
+            alpha, d = rng.randint(0, 91 - rows), rng.choice([0.0, 0.005])
+            step = rng.choice([1e-5, 2e-5, 5e-5])
+            grid = ["--alpha", f"{alpha}:{alpha + rows - 1}:1deg",
+                    "--d", f"{d!r}:{d + (columns - 1) * step!r}:{step!r}"]
+            for name, argv in (("row", [str(design), *row]), ("grid", [str(design), *grid]),
+                               ("not-held", [str(not_held), *grid])):
+                yield f"{name} {seed}", lambda: sweep_output(["payload-sweep", *argv, *d_obj])
+
+
 SUITES = {"sizing": _sizing_cases, "contact": _contact_cases,
-          "workloads": _workload_cases}
+          "workloads": _workload_cases, "sweeps": _sweep_cases}
 
 
 def import_from(tree):

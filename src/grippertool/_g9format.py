@@ -39,8 +39,9 @@ written as the caller's nan text, by default "nan" as '%' writes it; one
 scatter puts that text in every nan record.
 
 Only the CLI imports this module, for sweeps of at least CHUNK_LINES
-lines, so numpy is already loaded by the sweep. Integer scalars carry
-explicit dtypes, so NumPy 1 and NumPy 2 promote alike.
+lines whose floats are float64 arrays, so numpy is already loaded by the
+sweep. Integer scalars carry explicit dtypes, so NumPy 1 and NumPy 2
+promote alike.
 """
 
 import numpy as np
@@ -159,39 +160,30 @@ def table_blocks(values, block_lines, nan_text="nan"):
         yield _text(records(block, ends[:len(block)], nan_text))
 
 
-def grid_blocks(rows, block_lines, outer, inner, nan_text="nan"):
-    """The CSV text of a grid, a (len(outer), len(inner)) float64 array,
-    read without a copy, or rows of floats: row r's float c is written on
-    the line '%.9g,%.9g,%.9g' of outer[r], inner[c] and itself, each nan
-    as nan_text.
+def grid_blocks(values, block_lines, outer, inner, nan_text="nan"):
+    """The CSV text of the (len(outer), len(inner)) float64 array values,
+    read without a copy: row r's value c is written on the line
+    '%.9g,%.9g,%.9g' of outer[r], inner[c] and itself, each nan as
+    nan_text.
 
     The cells are split into ceil(cells / block_lines) blocks of whole
-    rows, each of ceil(rows / blocks) rows, so a block may exceed
-    block_lines by less than one row. A row longer than block_lines is
-    split into ceil(len(inner) / block_lines) pieces of equal length but
-    the last, which may be shorter. Every block is written into one line
-    buffer, allocated once: the inner texts once per sweep when blocks
-    hold whole rows (once per piece otherwise), the outer texts once per
-    block, both broadcast, and the block's records with one copy.
-    records() builds them slot-major: writing each slot straight into the
-    lines measured slower.
+    rows, each of ceil(rows / blocks) rows and at least one, so a block
+    may exceed block_lines by less than one row. Every block is written
+    into one line buffer, allocated once: the inner texts once per sweep
+    and the outer texts once per block, both broadcast, and the block's
+    records with one copy. records() builds them slot-major: writing each
+    slot straight into the lines measured slower.
     """
-    values = np.asarray(rows, dtype=np.float64)
     outer, inner = _keys(outer), _keys(inner)
     height, width = values.shape
-    piece = -(-width // -(-width // block_lines))          # cells of a row per block
-    step = -(-height // -(-values.size // block_lines))    # rows per block, 1 for pieces
+    step = -(-height // -(-values.size // block_lines))    # rows per block
     key, field = outer.shape[1], outer.shape[1] + inner.shape[1]
-    buffer = np.empty((step * piece, field + FIELD), dtype=np.uint8)
-    if piece == width:
-        buffer.reshape(step, width, -1)[:, :, key:field] = inner
+    buffer = np.empty((step, width, field + FIELD), dtype=np.uint8)
+    buffer[:, :, key:field] = inner
     newline = np.uint8(ord("\n"))
     for r in range(0, height, step):
-        for c in range(0, width, piece):
-            block = values[r:r + step, c:c + piece]
-            lines = buffer[:block.size]
-            lines.reshape(*block.shape, -1)[:, :, :key] = outer[r:r + step, None]
-            if piece < width:
-                lines[:, key:field] = inner[c:c + piece]
-            lines[:, field:] = records(block.ravel(), newline, nan_text)
-            yield _text(lines)
+        block = values[r:r + step]
+        lines = buffer[:len(block)]
+        lines[:, :, :key] = outer[r:r + step, None]
+        lines.reshape(block.size, -1)[:, field:] = records(block.ravel(), newline, nan_text)
+        yield _text(lines)

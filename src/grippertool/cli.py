@@ -12,20 +12,20 @@ The sweep commands print their CSV straight from the floats the library
 returns: a payload grid's weights (its numpy pass's float64 array, or
 rows of floats), a pose curve's float arrays. A pose sweep converts
 gamma to degrees with one vectorized divide and interleaves it with the
-margins in one array. A nan cell prints as INFEASIBLE. A sweep of fewer
-than CHUNK_LINES lines is formatted by %, and _mark_infeasible rewrites
-its nan cells: a payload sweep builds one line template over all d
-values once and formats each alpha row, as Python floats, with one %
-call, and a pose sweep formats all its lines with one. A longer sweep is
-written through _g9format from float64 arrays (a numpy-pass payload
-grid's own, without a copy): numpy writes each float's exact '%.9g' text
-and INFEASIBLE for each nan, and the floats it cannot decide exactly go
-through one % call per block. A pose sweep goes CHUNK_LINES lines per
-block. A payload sweep goes in blocks of whole alpha rows, about
-CHUNK_LINES lines each, or pieces of a row longer than that, with the
-alpha and d texts formatted once per axis. Output goes one row or block
-at a time, so the text of the whole grid is never held in memory at
-once.
+margins in one array. A nan cell prints as INFEASIBLE. Sweeps of fewer
+than CHUNK_LINES lines, and payload grids of rows of floats at any
+size, are formatted by %, and _mark_infeasible rewrites their nan cells:
+a payload sweep builds one line template over all d values once and
+formats each alpha row, as Python floats, with one % call, and a pose
+sweep formats all its lines with one. A longer sweep of float64 arrays
+is written through _g9format (a numpy-pass payload grid's own, without
+a copy): numpy writes each float's exact '%.9g' text and INFEASIBLE for
+each nan, and the floats it cannot decide exactly go through one % call
+per block. A pose sweep goes CHUNK_LINES lines per block. A payload
+sweep goes in blocks of whole alpha rows, about CHUNK_LINES lines each
+and at least one row, with the alpha and d texts formatted once per
+axis. Output goes one row or block at a time, so the text of the whole
+grid is never held in memory at once.
 
 Each subcommand's handler and options are described once, in _COMMANDS.
 A request is table-shaped when argv[0] names a subcommand and the rest
@@ -54,7 +54,7 @@ whole result with one out.write.
 
 Importing this module loads only what parse_design needs, and validate
 needs no more; a handler imports the payload, pose or sizing solver, and
-a long sweep _g9format, through _lib on first use.
+a long sweep of float64 arrays _g9format, through _lib on first use.
 
 Design files are read with os.open and os.read, without Python's io
 stack, and decoded as UTF-8; a read error names the path as open()
@@ -83,9 +83,9 @@ MAX_RANGE_POINTS = 100_000
 # Largest number of (alpha, d) cells one payload sweep may compute.
 MAX_GRID_CELLS = 1_000_000
 
-# A sweep of at least this many CSV lines is written through _g9format,
-# about this many lines per block; a shorter one is formatted by one %
-# call (pose) or one per alpha row (payload).
+# A sweep of float64 arrays of at least this many CSV lines is written
+# through _g9format, about this many lines per block; any other is
+# formatted by one % call (pose) or one per alpha row (payload).
 CHUNK_LINES = 4096
 
 
@@ -105,8 +105,8 @@ def fmt(value: float) -> str:
 
 def _mark_infeasible(lines: str) -> str:
     """%-formatted CSV lines with every nan last field printed as
-    INFEASIBLE; a sweep of CHUNK_LINES lines or more has _g9format write
-    INFEASIBLE itself.
+    INFEASIBLE; a sweep of float64 arrays of CHUNK_LINES lines or more
+    has _g9format write INFEASIBLE itself.
 
     Only the last field can print nan: the others are alpha, d or gamma,
     finite because the CLI refuses nan and inf input with exit 2. So
@@ -259,7 +259,7 @@ def _cmd_payload_sweep(args, out) -> int:
     grid = _lib("payload").payload_sweep(model, state, args.d_obj, args.alpha, args.d)
     out.write("alpha_deg,d_m,max_weight_N\n")
     rows = grid.weights
-    if cells >= CHUNK_LINES:
+    if not isinstance(rows, list) and cells >= CHUNK_LINES:
         blocks = _lib("_g9format").grid_blocks(
             rows, CHUNK_LINES, [alpha / DEG for alpha in args.alpha], args.d, INFEASIBLE)
     else:

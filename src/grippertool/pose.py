@@ -29,8 +29,8 @@ divided by cos(gamma)^4, that is Q(tan(gamma)) = 0 for
 with w = (g_tool*d_com)^2, K = M^2 - c^2, C = cos(gamma0), S = sin(gamma0).
 The candidates are edge, start, pi/2 and each root of Q from tan(start)
 to tan(min(pi/2, pi - alpha)); a root that squaring added is one more
-candidate, nothing worse. Where Descartes' rule of signs rules out roots,
-the search is skipped.
+candidate, nothing worse. Where Descartes' rule of signs, applied to Q's
+own coefficients, rules out roots above 0, the search is skipped.
 
 The margin formula is written once (_headroom, _margin), with operators
 that work on floats and numpy arrays alike: torque_margin() calls it for
@@ -128,20 +128,11 @@ def _margin_at(model, state, capacity, gamma):
                    math.sin(gamma - (math.pi / 2 - state.alpha)))
 
 
-def _shifted(coeffs, t0):
-    """Coefficients, lowest first, of p(t0 + u) in u."""
-    shifted = list(coeffs)
-    for i in range(len(shifted) - 1):
-        for j in range(len(shifted) - 2, i - 1, -1):
-            shifted[j] += t0 * shifted[j + 1]
-    return shifted
-
-
 def _one_sign(coeffs, magnitudes):
     """Whether the coefficients share one sign, exact zeros aside, each
     beyond its rounding bound: 2**-44 times its sum over absolute terms,
     in magnitudes. By Descartes' rule of signs the polynomial then has no
-    root above 0; for p(t0 + u), none above t0."""
+    root above 0."""
     signs = set()
     for coeff, bound in zip(coeffs, magnitudes):
         if coeff == 0.0 == bound:
@@ -195,11 +186,9 @@ def _peak(model, state, capacity):
     gammas = {edge, start, half_pi}
     if start < end:
         coeffs, magnitudes = _quartic(model, state, mu_fn2, kink)
-        t0 = math.tan(start)
-        # no root above 0 leaves none above t0, and needs no shift
-        if not (_one_sign(coeffs, magnitudes)
-                or _one_sign(_shifted(coeffs, t0), _shifted(magnitudes, t0))):
-            gammas.update(max(math.atan(t), start) for t in _roots(coeffs, t0, math.tan(end)))
+        if not _one_sign(coeffs, magnitudes):
+            gammas.update(max(math.atan(t), start)
+                          for t in _roots(coeffs, math.tan(start), math.tan(end)))
     return max(((gamma, _margin_at(model, state, capacity, gamma)) for gamma in sorted(gammas)),
                key=lambda pair: pair[1])
 

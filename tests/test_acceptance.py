@@ -398,6 +398,47 @@ class TestCriterion7:
         report(7, "stroke monotone in theta_init, theta_end, m on 500 draws")
 
 
+class TestCriterion7Proof:
+    """Criterion 7 proved, next to the sampled check above: the stroke at
+    a fixed open width, S = (w - m)*sin(theta_i - theta_e)/sin(theta_i),
+    rises in theta_i and falls in theta_e and in m for 0 < theta_e <
+    theta_i < pi/2 and m < w."""
+
+    w, m, theta_i, theta_e = sympy.symbols("w m theta_i theta_e", real=True)
+
+    def stroke(self):
+        """S as stroke_fixed_width transcribes it."""
+        return (self.w - self.m) * sympy.sin(self.theta_i - self.theta_e) / sympy.sin(self.theta_i)
+
+    def test_stroke_rises_in_theta_init_and_falls_in_theta_end_and_m(self):
+        stroke, ti, te, slack = self.stroke(), self.theta_i, self.theta_e, self.w - self.m
+        sin, cos = sympy.sin, sympy.cos
+        # each slope is a product of slack = w - m > 0 and sines and
+        # cosines of theta_e, theta_i and theta_i - theta_e
+        assert sympy.simplify(sympy.diff(stroke, ti) - slack * sin(te) / sin(ti) ** 2) == 0
+        assert sympy.simplify(sympy.diff(stroke, te) + slack * cos(ti - te) / sin(ti)) == 0
+        assert sympy.simplify(sympy.diff(stroke, self.m) + sin(ti - te) / sin(ti)) == 0
+        # those three angles lie in (0, pi/2), where sin and cos are positive
+        x = sympy.Symbol("x", real=True)
+        quarter = sympy.Interval.open(0, sympy.pi / 2)
+        assert sympy.solveset(sin(x) <= 0, x, quarter) == sympy.EmptySet
+        assert sympy.solveset(cos(x) <= 0, x, quarter) == sympy.EmptySet
+        report(7, "stroke at a fixed width proved rising in theta_init, falling in "
+                  "theta_end and m")
+
+    def test_transcription_is_stroke_fixed_width(self):
+        names = (self.w, self.m, self.theta_i, self.theta_e)
+        transcribed = sympy.lambdify(names, self.stroke(), "math")
+        rng = np.random.default_rng(7707)
+        for _ in range(50):
+            w_init = rng.uniform(0.04, 0.2)
+            m = rng.uniform(0.0, 0.9) * w_init
+            theta_end = rng.uniform(0.01, 1.5)
+            theta_init = rng.uniform(theta_end, math.pi / 2)
+            assert stroke_fixed_width(w_init, m, theta_init, theta_end) == pytest.approx(
+                transcribed(w_init, m, theta_init, theta_end), rel=1e-12)
+
+
 class TestCriterion8:
     def test_pose_curve_rises_then_falls(self, nominal_model, nominal_state):
         curve = gamma_sweep(nominal_model, nominal_state, 91)

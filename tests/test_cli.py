@@ -89,8 +89,9 @@ def fresh(commands, watch=(), first="import grippertool.cli"):
 
 class TestNumpyImport:
     """numpy is loaded by the large-grid pass and the pose sweep alone:
-    importing the package, the scalar commands and a payload sweep of at
-    most SCALAR_GRID_CELLS cells leave it unloaded. That a sweep which
+    importing the package, the scalar commands, a payload sweep of at
+    most SCALAR_GRID_CELLS cells and one whose tool is not held, at any
+    size, leave it unloaded. That a sweep which
     imports it on its first call still prints its golden output is
     checked by TestParserReuse.test_sequence_matches_first_runs."""
 
@@ -125,6 +126,21 @@ class TestNumpyImport:
         loaded, [result] = fresh([self.sweep(SAMPLE, cells)], ["numpy"])
         assert loaded == [[], ["numpy"]]
         assert result[0] == 0 and len(result[1].splitlines()) == 1 + cells
+
+    def test_list_grid_of_chunk_lines_is_written_without_numpy(self, tmp_path):
+        # a tool too heavy to hold gives rows of floats, which % writes at
+        # any size; the same grid on the example design takes the numpy
+        # pass and the formatter
+        heavy = edited_design(tmp_path, "f_n = 40", "f_n = 5")
+        grid = ["--alpha", "5:85:1deg", "--d", "0:0.1:0.001"]
+        watch = ["grippertool._g9format", "numpy"]
+        loaded, results = fresh([["payload-sweep", heavy, *grid],
+                                 ["payload-sweep", SAMPLE, *grid]], watch)
+        assert loaded == [[], [], watch]
+        for code, out, err in results:
+            assert (code, err, len(out.splitlines())) == (0, "", 1 + 81 * 101)
+        assert 81 * 101 >= CHUNK_LINES
+        assert all(line.endswith(f",{INFEASIBLE}") for line in results[0][1].splitlines()[1:])
 
 
 class TestModuleLoading:
@@ -891,12 +907,12 @@ class TestSweepChunks:
 
     @pytest.mark.parametrize("cells", [CHUNK_LINES - 1, CHUNK_LINES, 2 * CHUNK_LINES + 1])
     def test_payload_single_alpha_row_at_chunk_boundaries(self, cells):
-        # the formatter's blocks split the row from CHUNK_LINES cells on
+        # from CHUNK_LINES cells on, the formatter writes the row as one block
         lines = self.payload(SAMPLE, "40:40:1deg", f"0:{0.00002 * (cells - 1)!r}:0.00002")
         assert len(lines) == cells
 
     def test_payload_grid_of_rows_longer_than_a_block(self):
-        # each row is written in two pieces, after its alpha and d texts
+        # each row is a block of its own, after its alpha and d texts
         lines = self.payload(SAMPLE, "40:42:1deg", f"0:{0.00002 * CHUNK_LINES!r}:0.00002")
         assert len(lines) == 3 * (CHUNK_LINES + 1)
 
@@ -916,7 +932,7 @@ class TestSweepChunks:
         assert all(line.endswith(f",{INFEASIBLE}") for line in lines)
 
     def test_tool_not_held_prints_every_cell_infeasible_in_blocks(self, tmp_path):
-        # the one grid of lists that reaches the formatter: its nan rows
+        # a grid of lists of CHUNK_LINES cells or more, written by %
         design = edited_design(tmp_path, "f_n = 40", "f_n = 5")
         lines = self.payload(design, "5:85:1deg", "0:0.1:0.001")
         assert len(lines) == 81 * 101 >= CHUNK_LINES

@@ -1,5 +1,6 @@
 """scripts/differential.py finds no difference between the repo and itself,
-and finds those of a copy with one sizing, contact or CLI output changed."""
+and finds those of a copy with one sizing, contact, CLI or sweep output
+changed."""
 
 import collections
 import json
@@ -136,6 +137,23 @@ def test_patched_workloads_copy_differs(tmp_path):
     assert summary["cases"] == 1048 and summary["differing"] > 0
     assert all(d["case"].startswith("interactive ") and d["a"] == [0, "no violations\n", ""]
                and d["b"] == [0, "no violation\n", ""] for d in summary["differences"])
+
+
+def test_sweeps_suite_against_itself():
+    code, summary = differential(ROOT, ROOT, "0:10", "--suite", "sweeps")
+    assert code == 0
+    assert summary == {"suite": "sweeps", "seeds": "0:10", "cases": 10 * 3,
+                       "differing": 0, "differences": []}
+
+
+def test_patched_sweeps_copy_differs(tmp_path):
+    # every line of a block of several alpha rows takes the block's first alpha
+    tree = patched_copy(tmp_path, "_g9format", "outer[r:r + step, None]", "outer[r:r + 1, None]")
+    code, summary = differential(ROOT, tree, "0:10", "--suite", "sweeps")
+    assert code == 1
+    assert summary["cases"] == 10 * 3 and summary["differing"] > 0
+    assert all(d["case"].startswith("grid ") and d["a"][0] == d["b"][0] == 0
+               and d["a"][1] != d["b"][1] for d in summary["differences"])
 
 
 @pytest.mark.parametrize("direction", ["up", "down"])

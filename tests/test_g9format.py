@@ -172,15 +172,14 @@ class TestBlocks:
         assert_same_text(text, "%.9g,%.9g\n" * 1001 % tuple(values.ravel().tolist()))
 
     # (rows, columns), block_lines and the lines of each block: whole rows,
-    # ceil(rows / ceil(cells / block_lines)) of them, or pieces of a row
-    # longer than a block
+    # ceil(rows / ceil(cells / block_lines)) of them, at least one
     LAYOUTS = [
         pytest.param((7, 13), 40, [39, 39, 13], id="short-last-block"),
         pytest.param((7, 13), 30, [26, 26, 26, 13], id="whole-rows"),
         pytest.param((81, 101), 4096, [4141, 4040], id="over-by-less-than-a-row"),
         pytest.param((3, 10), 10, [10, 10, 10], id="rows-of-a-block"),
         pytest.param((25, 1), 10, [9, 9, 7], id="one-column"),
-        pytest.param((1, 25), 10, [9, 9, 7], id="one-row-longer-than-a-block"),
+        pytest.param((1, 25), 10, [25], id="one-row-longer-than-a-block"),
     ]
 
     @staticmethod
@@ -198,8 +197,8 @@ class TestBlocks:
                        for a, row in zip(outer, rows) for d, w in zip(inner, row))
 
     def test_grid_lines_across_blocks(self):
-        # 7 rows of 13 cells at 10 lines a block: each row in two pieces
-        self.test_grid_layout((7, 13), 10, [7, 6] * 7)
+        # 7 rows of 13 cells at 10 lines a block: each row a block of its own
+        self.test_grid_layout((7, 13), 10, [13] * 7)
 
     @pytest.mark.parametrize("shape, block_lines, lines", LAYOUTS)
     def test_grid_layout(self, shape, block_lines, lines):
@@ -209,18 +208,9 @@ class TestBlocks:
         assert_same_text("".join(blocks),
                          self.grid_text(grid.tolist(), outer, inner, "INFEASIBLE"))
 
-    @pytest.mark.parametrize("shape, block_lines", [((7, 13), 30), ((7, 13), 10)],
-                             ids=["whole-rows", "rows-longer-than-a-block"])
-    def test_list_grid_of_a_tool_not_held(self, shape, block_lines):
-        # payload_sweep's rows of nan floats when the tool is not held
-        _, outer, inner = self.grid(shape)
-        rows = [[math.nan] * shape[1] for _ in range(shape[0])]
-        text = "".join(grid_blocks(rows, block_lines, outer, inner, "INFEASIBLE"))
-        assert_same_text(text, self.grid_text(rows, outer, inner, "INFEASIBLE"))
-
     def test_array_grid_is_read_in_place(self, monkeypatch):
         # the payload numpy pass's weights reach records() with no copy,
-        # in blocks of whole rows and in pieces of rows
+        # in blocks of several rows and of one row longer than a block
         grid, outer, inner = self.grid((7, 13))
         seen = []
 
@@ -229,7 +219,7 @@ class TestBlocks:
             return records(values, ends, nan_text)
 
         monkeypatch.setattr(_g9format, "records", spy)
-        for block_lines, blocks in ((30, 4), (10, 14)):
+        for block_lines, blocks in ((30, 4), (10, 7)):
             seen.clear()
             text = "".join(grid_blocks(grid, block_lines, outer, inner, "INFEASIBLE"))
             assert seen == [True] * blocks

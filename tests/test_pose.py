@@ -18,7 +18,7 @@ from grippertool import (
 )
 
 from grippertool.contact import _friction_capacity
-from grippertool.pose import _one_sign, _quartic, _roots, _shifted
+from grippertool.pose import _one_sign, _quartic, _roots
 
 from sweep_reference import bits, certified_peak, gamma_curve
 from test_payload import EXAMPLE, scaling_draws
@@ -344,10 +344,21 @@ class TestPeakLemmas:
         # past pi - alpha, cos(gamma - kink) = -v < 0
         assert (available_slope - G * d * -v).subs(positive).is_positive
 
+    @staticmethod
+    def shifted(coeffs, t0):
+        """Coefficients, lowest first, of p(t0 + u) in u."""
+        shifted = list(coeffs)
+        for i in range(len(shifted) - 1):
+            for j in range(len(shifted) - 2, i - 1, -1):
+                shifted[j] += t0 * shifted[j + 1]
+        return shifted
+
     def test_descartes_skip_leaves_no_root(self):
-        # wherever the sign rule skips the search, on Q's own coefficients
-        # or on those of Q(t0 + u), Q keeps one sign on the rest of
-        # [0, pi/2], evaluated from its formula, and the search finds nothing
+        # wherever the sign rule skips the search, on Q's own coefficients,
+        # Q keeps one sign on the rest of [0, pi/2], evaluated from its
+        # formula, and the search finds nothing. Where only the rule on the
+        # coefficients of Q(t0 + u) rules out roots, the search runs, finds
+        # nothing, and Q keeps one sign there too.
         rng = random.Random(26)
         skips = {"own": 0, "shifted": 0, "none": 0}
         for _ in range(400):
@@ -364,7 +375,7 @@ class TestPeakLemmas:
             t0 = math.tan(start)
             if _one_sign(coeffs, magnitudes):
                 skips["own"] += 1
-            elif _one_sign(_shifted(coeffs, t0), _shifted(magnitudes, t0)):
+            elif _one_sign(self.shifted(coeffs, t0), self.shifted(magnitudes, t0)):
                 skips["shifted"] += 1
             else:
                 skips["none"] += 1

@@ -915,6 +915,17 @@ class TestMaximizeStroke:
             "no feasible design within bounds; binding: "
             "r_upper_bound (-0.0191984), m_upper_bound (-0.0053)")
 
+    def test_theta_init_outside_its_bounds_is_refused(self):
+        # one float below and above the theta_init bounds, on the width
+        # tie with m and r within theirs: each point builds, and only the
+        # theta_init check refuses it
+        problem = make_problem()
+        t_lo, t_hi = problem.theta_init_bounds
+        for theta_init in (math.nextafter(t_lo, 0.0), math.nextafter(t_hi, math.inf)):
+            point = tied(problem, 0.012, theta_init)
+            assert build_dimensions(problem, *point) is not None
+            assert _evaluate(problem, *point) == (None, "theta_init")
+
     def test_only_a_budget_refusal_takes_a_step(self):
         problem = make_problem(m_bounds=(0.008, 0.075),
                                theta_init_bounds=(0.1, 1.4))

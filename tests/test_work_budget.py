@@ -194,7 +194,7 @@ def pose_argv(design, samples):
 
 
 @pytest.mark.parametrize("sweep, blocks", [
-    ("pose", 1), ("pose-long", 3), ("payload-row", 1), ("payload-long-row", 25),
+    ("pose", 1), ("pose-long", 3), ("payload-row", 1), ("payload-long-row", 1),
     ("payload-grid", 2)])
 def test_long_sweep_writes_infeasible_from_the_formatter(counts, tmp_path, sweep, blocks):
     # f_n = 5 leaves the pads unable to carry the tool below gamma = 60 deg;
