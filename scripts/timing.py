@@ -20,13 +20,19 @@ reports for a run: the median (p50_ms), the workload's tail percentile
 (tail_ms, with perfbench/run.py's own nearest-rank function) and the
 requests per second of busy time. Each seed is one pair of children.
 
+A child also counts each timed cli.run call's minor page faults: the
+change in resource.getrusage(RUSAGE_SELF).ru_minflt, read outside the
+perf_counter window. A request's faults are the median over its timed
+calls.
+
 Prints one JSON line: the CPUs the children ran on (cpus); per tree, the
 median over the pairs of those three values, the median over the pairs
-of each request kind's median best latency (kind_p50_ms) and the number
-of cli.run calls, warm-up cycles included, that returned an exit code
-other than the one the workload expects (failed); the pairs each tree
-wins on each of the three values (a tie counts for neither); and every
-pair's three values.
+of each request kind's median best latency (kind_p50_ms) and of its
+median faults per call (kind_faults, null where the platform has no
+resource module), and the number of cli.run calls, warm-up cycles
+included, that returned an exit code other than the one the workload
+expects (failed); the pairs each tree wins on each of the three values
+(a tie counts for neither); and every pair's three values.
 """
 
 import argparse
@@ -43,39 +49,60 @@ from pathlib import Path
 
 from differential import import_from, load_perfbench, seed_range, tree_env
 
+try:
+    import resource
+except ImportError:   # not on Windows
+    resource = None
+
 METRICS = {"p50_ms": "lower", "tail_ms": "lower", "requests_per_s": "higher"}
 
 
+def _minor_faults():
+    """This process's minor page faults so far, or 0 without resource."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt if resource else 0
+
+
 def replay(requests, cycles):
-    """Each request's best latency over the timed cycles, and the number of
-    calls that returned an exit code other than expected."""
+    """Each request's best latency and median minor faults over the timed
+    cycles, and the number of calls that returned an exit code other than
+    expected."""
     from grippertool import cli
 
     best = [math.inf] * len(requests)
+    faults = [[] for _ in requests]
     failed = 0
     for cycle in range(1 + cycles):  # the first cycle warms up, untimed
         for i, request in enumerate(requests):
             out, err = io.StringIO(), io.StringIO()
+            before = _minor_faults()
             start = time.perf_counter()
             code = cli.run(request["argv"], out, err)
             elapsed = time.perf_counter() - start
+            after = _minor_faults()
             failed += code != request["expect"]
             if cycle:
                 best[i] = min(best[i], elapsed)
-    return best, failed
+                faults[i].append(after - before)
+    return best, [statistics.median(counts) for counts in faults], failed
 
 
-def summarize(best, kinds, tail_pct):
-    """A child's p50, tail and requests per second, and each kind's median,
-    over the best latencies (seconds)."""
-    by_kind = {}
-    for latency, kind in zip(best, kinds):
-        by_kind.setdefault(kind, []).append(latency)
+def _by_kind(values, kinds):
+    """The median of values per kind, in kind order."""
+    groups = {}
+    for value, kind in zip(values, kinds):
+        groups.setdefault(kind, []).append(value)
+    return {kind: statistics.median(group) for kind, group in sorted(groups.items())}
+
+
+def summarize(best, faults, kinds, tail_pct):
+    """A child's p50, tail and requests per second over the best latencies
+    (seconds), and each kind's median latency and median faults."""
     return {"p50_ms": statistics.median(best) * 1e3,
             "tail_ms": load_perfbench("run")._percentile(best, tail_pct) * 1e3,
             "requests_per_s": len(best) / sum(best),
-            "kind_p50_ms": {kind: statistics.median(values) * 1e3
-                            for kind, values in sorted(by_kind.items())}}
+            "kind_p50_ms": {kind: value * 1e3
+                            for kind, value in _by_kind(best, kinds).items()},
+            "kind_faults": _by_kind(faults, kinds) if resource else None}
 
 
 def _child(args, workloads):
@@ -86,8 +113,8 @@ def _child(args, workloads):
     import_from(args.tree_a)
     with tempfile.TemporaryDirectory() as directory:
         requests = workloads.generate(args.workload, args.seeds.start, Path(directory))
-        best, failed = replay(requests, args.cycles)
-    summary = summarize(best, [request["kind"] for request in requests],
+        best, faults, failed = replay(requests, args.cycles)
+    summary = summarize(best, faults, [request["kind"] for request in requests],
                         workloads.WORKLOADS[args.workload]["tail_pct"])
     print(json.dumps(dict(summary, failed=failed, cpu=cpu)))
 
@@ -128,9 +155,10 @@ def compare(args, workloads):
         summary[name] = {"tree": str(tree)}
         summary[name].update({metric: statistics.median(run[metric] for run in runs)
                               for metric in METRICS})
-        summary[name]["kind_p50_ms"] = {
-            kind: statistics.median(run["kind_p50_ms"][kind] for run in runs)
-            for kind in runs[0]["kind_p50_ms"]}
+        for key in ("kind_p50_ms", "kind_faults"):
+            summary[name][key] = runs[0][key] and {
+                kind: statistics.median(run[key][kind] for run in runs)
+                for kind in runs[0][key]}
         summary[name]["failed"] = sum(run["failed"] for run in runs)
     summary["wins"] = {metric: {name: sum(beats(metric, pair[name], pair[other])
                                           for pair in pairs)

@@ -35,8 +35,19 @@ once; one decade low gives n >= 10**9, which is a carry or falls back.
 Every other value but nan (ties, scientific notation, subnormals, +-0
 and +-inf) is formatted by Python's own '%16.9g', all of a block's such
 values in one % call, and its spaces become NUL. A nan of either sign is
-written as the caller's nan text, by default "nan" as '%' writes it; one
-scatter puts that text in every nan record.
+written as the caller's nan text, by default "nan" as '%' writes it:
+each slot row but the end is cleared at every nan and the text's byte
+for that slot added there.
+
+Every step works on whole slot rows of a block, in the narrowest integer
+type that holds its values, so that a block takes few, cheap numpy
+passes. X and n need to be right only where the fast path holds: every
+other record is overwritten. n's nine digits come from three 3-digit
+groups, n // 10**6, n // 10**3 and n, each less a thousand times the
+one before. Each group's three digits come the same way from g // 100,
+g // 10 and g, each less ten times the one before. Both steps run in
+wrapping uint16 and uint8 arithmetic: the operands may wrap, but each
+difference is a group below 1000 or a digit below 10, so it is exact.
 
 Only the CLI imports this module, for sweeps of at least CHUNK_LINES
 lines whose floats are float64 arrays, so numpy is already loaded by the
@@ -60,38 +71,35 @@ _PREFIX_EXP = np.array([-1, -1, -2, -3, -4], dtype=np.int8)[:, None]
 # numpy's pow need not give them. A value with X = -5 may carry to
 # X = -4.
 _POW10 = np.array([float(10 ** k) for k in range(14)])
-_TEN = np.uint32(10)
 _SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
 
 
 def _exponent_digits(values):
-    """(X, n, fast) for the float64 values: the decimal exponent and the
-    nine-digit integer of |value|'s '%.9g' rounding where fast holds,
-    which is only for finite nonzero values, and 0 and 0 elsewhere. In
-    place where it can: a block's float temporaries set the sweep's peak
-    memory."""
+    """(X, n, fast) for the float64 values: where fast holds, the decimal
+    exponent (int8) and the nine-digit integer (uint32) of |value|'s
+    '%.9g' rounding. fast holds only for finite nonzero values. Elsewhere
+    X and n are whatever the steps leave, n at most 10**9. In place where
+    it can: a block's float temporaries set the sweep's peak memory."""
     ax = np.abs(values)
-    # +-0, +-inf and nan become 1e-300, which is outside fixed notation
-    # and so never fast
-    ax[~((ax > 0.0) & (ax < np.inf))] = 1e-300
-    shift = (8.0 - np.floor(np.log10(ax))).astype(np.intp)   # 8 - X
-    y = _POW10.take(shift, mode="clip")
+    # nan and +-0 become 1e-100 and +-inf 1e10: outside fixed notation, so
+    # never fast, and every X fits in int8
+    np.fmax(ax, 1e-100, out=ax)
+    np.fmin(ax, 1e10, out=ax)
+    y = np.log10(ax)
+    exp = np.floor(y, out=y).astype(np.int8)
+    y = _POW10.take((np.int8(8) - exp).astype(np.intp), mode="clip", out=y)
     y *= ax
-    del ax
-    n = np.rint(y)
+    n = np.rint(y, out=ax)
     y -= n
     fast = np.abs(y, out=y) != 0.5
+    del y
     carry = n == 1e9
-    shift[carry] -= 1
+    exp += carry.view(np.int8)
     n[carry] = 1e8
-    fast &= (shift >= 0) & (shift <= 12) & (n >= 1e8) & (n < 1e9)
-    return (np.where(fast, 8 - shift, 0).astype(np.int8),
-            np.where(fast, n, 0.0).astype(np.uint32), fast)
-
-
-def _char(mask, char):
-    """The byte char where mask holds, NUL elsewhere."""
-    return mask.view(np.uint8) * np.uint8(ord(char))
+    n = np.minimum(n, 1e9, out=n).astype(np.uint32)
+    fast &= (exp + np.int8(4)).view(np.uint8) <= 12   # -4 <= X <= 8
+    fast &= n - np.uint32(10**8) < np.uint32(9 * 10**8)   # 10**8 <= n < 10**9
+    return exp, n, fast
 
 
 def records(values, ends, nan_text="nan"):
@@ -99,39 +107,71 @@ def records(values, ends, nan_text="nan"):
     texts (see the module docstring), with nan_text, of at most FIELD - 1
     ASCII characters, for each nan; ends is one byte per value, or one
     for all. The records are built slot by slot in a slot-major array, of
-    which this returns the transposed view."""
+    which this returns the transposed view.
+
+    The digits d0..d8 are rows of one (10, len(values)) array, the last
+    row NUL, built from n's three digit groups. One boolean mask of the
+    same shape is reused for each slot test: the digits kept (up to dX
+    and up to the last nonzero one), the slots before the point, the
+    slots after it and the point's own."""
     count = len(values)
     exp, n, fast = _exponent_digits(values)
     out = np.empty((FIELD, count), dtype=np.uint8)   # slot-major, transposed on return
-    out[0] = _char(np.signbit(values), "-")
-    prefix = exp <= _PREFIX_EXP   # the "0.000" of 0.d, 0.0d, 0.00d and 0.000d
-    np.multiply(prefix.view(np.uint8), _PREFIX, out=out[1:6])
-    digits = np.empty((10, count), dtype=np.uint8)
-    for p in range(8, -1, -1):
-        q = n // _TEN
-        digits[p] = n - q * _TEN
-        n = q
-    digits[9] = 0
-    last = ((digits[:9] != 0) * _SLOTS[:9]).max(axis=0)   # the last nonzero digit
-    digits += np.uint8(ord("0"))
+    np.signbit(values, out=out[0].view(np.bool_))
+    out[0] *= np.uint8(ord("-"))
+    # the "0.000" of 0.d, 0.0d, 0.00d and 0.000d
+    np.multiply((exp <= _PREFIX_EXP).view(np.uint8), _PREFIX, out=out[1:6])
     # the point's body slot: after dX, and past b9 (10) for a value below 1
-    point = np.maximum(exp + np.int8(1), prefix[0].view(np.int8) * np.int8(10))
+    point = np.maximum(exp + np.int8(1), (exp < 0).view(np.int8) * np.int8(10))
+    groups = np.empty((3, count), dtype=np.uint16)
+    np.floor_divide(n, np.uint32(10**6), out=groups[0], casting="unsafe")
+    np.floor_divide(n, np.uint32(10**3), out=groups[1], casting="unsafe")
+    groups[2] = n
+    del n
+    groups[1:] -= groups[:-1] * np.uint16(1000)
+    digits = np.empty((10, count), dtype=np.uint8)
+    triples = digits[:9].reshape(3, 3, count)   # (group, digit of the group, value)
+    np.floor_divide(groups, np.uint16(100), out=triples[:, 0], casting="unsafe")
+    np.floor_divide(groups, np.uint16(10), out=triples[:, 1], casting="unsafe")
+    triples[:, 2] = groups
+    del groups
+    triples[:, 1:] -= triples[:, :-1] * np.uint8(10)
+    digits[9] = 0
+    mask = np.empty((10, count), dtype=np.bool_)
+    mask8 = mask.view(np.uint8)
+    # keep the digits up to dX and up to the last nonzero digit, as ASCII;
+    # the others are zeros and stay NUL
+    np.not_equal(digits[:9], 0, out=mask[:9])
+    mask8[:9] *= _SLOTS[:9].view(np.uint8)
+    keep = np.maximum(exp, mask8[:9].max(axis=0).view(np.int8))
+    np.less_equal(_SLOTS, keep, out=mask)
+    mask8 *= np.uint8(ord("0"))
+    digits += mask8
+    # the digits before the point in place, those after it one slot on
     body = out[_BODY]
-    np.multiply(digits, _SLOTS < point, out=body)
-    body[1:] += digits[:-1] * (_SLOTS[1:] > point)
-    body += _char(_SLOTS == point, ".")
-    # keep the slots up to dX and up to the last nonzero digit
-    body *= _SLOTS <= np.maximum(exp, last + ((last > exp) & (exp >= 0)))
+    np.less(_SLOTS, point, out=mask)
+    np.multiply(digits, mask8, out=body)
+    np.greater(_SLOTS[1:], point, out=mask[1:])
+    digits[:-1] *= mask8[1:]
+    body[1:] += digits[:-1]
+    # the point, where a kept digit follows it (slot 10, none, elsewhere)
+    np.equal(_SLOTS, np.maximum(point, (keep < point).view(np.int8) * np.int8(10)), out=mask)
+    mask8 *= np.uint8(ord("."))
+    body += mask8
+    del digits, triples, mask, mask8
     out[-1] = ends
     nan = np.isnan(values)
-    slow = np.flatnonzero(~(fast | nan))   # a nan's record is overwritten last
-    if len(slow):
+    fast |= nan   # a nan's record is overwritten last
+    if not fast.all():
+        slow = np.flatnonzero(~fast)
         text = "%16.9g" * len(slow) % tuple(values[slow].tolist())
         out[:16, slow] = np.frombuffer(
             text.encode("ascii").translate(_SPACE_TO_NUL), dtype=np.uint8
         ).reshape(-1, 16).T
-    out[:-1, np.flatnonzero(nan)] = np.frombuffer(
-        nan_text.encode("ascii").ljust(FIELD - 1, b"\0"), dtype=np.uint8)[:, None]
+    if nan.any():
+        text = np.frombuffer(nan_text.encode("ascii"), dtype=np.uint8)[:, None]
+        out[:-1] *= (~nan).view(np.uint8)
+        out[:len(text)] += text * nan.view(np.uint8)
     return out.T
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,20 @@ class TestExactness:
             assert fast.all() and (exp == k).all() and (n == 10**8).all()
             assert_texts_match(high)
 
+    def test_digit_groups_of_zeros_and_nines(self):
+        # nine digits with a 3-digit group of 000 or 999 at every fixed
+        # exponent, the floats just below each, and a value just below each
+        # whose rounding carries up through the groups to those digits
+        digits = [100000000, 100000001, 100001000, 101000000, 999000999, 123000456,
+                  999999999, 100999999, 999999000, 120000999]
+        exact = [float(f"{n}e{k - 8}") for n in digits for k in range(-4, 9)]
+        carried = [float(f"{n * 100 - 4}e{k - 10}") for n in digits for k in range(-4, 9)]
+        below = [v for value in exact for v in neighbours(value)[:3]]
+        values = np.array(exact + carried + below)
+        assert _g9format._exponent_digits(values)[2].all()
+        assert reference(exact) == reference(carried)
+        assert_texts_match(np.concatenate([values, -values]))
+
     def test_block_of_fallback_values(self):
         # scientific notation, subnormals, products on a midpoint, +-0 and
         # +-inf: no value of the block takes the fast path
@@ -161,6 +176,24 @@ class TestNanText:
     def test_default_text_is_nan(self):
         assert g9(self.VALUES) == reference(self.VALUES)
         assert g9(self.VALUES).count("nan\n") == 4
+
+
+class TestMemory:
+    def test_traced_peak_per_value(self):
+        # one block of CHUNK_LINES pose lines, 8,192 values, nan among them.
+        # Nine uint32 divisions and a new array per slot step peaked at 60.2
+        # bytes a value; the digit groups and one reused mask at 43.2
+        values = np.random.default_rng(8).uniform(-3.0, 3.0, 8192)
+        values[::10] = math.nan
+        ends = np.tile(np.frombuffer(b",\n", dtype=np.uint8), 4096)
+        records(values, ends, "INFEASIBLE")   # numpy's first-call allocations untraced
+        tracemalloc.start()
+        try:
+            records(values, ends, "INFEASIBLE")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / len(values) <= 43.5
 
 
 class TestBlocks:

@@ -6,6 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:   # not on Windows
+    resource = None
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -22,9 +27,17 @@ def test_in_process_pairs_report_each_tree():
     assert (summary["workload"], summary["seeds"], summary["cycles"],
             summary["tail_pct"]) == ("interactive", "1:3", 1, 99.0)
     for tree in ("a", "b"):
-        assert list(summary[tree]) == ["tree", *metrics, "kind_p50_ms", "failed"]
-        assert sorted(summary[tree]["kind_p50_ms"]) == ["analyze", "payload-sweep",
-                                                        "pose-sweep", "validate"]
+        assert list(summary[tree]) == ["tree", *metrics, "kind_p50_ms", "kind_faults",
+                                       "failed"]
+        kinds = ["analyze", "payload-sweep", "pose-sweep", "validate"]
+        assert list(summary[tree]["kind_p50_ms"]) == kinds
+        # minor page faults per cli.run call, where the platform counts them
+        faults = summary[tree]["kind_faults"]
+        if resource is None:
+            assert faults is None
+        else:
+            assert list(faults) == kinds
+            assert all(count >= 0 for count in faults.values())
         assert summary[tree]["failed"] == 0
     assert list(summary["wins"]) == metrics
     for wins in summary["wins"].values():
