@@ -5,6 +5,9 @@ Usage:
     python scripts/timing.py --in-process TREE_A TREE_B --workload interactive \\
         --seeds 1:7 [--cycles 15]
 
+TREE_A and TREE_B are each a source tree directory or, where no such
+directory exists, a git revision of this repository (HEAD, a commit, a
+branch), which is git-archived into a temporary directory for the run.
 For each seed of the range, one fresh child process per tree runs the
 workload's cycle for that seed, from perfbench/workloads.py (imported,
 never written), with its design files in a temporary directory. The
@@ -47,7 +50,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from differential import import_from, load_perfbench, seed_range, tree_env
+from differential import ROOT, import_from, load_perfbench, seed_range, tree_env
 
 try:
     import resource
@@ -137,13 +140,27 @@ def beats(metric, run, other):
     return run[metric] > other[metric]
 
 
-def compare(args, workloads):
-    """The JSON-ready summary of the pairs of args.seeds."""
+def checkout(tree, directory):
+    """tree if it is a directory, else the git revision tree of this
+    repository archived into directory."""
+    if Path(tree).is_dir():
+        return tree
+    os.mkdir(directory)
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", tree],
+                             stdout=subprocess.PIPE, check=True)
+    subprocess.run(["tar", "-x", "-C", str(directory)], input=archive.stdout, check=True)
+    return str(directory)
+
+
+def compare(args, workloads, scratch):
+    """The JSON-ready summary of the pairs of args.seeds; a tree given as a
+    git revision is archived under the directory scratch."""
     trees = {"a": args.tree_a, "b": args.tree_b}
+    directories = {name: checkout(tree, Path(scratch) / name) for name, tree in trees.items()}
     pairs = []
     for k, seed in enumerate(args.seeds):
         order = "ab" if k % 2 == 0 else "ba"
-        runs = {name: _spawn(trees[name], args, seed) for name in order}
+        runs = {name: _spawn(directories[name], args, seed) for name in order}
         pairs.append({"seed": seed, "a": runs["a"], "b": runs["b"]})
     summary = {"workload": args.workload, "seeds": f"{args.seeds.start}:{args.seeds.stop}",
                "cycles": args.cycles,
@@ -189,7 +206,8 @@ def main():
     if args.child:
         _child(args, workloads)
     else:
-        print(json.dumps(compare(args, workloads)))
+        with tempfile.TemporaryDirectory() as scratch:
+            print(json.dumps(compare(args, workloads, scratch)))
     return 0
 
 

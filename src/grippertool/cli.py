@@ -115,13 +115,17 @@ def _mark_infeasible(lines: str) -> str:
     return lines.replace("nan\n", f"{INFEASIBLE}\n")
 
 
-def _type_error(message: str) -> Exception:
-    """The argparse.ArgumentTypeError a type function raises for a refused
-    value. argparse is imported only where a value is refused or the
-    parser is built, so a request whose values are all accepted never
+def _argument_type_error() -> type:
+    """argparse.ArgumentTypeError, which a type function raises for a
+    refused value. argparse is imported only where a value is refused or
+    the parser is built, so a request whose values are all accepted never
     loads it."""
     import argparse
-    return argparse.ArgumentTypeError(message)
+    return argparse.ArgumentTypeError
+
+
+def _type_error(message: str) -> Exception:
+    return _argument_type_error()(message)
 
 
 def _finite_float(text: str) -> float:
@@ -384,8 +388,7 @@ def _parse_request(argv):
     Values are converted in argv order, before the design and the required
     flags are checked, which is the order argparse reports errors in. The
     first value refused with ArgumentTypeError, ValueError or TypeError
-    raises _RefusedValue with argparse's text for it; any other exception
-    leaves the request to argparse, which raises it again.
+    raises _RefusedValue with argparse's text for it.
     """
     options = _COMMANDS[argv[0]][2]
     given = {}
@@ -408,15 +411,13 @@ def _parse_request(argv):
         type_ = options[flag][0]
         try:
             setattr(args, flag[2:].replace("-", "_"), type_(text))
-        except Exception as exc:
-            import argparse
-            if isinstance(exc, argparse.ArgumentTypeError):
-                message = str(exc)
-            elif isinstance(exc, (TypeError, ValueError)):
-                message = f"invalid {type_.__name__} value: {text!r}"
-            else:
-                return None
-            raise _RefusedValue(f"argument {flag}: {message}") from None
+        except (TypeError, ValueError):
+            message = f"invalid {type_.__name__} value: {text!r}"
+        except _argument_type_error() as exc:
+            message = str(exc)
+        else:
+            continue
+        raise _RefusedValue(f"argument {flag}: {message}") from None
     if design is None:
         return None
     for flag, (_, default, required, _) in options.items():

@@ -7,9 +7,10 @@ force f and a spin torque t about the contact normal, limited jointly by
 
 where e is the eccentricity of the contact patch (ratio of maximum torque
 to maximum tangential force). Two pads act on the tool, one per finger.
-Each formula is one function here: required_grip_force for the grip
-force, and _friction_capacity for mu*f_n and its square, which the hold
-offset, the payload and the pose modules each call once per request.
+Each formula is one function here: _friction_capacity for mu*f_n and
+its square, called once per request, and the cores _hold_offset and
+_grip_force, which their checking wrappers call and the proofs of
+criteria 3 and 5 call on sympy symbols.
 """
 
 import math
@@ -18,7 +19,7 @@ from enum import Enum
 
 from .errors import (DomainError, InfeasibleHoldError, SingularTransmissionError,
                      require_finite, value_type)
-from .mechanism import SpringSpec, ToolDimensions, spring_torque
+from .mechanism import SpringSpec, ToolDimensions, _spring_torque
 
 # Relative slack applied to the capacity boundary so that wrenches computed
 # to sit exactly on it classify as feasible despite rounding.
@@ -146,8 +147,8 @@ def holding_max_offset(model: ContactModel, state: GraspState) -> float:
     works once 2*mu*f_n >= g_tool.
 
     Raises InfeasibleHoldError when 2*mu*f_n < g_tool (cannot hold at any d),
-    and DomainError when (mu*f_n)^2 or a term of the formula leaves the
-    normal float range.
+    and DomainError when (mu*f_n)^2, a term of the formula or a nonzero
+    offset leaves the normal float range.
     """
     mu_fn = model.mu * state.f_n
     g = state.g_tool
@@ -158,14 +159,19 @@ def holding_max_offset(model: ContactModel, state: GraspState) -> float:
     mu_fn2 = _friction_capacity(model, state.f_n)[1]
     sin_a = math.sin(state.alpha)
     spin = g * sin_a
-    # 4*M^2 or G^2 that overflows leaves nan or inf, and below the normal
-    # range M^2 or G*sin(alpha) has lost digits; 4*M^2 >= G^2 otherwise
-    offset = (model.e * math.sqrt(4.0 * mu_fn2 - g * g) / spin
+    # overflow leaves nan or inf, and below the normal range M^2, G*sin(alpha)
+    # or a nonzero offset has lost digits; 4*M^2 >= G^2 otherwise
+    offset = (_hold_offset(model.e, mu_fn2, g, spin)
               if mu_fn2 >= _MIN_NORMAL and spin >= _MIN_NORMAL else math.nan)
-    if not math.isfinite(offset):
+    if not (offset == 0.0 or _MIN_NORMAL <= offset < math.inf):
         raise DomainError("hold offset out of floating-point range: "
                           f"mu*f_n = {mu_fn:g}, g_tool = {g:g}, sin(alpha) = {sin_a:g}")
     return offset
+
+
+def _hold_offset(e, mu_fn2, g, spin):
+    """The hold offset e*sqrt(4*M^2 - G^2)/spin, spin = G*sin(alpha)."""
+    return e * math.sqrt(4.0 * mu_fn2 - g * g) / spin
 
 
 def required_grip_force(dim: ToolDimensions, spring: SpringSpec, state: GraspState,
@@ -203,12 +209,19 @@ def required_grip_force(dim: ToolDimensions, spring: SpringSpec, state: GraspSta
         raise SingularTransmissionError(
             "linkage angle at 90 degrees transmits no closing force"
         )
-    t_spring = spring_torque(spring, dim.theta_init - theta)
-    transmission = 2.0 * dim.v * t_spring / (dim.r * math.cos(theta))
-    gravity = state.g_tool * math.cos(state.alpha) * math.tan(theta) / 2.0
-    force = (transmission + gravity if config is GripConfig.BACKWARD_BASE
-             else transmission - gravity)
+    force, transmission, gravity = _grip_force(dim, spring, state.g_tool, state.alpha,
+                                               theta, config)
     if not math.isfinite(force):
         raise DomainError("grip force out of floating-point range: "
                           f"transmission = {transmission:g}, gravity = {gravity:g}")
     return force
+
+
+def _grip_force(dim, spring, g_tool, alpha, theta, config):
+    """(force, transmission, gravity) of required_grip_force, unchecked."""
+    t_spring = _spring_torque(spring, dim.theta_init - theta)
+    transmission = 2.0 * dim.v * t_spring / (dim.r * math.cos(theta))
+    gravity = g_tool * math.cos(alpha) * math.tan(theta) / 2.0
+    force = (transmission + gravity if config is GripConfig.BACKWARD_BASE
+             else transmission - gravity)
+    return force, transmission, gravity

@@ -182,4 +182,9 @@ def spring_torque(spring: SpringSpec, delta_theta: float) -> float:
     """
     if delta_theta < 0.0:
         raise DomainError(f"delta_theta={delta_theta:g} must be >= 0")
+    return _spring_torque(spring, delta_theta)
+
+
+def _spring_torque(spring: SpringSpec, delta_theta: float) -> float:
+    """spring_torque's kappa*(beta + delta_theta), without its check."""
     return spring.kappa * (spring.beta + delta_theta)

@@ -25,8 +25,9 @@ n = g_tool*(D*Q - e^2), the largest weight is
 
 the second being the first times its conjugate over itself, so n and
 e*sqrt(K) are never subtracted. tests/test_acceptance.py proves both
-forms with sympy. Nothing divides by e*mu*f_n, so a small e loses no
-digits to a quadratic whose terms cancel.
+forms with sympy, on what _terms and _root_parts give for symbols.
+Nothing divides by e*mu*f_n, so a small e loses no digits to a
+quadratic whose terms cancel.
 
 The formulas are written once, with operators that work on floats and
 numpy arrays alike. Each builds a value from its first full-sized

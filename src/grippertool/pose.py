@@ -49,7 +49,7 @@ computing one margin, does not load numpy.
 
 import math
 
-from .contact import ContactModel, GraspState, _friction_capacity
+from .contact import _MIN_NORMAL, ContactModel, GraspState, _friction_capacity
 from .errors import DomainError, ZeroCapacityError, _boundary, value_type
 
 
@@ -106,11 +106,13 @@ def torque_margin(model: ContactModel, state: GraspState, gamma: float) -> float
 def _capacity(model, state):
     """contact._friction_capacity(), once per request. Raises DomainError
     when 2*e*mu*f_n or g_tool*d_com, the bounds of the margin's two terms,
-    leaves the float range; within them every margin is finite."""
+    leaves the float range, or at f_n > 0 2*e*mu*f_n leaves the normal
+    range, where it has lost digits; within them every margin is finite."""
     capacity = _friction_capacity(model, state.f_n)
     available = 2.0 * model.e * capacity[0]
     demand = state.g_tool * state.d_com
-    if not (math.isfinite(available) and math.isfinite(demand)):
+    if (not (math.isfinite(available) and math.isfinite(demand))
+            or available < _MIN_NORMAL and state.f_n > 0.0):
         raise DomainError("torque margin out of floating-point range: "
                           f"2*e*mu*f_n = {available:g}, g_tool*d_com = {demand:g}")
     return capacity

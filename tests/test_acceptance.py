@@ -10,6 +10,7 @@ import io
 import math
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -34,6 +35,7 @@ from grippertool import (
     stroke_fixed_width,
     torque_margin,
 )
+from grippertool import contact, mechanism, payload
 from grippertool.cli import run
 
 from oracles import (
@@ -42,6 +44,7 @@ from oracles import (
     holding_feasible,
     payload_feasible,
 )
+from symbolic import exact, on_symbols
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE = str(ROOT / "designs" / "example_tool.ini")
@@ -99,81 +102,97 @@ class TestCriterion1And2:
 
 
 class TestCriterion1And2Proof:
-    """The payload's closed form proved, next to the sampled check above:
-    the balance substituted into the limit surface is a quadratic whose
-    discriminant factors as e^2*K, and both forms of the root that
-    max_payload takes are one value, on the limit surface, and the larger
-    root."""
+    """The payload's closed form proved, next to the sampled check above,
+    on the expressions payload's own _terms and _root_parts build from
+    sympy symbols: the balance substituted into the limit surface is a
+    quadratic whose discriminant is (e*sqrt(K))^2, and both forms of the
+    root that max_payload takes are one value, on the limit surface, and
+    the larger root."""
 
-    g, e, m = sympy.symbols("g e M", positive=True)   # M = mu*f_n
-    d, q, w = sympy.symbols("D Q w", real=True)       # D = d_obj*sin, Q = d_com*cos
+    g, e, m, d_obj, d_com = sympy.symbols("g e M d_obj d_com", positive=True)  # M = mu*f_n
+    s, c, w = sympy.symbols("s c w", real=True)   # s, c = sin(alpha), cos(alpha)
 
     def quadratic(self):
         """4*e^2*(f^2 + (t/e)^2 - M^2) at weight w, as a polynomial in w,
         with f and t solved from the two balance equations."""
         f, t = sympy.symbols("f t", real=True)
         balance = sympy.solve([2 * f - self.g - self.w,
-                               self.g * self.q + 2 * t - self.w * self.d], [f, t], dict=True)
+                               self.g * self.d_com * self.c + 2 * t - self.w * self.d_obj * self.s],
+                              [f, t], dict=True)
         excess = (f ** 2 + (t / self.e) ** 2 - self.m ** 2).subs(balance[0])
         return sympy.Poly(sympy.expand(4 * self.e ** 2 * excess), self.w)
 
-    def forms(self):
-        """E, K, n and the two root forms as payload transcribes them."""
-        g, e, m, d, q = self.g, self.e, self.m, self.d, self.q
-        big_e = e ** 2 + d ** 2
-        k = (2 * m) ** 2 * big_e - (g * (q + d)) ** 2
-        n = g * (d * q - e ** 2)
-        root_k = sympy.sqrt(k)
-        summed = (n + e * root_k) / big_e
-        conjugate = ((g * q) ** 2 - e ** 2 * (2 * m - g) * (2 * m + g)) / (n - e * root_k)
-        return big_e, k, n, summed, conjugate
+    def forms(self, s=None, c=None):
+        """E, the feasibility slack, e*sqrt(K), n and the two root forms,
+        from payload's code: a where() that keeps both branches gives the
+        numerators n + e*sqrt(K) and the conjugate's, and the denominators
+        E and n - e*sqrt(K)."""
+        g, e, m = self.g, self.e, self.m
+        d, q, big_e, reach, slack = exact(payload._terms(
+            m, e, g, self.d_obj, self.d_com, self.s if s is None else s,
+            self.c if c is None else c, sympy.sqrt))
+        (summed, conjugate), (over_e, over_n) = exact(payload._root_parts(
+            m, e, g, d, q, big_e, reach, slack, sympy.sqrt, lambda cond, x, y: (x, y)))
+        return (big_e, slack, (summed - over_n) / 2, (summed + over_n) / 2,
+                summed / over_e, conjugate / over_n)
 
     def test_discriminant_factors_and_both_forms_are_the_larger_root(self):
         quadratic = self.quadratic()
         a2, a1, a0 = quadratic.all_coeffs()
-        big_e, k, n, summed, conjugate = self.forms()
-        e = self.e
+        big_e, slack, e_root_k, n, summed, conjugate = self.forms()
         assert sympy.expand(a2 - big_e) == 0 and sympy.expand(a1 + 2 * n) == 0
-        # (b/2)^2 - a*c = e^2*K, and K = (2*M*sqrt(E) - g*|L|)*(2*M*sqrt(E) + g*|L|),
-        # whose second factor is >= 0: feasible exactly where 2*M*sqrt(E) >= g*|L|
-        assert sympy.expand((a1 / 2) ** 2 - a2 * a0 - e ** 2 * k) == 0
-        reach, load = 2 * self.m * sympy.sqrt(big_e), self.g * sympy.Abs(self.q + self.d)
-        assert sympy.expand((reach - load) * (reach + load) - k) == 0
+        # (b/2)^2 - a*c = (e*sqrt(K))^2, and K = slack*(2*M*sqrt(E) + g*|L|),
+        # whose second factor is >= 0: feasible exactly where slack >= 0
+        assert sympy.expand((a1 / 2) ** 2 - a2 * a0 - e_root_k ** 2) == 0
+        reach, load = 2 * self.m * sympy.sqrt(big_e), self.g * sympy.Abs(
+            self.d_com * self.c + self.d_obj * self.s)
+        assert sympy.expand(slack - (reach - load)) == 0
+        assert sympy.expand(e_root_k ** 2 - self.e ** 2 * (reach - load) * (reach + load)) == 0
         # the two forms are one value: cross-multiplied, their difference is 0
-        root_k = sympy.sqrt(k)
-        assert sympy.expand((n + e * root_k) * (n - e * root_k)
-                            - big_e * conjugate * (n - e * root_k)) == 0
+        assert sympy.expand((n + e_root_k) * (n - e_root_k)
+                            - big_e * conjugate * (n - e_root_k)) == 0
         # each lies on the limit surface
         surface = quadratic.as_expr()
         assert sympy.expand(sympy.cancel(big_e * surface.subs(self.w, summed))) == 0
         assert sympy.expand(sympy.cancel(
-            (n - e * root_k) ** 2 * surface.subs(self.w, conjugate))) == 0
+            (n - e_root_k) ** 2 * surface.subs(self.w, conjugate))) == 0
         # with the other root, it sums and multiplies to -a1/a2 and a0/a2,
         # and exceeds it by 2*e*sqrt(K)/E >= 0
-        other = (n - e * root_k) / big_e
+        other = (n - e_root_k) / big_e
         assert sympy.simplify(summed + other + a1 / a2) == 0
         assert sympy.simplify(summed * other - a0 / a2) == 0
-        assert sympy.simplify(summed - other - 2 * e * root_k / big_e) == 0
+        assert sympy.simplify(summed - other - 2 * e_root_k / big_e) == 0
         report(2, "payload closed form proved from the balance and limit surface")
 
     def test_transcription_is_max_payload(self):
-        big_e, k, n, summed, conjugate = self.forms()
-        names = (self.g, self.e, self.m, self.d, self.q)
-        transcribed = sympy.lambdify(names, (n, summed, conjugate), "mpmath")
+        big_e, slack, e_root_k, n, summed, conjugate = self.forms()
+        names = (self.g, self.e, self.m, self.d_obj, self.d_com, self.s, self.c)
+        library = sympy.lambdify(names, (n, summed, conjugate), "mpmath")
         rng = np.random.default_rng(2929)
         forms_seen = set()
         for _ in range(50):
             model, state, d_obj = draw_payload_case(rng)
             weight = max_payload(model, state, d_obj).max_weight
             with mpmath.workdps(40):
-                n_value, *roots = transcribed(
+                n_value, *roots = library(
                     mpmath.mpf(state.g_tool), mpmath.mpf(model.e),
-                    mpmath.mpf(model.mu) * state.f_n, mpmath.mpf(d_obj) * math.sin(state.alpha),
-                    mpmath.mpf(state.d_com) * math.cos(state.alpha))
+                    mpmath.mpf(model.mu) * state.f_n, mpmath.mpf(d_obj),
+                    mpmath.mpf(state.d_com), mpmath.mpf(math.sin(state.alpha)),
+                    mpmath.mpf(math.cos(state.alpha)))
             forms_seen.add(n_value >= 0)
             for root in roots:
                 assert weight == pytest.approx(max(float(root), 0.0), rel=1e-12, abs=1e-12)
         assert forms_seen == {True, False}
+
+    def test_vertical_tool_payload_is_criterion_4s_closed_form(self):
+        # at alpha = 0 both forms are w = 2*sqrt(M^2 - (t0/e)^2) - g with the
+        # tool's own spin torque t0 = -g*d_com/2; the two radicands of
+        # e*sqrt(K) are >= 0 where a weight is feasible, so their roots combine
+        t0 = -self.g * self.d_com / 2
+        closed = 2 * sympy.sqrt(self.m ** 2 - (t0 / self.e) ** 2) - self.g
+        for form in self.forms(s=0, c=1)[4:]:
+            assert sympy.simplify(sympy.powsimp(form, force=True) - closed) == 0
+        report(4, "vertical-tool payload proved from the payload code")
 
 
 class TestCriterion3:
@@ -196,9 +215,9 @@ class TestCriterion3:
 class TestCriterion3Proof:
     """Criterion 3 proved, next to the sampled check above: the wrench
     that the hanging tool puts on each pad lies exactly on the limit
-    surface f^2 + (t/e)^2 = (mu*f_n)^2 at holding_max_offset's closed
-    form, and its torque term grows with d, so that offset is the one
-    boundary between held and dropped."""
+    surface f^2 + (t/e)^2 = (mu*f_n)^2 at the offset contact's own
+    _hold_offset computes, and its torque term grows with d, so that
+    offset is the one boundary between held and dropped."""
 
     g, e, m, s = sympy.symbols("g e M s", positive=True)   # M = mu*f_n, s = sin(alpha)
     d = sympy.symbols("d", positive=True)
@@ -211,31 +230,17 @@ class TestCriterion3Proof:
                               dict=True)[0]
         return balance[f], balance[t]
 
-    def offset(self):
-        """d_max as holding_max_offset transcribes it."""
-        return self.e * sympy.sqrt(4 * self.m ** 2 - self.g ** 2) / (self.g * self.s)
-
     def test_offset_is_on_the_limit_surface_and_the_torque_grows_with_d(self):
         f, t = self.wrench()
+        # the spin moment per unit offset that both pads carry, 2*dt/dd
+        offset = on_symbols(contact._hold_offset, self.e, self.m ** 2, self.g,
+                            2 * sympy.diff(t, self.d))
         excess = f ** 2 + (t / self.e) ** 2 - self.m ** 2
-        assert sympy.simplify(excess.subs(self.d, self.offset())) == 0
+        assert sympy.simplify(excess.subs(self.d, offset)) == 0
         # only the torque term depends on d, and it rises for every d > 0
         assert not f.has(self.d)
         assert sympy.diff((t / self.e) ** 2, self.d).is_positive
         report(3, "hold offset proved on the limit surface, the excess rising in d")
-
-    def test_transcription_is_holding_max_offset(self):
-        transcribed = sympy.lambdify((self.g, self.e, self.m, self.s), self.offset(), "math")
-        rng = np.random.default_rng(7073)
-        for _ in range(50):
-            mu = rng.uniform(0.2, 1.2)
-            e = rng.uniform(0.002, 0.03)
-            f_n = rng.uniform(10.0, 100.0)
-            g = rng.uniform(0.1, 0.95) * 2.0 * mu * f_n
-            alpha = rng.uniform(0.1, math.pi - 0.1)
-            d = holding_max_offset(ContactModel(mu=mu, e=e),
-                                   base_state(f_n=f_n, g_tool=g, alpha=alpha))
-            assert d == pytest.approx(transcribed(g, e, mu * f_n, math.sin(alpha)), rel=1e-12)
 
 
 class TestCriterion4:
@@ -278,8 +283,8 @@ class TestCriterion5:
 
 
 class TestCriterion5Proof:
-    """Criterion 5 proved, next to the sampled check above: a symbolic
-    transcription of required_grip_force gives backward - forward =
+    """Criterion 5 proved, next to the sampled check above: contact's own
+    _grip_force, on symbols, gives backward - forward =
     g*cos(alpha)*tan(theta) identically, and that gap is >= 0 for alpha
     in [0, pi/2] and theta in [0, pi/2)."""
 
@@ -287,39 +292,22 @@ class TestCriterion5Proof:
                                                      positive=True)
     alpha, theta = sympy.symbols("alpha theta", real=True)
 
-    def forces(self):
-        """(backward, forward) as required_grip_force computes them."""
-        t_spring = self.kappa * (self.beta + self.theta_init - self.theta)   # spring_torque
-        transmission = 2 * self.v * t_spring / (self.r * sympy.cos(self.theta))
-        gravity = self.g * sympy.cos(self.alpha) * sympy.tan(self.theta) / 2
-        return transmission + gravity, transmission - gravity
-
-    def test_transcription_is_required_grip_force(self, nominal_dims, nominal_spring):
-        names = (self.g, self.v, self.r, self.kappa, self.beta, self.theta_init,
-                 self.alpha, self.theta)
-        transcribed = sympy.lambdify(names, self.forces(), "math")
-        rng = np.random.default_rng(5155)
-        for _ in range(50):
-            alpha = rng.uniform(0.0, math.pi / 2)
-            theta = rng.uniform(nominal_dims.theta_end, nominal_dims.theta_init)
-            g = rng.uniform(1.0, 60.0)
-            state = base_state(alpha=alpha, theta=theta, g_tool=g)
-            library = [required_grip_force(nominal_dims, nominal_spring, state, config=config)
-                       for config in (GripConfig.BACKWARD_BASE, GripConfig.FORWARD_BASE)]
-            symbolic = transcribed(g, nominal_dims.v, nominal_dims.r, nominal_spring.kappa,
-                                   nominal_spring.beta, nominal_dims.theta_init, alpha, theta)
-            assert library == pytest.approx(symbolic, rel=1e-12, abs=1e-12)
-
     def test_gap_is_g_cos_alpha_tan_theta_and_nonnegative(self):
-        backward, forward = self.forces()
+        dims = SimpleNamespace(v=self.v, r=self.r, theta_init=self.theta_init)
+        spring = SimpleNamespace(kappa=self.kappa, beta=self.beta)
+        backward, forward = (on_symbols(contact._grip_force, dims, spring, self.g, self.alpha,
+                                        self.theta, config)[0]
+                             for config in (GripConfig.BACKWARD_BASE, GripConfig.FORWARD_BASE))
         gap = self.g * sympy.cos(self.alpha) * sympy.tan(self.theta)
         assert sympy.simplify(backward - forward - gap) == 0
+        # the weight adds gap/(2*g) per newton to backward, takes it from forward
+        assert sympy.diff(backward, self.g) == -sympy.diff(forward, self.g) == gap / (2 * self.g)
         # g > 0, and neither factor falls below 0 on its interval
         assert self.g.is_positive
         assert minimum(sympy.cos(self.alpha), self.alpha, sympy.Interval(0, sympy.pi / 2)) == 0
         assert minimum(sympy.tan(self.theta), self.theta,
                        sympy.Interval.Ropen(0, sympy.pi / 2)) == 0
-        report(5, "configuration gap proved from the symbolic grip force")
+        report(5, "configuration gap proved from the grip-force code")
 
 
 SIZING_SPRING = SpringSpec(kappa=0.5, beta=math.radians(20))
@@ -400,18 +388,15 @@ class TestCriterion7:
 
 class TestCriterion7Proof:
     """Criterion 7 proved, next to the sampled check above: the stroke at
-    a fixed open width, S = (w - m)*sin(theta_i - theta_e)/sin(theta_i),
-    rises in theta_i and falls in theta_e and in m for 0 < theta_e <
-    theta_i < pi/2 and m < w."""
+    a fixed open width that mechanism's own stroke_fixed_width computes,
+    S = (w - m)*sin(theta_i - theta_e)/sin(theta_i), rises in theta_i and
+    falls in theta_e and in m for 0 < theta_e < theta_i < pi/2 and m < w."""
 
     w, m, theta_i, theta_e = sympy.symbols("w m theta_i theta_e", real=True)
 
-    def stroke(self):
-        """S as stroke_fixed_width transcribes it."""
-        return (self.w - self.m) * sympy.sin(self.theta_i - self.theta_e) / sympy.sin(self.theta_i)
-
     def test_stroke_rises_in_theta_init_and_falls_in_theta_end_and_m(self):
-        stroke, ti, te, slack = self.stroke(), self.theta_i, self.theta_e, self.w - self.m
+        ti, te, slack = self.theta_i, self.theta_e, self.w - self.m
+        stroke = on_symbols(mechanism.stroke_fixed_width, self.w, self.m, ti, te)
         sin, cos = sympy.sin, sympy.cos
         # each slope is a product of slack = w - m > 0 and sines and
         # cosines of theta_e, theta_i and theta_i - theta_e
@@ -425,18 +410,6 @@ class TestCriterion7Proof:
         assert sympy.solveset(cos(x) <= 0, x, quarter) == sympy.EmptySet
         report(7, "stroke at a fixed width proved rising in theta_init, falling in "
                   "theta_end and m")
-
-    def test_transcription_is_stroke_fixed_width(self):
-        names = (self.w, self.m, self.theta_i, self.theta_e)
-        transcribed = sympy.lambdify(names, self.stroke(), "math")
-        rng = np.random.default_rng(7707)
-        for _ in range(50):
-            w_init = rng.uniform(0.04, 0.2)
-            m = rng.uniform(0.0, 0.9) * w_init
-            theta_end = rng.uniform(0.01, 1.5)
-            theta_init = rng.uniform(theta_end, math.pi / 2)
-            assert stroke_fixed_width(w_init, m, theta_init, theta_end) == pytest.approx(
-                transcribed(w_init, m, theta_init, theta_end), rel=1e-12)
 
 
 class TestCriterion8:

@@ -11,12 +11,14 @@ from grippertool import (
     InfeasibleHoldError,
     SingularTransmissionError,
     capacity_check,
+    gamma_sweep,
     holding_max_offset,
     replace,
     required_grip_force,
 )
 from grippertool import contact, payload, pose
 
+from contact_cases import draw_contact
 from oracles import bisect_holding_offset, holding_feasible, holding_wrench
 
 
@@ -116,8 +118,11 @@ class TestHoldingMaxOffset:
         # G*sin(alpha) = 1e-310 ...
         (ContactModel(mu=0.5, e=1e-6), state_with(g_tool=1e-300, alpha=1e-10),
          "^hold offset out of floating-point range"),
-        # ... and (mu*f_n)^2 = 2.5e-321
+        # ... and (mu*f_n)^2 = 2.5e-321, and the offset itself, 7.7e-318, as
+        # draw_contact seed 11636's 2.1e-318 was
         (ContactModel(mu=0.5, e=0.01), state_with(f_n=1e-160, g_tool=5e-161),
+         "^hold offset out of floating-point range"),
+        (ContactModel(mu=0.5, e=2e-318), state_with(),
          "^hold offset out of floating-point range"),
     ])
     def test_offset_beyond_the_normal_range_is_domain_error(self, model, state, message):
@@ -177,18 +182,23 @@ class TestHoldingMaxOffset:
         assert stronger >= base * (1.0 - 1e-12)
 
 
+@pytest.mark.parametrize("seed", [3319, 11636, 14748])
+def test_subnormal_eccentricity_leaves_no_subnormal_margin(seed):
+    # draw_contact models whose e, and with it 2*e*mu*f_n, is subnormal:
+    # their peak margins were 8.24e-316, 1.60e-317 and 1.36e-317
+    model, state, _ = draw_contact(seed)
+    with pytest.raises(DomainError, match=r"^torque margin out of floating-point range"):
+        gamma_sweep(model, state, 2)
+
+
 class TestRequiredGripForce:
     def test_horizontal_tool_kills_gravity_term(self, nominal_dims, nominal_spring):
+        # neither the configuration nor the tool's weight moves the force
         state = state_with(alpha=math.pi / 2, theta=0.4)
-        fb = required_grip_force(nominal_dims, nominal_spring, state)
-        ff = required_grip_force(nominal_dims, nominal_spring,
-                                 replace(state, config=GripConfig.FORWARD_BASE))
-        delta = nominal_dims.theta_init - 0.4
-        expected = (2.0 * nominal_dims.v * nominal_spring.kappa
-                    * (nominal_spring.beta + delta)
-                    / (nominal_dims.r * math.cos(0.4)))
-        assert fb == pytest.approx(expected, rel=1e-12)
-        assert ff == pytest.approx(expected, rel=1e-12)
+        forces = [required_grip_force(nominal_dims, nominal_spring,
+                                      replace(state, g_tool=g, config=config))
+                  for g in (1.0, 50.0) for config in GripConfig]
+        assert forces == pytest.approx([forces[0]] * 4, rel=1e-15)
 
     def test_flat_linkage_pure_spring(self, nominal_spring):
         from grippertool import ToolDimensions
@@ -230,29 +240,6 @@ class TestRequiredGripForce:
         with pytest.raises(DomainError):
             required_grip_force(nominal_dims, nominal_spring,
                                 state_with(theta=0.05))
-
-    @given(alpha=st.floats(min_value=0.1, max_value=1.4),
-           theta=st.floats(min_value=0.21, max_value=1.04),
-           g=st.floats(min_value=5.0, max_value=50.0))
-    def test_weight_derivative_matches_finite_differences(self, alpha, theta, g):
-        # d f_n / d g_tool is +-cos(alpha)*tan(theta)/2 by configuration
-        from grippertool import SpringSpec, ToolDimensions
-        dims = ToolDimensions.with_derived_width(
-            m=0.012, r=0.03, theta_init=math.radians(60), theta_end=math.radians(12),
-            h=0.032, p=0.011, q=0.006, k=0.05, d_axis=0.004, r_edge=0.001)
-        spring = SpringSpec(kappa=0.5, beta=math.radians(20))
-        h = 1e-3 * g
-        for config, sign in ((GripConfig.BACKWARD_BASE, 1.0),
-                             (GripConfig.FORWARD_BASE, -1.0)):
-            hi = required_grip_force(
-                dims, spring,
-                state_with(theta=theta, alpha=alpha, g_tool=g + h, config=config))
-            lo = required_grip_force(
-                dims, spring,
-                state_with(theta=theta, alpha=alpha, g_tool=g - h, config=config))
-            numeric = (hi - lo) / (2.0 * h)
-            analytic = sign * math.cos(alpha) * math.tan(theta) / 2.0
-            assert numeric == pytest.approx(analytic, rel=1e-6, abs=1e-9)
 
 
 NON_FINITE = (math.nan, math.inf)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -14,6 +15,11 @@ from grippertool import _g9format
 from grippertool._g9format import grid_blocks, records, table_blocks
 
 from sweep_reference import assert_same_text
+
+try:
+    from numpy._core import _multiarray_umath as UMATH
+except ImportError:   # numpy 1
+    from numpy.core import _multiarray_umath as UMATH
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,6 +55,25 @@ def neighbours(value, ulps=3):
 def ulps_from(value, steps):
     """The floats steps ulps from the positive float value."""
     return (np.float64(value).view(np.int64) + steps).view(np.float64)
+
+
+def window_mismatches():
+    """The first five (value, text, '%.9g' text) that table_blocks writes
+    otherwise, of every float within 4,096 ulps of each 10**X, X = -5..9,
+    10**X included, in both signs: wide of the few ulps by which a log10
+    may misplace the decade."""
+    values = np.concatenate([ulps_from(float(f"1e{x}"), np.arange(-4096, 4097))
+                             for x in range(-5, 10)])
+    values = np.concatenate([values, -values])
+    got = "".join(table_blocks(values[:, None], 4096)).splitlines()
+    assert len(got) == len(values) == 245_790
+    return [(v, g, w) for v, g, w in zip(values.tolist(), got, reference(values).splitlines())
+            if g != w][:5]
+
+
+def dispatched():
+    """The CPU features above its baseline that numpy dispatches to here."""
+    return [name for name in UMATH.__cpu_dispatch__ if UMATH.__cpu_features__.get(name)]
 
 
 CRAFTED = [
@@ -152,6 +177,25 @@ class TestExactness:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {"values": 6 * 3000 + 17 * 81 + 9 * 1000 + 114,
                                            "mismatches": 0, "first": []}
+
+
+class TestDecadeWindows:
+    def test_every_float_near_a_decade_edge(self):
+        assert window_mismatches() == []
+
+    def test_without_simd_dispatch(self):
+        # numpy's vector log10 differs from libm's in the last bit on some
+        # inputs, so the window runs again with every dispatched feature off
+        features = dispatched()
+        if not features:
+            pytest.skip("numpy dispatches to no CPU feature above its baseline here")
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features),
+                   PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+        code = ("from test_g9format import dispatched, window_mismatches; "
+                "print(window_mismatches(), dispatched())")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True)
+        assert (proc.returncode, proc.stdout) == (0, "[] []\n"), proc.stderr
 
 
 class TestNanText:

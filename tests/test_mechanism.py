@@ -1,6 +1,7 @@
 import math
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from grippertool import (
@@ -14,6 +15,9 @@ from grippertool import (
     stroke,
     stroke_fixed_width,
 )
+from grippertool import mechanism
+
+from symbolic import on_symbols
 
 
 def wide_dims(theta_init=math.pi / 2, theta_end=0.0, m=0.02, r=0.03, q=0.006):
@@ -24,14 +28,30 @@ def wide_dims(theta_init=math.pi / 2, theta_end=0.0, m=0.02, r=0.03, q=0.006):
 
 
 class TestClearanceLimits:
-    """p and h at their limits, written out here, pass check_feasible; one
-    float below fails with the exact shortfall."""
+    """_min_clearances' p and h proved from the interference geometry;
+    at those limits a design passes check_feasible, and one float below
+    fails with the exact shortfall."""
+
+    def test_limits_follow_from_the_interference_geometry(self):
+        # the base frame is the x axis, and both linkages leave it at the
+        # closed angle theta: the parallel linkage's far joint stands
+        # k*sin(theta) above the frame, and the corner of the angular
+        # linkage's square-cut end, a span q nearer the frame, lies at
+        # r*cos(theta) + q*tan(theta) along it
+        k, r, q, theta = sympy.symbols("k r q theta", positive=True)
+        along = sympy.Point(sympy.cos(theta), sympy.sin(theta))
+        end = along * r
+        end_cut = sympy.Line(end, end + sympy.Point(-sympy.sin(theta), sympy.cos(theta)))
+        corner, = end_cut.intersection(sympy.Line(end - sympy.Point(0, q),
+                                                  end - sympy.Point(1, q)))
+        p_min, h_min = on_symbols(mechanism._min_clearances, k, r, q, theta)
+        assert sympy.simplify(p_min - (along * k).y) == 0
+        assert sympy.simplify(h_min - corner.x) == 0
 
     @pytest.mark.parametrize("theta_end", [0.21, 0.4, 0.9, 1.3])
     def test_p_and_h_limits_are_the_closed_forms(self, theta_end):
         k, r, q = 0.05, 0.03, 0.006
-        p = k * math.sin(theta_end)
-        h = r * math.cos(theta_end) + math.tan(theta_end) * q
+        p, h = mechanism._min_clearances(k, r, q, theta_end)
         dims = ToolDimensions.with_derived_width(
             m=0.012, r=r, theta_init=1.5, theta_end=theta_end, h=h, p=p, q=q, k=k,
             d_axis=0.004, r_edge=0.001)

@@ -131,15 +131,6 @@ class TestMaxPayload:
         with pytest.raises(NoFeasiblePayloadError):
             max_payload(model, state_with(f_n=5.0, g_tool=10.0), 0.05)
 
-    def test_vertical_tool_closed_form(self):
-        model = ContactModel(mu=0.5, e=0.005)
-        state = state_with(alpha=0.0, d_com=0.001)
-        result = max_payload(model, state, 0.05)
-        t0 = -state.g_tool * state.d_com / 2.0
-        closed = 2.0 * math.sqrt((model.mu * state.f_n) ** 2
-                                 - (t0 / model.e) ** 2) - state.g_tool
-        assert result.max_weight == pytest.approx(closed, abs=1e-9)
-
     def test_nan_residual_rejected(self):
         with pytest.raises(ValueError, match="PayloadResult.residual nan"):
             PayloadResult(1.0, math.nan)

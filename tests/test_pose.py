@@ -1,6 +1,8 @@
 import math
 import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, strategies as st
@@ -18,9 +20,11 @@ from grippertool import (
 )
 
 from grippertool.contact import _friction_capacity
+from grippertool import pose
 from grippertool.pose import _one_sign, _quartic, _roots
 
 from sweep_reference import bits, certified_peak, gamma_curve
+from symbolic import on_symbols
 from test_payload import EXAMPLE, scaling_draws
 
 
@@ -280,56 +284,55 @@ class TestScaledDesigns:
 
 
 class TestPeakLemmas:
-    """The steps of the candidate-set argument in the pose docstring."""
+    """The steps of the candidate-set argument in the pose docstring, on
+    the expressions pose's own _headroom, _margin and _quartic build from
+    sympy symbols."""
 
     gamma, kink, G, d, e, M, t = sympy.symbols("gamma kink G d e M t", real=True)
+    u = sympy.Symbol("u", positive=True)   # |sin(gamma - kink)|, the demand's sine
 
     def parts(self):
-        """(h, slope of the available torque) with c = G/2."""
-        gamma, G, e, M = self.gamma, self.G, self.e, self.M
-        c = G / 2
-        h = M**2 - c**2 * sympy.cos(gamma)**2
-        return h, 2 * e * c**2 * sympy.sin(gamma) * sympy.cos(gamma) / sympy.sqrt(h)
+        """(headroom h, margin in u, available torque's slope in gamma)."""
+        state = SimpleNamespace(g_tool=self.G, d_com=self.d)
+        h = on_symbols(pose._headroom, self.M**2, state, sympy.cos(self.gamma))[0]
+        margin = on_symbols(pose._margin, SimpleNamespace(e=self.e), state, sympy.sqrt(h),
+                            self.u)
+        return h, margin, sympy.diff(margin.subs(self.u, 0), self.gamma)
 
     def quartic(self):
-        G, d, e, M, t, kink = self.G, self.d, self.e, self.M, self.t, self.kink
-        c = G / 2
-        C, S, K, w = sympy.cos(kink), sympy.sin(kink), M**2 - c**2, (G * d)**2
-        return w * (C + S * t)**2 * (M**2 * t**2 + K) - 4 * e**2 * c**4 * t**2
+        """(Q(t), the sums over absolute terms of its coefficients)."""
+        coeffs, magnitudes = on_symbols(pose._quartic, SimpleNamespace(e=self.e),
+                                        SimpleNamespace(g_tool=self.G, d_com=self.d),
+                                        self.M**2, self.kink)
+        return sum(coeff * self.t**i for i, coeff in enumerate(coeffs)), magnitudes
 
     def test_quartic_is_the_squared_stationarity_condition(self):
-        gamma, kink, G, d, e, t = self.gamma, self.kink, self.G, self.d, self.e, self.t
-        h, available_slope = self.parts()
-        # on the falling branch sin(gamma - kink) >= 0: the demand is smooth
-        margin = 2 * e * sympy.sqrt(h) - G * d * sympy.sin(gamma - kink)
-        assert sympy.simplify(sympy.diff(margin, gamma) - (
-            available_slope - G * d * sympy.cos(gamma - kink))) == 0
-        # slope 0 squared, times cos(gamma)**4, is Q(tan(gamma))
-        c = G / 2
-        lhs = self.quartic().subs(t, sympy.tan(gamma)) * sympy.cos(gamma)**4
-        rhs = ((G * d * sympy.cos(gamma - kink))**2 * h
-               - (2 * e * c**2 * sympy.sin(gamma) * sympy.cos(gamma))**2)
+        gamma, kink, t = self.gamma, self.kink, self.t
+        h, margin, available_slope = self.parts()
+        # on the falling branch sin(gamma - kink) >= 0: the demand is smooth,
+        # and its slope is the margin's u-coefficient times cos(gamma - kink)
+        demand_slope = -sympy.diff(margin, self.u) * sympy.cos(gamma - kink)
+        assert sympy.simplify(sympy.diff(margin.subs(self.u, sympy.sin(gamma - kink)), gamma)
+                              - (available_slope - demand_slope)) == 0
+        # slope 0 squared, times h*cos(gamma)**4, is Q(tan(gamma))*cos(gamma)**4
+        lhs = self.quartic()[0].subs(t, sympy.tan(gamma)) * sympy.cos(gamma)**4
+        rhs = (demand_slope**2 - available_slope**2) * h
         assert sympy.simplify(sympy.expand(sympy.expand_trig(lhs - rhs))) == 0
 
     def test_library_coefficients_are_the_quartic(self):
-        symbols = (self.G, self.d, self.e, self.M, self.kink)
-        expected = sympy.lambdify(symbols, sympy.Poly(self.quartic(), self.t).all_coeffs()[::-1])
-        rng = random.Random(11)
-        for _ in range(20):
-            model = ContactModel(mu=rng.uniform(0.05, 1.2), e=rng.uniform(0.0005, 0.03))
-            state = pose_state(f_n=rng.uniform(1.0, 100.0), g_tool=rng.uniform(0.5, 40.0),
-                               alpha=rng.uniform(0.1, 1.4), d_com=rng.uniform(0.01, 0.1))
-            kink = math.pi / 2 - state.alpha
-            big_m2 = _friction_capacity(model, state.f_n)[1]
-            coeffs, magnitudes = _quartic(model, state, big_m2, kink)
-            want = expected(state.g_tool, state.d_com, model.e, model.mu * state.f_n, kink)
-            assert len(coeffs) == len(want) == 5
-            for got, value, bound in zip(coeffs, want, magnitudes):
-                assert abs(got - value) <= 1e-13 * bound
+        # the magnitudes _one_sign scales its rounding bound by are the
+        # coefficients' sums over absolute terms; the test above proves
+        # the coefficients themselves
+        quartic, magnitudes = self.quartic()
+        coeffs = sympy.Poly(quartic, self.t).all_coeffs()[::-1]
+        assert len(coeffs) == len(magnitudes) == 5
+        for coeff, magnitude in zip(coeffs, magnitudes):
+            terms = sympy.Add.make_args(sympy.expand(coeff))
+            assert sympy.expand(magnitude - sum(abs(term) for term in terms)) == 0
 
     def test_margin_rises_off_the_falling_branch(self):
         gamma, kink, G, d, e = self.gamma, self.kink, self.G, self.d, self.e
-        h, available_slope = self.parts()
+        h, margin, available_slope = self.parts()
         # sin(gamma), cos(gamma) and sqrt(h) are positive inside the
         # feasible range, and so is the demand's cosine factor v
         s, k, r, v = sympy.symbols("s k r v", positive=True)
@@ -337,12 +340,13 @@ class TestPeakLemmas:
         positive = {sympy.sin(gamma): s, sympy.cos(gamma): k, sympy.sqrt(h): r,
                     e: e_, G: G_, d: d_}
         # on [edge, kink] the demand G*d*sin(kink - gamma) falls
-        before = sympy.diff(2 * e * sympy.sqrt(h) - G * d * sympy.sin(kink - gamma), gamma)
+        before = sympy.diff(margin.subs(self.u, sympy.sin(kink - gamma)), gamma)
         assert sympy.simplify(before - (available_slope
                                         + G * d * sympy.cos(kink - gamma))) == 0
         assert (available_slope + G * d * v).subs(positive).is_positive
         # past pi - alpha, cos(gamma - kink) = -v < 0
-        assert (available_slope - G * d * -v).subs(positive).is_positive
+        after = sympy.diff(margin.subs(self.u, sympy.sin(gamma - kink)), gamma)
+        assert after.subs(sympy.cos(gamma - kink), -v).subs(positive).is_positive
 
     @staticmethod
     def shifted(coeffs, t0):
@@ -361,6 +365,8 @@ class TestPeakLemmas:
         # nothing, and Q keeps one sign there too.
         rng = random.Random(26)
         skips = {"own": 0, "shifted": 0, "none": 0}
+        quartic = sympy.lambdify((self.G, self.d, self.e, self.M, self.kink, self.t),
+                                 self.quartic()[0], "numpy")
         for _ in range(400):
             mu, e, f_n = rng.uniform(0.05, 1.2), rng.uniform(0.0005, 0.03), rng.uniform(1.0, 100.0)
             g_tool, alpha, d_com = rng.uniform(0.5, 40.0), rng.uniform(0.0, math.pi), rng.uniform(0.0, 0.1)
@@ -381,13 +387,7 @@ class TestPeakLemmas:
                 skips["none"] += 1
                 continue
             assert _roots(coeffs, t0, math.tan(math.pi / 2)) == []
-            w, cos0, sin0 = (g_tool * d_com)**2, math.cos(kink), math.sin(kink)
-            signs = set()
-            for i in range(2000):
-                t = math.tan(start + (math.pi / 2 - start) * i / 2000)
-                q = (w * (cos0 + sin0 * t)**2 * (big_m**2 * t * t + big_m**2 - c * c)
-                     - 4.0 * e * e * c**4 * t * t)
-                assert q != 0.0
-                signs.add(q > 0.0)
-            assert len(signs) == 1
+            ts = np.tan(start + (math.pi / 2 - start) * np.arange(2000) / 2000)
+            q = quartic(g_tool, d_com, e, big_m, kink, ts)
+            assert np.all(q != 0.0) and len(set(np.sign(q))) == 1
         assert min(skips.values()) >= 20, skips

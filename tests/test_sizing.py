@@ -1,6 +1,7 @@
 import math
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -23,12 +24,13 @@ from grippertool import (
     required_grip_force,
     stroke,
 )
-from grippertool import mechanism, sizing
+from grippertool import contact, mechanism, sizing
 from grippertool.sizing import (_boundary, _candidates, _end_demands, _evaluate, _realize,
                                  build_dimensions)
 
 from oracles import grid_max_stroke, line_max_stroke
 from sizing_cases import draw_case, draw_problem
+from symbolic import on_symbols
 
 
 def make_problem(**kwargs):
@@ -223,34 +225,25 @@ class TestStrokeMonotonicity:
 
 class TestGripDemand:
     def test_demand_is_quasi_convex_in_theta(self):
-        # f(theta) = A*tan(theta) + B*(c - theta)/cos(theta) with
-        # A = +-G*cos(alpha)/2, B = 2*v*kappa/r > 0, c = beta + theta_init.
-        # cos^2*f' = A + B*k and k' = (c - theta)*cos(theta) >= 0 on the
-        # travel, so f' changes sign at most once, from - to +.
-        theta, a, b, c = sympy.symbols("theta A B c", real=True)
-        f = a * sympy.tan(theta) + b * (c - theta) / sympy.cos(theta)
+        # contact's own grip force is f(theta) = A*tan(theta) +
+        # B*(c - theta)/cos(theta) with A = +-G*cos(alpha)/2,
+        # B = 2*v*kappa/r > 0, c = beta + theta_init. cos^2*f' = A + B*k
+        # and k' = (c - theta)*cos(theta) >= 0 on the travel, so f'
+        # changes sign at most once, from - to +.
+        theta, alpha = sympy.symbols("theta alpha", real=True)
+        g, v, r, kappa, beta, theta_init = sympy.symbols("G v r kappa beta theta_init",
+                                                         positive=True)
+        dims = SimpleNamespace(v=v, r=r, theta_init=theta_init)
+        spring = SimpleNamespace(kappa=kappa, beta=beta)
+        c = beta + theta_init
         k = (c - theta) * sympy.sin(theta) - sympy.cos(theta)
-        assert sympy.simplify(
-            sympy.cos(theta) ** 2 * sympy.diff(f, theta) - (a + b * k)) == 0
+        for config, sign in ((GripConfig.BACKWARD_BASE, 1), (GripConfig.FORWARD_BASE, -1)):
+            f = on_symbols(contact._grip_force, dims, spring, g, alpha, theta, config)[0]
+            a = sign * g * sympy.cos(alpha) / 2
+            assert sympy.simplify(
+                sympy.cos(theta) ** 2 * sympy.diff(f, theta) - (a + 2 * v * kappa / r * k)) == 0
         assert sympy.simplify(
             sympy.diff(k, theta) - (c - theta) * sympy.cos(theta)) == 0
-
-        # the symbolic f is the demand the library computes
-        dims = feasible_dims()
-        spring = SpringSpec(kappa=0.5, beta=math.radians(20))
-        f_num = sympy.lambdify((theta, a, b, c), f, "math")
-        for config, sign in ((GripConfig.BACKWARD_BASE, 1.0),
-                             (GripConfig.FORWARD_BASE, -1.0)):
-            state = GraspState(f_n=40.0, g_tool=10.0, alpha=math.radians(60),
-                               gamma=0.0, d=0.0, d_com=0.03, theta=0.3,
-                               config=config)
-            coeffs = (sign * state.g_tool * math.cos(state.alpha) / 2.0,
-                      2.0 * dims.v * spring.kappa / dims.r,
-                      spring.beta + dims.theta_init)
-            for t in (dims.theta_end, 0.5, dims.theta_init):
-                assert f_num(t, *coeffs) == pytest.approx(
-                    required_grip_force(dims, spring, replace(state, theta=t)),
-                    rel=1e-12)
 
     @given(config=st.sampled_from(list(GripConfig)),
            alpha=st.floats(min_value=0.0, max_value=math.pi),
@@ -311,8 +304,8 @@ class TestStrokeLemmas:
 
     def test_substitution_and_stroke_slopes(self):
         t, e, q, w = self.t, self.e, self.q, self.w
-        r = q / sympy.sin(e)
-        s = 2 * r * sympy.sin(t - e)  # mechanism.stroke
+        s = on_symbols(mechanism.stroke,
+                       SimpleNamespace(r=q / sympy.sin(e), theta_init=t, theta_end=e))
         closed = 2 * q * (sympy.sin(t) * sympy.cot(e) - sympy.cos(t))
         assert sympy.simplify(s - closed) == 0
         # dS/dt and dS/de are sums of positive terms for 0 < e < t < pi/2
@@ -324,7 +317,6 @@ class TestStrokeLemmas:
         # the library's builder realizes the substitution
         problem = make_problem()
         q_num = clearance_span(problem.d_axis, problem.r_edge)
-        stroke_of = sympy.lambdify((t, e, q), closed, "math")
         for m, theta_init in ((0.01, 0.9), (0.02, 1.3), (0.008, 1.4)):
             dims = build_dimensions(problem, *tied(problem, m, theta_init))
             e_num = dims.theta_end
@@ -332,8 +324,6 @@ class TestStrokeLemmas:
             assert dims.m == pytest.approx(
                 problem.w_init - 2 * q_num * math.sin(theta_init) / math.sin(e_num),
                 rel=1e-12)
-            assert stroke(dims) == pytest.approx(
-                stroke_of(theta_init, e_num, q_num), rel=1e-12)
 
     def test_closed_end_demand_is_affine_and_its_bound_convex(self):
         t, e, beta, K, A, B = self.t, self.e, self.beta, self.K, self.A, self.B
@@ -734,7 +724,7 @@ class TestMaximizeStroke:
         theta_init = math.asin((problem.w_init - m) / (2.0 * r))
         theta_end = math.asin(clearance_span(problem.d_axis, problem.r_edge) / r)
         assert result.stroke == pytest.approx(
-            2.0 * r * math.sin(theta_init - theta_end), rel=1e-12)
+            stroke(SimpleNamespace(r=r, theta_init=theta_init, theta_end=theta_end)), rel=1e-12)
         scan = grid_max_stroke(problem, n_m=401, n_theta=401, grip_samples=2)
         assert scan[0] <= result.stroke * (1.0 + 1e-12)
 
@@ -782,7 +772,7 @@ class TestMaximizeStroke:
         theta_end = math.asin(clearance_span(problem.d_axis, problem.r_edge) / r)
         assert result.dims.theta_init == t
         assert result.stroke == pytest.approx(
-            2.0 * r * math.sin(t - theta_end), rel=1e-12)
+            stroke(SimpleNamespace(r=r, theta_init=t, theta_end=theta_end)), rel=1e-12)
         scan = grid_max_stroke(problem, n_m=401, n_theta=401, grip_samples=2)
         assert scan[0] <= result.stroke * (1.0 + 1e-12)
 
@@ -1029,13 +1019,11 @@ def curves_through(problem, m, r, theta_init):
     t = theta_init
     e = math.asin(min(1.0, q / r))
     grasp, spring = problem.grasp, problem.spring
-    a_grav = grasp.g_tool * math.cos(grasp.alpha) / 2.0
-    if grasp.config is GripConfig.FORWARD_BASE:
-        a_grav = -a_grav
+    dims = SimpleNamespace(v=problem.v, r=r, theta_init=t)
 
     def demand(theta):
-        return (a_grav * math.tan(theta) + 2.0 * problem.v * spring.kappa
-                * (spring.beta + t - theta) / (r * math.cos(theta)))
+        return contact._grip_force(dims, spring, grasp.g_tool, grasp.alpha, theta,
+                                   grasp.config)[0]
 
     budget = problem.grip_budget
     on = {
