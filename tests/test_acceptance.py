@@ -122,15 +122,14 @@ class TestCriterion1And2Proof:
         excess = (f ** 2 + (t / self.e) ** 2 - self.m ** 2).subs(balance[0])
         return sympy.Poly(sympy.expand(4 * self.e ** 2 * excess), self.w)
 
-    def forms(self, s=None, c=None):
+    def forms(self):
         """E, the feasibility slack, e*sqrt(K), n and the two root forms,
         from payload's code: a where() that keeps both branches gives the
         numerators n + e*sqrt(K) and the conjugate's, and the denominators
         E and n - e*sqrt(K)."""
         g, e, m = self.g, self.e, self.m
         d, q, big_e, reach, slack = exact(payload._terms(
-            m, e, g, self.d_obj, self.d_com, self.s if s is None else s,
-            self.c if c is None else c, sympy.sqrt))
+            m, e, g, self.d_obj, self.d_com, self.s, self.c, sympy.sqrt))
         (summed, conjugate), (over_e, over_n) = exact(payload._root_parts(
             m, e, g, d, q, big_e, reach, slack, sympy.sqrt, lambda cond, x, y: (x, y)))
         return (big_e, slack, (summed - over_n) / 2, (summed + over_n) / 2,
@@ -190,8 +189,9 @@ class TestCriterion1And2Proof:
         # e*sqrt(K) are >= 0 where a weight is feasible, so their roots combine
         t0 = -self.g * self.d_com / 2
         closed = 2 * sympy.sqrt(self.m ** 2 - (t0 / self.e) ** 2) - self.g
-        for form in self.forms(s=0, c=1)[4:]:
-            assert sympy.simplify(sympy.powsimp(form, force=True) - closed) == 0
+        for form in self.forms()[4:]:
+            vertical = form.subs({self.s: 0, self.c: 1})
+            assert sympy.simplify(sympy.powsimp(vertical, force=True) - closed) == 0
         report(4, "vertical-tool payload proved from the payload code")
 
 
