@@ -241,6 +241,29 @@ class TestRequiredGripForce:
             required_grip_force(nominal_dims, nominal_spring,
                                 state_with(theta=0.05))
 
+    @given(alpha=st.floats(min_value=0.1, max_value=1.4),
+           theta=st.floats(min_value=0.21, max_value=1.04),
+           g=st.floats(min_value=5.0, max_value=50.0))
+    def test_weight_derivative_matches_finite_differences(self, alpha, theta, g):
+        # d f_n / d g_tool is +-cos(alpha)*tan(theta)/2 by configuration
+        from grippertool import SpringSpec, ToolDimensions
+        dims = ToolDimensions.with_derived_width(
+            m=0.012, r=0.03, theta_init=math.radians(60), theta_end=math.radians(12),
+            h=0.032, p=0.011, q=0.006, k=0.05, d_axis=0.004, r_edge=0.001)
+        spring = SpringSpec(kappa=0.5, beta=math.radians(20))
+        h = 1e-3 * g
+        for config, sign in ((GripConfig.BACKWARD_BASE, 1.0),
+                             (GripConfig.FORWARD_BASE, -1.0)):
+            hi = required_grip_force(
+                dims, spring,
+                state_with(theta=theta, alpha=alpha, g_tool=g + h, config=config))
+            lo = required_grip_force(
+                dims, spring,
+                state_with(theta=theta, alpha=alpha, g_tool=g - h, config=config))
+            numeric = (hi - lo) / (2.0 * h)
+            analytic = sign * math.cos(alpha) * math.tan(theta) / 2.0
+            assert numeric == pytest.approx(analytic, rel=1e-6, abs=1e-9)
+
 
 NON_FINITE = (math.nan, math.inf)
 
