@@ -47,7 +47,8 @@ case's inputs are drawn before the nudge. Given one tree twice, the
 differences are the cases that turn on the last bit of a libm result.
 
 Prints one JSON line: the suite, the seed range, the number of cases,
-the number that differ and the first MAX_SHOWN differences in full.
+the number that differ, the names of all that differ, and the first
+MAX_SHOWN differences in full.
 Exits 0 when no case differs and 1 when some do.
 """
 
@@ -247,13 +248,13 @@ def compare(tree_a, tree_b, seeds, suite="sizing", perturb=None):
     """The JSON-ready summary of running a suite's seeds on both trees,
     tree_b with the libm functions nudged when perturb is given."""
     procs = [_spawn(tree_a, seeds, suite), _spawn(tree_b, seeds, suite, perturb)]
-    cases, differing, differences = 0, 0, []
+    cases, differing, differences = 0, [], []
     for line_a, line_b in zip(*(proc.stdout for proc in procs)):
         cases += 1
         if line_a != line_b:
-            differing += 1
+            (case, a), (_, b) = json.loads(line_a), json.loads(line_b)
+            differing.append(case)
             if len(differences) < MAX_SHOWN:
-                (case, a), (_, b) = json.loads(line_a), json.loads(line_b)
                 differences.append({"case": case, "a": a, "b": b})
     for proc in procs:
         rest = proc.stdout.read()
@@ -261,7 +262,8 @@ def compare(tree_a, tree_b, seeds, suite="sizing", perturb=None):
             raise RuntimeError(f"{proc.args[3]}: exit status {proc.returncode}, "
                                "or more cases than the other tree")
     return {"suite": suite, "seeds": f"{seeds.start}:{seeds.stop}", "cases": cases,
-            "differing": differing, "differences": differences}
+            "differing": len(differing), "differing_cases": differing,
+            "differences": differences}
 
 
 def main():

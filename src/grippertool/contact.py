@@ -147,8 +147,9 @@ def holding_max_offset(model: ContactModel, state: GraspState) -> float:
     works once 2*mu*f_n >= g_tool.
 
     Raises InfeasibleHoldError when 2*mu*f_n < g_tool (cannot hold at any d),
-    and DomainError when (mu*f_n)^2, a term of the formula or a nonzero
-    offset leaves the normal float range.
+    and DomainError when (mu*f_n)^2, a term of the formula or the offset
+    leaves the normal float range. The offset is exactly 0.0 only where
+    4*(mu*f_n)^2 - G^2 is; any other 0.0 has underflowed.
     """
     mu_fn = model.mu * state.f_n
     g = state.g_tool
@@ -160,10 +161,11 @@ def holding_max_offset(model: ContactModel, state: GraspState) -> float:
     sin_a = math.sin(state.alpha)
     spin = g * sin_a
     # overflow leaves nan or inf, and below the normal range M^2, G*sin(alpha)
-    # or a nonzero offset has lost digits; 4*M^2 >= G^2 otherwise
+    # or the offset has lost digits; 4*M^2 >= G^2 otherwise
     offset = (_hold_offset(model.e, mu_fn2, g, spin)
               if mu_fn2 >= _MIN_NORMAL and spin >= _MIN_NORMAL else math.nan)
-    if not (offset == 0.0 or _MIN_NORMAL <= offset < math.inf):
+    if not (_MIN_NORMAL <= offset < math.inf
+            or offset == 0.0 and 4.0 * mu_fn2 - g * g == 0.0):
         raise DomainError("hold offset out of floating-point range: "
                           f"mu*f_n = {mu_fn:g}, g_tool = {g:g}, sin(alpha) = {sin_a:g}")
     return offset

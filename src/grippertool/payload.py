@@ -39,14 +39,17 @@ SCALAR_GRID_CELLS cells with them one float cell at a time, as
 max_payload() does, and a larger grid with one call on the whole
 (alpha, d) grid of arrays, whose fixed cost only a larger grid repays.
 Either way a sweep cell is bit-identical to max_payload() on that cell.
-_solve_cell() decides a float cell: its weight, residual bound, overflow
-error and clamp. max_payload() and the one-cell pass call it on every
-cell, the numpy pass only on the first cell whose residual fails the
-bound, to raise that cell's error. Before solving, the sweep checks the
-GraspState ranges at the three cells where a row-order walk of the grid
-would meet a bad value first. The sweep returns a PayloadGrid: the
-weights, nan where infeasible, with the cell counts and the worst
-residual. The numpy pass leaves the weights as its (alphas x ds) float64
+_solve_cell() decides a float cell: its root, or its overflow error
+where the root or its denominator is not finite, the one error rule of
+the solve. max_payload() and the one-cell pass call it on every cell,
+the numpy pass only on the first cell in row order that isfinite
+fails, to raise that cell's error. The limit-surface residual
+(_residual) is an observable, not a check: max_payload() reports it
+for its one cell, and no sweep computes it. Before solving, the sweep
+checks the GraspState ranges at the three cells where a row-order walk
+of the grid would meet a bad value first. The sweep returns a
+PayloadGrid: the weights, nan where infeasible, with the cell counts.
+The numpy pass leaves the weights as its (alphas x ds) float64
 array, which the CLI formats without a copy; the one-cell pass, and a
 grid whose tool is not held, give one row of floats per alpha.
 
@@ -60,15 +63,11 @@ import math
 from .contact import ContactModel, GraspState, _friction_capacity, check_grasp
 from .errors import DomainError, NoFeasiblePayloadError, value_type
 
-# The limit-surface residual at the returned weight (see _residual) must
-# stay below this bound.
-ROOT_RESIDUAL_TOL = 1e-9
-
 # Largest grid payload_sweep solves one cell at a time; a larger one goes
 # through one numpy pass. The two cost the same at about this many cells:
-# on a 2-core x86_64 VM with Python 3.11, a payload-sweep request costs
-# about 31 us + 1.6-1.8 us a cell one cell at a time and
-# 76 us + 0.3-0.4 us a cell in the numpy pass, so they cross at 32-36
+# on a 2-core x86_64 VM with Python 3.11 and numpy 2.4, a payload-sweep
+# request costs about 32 us + 1.5 us a cell one cell at a time and
+# 72 us + 0.4 us a cell in the numpy pass, so they cross at about 36
 # cells (CHANGES.md holds the table).
 SCALAR_GRID_CELLS = 36
 
@@ -78,10 +77,10 @@ class PayloadResult:
     """Outcome of a max-payload solve.
 
     residual is the limit-surface residual at the weight solved for (see
-    _residual) and must meet ROOT_RESIDUAL_TOL. zero_clamped marks the
-    case where that weight is negative and max_weight was clamped to
-    zero; the residual then refers to the negative weight rather than to
-    max_weight.
+    _residual), reported as a measure of the solve's accuracy and not
+    checked. zero_clamped marks the case where that weight is negative
+    and max_weight was clamped to zero; the residual then refers to the
+    negative weight rather than to max_weight.
     """
 
     max_weight: float
@@ -91,12 +90,6 @@ class PayloadResult:
     def __post_init__(self):
         if self.max_weight < 0.0:
             raise ValueError("PayloadResult.max_weight must be >= 0")
-        if not self.residual <= ROOT_RESIDUAL_TOL:  # a nan residual fails too
-            raise _residual_error(self.residual)
-
-
-def _residual_error(residual) -> ValueError:
-    return ValueError(f"PayloadResult.residual {residual:g} exceeds {ROOT_RESIDUAL_TOL:g}")
 
 
 def _check_tool_held(model: ContactModel, state: GraspState) -> None:
@@ -151,33 +144,18 @@ def _root_parts(mu_fn, e, g, d, q, big_e, reach, slack, sqrt, where=_pick):
     return numerator, where(nonneg, big_e, n)
 
 
-def _residual(w, mu_fn, e, g, d, q, maximum=max):
-    """|f^2 + (t/e)^2 - M^2| / s^2 at weight w, with f = (g + w)/2 and
-    t = (w*D - g*Q)/2 from the balance and s the larger of M and
+def _residual(w, mu_fn, e, g, d, q):
+    """|f^2 + (t/e)^2 - M^2| / s^2 at float weight w, with f = (g + w)/2
+    and t = (w*D - g*Q)/2 from the balance and s the larger of M and
     |w*D|/(2*e): unit-free, and near the rounding error of w even where
     a small e makes t/e steep in w, which a residual over M^2 alone is
     not. Each term is divided by s before it is squared."""
-    spin = w * d
-    spin /= 2.0 * e
-    scale = maximum(abs(spin), mu_fn)
-    torque = g * q
-    torque /= 2.0 * e
-    torque -= spin                 # -t/e
-    del spin
-    torque /= scale
-    torque *= torque
-    force = w + g
-    force *= 0.5
-    force /= scale
-    force *= force
-    torque += force
-    del force
-    force = mu_fn / scale
-    del scale
-    force *= force
-    torque -= force
-    del force
-    return abs(torque)
+    spin = w * d / (2.0 * e)
+    scale = max(abs(spin), mu_fn)
+    torque = (g * q / (2.0 * e) - spin) / scale     # -t/e
+    force = (w + g) * 0.5 / scale
+    capacity = mu_fn / scale
+    return abs(torque * torque + force * force - capacity * capacity)
 
 
 def max_payload(model: ContactModel, state: GraspState,
@@ -192,21 +170,19 @@ def max_payload(model: ContactModel, state: GraspState,
     clamped to a zero-payload result with zero_clamped set.
     """
     _check_tool_held(model, state)
-    solved = _solve_cell(model, _friction_capacity(model, state.f_n)[0], state.g_tool,
-                         d_obj, state.d_com, math.sin(state.alpha), math.cos(state.alpha))
-    if solved is None:
+    mu_fn, g = _friction_capacity(model, state.f_n)[0], state.g_tool
+    sin_a, cos_a = math.sin(state.alpha), math.cos(state.alpha)
+    root = _solve_cell(model, mu_fn, g, d_obj, state.d_com, sin_a, cos_a)
+    if root is None:
         raise NoFeasiblePayloadError("no object weight satisfies the contact capacity")
-    return PayloadResult(*solved)
+    residual = _residual(root, mu_fn, model.e, g, d_obj * sin_a, state.d_com * cos_a)
+    return PayloadResult(max(root, 0.0), residual, root < 0.0)
 
 
-def _solve_cell(model, mu_fn, g, d_obj, d_com, sin_a, cos_a
-                ) -> tuple[float, float, bool] | None:
-    """(weight, residual, zero_clamped) of one float cell, or None where
-    no weight is feasible. The weight is clamped at 0 when negative. A
-    residual that fails the bound (nan included) raises the overflow
-    DomainError, naming d_obj, e and d_com, when the root's numerator or
-    denominator or the residual is not finite, and PayloadResult's
-    ValueError when all are finite.
+def _solve_cell(model, mu_fn, g, d_obj, d_com, sin_a, cos_a) -> float | None:
+    """The larger root of one float cell, negative ones included, or None
+    where no weight is feasible. Raises the overflow DomainError, naming
+    d_obj, e and d_com, when the root or its denominator is not finite.
     """
     e = model.e
     d, q, big_e, reach, slack = _terms(mu_fn, e, g, d_obj, d_com, sin_a, cos_a, math.sqrt)
@@ -214,15 +190,10 @@ def _solve_cell(model, mu_fn, g, d_obj, d_com, sin_a, cos_a
         return None
     numerator, denominator = _root_parts(mu_fn, e, g, d, q, big_e, reach, slack, math.sqrt)
     root = numerator / denominator if denominator else math.nan
-    residual = _residual(root, mu_fn, e, g, d, q)
-    if not residual <= ROOT_RESIDUAL_TOL:
-        if not all(map(math.isfinite, (numerator, denominator, residual))):
-            raise DomainError("payload quadratic out of floating-point range: "
-                              f"d_obj = {d_obj:g}, e = {e:g}, d_com = {d_com:g}")
-        raise _residual_error(residual)
-    if root < 0.0:
-        return 0.0, residual, True
-    return root, residual, False
+    if not (math.isfinite(root) and math.isfinite(denominator)):
+        raise DomainError("payload quadratic out of floating-point range: "
+                          f"d_obj = {d_obj:g}, e = {e:g}, d_com = {d_com:g}")
+    return root
 
 
 @value_type(eq=False)
@@ -234,11 +205,9 @@ class PayloadGrid:
     (len(alphas), len(ds)) float64 array, or else lists of floats.
     Iterating the grid gives the row-major view (alpha, d, weight) in
     Python floats, weight None where infeasible; len() counts the cells.
-    The counts and max_residual come from the solve's own masks:
-    zero_clamped counts the feasible cells whose weight was negative and
-    clamped to 0, and max_residual is the largest limit-surface residual
-    (PayloadResult.residual) over the feasible cells (0 when there are
-    none).
+    The counts come from the solve's own masks: zero_clamped counts the
+    feasible cells whose weight was negative and clamped to 0. No
+    residual is kept; max_payload() reports one cell's.
     """
 
     alphas: list[float]
@@ -246,7 +215,6 @@ class PayloadGrid:
     weights: "list[list[float]] | numpy.ndarray"
     feasible: int
     zero_clamped: int
-    max_residual: float
 
     @property
     def infeasible(self) -> int:
@@ -269,30 +237,28 @@ def _cell_weights(model, state, d_obj, alphas, ds) -> tuple:
     max_payload solves it."""
     mu_fn = _friction_capacity(model, state.f_n)[0]
     g = state.g_tool
-    rows, feasible, zero_clamped, max_residual = [], 0, 0, 0.0
+    rows, feasible, zero_clamped = [], 0, 0
     for alpha in alphas:
         sin_a, cos_a = math.sin(alpha), math.cos(alpha)
         row = []
         for d in ds:
-            solved = _solve_cell(model, mu_fn, g, d_obj, d, sin_a, cos_a)
-            if solved is None:
+            root = _solve_cell(model, mu_fn, g, d_obj, d, sin_a, cos_a)
+            if root is None:
                 row.append(math.nan)
                 continue
-            weight, residual, clamped = solved
             feasible += 1
-            zero_clamped += clamped
-            max_residual = max(max_residual, residual)
-            row.append(weight)
+            zero_clamped += root < 0.0
+            row.append(max(root, 0.0))
         rows.append(row)
-    return rows, feasible, zero_clamped, max_residual
+    return rows, feasible, zero_clamped
 
 
 def _grid_weights(model, state, d_obj, alphas, ds) -> tuple:
-    """PayloadGrid's (weights, feasible, zero_clamped, max_residual) over
-    alphas x ds in one numpy pass. Each grid-sized value is one array,
-    made once and then updated in place, and every array is made in this
-    call, so concurrent sweeps share none; the root's numerator, divided
-    in place, becomes the weights array.
+    """PayloadGrid's (weights, feasible, zero_clamped) over alphas x ds in
+    one numpy pass. Each grid-sized value is one array, made once and
+    then updated in place, and every array is made in this call, so
+    concurrent sweeps share none; the root's numerator, divided in place,
+    becomes the weights array.
     """
     import numpy as np  # loaded by the first sweep, not by importing this module
 
@@ -303,10 +269,6 @@ def _grid_weights(model, state, d_obj, alphas, ds) -> tuple:
         # x where cond holds, written into y
         np.copyto(y, x, where=cond)
         return y
-
-    def elementwise_max(first, second):
-        # first is _residual's own |w*D/(2*e)|, so the maximum goes into it
-        return np.maximum(first, second, out=first)
 
     mu_fn = _friction_capacity(model, state.f_n)[0]
     e, g = model.e, state.g_tool
@@ -321,20 +283,16 @@ def _grid_weights(model, state, d_obj, alphas, ds) -> tuple:
                                         sqrt_in_place, where)
         del slack
         root /= denominator
-        del denominator  # _residual's temporaries reuse its memory: a lower peak RSS
-        residual = _residual(root, mu_fn, e, g, d, q, elementwise_max)
-    # the first cell in row order whose residual fails the bound (nan
-    # included) is solved again alone, by _solve_cell, to raise its error
-    too_large = feasible & ~(residual <= ROOT_RESIDUAL_TOL)
-    if too_large.any():
-        i, j = np.unravel_index(np.argmax(too_large), too_large.shape)
+    # the first feasible cell in row order whose root or denominator is
+    # not finite is solved again alone, by _solve_cell, to raise its error
+    overflow = feasible & ~(np.isfinite(root) & np.isfinite(denominator))
+    if overflow.any():
+        i, j = np.unravel_index(np.argmax(overflow), overflow.shape)
         _cell_weights(model, state, d_obj, [alphas[i]], [ds[j]])
     clamped = root < 0.0
     np.putmask(root, clamped, 0.0)
     np.putmask(root, ~feasible, math.nan)
-    return (root, int(np.count_nonzero(feasible)),
-            int(np.count_nonzero(clamped & feasible)),
-            float(np.max(residual, where=feasible, initial=0.0)))
+    return root, int(np.count_nonzero(feasible)), int(np.count_nonzero(clamped & feasible))
 
 
 def payload_sweep(model: ContactModel, state: GraspState, d_obj: float,
@@ -351,9 +309,9 @@ def payload_sweep(model: ContactModel, state: GraspState, d_obj: float,
     instead of being dropped so downstream plotting can distinguish zero
     payload from no solution.
 
-    The GraspState range checks and the residual bound apply to every
-    cell and raise the same ValueError as the scalar path, which walks
-    the grid in row order. The ranges are checked before any cell is
+    The GraspState range checks and the overflow error apply to every
+    cell and raise the same error as the scalar path, which walks the
+    grid in row order. The ranges are checked before any cell is
     solved, at the three cells where that walk meets them first: (alpha0,
     d0), then (alpha0, the first d outside [0, inf)), then (the first
     alpha outside [0, pi], d0).
@@ -372,7 +330,7 @@ def payload_sweep(model: ContactModel, state: GraspState, d_obj: float,
     try:
         _check_tool_held(model, state)
     except NoFeasiblePayloadError:
-        solved = [[math.nan] * len(ds) for _ in alphas], 0, 0, 0.0
+        solved = [[math.nan] * len(ds) for _ in alphas], 0, 0
     else:
         solve = (_cell_weights if len(alphas) * len(ds) <= SCALAR_GRID_CELLS
                  else _grid_weights)

@@ -104,11 +104,16 @@ def torque_margin(model: ContactModel, state: GraspState, gamma: float) -> float
 
 
 def _capacity(model, state):
-    """contact._friction_capacity(), once per request. Raises DomainError
-    when 2*e*mu*f_n or g_tool*d_com, the bounds of the margin's two terms,
-    leaves the float range, or at f_n > 0 2*e*mu*f_n leaves the normal
-    range, where it has lost digits; within them every margin is finite."""
+    """contact._friction_capacity(), once per request. Raises
+    ZeroCapacityError when the pads hold the tool at no gamma, which does
+    not depend on e. Otherwise raises DomainError when 2*e*mu*f_n or
+    g_tool*d_com, the bounds of the margin's two terms, leaves the float
+    range, or at f_n > 0 2*e*mu*f_n leaves the normal range, where it has
+    lost digits; within them every margin is finite."""
     capacity = _friction_capacity(model, state.f_n)
+    # the headroom rises with gamma: where pi/2 fails, every gamma does
+    if _headroom(capacity[1], state, math.cos(math.pi / 2))[0] < 0.0:
+        raise ZeroCapacityError("no hand-tool angle has positive friction capacity")
     available = 2.0 * model.e * capacity[0]
     demand = state.g_tool * state.d_com
     if (not (math.isfinite(available) and math.isfinite(demand))
@@ -173,12 +178,10 @@ def _quartic(model, state, big_m2, kink):
 
 def _peak(model, state, capacity):
     """(gamma, margin) of the largest torque_margin over [0, pi/2], ties to
-    the smaller gamma, from the candidates in the module docstring. Raises
-    ZeroCapacityError when the pads hold the tool at no gamma."""
+    the smaller gamma, from the candidates in the module docstring, for a
+    capacity from _capacity(), which holds the tool at pi/2."""
     half_pi = math.pi / 2
     mu_fn2 = capacity[1]
-    if _headroom(mu_fn2, state, math.cos(half_pi))[0] < 0.0:
-        raise ZeroCapacityError("no hand-tool angle has positive friction capacity")
     edge = 0.0
     if _headroom(mu_fn2, state, 1.0)[0] < 0.0:   # the first float where the pads hold
         edge = _boundary(lambda g: -_headroom(mu_fn2, state, math.cos(g))[0], 0.0, half_pi)

@@ -10,6 +10,7 @@ from grippertool import (
     GripConfig,
     InfeasibleHoldError,
     SingularTransmissionError,
+    ZeroCapacityError,
     capacity_check,
     gamma_sweep,
     holding_max_offset,
@@ -124,6 +125,12 @@ class TestHoldingMaxOffset:
          "^hold offset out of floating-point range"),
         (ContactModel(mu=0.5, e=2e-318), state_with(),
          "^hold offset out of floating-point range"),
+        # e*sqrt(4*M^2 - G^2)/G, about 1e-324 and 2e-323, underflows to 0.0,
+        # which is exact only where 4*M^2 = G^2
+        (ContactModel(mu=0.5, e=5e-324), state_with(f_n=10.0, g_tool=9.999),
+         "^hold offset out of floating-point range"),
+        (ContactModel(mu=0.5, e=1e-322), state_with(f_n=10.0, g_tool=9.999),
+         "^hold offset out of floating-point range"),
     ])
     def test_offset_beyond_the_normal_range_is_domain_error(self, model, state, message):
         with pytest.raises(DomainError, match=message):
@@ -188,6 +195,18 @@ def test_subnormal_eccentricity_leaves_no_subnormal_margin(seed):
     # their peak margins were 8.24e-316, 1.60e-317 and 1.36e-317
     model, state, _ = draw_contact(seed)
     with pytest.raises(DomainError, match=r"^torque margin out of floating-point range"):
+        gamma_sweep(model, state, 2)
+
+
+@pytest.mark.parametrize("seed", [157, 489])
+def test_no_hold_at_any_gamma_is_zero_capacity(seed):
+    # draw_contact models whose mu*f_n, and with it 2*e*mu*f_n, is
+    # subnormal, and whose pads hold the tool at no gamma: that verdict is
+    # exact, so it is not the range error of a subnormal term
+    model, state, _ = draw_contact(seed)
+    assert 0.0 < 2.0 * model.e * model.mu * state.f_n < contact._MIN_NORMAL
+    with pytest.raises(ZeroCapacityError,
+                       match="^no hand-tool angle has positive friction capacity$"):
         gamma_sweep(model, state, 2)
 
 

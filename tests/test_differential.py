@@ -43,7 +43,7 @@ def test_repo_against_itself():
     code, summary = differential(ROOT, ROOT)
     assert code == 0
     assert summary == {"suite": "sizing", "seeds": "0:300", "cases": 300 * 9,
-                       "differing": 0, "differences": []}
+                       "differing": 0, "differing_cases": [], "differences": []}
 
 
 def test_cases_reach_the_refusals():
@@ -75,13 +75,17 @@ def test_patched_copy_differs(tmp_path, old, new, kind, module):
     assert summary["cases"] == 300 * 9 and summary["differing"] > 0
     assert all(d["case"].startswith(kind + " ") and d["a"] != d["b"]
                for d in summary["differences"])
+    # every differing case is named, the first MAX_SHOWN also in full
+    assert len(summary["differing_cases"]) == summary["differing"]
+    assert all(case.startswith(kind + " ") for case in summary["differing_cases"])
+    assert [d["case"] for d in summary["differences"]] == summary["differing_cases"][:5]
 
 
 def test_contact_suite_against_itself():
     code, summary = differential(ROOT, ROOT, "0:300", "--suite", "contact")
     assert code == 0
     assert summary == {"suite": "contact", "seeds": "0:300", "cases": 300 * 3,
-                       "differing": 0, "differences": []}
+                       "differing": 0, "differing_cases": [], "differences": []}
 
 
 def test_contact_cases_reach_every_outcome():
@@ -126,7 +130,7 @@ def test_workloads_suite_against_itself():
     code, summary = differential(ROOT, ROOT, "1:2", "--suite", "workloads")
     assert code == 0
     assert summary == {"suite": "workloads", "seeds": "1:2", "cases": 1048,
-                       "differing": 0, "differences": []}
+                       "differing": 0, "differing_cases": [], "differences": []}
 
 
 def test_patched_workloads_copy_differs(tmp_path):
@@ -143,7 +147,7 @@ def test_sweeps_suite_against_itself():
     code, summary = differential(ROOT, ROOT, "0:10", "--suite", "sweeps")
     assert code == 0
     assert summary == {"suite": "sweeps", "seeds": "0:10", "cases": 10 * 3,
-                       "differing": 0, "differences": []}
+                       "differing": 0, "differing_cases": [], "differences": []}
 
 
 def test_patched_sweeps_copy_differs(tmp_path):
