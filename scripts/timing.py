@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Time two source trees on a benchmark workload, in alternating processes.
+"""Time two source trees, in alternating processes.
 
 Usage:
     python scripts/timing.py --in-process TREE_A TREE_B --workload interactive \\
         --seeds 1:7 [--cycles 15]
+    python scripts/timing.py --fresh TREE_A TREE_B [--pairs 11]
 
 TREE_A and TREE_B are each a source tree directory or, where no such
 directory exists, a git revision of this repository (HEAD, a commit, a
 branch), which is git-archived into a temporary directory for the run.
+
+--in-process times a benchmark workload inside child processes.
 For each seed of the range, one fresh child process per tree runs the
 workload's cycle for that seed, from perfbench/workloads.py (imported,
 never written), with its design files in a temporary directory. The
@@ -36,6 +39,23 @@ resource module), and the number of cli.run calls, warm-up cycles
 included, that returned an exit code other than the one the workload
 expects (failed); the pairs each tree wins on each of the three values
 (a tie counts for neither); and every pair's three values.
+
+--fresh times whole processes, as a user's shell starts them: each of
+the five golden commands as `python -m grippertool.cli ...` on
+designs/example_tool.ini, with three floors, `python -c pass`,
+`python -S -c pass` (the interpreter without site's work on the
+installed packages) and `python -c "import numpy"`. A pair runs every
+command once on each tree, the two runs of a command back to back, the
+tree that goes first alternating from pair to pair. Each run's time is
+the wall time from starting its process to its exit, with the process
+pinned to the highest CPU this one may use, where the platform allows
+it. Prints one JSON line: the CPUs, each command's arguments after
+python, the bytecode state (the value of
+PYTHONDONTWRITEBYTECODE, and per tree whether a __pycache__ directory
+exists under src/ before the first run and after the last); per tree
+and command, the median and quartiles of the run times in ms; per
+command, the pairs each tree wins (a tie counts for neither); and per
+tree the number of runs that exited with a status other than 0.
 """
 
 import argparse
@@ -58,6 +78,28 @@ except ImportError:   # not on Windows
     resource = None
 
 METRICS = {"p50_ms": "lower", "tail_ms": "lower", "requests_per_s": "higher"}
+
+SAMPLE = str(ROOT / "designs" / "example_tool.ini")
+# tests/test_cli.py's GOLDEN_COMMANDS, which tests/test_timing.py checks
+# --fresh runs
+GOLDEN_COMMANDS = {
+    "validate.txt": ["validate", SAMPLE],
+    "analyze.txt": ["analyze", SAMPLE, "--d-obj", "0.05"],
+    "payload_sweep.txt": ["payload-sweep", SAMPLE,
+                          "--alpha", "15:75:15deg", "--d", "0:0.04:0.01"],
+    "optimize.txt": ["optimize", SAMPLE, "--m", "0.008:0.03",
+                     "--r", "0.005:0.08", "--theta-init", "40:83deg",
+                     "--grip-budget", "36"],
+    "pose_sweep.txt": ["pose-sweep", SAMPLE, "--samples", "19"],
+}
+# --fresh's commands, the floors first, each an argument list after python
+FRESH_COMMANDS = {
+    "python -c pass": ["-c", "pass"],
+    "python -S -c pass": ["-S", "-c", "pass"],
+    "import numpy": ["-c", "import numpy"],
+    **{name.removesuffix(".txt"): ["-m", "grippertool.cli", *argv]
+       for name, argv in GOLDEN_COMMANDS.items()},
+}
 
 
 def _minor_faults():
@@ -108,11 +150,18 @@ def summarize(best, faults, kinds, tail_pct):
             "kind_faults": _by_kind(faults, kinds) if resource else None}
 
 
+def _pin():
+    """Pin this process, and so its children, to the highest CPU it may
+    use; that CPU, or None where the platform cannot pin."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    cpu = max(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
+    return cpu
+
+
 def _child(args, workloads):
-    cpu = None
-    if hasattr(os, "sched_setaffinity"):
-        cpu = max(os.sched_getaffinity(0))
-        os.sched_setaffinity(0, {cpu})
+    cpu = _pin()
     import_from(args.tree_a)
     with tempfile.TemporaryDirectory() as directory:
         requests = workloads.generate(args.workload, args.seeds.start, Path(directory))
@@ -150,6 +199,62 @@ def checkout(tree, directory):
                              stdout=subprocess.PIPE, check=True)
     subprocess.run(["tar", "-x", "-C", str(directory)], input=archive.stdout, check=True)
     return str(directory)
+
+
+def _pycache(tree):
+    """Whether a __pycache__ directory exists under tree's src/."""
+    return any(path.is_dir() for path in (Path(tree) / "src").rglob("__pycache__"))
+
+
+def _quartiles(values):
+    """[first quartile, median, third quartile] of values."""
+    if len(values) == 1:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def _time_fresh(command, tree):
+    """The wall time in ms of one fresh process running python with
+    command's arguments on tree's src/, and whether it exited with 0."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *command], env=tree_env(tree),
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return (time.perf_counter() - start) * 1e3, proc.returncode == 0
+
+
+def compare_fresh(args, scratch):
+    """The JSON-ready summary of args.pairs pairs of fresh-process runs of
+    FRESH_COMMANDS; a tree given as a git revision is archived under the
+    directory scratch."""
+    trees = {"a": args.tree_a, "b": args.tree_b}
+    directories = {name: checkout(tree, Path(scratch) / name) for name, tree in trees.items()}
+    pycache = {name: {"before": _pycache(directory)}
+               for name, directory in directories.items()}
+    cpu = _pin()
+    times = {name: {command: [] for command in FRESH_COMMANDS} for name in trees}
+    failed = dict.fromkeys(trees, 0)
+    for k in range(args.pairs):
+        order = "ab" if k % 2 == 0 else "ba"
+        for command, arguments in FRESH_COMMANDS.items():
+            for name in order:
+                elapsed, ok = _time_fresh(arguments, directories[name])
+                times[name][command].append(elapsed)
+                failed[name] += not ok
+    for name, directory in directories.items():
+        pycache[name]["after"] = _pycache(directory)
+    bytecode = {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+                "pycache": pycache}
+    summary = {"mode": "fresh", "pairs": args.pairs, "cpus": [cpu],
+               "commands": FRESH_COMMANDS, "bytecode": bytecode}
+    for name, tree in trees.items():
+        summary[name] = {"tree": str(tree), "ms": {
+            command: dict(zip(("q1", "median", "q3"), _quartiles(values)))
+            for command, values in times[name].items()}, "failed": failed[name]}
+    summary["wins"] = {command: {name: sum(mine < theirs for mine, theirs
+                                           in zip(times[name][command], times[other][command]))
+                                 for name, other in (("a", "b"), ("b", "a"))}
+                       for command in FRESH_COMMANDS}
+    return summary
 
 
 def compare(args, workloads, scratch):
@@ -190,23 +295,33 @@ def compare(args, workloads, scratch):
 def main():
     workloads = load_perfbench("workloads")
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--in-process", action="store_true", required=True,
-                        help="time cli.run calls inside the child processes")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--in-process", action="store_true",
+                      help="time cli.run calls inside the child processes")
+    mode.add_argument("--fresh", action="store_true",
+                      help="time whole processes running the golden commands")
     parser.add_argument("tree_a")
     parser.add_argument("tree_b")
-    parser.add_argument("--workload", required=True,
-                        choices=sorted(workloads.GENERATORS))
-    parser.add_argument("--seeds", type=seed_range, required=True, help="A:B")
+    parser.add_argument("--workload", choices=sorted(workloads.GENERATORS),
+                        help="the workload of --in-process")
+    parser.add_argument("--seeds", type=seed_range, help="A:B, the seeds of --in-process")
     parser.add_argument("--cycles", type=int, default=15,
-                        help="timed cycles per child (default 15)")
+                        help="timed cycles per child of --in-process (default 15)")
+    parser.add_argument("--pairs", type=int, default=11,
+                        help="pairs of runs of each command for --fresh (default 11)")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
-    if args.cycles < 1:
-        parser.error("--cycles must be at least 1")
+    if args.in_process and (args.workload is None or args.seeds is None):
+        parser.error("--in-process needs --workload and --seeds")
+    if args.cycles < 1 or args.pairs < 1:
+        parser.error("--cycles and --pairs must be at least 1")
     if args.child:
         _child(args, workloads)
-    else:
-        with tempfile.TemporaryDirectory() as scratch:
+        return 0
+    with tempfile.TemporaryDirectory() as scratch:
+        if args.fresh:
+            print(json.dumps(compare_fresh(args, scratch)))
+        else:
             print(json.dumps(compare(args, workloads, scratch)))
     return 0
 

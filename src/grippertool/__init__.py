@@ -14,7 +14,7 @@ _SUBMODULES = {name: module for module, names in (
                " InfeasibleProblemError NoFeasiblePayloadError SingularTransmissionError"
                " ZeroCapacityError replace"),
     ("mechanism", "SpringSpec ToolDimensions Violation check_feasible clearance_span"
-                  " spring_torque stroke stroke_fixed_width"),
+                  " spring_torque stroke"),
     ("payload", "PayloadGrid PayloadResult max_payload payload_sweep"),
     ("pose", "TorqueMarginCurve gamma_sweep torque_margin"),
     ("sizing", "SizingProblem SizingResult grip_demand maximize_stroke"),

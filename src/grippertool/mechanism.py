@@ -161,19 +161,6 @@ def stroke(dim: ToolDimensions) -> float:
     return 2.0 * dim.r * math.sin(dim.theta_init - dim.theta_end)
 
 
-def stroke_fixed_width(w_init: float, m: float, theta_init: float,
-                       theta_end: float) -> float:
-    """Stroke with the linkage length eliminated via the width tie.
-
-    Substituting r = (w_init - m) / (2*sin(theta_init)) into the stroke
-    expression. Useful when the open width is a fixed requirement and r is
-    a derived quantity. The sizing search does not call it; release
-    criterion 7 checks the stroke's monotonicity in theta_init, theta_end
-    and m with it.
-    """
-    return (w_init - m) * math.sin(theta_init - theta_end) / math.sin(theta_init)
-
-
 def spring_torque(spring: SpringSpec, delta_theta: float) -> float:
     """Torque of one torsion spring after closing by delta_theta.
 

@@ -149,12 +149,13 @@ def _residual(w, mu_fn, e, g, d, q):
     and t = (w*D - g*Q)/2 from the balance and s the larger of M and
     |w*D|/(2*e): unit-free, and near the rounding error of w even where
     a small e makes t/e steep in w, which a residual over M^2 alone is
-    not. Each term is divided by s before it is squared."""
-    spin = w * d / (2.0 * e)
-    scale = max(abs(spin), mu_fn)
-    torque = (g * q / (2.0 * e) - spin) / scale     # -t/e
-    force = (w + g) * 0.5 / scale
-    capacity = mu_fn / scale
+    not. Each term is taken times e and divided by e*s before it is
+    squared, so a subnormal e leaves them finite."""
+    spin = w * d * 0.5                              # e*|w*D|/(2*e)
+    scale = max(abs(spin), mu_fn * e)               # e*s
+    torque = (g * q * 0.5 - spin) / scale           # -t/e / s
+    force = (w + g) * 0.5 * e / scale
+    capacity = mu_fn * e / scale
     return abs(torque * torque + force * force - capacity * capacity)
 
 

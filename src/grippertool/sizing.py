@@ -1,52 +1,46 @@
 """Exact stroke maximization.
 
-The stroke maximization fixes the open width w_init, holds theta_end at
-its geometric minimum and takes p and h at their smallest feasible values
-(the interference limits of mechanism.check_feasible), so a design is
-fixed by its two travel angles.
+The design fixes the open width w_init, holds theta_end at its geometric
+minimum and takes p and h at their smallest feasible values (the
+interference limits of mechanism.check_feasible), so it is fixed by its
+two travel angles. The budget caps the worst-case grip force over the
+travel, and that worst case is exact: with A = +-g_tool*cos(alpha)/2,
+B = 2*v*kappa/r and c = beta + theta_init, the demand
+f(theta) = A*tan(theta) + B*(c - theta)/cos(theta) has
 
-The budget caps the worst-case grip force over the travel, and that worst
-case is computed exactly: with A = +-g_tool*cos(alpha)/2, B = 2*v*kappa/r
-and c = beta + theta_init, the demand is
+    cos(theta)**2 * f'(theta) = A + B*((c - theta)*sin(theta) - cos(theta)),
 
-    f(theta) = A*tan(theta) + B*(c - theta)/cos(theta)
-    cos(theta)**2 * f'(theta) = A + B*((c - theta)*sin(theta) - cos(theta))
+whose B term has derivative (c - theta)*cos(theta) >= 0 on the travel.
+So f' changes sign at most once, from - to +: f is quasi-convex, and its
+maximum over [theta_end, theta_init] is at one of the two ends.
 
-where the term multiplying B has derivative (c - theta)*cos(theta) >= 0
-on the travel and B > 0. So f' changes sign at most once, from - to +;
-f is quasi-convex and its maximum over [theta_end, theta_init] is at one
-of the two ends.
-
-The stroke maximum is the best of a finite candidate set; test_sizing.py
-checks each step below with sympy. Write t = theta_init, e = theta_end,
-q = d_axis + 2*r_edge, K = 2*v*kappa/q, A = +-g_tool*cos(alpha)/2 (+ for
-backward_base) and B = grip_budget.
+The stroke maximum is the best of a finite candidate set. Each curve is
+one function, whose docstring names its step; test_sizing.py proves each
+step with sympy on those, on contact._grip_force and on mechanism.stroke.
+Write t = theta_init, e = theta_end, q = d_axis + 2*r_edge,
+K = 2*v*kappa/q, A as above (+ for backward_base) and B = grip_budget.
 
 1. Substitution. r = q/sin(e), the width tie gives
    m = w_init - 2*q*sin(t)/sin(e), and the stroke is
-   S = 2*q*sin(t - e)/sin(e) = 2*q*(sin(t)*cot(e) - cos(t)). For
-   0 < e < t < pi/2, dS/dt = 2*q*(cos(t)*cot(e) + sin(t)) > 0 and
-   dS/de = -2*q*sin(t)/sin(e)**2 < 0.
+   S = 2*q*sin(t - e)/sin(e) = 2*q*(sin(t)*cot(e) - cos(t)). For 0 < e < t < pi/2,
+   dS/dt = 2*q*(cos(t)*cot(e) + sin(t)) > 0 and dS/de = -2*q*sin(t)/sin(e)**2 < 0.
 2. Constraints as curves. t lies in [T_lo, T_hi]. The r bounds become
-   e in [E_lo, E_hi] with sin(E_lo) = q/r_hi and sin(E_hi) = min(1, q/r_lo).
-   Each m bound becomes the curve sin(e) = a*sin(t) with
-   a = 2*q/(w_init - m), the lower m bound raised to q first; m >= m_lo
-   is the side sin(e) >= a*sin(t).
+   e in [E_lo, E_hi], sin(E_lo) = q/r_hi and sin(E_hi) = min(1, q/r_lo).
+   Each m bound becomes the curve sin(e) = a*sin(t), a = 2*q/(w_init - m),
+   the lower one raised to q first; m >= m_lo is the side sin(e) >= a*sin(t).
 3. Demand at the closed end. D_end = tan(e)*(A + K*(beta + t - e)) is
-   affine in t with slope K*tan(e) > 0, so D_end <= B means
-   t <= g(e) = e - beta + (B*cot(e) - A)/K. g'(e) = 1 - B/(K*sin(e)**2)
-   and g'' = 2*B*cos(e)/(K*sin(e)**3) > 0: g is convex with its minimum
-   at sin(e)**2 = B/K, and falls throughout when B >= K.
+   affine in t with slope K*tan(e) > 0, so D_end <= B means t <= g(e) =
+   e - beta + (B*cot(e) - A)/K. g'(e) = 1 - B/(K*sin(e)**2) and
+   g'' = 2*B*cos(e)/(K*sin(e)**3) > 0: g is convex with its minimum at
+   sin(e)**2 = B/K, and falls throughout when B >= K.
 4. Demand at the open end. D_init = A*tan(t) + K*beta*sin(e)/cos(t), and
    with R = hypot(A, B), phi = atan2(B, A) and c = K*beta*sin(e)/R,
-   cos(t)*(B - D_init) = R*(sin(phi - t) - c). D_init <= B holds between
-   a falling-branch root phi - pi + asin(c) and a rising-branch root
-   h(e) = phi - asin(c), and nowhere when c > 1.
-   cos(t)**2 * dD_init/dt = A + K*beta*sin(e)*sin(t) exceeds
-   cos(t)**2 * f'(t) by K*sin(e)*cos(t) > 0, so where D_init falls
-   in t, f falls at the open end, hence over the whole travel, and
-   D_end > D_init. The falling branch is therefore implied by D_end <= B;
-   only t <= h(e) is kept.
+   cos(t)*(B - D_init) = R*(sin(phi - t) - c): D_init <= B between a
+   falling-branch root phi - pi + asin(c) and a rising-branch root
+   h(e) = phi - asin(c), and nowhere when c > 1. cos(t)**2 * dD_init/dt =
+   A + K*beta*sin(e)*sin(t) exceeds cos(t)**2 * f'(t) by K*sin(e)*cos(t) > 0,
+   so where D_init falls in t, f falls over the whole travel and D_end >
+   D_init: D_end <= B implies the falling branch; only t <= h(e) is kept.
 5. No maximum on a single curve. S has no stationary point, and no
    curve's outward normal in step 7 points along the gradient of S, so S
    rises along every curve one way, and a maximizer sits where two meet.
@@ -56,8 +50,7 @@ backward_base) and B = grip_budget.
    with t_hi, r_lo (sin(t) = (w_init - m)/(2*r)), D_init = B (along the
    curve D_init = (A + K*beta*a)*tan(t), so tan(t) = B/(A + K*beta*a)) or
    D_end = B (along the curve D_end is negative or increasing: one root).
-   The two D_end roots come from a bracketed secant narrowed to adjacent
-   floats (_boundary); the rest are closed forms.
+   The two D_end roots are bracketed (_boundary), the rest closed forms.
 7. The cone test. -dS/de - dS/dt = 2*q*cos(e)**2*cos(t)*(tan(t) -
    tan(e))/sin(e)**2 > 0 and dS/dt > 0: the gradient of S points between
    -90 and -45 degrees in (t, e). At a maximizer where two curves meet it
@@ -72,23 +65,16 @@ backward_base) and B = grip_budget.
    both bounds of one variable meet, the feasible set is one curve, and
    the maximizer is where it meets another of those curves.
 
-Floats: each candidate is an (m, r, theta_init) triple, exact in m on an
-m curve, in r on an r curve and in theta_init on a t bound; the third
-value follows from the width tie w_init = m + 2*r*sin(theta_init), which
-ToolDimensions checks within WIDTH_TIE_TOL. So a point on an r curve
-meets its r bound exactly, collapsed r bounds included. A D_end root is
-the float next to a switch of the rounded budget check, on its
-within-budget side; where rounding makes that check switch several times
-within a few ulps, it is next to one of those switches. Each candidate
-is checked with build_dimensions, the m, r and theta_init bounds and
-grip_demand <= grip_budget (taken per travel end, so a failure names its
-curve), all unchanged. A candidate can fail by rounding only the budget
-check of a curve it lies on. While it does, it moves one float toward
-that curve's feasible side along its other curve and is checked again,
-at most _ULP_STEPS times in all, so it ends on the first float that
-passes. This is no search: on 120,000 random problems (seeds 0-119,999
-of tests/sizing_cases.draw_case) no walk ran out of checks, and none
-that passed took more than 10.
+Floats: a candidate is an (m, r, theta_init) triple, exact in m on an m
+curve, in r on an r curve and in theta_init on a t bound, the third
+value from the width tie; so a point on an r curve meets its r bound
+exactly, collapsed r bounds included. A D_end root is the float next to
+a switch of its curve's own rounded predicate, and the design built there
+may fail its budget check by a few ulps. _realize then walks it one float
+at a time toward that curve's feasible side, at most _ULP_STEPS checks in
+all. On 120,000 random problems (seeds 0-119,999 of
+tests/sizing_cases.draw_case) no walk ran out of checks, and none that
+passed took more than 10.
 """
 
 import math
@@ -233,27 +219,65 @@ def _evaluate(problem: SizingProblem, m: float, r: float,
     return dims, None
 
 
+def _budget_curve(e, a_grav, k_end, beta, budget):
+    """g(e) of step 3: D_end <= B exactly where theta_init <= g(e)."""
+    return e - beta + (budget / math.tan(e) - a_grav) / k_end
+
+
+def _budget_split(k_end, budget):
+    """The e of g's minimum, sin(e)**2 = B/K (step 3), for B < K."""
+    return math.asin(math.sqrt(budget / k_end))
+
+
+def _open_end_sine(e, a_grav, k_end, beta, budget):
+    """c = K*beta*sin(e)/hypot(A, B) of step 4; h(e) exists where c <= 1."""
+    return k_end * beta * math.sin(e) / math.hypot(a_grav, budget)
+
+
+def _open_end_root(c, a_grav, budget):
+    """h(e) = atan2(B, A) - asin(c), the rising-branch root of step 4."""
+    return math.atan2(budget, a_grav) - math.asin(c)
+
+
+def _closed_end_on_m(t, a, a_grav, k_end, beta):
+    """D_end at theta_init = t on the m curve sin(e) = a*sin(t), steps 3 and 6."""
+    e = math.asin(a * math.sin(t))
+    return math.tan(e) * (a_grav + k_end * (beta + t - e))
+
+
+def _open_end_on_m(a, a_grav, k_end, beta, budget):
+    """t where D_init = B on the m curve (step 6), past pi/2 where A + K*beta*a <= 0."""
+    return math.atan2(budget, a_grav + k_end * beta * a)
+
+
+def _at_m(w, m, t):
+    """(m, r, t) on the m curve: the width tie w = m + 2*r*sin(t) solved for r (step 1)."""
+    return m, (w - m) / (2.0 * math.sin(t)), t
+
+
+def _at_r(w, r, t):
+    """(m, r, t) on the r curve: the width tie solved for m (step 1)."""
+    return w - 2.0 * r * math.sin(t), r, t
+
+
 def _candidates(problem: SizingProblem):
     """Yield ((m, r, theta_init), walk) for each point of the candidate set.
 
-    m is exact on an m curve, r on an r curve and theta_init on a
-    theta_init bound; the third value follows from the width tie. walk is
-    None, or (check, step) for a point on a budget curve, whose check it
-    may fail by rounding: step(m, r, theta_init) gives the next float
-    toward the feasible side along the other curve it lies on. See the
-    module docstring. A point whose theta_init lies outside its bounds is
-    not yielded: its first check refuses it, and no step moves it back in.
+    walk is None, or (check, step) for a point on a budget curve, whose
+    check it may fail by rounding: step(m, r, theta_init) gives the next
+    float toward the feasible side along the other curve it lies on. A
+    point whose theta_init lies outside its bounds is not yielded: its
+    first check refuses it, and no step moves it back in.
     """
     q = clearance_span(problem.d_axis, problem.r_edge)
     w = problem.w_init
     beta = problem.spring.beta
     k_end = 2.0 * problem.v * problem.spring.kappa / q
-    if k_end == 0.0:  # g() divides by it
+    if k_end == 0.0:  # _budget_curve divides by it
         raise DomainError(f"2*v*kappa/q underflows to 0: v = {problem.v:g}, "
                           f"kappa = {problem.spring.kappa:g}, q = {q:g}")
-    grasp = problem.grasp
-    a_grav = grasp.g_tool * math.cos(grasp.alpha) / 2.0
-    if grasp.config is GripConfig.FORWARD_BASE:
+    a_grav = problem.grasp.g_tool * math.cos(problem.grasp.alpha) / 2.0
+    if problem.grasp.config is GripConfig.FORWARD_BASE:
         a_grav = -a_grav
     budget = problem.grip_budget
 
@@ -265,57 +289,47 @@ def _candidates(problem: SizingProblem):
     e_lo = math.asin(min(1.0, q / r_hi))
     e_hi = math.asin(min(1.0, q / r_lo))
 
-    def g(e):
-        return e - beta + (budget / math.tan(e) - a_grav) / k_end
-
-    def at_m(m, t):
-        return m, (w - m) / (2.0 * math.sin(t)), t
-
-    def at_r(r, t):
-        return w - 2.0 * r * math.sin(t), r, t
-
     def m_up(m, r, t):
-        return at_m(math.nextafter(m, math.inf), t)
+        return _at_m(w, math.nextafter(m, math.inf), t)
 
     def t_down_at_m(m, r, t):
-        return at_m(m, math.nextafter(t, 0.0))
+        return _at_m(w, m, math.nextafter(t, 0.0))
 
     def t_down_at_r(m, r, t):
-        return at_r(r, math.nextafter(t, 0.0))
+        return _at_r(w, r, math.nextafter(t, 0.0))
 
     # the m lower bound with t_hi, r_lo, D_init = B and D_end = B
     if a is not None:
-        yield at_m(m_lo, t_hi), None
+        yield _at_m(w, m_lo, t_hi), None
         s = (w - m_lo) / (2.0 * r_lo)
         if r_lo > q and s <= 1.0 and t_lo <= (t := math.asin(s)) <= t_hi:
             yield (m_lo, r_lo, t), None
-        slope = a_grav + k_end * beta * a
-        if slope > 0.0 and t_lo <= (t := math.atan2(budget, slope)) <= t_hi:
-            yield at_m(m_lo, t), ("demand_init", t_down_at_m)
+        if t_lo <= (t := _open_end_on_m(a, a_grav, k_end, beta, budget)) <= t_hi:
+            yield _at_m(w, m_lo, t), ("demand_init", t_down_at_m)
         if a < 1.0:
-            def d_end(t):
-                e = math.asin(a * math.sin(t))
-                return math.tan(e) * (a_grav + k_end * (beta + t - e))
-            t = _boundary(lambda t: d_end(t) - budget, t_lo, t_hi)
+            t = _boundary(lambda t: _closed_end_on_m(t, a, a_grav, k_end, beta) - budget,
+                          t_lo, t_hi)
             if t is not None:
-                yield at_m(m_lo, t), ("demand_end", t_down_at_m)
+                yield _at_m(w, m_lo, t), ("demand_end", t_down_at_m)
 
     # the r upper bound with t_hi, D_end = B and D_init = B
     if r_hi > q:
-        yield at_r(r_hi, t_hi), None
-        c = k_end * beta * math.sin(e_lo) / math.hypot(a_grav, budget)
-        h = math.atan2(budget, a_grav) - math.asin(c) if c <= 1.0 else None
-        for t, end in ((g(e_lo), "demand_end"), (h, "demand_init")):
+        yield _at_r(w, r_hi, t_hi), None
+        c = _open_end_sine(e_lo, a_grav, k_end, beta, budget)
+        h = _open_end_root(c, a_grav, budget) if c <= 1.0 else None
+        for t, end in ((_budget_curve(e_lo, a_grav, k_end, beta, budget), "demand_end"),
+                       (h, "demand_init")):
             if t is not None and t_lo <= t <= t_hi:
-                yield at_r(r_hi, t), (end, t_down_at_r)
+                yield _at_r(w, r_hi, t), (end, t_down_at_r)
 
     # t_lo with the rising branch of D_end = B, past sin(e)**2 = B/K
-    split = math.asin(math.sqrt(budget / k_end)) if budget < k_end else e_hi
+    split = _budget_split(k_end, budget) if budget < k_end else e_hi
     if max(split, e_lo) < e_hi:
-        e = _boundary(lambda e: t_lo - g(e), max(split, e_lo), e_hi)
+        e = _boundary(lambda e: t_lo - _budget_curve(e, a_grav, k_end, beta, budget),
+                      max(split, e_lo), e_hi)
         if e is not None:
             m = w - 2.0 * q * math.sin(t_lo) / math.sin(e)
-            yield at_m(m, t_lo), ("demand_end", m_up)
+            yield _at_m(w, m, t_lo), ("demand_end", m_up)
 
 
 def _realize(problem: SizingProblem, point: tuple[float, float, float],
@@ -368,9 +382,7 @@ def _active_constraints(problem: SizingProblem, dims: ToolDimensions,
 def _nearest_bound_violations(problem: SizingProblem) -> list[Violation]:
     """Diagnose an empty feasible set at the most promising corner."""
     q = clearance_span(problem.d_axis, problem.r_edge)
-    m = max(problem.m_bounds[0], q)
-    t = problem.theta_init_bounds[1]
-    r = (problem.w_init - m) / (2.0 * math.sin(t))
+    m, r, t = _at_m(problem.w_init, max(problem.m_bounds[0], q), problem.theta_init_bounds[1])
     margins = {name: margin for name, margin, _ in _bound_margins(problem, m, r, t)}
     violations = [Violation(name, margins[name])
                   for name in ("r_lower_bound", "r_upper_bound", "m_upper_bound")
@@ -384,8 +396,7 @@ def _nearest_bound_violations(problem: SizingProblem) -> list[Violation]:
         elif (dims := build_dimensions(problem, m, r, t)) is not None:
             demand = grip_demand(dims, problem.spring, problem.grasp)
             if demand > problem.grip_budget:
-                violations.append(Violation("grip_budget",
-                                            problem.grip_budget - demand))
+                violations.append(Violation("grip_budget", problem.grip_budget - demand))
     return violations or [Violation("bounds", 0.0)]
 
 

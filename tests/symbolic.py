@@ -8,7 +8,9 @@ from types import SimpleNamespace
 
 import sympy
 
-SYMPY_MATH = SimpleNamespace(sin=sympy.sin, cos=sympy.cos, tan=sympy.tan, sqrt=sympy.sqrt)
+SYMPY_MATH = SimpleNamespace(
+    sin=sympy.sin, cos=sympy.cos, tan=sympy.tan, sqrt=sympy.sqrt, asin=sympy.asin,
+    atan=sympy.atan, atan2=sympy.atan2, hypot=lambda x, y: sympy.sqrt(x ** 2 + y ** 2))
 
 
 def exact(value):

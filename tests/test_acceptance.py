@@ -32,7 +32,6 @@ from grippertool import (
     maximize_stroke,
     replace,
     required_grip_force,
-    stroke_fixed_width,
     torque_margin,
 )
 from grippertool import contact, mechanism, payload
@@ -364,6 +363,12 @@ class TestCriterion6:
                   f"{elapsed:.1f} s")
 
 
+def tied_stroke(w_init, m, theta_init, theta_end):
+    """mechanism.stroke with r from the width tie w_init = m + 2*r*sin(theta_init)."""
+    r = (w_init - m) / (2.0 * math.sin(theta_init))
+    return mechanism.stroke(SimpleNamespace(r=r, theta_init=theta_init, theta_end=theta_end))
+
+
 class TestCriterion7:
     def test_stroke_monotonicity(self):
         rng = np.random.default_rng(777)
@@ -373,30 +378,31 @@ class TestCriterion7:
             theta_end = rng.uniform(0.05, 0.45)
             theta_init = rng.uniform(theta_end + 0.05, 1.45)
             bump = rng.uniform(1e-4, 0.05)
-            base = stroke_fixed_width(w_init, m, theta_init, theta_end)
-            assert stroke_fixed_width(
+            base = tied_stroke(w_init, m, theta_init, theta_end)
+            assert tied_stroke(
                 w_init, m, min(theta_init + bump, 1.45), theta_end
             ) >= base - 1e-15
-            assert stroke_fixed_width(
+            assert tied_stroke(
                 w_init, m, theta_init, min(theta_end + bump, theta_init - 1e-4)
             ) <= base + 1e-15
-            assert stroke_fixed_width(
+            assert tied_stroke(
                 w_init, m + bump / 10.0, theta_init, theta_end
             ) <= base + 1e-15
         report(7, "stroke monotone in theta_init, theta_end, m on 500 draws")
 
 
 class TestCriterion7Proof:
-    """Criterion 7 proved, next to the sampled check above: the stroke at
-    a fixed open width that mechanism's own stroke_fixed_width computes,
-    S = (w - m)*sin(theta_i - theta_e)/sin(theta_i), rises in theta_i and
-    falls in theta_e and in m for 0 < theta_e < theta_i < pi/2 and m < w."""
+    """Criterion 7 proved, next to the sampled check above: mechanism's own
+    stroke 2*r*sin(theta_i - theta_e), with r from the width tie
+    w = m + 2*r*sin(theta_i), rises in theta_i and falls in theta_e and in
+    m for 0 < theta_e < theta_i < pi/2 and m < w."""
 
     w, m, theta_i, theta_e = sympy.symbols("w m theta_i theta_e", real=True)
 
     def test_stroke_rises_in_theta_init_and_falls_in_theta_end_and_m(self):
         ti, te, slack = self.theta_i, self.theta_e, self.w - self.m
-        stroke = on_symbols(mechanism.stroke_fixed_width, self.w, self.m, ti, te)
+        stroke = on_symbols(mechanism.stroke, SimpleNamespace(
+            r=slack / (2 * sympy.sin(ti)), theta_init=ti, theta_end=te))
         sin, cos = sympy.sin, sympy.cos
         # each slope is a product of slack = w - m > 0 and sines and
         # cosines of theta_e, theta_i and theta_i - theta_e

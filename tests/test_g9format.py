@@ -76,6 +76,22 @@ def dispatched():
     return [name for name in UMATH.__cpu_dispatch__ if UMATH.__cpu_features__.get(name)]
 
 
+def without_simd_dispatch(code):
+    """The stdout of code, run in a fresh interpreter with src/ and tests/
+    on its path and NPY_DISABLE_CPU_FEATURES naming every feature of
+    dispatched(), as on a CPU with numpy's baseline alone. Skips the
+    calling test where numpy dispatches to no such feature."""
+    features = dispatched()
+    if not features:
+        pytest.skip("numpy dispatches to no CPU feature above its baseline here")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features),
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 CRAFTED = [
     *(v for k in range(-5, 11) for v in neighbours(10.0 ** k)),
     # the fixed/scientific edge: the first rounds up to 0.0001, X = -4
@@ -186,16 +202,9 @@ class TestDecadeWindows:
     def test_without_simd_dispatch(self):
         # numpy's vector log10 differs from libm's in the last bit on some
         # inputs, so the window runs again with every dispatched feature off
-        features = dispatched()
-        if not features:
-            pytest.skip("numpy dispatches to no CPU feature above its baseline here")
-        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features),
-                   PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
         code = ("from test_g9format import dispatched, window_mismatches; "
                 "print(window_mismatches(), dispatched())")
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True)
-        assert (proc.returncode, proc.stdout) == (0, "[] []\n"), proc.stderr
+        assert without_simd_dispatch(code) == "[] []\n"
 
 
 class TestNanText:

@@ -1,9 +1,13 @@
-"""No golden byte turns on the last bit of a libm function.
+"""No golden byte turns on the last bit of a libm function or on the
+CPU's vector width.
 
 Each function that the library calls from math or numpy and that a
 platform's libm may round either way returns its neighbouring float, one
 function and one direction at a time, while the five golden commands
-run. Every golden must stay byte-identical."""
+run. They run once more with numpy's SIMD dispatch cut to its baseline.
+Every golden must stay byte-identical."""
+
+import json
 
 import numpy
 import pytest
@@ -12,6 +16,7 @@ from grippertool import parse_design
 
 from libm_nudge import NUDGED, label, nudged, patched
 from test_cli import GOLDEN_COMMANDS, golden, invoke
+from test_g9format import without_simd_dispatch
 
 
 def golden_outputs():
@@ -42,6 +47,18 @@ def one_nudged(request):
 
 def test_goldens_hold_with_one_function_nudged(one_nudged):
     assert golden_outputs() == EXPECTED
+
+
+def test_goldens_hold_without_simd_dispatch():
+    # numpy's vector log10, tan and arctan may differ from libm's in the
+    # last bit where it dispatches above its baseline, and which features
+    # it finds depends on the CPU; the child says what it dispatches to
+    code = ("import json; from test_g9format import dispatched; "
+            "from test_libm_nudge import golden_outputs; "
+            "print(json.dumps([golden_outputs(), dispatched()]))")
+    outputs, features = json.loads(without_simd_dispatch(code))
+    assert features == []
+    assert {name: tuple(output) for name, output in outputs.items()} == EXPECTED
 
 
 def call(module, name):

@@ -13,7 +13,6 @@ from grippertool import (
     replace,
     spring_torque,
     stroke,
-    stroke_fixed_width,
 )
 from grippertool import mechanism
 
@@ -77,18 +76,6 @@ class TestStroke:
     def test_thirty_degree_span(self):
         dims = wide_dims(theta_init=math.pi / 3, theta_end=math.pi / 6, r=0.03)
         assert stroke(dims) == pytest.approx(0.03, abs=1e-15)
-
-    @given(st.floats(min_value=0.2, max_value=1.5),
-           st.floats(min_value=0.0, max_value=0.15),
-           st.floats(min_value=0.005, max_value=0.05),
-           st.floats(min_value=0.01, max_value=0.06))
-    def test_fixed_width_form_agrees(self, theta_init, theta_end, m, r):
-        if theta_end >= theta_init or theta_init > math.pi / 2:
-            return
-        dims = wide_dims(theta_init=theta_init, theta_end=theta_end, m=m, r=r)
-        via_tie = stroke_fixed_width(dims.w_init, dims.m, dims.theta_init,
-                                     dims.theta_end)
-        assert via_tie == pytest.approx(stroke(dims), rel=1e-12)
 
 
 class TestSpringTorque:

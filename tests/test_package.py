@@ -10,12 +10,12 @@ PUBLIC_NAMES = {
     "gamma_sweep", "grip_demand", "holding_max_offset",
     "max_payload", "maximize_stroke", "parse_design",
     "payload_sweep", "replace", "required_grip_force", "spring_torque", "stroke",
-    "stroke_fixed_width", "torque_margin",
+    "torque_margin",
 }
 
 
 def test_all_names_the_public_api():
-    assert len(PUBLIC_NAMES) == 35
+    assert len(PUBLIC_NAMES) == 34
     assert sorted(grippertool.__all__) == sorted(PUBLIC_NAMES)
     namespace = {}
     exec("from grippertool import *", namespace)

@@ -337,8 +337,8 @@ class TestClosedFormVerdicts:
     the old quadratic failed at small e."""
 
     SEEDS = range(27_000)
-    # draws with a subnormal e, where the residual's w*D/(2*e) overflows;
-    # their roots are negative, so each weight is the clamped 0
+    # draws with a subnormal e, where w*D/(2*e) overflows; their roots are
+    # negative, so each weight is the clamped 0
     SUBNORMAL_E = (846, 7610, 11511, 15105, 20135, 21616, 22449, 23591)
 
     def test_verdict_is_the_sign_of_k(self):
@@ -377,6 +377,19 @@ class TestClosedFormVerdicts:
             assert abs(weight - root) <= 1e-12 * max(root, state.g_tool), seed
             weights += 1
         assert weights > 12_000
+
+    def test_every_residual_is_finite_and_small(self):
+        # the residual takes its terms times e, so a subnormal e, as in the
+        # SUBNORMAL_E draws, leaves it finite
+        residuals = {}
+        for seed in self.SEEDS:
+            model, state, d_obj = draw_contact(seed)
+            try:
+                residuals[seed] = max_payload(model, state, d_obj).residual
+            except (NoFeasiblePayloadError, DomainError):
+                continue
+        assert all(0.0 <= residual <= 2e-15 for residual in residuals.values())
+        assert set(self.SUBNORMAL_E) <= residuals.keys() and len(residuals) > 12_000
 
     @pytest.mark.parametrize("seed", SUBNORMAL_E)
     def test_subnormal_e_gives_the_clamped_zero(self, seed):

@@ -61,7 +61,13 @@ def example_problem(m_bounds, r_bounds):
 
 def tied(problem, m, theta_init):
     """The (m, r, theta_init) point the width tie gives at (m, theta_init)."""
-    return m, (problem.w_init - m) / (2.0 * math.sin(theta_init)), theta_init
+    return sizing._at_m(problem.w_init, m, theta_init)
+
+
+def tied_stroke(w_init, m, theta_init, theta_end):
+    """mechanism.stroke with r from the width tie at (m, theta_init)."""
+    _, r, _ = sizing._at_m(w_init, m, theta_init)
+    return stroke(SimpleNamespace(r=r, theta_init=theta_init, theta_end=theta_end))
 
 
 def feasible_dims(m=0.012, r=0.03, theta_init=math.radians(60),
@@ -191,9 +197,8 @@ class TestStrokeMonotonicity:
         assume(theta_end < theta_init)
         w_init = 0.08
         higher = min(theta_init + bump, 1.45)
-        from grippertool import stroke_fixed_width
-        base = stroke_fixed_width(w_init, m, theta_init, theta_end)
-        more = stroke_fixed_width(w_init, m, higher, theta_end)
+        base = tied_stroke(w_init, m, theta_init, theta_end)
+        more = tied_stroke(w_init, m, higher, theta_end)
         assert more >= base - 1e-15
 
     @given(m=st.floats(min_value=0.007, max_value=0.02),
@@ -203,11 +208,10 @@ class TestStrokeMonotonicity:
     def test_later_closing_angle_never_grows_stroke(self, m, theta_init,
                                                     theta_end, bump):
         assume(theta_end < theta_init)
-        from grippertool import stroke_fixed_width
         w_init = 0.08
         later = min(theta_end + bump, theta_init - 1e-6)
-        base = stroke_fixed_width(w_init, m, theta_init, theta_end)
-        less = stroke_fixed_width(w_init, m, theta_init, later)
+        base = tied_stroke(w_init, m, theta_init, theta_end)
+        less = tied_stroke(w_init, m, theta_init, later)
         assert less <= base + 1e-15
 
     @given(m=st.floats(min_value=0.007, max_value=0.02),
@@ -216,10 +220,9 @@ class TestStrokeMonotonicity:
            bump=st.floats(min_value=1e-5, max_value=0.01))
     def test_wider_base_never_grows_stroke(self, m, theta_init, theta_end, bump):
         assume(theta_end < theta_init)
-        from grippertool import stroke_fixed_width
         w_init = 0.08
-        base = stroke_fixed_width(w_init, m, theta_init, theta_end)
-        wider = stroke_fixed_width(w_init, m + bump, theta_init, theta_end)
+        base = tied_stroke(w_init, m, theta_init, theta_end)
+        wider = tied_stroke(w_init, m + bump, theta_init, theta_end)
         assert wider <= base + 1e-15
 
 
@@ -292,27 +295,54 @@ class TestGripDemand:
 
 
 class TestStrokeLemmas:
-    """The steps of the candidate-set argument in the sizing docstring."""
+    """The steps of the candidate-set argument in the sizing docstring,
+    proved on the code that computes them: the solver's curve cores,
+    contact._grip_force and mechanism.stroke, each run on symbols. The
+    design has theta_init = t and theta_end = e, so r = q/sin(e), and
+    A = +-G*cos(alpha)/2 with alpha free takes every real value."""
 
-    t, e, q, w, beta, K, A, B = sympy.symbols("t e q w beta K A B", real=True)
+    t, e, alpha, beta = sympy.symbols("t e alpha beta", real=True)
+    q, w, m, G, v, kappa, B = sympy.symbols("q w m G v kappa B", positive=True)
+    K = 2 * v * kappa / q   # the solver's k_end
 
-    def demand(self, theta):
-        # the quasi-convex demand with 2*v*kappa/r = K*sin(e) and c = beta + t
-        t, e, beta, K, A = self.t, self.e, self.beta, self.K, self.A
-        return (A * sympy.tan(theta)
-                + K * sympy.sin(e) * (beta + t - theta) / sympy.cos(theta))
+    def grip_force(self, theta, config=GripConfig.BACKWARD_BASE, r=None):
+        """contact._grip_force at linkage angle theta, r = q/sin(e) unless
+        given."""
+        dims = SimpleNamespace(v=self.v, r=self.q / sympy.sin(self.e) if r is None else r,
+                               theta_init=self.t)
+        spring = SimpleNamespace(kappa=self.kappa, beta=self.beta)
+        return on_symbols(contact._grip_force, dims, spring, self.G, self.alpha, theta,
+                          config)[0]
+
+    def a_grav(self, config):
+        """The solver's A for config: + for backward_base."""
+        sign = 1 if config is GripConfig.BACKWARD_BASE else -1
+        return sign * self.G * sympy.cos(self.alpha) / 2
+
+    def stroke(self):
+        """mechanism.stroke with r = q/sin(e)."""
+        return on_symbols(mechanism.stroke, SimpleNamespace(
+            r=self.q / sympy.sin(self.e), theta_init=self.t, theta_end=self.e))
+
+    def m_curve(self):
+        """(r, e) of the point of the m curve at theta_init = t: r from the
+        solver's _at_m, e the closed angle asin(q/r)."""
+        _, r, _ = on_symbols(sizing._at_m, self.w, self.m, self.t)
+        return r, sympy.asin(self.q / r)
 
     def test_substitution_and_stroke_slopes(self):
         t, e, q, w = self.t, self.e, self.q, self.w
-        s = on_symbols(mechanism.stroke,
-                       SimpleNamespace(r=q / sympy.sin(e), theta_init=t, theta_end=e))
-        closed = 2 * q * (sympy.sin(t) * sympy.cot(e) - sympy.cos(t))
-        assert sympy.simplify(s - closed) == 0
+        s = self.stroke()
         # dS/dt and dS/de are sums of positive terms for 0 < e < t < pi/2
         assert sympy.simplify(sympy.diff(s, t) - 2 * q * (
             sympy.cos(t) * sympy.cot(e) + sympy.sin(t))) == 0
         assert sympy.simplify(
             sympy.diff(s, e) + 2 * q * sympy.sin(t) / sympy.sin(e) ** 2) == 0
+        # the width tie on the r curve r = q/sin(e) gives m, and on the m
+        # curve through that m gives r back
+        m, r, _ = on_symbols(sizing._at_r, w, q / sympy.sin(e), t)
+        assert sympy.simplify(m - (w - 2 * q * sympy.sin(t) / sympy.sin(e))) == 0
+        assert sympy.simplify(on_symbols(sizing._at_m, w, m, t)[1] - r) == 0
 
         # the library's builder realizes the substitution
         problem = make_problem()
@@ -326,37 +356,42 @@ class TestStrokeLemmas:
                 rel=1e-12)
 
     def test_closed_end_demand_is_affine_and_its_bound_convex(self):
-        t, e, beta, K, A, B = self.t, self.e, self.beta, self.K, self.A, self.B
-        d_end = self.demand(e)
-        assert sympy.simplify(
-            d_end - sympy.tan(e) * (A + K * (beta + t - e))) == 0
-        assert sympy.simplify(sympy.diff(d_end, t) - K * sympy.tan(e)) == 0
-        assert sympy.diff(d_end, t, 2) == 0
-        g = e - beta + (B * sympy.cot(e) - A) / K
-        assert sympy.simplify(d_end.subs(t, g) - B) == 0
-        assert sympy.simplify(
-            sympy.diff(g, e) - (1 - B / (K * sympy.sin(e) ** 2))) == 0
-        assert sympy.simplify(sympy.diff(g, e, 2)
-                              - 2 * B * sympy.cos(e) / (K * sympy.sin(e) ** 3)) == 0
+        t, e, beta, K, B = self.t, self.e, self.beta, self.K, self.B
+        for config in GripConfig:
+            d_end = self.grip_force(e, config)
+            assert sympy.simplify(sympy.diff(d_end, t) - K * sympy.tan(e)) == 0
+            assert sympy.diff(d_end, t, 2) == 0
+            # affine in t with slope K*tan(e) > 0: D_end <= B exactly below
+            # its one root, g(e)
+            g = on_symbols(sizing._budget_curve, e, self.a_grav(config), K, beta, B)
+            assert sympy.simplify(d_end.subs(t, g) - B) == 0
+            assert sympy.simplify(
+                sympy.diff(g, e) - (1 - B / (K * sympy.sin(e) ** 2))) == 0
+            assert sympy.simplify(sympy.diff(g, e, 2)
+                                  - 2 * B * sympy.cos(e) / (K * sympy.sin(e) ** 3)) == 0
 
     def test_open_end_falling_branch_is_dominated(self):
-        t, e, beta, K, A, B = self.t, self.e, self.beta, self.K, self.A, self.B
+        t, e, beta, K, B = self.t, self.e, self.beta, self.K, self.B
         theta = sympy.Symbol("theta", real=True)
-        d_init = self.demand(t)
-        assert sympy.simplify(d_init - (A * sympy.tan(t) + K * beta * sympy.sin(e)
-                                        / sympy.cos(t))) == 0
-        # R*sin(phi - t) with cos(phi) = A/R and sin(phi) = B/R
-        radius = sympy.sqrt(A ** 2 + B ** 2)
-        r_sin = radius * (B / radius * sympy.cos(t) - A / radius * sympy.sin(t))
-        assert sympy.simplify(sympy.cos(t) * (B - d_init)
-                              - (r_sin - K * beta * sympy.sin(e))) == 0
-        slope = A + K * beta * sympy.sin(e) * sympy.sin(t)
-        assert sympy.simplify(sympy.cos(t) ** 2 * sympy.diff(d_init, t) - slope) == 0
-        # cos^2 * f' at the open end is smaller by K*sin(e)*cos(t) > 0
-        at_open = (sympy.cos(theta) ** 2 * sympy.diff(self.demand(theta), theta)
-                   ).subs(theta, t)
-        assert sympy.simplify(
-            slope - at_open - K * sympy.sin(e) * sympy.cos(t)) == 0
+        for config in GripConfig:
+            a = self.a_grav(config)
+            d_init = self.grip_force(t, config)
+            c = on_symbols(sizing._open_end_sine, e, a, K, beta, B)
+            h = on_symbols(sizing._open_end_root, c, a, B)
+            # cos(t)*(B - D_init) = R*(sin(phi - t) - c), R = hypot(A, B)
+            # and phi = atan2(B, A), and h(e) is its rising-branch root
+            radius, phi = sympy.sqrt(a ** 2 + B ** 2), sympy.atan2(B, a)
+            assert sympy.simplify(sympy.expand_trig(
+                sympy.cos(t) * (B - d_init) - radius * (sympy.sin(phi - t) - c))) == 0
+            assert sympy.simplify(sympy.expand_trig(
+                (sympy.cos(t) * (B - d_init)).subs(t, h))) == 0
+            slope = a + K * beta * sympy.sin(e) * sympy.sin(t)
+            assert sympy.simplify(sympy.cos(t) ** 2 * sympy.diff(d_init, t) - slope) == 0
+            # cos^2 * f' at the open end is smaller by K*sin(e)*cos(t) > 0
+            at_open = (sympy.cos(theta) ** 2
+                       * sympy.diff(self.grip_force(theta, config), theta)).subs(theta, t)
+            assert sympy.simplify(
+                slope - at_open - K * sympy.sin(e) * sympy.cos(t)) == 0
 
         # so wherever D_init falls in t, the closed end demands more
         rng = random.Random(4)
@@ -385,55 +420,63 @@ class TestStrokeLemmas:
             checked += 1
 
     def test_stroke_rises_along_every_curve(self):
-        t, e, q, beta, K = self.t, self.e, self.q, self.beta, self.K
-        radius, phi = sympy.symbols("R phi", positive=True)
-        s = 2 * q * (sympy.sin(t) * sympy.cot(e) - sympy.cos(t))
+        t, e, q, beta, K, B = self.t, self.e, self.q, self.beta, self.K, self.B
+        s = self.stroke()
         s_t, s_e = sympy.diff(s, t), sympy.diff(s, e)
-        # an m curve sin(e) = a*sin(t): de/dt = a*cos(t)/cos(e)
-        a = sympy.sin(e) / sympy.sin(t)
-        de_dt = a * sympy.cos(t) / sympy.cos(e)
-        assert sympy.simplify(de_dt - sympy.tan(e) / sympy.tan(t)) == 0
-        assert sympy.simplify(s_t + s_e * de_dt - 2 * q * sympy.cos(t) * (
-            sympy.tan(t) - sympy.tan(e))) == 0
+        # along an m curve, de/dt = tan(e)/tan(t) and S rises in t by
+        # 2*q*cos(t)*(tan(t) - tan(e)) > 0
+        r_m, e_m = self.m_curve()
+        along = on_symbols(mechanism.stroke,
+                           SimpleNamespace(r=r_m, theta_init=t, theta_end=e_m))
+        assert sympy.simplify(sympy.diff(e_m, t) - sympy.tan(e_m) / sympy.tan(t)) == 0
+        rise = 2 * q * sympy.cos(t) * (sympy.tan(t) - sympy.tan(e_m))
+        assert sympy.simplify(sympy.expand_trig(sympy.diff(along, t) - rise)) == 0
         # t = f(e) with f' < 1 and s_t > 0: dS/de = s_t*f' + s_e < s_t + s_e < 0
         assert sympy.simplify(s_t + s_e + 2 * q * sympy.cot(e) * sympy.sin(t - e)
                               / sympy.sin(e)) == 0
         # the rising branch h(e) = phi - asin(c) has h' <= 0
-        c = K * beta * sympy.sin(e) / radius
-        h = phi - sympy.asin(c)
+        a = self.a_grav(GripConfig.BACKWARD_BASE)
+        c = on_symbols(sizing._open_end_sine, e, a, K, beta, B)
+        h = on_symbols(sizing._open_end_root, c, a, B)
         assert sympy.simplify(sympy.diff(h, e) + K * beta * sympy.cos(e) / (
-            radius * sympy.sqrt(1 - c ** 2))) == 0
+            sympy.sqrt(a ** 2 + B ** 2) * sympy.sqrt(1 - c ** 2))) == 0
 
     def test_candidate_closed_forms_and_root_counts(self):
-        t, e, q, w, beta, K, A, B = (self.t, self.e, self.q, self.w, self.beta,
-                                     self.K, self.A, self.B)
-        m, r = sympy.symbols("m r", positive=True)
+        t, e, q, w, m, beta, K, B = (self.t, self.e, self.q, self.w, self.m, self.beta,
+                                     self.K, self.B)
+        r = sympy.Symbol("r", positive=True)
         a = 2 * q / (w - m)
-        # an r bound (sin(e) = q/r) meets an m curve at sin(t) = (w - m)/(2*r)
-        assert sympy.simplify((q / r) / a - (w - m) / (2 * r)) == 0
-        # the m curve is the width tie: m = w - 2*q*sin(t)/sin(e)
-        assert sympy.simplify(
-            (w - 2 * q * sympy.sin(t) / (a * sympy.sin(t))) - m) == 0
-        # along an m curve D_init = (A + K*beta*a)*tan(t)
-        along = self.demand(t).subs(sympy.sin(e), a * sympy.sin(t))
-        assert sympy.simplify(along - (A + K * beta * a) * sympy.tan(t)) == 0
+        r_m, e_m = self.m_curve()
+        # the m curve is sin(e) = a*sin(t), and an r bound meets it at
+        # sin(t) = (w - m)/(2*r)
+        assert sympy.simplify(sympy.sin(e_m) - a * sympy.sin(t)) == 0
+        assert sympy.simplify(r_m.subs(t, sympy.asin((w - m) / (2 * r))) - r) == 0
+        a_grav = self.a_grav(GripConfig.BACKWARD_BASE)
+        # along an m curve D_init = (A + K*beta*a)*tan(t), so it meets B at
+        # the solver's atan2(B, A + K*beta*a)
+        along = self.grip_force(t, r=r_m)
+        assert sympy.simplify(along - (a_grav + K * beta * a) * sympy.tan(t)) == 0
+        root = on_symbols(sizing._open_end_on_m, a, a_grav, K, beta, B)
+        assert sympy.simplify(along.subs(t, root) - B) == 0
         # a t bound meets D_init = B at sin(e) = (B*cos(t) - A*sin(t))/(K*beta)
-        sin_e = (B * sympy.cos(t) - A * sympy.sin(t)) / (K * beta)
-        assert sympy.simplify(self.demand(t).subs(sympy.sin(e), sin_e) - B) == 0
-        # along an m curve, A + K*(beta + t - e) and tan(e) both rise in t
-        # (de/dt = tan(e)/tan(t) < 1), so D_end is negative or increasing
-        e_of_t = sympy.asin(a * sympy.sin(t))
-        assert sympy.simplify(sympy.diff(t - e_of_t, t) - (
-            1 - sympy.tan(e_of_t) / sympy.tan(t))) == 0
-        # g(e) = t: g is convex (previous test), so at most two roots, split
+        sin_e = (B * sympy.cos(t) - a_grav * sympy.sin(t)) / (K * beta)
+        assert sympy.simplify(self.grip_force(t).subs(sympy.sin(e), sin_e) - B) == 0
+        # the solver's D_end along an m curve is the grip force at e_m; there
+        # A + K*(beta + t - e) and tan(e) both rise in t (de/dt < 1), so
+        # D_end is negative or increasing
+        d_end = on_symbols(sizing._closed_end_on_m, t, a, a_grav, K, beta)
+        assert sympy.simplify(d_end - self.grip_force(e_m, r=r_m)) == 0
+        assert sympy.simplify(sympy.diff(t - e_m, t) - (
+            1 - sympy.tan(e_m) / sympy.tan(t))) == 0
+        # g(e) = t: g is convex (test above), so at most two roots, split
         # where g' = 0
-        g = e - beta + (B * sympy.cot(e) - A) / K
-        split = sympy.asin(sympy.sqrt(B / K))
+        g = on_symbols(sizing._budget_curve, e, a_grav, K, beta, B)
+        split = on_symbols(sizing._budget_split, K, B)
         assert sympy.simplify(sympy.diff(g, e).subs(e, split)) == 0
 
     def test_gradient_cone_leaves_eight_pairings(self):
         t, e, q = self.t, self.e, self.q
-        s = 2 * q * (sympy.sin(t) * sympy.cot(e) - sympy.cos(t))
+        s = self.stroke()
         s_t, s_e = sympy.diff(s, t), sympy.diff(s, e)
         # -dS/de - dS/dt >= 0 exactly when tan(t) >= tan(e): with dS/dt > 0
         # the gradient points between -90 and -45 degrees in (t, e)
